@@ -96,9 +96,8 @@ pub struct RunReport<R> {
     /// The hottest pages as `(page index, miss count)`, hottest first
     /// (top [`HOT_PAGES`] only; ties broken by page index).
     pub hot_pages: Vec<(usize, u64)>,
-    /// Event-tracer health; non-zero `dropped` means the trace is partial.
-    pub tracer: carina::TracerStats,
-    /// Flight-recorder health: ring occupancy, drops, tail captures.
+    /// Flight-recorder health: ring occupancy, drops, tail captures;
+    /// non-zero `dropped` means the exported trace is partial.
     pub recorder: carina::RecorderStats,
     /// Volans membership epoch at region end (0 = membership never
     /// changed: no failover, no join).
@@ -250,7 +249,6 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
             locks: self.dsm.lock_registry().snapshots(),
             heat_total: self.dsm.page_heat().total(),
             hot_pages: self.dsm.page_heat().top_k(HOT_PAGES),
-            tracer: self.dsm.tracer().stats(),
             recorder: self.dsm.lyra().stats(),
             membership_epoch: self.dsm.membership().epoch(),
             nodes_alive: self.dsm.membership().nodes_alive(),

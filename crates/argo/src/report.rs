@@ -132,14 +132,12 @@ impl<R> RunReport<R> {
         let rec = &self.recorder;
         let _ = writeln!(
             s,
-            "recorder     : {} records kept / {} submitted, {} dropped, {} tail captures{}; tracer {} kept / {} dropped",
+            "recorder     : {} records kept / {} submitted, {} dropped, {} tail captures{}",
             rec.kept,
             rec.submitted,
             rec.dropped,
             rec.tail_captures,
-            if rec.enabled { "" } else { " (disabled)" },
-            self.tracer.recorded.saturating_sub(self.tracer.dropped),
-            self.tracer.dropped
+            if rec.enabled { "" } else { " (disabled)" }
         );
         s
     }
@@ -149,7 +147,6 @@ impl<R> RunReport<R> {
     /// entry per registered lock. Parsable by `obs::JsonValue` (and any
     /// real JSON parser).
     pub fn to_json(&self) -> String {
-        let c = &self.coherence;
         let n = &self.net;
         let mut s = String::with_capacity(2048);
         s.push('{');
@@ -167,67 +164,16 @@ impl<R> RunReport<R> {
             ",\"membership\":{{\"epoch\":{},\"nodes_alive\":{}}}",
             self.membership_epoch, self.nodes_alive
         );
-        let _ = write!(
-            s,
-            ",\"coherence\":{{\"read_hits\":{},\"write_hits\":{},\"read_misses\":{},\
-             \"write_faults\":{},\"si_invalidated\":{},\"si_kept\":{},\"writebacks\":{},\
-             \"writeback_bytes\":{},\"twins_created\":{},\"diff_words\":{},\
-             \"checkpoints\":{},\"p_to_s\":{},\"nw_to_sw\":{},\"sw_to_mw\":{},\
-             \"evictions\":{},\"si_fences\":{},\"sd_fences\":{},\"decays\":{},\
-             \"downgrade_batches\":{},\"downgrade_batch_pages\":{},\
-             \"verb_retries\":{},\"verb_exhaustions\":{},\
-             \"failovers\":{},\"pages_rehomed\":{},\"shadow_mirrored\":{},\
-             \"prefetch_issued\":{},\"prefetch_hits\":{},\"prefetch_wasted\":{},\
-             \"prefetch_accuracy\":{:.4},\
-             \"lease_renewals\":{},\"lease_expiries\":{},\"lease_kept\":{},\
-             \"lease_keep_ratio\":{:.4},\
-             \"mode_to_lease\":{},\"mode_to_sisd\":{},\"mode_lease_checks\":{},\
-             \"mode_classify_checks\":{},\"mode_reconciles\":{},\
-             \"lease_mode_occupancy\":{:.4},\
-             \"mean_drain_batch\":{:.3},\"diff_efficiency\":{:.4},\"si_keep_ratio\":{:.4}}}",
-            c.read_hits,
-            c.write_hits,
-            c.read_misses,
-            c.write_faults,
-            c.si_invalidated,
-            c.si_kept,
-            c.writebacks,
-            c.writeback_bytes,
-            c.twins_created,
-            c.diff_words,
-            c.checkpoints,
-            c.p_to_s,
-            c.nw_to_sw,
-            c.sw_to_mw,
-            c.evictions,
-            c.si_fences,
-            c.sd_fences,
-            c.decays,
-            c.downgrade_batches,
-            c.downgrade_batch_pages,
-            c.verb_retries,
-            c.verb_exhaustions,
-            c.failovers,
-            c.pages_rehomed,
-            c.shadow_mirrored,
-            c.prefetch_issued,
-            c.prefetch_hits,
-            c.prefetch_wasted,
-            c.prefetch_accuracy(),
-            c.lease_renewals,
-            c.lease_expiries,
-            c.lease_kept,
-            c.lease_keep_ratio(),
-            c.mode_to_lease,
-            c.mode_to_sisd,
-            c.mode_lease_checks,
-            c.mode_classify_checks,
-            c.mode_reconciles,
-            c.lease_mode_occupancy(),
-            c.mean_drain_batch(),
-            c.diff_efficiency(),
-            c.si_keep_ratio()
-        );
+        // Every counter of the table, then the derived ratios.
+        s.push_str(",\"coherence\":{");
+        for (name, value) in self.coherence.fields() {
+            let _ = write!(s, "\"{name}\":{value},");
+        }
+        for (name, value) in self.coherence.ratios() {
+            let _ = write!(s, "\"{name}\":{value:.4},");
+        }
+        s.pop(); // the trailing comma
+        s.push('}');
         let _ = write!(
             s,
             ",\"network\":{{\"rdma_reads\":{},\"rdma_writes\":{},\"rdma_atomics\":{},\
@@ -270,11 +216,6 @@ impl<R> RunReport<R> {
             rec.tail_captures,
             rec.capacity_per_node,
             rec.enabled
-        );
-        let _ = write!(
-            s,
-            ",\"tracer\":{{\"recorded\":{},\"dropped\":{},\"buffered\":{}}}",
-            self.tracer.recorded, self.tracer.dropped, self.tracer.buffered
         );
         s.push_str(",\"locks\":[");
         for (i, l) in self.locks.iter().enumerate() {
@@ -405,8 +346,5 @@ mod tests {
                 + rec.get("dropped").unwrap().as_u64().unwrap(),
             report.recorder.submitted
         );
-        // Tracer is disabled by default: present, all zero.
-        let tr = doc.get("tracer").unwrap();
-        assert_eq!(tr.get("dropped").unwrap().as_u64(), Some(0));
     }
 }

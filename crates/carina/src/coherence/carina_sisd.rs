@@ -12,8 +12,8 @@ use crate::classification::{node_bit, ClassificationMode, DirView, PageClass};
 use crate::config::CarinaConfig;
 use crate::directory::{DirCaches, Pyxis};
 use crate::stats::{CoherenceStats, StatShard};
-use crate::trace::Event;
 use mem::PageNum;
+use obs::RecordKind;
 
 /// The shipped Argo protocol (self-invalidation / self-downgrade with
 /// passive Pyxis classification).
@@ -100,7 +100,7 @@ impl Coherence for CarinaSiSd {
         RegisterOutcome {
             notify: vec![owner],
             fetch_from: (self.mode == ClassificationMode::PsNaive).then_some(owner),
-            events: vec![Event::PToS { page, newcomer: me, owner }],
+            transitions: [Some((RecordKind::PToS, owner as u32)), None],
         }
     }
 
@@ -127,7 +127,7 @@ impl Coherence for CarinaSiSd {
             CoherenceStats::bump(&shard.p_to_s);
             self.dir_caches.entry(owner, page).or_view(after);
             out.notify.push(owner);
-            out.events.push(Event::PToS { page, newcomer: me, owner });
+            out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
         // Writer-class transitions.
         match before.writers.count_ones() {
@@ -136,7 +136,7 @@ impl Coherence for CarinaSiSd {
                 // learn there is now a writer (§3.5 "Shared, NW").
                 if (prior.count_ones() > 1 || (prior != 0 && prior & node_bit(me) == 0)) => {
                     CoherenceStats::bump(&shard.nw_to_sw);
-                    out.events.push(Event::NwToSw { page, writer: me });
+                    out.transitions[1] = Some((RecordKind::NwToSw, obs::NO_TARGET));
                     let mut others = prior & !node_bit(me);
                     while others != 0 {
                         let n = others.trailing_zeros() as u16;
@@ -153,7 +153,7 @@ impl Coherence for CarinaSiSd {
                 // equivalent.
                 CoherenceStats::bump(&shard.sw_to_mw);
                 let w = before.writers.trailing_zeros() as u16;
-                out.events.push(Event::SwToMw { page, new_writer: me, old_writer: w });
+                out.transitions[1] = Some((RecordKind::SwToMw, w as u32));
                 if w != me {
                     self.dir_caches.entry(w, page).or_view(after);
                     out.notify.push(w);

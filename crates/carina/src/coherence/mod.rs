@@ -42,7 +42,6 @@ pub use tardis::Tardis;
 use crate::classification::DirView;
 use crate::config::CarinaConfig;
 use crate::stats::StatShard;
-use crate::trace::Event;
 use mem::PageNum;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -88,8 +87,8 @@ impl PageBitSet {
 /// What a registration decided: wire work the engine must now perform on
 /// the policy's behalf. The policy has already applied its local metadata
 /// mutations and bumped its transition counters; the engine prices and
-/// posts the verbs (with retry and settle tracking) and records the trace
-/// events with its endpoint clock.
+/// posts the verbs (with retry and settle tracking) and flight-records the
+/// transitions with its endpoint clock.
 #[derive(Debug, Default)]
 pub struct RegisterOutcome {
     /// Nodes whose directory caches this registration must update remotely
@@ -100,22 +99,24 @@ pub struct RegisterOutcome {
     /// Service this fill from `owner`'s checkpoint with one extra page
     /// fetch (the naïve P/S scheme's P→S obligation, §3.4.2).
     pub fetch_from: Option<u16>,
-    /// Classification-transition events to trace.
-    pub events: Vec<Event>,
+    /// The classification transitions this registration caused, as
+    /// `(detail kind, other node)` — at most a P→S plus one writer-class
+    /// step. The engine turns them into Lyra detail records.
+    pub transitions: [Option<(obs::RecordKind, u32)>; 2],
 }
 
 impl RegisterOutcome {
-    /// A registration that caused no transition: nothing to post or trace.
+    /// A registration that caused no transition: nothing to post or record.
     #[inline]
     pub fn quiet() -> Self {
         RegisterOutcome::default()
     }
 
-    /// True if the engine has no wire or trace work to do — the common
+    /// True if the engine has no wire or recording work to do — the common
     /// case, kept cheap (no allocation ever happened for a quiet outcome).
     #[inline]
     pub fn is_quiet(&self) -> bool {
-        self.notify.is_empty() && self.fetch_from.is_none() && self.events.is_empty()
+        self.notify.is_empty() && self.fetch_from.is_none() && self.transitions == [None; 2]
     }
 }
 

@@ -5,6 +5,25 @@ use mem::addr::HomePolicy;
 use mem::CacheConfig;
 use rma::RetryPolicy;
 
+/// How pages map to home nodes (paper: interleaved).
+pub const HOME_POLICY: HomePolicy = HomePolicy::Interleaved;
+/// Cycles for a page-cache hit (TLB + local cache access).
+pub const HIT_CYCLES: u64 = 4;
+/// Cycles to copy one 4 KiB page that is hot in the CPU cache (twin
+/// creation at a write fault: the faulting access just touched it):
+/// ~170 DRAM + 4096 B at 16 B/cycle.
+pub const PAGE_COPY_CYCLES: u64 = 430;
+/// Cycles to copy one *cold* 4 KiB page during a sync-point checkpoint
+/// sweep (naïve P/S only): every line misses on the way in and out (2×64
+/// cache lines of cold DRAM traffic), so this is an order of magnitude
+/// more than a hot copy — the cost that makes the paper's naïve P/S "no
+/// better than S" (§5.1).
+pub const CHECKPOINT_CYCLES: u64 = 4200;
+/// Cycles to examine one cached page during a fence sweep.
+pub const FENCE_SCAN_CYCLES: u64 = 6;
+/// Cycles to flip protection on one page (the mprotect analogue).
+pub const PROTECT_CYCLES: u64 = 150;
+
 /// Whether SD fences drain the write buffer with one home-coalesced
 /// `rdma_write_batch` per home node, or with one `rdma_write` per page.
 ///
@@ -33,15 +52,9 @@ pub struct CarinaConfig {
     pub mode: ClassificationMode,
     /// Page-cache geometry (lines × pages per line).
     pub cache: CacheConfig,
-    /// How pages map to home nodes (paper: interleaved).
-    pub home_policy: HomePolicy,
     /// Write-buffer capacity in pages (the Figure 9/10 sweep). When the
     /// buffer exceeds this, the oldest dirty page is downgraded.
     pub write_buffer_pages: usize,
-    /// Lock stripes of the write buffer (clean→dirty pushes from a node's
-    /// threads serialize per stripe, not globally). Purely host-side:
-    /// global FIFO victim order is preserved by push tickets.
-    pub write_buffer_shards: usize,
     /// How SD fences post the drained pages home (see [`BatchDrain`]).
     pub batch_drain: BatchDrain,
     /// Under [`BatchDrain::Auto`], coalesce anyway — even on transports
@@ -70,20 +83,6 @@ pub struct CarinaConfig {
     /// creation and downgrades by transmitting the whole page — no false
     /// sharing is possible with one writer.
     pub sw_no_diff: bool,
-    /// Cycles for a page-cache hit (TLB + local cache access).
-    pub hit_cycles: u64,
-    /// Cycles to copy one 4 KiB page that is hot in the CPU cache (twin
-    /// creation at a write fault: the faulting access just touched it).
-    pub page_copy_cycles: u64,
-    /// Cycles to copy one *cold* 4 KiB page during a sync-point checkpoint
-    /// sweep (naïve P/S only): every line misses on the way in and out, so
-    /// this is an order of magnitude more than a hot copy — the cost that
-    /// makes the paper's naïve P/S "no better than S" (§5.1).
-    pub checkpoint_cycles: u64,
-    /// Cycles to examine one cached page during a fence sweep.
-    pub fence_scan_cycles: u64,
-    /// Cycles to flip protection on one page (the mprotect analogue).
-    pub protect_cycles: u64,
     /// Initial per-page lease length for the Tardis timestamp policy
     /// (logical-clock ticks a read grant stays valid). Ignored by SI/SD.
     pub tardis_lease: u64,
@@ -138,20 +137,13 @@ impl Default for CarinaConfig {
         CarinaConfig {
             mode: ClassificationMode::Ps3,
             cache: CacheConfig::default(),
-            home_policy: HomePolicy::Interleaved,
             write_buffer_pages: 8192,
-            write_buffer_shards: crate::write_buffer::DEFAULT_SHARDS,
             batch_drain: BatchDrain::Auto,
             batch_drain_cutover: 8,
             prefetch_lines: 0,
             prefetch_streak: 2,
             active_directory: false,
             sw_no_diff: false,
-            hit_cycles: 4,
-            page_copy_cycles: 430, // ~170 DRAM + 4096 B at 16 B/cycle (hot)
-            checkpoint_cycles: 4200, // 2×64 cache lines of cold DRAM traffic
-            fence_scan_cycles: 6,
-            protect_cycles: 150,
             tardis_lease: 64,
             tardis_lease_min: 8,
             tardis_lease_max: 4096,

@@ -12,7 +12,7 @@
 //! - [`directory`] — Pyxis home entries (reader/writer full maps) and the
 //!   per-node directory caches that transitions are remotely reflected into.
 //! - [`write_buffer`] — the FIFO that drains dirty pages between syncs.
-//! - [`config`] / [`stats`] — tunables and event counters.
+//! - [`config`] / [`stats`] — tunables and the one counter table.
 //! - [`protocol`] — [`Dsm`], the engine: typed access path, miss handling,
 //!   transitions and notifications, SI/SD fences.
 //!
@@ -29,7 +29,6 @@ pub mod directory;
 pub mod error;
 pub mod protocol;
 pub mod stats;
-pub mod trace;
 pub mod write_buffer;
 
 pub use census::{Census, HotPage};
@@ -46,7 +45,6 @@ pub use stats::{CoherenceSnapshot, CoherenceStats, StatShard};
 // Re-exported so programs handling DSM errors can name the fault and retry
 // vocabulary without depending on `rma` directly.
 pub use rma::{RetryPolicy, VerbClass, VerbError};
-pub use trace::{Event as TraceEvent, TracedEvent, Tracer, TracerStats};
 pub use write_buffer::WriteBuffer;
 
 // Lyra observability surface, re-exported so DSM users need not name `obs`.

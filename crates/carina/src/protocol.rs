@@ -34,7 +34,10 @@
 
 use crate::coherence::{CarinaSiSd, Coherence, RegisterOutcome};
 use crate::classification::DirView;
-use crate::config::{BatchDrain, CarinaConfig};
+use crate::config::{
+    BatchDrain, CarinaConfig, CHECKPOINT_CYCLES, FENCE_SCAN_CYCLES, HIT_CYCLES, HOME_POLICY,
+    PAGE_COPY_CYCLES, PROTECT_CYCLES,
+};
 use crate::error::DsmError;
 use crate::stats::CoherenceStats;
 use crate::write_buffer::WriteBuffer;
@@ -147,7 +150,6 @@ pub struct Dsm<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     net: Arc<T>,
     config: CarinaConfig,
     stats: CoherenceStats,
-    tracer: crate::trace::Tracer,
     /// Latency histograms for the protocol slow paths (always on; recording
     /// is two relaxed adds and the hit paths never touch it).
     profile: obs::LatencyProfile,
@@ -188,7 +190,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub fn with_policy(net: Arc<T>, bytes_per_node: u64, config: CarinaConfig) -> Arc<Self> {
         let n = net.topology().nodes;
         assert!(n <= 128, "directory metadata supports up to 128 nodes");
-        let global = GlobalMemory::with_policy(n, bytes_per_node, config.home_policy);
+        let global = GlobalMemory::with_policy(n, bytes_per_node, HOME_POLICY);
         let total_pages = global.total_pages();
         let lyra = Arc::new(obs::FlightRecorder::new(n, config.lyra_ring));
         // Fault-injecting transports record the fates they decide against
@@ -221,7 +223,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             net,
             config,
             stats: CoherenceStats::new(n),
-            tracer: crate::trace::Tracer::new(4096),
             profile: obs::LatencyProfile::new(n),
             lock_obs: obs::LockRegistry::new(),
             heat: obs::PageHeat::new(total_pages as usize),
@@ -231,10 +232,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             nodes: (0..n)
                 .map(|_| NodeState {
                     cache: PageCache::new(config.cache),
-                    wbuf: WriteBuffer::with_shards(
-                        config.write_buffer_pages,
-                        config.write_buffer_shards,
-                    ),
+                    wbuf: WriteBuffer::new(config.write_buffer_pages),
                     pending_settle: AtomicU64::new(0),
                     prefetch: Mutex::new(Prefetcher::default()),
                 })
@@ -269,13 +267,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         &self.stats
     }
 
-    /// The protocol event tracer (disabled by default; see
-    /// [`crate::trace::Tracer::set_enabled`]).
-    #[inline]
-    pub fn tracer(&self) -> &crate::trace::Tracer {
-        &self.tracer
-    }
-
     /// The protocol's latency histograms (read-miss service, faults,
     /// fences; locks and barriers record into it from Vela).
     #[inline]
@@ -296,42 +287,24 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         &self.heat
     }
 
-    /// The Lyra flight recorder: per-node verb-record rings, span minter,
-    /// and tail captures (see [`obs::FlightRecorder`]).
+    /// The Lyra flight recorder — the engine's only event path: per-node
+    /// record rings, span minter, and tail captures. The per-page detail
+    /// kinds are off until [`obs::FlightRecorder::set_detail`].
     #[inline]
     pub fn lyra(&self) -> &obs::FlightRecorder {
         &self.lyra
     }
 
-    /// A live metrics exposition: coherence counters, recorder/tracer
+    /// A live metrics exposition: every coherence counter, recorder
     /// health, and per-site latency summaries, pollable mid-run on either
     /// backend. Render with [`obs::MetricsSnapshot::to_prometheus`] or
     /// [`obs::MetricsSnapshot::to_json`].
     pub fn metrics_snapshot(&self) -> obs::MetricsSnapshot {
         let mut m = obs::MetricsSnapshot::default();
         let policy = [("policy", C::NAME)];
-        let s = self.stats.snapshot();
-        m.counter("carina_read_hits", &policy, s.read_hits);
-        m.counter("carina_read_misses", &policy, s.read_misses);
-        m.counter("carina_write_hits", &policy, s.write_hits);
-        m.counter("carina_write_faults", &policy, s.write_faults);
-        m.counter("carina_si_fences", &policy, s.si_fences);
-        m.counter("carina_sd_fences", &policy, s.sd_fences);
-        m.counter("carina_si_invalidated", &policy, s.si_invalidated);
-        m.counter("carina_si_kept", &policy, s.si_kept);
-        m.counter("carina_writebacks", &policy, s.writebacks);
-        m.counter("carina_writeback_bytes", &policy, s.writeback_bytes);
-        m.counter("carina_verb_retries", &policy, s.verb_retries);
-        m.counter("carina_verb_exhaustions", &policy, s.verb_exhaustions);
-        m.counter("carina_lease_expiries", &policy, s.lease_expiries);
-        m.counter(
-            "carina_mode_switches",
-            &policy,
-            s.mode_to_lease + s.mode_to_sisd,
-        );
-        m.counter("carina_failovers", &policy, s.failovers);
-        m.counter("carina_pages_rehomed", &policy, s.pages_rehomed);
-        m.counter("carina_shadow_mirrored", &policy, s.shadow_mirrored);
+        for (name, value) in self.stats.snapshot().fields() {
+            m.counter(&format!("carina_{name}"), &policy, value);
+        }
         m.gauge(
             "carina_membership_epoch",
             &[],
@@ -353,7 +326,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             &[],
             if rs.enabled { 1.0 } else { 0.0 },
         );
-        m.counter("carina_trace_events_dropped", &[], self.tracer.dropped());
         let prof = self.profile.snapshot();
         for site in obs::Site::ALL {
             let h = prof.get(site);
@@ -629,12 +601,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// Fold one completed protocol site into every observability surface:
-    /// the latency histogram, a `Site` flight record carrying the span,
-    /// and — when the latency crosses `lyra_tail_threshold` — a tail
-    /// capture of the node's ring around the offender. Public because the
-    /// synchronization layer (Vela locks/barriers) funnels its own sites
-    /// through the same path.
+    /// the latency histogram, a `Site` flight record carrying the span
+    /// (`arg` is the page for the per-page sites, 0 otherwise), and — when
+    /// the latency crosses `lyra_tail_threshold` — a tail capture of the
+    /// node's ring around the offender. Public because the synchronization
+    /// layer (Vela locks/barriers) funnels its own sites through the same
+    /// path.
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub fn record_site(
         &self,
         t: &mut T::Endpoint,
@@ -643,12 +617,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         span: obs::SpanId,
         start: u64,
         dur: u64,
+        arg: u64,
     ) {
         self.profile.record(me as usize, site, dur);
         self.lyra_record(t, me, || obs::VerbRecord {
             span,
             start,
             dur,
+            arg,
             node: me,
             kind: obs::RecordKind::Site,
             site: site.index() as u8,
@@ -658,6 +634,28 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if threshold > 0 && dur >= threshold {
             self.lyra.capture_tail(me as usize, site.index() as u8, span, start, dur);
         }
+    }
+
+    /// Flight-record one per-page protocol event — `kind` is one of the
+    /// detail kinds, `arg` the page (or page count), `target` the other node
+    /// or [`obs::NO_TARGET`] — as an instant under `t`'s current span (none
+    /// on endpoints that do not track one). A no-op costing one relaxed
+    /// load unless [`obs::FlightRecorder::set_detail`] is on.
+    #[inline]
+    fn detail(&self, t: &mut T::Endpoint, me: u16, kind: obs::RecordKind, arg: u64, target: u32) {
+        if !self.lyra.detail() {
+            return;
+        }
+        let (span, start) = (t.current_span(), t.obs_now());
+        self.lyra_record(t, me, || obs::VerbRecord {
+            span,
+            start,
+            arg,
+            target,
+            node: me,
+            kind,
+            ..obs::VerbRecord::blank()
+        });
     }
 
     /// The panicking flavors' shared exit: programs that opted out of
@@ -713,28 +711,25 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         })
     }
 
-    /// Retry a failed protocol operation across a failover: when
-    /// `volans_failover` is on and the fault admits one, declare the target
-    /// departed (re-homing its pages) and re-run the operation against the
-    /// survivors. Loops because the retry can fail against a *different*
-    /// node; terminates because every iteration either declares one more
-    /// node dead (at most n−1 declarations exist) or gives up. Runs only
-    /// after the inner operation returned, so every slot guard the
-    /// operation held is already dropped — the failover sweep can take any
-    /// lock it needs.
+    /// Run a protocol operation, retrying it across failovers: when it
+    /// fails, `volans_failover` is on and the fault admits one, declare the
+    /// target departed (re-homing its pages) and re-run the operation
+    /// against the survivors. Loops because the retry can fail against a
+    /// *different* node; terminates because every iteration either declares
+    /// one more node dead (at most n−1 declarations exist) or gives up. The
+    /// failover runs only after the operation returned, so every slot guard
+    /// it held is already dropped — the sweep can take any lock it needs.
+    #[inline]
     fn failover_retry<R>(
         &self,
         t: &mut T::Endpoint,
-        mut e: DsmError,
         mut op: impl FnMut(&Self, &mut T::Endpoint) -> Result<R, DsmError>,
     ) -> Result<R, DsmError> {
         loop {
-            if !self.config.volans_failover || !self.absorb_fault(t, e) {
-                return Err(e);
-            }
             match op(self, t) {
                 Ok(v) => return Ok(v),
-                Err(next) => e = next,
+                Err(e) if self.config.volans_failover && self.absorb_fault(t, e) => {}
+                Err(e) => return Err(e),
             }
         }
     }
@@ -954,17 +949,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// `volans_failover`, an exhausted budget declares the target departed,
     /// re-homes its pages, and re-runs the read against the survivors.
     pub fn try_read_u64(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> Result<u64, DsmError> {
-        match self.read_u64_inner(t, addr) {
-            Ok(v) => Ok(v),
-            Err(e) => self.failover_retry(t, e, |dsm, t| dsm.read_u64_inner(t, addr)),
-        }
+        self.failover_retry(t, |dsm, t| dsm.read_u64_inner(t, addr))
     }
 
     fn read_u64_inner(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> Result<u64, DsmError> {
         let page = addr.page();
         let word = addr.word_index();
         let me = t.node().0;
-        t.compute(self.config.hit_cycles);
+        t.compute(HIT_CYCLES);
         if self.global.home_of(page) == me {
             self.register_reader_home(t, page, me)?;
             return Ok(self.global.home_page(page).load(word));
@@ -1006,10 +998,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         addr: GlobalAddr,
         value: u64,
     ) -> Result<(), DsmError> {
-        match self.write_u64_inner(t, addr, value) {
-            Ok(()) => Ok(()),
-            Err(e) => self.failover_retry(t, e, |dsm, t| dsm.write_u64_inner(t, addr, value)),
-        }
+        self.failover_retry(t, |dsm, t| dsm.write_u64_inner(t, addr, value))
     }
 
     fn write_u64_inner(
@@ -1021,7 +1010,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let page = addr.page();
         let word = addr.word_index();
         let me = t.node().0;
-        t.compute(self.config.hit_cycles);
+        t.compute(HIT_CYCLES);
         if self.global.home_of(page) == me {
             self.register_writer_home(t, page, me)?;
             self.global.home_page(page).store(word, value);
@@ -1092,8 +1081,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let span = self.mint_span(t, me);
         t.set_span(span);
         CoherenceStats::bump(&self.stats.shard(me).write_faults);
-        self.tracer
-            .record(|| obs_start, || crate::trace::Event::WriteFault { node: me, page });
         t.fault_trap();
         self.register_writer(t, page, me)?;
         let disp = self.coherence.write_disposition(me, page);
@@ -1105,7 +1092,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // charge stays a full hot page copy — the simulated machine
             // snapshots eagerly; only host work became lazy.
             st.pages[idx].twin = Some(PageData::zeroed());
-            t.compute(self.config.page_copy_cycles);
+            t.compute(PAGE_COPY_CYCLES);
             CoherenceStats::bump(&self.stats.shard(me).twins_created);
         }
         st.pages[idx].dirty = true;
@@ -1116,6 +1103,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             span,
             obs_start,
             t.obs_now().saturating_sub(obs_start),
+            page.0,
         );
         t.set_span(obs::SpanId::NONE);
         Ok(disp.buffer)
@@ -1165,12 +1153,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         addr: GlobalAddr,
         out: &mut [u64],
     ) -> Result<(), DsmError> {
-        match self.read_u64_slice_inner(t, addr, out) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.failover_retry(t, e, |dsm, t| dsm.read_u64_slice_inner(t, addr, out))
-            }
-        }
+        self.failover_retry(t, |dsm, t| dsm.read_u64_slice_inner(t, addr, out))
     }
 
     fn read_u64_slice_inner(
@@ -1186,7 +1169,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             let page = a.page();
             let first_word = a.word_index();
             let run = (mem::WORDS_PER_PAGE - first_word).min(out.len() - i);
-            t.compute(self.config.hit_cycles + run as u64 * STREAM_WORD_CYCLES);
+            t.compute(HIT_CYCLES + run as u64 * STREAM_WORD_CYCLES);
             if self.global.home_of(page) == me {
                 self.register_reader_home(t, page, me)?;
                 let hp = self.global.home_page(page);
@@ -1239,12 +1222,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         addr: GlobalAddr,
         data: &[u64],
     ) -> Result<(), DsmError> {
-        match self.write_u64_slice_inner(t, addr, data) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.failover_retry(t, e, |dsm, t| dsm.write_u64_slice_inner(t, addr, data))
-            }
-        }
+        self.failover_retry(t, |dsm, t| dsm.write_u64_slice_inner(t, addr, data))
     }
 
     fn write_u64_slice_inner(
@@ -1260,7 +1238,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             let page = a.page();
             let first_word = a.word_index();
             let run = (mem::WORDS_PER_PAGE - first_word).min(data.len() - i);
-            t.compute(self.config.hit_cycles + run as u64 * STREAM_WORD_CYCLES);
+            t.compute(HIT_CYCLES + run as u64 * STREAM_WORD_CYCLES);
             if self.global.home_of(page) == me {
                 self.register_writer_home(t, page, me)?;
                 let hp = self.global.home_page(page);
@@ -1366,10 +1344,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Fallible flavor of [`Self::si_fence`] (failover-aware; see
     /// [`Self::try_read_u64`]).
     pub fn try_si_fence(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
-        match self.si_fence_inner(t) {
-            Ok(()) => Ok(()),
-            Err(e) => self.failover_retry(t, e, |dsm, t| dsm.si_fence_inner(t)),
-        }
+        self.failover_retry(t, |dsm, t| dsm.si_fence_inner(t))
     }
 
     fn si_fence_inner(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
@@ -1403,7 +1378,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     continue;
                 }
                 let page = PageNum(base.0 + idx as u64);
-                t.compute(self.config.fence_scan_cycles);
+                t.compute(FENCE_SCAN_CYCLES);
                 if self
                     .coherence
                     .must_self_invalidate(me, page, self.stats.shard(me))
@@ -1417,17 +1392,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         self.downgrade_locked(t, &mut st, page, me)?;
                     }
                     st.pages[idx].invalidate();
-                    t.compute(self.config.protect_cycles);
+                    t.compute(PROTECT_CYCLES);
                     CoherenceStats::bump(&self.stats.shard(me).si_invalidated);
-                    self.tracer.record(|| t.obs_now(), || crate::trace::Event::SiInvalidate {
-                        node: me,
-                        page,
-                    });
+                    self.detail(t, me, obs::RecordKind::SiInvalidate, page.0, obs::NO_TARGET);
                 } else {
                     any_valid = true;
                     CoherenceStats::bump(&self.stats.shard(me).si_kept);
-                    self.tracer
-                        .record(|| t.obs_now(), || crate::trace::Event::SiKeep { node: me, page });
+                    self.detail(t, me, obs::RecordKind::SiKeep, page.0, obs::NO_TARGET);
                 }
             }
             if !any_valid {
@@ -1441,7 +1412,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
         }
         let dur = t.obs_now().saturating_sub(obs_start);
-        self.record_site(t, me, obs::Site::SiFence, span, obs_start, dur);
+        self.record_site(t, me, obs::Site::SiFence, span, obs_start, dur, 0);
         let expired = shard
             .lease_expiries
             .load(Ordering::Relaxed)
@@ -1474,14 +1445,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             });
         }
         t.set_span(obs::SpanId::NONE);
-        self.tracer.record(
-            || obs_start,
-            || crate::trace::Event::Fence {
-                node: me,
-                kind: crate::trace::FenceKind::SelfInvalidate,
-                dur_cycles: dur,
-            },
-        );
         Ok(())
     }
 
@@ -1494,10 +1457,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Fallible flavor of [`Self::sd_fence`] (failover-aware; see
     /// [`Self::try_read_u64`]).
     pub fn try_sd_fence(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
-        match self.sd_fence_inner(t) {
-            Ok(()) => Ok(()),
-            Err(e) => self.failover_retry(t, e, |dsm, t| dsm.sd_fence_inner(t)),
-        }
+        self.failover_retry(t, |dsm, t| dsm.sd_fence_inner(t))
     }
 
     fn sd_fence_inner(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
@@ -1561,7 +1521,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // publishes its clock and opens a new write epoch here).
         self.coherence.end_sd_fence(me, self.stats.shard(me));
         let dur = t.obs_now().saturating_sub(obs_start);
-        self.record_site(t, me, obs::Site::SdFence, span, obs_start, dur);
+        self.record_site(t, me, obs::Site::SdFence, span, obs_start, dur, 0);
         let switched = (shard.mode_to_lease.load(Ordering::Relaxed)
             + shard.mode_to_sisd.load(Ordering::Relaxed))
         .saturating_sub(switches_before);
@@ -1578,14 +1538,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             });
         }
         t.set_span(obs::SpanId::NONE);
-        self.tracer.record(
-            || obs_start,
-            || crate::trace::Event::Fence {
-                node: me,
-                kind: crate::trace::FenceKind::SelfDowngrade,
-                dur_cycles: dur,
-            },
-        );
         Ok(())
     }
 
@@ -1612,12 +1564,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     // it (the newcomer is charged the checkpoint-service
                     // round trip at transition time instead). The copy is
                     // cold — the sweep touches pages no CPU cache holds.
-                    t.compute(self.config.checkpoint_cycles);
+                    t.compute(CHECKPOINT_CYCLES);
                     CoherenceStats::bump(&self.stats.shard(me).checkpoints);
-                    self.tracer.record(|| t.obs_now(), || crate::trace::Event::Checkpoint {
-                        node: me,
-                        page,
-                    });
+                    self.detail(t, me, obs::RecordKind::Checkpoint, page.0, obs::NO_TARGET);
                     self.silently_write_through(&st, page, idx);
                 } else {
                     // Became shared since the write fault: downgrade now.
@@ -1659,8 +1608,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         t.set_span(span);
         CoherenceStats::bump(&self.stats.shard(me).read_misses);
         self.heat.bump(page.0 as usize);
-        self.tracer
-            .record(|| obs_start, || crate::trace::Event::ReadMiss { node: me, page });
         t.fault_trap();
         let ns = &self.nodes[me as usize];
         let line = ns.cache.line_of(page);
@@ -1802,6 +1749,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             span,
             obs_start,
             t.obs_now().saturating_sub(obs_start),
+            page.0,
         );
         t.set_span(obs::SpanId::NONE);
         Ok(())
@@ -2099,8 +2047,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.apply_outcome(t, page, me, outcome)
     }
 
-    /// Perform the wire work a registration decided on: trace its
-    /// transition events, post one notification per affected node, and
+    /// Perform the wire work a registration decided on: flight-record its
+    /// transitions (detail kinds), post one notification per affected node, and
     /// service a checkpoint fetch if the policy asked for one. The policy
     /// already applied all metadata mutations host-side; this is purely
     /// the engine's verbs-and-clocks half.
@@ -2114,8 +2062,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if outcome.is_quiet() {
             return Ok(());
         }
-        for ev in outcome.events {
-            self.tracer.record(|| t.obs_now(), move || ev);
+        for (kind, other) in outcome.transitions.into_iter().flatten() {
+            self.detail(t, me, kind, page.0, other);
         }
         for target in outcome.notify {
             self.notify(t, target, page, me)?;
@@ -2160,11 +2108,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // there is nothing left to notify.
             return Ok(());
         }
-        self.tracer.record(|| t.obs_now(), || crate::trace::Event::Notify {
-            from: me,
-            to: target,
-            page,
-        });
+        self.detail(t, me, obs::RecordKind::Notify, page.0, target as u32);
         let loc = t.loc();
         let span = t.current_span();
         let obs_at = t.obs_now();
@@ -2265,7 +2209,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let data = st.data(idx);
         let bytes = match (&st.pages[idx].twin, sw_skip) {
             (Some(twin), false) => {
-                t.compute(self.config.page_copy_cycles); // diff scan
+                t.compute(PAGE_COPY_CYCLES); // diff scan
                 // The twin is only materialized chunk-wise where the mask
                 // says stores landed; outside the mask both copies agree by
                 // construction, so the masked diff is exact.
@@ -2294,14 +2238,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.coherence.note_downgrade(me, page);
         // The real implementation re-protects the page read-only so the
         // next write faults again.
-        t.compute(self.config.protect_cycles);
+        t.compute(PROTECT_CYCLES);
         CoherenceStats::bump(&self.stats.shard(me).writebacks);
         CoherenceStats::add(&self.stats.shard(me).writeback_bytes, bytes);
-        self.tracer.record(|| t.obs_now(), || crate::trace::Event::Downgrade {
-            node: me,
-            page,
-            bytes,
-        });
+        let home = self.global.home_of(page);
+        self.detail(t, me, obs::RecordKind::Downgrade, page.0, home as u32);
         Some(bytes)
     }
 
@@ -2372,17 +2313,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             done = done.max(timing.initiator_done);
             ns.pending_settle.fetch_max(timing.settled, Ordering::AcqRel);
             CoherenceStats::bump(&self.stats.shard(me).downgrade_batches);
-            CoherenceStats::add(
-                &self.stats.shard(me).downgrade_batch_pages,
-                sizes.len() as u64,
-            );
-            self.tracer
-                .record(|| t.obs_now(), || crate::trace::Event::DowngradeBatch {
-                    node: me,
-                    home: *home,
-                    pages: sizes.len() as u64,
-                    bytes: sizes.iter().sum(),
-                });
+            let pages = sizes.len() as u64;
+            CoherenceStats::add(&self.stats.shard(me).downgrade_batch_pages, pages);
+            self.detail(t, me, obs::RecordKind::DowngradeBatch, pages, *home as u32);
         }
         t.merge(done);
         self.profile.record(
@@ -2455,7 +2388,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     if !st.pages[idx].valid {
                         continue;
                     }
-                    t.compute(self.config.fence_scan_cycles);
+                    t.compute(FENCE_SCAN_CYCLES);
                     if st.pages[idx].dirty {
                         let page = PageNum(base.0 + idx as u64);
                         // Downgrade on behalf of the owning node; charge
@@ -2464,7 +2397,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         ns.wbuf.remove(page);
                     }
                     st.pages[idx].invalidate();
-                    t.compute(self.config.protect_cycles);
+                    t.compute(PROTECT_CYCLES);
                     CoherenceStats::bump(&self.stats.shard(me).si_invalidated);
                 }
                 st.tag = None;
@@ -2497,7 +2430,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let data = st.data(idx);
         let bytes = match &st.pages[idx].twin {
             Some(twin) => {
-                t.compute(self.config.page_copy_cycles);
+                t.compute(PAGE_COPY_CYCLES);
                 let diff = data.diff_against_masked(twin, &st.pages[idx].mask);
                 let diff_bytes = DOWNGRADE_HEADER_BYTES + diff.len() as u64 * DIFF_WORD_BYTES;
                 if diff_bytes < PAGE_BYTES {

@@ -12,220 +12,140 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One node's coherence event counters (Relaxed; read after joins).
-///
-/// Aligned to 128 bytes so adjacent nodes' shards never share a cache line
-/// (two lines covers adjacent-line prefetchers).
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct StatShard {
-    pub read_hits: AtomicU64,
-    pub write_hits: AtomicU64,
-    pub read_misses: AtomicU64,
+/// The one place a coherence counter is named. Each `/// doc` + `name,`
+/// entry becomes a public `AtomicU64` field of [`StatShard`], a public `u64`
+/// field of [`CoherenceSnapshot`], a term of the shard merge and reset, and
+/// a `(name, value)` pair of [`CoherenceSnapshot::fields`] — which is what
+/// `RunReport::to_json` and `Dsm::metrics_snapshot` loop over, so adding a
+/// counter is a one-line change that reaches every view.
+macro_rules! counters {
+    ($( $(#[$doc:meta])* $name:ident, )*) => {
+        /// One node's coherence event counters (Relaxed; read after joins).
+        ///
+        /// Aligned to 128 bytes so adjacent nodes' shards never share a
+        /// cache line (two lines covers adjacent-line prefetchers).
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct StatShard {
+            $( $(#[$doc])* pub $name: AtomicU64, )*
+        }
+
+        impl StatShard {
+            /// Every counter with its name, in declaration order.
+            pub fn counters(&self) -> impl Iterator<Item = (&'static str, &AtomicU64)> {
+                [$( (stringify!($name), &self.$name), )*].into_iter()
+            }
+
+            fn add_into(&self, out: &mut CoherenceSnapshot) {
+                $( out.$name += self.$name.load(Ordering::Relaxed); )*
+            }
+        }
+
+        /// Plain snapshot of [`CoherenceStats`]: cluster-wide totals.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct CoherenceSnapshot {
+            $( $(#[$doc])* pub $name: u64, )*
+        }
+
+        impl CoherenceSnapshot {
+            /// Every counter with its name, in declaration order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static str, u64)> {
+                [$( (stringify!($name), self.$name), )*].into_iter()
+            }
+        }
+    };
+}
+
+counters! {
+    /// Reads served from a valid cached page.
+    read_hits,
+    /// Writes to a page that was already dirty.
+    write_hits,
+    /// Reads that had to fetch their line from the pages' homes.
+    read_misses,
     /// Protection faults on a valid page (first write after a downgrade).
-    pub write_faults: AtomicU64,
+    write_faults,
     /// Pages invalidated by SI fences.
-    pub si_invalidated: AtomicU64,
+    si_invalidated,
     /// Pages an SI fence kept because classification said so.
-    pub si_kept: AtomicU64,
+    si_kept,
     /// Dirty pages written back to their home (buffer overflow, fence, or
     /// eviction).
-    pub writebacks: AtomicU64,
+    writebacks,
     /// Bytes of downgrade traffic (diffs or whole pages).
-    pub writeback_bytes: AtomicU64,
+    writeback_bytes,
     /// Twin snapshots created on write faults.
-    pub twins_created: AtomicU64,
+    twins_created,
     /// Words carried by diffs (vs whole-page transfers).
-    pub diff_words: AtomicU64,
+    diff_words,
     /// Private-page checkpoints taken at sync points (naïve P/S only).
-    pub checkpoints: AtomicU64,
-    /// Classification transitions observed.
-    pub p_to_s: AtomicU64,
-    pub nw_to_sw: AtomicU64,
-    pub sw_to_mw: AtomicU64,
+    checkpoints,
+    /// Private→Shared classification transitions observed.
+    p_to_s,
+    /// No-writer→Single-writer transitions observed.
+    nw_to_sw,
+    /// Single-writer→Multiple-writer transitions observed.
+    sw_to_mw,
     /// Lines evicted with live contents due to direct-map conflicts.
-    pub evictions: AtomicU64,
+    evictions,
     /// SI fences executed.
-    pub si_fences: AtomicU64,
+    si_fences,
     /// SD fences executed.
-    pub sd_fences: AtomicU64,
+    sd_fences,
     /// Collective classification decays performed (adaptive extension).
-    pub decays: AtomicU64,
+    decays,
     /// Home-coalesced fence drains posted (one batched verb per home).
-    pub downgrade_batches: AtomicU64,
+    downgrade_batches,
     /// Write-backs carried inside those batches.
-    pub downgrade_batch_pages: AtomicU64,
+    downgrade_batch_pages,
     /// Verb reissues after a fabric failure (0 on a healthy fabric).
-    pub verb_retries: AtomicU64,
+    verb_retries,
     /// Retry budgets exhausted — each one surfaced a `DsmError`.
-    pub verb_exhaustions: AtomicU64,
+    verb_exhaustions,
     /// Pages fetched speculatively by the stride prefetcher.
-    pub prefetch_issued: AtomicU64,
+    prefetch_issued,
     /// Prefetched pages a demand miss later consumed.
-    pub prefetch_hits: AtomicU64,
+    prefetch_hits,
     /// Prefetched pages dropped unconsumed (ring overflow, fence flush, or
     /// a failed speculative verb).
-    pub prefetch_wasted: AtomicU64,
+    prefetch_wasted,
     /// Leases re-granted on a page the node already held (Tardis only).
-    pub lease_renewals: AtomicU64,
+    lease_renewals,
     /// Cached pages an SI fence dropped because their lease expired
     /// (Tardis only).
-    pub lease_expiries: AtomicU64,
+    lease_expiries,
     /// Cached pages an SI fence kept because their lease was still valid —
     /// the invalidations the timestamp protocol avoided (Tardis only).
-    pub lease_kept: AtomicU64,
+    lease_kept,
     /// Pages the hybrid switched classify→lease at a fence boundary
     /// (Pyxis only).
-    pub mode_to_lease: AtomicU64,
+    mode_to_lease,
     /// Pages the hybrid switched lease→classify at a fence boundary
     /// (Pyxis only).
-    pub mode_to_sisd: AtomicU64,
+    mode_to_sisd,
     /// SI-fence page examinations governed by lease mode (Pyxis only).
-    pub mode_lease_checks: AtomicU64,
+    mode_lease_checks,
     /// SI-fence page examinations governed by classification mode (Pyxis
     /// only).
-    pub mode_classify_checks: AtomicU64,
+    mode_classify_checks,
     /// Forced invalidations at the first acquire observing a page's mode
     /// switch — the reconcile rule that keeps transitions sound (Pyxis
     /// only).
-    pub mode_reconciles: AtomicU64,
+    mode_reconciles,
     /// Nodes this node declared dead after a retry budget exhausted
     /// (Volans failover).
-    pub failovers: AtomicU64,
+    failovers,
     /// Pages re-homed from departed nodes to rendezvous survivors (Volans).
-    pub pages_rehomed: AtomicU64,
+    pages_rehomed,
     /// SD-fence drains mirrored to a page's rendezvous successor (Volans
     /// shadow homes; counts mirrored pages).
-    pub shadow_mirrored: AtomicU64,
-}
-
-impl StatShard {
-    fn add_into(&self, out: &mut CoherenceSnapshot) {
-        let l = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        out.read_hits += l(&self.read_hits);
-        out.write_hits += l(&self.write_hits);
-        out.read_misses += l(&self.read_misses);
-        out.write_faults += l(&self.write_faults);
-        out.si_invalidated += l(&self.si_invalidated);
-        out.si_kept += l(&self.si_kept);
-        out.writebacks += l(&self.writebacks);
-        out.writeback_bytes += l(&self.writeback_bytes);
-        out.twins_created += l(&self.twins_created);
-        out.diff_words += l(&self.diff_words);
-        out.checkpoints += l(&self.checkpoints);
-        out.p_to_s += l(&self.p_to_s);
-        out.nw_to_sw += l(&self.nw_to_sw);
-        out.sw_to_mw += l(&self.sw_to_mw);
-        out.evictions += l(&self.evictions);
-        out.si_fences += l(&self.si_fences);
-        out.sd_fences += l(&self.sd_fences);
-        out.decays += l(&self.decays);
-        out.downgrade_batches += l(&self.downgrade_batches);
-        out.downgrade_batch_pages += l(&self.downgrade_batch_pages);
-        out.verb_retries += l(&self.verb_retries);
-        out.verb_exhaustions += l(&self.verb_exhaustions);
-        out.prefetch_issued += l(&self.prefetch_issued);
-        out.prefetch_hits += l(&self.prefetch_hits);
-        out.prefetch_wasted += l(&self.prefetch_wasted);
-        out.lease_renewals += l(&self.lease_renewals);
-        out.lease_expiries += l(&self.lease_expiries);
-        out.lease_kept += l(&self.lease_kept);
-        out.mode_to_lease += l(&self.mode_to_lease);
-        out.mode_to_sisd += l(&self.mode_to_sisd);
-        out.mode_lease_checks += l(&self.mode_lease_checks);
-        out.mode_classify_checks += l(&self.mode_classify_checks);
-        out.mode_reconciles += l(&self.mode_reconciles);
-        out.failovers += l(&self.failovers);
-        out.pages_rehomed += l(&self.pages_rehomed);
-        out.shadow_mirrored += l(&self.shadow_mirrored);
-    }
-
-    fn reset(&self) {
-        let z = |c: &AtomicU64| c.store(0, Ordering::Relaxed);
-        z(&self.read_hits);
-        z(&self.write_hits);
-        z(&self.read_misses);
-        z(&self.write_faults);
-        z(&self.si_invalidated);
-        z(&self.si_kept);
-        z(&self.writebacks);
-        z(&self.writeback_bytes);
-        z(&self.twins_created);
-        z(&self.diff_words);
-        z(&self.checkpoints);
-        z(&self.p_to_s);
-        z(&self.nw_to_sw);
-        z(&self.sw_to_mw);
-        z(&self.evictions);
-        z(&self.si_fences);
-        z(&self.sd_fences);
-        z(&self.decays);
-        z(&self.downgrade_batches);
-        z(&self.downgrade_batch_pages);
-        z(&self.verb_retries);
-        z(&self.verb_exhaustions);
-        z(&self.prefetch_issued);
-        z(&self.prefetch_hits);
-        z(&self.prefetch_wasted);
-        z(&self.lease_renewals);
-        z(&self.lease_expiries);
-        z(&self.lease_kept);
-        z(&self.mode_to_lease);
-        z(&self.mode_to_sisd);
-        z(&self.mode_lease_checks);
-        z(&self.mode_classify_checks);
-        z(&self.mode_reconciles);
-        z(&self.failovers);
-        z(&self.pages_rehomed);
-        z(&self.shadow_mirrored);
-    }
+    shadow_mirrored,
 }
 
 /// Cluster-wide coherence event counters, sharded per node.
 #[derive(Debug)]
 pub struct CoherenceStats {
     shards: Box<[StatShard]>,
-}
-
-/// Plain snapshot of [`CoherenceStats`]: cluster-wide totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoherenceSnapshot {
-    pub read_hits: u64,
-    pub write_hits: u64,
-    pub read_misses: u64,
-    pub write_faults: u64,
-    pub si_invalidated: u64,
-    pub si_kept: u64,
-    pub writebacks: u64,
-    pub writeback_bytes: u64,
-    pub twins_created: u64,
-    pub diff_words: u64,
-    pub checkpoints: u64,
-    pub p_to_s: u64,
-    pub nw_to_sw: u64,
-    pub sw_to_mw: u64,
-    pub evictions: u64,
-    pub si_fences: u64,
-    pub sd_fences: u64,
-    pub decays: u64,
-    pub downgrade_batches: u64,
-    pub downgrade_batch_pages: u64,
-    pub verb_retries: u64,
-    pub verb_exhaustions: u64,
-    pub prefetch_issued: u64,
-    pub prefetch_hits: u64,
-    pub prefetch_wasted: u64,
-    pub lease_renewals: u64,
-    pub lease_expiries: u64,
-    pub lease_kept: u64,
-    pub mode_to_lease: u64,
-    pub mode_to_sisd: u64,
-    pub mode_lease_checks: u64,
-    pub mode_classify_checks: u64,
-    pub mode_reconciles: u64,
-    pub failovers: u64,
-    pub pages_rehomed: u64,
-    pub shadow_mirrored: u64,
 }
 
 impl CoherenceStats {
@@ -269,62 +189,64 @@ impl CoherenceStats {
     }
 
     pub fn reset(&self) {
-        for s in self.shards.iter() {
-            s.reset();
+        for (_, c) in self.shards.iter().flat_map(StatShard::counters) {
+            c.store(0, Ordering::Relaxed);
         }
     }
 }
 
+/// `part / whole`, 0.0 when nothing was counted yet.
+fn ratio(part: u64, whole: u64) -> f64 {
+    if whole == 0 {
+        return 0.0;
+    }
+    part as f64 / whole as f64
+}
+
 impl CoherenceSnapshot {
+    /// The derived ratios with their names, for the same loops that walk
+    /// [`Self::fields`].
+    pub fn ratios(&self) -> [(&'static str, f64); 6] {
+        [
+            ("si_keep_ratio", self.si_keep_ratio()),
+            ("mean_drain_batch", self.mean_drain_batch()),
+            ("prefetch_accuracy", self.prefetch_accuracy()),
+            ("lease_keep_ratio", self.lease_keep_ratio()),
+            ("lease_mode_occupancy", self.lease_mode_occupancy()),
+            ("diff_efficiency", self.diff_efficiency()),
+        ]
+    }
+
     /// Fraction of SI-fence page examinations that resulted in keeping the
     /// page — the benefit classification buys (higher is better).
     pub fn si_keep_ratio(&self) -> f64 {
-        let total = self.si_invalidated + self.si_kept;
-        if total == 0 {
-            return 0.0;
-        }
-        self.si_kept as f64 / total as f64
+        ratio(self.si_kept, self.si_invalidated + self.si_kept)
     }
 
     /// Mean write-backs carried per home-coalesced drain batch.
     pub fn mean_drain_batch(&self) -> f64 {
-        if self.downgrade_batches == 0 {
-            return 0.0;
-        }
-        self.downgrade_batch_pages as f64 / self.downgrade_batches as f64
+        ratio(self.downgrade_batch_pages, self.downgrade_batches)
     }
 
     /// Fraction of speculatively fetched pages a demand miss later
     /// consumed (the stride predictor's accuracy; 0.0 when prefetching is
     /// off or nothing resolved yet).
     pub fn prefetch_accuracy(&self) -> f64 {
-        let resolved = self.prefetch_hits + self.prefetch_wasted;
-        if resolved == 0 {
-            return 0.0;
-        }
-        self.prefetch_hits as f64 / resolved as f64
+        ratio(self.prefetch_hits, self.prefetch_hits + self.prefetch_wasted)
     }
 
     /// Fraction of lease-held pages an SI fence kept because their lease
     /// was still valid — the invalidations Tardis avoided (0.0 under
     /// policies that grant no leases).
     pub fn lease_keep_ratio(&self) -> f64 {
-        let total = self.lease_expiries + self.lease_kept;
-        if total == 0 {
-            return 0.0;
-        }
-        self.lease_kept as f64 / total as f64
+        ratio(self.lease_kept, self.lease_expiries + self.lease_kept)
     }
 
     /// Fraction of SI-fence page examinations governed by lease mode — how
     /// much of the hybrid's footprint timestamps ended up covering (0.0
     /// under the pure policies, which never tick the mode counters).
     pub fn lease_mode_occupancy(&self) -> f64 {
-        let total = self.mode_lease_checks + self.mode_classify_checks;
-        if total == 0 {
-            return 0.0;
-        }
-        self.mode_lease_checks as f64 / total as f64
+        ratio(self.mode_lease_checks, self.mode_lease_checks + self.mode_classify_checks)
     }
 
     /// Fraction of write-back wire bytes that were diffed words — how much
@@ -332,10 +254,7 @@ impl CoherenceSnapshot {
     /// word-granular payloads instead of whole pages (higher = diffs doing
     /// more of the work).
     pub fn diff_efficiency(&self) -> f64 {
-        if self.writeback_bytes == 0 {
-            return 0.0;
-        }
-        (self.diff_words * 8) as f64 / self.writeback_bytes as f64
+        ratio(self.diff_words * 8, self.writeback_bytes)
     }
 }
 

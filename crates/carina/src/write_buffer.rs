@@ -30,8 +30,10 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Default shard count: enough to spread a node's worker threads with
-/// negligible memory cost.
+/// Lock stripes of a node's write buffer (clean→dirty pushes from the
+/// node's threads serialize per stripe, not globally): enough to spread a
+/// node's worker threads with negligible memory cost. Purely host-side:
+/// global FIFO victim order is preserved by push tickets.
 pub const DEFAULT_SHARDS: usize = 8;
 
 #[derive(Debug, Default)]

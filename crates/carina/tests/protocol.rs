@@ -419,11 +419,12 @@ fn decay_preserves_dirty_data() {
 }
 
 #[test]
-fn tracer_captures_the_protocol_story() {
-    use carina::trace::{Event, FenceKind};
+fn flight_recorder_captures_the_protocol_story() {
+    use obs::{RecordKind, Site, VerbRecord};
     let (dsm, mut ts) = cluster(2, CarinaConfig::default());
-    dsm.tracer().set_enabled(true);
+    dsm.lyra().set_detail(true);
     let a = addr_homed_at(2, 1, 0);
+    let page = a.page().0;
     let (t0s, t1s) = ts.split_at_mut(1);
     let t0 = &mut t0s[0];
     let t1 = &mut t1s[0];
@@ -433,28 +434,35 @@ fn tracer_captures_the_protocol_story() {
     dsm.sd_fence(t0); // downgrade
     dsm.read_u64(t1, a); // P->S + notify
 
-    let events: Vec<_> = dsm.tracer().events().into_iter().map(|e| e.event).collect();
-    assert!(events.iter().any(|e| matches!(e, Event::ReadMiss { node: 0, .. })));
-    assert!(events.iter().any(|e| matches!(e, Event::WriteFault { node: 0, .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, Event::Fence { node: 0, kind: FenceKind::SelfDowngrade, .. })));
-    assert!(events.iter().any(|e| matches!(e, Event::Downgrade { node: 0, .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, Event::PToS { newcomer: 1, owner: 0, .. })));
-    assert!(events
-        .iter()
-        .any(|e| matches!(e, Event::Notify { from: 1, to: 0, .. })));
-    // Sequence numbers are monotone; timestamps never decrease per node.
-    let seqs: Vec<u64> = dsm.tracer().events().iter().map(|e| e.seq).collect();
-    assert!(seqs.windows(2).all(|w| w[0] < w[1]));
+    let n0 = dsm.lyra().snapshot(0);
+    let n1 = dsm.lyra().snapshot(1);
+    let site = |recs: &[VerbRecord], s: Site, arg: u64| {
+        recs.iter()
+            .any(|r| r.kind == RecordKind::Site && r.site_enum() == Some(s) && r.arg == arg)
+    };
+    let detail = |recs: &[VerbRecord], kind: RecordKind, target: u32| {
+        recs.iter().any(|r| r.kind == kind && r.arg == page && r.target == target)
+    };
+    assert!(site(&n0, Site::ReadMiss, page));
+    assert!(site(&n0, Site::WriteFault, page));
+    assert!(site(&n0, Site::SdFence, 0));
+    assert!(detail(&n0, RecordKind::Downgrade, 1), "written back to its home");
+    assert!(detail(&n1, RecordKind::PToS, 0), "node 1 joined node 0's private page");
+    assert!(detail(&n1, RecordKind::Notify, 0));
+    // Each node's timeline is ordered by start time.
+    for recs in [&n0, &n1] {
+        assert!(recs.windows(2).all(|w| w[0].start <= w[1].start));
+    }
 
-    // Disabled tracer stops recording.
-    dsm.tracer().set_enabled(false);
-    let before = dsm.tracer().recorded();
-    dsm.read_u64(t1, a);
-    assert_eq!(dsm.tracer().recorded(), before);
+    // Detail off: the fence still records its site, but no per-page kinds.
+    dsm.lyra().set_detail(false);
+    let details = |recs: &[VerbRecord]| {
+        recs.iter().filter(|r| r.kind as u8 >= RecordKind::Downgrade as u8).count()
+    };
+    let (before, submitted) = (details(&n1), dsm.lyra().stats().submitted);
+    dsm.si_fence(t1);
+    assert_eq!(details(&dsm.lyra().snapshot(1)), before);
+    assert_eq!(dsm.lyra().stats().submitted, submitted + 1);
 }
 
 #[test]

@@ -1,73 +1,114 @@
-//! Golden tests for the observability layer's export path: the chrome
-//! trace must be valid JSON with per-track monotonic timestamps and honest
-//! drop accounting, and the read-hit fast path must never record into the
-//! latency profile.
+//! Golden tests for the observability layer's export path, all read off the
+//! Lyra flight recorder (the engine's only event source): the chrome trace
+//! must be valid JSON with per-track monotonic timestamps and honest drop
+//! accounting, the per-page detail kinds must appear exactly when
+//! `set_detail` is on, and the read/write-hit fast paths must never record
+//! anything anywhere.
 
 use carina::{CarinaConfig, Dsm};
 use mem::{GlobalAddr, PAGE_BYTES};
-use obs::{JsonValue, Site};
+use obs::{JsonValue, RecordKind, Site, VerbRecord};
 use rma::{ClusterTopology, CostModel, NodeId, SimTransport, Transport};
 use std::sync::Arc;
 
-fn small_cluster() -> (Arc<SimTransport>, Arc<Dsm>) {
-    let topo = ClusterTopology::tiny(2);
+type SimEndpoint = <SimTransport as Transport>::Endpoint;
+
+/// An `nodes`-node cluster with one endpoint per node.
+fn cluster(nodes: usize) -> (Arc<Dsm>, Vec<SimEndpoint>) {
+    let topo = ClusterTopology::tiny(nodes);
     let net = SimTransport::new(topo, CostModel::paper_2011());
-    let dsm = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
-    (net, dsm)
+    let dsm = Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
+    let ts = (0..nodes as u16)
+        .map(|n| <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(n), 0)))
+        .collect();
+    (dsm, ts)
 }
 
-/// Drive a producer/consumer exchange so the trace holds misses, faults,
-/// downgrades, transitions, and fences on both node tracks.
-fn run_workload(net: &Arc<SimTransport>, dsm: &Dsm) {
-    let topo = *net.topology();
-    let mut a = <SimTransport as Transport>::endpoint(net, topo.loc(NodeId(0), 0));
-    let mut b = <SimTransport as Transport>::endpoint(net, topo.loc(NodeId(1), 0));
+/// `rounds` producer/consumer exchanges over four pages homed on node 1, so
+/// the trace holds misses, faults, downgrades, transitions, and fences on
+/// both node tracks.
+fn exchange(dsm: &Dsm, ts: &mut [SimEndpoint], rounds: u64) {
+    let (a, b) = ts.split_at_mut(1);
+    let (a, b) = (&mut a[0], &mut b[0]);
     let base = dsm.total_bytes() / 2; // homed on node 1
-    for round in 0..3u64 {
+    for round in 0..rounds {
         for p in 0..4u64 {
-            let addr = GlobalAddr(base + p * PAGE_BYTES);
-            dsm.write_u64(&mut a, addr, round * 100 + p);
+            dsm.write_u64(a, GlobalAddr(base + p * PAGE_BYTES), round * 100 + p);
         }
-        dsm.sd_fence(&mut a);
-        dsm.si_fence(&mut b);
+        dsm.sd_fence(a);
+        dsm.si_fence(b);
         for p in 0..4u64 {
-            let addr = GlobalAddr(base + p * PAGE_BYTES);
-            assert_eq!(dsm.read_u64(&mut b, addr), round * 100 + p);
+            assert_eq!(dsm.read_u64(b, GlobalAddr(base + p * PAGE_BYTES)), round * 100 + p);
         }
-        dsm.sd_fence(&mut b);
-        dsm.si_fence(&mut a);
+        dsm.sd_fence(b);
+        dsm.si_fence(a);
     }
+}
+
+/// The `protocol_tour` example's scenario: three nodes walk one page homed
+/// on node 2 through P → S, NW → SW → MW and the fences in between.
+fn protocol_tour(dsm: &Dsm, t: &mut [SimEndpoint]) {
+    let addr = GlobalAddr(5 * PAGE_BYTES);
+    dsm.read_u64(&mut t[0], addr);
+    dsm.read_u64(&mut t[1], addr);
+    dsm.write_u64(&mut t[0], addr, 42);
+    dsm.sd_fence(&mut t[0]);
+    dsm.si_fence(&mut t[0]);
+    dsm.si_fence(&mut t[1]);
+    assert_eq!(dsm.read_u64(&mut t[1], addr), 42);
+    dsm.write_u64(&mut t[1], addr.offset(8), 7);
+    dsm.sd_fence(&mut t[1]);
+    dsm.sd_fence(&mut t[0]);
+}
+
+/// Every resident record of the per-page detail kinds, all nodes.
+fn detail_records(dsm: &Dsm) -> Vec<VerbRecord> {
+    (0..dsm.lyra().nodes())
+        .flat_map(|n| dsm.lyra().snapshot(n))
+        .filter(|r| r.kind as u8 >= RecordKind::Downgrade as u8)
+        .collect()
 }
 
 #[test]
 fn chrome_trace_parses_with_monotonic_ts_per_track() {
-    let (net, dsm) = small_cluster();
-    dsm.tracer().set_enabled(true);
-    run_workload(&net, &dsm);
+    let (dsm, mut ts) = cluster(2);
+    dsm.lyra().set_detail(true);
+    exchange(&dsm, &mut ts, 3);
 
-    let json = dsm.tracer().to_chrome_trace();
+    let json = dsm.lyra().to_chrome_trace();
     let doc = JsonValue::parse(&json).expect("trace must be valid JSON");
 
     let other = doc.get("otherData").expect("otherData metadata");
     assert_eq!(other.get("dropped").unwrap().as_u64(), Some(0));
-    let recorded = other.get("recorded").unwrap().as_u64().unwrap();
-    assert!(recorded > 0);
+    assert!(other.get("submitted").unwrap().as_u64().unwrap() > 0);
 
     let events = doc.get("traceEvents").expect("traceEvents array");
     let items = events.as_arr().unwrap();
-    assert!(!items.is_empty());
-    // Shape: every event has pid/tid/ph; fences are durations.
-    let mut fences = 0;
+    // Shape: every event has pid/tid/ph; sites are durations, detail kinds
+    // instants, flow arrows s/t/f.
     for ev in items {
         let ph = ev.get("ph").unwrap().as_str().unwrap();
-        assert!(matches!(ph, "M" | "X" | "i"), "unexpected phase {ph}");
+        assert!(matches!(ph, "M" | "X" | "i" | "s" | "t" | "f"), "unexpected phase {ph}");
         assert!(ev.get("tid").is_some());
         if ph == "X" {
-            fences += 1;
             assert!(ev.get("dur").unwrap().as_u64().is_some());
         }
     }
-    assert!(fences >= 4, "expected fence slices on both tracks");
+    let named = |name: &str, ph: &str| {
+        items
+            .iter()
+            .filter(|e| {
+                e.get("name").and_then(|n| n.as_str()) == Some(name)
+                    && e.get("ph").unwrap().as_str() == Some(ph)
+            })
+            .count()
+    };
+    // Three rounds of one SD and one SI fence per node, as slices.
+    assert_eq!(named("sd_fence", "X"), 6);
+    assert_eq!(named("si_fence", "X"), 6);
+    for kind in ["downgrade", "si_invalidate", "si_keep", "p_to_s", "notify"] {
+        assert!(named(kind, "i") > 0, "missing {kind} instants");
+    }
 
     // Both node tracks present, and ts non-decreasing within each.
     let tracks = events.group_by_field("tid");
@@ -87,60 +128,85 @@ fn chrome_trace_parses_with_monotonic_ts_per_track() {
 
 #[test]
 fn trace_drops_are_surfaced_not_hidden() {
-    let (net, dsm) = small_cluster();
-    dsm.tracer().set_enabled(true);
-    // 4096-capacity ring: run enough rounds to overflow it.
-    let topo = *net.topology();
-    let mut a = <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(0), 0));
-    let mut b = <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(1), 0));
-    let base = dsm.total_bytes() / 2;
-    for round in 0..600u64 {
-        for p in 0..4u64 {
-            dsm.write_u64(&mut a, GlobalAddr(base + p * PAGE_BYTES), round);
-        }
-        dsm.sd_fence(&mut a);
-        dsm.si_fence(&mut b);
-        for p in 0..4u64 {
-            dsm.read_u64(&mut b, GlobalAddr(base + p * PAGE_BYTES));
-        }
-        dsm.sd_fence(&mut b);
-        dsm.si_fence(&mut a);
-    }
-    let stats = dsm.tracer().stats();
+    let (dsm, mut ts) = cluster(2);
+    dsm.lyra().set_detail(true);
+    // 1024-record rings: run enough rounds to lap them.
+    exchange(&dsm, &mut ts, 600);
+    let stats = dsm.lyra().stats();
     assert!(stats.dropped > 0, "workload sized to overflow the ring");
-    assert_eq!(stats.recorded, stats.dropped + stats.buffered);
-    let doc = JsonValue::parse(&dsm.tracer().to_chrome_trace()).unwrap();
-    assert_eq!(
-        doc.get("otherData").unwrap().get("dropped").unwrap().as_u64(),
-        Some(stats.dropped)
-    );
+    assert_eq!(stats.kept + stats.dropped, stats.submitted);
+    let doc = JsonValue::parse(&dsm.lyra().to_chrome_trace()).unwrap();
+    let other = doc.get("otherData").unwrap();
+    assert_eq!(other.get("dropped").unwrap().as_u64(), Some(stats.dropped));
+    assert_eq!(other.get("submitted").unwrap().as_u64(), Some(stats.submitted));
 }
 
-/// The seqlock read-hit fast path must not touch the latency profile, the
-/// heat counters, or the tracer: misses are the only recorded read events.
+/// The hit fast paths must not touch the latency profile, the heat
+/// counters, or the flight recorder: misses and faults are the only
+/// recorded accesses, even with detail on.
 #[test]
-fn read_hit_fast_path_records_nothing() {
-    let (net, dsm) = small_cluster();
-    dsm.tracer().set_enabled(true);
-    let topo = *net.topology();
-    let mut a = <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(0), 0));
+fn hit_fast_paths_record_nothing() {
+    let (dsm, mut ts) = cluster(2);
+    dsm.lyra().set_detail(true);
+    let a = &mut ts[0];
     let addr = GlobalAddr(PAGE_BYTES); // odd page: interleaved home = node 1
-    dsm.read_u64(&mut a, addr); // one miss
+    dsm.read_u64(a, addr); // one miss
+    dsm.write_u64(a, addr, 1); // one write fault
 
-    let profile_after_miss = dsm.profile().snapshot();
-    let heat_after_miss = dsm.page_heat().total();
-    let traced_after_miss = dsm.tracer().recorded();
-    assert_eq!(profile_after_miss.get(Site::ReadMiss).count(), 1);
-    assert_eq!(heat_after_miss, 1);
+    let profile = dsm.profile().snapshot();
+    let heat = dsm.page_heat().total();
+    let submitted = dsm.lyra().stats().submitted;
+    assert_eq!(profile.get(Site::ReadMiss).count(), 1);
+    assert_eq!(profile.get(Site::WriteFault).count(), 1);
+    assert_eq!(heat, 1);
+    assert!(submitted > 0);
 
-    for _ in 0..10_000 {
-        dsm.read_u64(&mut a, addr); // hits
+    for i in 0..10_000 {
+        dsm.read_u64(a, addr);
+        dsm.write_u64(a, addr, i);
     }
 
-    assert_eq!(dsm.profile().snapshot(), profile_after_miss);
-    assert_eq!(dsm.page_heat().total(), heat_after_miss);
-    assert_eq!(dsm.tracer().recorded(), traced_after_miss);
+    assert_eq!(dsm.profile().snapshot(), profile);
+    assert_eq!(dsm.page_heat().total(), heat);
+    assert_eq!(dsm.lyra().stats().submitted, submitted);
     assert_eq!(dsm.stats().snapshot().read_hits, 10_000);
+    assert_eq!(dsm.stats().snapshot().write_hits, 10_000);
+}
+
+/// With detail off (the default) the always-on ring sees exactly what it
+/// saw before the detail kinds existed: 16 records on the tour scenario,
+/// none of them per-page.
+#[test]
+fn detail_off_records_no_per_page_kinds() {
+    let (dsm, mut ts) = cluster(3);
+    protocol_tour(&dsm, &mut ts);
+    assert!(detail_records(&dsm).is_empty());
+    assert_eq!(dsm.lyra().stats().submitted, 16);
+}
+
+/// With detail on the tour's whole story is in the recorder.
+#[test]
+fn detail_on_records_the_tour_story() {
+    let (dsm, mut ts) = cluster(3);
+    dsm.lyra().set_detail(true);
+    protocol_tour(&dsm, &mut ts);
+    let details = detail_records(&dsm);
+    let has = |kind: RecordKind, node: u16, target: u32| {
+        details.iter().any(|r| (r.kind, r.node, r.arg, r.target) == (kind, node, 5, target))
+    };
+    assert!(has(RecordKind::PToS, 1, 0), "node 1 joins node 0's private page");
+    assert!(has(RecordKind::Notify, 1, 0));
+    assert!(has(RecordKind::NwToSw, 0, obs::NO_TARGET));
+    assert!(has(RecordKind::Notify, 0, 1));
+    assert!(has(RecordKind::SwToMw, 1, 0), "node 1 joins single writer node 0");
+    assert!(has(RecordKind::Downgrade, 0, 2), "diff travels to the home");
+    assert!(has(RecordKind::SiKeep, 0, obs::NO_TARGET), "the single writer keeps its copy");
+    assert!(has(RecordKind::SiInvalidate, 1, obs::NO_TARGET));
+    assert_eq!(dsm.lyra().stats().submitted, 16 + details.len() as u64);
+    // The one-line rendering the tour prints names the kind and the peer.
+    let p_to_s = details.iter().find(|r| r.kind == RecordKind::PToS).unwrap();
+    let line = p_to_s.to_string();
+    assert!(line.contains("n1 p_to_s") && line.contains("arg=5 ->n0"), "{line}");
 }
 
 /// Batched drains land in the new coherence counters.

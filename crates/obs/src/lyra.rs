@@ -1,10 +1,14 @@
-//! Lyra: the always-on flight recorder.
+//! Lyra: the always-on flight recorder, and the engine's only event path.
 //!
 //! Per-node lock-free rings of fixed-size [`VerbRecord`]s capturing the
-//! last N protocol operations — verb issues/polls, retries, injected fault
-//! fates, coherence mode switches, lease expiries — each stamped with the
-//! [`SpanId`] of the protocol site it served. Two ring flavors share one
-//! node timeline:
+//! last N protocol operations — completed sites, verb issues/polls,
+//! retries, injected fault fates, coherence mode switches, lease expiries —
+//! each stamped with the [`SpanId`] of the protocol site it served. The
+//! per-page *detail* kinds (classification transitions, notifications,
+//! downgrades, SI keeps/invalidations, checkpoints) ride the same rings
+//! but only while [`FlightRecorder::set_detail`] is on, so sweeps over
+//! thousands of pages cannot flush the always-on window. Two ring flavors
+//! share one node timeline:
 //!
 //! - **Lanes** ([`Lane`]) are *single-writer* rings handed to endpoints:
 //!   the hot path is a plain head bump plus seqlock stores — **zero
@@ -47,108 +51,121 @@ pub const NO_SITE: u8 = 0xFF;
 /// `class` value meaning "no verb class".
 pub const NO_CLASS: u8 = 0xFF;
 
-/// What a [`VerbRecord`] describes. Stable `u8` encoding — new kinds
-/// append only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum RecordKind {
-    /// A completed protocol site (read-miss, fence, lock acquire...):
-    /// `site` names it, `dur` is its full latency.
-    Site = 0,
-    /// A verb posted to the fabric: `target` is the home, `arg` the bytes.
-    VerbIssue = 1,
-    /// A verb completion observed at poll/wait: `dur` is issue→poll.
-    VerbPoll = 2,
-    /// A reissue after a failed attempt: `attempt` is the new attempt
-    /// index, `fate` the error that triggered it, `arg` the backoff paid.
-    VerbRetry = 3,
-    /// A retry budget ran dry: `attempt` is the attempt count, `fate` the
-    /// final error.
-    VerbExhausted = 4,
-    /// Puppis decided a fate for an issued verb: `fate` says which.
-    FaultInjected = 5,
-    /// Pyxis moved pages between lease and SI/SD modes at a fence
-    /// boundary: `arg` is how many switched, `site` the fence site.
-    ModeSwitch = 6,
-    /// Tardis/Pyxis lease expiries noticed at an SI fence: `arg` is the
-    /// count.
-    LeaseExpiry = 7,
-    /// Volans advanced the membership epoch: `arg` is the new epoch,
-    /// `target` the node whose departure (or join) caused it. Recorded
-    /// under the span of the exhausted verb that triggered the declaration,
-    /// so Perfetto draws a flow arrow from the failure to the failover.
-    EpochBump = 8,
-    /// Volans re-homed a departed node's pages: `arg` is how many pages
-    /// moved, `target` the departed node.
-    Rehome = 9,
+/// One table per `u8`-coded record enum: each variant with its stable code
+/// and export name, generating the enum plus the `from_u8`/`name` pair the
+/// ring codec and the exporters use. Unknown codes decode as code 0.
+macro_rules! wire_enum {
+    ($(#[$meta:meta])* $ty:ident {
+        $(#[$doc0:meta])* $zero:ident = 0 => $name0:literal,
+        $( $(#[$doc:meta])* $variant:ident = $code:literal => $name:literal, )*
+    }) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $ty {
+            $(#[$doc0])* $zero = 0,
+            $( $(#[$doc])* $variant = $code, )*
+        }
+
+        impl $ty {
+            pub fn from_u8(v: u8) -> $ty {
+                match v {
+                    $( $code => $ty::$variant, )*
+                    _ => $ty::$zero,
+                }
+            }
+
+            pub fn name(self) -> &'static str {
+                match self {
+                    $ty::$zero => $name0,
+                    $( $ty::$variant => $name, )*
+                }
+            }
+        }
+    };
 }
 
-impl RecordKind {
-    pub fn from_u8(v: u8) -> RecordKind {
-        match v {
-            1 => RecordKind::VerbIssue,
-            2 => RecordKind::VerbPoll,
-            3 => RecordKind::VerbRetry,
-            4 => RecordKind::VerbExhausted,
-            5 => RecordKind::FaultInjected,
-            6 => RecordKind::ModeSwitch,
-            7 => RecordKind::LeaseExpiry,
-            8 => RecordKind::EpochBump,
-            9 => RecordKind::Rehome,
-            _ => RecordKind::Site,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            RecordKind::Site => "site",
-            RecordKind::VerbIssue => "verb_issue",
-            RecordKind::VerbPoll => "verb_poll",
-            RecordKind::VerbRetry => "verb_retry",
-            RecordKind::VerbExhausted => "verb_exhausted",
-            RecordKind::FaultInjected => "fault_injected",
-            RecordKind::ModeSwitch => "mode_switch",
-            RecordKind::LeaseExpiry => "lease_expiry",
-            RecordKind::EpochBump => "epoch_bump",
-            RecordKind::Rehome => "rehome",
-        }
+wire_enum! {
+    /// What a [`VerbRecord`] describes. Stable `u8` encoding — new kinds
+    /// append only.
+    RecordKind {
+        /// A completed protocol site (read-miss, fence, lock acquire...):
+        /// `site` names it, `dur` is its full latency, `arg` the page for
+        /// the per-page sites.
+        Site = 0 => "site",
+        /// A verb posted to the fabric: `target` is the home, `arg` the bytes.
+        VerbIssue = 1 => "verb_issue",
+        /// A verb completion observed at poll/wait: `dur` is issue→poll.
+        VerbPoll = 2 => "verb_poll",
+        /// A reissue after a failed attempt: `attempt` is the new attempt
+        /// index, `fate` the error that triggered it, `arg` the backoff paid.
+        VerbRetry = 3 => "verb_retry",
+        /// A retry budget ran dry: `attempt` is the attempt count, `fate`
+        /// the final error.
+        VerbExhausted = 4 => "verb_exhausted",
+        /// Puppis decided a fate for an issued verb: `fate` says which.
+        FaultInjected = 5 => "fault_injected",
+        /// Pyxis moved pages between lease and SI/SD modes at a fence
+        /// boundary: `arg` is how many switched, `site` the fence site.
+        ModeSwitch = 6 => "mode_switch",
+        /// Tardis/Pyxis lease expiries noticed at an SI fence: `arg` is the
+        /// count.
+        LeaseExpiry = 7 => "lease_expiry",
+        /// Volans advanced the membership epoch: `arg` is the new epoch,
+        /// `target` the node whose departure (or join) caused it. Recorded
+        /// under the span of the exhausted verb that triggered the
+        /// declaration, so Perfetto draws a flow arrow from the failure to
+        /// the failover.
+        EpochBump = 8 => "epoch_bump",
+        /// Volans re-homed a departed node's pages: `arg` is how many pages
+        /// moved, `target` the departed node.
+        Rehome = 9 => "rehome",
+        // The per-page *detail* kinds: instants under the current span,
+        // written only while [`FlightRecorder::set_detail`] is on.
+        /// A dirty page was written back: `arg` is the page, `target` its home.
+        Downgrade = 10 => "downgrade",
+        /// A home-coalesced fence drain: `arg` is the page count, `target`
+        /// the home that received the one batched verb.
+        DowngradeBatch = 11 => "downgrade_batch",
+        /// An SI fence invalidated page `arg`.
+        SiInvalidate = 12 => "si_invalidate",
+        /// An SI fence kept page `arg`.
+        SiKeep = 13 => "si_keep",
+        /// The recording node joined private page `arg`: `target` is the
+        /// owner it was private to.
+        PToS = 14 => "p_to_s",
+        /// The recording node became page `arg`'s first writer.
+        NwToSw = 15 => "nw_to_sw",
+        /// The recording node became page `arg`'s second writer: `target`
+        /// is the previous single writer.
+        SwToMw = 16 => "sw_to_mw",
+        /// A directory-cache notification about page `arg` posted to `target`.
+        Notify = 17 => "notify",
+        /// A sync-point checkpoint of private page `arg` (naïve P/S only).
+        Checkpoint = 18 => "checkpoint",
     }
 }
 
-/// How a verb (or attempt) ended up. Mirrors `rma::VerbError`'s vocabulary
-/// plus the injector's duplicate/spike outcomes, without depending on
-/// `rma` (the dependency points the other way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Fate {
-    Ok = 0,
-    Timeout = 1,
-    NicStall = 2,
-    Dropped = 3,
-    Cancelled = 4,
-    Duplicate = 5,
-    Spike = 6,
-    Exhausted = 7,
-    /// The target left the membership view before the verb was issued
-    /// (Volans fail-fast).
-    Departed = 8,
+wire_enum! {
+    /// How a verb (or attempt) ended up. Mirrors `rma::VerbError`'s
+    /// vocabulary plus the injector's duplicate/spike outcomes, without
+    /// depending on `rma` (the dependency points the other way).
+    Fate {
+        Ok = 0 => "ok",
+        Timeout = 1 => "timeout",
+        NicStall = 2 => "nic_stall",
+        Dropped = 3 => "dropped",
+        Cancelled = 4 => "cancelled",
+        Duplicate = 5 => "duplicate",
+        Spike = 6 => "spike",
+        Exhausted = 7 => "exhausted",
+        /// The target left the membership view before the verb was issued
+        /// (Volans fail-fast).
+        Departed = 8 => "departed",
+    }
 }
 
 impl Fate {
-    pub fn from_u8(v: u8) -> Fate {
-        match v {
-            1 => Fate::Timeout,
-            2 => Fate::NicStall,
-            3 => Fate::Dropped,
-            4 => Fate::Cancelled,
-            5 => Fate::Duplicate,
-            6 => Fate::Spike,
-            7 => Fate::Exhausted,
-            8 => Fate::Departed,
-            _ => Fate::Ok,
-        }
-    }
-
     /// Map `rma::VerbError::name()` strings (the rma crate calls this so
     /// the two vocabularies can never skew silently).
     pub fn from_error_name(name: &str) -> Fate {
@@ -159,20 +176,6 @@ impl Fate {
             "cancelled" => Fate::Cancelled,
             "departed" => Fate::Departed,
             _ => Fate::Ok,
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Fate::Ok => "ok",
-            Fate::Timeout => "timeout",
-            Fate::NicStall => "nic_stall",
-            Fate::Dropped => "dropped",
-            Fate::Cancelled => "cancelled",
-            Fate::Duplicate => "duplicate",
-            Fate::Spike => "spike",
-            Fate::Exhausted => "exhausted",
-            Fate::Departed => "departed",
         }
     }
 }
@@ -262,6 +265,28 @@ impl VerbRecord {
     /// The profile site this record is attributed to, if any.
     pub fn site_enum(&self) -> Option<Site> {
         Site::ALL.get(self.site as usize).copied()
+    }
+
+    /// Export name: the site's for `Site` records, the kind's otherwise.
+    pub fn label(&self) -> &'static str {
+        match (self.kind, self.site_enum()) {
+            (RecordKind::Site, Some(site)) => site.name(),
+            (kind, _) => kind.name(),
+        }
+    }
+}
+
+/// One line per record, as the protocol tour prints them.
+impl std::fmt::Display for VerbRecord {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "@{:<10} n{} {:<15} arg={}", self.start, self.node, self.label(), self.arg)?;
+        if self.target != NO_TARGET {
+            write!(f, " ->n{}", self.target)?;
+        }
+        if self.dur > 0 {
+            write!(f, " dur={}", self.dur)?;
+        }
+        Ok(())
     }
 }
 
@@ -616,6 +641,8 @@ pub struct FlightRecorder {
     capacity: usize,
     minter: SpanMinter,
     enabled: AtomicBool,
+    /// Whether the per-page detail kinds are recorded (off by default).
+    detail: AtomicBool,
     dropped: AtomicU64,
     tail_crossings: AtomicU64,
     captures: Mutex<Vec<TailCapture>>,
@@ -650,6 +677,7 @@ impl FlightRecorder {
             capacity,
             minter: SpanMinter::new(nodes.max(1)),
             enabled: AtomicBool::new(true),
+            detail: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
             tail_crossings: AtomicU64::new(0),
             captures: Mutex::new(Vec::new()),
@@ -690,6 +718,19 @@ impl FlightRecorder {
 
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Relaxed);
+    }
+
+    /// Also record the per-page detail kinds ([`RecordKind::Downgrade`]
+    /// through [`RecordKind::Checkpoint`]). Off by default so a 3000-page
+    /// SI sweep does not flood the always-on ring; safe at any time.
+    pub fn set_detail(&self, on: bool) {
+        self.detail.store(on, Ordering::Relaxed);
+    }
+
+    /// Should detail kinds be recorded? One relaxed load while off.
+    #[inline]
+    pub fn detail(&self) -> bool {
+        self.detail.load(Ordering::Relaxed) && self.enabled()
     }
 
     /// Mint a span for `node`. Span ids feed only observability records;
@@ -841,8 +882,9 @@ impl FlightRecorder {
     /// Chrome-trace (Perfetto) export of every node's ring, with flow
     /// arrows linking all records of a span — parent site → issue →
     /// retries → poll — and requester→home arrival marks on the target
-    /// node's track. Same `displayTimeUnit` contract as the Carina
-    /// tracer: timestamps are the observability clock, unscaled.
+    /// node's track. Timestamps are the observability clock, unscaled;
+    /// `otherData` carries the submitted/kept/dropped counters, so a
+    /// truncated window never masquerades as a complete one.
     pub fn to_chrome_trace(&self) -> String {
         // (tid, ts, order, json) — sorted so output is deterministic and
         // each flow chain appears in ts order.
@@ -868,13 +910,7 @@ impl FlightRecorder {
         for node in 0..self.rings.len() {
             for rec in self.node_records(node) {
                 let tid = node as u64;
-                let name = match rec.kind {
-                    RecordKind::Site => rec
-                        .site_enum()
-                        .map(|s| s.name())
-                        .unwrap_or("site"),
-                    k => k.name(),
-                };
+                let name = rec.label();
                 let args = format!(
                     "\"span\":\"{:#x}\",\"attempt\":{},\"fate\":\"{}\",\"target\":{},\"arg\":{}",
                     rec.span.0,
@@ -883,7 +919,9 @@ impl FlightRecorder {
                     if rec.target == NO_TARGET { -1i64 } else { rec.target as i64 },
                     rec.arg,
                 );
-                let body = if rec.dur > 0 {
+                // Sites are always slices (a fence with nothing to do is a
+                // zero-length one); everything else only when it took time.
+                let body = if rec.kind == RecordKind::Site || rec.dur > 0 {
                     format!(
                         "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\
                          \"dur\":{},\"args\":{{{args}}}}}",

@@ -132,6 +132,7 @@ impl<T: Transport, C: Coherence> HierBarrier<T, C> {
             span,
             obs_start,
             t.obs_now().saturating_sub(obs_start),
+            0,
         );
     }
 }

@@ -253,7 +253,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         let acquire_dur = t.obs_now().saturating_sub(obs_t0);
         self.obs.acquire.record(acquire_dur);
         self.dsm
-            .record_site(t, node as u16, obs::Site::LockAcquire, span, obs_t0, acquire_dur);
+            .record_site(t, node as u16, obs::Site::LockAcquire, span, obs_t0, acquire_dur, 0);
         if switched {
             obs::LockObs::bump(&self.obs.handovers);
         }

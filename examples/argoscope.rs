@@ -13,8 +13,9 @@
 //!   pages by read-miss count.
 //!
 //! It also exports machine-readable artifacts under `target/argoscope/`:
-//! `trace_<backend>.json` (Perfetto/chrome://tracing-loadable event trace)
-//! and `report_<backend>.json` (the full `RunReport::to_json()` document).
+//! `lyra_<backend>.json` (the flight recorder as a Perfetto/chrome://tracing-
+//! loadable trace with span flow arrows), `report_<backend>.json` (the full
+//! `RunReport::to_json()` document) and `metrics_<backend>.{prom,json}`.
 //!
 //! Run: `cargo run --release --example argoscope`
 
@@ -59,7 +60,7 @@ fn workload<T: Transport>(machine: &Arc<ArgoMachine<T>>) -> RunReport<u64> {
 
 fn inspect<T: Transport>(machine: &Arc<ArgoMachine<T>>, backend: &str) {
     println!("==== argoscope: {backend} backend ====");
-    machine.dsm().tracer().set_enabled(true);
+    machine.dsm().lyra().set_detail(true);
     let report = workload(machine);
 
     let expect: u64 = (0..CELLS as u64).sum();
@@ -82,26 +83,17 @@ fn inspect<T: Transport>(machine: &Arc<ArgoMachine<T>>, backend: &str) {
     assert_eq!(report.locks.len(), 1, "the ledger lock must be registered");
     assert!(report.locks[0].delegations > 0);
 
-    // Export artifacts; both must parse as JSON (the trace is what Perfetto
+    // Export artifacts; all must parse as JSON (the trace is what Perfetto
     // loads, the report is what scripts consume).
     let dir = std::path::Path::new("target/argoscope");
     std::fs::create_dir_all(dir).expect("create artifact dir");
-    let trace = machine.dsm().tracer().to_chrome_trace();
-    let trace_doc = JsonValue::parse(&trace).expect("trace must be valid JSON");
-    let stats = machine.dsm().tracer().stats();
-    assert!(
-        !trace_doc.get("traceEvents").unwrap().as_arr().unwrap().is_empty(),
-        "trace must hold events"
-    );
-    let trace_path = dir.join(format!("trace_{backend}.json"));
-    std::fs::write(&trace_path, &trace).expect("write trace");
     let report_json = report.to_json();
     JsonValue::parse(&report_json).expect("report must be valid JSON");
     let report_path = dir.join(format!("report_{backend}.json"));
     std::fs::write(&report_path, &report_json).expect("write report");
 
-    // Lyra artifacts: the flight-recorder dump as a chrome trace with
-    // span flow arrows, and the live metrics in both expositions.
+    // The flight-recorder dump (detail kinds included) as a chrome trace
+    // with span flow arrows, and the live metrics in both expositions.
     let lyra = machine.dsm().lyra().to_chrome_trace();
     let lyra_doc = JsonValue::parse(&lyra).expect("lyra dump must be valid JSON");
     assert!(
@@ -118,12 +110,6 @@ fn inspect<T: Transport>(machine: &Arc<ArgoMachine<T>>, backend: &str) {
     let metrics_path = dir.join(format!("metrics_{backend}.json"));
     std::fs::write(&metrics_path, &metrics_json).expect("write metrics json");
 
-    println!(
-        "trace  : {} ({} events buffered, {} dropped)",
-        trace_path.display(),
-        stats.buffered,
-        stats.dropped
-    );
     println!("report : {}", report_path.display());
     println!(
         "lyra   : {} ({} records kept, {} dropped)",

@@ -31,7 +31,9 @@ fn main() {
     let topo = ClusterTopology::tiny(3);
     let net = Interconnect::new(topo, CostModel::paper_2011());
     let dsm = Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
-    dsm.tracer().set_enabled(true);
+    // Also flight-record the per-page events (transitions, notifications,
+    // downgrades, SI keeps/invalidations) the tour narrates.
+    dsm.lyra().set_detail(true);
     let mut t: Vec<SimThread> = (0..3)
         .map(|n| SimThread::new(topo.loc(NodeId(n), 0), net.clone()))
         .collect();
@@ -102,8 +104,10 @@ fn main() {
         net.stats().snapshot().handler_invocations
     );
 
-    println!("\n== raw protocol trace ==");
-    for ev in dsm.tracer().events() {
-        println!("{ev}");
+    println!("\n== raw protocol trace (Lyra flight recorder, per node) ==");
+    for node in 0..3 {
+        for rec in dsm.lyra().snapshot(node) {
+            println!("{rec}");
+        }
     }
 }
