@@ -2,8 +2,9 @@
 //!
 //! The paper: "It runs unmodified Pthreads (data-race-free) shared memory
 //! programs" — a pthread mutex on Argo is a cluster-wide lock whose
-//! acquire/release carry the Carina fences implicitly (SI on lock, SD on
-//! unlock), so lock-protected data is coherent with no source changes.
+//! acquire/release carry the Carina fences implicitly (SI on a lock that
+//! arrives from another node, SD on unlock), so lock-protected data is
+//! coherent with no source changes.
 //! (For lock-*intensive* code the paper recommends porting to HQDL —
 //! `vela::Hqdl` — which is what Figure 12 measures.)
 
@@ -14,7 +15,8 @@ use simnet::NodeId;
 use std::sync::Arc;
 use vela::DsmGlobalLock;
 
-/// A cluster-wide mutex with pthreads semantics (SI on lock, SD on unlock).
+/// A cluster-wide mutex with pthreads semantics (SI on a cross-node lock
+/// handover, SD on unlock).
 pub struct ArgoMutex<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     dsm: Arc<Dsm<T, C>>,
     lock: Arc<DsmGlobalLock>,
@@ -38,21 +40,33 @@ impl<T: Transport, C: Coherence> ArgoMutex<T, C> {
         })
     }
 
-    /// Acquire: take the global lock, then self-invalidate so this thread
-    /// observes every earlier critical section's writes.
+    /// This mutex's live observability counters.
+    pub fn observer(&self) -> &Arc<obs::LockObs> {
+        &self.obs
+    }
+
+    /// Acquire: take the global lock and, if another node released it
+    /// last, self-invalidate so this thread observes that node's critical
+    /// sections. Sections of this node's own threads are already visible
+    /// here — in the node-wide page cache or, once evicted, at the page's
+    /// home (the handover rule on [`DsmGlobalLock`], enforced by
+    /// [`Dsm::acquire_fence`]).
     pub fn lock(&self, ctx: &mut ArgoCtx<T, C>) -> ArgoMutexGuard<'_, T, C> {
         let t = &mut ctx.thread;
+        let me = t.node().0;
         let obs_start = t.obs_now();
+        let span = self.dsm.mint_span(t, me);
+        t.set_span(span);
         let switched = self.lock.acquire_tracked(t);
         let dur = t.obs_now().saturating_sub(obs_start);
         self.obs.acquire.record(dur);
         self.dsm
-            .profile()
-            .record(t.node().idx(), obs::Site::LockAcquire, dur);
+            .record_site(t, me, obs::Site::LockAcquire, span, obs_start, dur, 0);
+        t.set_span(rma::SpanId::NONE);
         if switched {
             obs::LockObs::bump(&self.obs.handovers);
         }
-        self.dsm.si_fence(t);
+        self.dsm.acquire_fence(t, switched);
         ArgoMutexGuard { mutex: self }
     }
 

@@ -12,9 +12,8 @@
 //! Residency is steady across iterations because read-only pages are
 //! Private under P/S3 classification, and private pages survive SI fences.
 //!
-//! Set `LYRA_DISABLED=1` to run with the flight recorder off: the CI
-//! overhead guard (`scripts/bench_json.sh`) times both configurations and
-//! fails if always-on recording costs more than a few percent here.
+//! Set `LYRA_DISABLED=1` to run with the flight recorder off: timing both
+//! configurations back to back shows what always-on recording costs here.
 
 use carina::{CarinaConfig, Dsm};
 use criterion::{criterion_group, criterion_main, Criterion};

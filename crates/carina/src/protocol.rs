@@ -1347,6 +1347,23 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.failover_retry(t, |dsm, t| dsm.si_fence_inner(t))
     }
 
+    /// The fence a lock owes on acquire — the one place the *handover
+    /// rule* (`vela::DsmGlobalLock` module docs, DESIGN §11) is enforced.
+    /// `handover` says the lock was last released by another node (or
+    /// never): only then is there a remote critical section to observe,
+    /// and the full SI fence runs. A lock that stayed on this node orders
+    /// only writes the node made itself — still in its page cache, or
+    /// written home where the next miss reads them — so the sweep is
+    /// skipped; the acquire still drops speculation, exactly as the SI
+    /// fence would have.
+    pub fn acquire_fence(&self, t: &mut T::Endpoint, handover: bool) {
+        if handover {
+            self.si_fence(t);
+        } else {
+            self.flush_prefetch(t.node().0);
+        }
+    }
+
     fn si_fence_inner(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let me = t.node().0;
         let obs_start = t.obs_now();
@@ -1658,12 +1675,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // A line the stride predictor fetched ahead of time satisfies its
         // pages from the ring; only uncovered pages go to the wire.
         let prefetched = self.take_prefetched(me, line);
-        // Issue phase: every group's registrations run back-to-back
+        // Issue phase: every group's registrations are posted back-to-back
         // (pipelined one-sided atomics: latencies overlap, only wire
-        // occupancy serializes), then its data read is *posted* — for all
-        // homes — before any completion is polled. In-flight transfers to
-        // distinct homes therefore overlap on the fabric instead of
-        // queuing behind one another on this thread.
+        // occupancy serializes) and its data read is posted right behind
+        // them on the same ordered channel — for all homes — before any
+        // completion is polled. The atomics reach the home ahead of the
+        // read (same queue pair), so the miss costs one round trip, and
+        // in-flight transfers to distinct homes overlap on the fabric
+        // instead of queuing behind one another on this thread.
         let obs_issue = t.obs_now();
         let mut inflight: Vec<(u64, Option<IssuedVerb>)> = Vec::with_capacity(group.len());
         for (home, idxs) in &mut group {
@@ -1693,7 +1712,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     .attempt_seq(VerbClass::PageFetch, base.0.wrapping_add((*home as u64) << 48))
                     .with_span(span);
                 let a0 = seq.next().expect("retry budget is at least one attempt");
-                let tok = t.issue_read(NodeId(*home), bytes, reg_done + a0.delay);
+                let tok = t.issue_read(NodeId(*home), bytes, start + a0.delay);
                 Some((tok, seq, a0))
             };
             inflight.push((reg_done, token));
@@ -1712,14 +1731,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     obs_issue,
                     VerbClass::PageFetch,
                     bytes,
-                    |t, delay| t.issue_read(NodeId(home), bytes, reg_done + delay),
+                    |t, delay| t.issue_read(NodeId(home), bytes, start + delay),
                 )?;
                 done = done.max(timing.initiator_done);
-            } else {
-                // Entirely prefetched: the data is already in flight (or
-                // landed); the fill is ready once the registrations are.
-                done = done.max(reg_done);
             }
+            // The fill is ready once both the data and the registrations
+            // are (an entirely prefetched group waits for the latter only).
+            done = done.max(reg_done);
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 st.alloc_data(idx).copy_from(self.global.home_page(p));
@@ -1898,11 +1916,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             CoherenceStats::add(&shard.prefetch_wasted, pages_total);
             return;
         }
+        // Snapshot and park under the ring lock, so a concurrent write-back
+        // from this node either lands before the snapshot or finds the
+        // entry to retire (`retire_prefetched`).
+        let mut pf = ns.prefetch.lock().unwrap();
         let pages: Vec<(PageNum, PageData)> = group
             .iter()
             .flat_map(|(_, ps)| ps.iter().map(|&p| (p, self.global.home_page(p).snapshot())))
             .collect();
-        let mut pf = ns.prefetch.lock().unwrap();
         pf.ring.push_back(PrefetchedLine { line, ready_at, pages });
         while pf.ring.len() > self.config.prefetch_lines {
             if let Some(old) = pf.ring.pop_front() {
@@ -1927,6 +1948,27 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         pf.cores.clear();
     }
 
+    /// `node` just wrote `page` home: a parked snapshot of its line
+    /// predates the node's own write and must not satisfy a later miss.
+    /// Called after the home copy, with the page's slot still locked, so no
+    /// miss on the page can slip in between.
+    fn retire_prefetched(&self, node: u16, page: PageNum) {
+        if self.config.prefetch_lines == 0 {
+            return;
+        }
+        let ns = &self.nodes[node as usize];
+        let line = ns.cache.line_of(page);
+        let mut pf = ns.prefetch.lock().unwrap();
+        if let Some(pos) = pf.ring.iter().position(|e| e.line == line) {
+            if let Some(old) = pf.ring.remove(pos) {
+                CoherenceStats::add(
+                    &self.stats.shard(node).prefetch_wasted,
+                    old.pages.len() as u64,
+                );
+            }
+        }
+    }
+
     // ------------------------------------------------------------------
     // Directory registration & notifications
     // ------------------------------------------------------------------
@@ -1945,7 +1987,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let outcome = self
             .coherence
             .register_reader(me, me, page, self.stats.shard(me));
-        self.apply_outcome(t, page, me, outcome)
+        let now = t.now();
+        self.apply_outcome(t, page, me, outcome, now)
     }
 
     /// Register as a reader of `page` at remote `home`, issuing the
@@ -1989,7 +2032,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let outcome = self
             .coherence
             .register_reader(me, home, page, self.stats.shard(me));
-        self.apply_outcome(t, page, me, outcome)?;
+        let now = t.now();
+        self.apply_outcome(t, page, me, outcome, now)?;
         Ok(Some(op_clock))
     }
 
@@ -2007,33 +2051,37 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let outcome = self
             .coherence
             .register_writer(me, me, page, self.stats.shard(me));
-        self.apply_outcome(t, page, me, outcome)
+        let now = t.now();
+        self.apply_outcome(t, page, me, outcome, now)
     }
 
-    /// Register as a writer of a (remote) page; charges the directory
-    /// atomic unless we are already registered.
+    /// Register as a writer of a (remote) page, unless we already are. The
+    /// directory atomic is *posted*: the writer needs nothing back from it
+    /// before storing into its own copy, so the thread does not wait out
+    /// the round trip. Its completion joins `pending_settle`, which the
+    /// next SD fence awaits before it releases anything — the registration
+    /// is globally visible no later than the writes it covers.
     fn register_writer(&self, t: &mut T::Endpoint, page: PageNum, me: u16) -> Result<(), DsmError> {
         let home = self.global.home_of(page);
         if self.coherence.write_registered(me, home, page) {
             return Ok(());
         }
-        // Endpoint-level verb: backoff is spent as local compute before the
-        // reissue (the endpoint's own clock is the only timeline here).
+        let loc = t.loc();
         let span = t.current_span();
         let obs_at = t.obs_now();
-        self.check_alive(me, home, VerbClass::DirectoryAtomic, span)?;
-        self.verb_retried(
+        let timing = self.net_verb(
             me,
             home,
+            VerbClass::DirectoryAtomic,
+            page.0,
+            t.now(),
             span,
             obs_at,
-            self.config.retry.run(VerbClass::DirectoryAtomic, page.0, |a| {
-                if a.step > 0 {
-                    t.compute(a.step);
-                }
-                t.rdma_fetch_or(NodeId(home))
-            }),
+            |at| self.net.rdma_fetch_or(loc, NodeId(home), at),
         )?;
+        self.nodes[me as usize]
+            .pending_settle
+            .fetch_max(timing.settled, Ordering::AcqRel);
         if self.config.active_directory {
             t.compute(self.net.cost().handler_cycles);
             self.net
@@ -2044,7 +2092,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let outcome = self
             .coherence
             .register_writer(me, home, page, self.stats.shard(me));
-        self.apply_outcome(t, page, me, outcome)
+        // Whom to notify is in the atomic's reply: the notifies chain behind
+        // it on the network timeline, not on this thread's clock.
+        self.apply_outcome(t, page, me, outcome, timing.initiator_done)
     }
 
     /// Perform the wire work a registration decided on: flight-record its
@@ -2052,12 +2102,22 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// service a checkpoint fetch if the policy asked for one. The policy
     /// already applied all metadata mutations host-side; this is purely
     /// the engine's verbs-and-clocks half.
+    ///
+    /// `reply_at` is when the registration's reply — which names the nodes
+    /// to notify and the owner to fetch from — reaches this node; nothing
+    /// here is posted earlier. A caller that waited for the reply passes
+    /// its own clock and the postings advance the thread as usual. A
+    /// *posted* registration passes the reply's (later) arrival: its
+    /// notifies chain behind it on the network timeline and join
+    /// `pending_settle` for the next SD fence without holding the thread,
+    /// while a checkpoint fetch, whose data the thread needs, still does.
     fn apply_outcome(
         &self,
         t: &mut T::Endpoint,
         page: PageNum,
         me: u16,
         outcome: RegisterOutcome,
+        reply_at: u64,
     ) -> Result<(), DsmError> {
         if outcome.is_quiet() {
             return Ok(());
@@ -2065,8 +2125,27 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         for (kind, other) in outcome.transitions.into_iter().flatten() {
             self.detail(t, me, kind, page.0, other);
         }
+        let waited = reply_at <= t.now();
+        let mut at = reply_at;
         for target in outcome.notify {
-            self.notify(t, target, page, me)?;
+            let Some(timing) = self.notify(t, target, page, me, at.max(t.now()))? else {
+                continue;
+            };
+            if waited {
+                self.settle_posted(t, me, &timing);
+            } else {
+                at = timing.initiator_done;
+                self.nodes[me as usize]
+                    .pending_settle
+                    .fetch_max(timing.settled, Ordering::AcqRel);
+            }
+            if self.config.active_directory {
+                t.compute(self.net.cost().handler_cycles);
+                self.net
+                    .stats()
+                    .handler_invocations
+                    .fetch_add(1, Ordering::Relaxed);
+            }
         }
         if let Some(owner) = outcome.fetch_from {
             // Service the fill from `owner`'s checkpoint: one extra round
@@ -2079,7 +2158,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 owner,
                 VerbClass::PageFetch,
                 page.0,
-                t.now(),
+                at.max(t.now()),
                 span,
                 obs_at,
                 |at| self.net.rdma_read(loc, NodeId(owner), at, PAGE_BYTES),
@@ -2089,48 +2168,42 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Ok(())
     }
 
-    /// Post the wire half of a directory-cache notification — the passive
-    /// mechanism's one-sided write; no code runs at `target`. The metadata
-    /// itself was already deposited by the policy (host-side, like the
-    /// real remote OR).
+    /// Post the wire half of a directory-cache notification at virtual time
+    /// `at` — the passive mechanism's one-sided write; no code runs at
+    /// `target`. The metadata itself was already deposited by the policy
+    /// (host-side, like the real remote OR). Returns the posted write's
+    /// timing for the caller to settle, `None` if there was nobody to tell.
     fn notify(
         &self,
         t: &mut T::Endpoint,
         target: u16,
         page: PageNum,
         me: u16,
-    ) -> Result<(), DsmError> {
+        at: u64,
+    ) -> Result<Option<Completion>, DsmError> {
         if target == me {
-            return Ok(());
+            return Ok(None);
         }
         if self.membership.epoch() != 0 && !self.membership.is_alive(target) {
             // The sharer departed: its directory cache died with it, so
             // there is nothing left to notify.
-            return Ok(());
+            return Ok(None);
         }
         self.detail(t, me, obs::RecordKind::Notify, page.0, target as u32);
         let loc = t.loc();
         let span = t.current_span();
         let obs_at = t.obs_now();
-        let timing = self.net_verb(
+        self.net_verb(
             me,
             target,
             VerbClass::Notify,
             page.0.wrapping_add((target as u64) << 48),
-            t.now(),
+            at,
             span,
             obs_at,
             |at| self.net.rdma_write(loc, NodeId(target), at, NOTIFY_BYTES),
-        )?;
-        self.settle_posted(t, me, &timing);
-        if self.config.active_directory {
-            t.compute(self.net.cost().handler_cycles);
-            self.net
-                .stats()
-                .handler_invocations
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(())
+        )
+        .map(Some)
     }
 
     // ------------------------------------------------------------------
@@ -2233,8 +2306,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         st.pages[idx].dirty = false;
         st.pages[idx].twin = None;
         st.pages[idx].mask.clear();
-        // The new version is home: let the policy advance its clocks (all
-        // drain paths — fence, overflow, eviction — funnel through here).
+        // The new version is home: retire any speculative snapshot of the
+        // old one and let the policy advance its clocks (all drain paths —
+        // fence, overflow, eviction — funnel through here).
+        self.retire_prefetched(me, page);
         self.coherence.note_downgrade(me, page);
         // The real implementation re-protects the page read-only so the
         // next write faults again.

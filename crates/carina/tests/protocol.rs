@@ -2,10 +2,12 @@
 //! transitions, deferred invalidation, diffs under false sharing, write
 //! buffering, and the fence semantics that make DRF programs SC.
 
-use carina::{CarinaConfig, ClassificationMode, Dsm, PageClass, WriterClass};
+use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES};
+use carina::{CarinaConfig, ClassificationMode, Dsm, PageClass, Tardis, VerbClass, WriterClass};
 use mem::{CacheConfig, GlobalAddr, PAGE_BYTES};
+use rma::{Endpoint, FaultPlan, FaultyTransport, SimTransport, Transport};
 use simnet::testkit::{thread, tiny_net};
-use simnet::{CostModel, SimThread};
+use simnet::{CostModel, NodeId, SimThread};
 use std::sync::Arc;
 
 fn cluster(nodes: usize, config: CarinaConfig) -> (Arc<Dsm>, Vec<SimThread>) {
@@ -318,19 +320,158 @@ fn reset_for_parallel_section_clears_classification() {
     assert_eq!(dsm.read_u64(&mut ts[1], a), 77);
 }
 
+/// Round trips of the paper's fabric: a directory atomic and a 4 KiB page
+/// read, each request + response propagation plus wire time.
+fn round_trips(cost: &CostModel) -> (u64, u64) {
+    let atomic = 2 * cost.network_latency + cost.transfer_cycles(cost.atomic_op_bytes);
+    let read = 2 * cost.network_latency + cost.transfer_cycles(PAGE_BYTES);
+    (atomic, read)
+}
+
 #[test]
-fn virtual_time_charges_remote_misses() {
+fn cold_miss_costs_the_trap_plus_one_round_trip() {
     let (dsm, mut ts) = cluster(2, CarinaConfig::default());
     let a = addr_homed_at(2, 1, 0);
+    let cost = CostModel::paper_2011();
+    let (atomic_rtt, read_rtt) = round_trips(&cost);
     let before = ts[0].now();
     dsm.read_u64(&mut ts[0], a);
-    let cost = CostModel::paper_2011();
-    // At least a fault trap + directory round trip + data round trip.
-    assert!(ts[0].now() - before >= cost.fault_trap_cycles + 4 * cost.network_latency);
+    let miss = ts[0].now() - before;
+    // The registration atomic and the page read share one ordered channel:
+    // the read is posted right behind the atomic, not after its reply.
+    assert!(miss >= cost.fault_trap_cycles + read_rtt, "{miss}");
+    assert!(miss < cost.fault_trap_cycles + atomic_rtt + read_rtt, "{miss}");
+    assert_eq!(dsm.net().stats().snapshot().rdma_atomics, 1, "the miss did register");
     // A subsequent hit is nearly free.
     let before = ts[0].now();
     dsm.read_u64(&mut ts[0], a);
     assert!(ts[0].now() - before < 100);
+}
+
+#[test]
+fn tardis_lease_renewal_costs_the_trap_plus_one_round_trip() {
+    let net = tiny_net(2);
+    let dsm: Arc<Dsm<_, Tardis>> = Dsm::with_policy(net.clone(), 4 << 20, CarinaConfig::default());
+    let (mut home, mut reader) = (thread(&net, 0, 0), thread(&net, 1, 0));
+    let a = addr_homed_at(2, 0, 0);
+    dsm.read_u64(&mut reader, a);
+    // The home node writes and releases; the reader's next acquire finds
+    // its lease expired and drops the page.
+    dsm.write_u64(&mut home, a, 5);
+    dsm.sd_fence(&mut home);
+    dsm.si_fence(&mut reader);
+    let cost = CostModel::paper_2011();
+    let (atomic_rtt, read_rtt) = round_trips(&cost);
+    let before = reader.now();
+    assert_eq!(dsm.read_u64(&mut reader, a), 5);
+    let renewal = reader.now() - before;
+    assert_eq!(dsm.stats().snapshot().lease_renewals, 1);
+    assert!(renewal >= cost.fault_trap_cycles + read_rtt, "{renewal}");
+    assert!(renewal < cost.fault_trap_cycles + atomic_rtt + read_rtt, "{renewal}");
+    assert!(dsm.check_invariants().is_empty());
+}
+
+#[test]
+fn write_registration_is_posted_and_settles_at_the_sd_fence() {
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+    let a = addr_homed_at(2, 1, 0);
+    let t = &mut ts[0];
+    dsm.read_u64(t, a);
+    let cost = CostModel::paper_2011();
+    let (atomic_rtt, _) = round_trips(&cost);
+    let before = t.now();
+    dsm.write_u64(t, a, 9);
+    // The fault pays the trap and the twin copy; the directory atomic is
+    // posted at the trap and nobody waits for its reply here.
+    assert_eq!(
+        t.now() - before,
+        HIT_CYCLES + cost.fault_trap_cycles + PAGE_COPY_CYCLES
+    );
+    assert_eq!(dsm.net().stats().snapshot().rdma_atomics, 2, "reader + writer registration");
+    // The release does: nothing is published before the registration is.
+    dsm.sd_fence(t);
+    assert!(t.now() >= before + HIT_CYCLES + cost.fault_trap_cycles + atomic_rtt);
+    assert!(dsm.check_invariants().is_empty());
+}
+
+#[test]
+fn posted_registration_chains_its_notify_behind_the_reply() {
+    // Node 0's write turns a page node 1 also reads from NW into SW: the
+    // registration's reply names node 1, so the notify leaves no earlier
+    // than the reply arrives — on the network timeline, not the thread's.
+    let (dsm, mut ts) = cluster(3, CarinaConfig::default());
+    let a = addr_homed_at(3, 2, 0);
+    dsm.read_u64(&mut ts[0], a);
+    dsm.read_u64(&mut ts[1], a);
+    let t = &mut ts[0];
+    let cost = CostModel::paper_2011();
+    let (atomic_rtt, _) = round_trips(&cost);
+    let before = t.now();
+    dsm.write_u64(t, a, 5);
+    assert_eq!(dsm.stats().snapshot().nw_to_sw, 1);
+    assert_eq!(dsm.dir_view(1, a).writer_class(), WriterClass::Single(0));
+    // The thread waits for neither the atomic nor the notify …
+    let posted = before + HIT_CYCLES + cost.fault_trap_cycles;
+    assert_eq!(t.now(), posted + PAGE_COPY_CYCLES);
+    // … the release waits for both, in series.
+    dsm.sd_fence(t);
+    assert!(
+        t.now() >= posted + atomic_rtt + cost.network_latency,
+        "{} < {posted} + {atomic_rtt} + {}",
+        t.now(),
+        cost.network_latency
+    );
+    assert!(dsm.check_invariants().is_empty());
+}
+
+#[test]
+fn dropped_page_read_reissues_on_the_unchanged_schedule() {
+    // Find a fault schedule that drops the miss's first page read and
+    // nothing else. The reissue must go out at the miss's start plus the
+    // page-fetch schedule's first backoff — the base the serial path's
+    // schedule was anchored to did not move with the registration.
+    let config = CarinaConfig {
+        cache: CacheConfig::new(1024, 1),
+        ..CarinaConfig::default()
+    };
+    let cost = CostModel::paper_2011();
+    let (_, read_rtt) = round_trips(&cost);
+    let a = addr_homed_at(2, 1, 0);
+    let mut pinned = false;
+    for seed in 0..64 {
+        let plan = FaultPlan::disabled().with_seed(seed).with_drops(300_000);
+        let net = FaultyTransport::wrap(tiny_net(2), plan);
+        let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> = Dsm::new(net.clone(), 4 << 20, config);
+        let mut t = FaultyTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+        let before = t.now();
+        dsm.read_u64(&mut t, a);
+        let fetch_retries = dsm
+            .lyra()
+            .snapshot(0)
+            .iter()
+            .filter(|r| {
+                r.kind == obs::RecordKind::VerbRetry && r.class == VerbClass::PageFetch as u8
+            })
+            .count();
+        if net.injected().total() != 1 || fetch_retries != 1 {
+            continue;
+        }
+        let mut seq = config
+            .retry
+            .attempt_seq(VerbClass::PageFetch, a.page().0.wrapping_add(1 << 48));
+        seq.next();
+        let backoff = seq.next().expect("budget allows a retry").delay;
+        assert_eq!(
+            t.now() - before,
+            HIT_CYCLES + cost.fault_trap_cycles + backoff + read_rtt,
+            "seed {seed}"
+        );
+        assert_eq!(dsm.stats().snapshot().verb_retries, 1);
+        assert!(dsm.check_invariants().is_empty());
+        pinned = true;
+        break;
+    }
+    assert!(pinned, "no seed dropped exactly the page read");
 }
 
 #[test]
@@ -569,6 +710,70 @@ fn si_fence_flushes_speculation_and_counts_waste() {
     // shadowed by a pre-acquire snapshot.
     dsm.poke_u64(GlobalAddr(7 * PAGE_BYTES), 77);
     assert_eq!(dsm.read_u64(t, GlobalAddr(7 * PAGE_BYTES)), 77);
+}
+
+#[test]
+fn same_node_acquire_drops_speculation_without_sweeping() {
+    let (dsm, mut ts) = cluster(
+        2,
+        CarinaConfig {
+            cache: CacheConfig::new(1024, 1),
+            prefetch_lines: 8,
+            prefetch_streak: 1,
+            ..CarinaConfig::default()
+        },
+    );
+    let t = &mut ts[0];
+    for p in [1u64, 3, 5] {
+        dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
+    }
+    let before = dsm.stats().snapshot();
+    assert!(before.prefetch_issued > before.prefetch_hits + before.prefetch_wasted);
+    // A lock that never left the node: no SI sweep, nothing invalidated,
+    // but the parked line goes — it predates the acquire.
+    dsm.acquire_fence(t, false);
+    let after = dsm.stats().snapshot();
+    assert_eq!((after.si_fences, after.si_invalidated), (0, 0));
+    assert_eq!(after.prefetch_hits + after.prefetch_wasted, after.prefetch_issued);
+    assert_eq!(dsm.stats().snapshot().read_misses, 3);
+    dsm.read_u64(t, GlobalAddr(5 * PAGE_BYTES));
+    assert_eq!(dsm.stats().snapshot().read_misses, 3, "the cache itself was kept");
+    // A handover is the full SI fence.
+    dsm.acquire_fence(t, true);
+    assert_eq!(dsm.stats().snapshot().si_fences, 1);
+}
+
+#[test]
+fn own_write_back_outdates_a_parked_ring_snapshot() {
+    // Program order on one thread, no fence anywhere: the ring may hold a
+    // snapshot of a page this node later writes and evicts. The write-back
+    // must retire the snapshot, or the re-read would be served the value
+    // from before the node's own write.
+    let (dsm, mut ts) = cluster(
+        2,
+        CarinaConfig {
+            cache: CacheConfig::new(8, 1),
+            prefetch_lines: 4,
+            ..CarinaConfig::default()
+        },
+    );
+    let t = &mut ts[0];
+    let at = |p: u64| GlobalAddr(p * PAGE_BYTES);
+    dsm.read_u64(t, at(41));
+    // Misses on 35, 37, 39 confirm stride 2 and park line 41 in the ring
+    // although the cache still holds it.
+    for p in [35, 37, 39] {
+        dsm.read_u64(t, at(p));
+    }
+    assert!(dsm.stats().snapshot().prefetch_issued > 0);
+    dsm.write_u64(t, at(41), 42);
+    // Page 57 conflicts with 41 in the 8-slot cache: the eviction writes
+    // 41 back, and the re-read of 41 is a miss again.
+    dsm.read_u64(t, at(57));
+    assert_eq!(dsm.peek_u64(at(41)), 42, "the eviction wrote the page home");
+    assert_eq!(dsm.read_u64(t, at(41)), 42);
+    assert_eq!(dsm.stats().snapshot().prefetch_hits, 0, "the stale line was dropped");
+    assert!(dsm.check_invariants().is_empty());
 }
 
 #[test]

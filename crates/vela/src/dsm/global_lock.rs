@@ -6,6 +6,32 @@
 //! *coherence* consequences of locking (SI on acquire / SD on release) are
 //! deliberately **not** part of this type — HQDL's whole point is choosing
 //! where those fences go (paper §4.2).
+//!
+//! # The lock word and the handover rule
+//!
+//! The modelled word is 8 bytes: a held bit plus the node id of the last
+//! releaser. A release is one posted 8-byte write that clears the bit and
+//! stamps the releaser's id; the acquirer's CAS returns the old word, so
+//! learning *who released last* costs no verb beyond the two every passage
+//! already pays. [`DsmGlobalLock::acquire_tracked`] reports whether that
+//! node differs from the acquirer's — a **handover**.
+//!
+//! Callers that place Carina fences (`Hqdl`, `DsmCohortLock`, `ArgoMutex`)
+//! hand that answer to `carina::Dsm::acquire_fence`, the one function
+//! that enforces the rule: self-invalidate on acquire only after a
+//! handover. Soundness: every release is preceded by the releaser's SD
+//! fence, and a node's page cache is shared by all its threads. If node `n`
+//! both released the lock last and acquires it now, no other node ran a
+//! critical section in between, so every write this release→acquire edge
+//! orders was made on `n` itself: it is in `n`'s cache, or — once evicted —
+//! in the page's home memory, which `n`'s next miss reads. (The one copy
+//! that could predate it, a stride-prefetch snapshot, is retired by the
+//! write-back itself, and a same-node acquire still drops all parked
+//! speculation, as an SI fence would.) Writes of *earlier* remote tenures
+//! were covered by the SI fence `n` ran when the lock last arrived from
+//! elsewhere. A never-held lock reports a handover, so a node's first
+//! tenure always fences. Data published through another synchronization
+//! object (a barrier, a `DsmFlag`) is ordered by that object's own fences.
 
 use carina::DsmError;
 use parking_lot::{Condvar, Mutex};
@@ -31,8 +57,10 @@ struct LockState {
     locked: bool,
     /// Virtual time of the last release (what the next holder merges).
     last_release: u64,
-    /// Successive acquisitions by the same node skip the remote round trip
-    /// probability model — tracked for stats only.
+    /// The node id stamped into the lock word by the last release (`None`
+    /// while the lock has never been held). Decides whether an acquisition
+    /// is a handover — callers skip their acquire-side SI fence when it is
+    /// not, so this is protocol state, not a statistic.
     last_holder: Option<u16>,
 }
 
@@ -93,7 +121,8 @@ impl DsmGlobalLock {
 
     /// [`acquire`](Self::acquire), reporting whether the lock changed hands
     /// between nodes (a *handover*: the previous holder was a different
-    /// node, so the release flag crossed the network to reach us).
+    /// node — or there was none — so the release flag crossed the network
+    /// to reach us and the caller owes an SI fence; see the module docs).
     pub fn acquire_tracked<E: Endpoint>(&self, t: &mut E) -> bool {
         match self.try_acquire_tracked(t) {
             Ok(switched) => switched,
@@ -238,6 +267,31 @@ mod tests {
         let c = CostModel::paper_2011();
         assert!(t.now() >= 2 * c.network_latency);
         lock.release(&mut t);
+    }
+
+    #[test]
+    fn tracked_acquire_reports_handovers_only() {
+        let net = tiny_net(2);
+        let lock = DsmGlobalLock::new(NodeId(0));
+        let mut a = thread(&net, 0, 0);
+        let mut a2 = thread(&net, 0, 1);
+        let mut b = thread(&net, 1, 0);
+        let acquire = |t: &mut _| {
+            let switched = lock.try_acquire_tracked(t).unwrap();
+            lock.release(t);
+            switched
+        };
+        // Never held: the first tenure always counts as a handover.
+        assert!(acquire(&mut a));
+        // Same node — same or sibling thread — is not.
+        assert!(!acquire(&mut a));
+        assert!(!acquire(&mut a2));
+        // Cross-node, in both directions, is.
+        assert!(acquire(&mut b));
+        assert!(!acquire(&mut b));
+        assert!(acquire(&mut a2));
+        let st = lock.stats();
+        assert_eq!((st.acquisitions, st.node_switches), (6, 3));
     }
 
     #[test]

@@ -9,8 +9,11 @@
 //!
 //! 1. A node's would-be helper acquires a *global* lock; the node becomes
 //!    the active node.
-//! 2. The helper performs **one** SI fence ("see data possibly written in
-//!    earlier executions of critical sections in other nodes").
+//! 2. The helper performs one SI fence *per handover* ("see data possibly
+//!    written in earlier executions of critical sections in other nodes"):
+//!    only when the global lock arrived from another node. A tenure that
+//!    re-acquires a lock its own node released last has nothing remote to
+//!    observe — see the handover rule on [`DsmGlobalLock`].
 //! 3. Threads of the active node delegate critical sections into the node
 //!    queue; the helper executes them back to back on one core — no
 //!    fences, no lock hand-offs, local cache reuse.
@@ -228,8 +231,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
     }
 
     /// Become this node's helper if the role is free and the queue is
-    /// non-empty: acquire the global lock, SI once, run a batch, SD once,
-    /// release.
+    /// non-empty: acquire the global lock, SI if it came from another node,
+    /// run a batch, SD once, release.
     fn try_help(&self, t: &mut T::Endpoint, node: usize) {
         let nq = &self.node_queues[node];
         if nq.queue.is_empty() || !nq.helper.try_lock() {
@@ -257,9 +260,10 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         if switched {
             obs::LockObs::bump(&self.obs.handovers);
         }
-        // Open the delegation queue: one SI to observe earlier critical
-        // sections executed on other nodes.
-        self.dsm.si_fence(t);
+        // Open the delegation queue: after a handover, one SI to observe
+        // the critical sections other nodes executed since this node last
+        // held the lock.
+        self.dsm.acquire_fence(t, switched);
         let t2 = t.now();
         self.acquire_cycles.fetch_add(t1 - t0, Ordering::Relaxed);
         let mut executed = 0usize;

@@ -442,10 +442,10 @@ fn chaos_trace_links_retried_attempts_to_their_site_span() {
     let mut ccfg = CarinaConfig::default();
     ccfg.retry.max_attempts = [16; VerbClass::COUNT];
     // Tail threshold sized between the clean-path service time (a read
-    // miss on this fabric is ~10k cycles, a write fault ~7k) and the cost
-    // of an operation inflated by backoff or an injected spike — only
+    // miss on this fabric is ~6.9k cycles, a write fault ~3.4k) and the
+    // cost of an operation inflated by backoff or an injected spike — only
     // slow offenders trigger captures.
-    ccfg.lyra_tail_threshold = 11_000;
+    ccfg.lyra_tail_threshold = 7_500;
     let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(77));
     let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
     let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
