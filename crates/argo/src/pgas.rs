@@ -9,7 +9,7 @@
 
 use carina::{CarinaSiSd, Coherence, Dsm};
 use mem::GlobalAddr;
-use rma::{Endpoint, SimTransport, Transport, VerbClass, VerbError};
+use rma::{Endpoint, SimTransport, Transport, Verb, VerbClass};
 use simnet::NodeId;
 use std::sync::Arc;
 
@@ -26,23 +26,13 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
         PgasCtx { dsm }
     }
 
-    /// Reissue a fine-grained PGAS verb until it lands, charging backoff
-    /// as local compute. PGAS has no coherence to fall back on, so an
-    /// exhausted budget aborts (same contract as the DSM's panicking ops).
-    fn insist(
-        &self,
-        t: &mut T::Endpoint,
-        class: VerbClass,
-        salt: u64,
-        mut verb: impl FnMut(&mut T::Endpoint) -> Result<(), VerbError>,
-    ) {
-        let r = self.dsm.config().retry.run(class, salt, |a| {
-            if a.step > 0 {
-                t.compute(a.step);
-            }
-            verb(t)
-        });
-        if let Err(e) = r {
+    /// Reissue a fine-grained PGAS verb against `home` until it lands,
+    /// charging backoff as local compute. PGAS has no coherence to fall
+    /// back on, so an exhausted budget aborts (same contract as the DSM's
+    /// panicking ops).
+    fn insist(&self, t: &mut T::Endpoint, class: VerbClass, salt: u64, home: u16, verb: Verb) {
+        let retry = &self.dsm.config().retry;
+        if let Err(e) = retry.run_blocking(t, class, salt, NodeId(home), &verb) {
             panic!("unrecoverable DSM fault: {e}");
         }
     }
@@ -52,13 +42,9 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
         if home == t.node().0 {
             t.dram_access();
         } else if write {
-            self.insist(t, VerbClass::Downgrade, addr.0, |t| {
-                t.rdma_write(NodeId(home), ELEM_BYTES).map(|_| ())
-            });
+            self.insist(t, VerbClass::Downgrade, addr.0, home, Verb::Write { bytes: ELEM_BYTES });
         } else {
-            self.insist(t, VerbClass::PageFetch, addr.0, |t| {
-                t.rdma_read(NodeId(home), ELEM_BYTES)
-            });
+            self.insist(t, VerbClass::PageFetch, addr.0, home, Verb::Read { bytes: ELEM_BYTES });
         }
     }
 
@@ -97,9 +83,8 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
             if home == t.node().0 {
                 t.dram_access();
             } else {
-                self.insist(t, VerbClass::PageFetch, a.0, |t| {
-                    t.rdma_read(NodeId(home), run_words as u64 * 8)
-                });
+                let bytes = run_words as u64 * 8;
+                self.insist(t, VerbClass::PageFetch, a.0, home, Verb::Read { bytes });
             }
             for k in 0..run_words {
                 out.push(f64::from_bits(self.dsm.peek_u64(addr.offset((i + k) as u64 * 8))));
@@ -120,9 +105,8 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
             if home == t.node().0 {
                 t.dram_access();
             } else {
-                self.insist(t, VerbClass::Downgrade, a.0, |t| {
-                    t.rdma_write(NodeId(home), run_words as u64 * 8).map(|_| ())
-                });
+                let bytes = run_words as u64 * 8;
+                self.insist(t, VerbClass::Downgrade, a.0, home, Verb::Write { bytes });
             }
             for k in 0..run_words {
                 self.dsm.poke_u64(addr.offset((i + k) as u64 * 8), data[i + k].to_bits());

@@ -25,7 +25,7 @@ pub const FENCE_SCAN_CYCLES: u64 = 6;
 pub const PROTECT_CYCLES: u64 = 150;
 
 /// Whether SD fences drain the write buffer with one home-coalesced
-/// `rdma_write_batch` per home node, or with one `rdma_write` per page.
+/// `Verb::WriteBatch` per home node, or with one `Verb::Write` per page.
 ///
 /// Both paths move the same diffs in the same global FIFO order and tick
 /// the same counters; they differ in verb timing (the batch pays one
@@ -33,9 +33,10 @@ pub const PROTECT_CYCLES: u64 = 150;
 /// and in host-side issue cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchDrain {
-    /// Defer to the transport (`Transport::prefers_batched_drain`): the
-    /// simulator keeps its calibrated, bit-reproducible per-page path, the
-    /// native backend coalesces.
+    /// Decide per fence from the drain's size, the same way on every
+    /// backend: coalesce once it moves at least
+    /// [`CarinaConfig::batch_drain_cutover`] pages, keep the calibrated
+    /// per-page path below that.
     #[default]
     Auto,
     /// Always coalesce (equivalence tests force this on the simulator).
@@ -57,9 +58,8 @@ pub struct CarinaConfig {
     pub write_buffer_pages: usize,
     /// How SD fences post the drained pages home (see [`BatchDrain`]).
     pub batch_drain: BatchDrain,
-    /// Under [`BatchDrain::Auto`], coalesce anyway — even on transports
-    /// that price per-page drains well — once a fence drains at least this
-    /// many pages. Small drains keep the per-page path (one doorbell per
+    /// Under [`BatchDrain::Auto`], coalesce once a fence drains at least
+    /// this many pages. Small drains keep the per-page path (one doorbell per
     /// home is pure overhead when a home only holds a page or two); big
     /// drains amortize it. The `sd_fence_drain` benchmark puts break-even
     /// at ~8 buffered pages: batching is host-cost-neutral there and wins

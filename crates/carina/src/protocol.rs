@@ -47,7 +47,7 @@ use mem::{
 };
 use rma::{
     rendezvous_home, Attempt, AttemptSeq, Completion, Endpoint, Membership, Retried,
-    RetryExhausted, SimTransport, Transport, VerbClass, VerbError, VerbToken,
+    RetryExhausted, SimTransport, Transport, Verb, VerbClass, VerbError, VerbToken,
 };
 
 /// An issued-but-unpolled verb: its token, the resumable remainder of the
@@ -531,34 +531,35 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// Issue one network-timeline verb with the full retry schedule and
-    /// bookkeeping: `verb` posts the operation at the issue time it is
-    /// given (`base` plus the attempt's cumulative backoff). Every
+    /// bookkeeping: `verb` is posted through `t` at exactly `base` plus the
+    /// attempt's cumulative backoff — which may be older than `t`'s clock,
+    /// e.g. an atomic pipelined behind a line fill's start — and waited
+    /// for; `t`'s clock is left for the caller to merge. Every
     /// fire-and-wait remote verb site — notifications, write-backs,
     /// directory atomics, checkpoint fetches — funnels its
-    /// `RetryPolicy::run` + error-map boilerplate through here. `span` and
-    /// `obs_at` feed the flight recorder (the blocking path records one
-    /// aggregate `VerbRetry`/`VerbExhausted` entry, not one per attempt).
+    /// `RetryPolicy::run` + error-map boilerplate through here. `t`'s
+    /// current span and observability clock feed the flight recorder (the
+    /// blocking path records one aggregate `VerbRetry`/`VerbExhausted`
+    /// entry, not one per attempt).
     #[inline]
     #[allow(clippy::too_many_arguments)]
     fn net_verb(
         &self,
+        t: &mut T::Endpoint,
         me: u16,
         target: u16,
         class: VerbClass,
         salt: u64,
         base: u64,
-        span: obs::SpanId,
-        obs_at: u64,
-        mut verb: impl FnMut(u64) -> Result<Completion, VerbError>,
+        verb: &Verb,
     ) -> Result<Completion, DsmError> {
+        let (span, obs_at) = (t.current_span(), t.obs_now());
         self.check_alive(me, target, class, span)?;
-        self.verb_retried(
-            me,
-            target,
-            span,
-            obs_at,
-            self.config.retry.run(class, salt, |a| verb(base + a.delay)),
-        )
+        let outcome = self.config.retry.run(class, salt, |a| {
+            let token = t.issue(NodeId(target), verb, base + a.delay);
+            t.wait(token)
+        });
+        self.verb_retried(me, target, span, obs_at, outcome)
     }
 
     /// Fold a posted write's completion into `me`'s clock and fence
@@ -899,21 +900,16 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 None => batches.push((succ, 1)),
             }
         }
-        let loc = t.loc();
-        let span = t.current_span();
         for (succ, count) in batches {
-            self.check_alive(me, succ, VerbClass::DrainBatch, span)?;
             let sizes = vec![PAGE_BYTES; count as usize];
-            let obs_at = t.obs_now();
             let timing = self.net_verb(
+                t,
                 me,
                 succ,
                 VerbClass::DrainBatch,
                 ((succ as u64) << 32) | 1,
                 t.now(),
-                span,
-                obs_at,
-                |at| self.net.rdma_write_batch(loc, NodeId(succ), at, &sizes),
+                &Verb::WriteBatch { sizes },
             )?;
             self.settle_posted(t, me, &timing);
             CoherenceStats::add(&self.stats.shard(me).shadow_mirrored, count);
@@ -1490,15 +1486,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             + shard.mode_to_sisd.load(Ordering::Relaxed);
         let ns = &self.nodes[me as usize];
         let drained = ns.wbuf.drain();
-        // Auto: defer to the transport, except that big drains coalesce
-        // everywhere — one doorbell per home amortizes once a fence moves
-        // `batch_drain_cutover` pages, while small drains keep the
-        // per-page path its timing calibration.
+        // Auto: big drains coalesce — one doorbell per home amortizes once
+        // a fence moves `batch_drain_cutover` pages — while small drains
+        // keep the per-page path its timing calibration, on every backend.
         let batch = match self.config.batch_drain {
-            BatchDrain::Auto => {
-                self.net.prefers_batched_drain()
-                    || drained.len() >= self.config.batch_drain_cutover
-            }
+            BatchDrain::Auto => drained.len() >= self.config.batch_drain_cutover,
             BatchDrain::Always => true,
             BatchDrain::Never => false,
         };
@@ -1620,6 +1612,26 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         page: PageNum,
         me: u16,
     ) -> Result<(), DsmError> {
+        // Re-read the demanded page's home under the slot lock — once; the
+        // fill below routes by this value. The accessor chose the remote
+        // path from an unlocked `home_of`, and a concurrent failover may
+        // since have re-homed `page` *here*. Its scrub serializes with us
+        // on this slot, so either we see the new home now, or we fetch by
+        // the old route and the scrub cleans up after us. Local pages are
+        // never cached (the fill would skip it and leave the slot
+        // unfilled), so report a stale route as departed: `failover_retry`
+        // re-runs the access, which then takes the home path.
+        let demanded_home = self.global.home_of(page);
+        if demanded_home == me {
+            return Err(DsmError {
+                class: VerbClass::PageFetch,
+                attempts: 0,
+                last_error: VerbError::Departed,
+                node: me,
+                target: me,
+                span: obs::SpanId::NONE,
+            });
+        }
         let obs_start = t.obs_now();
         let span = self.mint_span(t, me);
         t.set_span(span);
@@ -1663,7 +1675,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             if p.0 >= total_pages || st.pages[idx].valid {
                 continue;
             }
-            let home = self.global.home_of(p);
+            let home = if p == page { demanded_home } else { self.global.home_of(p) };
             if home == me {
                 continue; // local pages are never cached
             }
@@ -1712,7 +1724,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     .attempt_seq(VerbClass::PageFetch, base.0.wrapping_add((*home as u64) << 48))
                     .with_span(span);
                 let a0 = seq.next().expect("retry budget is at least one attempt");
-                let tok = t.issue_read(NodeId(*home), bytes, start + a0.delay);
+                // Registration outcomes (notifies, a checkpoint fetch) may
+                // have advanced the clock past `start`: never post behind it.
+                let at = (start + a0.delay).max(t.now());
+                let tok = t.issue(NodeId(*home), &Verb::Read { bytes }, at);
                 Some((tok, seq, a0))
             };
             inflight.push((reg_done, token));
@@ -1731,7 +1746,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     obs_issue,
                     VerbClass::PageFetch,
                     bytes,
-                    |t, delay| t.issue_read(NodeId(home), bytes, start + delay),
+                    |t, delay| {
+                        let at = (start + delay).max(t.now());
+                        t.issue(NodeId(home), &Verb::Read { bytes }, at)
+                    },
                 )?;
                 done = done.max(timing.initiator_done);
             }
@@ -1896,14 +1914,15 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let shard = self.stats.shard(me);
         let pages_total: u64 = group.iter().map(|(_, ps)| ps.len() as u64).sum();
         CoherenceStats::add(&shard.prefetch_issued, pages_total);
-        let not_before = t.now();
+        let now = t.now();
         let tokens: Vec<VerbToken> = group
             .iter()
             .map(|(home, ps)| {
-                t.issue_read(NodeId(*home), ps.len() as u64 * PAGE_BYTES, not_before)
+                let bytes = ps.len() as u64 * PAGE_BYTES;
+                t.issue(NodeId(*home), &Verb::Read { bytes }, now)
             })
             .collect();
-        let mut ready_at = not_before;
+        let mut ready_at = now;
         let mut ok = true;
         for tok in tokens {
             match t.poll(tok) {
@@ -2008,18 +2027,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // piggy-backed on the data fetch (no separate atomic).
             return Ok(None);
         }
-        let loc = t.loc();
-        let span = t.current_span();
-        let obs_at = t.obs_now();
         let timing = self.net_verb(
+            t,
             me,
             home,
             VerbClass::DirectoryAtomic,
             page.0,
             start,
-            span,
-            obs_at,
-            |at| self.net.rdma_fetch_or(loc, NodeId(home), at),
+            &Verb::FetchOr,
         )?;
         let mut op_clock = timing.initiator_done;
         if self.config.active_directory {
@@ -2066,18 +2081,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if self.coherence.write_registered(me, home, page) {
             return Ok(());
         }
-        let loc = t.loc();
-        let span = t.current_span();
-        let obs_at = t.obs_now();
         let timing = self.net_verb(
+            t,
             me,
             home,
             VerbClass::DirectoryAtomic,
             page.0,
             t.now(),
-            span,
-            obs_at,
-            |at| self.net.rdma_fetch_or(loc, NodeId(home), at),
+            &Verb::FetchOr,
         )?;
         self.nodes[me as usize]
             .pending_settle
@@ -2150,18 +2161,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if let Some(owner) = outcome.fetch_from {
             // Service the fill from `owner`'s checkpoint: one extra round
             // trip (§3.4.2 "naïve solution").
-            let loc = t.loc();
-            let span = t.current_span();
-            let obs_at = t.obs_now();
             let timing = self.net_verb(
+                t,
                 me,
                 owner,
                 VerbClass::PageFetch,
                 page.0,
                 at.max(t.now()),
-                span,
-                obs_at,
-                |at| self.net.rdma_read(loc, NodeId(owner), at, PAGE_BYTES),
+                &Verb::Read { bytes: PAGE_BYTES },
             )?;
             t.merge(timing.initiator_done);
         }
@@ -2190,18 +2197,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return Ok(None);
         }
         self.detail(t, me, obs::RecordKind::Notify, page.0, target as u32);
-        let loc = t.loc();
-        let span = t.current_span();
-        let obs_at = t.obs_now();
         self.net_verb(
+            t,
             me,
             target,
             VerbClass::Notify,
             page.0.wrapping_add((target as u64) << 48),
             at,
-            span,
-            obs_at,
-            |at| self.net.rdma_write(loc, NodeId(target), at, NOTIFY_BYTES),
+            &Verb::Write { bytes: NOTIFY_BYTES },
         )
         .map(Some)
     }
@@ -2238,18 +2241,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // Cannot happen: local pages are never cached. Kept as a guard.
             return Ok(());
         }
-        let loc = t.loc();
-        let span = t.current_span();
-        let obs_at = t.obs_now();
         let timing = self.net_verb(
+            t,
             me,
             home,
             VerbClass::Downgrade,
             page.0,
             t.now(),
-            span,
-            obs_at,
-            |at| self.net.rdma_write(loc, NodeId(home), at, bytes),
+            &Verb::Write { bytes },
         )?;
         self.settle_posted(t, me, &timing);
         Ok(())
@@ -2324,7 +2323,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// SD-fence drain that coalesces write-backs by home node: every dirty
     /// page is still diffed into home memory individually and in global
     /// FIFO order, but instead of one verb per page each home receives one
-    /// `rdma_write_batch` (one doorbell, one posting) carrying all of its
+    /// [`Verb::WriteBatch`] (one doorbell, one posting) carrying all of its
     /// pages' diffs. Homes appear in first-victim order.
     fn drain_batched(
         &self,
@@ -2354,6 +2353,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if batches.is_empty() {
             return Ok(());
         }
+        // (home, pages, bytes, the batch verb)
+        let batches: Vec<(u16, u64, u64, Verb)> = batches
+            .into_iter()
+            .map(|(home, sizes)| {
+                let (pages, bytes) = (sizes.len() as u64, sizes.iter().sum());
+                (home, pages, bytes, Verb::WriteBatch { sizes })
+            })
+            .collect();
         // Issue every home's batch before polling any: drains to distinct
         // homes overlap on the fabric, so the fence pays the slowest home's
         // posting once instead of summing every home's. Homes still hit the
@@ -2362,7 +2369,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let span = t.current_span();
         let base = t.now();
         let mut inflight = Vec::with_capacity(batches.len());
-        for (home, sizes) in &batches {
+        for (home, _, _, verb) in &batches {
             self.check_alive(me, *home, VerbClass::DrainBatch, span)?;
             let mut seq = self
                 .config
@@ -2370,27 +2377,26 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 .attempt_seq(VerbClass::DrainBatch, *home as u64)
                 .with_span(span);
             let a0 = seq.next().expect("retry budget is at least one attempt");
-            let token = t.issue_write_batch(NodeId(*home), sizes, base + a0.delay);
+            let token = t.issue(NodeId(*home), verb, base + a0.delay);
             inflight.push((token, seq, a0));
         }
         let mut done = base;
-        for ((home, sizes), (token, seq, a0)) in batches.iter().zip(inflight) {
+        for ((home, pages, bytes, verb), issued) in batches.iter().zip(inflight) {
             let timing = self.poll_retried(
                 t,
                 me,
                 *home,
-                (token, seq, a0),
+                issued,
                 obs_issue,
                 VerbClass::DrainBatch,
-                sizes.iter().sum(),
-                |t, delay| t.issue_write_batch(NodeId(*home), sizes, base + delay),
+                *bytes,
+                |t, delay| t.issue(NodeId(*home), verb, base + delay),
             )?;
             done = done.max(timing.initiator_done);
             ns.pending_settle.fetch_max(timing.settled, Ordering::AcqRel);
             CoherenceStats::bump(&self.stats.shard(me).downgrade_batches);
-            let pages = sizes.len() as u64;
-            CoherenceStats::add(&self.stats.shard(me).downgrade_batch_pages, pages);
-            self.detail(t, me, obs::RecordKind::DowngradeBatch, pages, *home as u32);
+            CoherenceStats::add(&self.stats.shard(me).downgrade_batch_pages, *pages);
+            self.detail(t, me, obs::RecordKind::DowngradeBatch, *pages, *home as u32);
         }
         t.merge(done);
         self.profile.record(
@@ -2526,19 +2532,15 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         st.pages[idx].twin = None;
         st.pages[idx].mask.clear();
         if home != owner {
-            let loc = t.loc();
             let me = t.node().0;
-            let span = t.current_span();
-            let obs_at = t.obs_now();
             let timing = self.net_verb(
+                t,
                 me,
                 home,
                 VerbClass::Downgrade,
                 page.0,
                 t.now(),
-                span,
-                obs_at,
-                |at| self.net.rdma_write(loc, NodeId(home), at, bytes),
+                &Verb::Write { bytes },
             )?;
             t.merge(timing.settled);
             CoherenceStats::bump(&self.stats.shard(owner).writebacks);
@@ -2645,5 +2647,45 @@ impl<T: Transport> Dsm<T, CarinaSiSd> {
     /// The authoritative home directory view for `addr`'s page.
     pub fn home_dir_view(&self, addr: GlobalAddr) -> DirView {
         self.coherence.home_view(addr.page())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rma::NativeTransport;
+    use simnet::ClusterTopology;
+
+    /// The kill-mid-run race, interleaved by hand: an accessor on node 0
+    /// decides "remote" for a page homed on node 1, a failover re-homes the
+    /// page to node 0, and only then does the accessor reach `read_miss`.
+    /// The miss must not leave the slot unfilled (it used to skip the now
+    /// local page and the accessor then read a never-filled cache page): it
+    /// reports a departed route, which `failover_retry` absorbs without
+    /// declaring anything, and the re-run reads the home copy.
+    #[test]
+    fn read_miss_reroutes_a_page_rehomed_under_the_accessor() {
+        let net = NativeTransport::new(ClusterTopology::tiny(2));
+        let cfg = CarinaConfig { volans_failover: true, ..CarinaConfig::default() };
+        let dsm = Dsm::<NativeTransport>::with_policy(net.clone(), 1 << 20, cfg);
+        let mut t = NativeTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+        let addr = GlobalAddr(PAGE_BYTES); // pages interleave: page 1 is homed on node 1
+        let page = addr.page();
+        assert_eq!(dsm.home_of(addr), 1);
+        dsm.global.home_page(page).store(addr.word_index(), 42);
+
+        let err = {
+            let mut st = dsm.nodes[0].cache.lock_slot(page);
+            dsm.global.set_home(page, 0); // what `declare_dead(1, ..)` does first
+            let err = dsm.read_miss(&mut t, &mut st, page, 0).unwrap_err();
+            assert_eq!(st.tag, None, "the refused miss touched the slot");
+            err
+        };
+        assert_eq!(err.last_error, VerbError::Departed);
+        assert!(dsm.absorb_fault(&mut t, err), "a departed route is retried");
+        assert_eq!(dsm.try_read_u64(&mut t, addr), Ok(42));
+        let stats = dsm.stats().snapshot();
+        assert_eq!((stats.failovers, stats.read_misses), (0, 0));
+        assert!(dsm.check_invariants().is_empty());
     }
 }

@@ -9,6 +9,12 @@
 //! happen and *what the accounting says*, never *what memory holds* — which
 //! is what `tests/chaos.rs` proves end-to-end.
 //!
+//! There is one fault path: a verb's fate is decided — and counted, and
+//! flight-recorded against the issuing span — in [`Endpoint::issue`], and
+//! applied when the token is polled. The blocking verbs are the trait's
+//! issue + wait + merge wrappers, so they fault on the same schedule by
+//! construction.
+//!
 //! The schedule is a pure function of the plan's seed, the verb kind, a
 //! per-kind issue counter, and the target node. No wall clock, no global
 //! RNG: replaying the same verb sequence against the same plan reproduces
@@ -18,10 +24,12 @@
 //! `[0, u64::MAX)` blackout window is useful.
 
 use crate::retry::splitmix64;
-use crate::transport::{Completion, Endpoint, TokenSlab, Transport, VerbError, VerbToken};
+use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use obs::lyra::{Fate, FlightRecorder, RecordKind, VerbRecord};
 use obs::SpanId;
-use simnet::{ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc};
+use simnet::{
+    ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
+};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -174,13 +182,15 @@ struct FaultCounters {
     stalled: AtomicU64,
 }
 
-/// Verb kinds for the per-kind issue counters that key the schedule.
-#[derive(Debug, Clone, Copy)]
-enum VerbKind {
-    Read = 0,
-    Write = 1,
-    Batch = 2,
-    Atomic = 3,
+/// Which of the four per-kind issue counters keys `verb`'s draw (the
+/// three atomics share one, as they share one price).
+fn schedule_kind(verb: &Verb) -> usize {
+    match verb {
+        Verb::Read { .. } => 0,
+        Verb::Write { .. } => 1,
+        Verb::WriteBatch { .. } => 2,
+        Verb::FetchOr | Verb::FetchAdd | Verb::Cas => 3,
+    }
 }
 
 enum Decision {
@@ -193,13 +203,13 @@ enum Decision {
 /// A fault-injecting wrapper around any backend.
 ///
 /// Build with [`FaultyTransport::wrap`]; a [`FaultPlan::disabled`] plan
-/// reduces every verb to one extra branch and a forwarded call.
+/// reduces every verb to one extra branch and a forwarded issue/poll.
 #[derive(Debug)]
 pub struct FaultyTransport<T: Transport> {
     inner: Arc<T>,
     plan: FaultPlan,
     enabled: bool,
-    /// Verbs issued so far, per [`VerbKind`] — the deterministic schedule
+    /// Verbs issued so far, per [`schedule_kind`] — the deterministic schedule
     /// key (virtual time is *not* part of the drop/duplicate/spike draw, so
     /// the same verb sequence faults identically on every backend).
     issued: [AtomicU64; 4],
@@ -257,11 +267,9 @@ impl<T: Transport> FaultyTransport<T> {
         }
     }
 
-    fn decide(&self, kind: VerbKind, target: NodeId, at: u64) -> Decision {
-        if !self.enabled {
-            return Decision::Deliver;
-        }
-        let n = self.issued[kind as usize].fetch_add(1, Ordering::Relaxed);
+    fn decide(&self, verb: &Verb, target: NodeId, at: u64) -> Decision {
+        let kind = schedule_kind(verb);
+        let n = self.issued[kind].fetch_add(1, Ordering::Relaxed);
         for b in &self.plan.brownouts {
             if b.node == target && at >= b.from && at < b.until {
                 self.injected.stalled.fetch_add(1, Ordering::Relaxed);
@@ -294,37 +302,6 @@ impl<T: Transport> FaultyTransport<T> {
             return Decision::Spike(self.plan.spike_cycles);
         }
         Decision::Deliver
-    }
-
-    /// Run one fabric-level verb under a decision: `issue(at)` performs it.
-    fn inject(
-        &self,
-        kind: VerbKind,
-        target: NodeId,
-        at: u64,
-        issue: impl Fn(u64) -> Result<Completion, VerbError>,
-    ) -> Result<Completion, VerbError> {
-        match self.decide(kind, target, at) {
-            Decision::Fail(e) => Err(e),
-            Decision::Deliver => issue(at),
-            Decision::Duplicate => {
-                // The fabric delivered twice: both deliveries are timed and
-                // accounted; the payload is idempotent so memory is unmoved.
-                let first = issue(at)?;
-                let second = issue(first.initiator_done)?;
-                Ok(Completion {
-                    initiator_done: second.initiator_done,
-                    settled: first.settled.max(second.settled),
-                })
-            }
-            Decision::Spike(extra) => {
-                let c = issue(at)?;
-                Ok(Completion {
-                    initiator_done: c.initiator_done.saturating_add(extra),
-                    settled: c.settled.saturating_add(extra),
-                })
-            }
-        }
     }
 }
 
@@ -363,129 +340,33 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.reset_per_node_stats()
     }
 
-    fn rdma_read(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Read, target, at, |at| {
-            self.inner.rdma_read(from, target, at, bytes)
-        })
-    }
-
-    fn rdma_write(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Write, target, at, |at| {
-            self.inner.rdma_write(from, target, at, bytes)
-        })
-    }
-
-    fn rdma_write_batch(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        sizes: &[u64],
-    ) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Batch, target, at, |at| {
-            self.inner.rdma_write_batch(from, target, at, sizes)
-        })
-    }
-
-    #[inline]
-    fn prefers_batched_drain(&self) -> bool {
-        self.inner.prefers_batched_drain()
-    }
-
-    fn rdma_fetch_or(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Atomic, target, at, |at| {
-            self.inner.rdma_fetch_or(from, target, at)
-        })
-    }
-
-    fn rdma_fetch_add(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Atomic, target, at, |at| {
-            self.inner.rdma_fetch_add(from, target, at)
-        })
-    }
-
-    fn rdma_cas(&self, from: ThreadLoc, target: NodeId, at: u64) -> Result<Completion, VerbError> {
-        self.inject(VerbKind::Atomic, target, at, |at| {
-            self.inner.rdma_cas(from, target, at)
-        })
-    }
-
-    #[inline]
-    fn drained_at(&self, node: NodeId) -> u64 {
-        self.inner.drained_at(node)
-    }
-
     fn attach_recorder(&self, recorder: Arc<FlightRecorder>) {
         FaultyTransport::attach_recorder(self, recorder);
     }
 }
 
-/// The verb parameters an async fault needs to replay its inner verb (a
-/// duplicated delivery issues the second copy at poll time).
-#[derive(Debug, Clone)]
-enum AsyncOp {
-    Read { target: NodeId, bytes: u64 },
-    Write { target: NodeId, bytes: u64 },
-    Batch { target: NodeId, sizes: Vec<u64> },
-}
-
-impl AsyncOp {
-    fn target(&self) -> NodeId {
-        match self {
-            AsyncOp::Read { target, .. }
-            | AsyncOp::Write { target, .. }
-            | AsyncOp::Batch { target, .. } => *target,
-        }
-    }
-
-    fn kind(&self) -> VerbKind {
-        match self {
-            AsyncOp::Read { .. } => VerbKind::Read,
-            AsyncOp::Write { .. } => VerbKind::Write,
-            AsyncOp::Batch { .. } => VerbKind::Batch,
-        }
-    }
-}
-
-/// One async verb in flight through the fault layer. The fate is decided at
-/// *issue* time (consuming the same time-free per-kind schedule counter the
-/// blocking path does); this records what must happen when it is polled.
+/// One verb in flight through the fault layer: what its fate, decided at
+/// issue, obliges [`Endpoint::poll`] to do.
 #[derive(Debug, Clone)]
 enum PendingFault {
     /// Healthy: forward the inner completion.
     Deliver(VerbToken),
     /// The fabric delivers twice: the second copy enters the wire at poll
-    /// time, once the first delivery's initiator window is known.
-    Duplicate { first: VerbToken, op: AsyncOp },
-    /// Completes late. Reads delay the initiator by `extra` (mirroring the
-    /// blocking path's post-read compute); posted writes only push out the
-    /// settle stamp.
+    /// time, once the first delivery's initiator window is known. Both
+    /// deliveries are timed and accounted; the payload is idempotent, so
+    /// memory is unmoved.
+    Duplicate {
+        first: VerbToken,
+        target: NodeId,
+        verb: Verb,
+    },
+    /// Completes `extra` cycles late. A spike delays what the verb's
+    /// completion delays: the initiator for reads and atomics, only the
+    /// settle stamp for posted writes and batches.
     Spike {
         token: VerbToken,
         extra: u64,
-        read: bool,
+        posted: bool,
     },
     /// Decided lost/stalled at issue; the error CQE surfaces at poll. No
     /// inner verb was ever posted.
@@ -525,7 +406,7 @@ impl<T: Transport> FaultyEndpoint<T> {
     /// Flight-record a decided fault, attributed to the current span. A
     /// healthy `Deliver` records nothing; with no recorder attached (or a
     /// disabled one) this is a branch.
-    fn note_fault(&self, decision: &Decision, kind: VerbKind, target: NodeId) {
+    fn note_fault(&self, decision: &Decision, verb: &Verb, target: NodeId) {
         let Some(rec) = self.fab.recorder.get() else {
             return;
         };
@@ -539,7 +420,7 @@ impl<T: Transport> FaultyEndpoint<T> {
         let span = self.span;
         let extra = match decision {
             Decision::Spike(extra) => *extra,
-            _ => kind as u64, // which schedule counter decided the fate
+            _ => schedule_kind(verb) as u64, // which counter decided the fate
         };
         rec.record(node, || VerbRecord {
             span,
@@ -616,176 +497,63 @@ impl<T: Transport> Endpoint for FaultyEndpoint<T> {
         self.inner.lyra_lane()
     }
 
-    fn issue_read(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken {
-        self.issue_faulty(AsyncOp::Read { target, bytes }, not_before)
-    }
-
-    fn issue_write(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken {
-        self.issue_faulty(AsyncOp::Write { target, bytes }, not_before)
-    }
-
-    fn issue_write_batch(&mut self, target: NodeId, sizes: &[u64], not_before: u64) -> VerbToken {
-        self.issue_faulty(
-            AsyncOp::Batch {
+    /// Decide `verb`'s fate now (consuming its per-kind schedule counter),
+    /// count and flight-record it, post the inner verb unless it is lost,
+    /// and park what poll must do.
+    ///
+    /// Under a disabled plan the inner endpoint's token passes straight
+    /// through (no fate, no parking) — the wrapper is the bare fabric.
+    fn issue(&mut self, target: NodeId, verb: &Verb, at: u64) -> VerbToken {
+        if !self.fab.enabled {
+            return self.inner.issue(target, verb, at);
+        }
+        let decision = self.fab.decide(verb, target, at);
+        self.note_fault(&decision, verb, target);
+        let pending = match decision {
+            Decision::Fail(e) => PendingFault::Fail(e),
+            Decision::Deliver => PendingFault::Deliver(self.inner.issue(target, verb, at)),
+            Decision::Duplicate => PendingFault::Duplicate {
+                first: self.inner.issue(target, verb, at),
                 target,
-                sizes: sizes.to_vec(),
+                verb: verb.clone(),
             },
-            not_before,
-        )
+            Decision::Spike(extra) => PendingFault::Spike {
+                token: self.inner.issue(target, verb, at),
+                extra,
+                posted: verb.is_posted(),
+            },
+        };
+        VerbToken::from_raw(self.pending.insert(pending))
     }
 
     fn poll(&mut self, token: VerbToken) -> Option<Result<Completion, VerbError>> {
-        let outcome = match self.pending.take(token) {
+        if !self.fab.enabled {
+            return self.inner.poll(token);
+        }
+        let outcome = match self.pending.take(token.raw()) {
             PendingFault::Fail(e) => Err(e),
             PendingFault::Deliver(t) => self.inner.wait(t),
-            PendingFault::Duplicate { first, op } => self.inner.wait(first).and_then(|c1| {
-                let second = self.issue_inner(&op, c1.initiator_done);
-                self.inner.wait(second).map(|c2| Completion {
-                    initiator_done: c2.initiator_done,
-                    settled: c1.settled.max(c2.settled),
+            PendingFault::Duplicate { first, target, verb } => {
+                self.inner.wait(first).and_then(|c1| {
+                    let second = self.inner.issue(target, &verb, c1.initiator_done);
+                    self.inner.wait(second).map(|c2| Completion {
+                        initiator_done: c2.initiator_done,
+                        settled: c1.settled.max(c2.settled),
+                    })
                 })
-            }),
-            PendingFault::Spike { token, extra, read } => {
+            }
+            PendingFault::Spike { token, extra, posted } => {
                 self.inner.wait(token).map(|c| Completion {
-                    initiator_done: if read {
-                        c.initiator_done.saturating_add(extra)
-                    } else {
+                    initiator_done: if posted {
                         c.initiator_done
+                    } else {
+                        c.initiator_done.saturating_add(extra)
                     },
                     settled: c.settled.saturating_add(extra),
                 })
             }
         };
         Some(outcome)
-    }
-
-    fn rdma_read(&mut self, target: NodeId, bytes: u64) -> Result<(), VerbError> {
-        let decision = self.fab.decide(VerbKind::Read, target, self.inner.now());
-        self.note_fault(&decision, VerbKind::Read, target);
-        match decision {
-            Decision::Fail(e) => Err(e),
-            Decision::Deliver => self.inner.rdma_read(target, bytes),
-            Decision::Duplicate => {
-                self.inner.rdma_read(target, bytes)?;
-                self.inner.rdma_read(target, bytes)
-            }
-            Decision::Spike(extra) => {
-                self.inner.rdma_read(target, bytes)?;
-                self.inner.compute(extra);
-                Ok(())
-            }
-        }
-    }
-
-    fn rdma_write(&mut self, target: NodeId, bytes: u64) -> Result<u64, VerbError> {
-        let decision = self.fab.decide(VerbKind::Write, target, self.inner.now());
-        self.note_fault(&decision, VerbKind::Write, target);
-        match decision {
-            Decision::Fail(e) => Err(e),
-            Decision::Deliver => self.inner.rdma_write(target, bytes),
-            Decision::Duplicate => {
-                let a = self.inner.rdma_write(target, bytes)?;
-                let b = self.inner.rdma_write(target, bytes)?;
-                Ok(a.max(b))
-            }
-            Decision::Spike(extra) => {
-                let s = self.inner.rdma_write(target, bytes)?;
-                Ok(s.saturating_add(extra))
-            }
-        }
-    }
-
-    fn rdma_write_batch(&mut self, target: NodeId, sizes: &[u64]) -> Result<u64, VerbError> {
-        let decision = self.fab.decide(VerbKind::Batch, target, self.inner.now());
-        self.note_fault(&decision, VerbKind::Batch, target);
-        match decision {
-            Decision::Fail(e) => Err(e),
-            Decision::Deliver => self.inner.rdma_write_batch(target, sizes),
-            Decision::Duplicate => {
-                let a = self.inner.rdma_write_batch(target, sizes)?;
-                let b = self.inner.rdma_write_batch(target, sizes)?;
-                Ok(a.max(b))
-            }
-            Decision::Spike(extra) => {
-                let s = self.inner.rdma_write_batch(target, sizes)?;
-                Ok(s.saturating_add(extra))
-            }
-        }
-    }
-
-    fn rdma_fetch_or(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.atomic(target, |e| e.rdma_fetch_or(target))
-    }
-
-    fn rdma_fetch_add(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.atomic(target, |e| e.rdma_fetch_add(target))
-    }
-
-    fn rdma_cas(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.atomic(target, |e| e.rdma_cas(target))
-    }
-
-    #[inline]
-    fn wait_drain(&mut self, target: NodeId) {
-        self.inner.wait_drain(target)
-    }
-}
-
-impl<T: Transport> FaultyEndpoint<T> {
-    /// Post `op` on the inner endpoint, entering the fabric at `not_before`.
-    fn issue_inner(&mut self, op: &AsyncOp, not_before: u64) -> VerbToken {
-        match op {
-            AsyncOp::Read { target, bytes } => self.inner.issue_read(*target, *bytes, not_before),
-            AsyncOp::Write { target, bytes } => self.inner.issue_write(*target, *bytes, not_before),
-            AsyncOp::Batch { target, sizes } => {
-                self.inner.issue_write_batch(*target, sizes, not_before)
-            }
-        }
-    }
-
-    /// Decide `op`'s fate now (consuming its per-kind schedule counter, so
-    /// blocking and async drivers of the same verb sequence fault the same
-    /// way) and record what poll must do.
-    fn issue_faulty(&mut self, op: AsyncOp, not_before: u64) -> VerbToken {
-        let at = self.inner.now().max(not_before);
-        let decision = self.fab.decide(op.kind(), op.target(), at);
-        self.note_fault(&decision, op.kind(), op.target());
-        let pending = match decision {
-            Decision::Fail(e) => PendingFault::Fail(e),
-            Decision::Deliver => PendingFault::Deliver(self.issue_inner(&op, not_before)),
-            Decision::Duplicate => PendingFault::Duplicate {
-                first: self.issue_inner(&op, not_before),
-                op,
-            },
-            Decision::Spike(extra) => PendingFault::Spike {
-                token: self.issue_inner(&op, not_before),
-                extra,
-                read: matches!(op, AsyncOp::Read { .. }),
-            },
-        };
-        self.pending.insert(pending)
-    }
-
-    fn atomic(
-        &mut self,
-        target: NodeId,
-        issue: impl Fn(&mut T::Endpoint) -> Result<(), VerbError>,
-    ) -> Result<(), VerbError> {
-        let decision = self.fab.decide(VerbKind::Atomic, target, self.inner.now());
-        self.note_fault(&decision, VerbKind::Atomic, target);
-        match decision {
-            Decision::Fail(e) => Err(e),
-            Decision::Deliver => issue(&mut self.inner),
-            Decision::Duplicate => {
-                issue(&mut self.inner)?;
-                issue(&mut self.inner)
-            }
-            Decision::Spike(extra) => {
-                issue(&mut self.inner)?;
-                self.inner.compute(extra);
-                Ok(())
-            }
-        }
     }
 }
 
@@ -799,14 +567,33 @@ mod tests {
         Interconnect::new(ClusterTopology::tiny(2), CostModel::paper_2011())
     }
 
+    /// A node-0 endpoint on `f`.
+    fn ep<T: Transport>(f: &Arc<FaultyTransport<T>>) -> FaultyEndpoint<T> {
+        FaultyTransport::endpoint(f, f.topology().loc(NodeId(0), 0))
+    }
+
+    /// Issue `verb` at `at` and wait for its completion (no merge).
+    fn post<E: Endpoint>(
+        e: &mut E,
+        target: u16,
+        verb: Verb,
+        at: u64,
+    ) -> Result<Completion, VerbError> {
+        let token = e.issue(NodeId(target), &verb, at);
+        e.wait(token)
+    }
+
+    const READ: Verb = Verb::Read { bytes: 64 };
+    const WRITE: Verb = Verb::Write { bytes: 64 };
+
     #[test]
     fn disabled_plan_forwards_everything() {
         let f = FaultyTransport::wrap(sim(), FaultPlan::disabled());
-        let loc = f.topology().loc(NodeId(0), 0);
+        let mut e = ep(&f);
         for _ in 0..100 {
-            f.rdma_read(loc, NodeId(1), 0, 4096).unwrap();
-            f.rdma_write(loc, NodeId(1), 0, 64).unwrap();
-            f.rdma_cas(loc, NodeId(1), 0).unwrap();
+            e.rdma_read(NodeId(1), 4096).unwrap();
+            e.rdma_write(NodeId(1), 64).unwrap();
+            e.rdma_cas(NodeId(1)).unwrap();
         }
         assert_eq!(f.injected(), FaultSnapshot::default());
         assert_eq!(f.stats().snapshot().rdma_reads, 100);
@@ -816,10 +603,9 @@ mod tests {
     fn schedule_is_reproducible_and_seed_sensitive() {
         let plan = FaultPlan::seeded(42);
         let run = |plan: FaultPlan| {
-            let f = FaultyTransport::wrap(sim(), plan);
-            let loc = f.topology().loc(NodeId(0), 0);
+            let mut e = ep(&FaultyTransport::wrap(sim(), plan));
             (0..500)
-                .map(|i| f.rdma_read(loc, NodeId(1 - (i % 2) as u16), 0, 64).is_ok())
+                .map(|i| post(&mut e, 1 - (i % 2) as u16, READ, 0).is_ok())
                 .collect::<Vec<_>>()
         };
         let a = run(plan.clone());
@@ -834,44 +620,41 @@ mod tests {
     fn schedule_ignores_virtual_time_so_backends_agree() {
         let plan = FaultPlan::seeded(7);
         let on_sim = {
-            let f = FaultyTransport::wrap(sim(), plan.clone());
-            let loc = f.topology().loc(NodeId(0), 0);
+            let mut e = ep(&FaultyTransport::wrap(sim(), plan.clone()));
             (0..300)
-                .map(|i| f.rdma_write(loc, NodeId(1), i * 777, 64).is_ok())
+                .map(|i| post(&mut e, 1, WRITE, i * 777).is_ok())
                 .collect::<Vec<_>>()
         };
         let on_native = {
-            let f = FaultyTransport::wrap(NativeTransport::new(ClusterTopology::tiny(2)), plan);
-            let loc = f.topology().loc(NodeId(0), 0);
+            let native = NativeTransport::new(ClusterTopology::tiny(2));
+            let mut e = ep(&FaultyTransport::wrap(native, plan));
             (0..300)
-                .map(|_| f.rdma_write(loc, NodeId(1), 0, 64).is_ok())
+                .map(|_| post(&mut e, 1, WRITE, 0).is_ok())
                 .collect::<Vec<_>>()
         };
         assert_eq!(on_sim, on_native);
     }
 
+    /// Brownout windows are checked against the `at` the verb is issued
+    /// with, not the endpoint's clock (which stays at 0 throughout).
     #[test]
     fn brownout_stalls_only_its_node_and_window() {
         let plan = FaultPlan::default().with_brownout(NodeId(1), 1_000, 2_000);
         let f = FaultyTransport::wrap(sim(), plan);
-        let loc = f.topology().loc(NodeId(0), 0);
-        assert!(f.rdma_read(loc, NodeId(1), 0, 64).is_ok());
-        assert_eq!(
-            f.rdma_read(loc, NodeId(1), 1_500, 64).unwrap_err(),
-            VerbError::NicStall
-        );
+        let mut e = ep(&f);
+        assert!(post(&mut e, 1, READ, 0).is_ok());
+        assert_eq!(post(&mut e, 1, READ, 1_500), Err(VerbError::NicStall));
         // Other node unaffected; window end clears it.
-        assert!(f.rdma_read(loc, NodeId(0), 1_500, 64).is_ok());
-        assert!(f.rdma_read(loc, NodeId(1), 2_000, 64).is_ok());
+        assert!(post(&mut e, 0, READ, 1_500).is_ok());
+        assert!(post(&mut e, 1, READ, 2_000).is_ok());
         assert_eq!(f.injected().stalled, 1);
     }
 
     #[test]
     fn blackout_never_clears() {
-        let f = FaultyTransport::wrap(sim(), FaultPlan::blackout(NodeId(1)));
-        let loc = f.topology().loc(NodeId(0), 0);
+        let mut e = ep(&FaultyTransport::wrap(sim(), FaultPlan::blackout(NodeId(1))));
         for at in [0u64, 1 << 20, 1 << 40, u64::MAX - 1] {
-            assert_eq!(f.rdma_read(loc, NodeId(1), at, 64), Err(VerbError::NicStall));
+            assert_eq!(post(&mut e, 1, READ, at), Err(VerbError::NicStall));
         }
     }
 
@@ -879,66 +662,37 @@ mod tests {
     fn duplicates_account_twice_but_deliver_the_same_payload() {
         let plan = FaultPlan::default().with_seed(3).with_duplicates(1_000_000);
         let f = FaultyTransport::wrap(sim(), plan);
-        let loc = f.topology().loc(NodeId(0), 0);
-        let c = f.rdma_write(loc, NodeId(1), 0, 64).unwrap();
+        let c = post(&mut ep(&f), 1, WRITE, 0).unwrap();
         assert_eq!(f.injected().duplicated, 1);
         assert_eq!(f.stats().snapshot().rdma_writes, 2);
         // The duplicate finishes after a single delivery would have.
-        let single = Transport::rdma_write(&*sim(), loc, NodeId(1), 0, 64).unwrap();
+        let clean = FaultyTransport::wrap(sim(), FaultPlan::disabled());
+        let single = post(&mut ep(&clean), 1, WRITE, 0).unwrap();
         assert!(c.initiator_done > single.initiator_done);
     }
 
-    #[test]
-    fn spikes_delay_completions() {
-        let plan = FaultPlan::default().with_seed(5).with_spikes(1_000_000, 9_999);
-        let f = FaultyTransport::wrap(sim(), plan);
-        let loc = f.topology().loc(NodeId(0), 0);
-        let spiked = f.rdma_read(loc, NodeId(1), 0, 64).unwrap();
-        let clean = Transport::rdma_read(&*sim(), loc, NodeId(1), 0, 64).unwrap();
-        assert_eq!(spiked.initiator_done, clean.initiator_done + 9_999);
-        assert_eq!(f.injected().spiked, 1);
-    }
-
-    /// The same verb sequence driven through blocking verbs and through
-    /// issue + wait + merge faults identically (same per-kind schedule
-    /// counters consumed at issue) and leaves the clock in the same place.
+    /// The blocking verbs are issue + wait + merge, so a verb sequence
+    /// driven either way consumes the same schedule counters and leaves the
+    /// same outcomes, clock and injection counts.
     #[test]
     fn async_verbs_fault_on_the_blocking_schedule() {
-        let plan = FaultPlan::seeded(42);
         let drive = |asynchronous: bool| {
-            let f = FaultyTransport::wrap(sim(), plan.clone());
-            let loc = f.topology().loc(NodeId(0), 0);
-            let mut e = <FaultyTransport<SimTransport> as Transport>::endpoint(&f, loc);
+            let f = FaultyTransport::wrap(sim(), FaultPlan::seeded(42));
+            let mut e = ep(&f);
             let outcomes: Vec<bool> = (0..300)
                 .map(|i| {
+                    let verb = if i % 2 == 0 { WRITE } else { READ };
                     if asynchronous {
-                        let tok = if i % 2 == 0 {
-                            e.issue_write(NodeId(1), 64, e.now())
-                        } else {
-                            e.issue_read(NodeId(1), 256, e.now())
-                        };
-                        match e.wait(tok) {
-                            Ok(c) => {
-                                e.merge(c.initiator_done);
-                                true
-                            }
-                            Err(_) => false,
-                        }
-                    } else if i % 2 == 0 {
-                        Endpoint::rdma_write(&mut e, NodeId(1), 64).is_ok()
+                        let at = e.now();
+                        post(&mut e, 1, verb, at).map(|c| e.merge(c.initiator_done)).is_ok()
                     } else {
-                        Endpoint::rdma_read(&mut e, NodeId(1), 256).is_ok()
+                        e.blocking(NodeId(1), &verb).is_ok()
                     }
                 })
                 .collect();
             (outcomes, e.now(), f.injected())
         };
-        let blocking = drive(false);
-        let asynchronous = drive(true);
-        assert_eq!(blocking.0, asynchronous.0, "fault schedules diverged");
-        assert_eq!(blocking.1, asynchronous.1, "clocks diverged");
-        assert_eq!(blocking.2, asynchronous.2, "injection counters diverged");
-        assert!(asynchronous.2.total() > 0, "plan injected nothing");
+        assert_eq!(drive(false), drive(true));
     }
 
     /// A lost verb is decided (and counted) at issue, but the error CQE
@@ -946,9 +700,8 @@ mod tests {
     #[test]
     fn async_failures_surface_at_poll() {
         let f = FaultyTransport::wrap(sim(), FaultPlan::blackout(NodeId(1)));
-        let loc = f.topology().loc(NodeId(0), 0);
-        let mut e = <FaultyTransport<SimTransport> as Transport>::endpoint(&f, loc);
-        let tok = e.issue_read(NodeId(1), 4096, 0);
+        let mut e = ep(&f);
+        let tok = e.issue(NodeId(1), &Verb::Read { bytes: 4096 }, 0);
         assert_eq!(f.injected().stalled, 1, "fate decided at issue");
         assert_eq!(e.wait(tok), Err(VerbError::NicStall));
         assert_eq!(e.now(), 0, "a failed verb must not advance the clock");

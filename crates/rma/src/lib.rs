@@ -4,17 +4,24 @@
 //! action is *just an RMA verb* — a one-sided read, a posted write, a remote
 //! fetch-or / fetch-add / CAS — issued by the requesting node against memory
 //! it does not own, with no code running at the target. This crate cuts that
-//! observation into a seam: the [`Transport`] trait is the verb surface the
-//! paper assumes from MPI-3 RMA, and everything above it (carina's protocol,
-//! vela's synchronization, argo's machine, the workloads) is generic over it.
+//! observation into a seam: a [`Transport`] opens per-thread [`Endpoint`]s,
+//! and an endpoint moves a [`Verb`] in exactly one way — [`Endpoint::issue`]
+//! posts it at a given instant and returns a token, [`Endpoint::poll`] /
+//! [`Endpoint::wait`] resolve the token into a [`Completion`]. That pair is
+//! the verb surface the paper assumes from MPI-3 RMA and all a backend
+//! implements; the blocking `Endpoint::rdma_*` verbs are trait-default
+//! issue-at-`now` + wait + merge wrappers over it. Everything above
+//! (carina's protocol, vela's synchronization, argo's machine, the
+//! workloads) is generic over the trait pair.
 //!
 //! Two backends ship:
 //!
 //! * [`SimTransport`] — the virtual-time simulator. It *is*
-//!   [`simnet::Interconnect`] (a type alias, with the trait implemented
-//!   directly on it), so the adapter adds zero state and zero arithmetic:
-//!   results are bit-for-bit identical to calling the interconnect directly.
-//!   `examples/determinism_probe.rs` holds that contract.
+//!   [`simnet::Interconnect`] (a type alias, with the traits implemented
+//!   directly on it and on [`simnet::SimThread`]), so the adapter adds zero
+//!   state and zero arithmetic: results are bit-for-bit identical to calling
+//!   the interconnect directly. `examples/determinism_probe.rs` holds that
+//!   contract.
 //! * [`NativeTransport`] — a real shared-memory backend with **no virtual
 //!   clock**. Verbs complete instantly in virtual time (the data plane in
 //!   `mem` is host shared memory either way) and the identical protocol
@@ -27,10 +34,11 @@
 //!
 //! ## Puppis: fallibility, faults, and retry
 //!
-//! Every verb on the trait surface returns `Result<_, VerbError>`. The two
-//! concrete backends never fail, but [`FaultyTransport`] wraps either of
-//! them with a seeded, reproducible [`FaultPlan`] (drops, timeouts,
-//! duplicates, latency spikes, NIC brownouts), and [`RetryPolicy`] gives
+//! Every verb resolves to `Result<_, VerbError>`. The two concrete
+//! backends never fail, but [`FaultyTransport`] wraps either of them with a
+//! seeded, reproducible [`FaultPlan`] (drops, timeouts, duplicates, latency
+//! spikes, NIC brownouts) — each fate decided, counted and flight-recorded
+//! at issue and applied at poll, for all six verbs — and [`RetryPolicy`] gives
 //! the layers above a deterministic capped-exponential-backoff answer to
 //! those failures — safe precisely because Carina's one-sided verbs are
 //! idempotent.
@@ -47,7 +55,7 @@ pub use membership::{rendezvous_home, Membership};
 pub use native::{NativeEndpoint, NativeTransport};
 pub use retry::{splitmix64, Attempt, AttemptSeq, Retried, RetryExhausted, RetryPolicy, VerbClass};
 pub use sim::{SimEndpoint, SimTransport};
-pub use transport::{Completion, Endpoint, Transport, VerbError, VerbToken};
+pub use transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 
 // Kept re-exported so call sites migrating to the transport layer can name
 // the concrete simulator types through one crate.

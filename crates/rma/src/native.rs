@@ -16,9 +16,11 @@
 //! suite compare traffic shapes, and lets wall-clock benchmarks report
 //! verbs/second.
 
-use crate::transport::{Completion, Endpoint, TokenSlab, Transport, VerbError, VerbToken};
+use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use simnet::stats::PerNodeStats;
-use simnet::{ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc};
+use simnet::{
+    ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
+};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -54,10 +56,36 @@ impl NativeTransport {
         })
     }
 
-    /// Account a transfer of `bytes` from `src` into `dst` (same shape as
-    /// the simulator's accounting: intra-node traffic is free).
-    fn account(&self, src: NodeId, dst: NodeId, bytes: u64) {
-        if src == dst {
+    /// Tick the global and per-node counters for one verb issued from
+    /// node `from` — the same shape as the simulator's accounting: reads
+    /// and atomics pull their footprint into the initiator, writes push it
+    /// to the target, a batch counts as its payloads would singly (one
+    /// counter update each for the whole batch), intra-node traffic is free.
+    fn account(&self, from: NodeId, target: NodeId, verb: &Verb) {
+        let s = &self.stats;
+        let (src, dst, ops, bytes) = match verb {
+            Verb::Read { bytes } => {
+                s.rdma_reads.fetch_add(1, Ordering::Relaxed);
+                s.bytes_read.fetch_add(*bytes, Ordering::Relaxed);
+                (target, from, 1, *bytes)
+            }
+            Verb::Write { bytes } => {
+                s.rdma_writes.fetch_add(1, Ordering::Relaxed);
+                s.bytes_written.fetch_add(*bytes, Ordering::Relaxed);
+                (from, target, 1, *bytes)
+            }
+            Verb::WriteBatch { sizes } => {
+                let total: u64 = sizes.iter().sum();
+                s.rdma_writes.fetch_add(sizes.len() as u64, Ordering::Relaxed);
+                s.bytes_written.fetch_add(total, Ordering::Relaxed);
+                (from, target, sizes.len() as u64, total)
+            }
+            Verb::FetchOr | Verb::FetchAdd | Verb::Cas => {
+                s.rdma_atomics.fetch_add(1, Ordering::Relaxed);
+                (target, from, 1, self.cost.atomic_op_bytes)
+            }
+        };
+        if src == dst || ops == 0 {
             return;
         }
         self.per_node[src.idx()]
@@ -65,13 +93,7 @@ impl NativeTransport {
             .fetch_add(bytes, Ordering::Relaxed);
         let d = &self.per_node[dst.idx()];
         d.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        d.ops_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn atomic(&self, from: ThreadLoc, target: NodeId) -> Completion {
-        self.stats.rdma_atomics.fetch_add(1, Ordering::Relaxed);
-        self.account(target, from.node, self.cost.atomic_op_bytes);
-        Completion::instant(0)
+        d.ops_in.fetch_add(ops, Ordering::Relaxed);
     }
 }
 
@@ -115,105 +137,6 @@ impl Transport for NativeTransport {
         for p in &self.per_node {
             p.reset();
         }
-    }
-
-    #[inline]
-    fn rdma_read(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        self.stats.rdma_reads.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_read.fetch_add(bytes, Ordering::Relaxed);
-        self.account(target, from.node, bytes);
-        Ok(Completion::instant(0))
-    }
-
-    #[inline]
-    fn rdma_write(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
-        self.account(from.node, target, bytes);
-        Ok(Completion::instant(0))
-    }
-
-    /// One counter update per counter for the whole batch — the final
-    /// values are exactly what the equivalent per-page write sequence would
-    /// leave, at a fraction of the atomic traffic.
-    #[inline]
-    fn rdma_write_batch(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-        sizes: &[u64],
-    ) -> Result<Completion, VerbError> {
-        let total: u64 = sizes.iter().sum();
-        self.stats
-            .rdma_writes
-            .fetch_add(sizes.len() as u64, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
-        if from.node != target && !sizes.is_empty() {
-            self.per_node[from.node.idx()]
-                .bytes_out
-                .fetch_add(total, Ordering::Relaxed);
-            let d = &self.per_node[target.idx()];
-            d.bytes_in.fetch_add(total, Ordering::Relaxed);
-            d.ops_in.fetch_add(sizes.len() as u64, Ordering::Relaxed);
-        }
-        Ok(Completion::instant(0))
-    }
-
-    /// Issuing a verb costs real host time here, so coalescing the fence
-    /// drain into one batch per home is pure win.
-    #[inline]
-    fn prefers_batched_drain(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn rdma_fetch_or(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(self.atomic(from, target))
-    }
-
-    #[inline]
-    fn rdma_fetch_add(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(self.atomic(from, target))
-    }
-
-    #[inline]
-    fn rdma_cas(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        _at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(self.atomic(from, target))
-    }
-
-    /// Nothing queues: writes are plain stores, visible under the engine's
-    /// own synchronization by the time any fence asks.
-    #[inline]
-    fn drained_at(&self, _node: NodeId) -> u64 {
-        0
     }
 
     // No faults to stamp, but endpoints created after this open
@@ -305,56 +228,18 @@ impl Endpoint for NativeEndpoint {
         self.lane.as_mut()
     }
 
-    // The blocking read/write/batch verbs use the trait's default
-    // issue + wait + merge wrappers (merge is a no-op here), which tick the
-    // same fabric counters the direct calls did.
-
+    /// Nothing queues and nothing takes time: the verb is accounted here
+    /// and its (instant) completion parked until the caller collects it.
     #[inline]
-    fn issue_read(&mut self, target: NodeId, bytes: u64, _not_before: u64) -> VerbToken {
-        let c = Transport::rdma_read(&*self.net, self.loc, target, 0, bytes)
-            .expect("native fabric is infallible");
-        self.pending.insert(c)
-    }
-
-    #[inline]
-    fn issue_write(&mut self, target: NodeId, bytes: u64, _not_before: u64) -> VerbToken {
-        let c = Transport::rdma_write(&*self.net, self.loc, target, 0, bytes)
-            .expect("native fabric is infallible");
-        self.pending.insert(c)
-    }
-
-    #[inline]
-    fn issue_write_batch(&mut self, target: NodeId, sizes: &[u64], _not_before: u64) -> VerbToken {
-        let c = Transport::rdma_write_batch(&*self.net, self.loc, target, 0, sizes)
-            .expect("native fabric is infallible");
-        self.pending.insert(c)
+    fn issue(&mut self, target: NodeId, verb: &Verb, _at: u64) -> VerbToken {
+        self.net.account(self.loc.node, target, verb);
+        VerbToken::from_raw(self.pending.insert(Completion::instant(0)))
     }
 
     #[inline]
     fn poll(&mut self, token: VerbToken) -> Option<Result<Completion, VerbError>> {
-        Some(Ok(self.pending.take(token)))
+        Some(Ok(self.pending.take(token.raw())))
     }
-
-    #[inline]
-    fn rdma_fetch_or(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.net.atomic(self.loc, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn rdma_fetch_add(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.net.atomic(self.loc, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn rdma_cas(&mut self, target: NodeId) -> Result<(), VerbError> {
-        self.net.atomic(self.loc, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn wait_drain(&mut self, _target: NodeId) {}
 }
 
 #[cfg(test)]
@@ -398,7 +283,8 @@ mod tests {
     fn intra_node_traffic_is_not_accounted() {
         let net = NativeTransport::new(ClusterTopology::tiny(2));
         let loc = net.topology().loc(NodeId(0), 0);
-        Transport::rdma_read(&*net, loc, NodeId(0), 0, 4096).unwrap();
+        let mut e = <NativeTransport as Transport>::endpoint(&net, loc);
+        e.rdma_read(NodeId(0), 4096).unwrap();
         assert_eq!(net.per_node_stats()[0].bytes_in, 0);
         assert_eq!(net.stats().snapshot().rdma_reads, 1);
     }

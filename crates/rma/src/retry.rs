@@ -8,7 +8,8 @@
 //! schedule a pure function of `(seed, class, attempt, salt)` so two runs
 //! of the same program retry at identical virtual instants.
 
-use crate::VerbError;
+use crate::transport::{Completion, Endpoint, Verb, VerbError};
+use simnet::NodeId;
 use obs::SpanId;
 use std::fmt;
 
@@ -229,10 +230,11 @@ impl RetryPolicy {
     /// Drive `op` until it succeeds or the class budget runs out.
     ///
     /// `op` receives the [`Attempt`] so the caller decides how to *spend*
-    /// the backoff: transport-level sites shift their `at` stamp by
-    /// `attempt.delay`; endpoint-level sites charge `attempt.step` as local
-    /// compute before reissuing. `salt` de-correlates jitter between call
-    /// sites (pass the page/home/lock identity).
+    /// the backoff: sites that post on the network timeline shift their
+    /// `at` stamp by `attempt.delay`; blocking sites charge `attempt.step`
+    /// as local compute before reissuing ([`Self::run_blocking`]). `salt`
+    /// de-correlates jitter between call sites (pass the page/home/lock
+    /// identity).
     pub fn run<R>(
         &self,
         class: VerbClass,
@@ -260,6 +262,27 @@ impl RetryPolicy {
                 }
             }
         }
+    }
+
+    /// Drive the blocking `verb` on `t` against `target` until it completes
+    /// or the class budget runs out, charging each backoff step to `t` as
+    /// local compute before the reissue — the retry loop of every
+    /// synchronization-layer verb (lock CAS, flag write, flag poll, PGAS
+    /// element access).
+    pub fn run_blocking<E: Endpoint>(
+        &self,
+        t: &mut E,
+        class: VerbClass,
+        salt: u64,
+        target: NodeId,
+        verb: &Verb,
+    ) -> Result<Retried<Completion>, RetryExhausted> {
+        self.run(class, salt, |a| {
+            if a.step > 0 {
+                t.compute(a.step);
+            }
+            t.blocking(target, verb)
+        })
     }
 }
 

@@ -2,15 +2,17 @@
 //! [`simnet::Interconnect`] and [`Endpoint`] directly on
 //! [`simnet::SimThread`].
 //!
-//! There is deliberately no adapter struct. Every trait method forwards to
-//! the inherent method of the same shape (all three atomics map onto
-//! [`Interconnect::rdma_atomic`], which is how the simulator already priced
-//! them), so a program driven through the trait performs the *same sequence
-//! of the same calls* as one driven through the concrete types — virtual-time
+//! There is deliberately no adapter struct. [`Endpoint::issue`] charges the
+//! verb on the interconnect's cost model at the `at` it is given (all three
+//! atomics map onto [`Interconnect::rdma_atomic`], which is how the
+//! simulator prices them) and parks the eagerly computed timing on the
+//! thread; everything else forwards to the inherent method of the same
+//! shape. A blocking trait verb therefore performs the *same call with the
+//! same arguments* as the inherent `SimThread::rdma_*` — virtual-time
 //! results are bit-for-bit identical by construction, and
 //! `examples/determinism_probe.rs` checks it empirically.
 
-use crate::transport::{Completion, Endpoint, Transport, VerbError, VerbToken};
+use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use simnet::{
     ClusterTopology, CostModel, Interconnect, NetStats, NodeId, PerNodeSnapshot, SimThread,
     ThreadLoc,
@@ -51,74 +53,6 @@ impl Transport for Interconnect {
 
     fn reset_per_node_stats(&self) {
         Interconnect::reset_per_node_stats(self)
-    }
-
-    #[inline]
-    fn rdma_read(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_read(self, from, target, at, bytes).into())
-    }
-
-    #[inline]
-    fn rdma_write(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_write(self, from, target, at, bytes).into())
-    }
-
-    #[inline]
-    fn rdma_write_batch(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        sizes: &[u64],
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_write_batch(self, from, target, at, sizes).into())
-    }
-
-    #[inline]
-    fn rdma_fetch_or(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_atomic(self, from, target, at).into())
-    }
-
-    #[inline]
-    fn rdma_fetch_add(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_atomic(self, from, target, at).into())
-    }
-
-    #[inline]
-    fn rdma_cas(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError> {
-        Ok(Interconnect::rdma_atomic(self, from, target, at).into())
-    }
-
-    #[inline]
-    fn drained_at(&self, node: NodeId) -> u64 {
-        self.nic_drained_at(node)
     }
 
     // The simulator injects no faults, but holds the recorder so endpoints
@@ -175,53 +109,22 @@ impl Endpoint for SimThread {
         SimThread::lyra_lane(self)
     }
 
-    // The blocking read/write/batch verbs use the trait's default
-    // issue + wait + merge wrappers, which reduce to exactly the inherent
-    // arithmetic (issue at `now`, merge `initiator_done`).
-
-    #[inline]
-    fn issue_read(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken {
-        VerbToken::from_raw(SimThread::issue_read(self, target, bytes, not_before))
-    }
-
-    #[inline]
-    fn issue_write(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken {
-        VerbToken::from_raw(SimThread::issue_write(self, target, bytes, not_before))
-    }
-
-    #[inline]
-    fn issue_write_batch(&mut self, target: NodeId, sizes: &[u64], not_before: u64) -> VerbToken {
-        VerbToken::from_raw(SimThread::issue_write_batch(self, target, sizes, not_before))
+    fn issue(&mut self, target: NodeId, verb: &Verb, at: u64) -> VerbToken {
+        let (net, loc) = (self.net(), SimThread::loc(self));
+        let timing = match verb {
+            Verb::Read { bytes } => net.rdma_read(loc, target, at, *bytes),
+            Verb::Write { bytes } => net.rdma_write(loc, target, at, *bytes),
+            Verb::WriteBatch { sizes } => net.rdma_write_batch(loc, target, at, sizes),
+            Verb::FetchOr | Verb::FetchAdd | Verb::Cas => net.rdma_atomic(loc, target, at),
+        };
+        VerbToken::from_raw(self.park(timing))
     }
 
     #[inline]
     fn poll(&mut self, token: VerbToken) -> Option<Result<Completion, VerbError>> {
         // Timing is computed eagerly at issue, so completions are always
         // ready by the time anyone polls.
-        Some(Ok(SimThread::resolve_issued(self, token.raw()).into()))
-    }
-
-    #[inline]
-    fn rdma_fetch_or(&mut self, target: NodeId) -> Result<(), VerbError> {
-        SimThread::rdma_atomic(self, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn rdma_fetch_add(&mut self, target: NodeId) -> Result<(), VerbError> {
-        SimThread::rdma_atomic(self, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn rdma_cas(&mut self, target: NodeId) -> Result<(), VerbError> {
-        SimThread::rdma_atomic(self, target);
-        Ok(())
-    }
-
-    #[inline]
-    fn wait_drain(&mut self, target: NodeId) {
-        SimThread::wait_nic_drain(self, target)
+        Some(Ok(self.resolve(token.raw()).into()))
     }
 }
 
@@ -233,24 +136,30 @@ mod tests {
         Interconnect::new(ClusterTopology::tiny(2), CostModel::paper_2011())
     }
 
-    /// The trait path and the inherent path must be the same arithmetic.
-    #[test]
-    fn trait_verbs_match_inherent_verbs() {
-        let a = fabric();
-        let b = fabric();
+    fn pair() -> (SimEndpoint, Arc<SimTransport>, ThreadLoc) {
+        let (a, b) = (fabric(), fabric());
         let loc = a.topology().loc(NodeId(0), 0);
-        let t1 = Interconnect::rdma_read(&a, loc, NodeId(1), 0, 4096);
-        let c1 = Transport::rdma_read(&*b, loc, NodeId(1), 0, 4096).unwrap();
-        assert_eq!(t1.initiator_done, c1.initiator_done);
-        assert_eq!(t1.settled, c1.settled);
+        (<SimTransport as Transport>::endpoint(&a, loc), b, loc)
+    }
 
-        let t2 = Interconnect::rdma_write(&a, loc, NodeId(1), 500, 64);
-        let c2 = Transport::rdma_write(&*b, loc, NodeId(1), 500, 64).unwrap();
-        assert_eq!((t2.initiator_done, t2.settled), (c2.initiator_done, c2.settled));
-
-        let t3 = Interconnect::rdma_atomic(&a, loc, NodeId(1), 900);
-        let c3 = Transport::rdma_fetch_or(&*b, loc, NodeId(1), 900).unwrap();
-        assert_eq!((t3.initiator_done, t3.settled), (c3.initiator_done, c3.settled));
+    /// `issue` is the interconnect's cost model at exactly the `at` it is
+    /// given — even one older than the endpoint's clock — and never touches
+    /// that clock.
+    #[test]
+    fn verbs_enter_the_interconnect_at_the_given_instant() {
+        let (mut e, net, loc) = pair();
+        Endpoint::compute(&mut e, 700);
+        let mut check = |verb: Verb, at: u64, want: simnet::net::VerbTiming| {
+            let tok = e.issue(NodeId(1), &verb, at);
+            assert_eq!(e.wait(tok).unwrap(), Completion::from(want), "{verb:?} at {at}");
+            assert_eq!(Endpoint::now(&e), 700, "issue/wait moved the clock");
+        };
+        check(Verb::Read { bytes: 4096 }, 0, net.rdma_read(loc, NodeId(1), 0, 4096));
+        check(Verb::Write { bytes: 64 }, 500, net.rdma_write(loc, NodeId(1), 500, 64));
+        let sizes = vec![4096, 80];
+        let want = net.rdma_write_batch(loc, NodeId(1), 900, &sizes);
+        check(Verb::WriteBatch { sizes }, 900, want);
+        check(Verb::FetchOr, 90_000, net.rdma_atomic(loc, NodeId(1), 90_000));
     }
 
     /// All three atomic flavors price identically (the simulator models one
@@ -258,29 +167,26 @@ mod tests {
     /// serialize the probes.
     #[test]
     fn atomic_flavors_price_identically() {
-        let loc = ClusterTopology::tiny(2).loc(NodeId(0), 0);
-        let or = Transport::rdma_fetch_or(&*fabric(), loc, NodeId(1), 0).unwrap();
-        let add = Transport::rdma_fetch_add(&*fabric(), loc, NodeId(1), 0).unwrap();
-        let cas = Transport::rdma_cas(&*fabric(), loc, NodeId(1), 0).unwrap();
-        assert_eq!(or, add);
-        assert_eq!(add, cas);
+        let price = |verb: Verb| {
+            let (mut e, ..) = pair();
+            let tok = e.issue(NodeId(1), &verb, 0);
+            e.wait(tok).unwrap()
+        };
+        assert_eq!(price(Verb::FetchOr), price(Verb::FetchAdd));
+        assert_eq!(price(Verb::FetchAdd), price(Verb::Cas));
     }
 
-    /// The blocking trait verb and a hand-rolled issue + wait + merge are
-    /// the same arithmetic (the blocking verb *is* that wrapper).
+    /// The blocking trait verb (issue at `now` + wait + merge) lands the
+    /// clock and the settle stamp where the inherent `SimThread` verb does.
     #[test]
-    fn blocking_verbs_are_issue_plus_wait() {
-        let (na, nb) = (fabric(), fabric());
-        let loc = na.topology().loc(NodeId(0), 0);
-        let mut a = <SimTransport as Transport>::endpoint(&na, loc);
-        let mut b = <SimTransport as Transport>::endpoint(&nb, loc);
-        let settled = Endpoint::rdma_write(&mut a, NodeId(1), 4096).unwrap();
-        let base = Endpoint::now(&b);
-        let tok = Endpoint::issue_write(&mut b, NodeId(1), 4096, base);
-        let c = Endpoint::wait(&mut b, tok).unwrap();
-        Endpoint::merge(&mut b, c.initiator_done);
-        assert_eq!(Endpoint::now(&a), Endpoint::now(&b));
-        assert_eq!(settled, c.settled);
+    fn blocking_verbs_match_the_inherent_ones() {
+        let (mut e, net, loc) = pair();
+        let mut t = SimThread::new(loc, net);
+        let settled = Endpoint::rdma_write(&mut e, NodeId(1), 4096).unwrap();
+        assert_eq!((Endpoint::now(&e), settled), {
+            let s = SimThread::rdma_write(&mut t, NodeId(1), 4096);
+            (SimThread::now(&t), s)
+        });
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! The verb surface: [`Transport`] (shared fabric), [`Endpoint`] (per-thread
-//! issue port), and [`Completion`] (timing handle).
+//! issue port), [`Verb`] (what is asked of a remote node) and
+//! [`Completion`] (timing handle).
 //!
 //! The split mirrors MPI-3 RMA and InfiniBand verbs: a process-wide fabric
 //! object knows topology, cost constants, and global accounting; each thread
 //! owns an endpoint through which it issues verbs and on which any notion of
 //! "time" (virtual cycles for the simulator, nothing for native) accrues.
+//!
+//! There is exactly one way to move a verb: [`Endpoint::issue`] posts it and
+//! returns a [`VerbToken`], [`Endpoint::poll`] / [`Endpoint::wait`] resolve
+//! the token. That pair is all a backend implements; the blocking
+//! `Endpoint::rdma_*` verbs are trait-default wrappers over it.
 
 use obs::SpanId;
 use simnet::net::VerbTiming;
@@ -94,8 +100,44 @@ impl From<VerbTiming> for Completion {
     }
 }
 
-/// Opaque handle to a verb issued through [`Endpoint::issue_read`] /
-/// [`Endpoint::issue_write`] / [`Endpoint::issue_write_batch`], resolved
+/// One one-sided operation against a remote node's memory: everything a
+/// verb needs besides its target and its issue time. Verbs carry *cost*
+/// (payload sizes), not data — the data plane is host shared memory under
+/// every backend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Verb {
+    /// Read `bytes` from the target's memory; the initiator blocks for the
+    /// round trip.
+    Read { bytes: u64 },
+    /// Posted write of `bytes`: the initiator unblocks once the payload is
+    /// handed to its NIC, the data is visible at `settled`.
+    Write { bytes: u64 },
+    /// Home-coalesced posted write: `sizes.len()` payloads to one target
+    /// behind a single doorbell. Accounts exactly like the equivalent
+    /// sequence of [`Verb::Write`]s (one write + its bytes per payload);
+    /// backends differ only in timing and host-side cost. A failed batch is
+    /// reissued whole, which is safe because payloads are idempotent.
+    WriteBatch { sizes: Vec<u64> },
+    /// Fetch-or on a directory word (reader/writer registration, paper
+    /// §3.2).
+    FetchOr,
+    /// Fetch-add on a synchronization word (tickets, barrier counters).
+    FetchAdd,
+    /// Compare-and-swap on a synchronization word.
+    Cas,
+}
+
+impl Verb {
+    /// Whether the verb is *posted*: the initiator continues at
+    /// `initiator_done` while the payload settles later. Reads and atomics
+    /// are not — their completion is what the initiator waits for.
+    #[inline]
+    pub fn is_posted(&self) -> bool {
+        matches!(self, Verb::Write { .. } | Verb::WriteBatch { .. })
+    }
+}
+
+/// Opaque handle to a verb posted through [`Endpoint::issue`], resolved
 /// exactly once by [`Endpoint::poll`] or [`Endpoint::wait`].
 ///
 /// Mirrors a work-request ID on an RDMA send queue: issuing never blocks
@@ -103,7 +145,7 @@ impl From<VerbTiming> for Completion {
 /// events, like error CQEs), and the initiator's clock does not advance
 /// until it waits on the completion and merges it. Tokens are endpoint-
 /// local: resolving one on any other endpoint, or twice, is a caller bug
-/// and panics.
+/// and panics (endpoints keep them in a [`simnet::TokenSlab`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VerbToken(u64);
 
@@ -119,69 +161,13 @@ impl VerbToken {
     }
 }
 
-/// A generation-tagged slab of unresolved verbs, shared by the endpoint
-/// implementations in this crate. Slots recycle through a free list; each
-/// recycle bumps the slot's generation so a consumed or foreign token is
-/// detected (and panics) instead of resolving some other verb.
-#[derive(Debug, Clone)]
-pub(crate) struct TokenSlab<P> {
-    slots: Vec<(u32, Option<P>)>,
-    free: Vec<u32>,
-}
-
-impl<P> Default for TokenSlab<P> {
-    fn default() -> Self {
-        TokenSlab {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-}
-
-impl<P> TokenSlab<P> {
-    pub(crate) fn insert(&mut self, payload: P) -> VerbToken {
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize].1 = Some(payload);
-                s
-            }
-            None => {
-                self.slots.push((0, Some(payload)));
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let generation = self.slots[slot as usize].0;
-        VerbToken::from_raw((u64::from(generation) << 32) | u64::from(slot))
-    }
-
-    pub(crate) fn take(&mut self, token: VerbToken) -> P {
-        let raw = token.raw();
-        let slot = (raw & 0xFFFF_FFFF) as usize;
-        let generation = (raw >> 32) as u32;
-        let entry = self
-            .slots
-            .get_mut(slot)
-            .filter(|(g, _)| *g == generation)
-            .and_then(|(_, p)| p.take());
-        let Some(payload) = entry else {
-            panic!("stale or foreign verb token (raw {raw:#x})");
-        };
-        self.slots[slot].0 = self.slots[slot].0.wrapping_add(1);
-        self.free.push(slot as u32);
-        payload
-    }
-}
-
 /// A backend fabric: the process-wide half of the transport.
 ///
-/// All verbs are *one-sided*: no code executes at the target node. The data
-/// plane (actually moving bytes) lives in the `mem` crate and is host shared
-/// memory under every backend; a `Transport` implementation decides only what
-/// the verb *costs* and how it is accounted.
-///
-/// `at` parameters and returned [`Completion`]s are in the backend's own time
-/// base — virtual cycles for [`crate::SimTransport`], always zero for
-/// [`crate::NativeTransport`].
+/// The fabric declares no verb: it opens [`Endpoint`]s, and every verb is
+/// issued through one. All verbs are *one-sided* — no code executes at the
+/// target node. The data plane (actually moving bytes) lives in the `mem`
+/// crate and is host shared memory under every backend; a backend decides
+/// only what a verb *costs* and how it is accounted here.
 pub trait Transport: Send + Sync + Debug + 'static {
     /// The per-thread issue port paired with this fabric.
     type Endpoint: Endpoint;
@@ -210,94 +196,6 @@ pub trait Transport: Send + Sync + Debug + 'static {
     /// Reset the per-node counters ([`NetStats::reset`] resets the global
     /// ones).
     fn reset_per_node_stats(&self);
-
-    /// Blocking one-sided read of `bytes` from `target`'s memory.
-    ///
-    /// All verbs are fallible at the trait surface: the concrete backends
-    /// never fail, but wrappers such as [`crate::FaultyTransport`] may
-    /// return a [`VerbError`], and every caller must decide between reissue
-    /// and giving up (verbs are idempotent, so reissue is always safe).
-    fn rdma_read(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError>;
-
-    /// Posted one-sided write of `bytes` into `target`'s memory. The
-    /// initiator unblocks at `initiator_done`; the payload is visible at
-    /// `settled`.
-    fn rdma_write(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        bytes: u64,
-    ) -> Result<Completion, VerbError>;
-
-    /// Home-coalesced posted write: `sizes.len()` payloads to the same
-    /// `target` behind a single doorbell. Must account exactly like the
-    /// equivalent sequence of [`Self::rdma_write`]s (one write + its bytes
-    /// per payload); backends differ only in timing and host-side cost. The
-    /// default chains single writes, so every backend is correct without
-    /// opting in. A failure partway leaves the earlier payloads delivered —
-    /// callers reissue the whole batch, which is safe because payloads are
-    /// idempotent.
-    fn rdma_write_batch(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-        sizes: &[u64],
-    ) -> Result<Completion, VerbError> {
-        let mut now = at;
-        let mut settled = at;
-        for &bytes in sizes {
-            let c = self.rdma_write(from, target, now, bytes)?;
-            now = c.initiator_done;
-            settled = settled.max(c.settled);
-        }
-        Ok(Completion {
-            initiator_done: now,
-            settled,
-        })
-    }
-
-    /// Whether SD fences should coalesce their drain into per-home
-    /// [`Self::rdma_write_batch`] calls when the protocol leaves the choice
-    /// to the backend (`BatchDrain::Auto` in the protocol's config). The
-    /// simulator declines — its per-page path is the calibrated,
-    /// bit-reproducible one — while backends whose verb issue has real
-    /// host-side cost opt in.
-    fn prefers_batched_drain(&self) -> bool {
-        false
-    }
-
-    /// Blocking remote fetch-or on a directory word (reader/writer
-    /// registration, paper §3.2).
-    fn rdma_fetch_or(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError>;
-
-    /// Blocking remote fetch-add on a synchronization word (ticket locks,
-    /// barrier counters).
-    fn rdma_fetch_add(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        at: u64,
-    ) -> Result<Completion, VerbError>;
-
-    /// Blocking remote compare-and-swap on a synchronization word.
-    fn rdma_cas(&self, from: ThreadLoc, target: NodeId, at: u64) -> Result<Completion, VerbError>;
-
-    /// Time at which `node`'s NIC has drained everything posted so far; the
-    /// completion side of an SD fence. Always 0 on backends without queues.
-    fn drained_at(&self, node: NodeId) -> u64;
 
     /// Hand fault-injecting wrappers a flight-recorder handle so the fates
     /// they decide are recorded against the spans they hit
@@ -388,27 +286,28 @@ pub trait Endpoint: Send + Clone + Debug + 'static {
         None
     }
 
-    // --- Asynchronous verb surface (completion-queue model) ---------------
+    // --- The verb surface (completion-queue model) ------------------------
     //
-    // `issue_*` post a verb and return immediately with a token; `poll` /
+    // `issue` posts a verb and returns immediately with a token; `poll` /
     // `wait` resolve tokens later. Issuing neither advances nor consults the
-    // caller-visible clock: on clocked backends the verb enters the fabric at
-    // `max(now, not_before)`, and the initiator only pays for it when it
-    // merges the completion's `initiator_done`. This is what lets a caller
-    // put many verbs in flight and pay only for the slowest.
+    // caller-visible clock: the verb enters the fabric at exactly the `at`
+    // it is given, and the initiator only pays for it when it merges the
+    // completion's `initiator_done`. This is what lets a caller put many
+    // verbs in flight and pay only for the slowest.
 
-    /// Post a one-sided read of `bytes` from `target`, entering the fabric
-    /// no earlier than `not_before` (clocked backends use
-    /// `max(now, not_before)`; unclocked ones ignore it).
-    fn issue_read(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken;
-
-    /// Post a one-sided write of `bytes` to `target` (see
-    /// [`Endpoint::issue_read`] for the `not_before` contract).
-    fn issue_write(&mut self, target: NodeId, bytes: u64, not_before: u64) -> VerbToken;
-
-    /// Post a home-coalesced batch write behind one doorbell (see
-    /// [`Transport::rdma_write_batch`] for accounting semantics).
-    fn issue_write_batch(&mut self, target: NodeId, sizes: &[u64], not_before: u64) -> VerbToken;
+    /// Post `verb` against `target`'s memory, entering the fabric at `at`
+    /// on this endpoint's time base (virtual cycles on the simulator;
+    /// unclocked backends ignore it). `at` is taken as given — it may be
+    /// older than [`Endpoint::now`] (a verb pipelined behind an earlier
+    /// one) or later (a backed-off reissue); a caller that means "no
+    /// earlier than my clock" writes `at.max(self.now())`.
+    ///
+    /// Issuing never fails: the concrete backends are infallible, and
+    /// wrappers such as [`crate::FaultyTransport`] surface a [`VerbError`]
+    /// when the token is polled. Every caller must then decide between
+    /// reissue and giving up (verbs are idempotent, so reissue is always
+    /// safe).
+    fn issue(&mut self, target: NodeId, verb: &Verb, at: u64) -> VerbToken;
 
     /// Non-blocking completion check. `None` means still in flight; `Some`
     /// consumes the token and yields the verb's outcome. Does **not** merge
@@ -428,49 +327,50 @@ pub trait Endpoint: Send + Clone + Debug + 'static {
         }
     }
 
-    // --- Blocking verb surface (issue + wait + merge) ---------------------
+    // --- Blocking wrappers (issue at `now` + wait + merge) ----------------
+    //
+    // No backend overrides these: a blocking verb *is* its issue/poll pair.
 
-    /// Blocking one-sided read of `bytes` from `target`'s memory.
-    ///
-    /// Endpoint verbs are fallible like the fabric-level ones; on `Err` the
-    /// endpoint's clock has *not* advanced past the failed verb, so the
-    /// caller may charge a backoff and reissue. The default body is the thin
-    /// wrapper every backend's blocking verb reduces to: issue at `now`,
-    /// wait, merge the completion.
-    fn rdma_read(&mut self, target: NodeId, bytes: u64) -> Result<(), VerbError> {
-        let token = self.issue_read(target, bytes, self.now());
+    /// Issue `verb` at [`Endpoint::now`], wait for it, and merge the
+    /// completion's `initiator_done`. On `Err` the clock has *not* advanced
+    /// past the failed verb, so the caller may charge a backoff and reissue.
+    fn blocking(&mut self, target: NodeId, verb: &Verb) -> Result<Completion, VerbError> {
+        let token = self.issue(target, verb, self.now());
         let c = self.wait(token)?;
         self.merge(c.initiator_done);
-        Ok(())
+        Ok(c)
+    }
+
+    /// Blocking one-sided read of `bytes` from `target`'s memory.
+    fn rdma_read(&mut self, target: NodeId, bytes: u64) -> Result<(), VerbError> {
+        self.blocking(target, &Verb::Read { bytes }).map(drop)
     }
 
     /// Posted one-sided write of `bytes` to `target`'s memory; returns the
     /// settle stamp (SD fences collect the max of these).
     fn rdma_write(&mut self, target: NodeId, bytes: u64) -> Result<u64, VerbError> {
-        let token = self.issue_write(target, bytes, self.now());
-        let c = self.wait(token)?;
-        self.merge(c.initiator_done);
-        Ok(c.settled)
+        self.blocking(target, &Verb::Write { bytes }).map(|c| c.settled)
     }
 
     /// Posted batch write of `sizes.len()` payloads to `target` behind one
     /// doorbell; returns the settle stamp of the whole batch.
     fn rdma_write_batch(&mut self, target: NodeId, sizes: &[u64]) -> Result<u64, VerbError> {
-        let token = self.issue_write_batch(target, sizes, self.now());
-        let c = self.wait(token)?;
-        self.merge(c.initiator_done);
-        Ok(c.settled)
+        let sizes = sizes.to_vec();
+        self.blocking(target, &Verb::WriteBatch { sizes }).map(|c| c.settled)
     }
 
     /// Blocking remote fetch-or (directory registration).
-    fn rdma_fetch_or(&mut self, target: NodeId) -> Result<(), VerbError>;
+    fn rdma_fetch_or(&mut self, target: NodeId) -> Result<(), VerbError> {
+        self.blocking(target, &Verb::FetchOr).map(drop)
+    }
 
     /// Blocking remote fetch-add (tickets, counters).
-    fn rdma_fetch_add(&mut self, target: NodeId) -> Result<(), VerbError>;
+    fn rdma_fetch_add(&mut self, target: NodeId) -> Result<(), VerbError> {
+        self.blocking(target, &Verb::FetchAdd).map(drop)
+    }
 
     /// Blocking remote compare-and-swap.
-    fn rdma_cas(&mut self, target: NodeId) -> Result<(), VerbError>;
-
-    /// Block until `target`'s NIC has drained everything posted so far.
-    fn wait_drain(&mut self, target: NodeId);
+    fn rdma_cas(&mut self, target: NodeId) -> Result<(), VerbError> {
+        self.blocking(target, &Verb::Cas).map(drop)
+    }
 }

@@ -7,8 +7,8 @@
 //! backend charges nothing); it pins down what protocol code is allowed to
 //! rely on:
 //!
-//! - verbs are fallible in the signature but infallible on a healthy
-//!   fabric: every completion arrives as `Ok`;
+//! - verbs resolve to a `Result` but are infallible on a healthy fabric:
+//!   every completion arrives as `Ok`;
 //! - completions are ordered: `settled >= initiator_done`;
 //! - verbs tick the shared [`NetStats`] counters and the per-node tables;
 //! - per-node accounting conserves bytes (every remote byte out lands in);
@@ -17,24 +17,48 @@
 //! - endpoints report the placement they were built with, their clock never
 //!   runs backwards, and posted writes settle no earlier than issue time;
 //! - a fault-injecting wrapper with a disabled plan is indistinguishable
-//!   from the bare fabric.
+//!   from the bare fabric;
+//! - one spike rule: an injected latency spike delays what the verb's
+//!   completion delays — the initiator for reads and atomics, only the
+//!   settle stamp for posted writes and batches.
 
-use rma::{ClusterTopology, Endpoint, NativeTransport, NodeId, Transport};
-use rma::{CostModel, FaultPlan, FaultyTransport, Interconnect, SimTransport};
+use rma::{ClusterTopology, Completion, Endpoint, NativeTransport, NodeId, Transport, Verb};
+use rma::{CostModel, FaultPlan, FaultyTransport, Interconnect, SimTransport, VerbError};
 use std::sync::Arc;
 
+/// One of each verb.
+fn six_verbs() -> [Verb; 6] {
+    [
+        Verb::Read { bytes: 4096 },
+        Verb::Write { bytes: 128 },
+        Verb::WriteBatch { sizes: vec![64, 4096] },
+        Verb::FetchOr,
+        Verb::FetchAdd,
+        Verb::Cas,
+    ]
+}
+
+/// An endpoint for thread 0 of `node`.
+fn endpoint_on<T: Transport>(net: &Arc<T>, node: u16) -> T::Endpoint {
+    T::endpoint(net, net.topology().loc(NodeId(node), 0))
+}
+
+/// Issue `verb` at `at` and wait for its completion (no merge).
+fn post<E: Endpoint>(
+    e: &mut E,
+    target: u16,
+    verb: &Verb,
+    at: u64,
+) -> Result<Completion, VerbError> {
+    let token = e.issue(NodeId(target), verb, at);
+    e.wait(token)
+}
+
 fn completions_are_ordered<T: Transport>(net: &Arc<T>) {
-    let loc = net.topology().loc(NodeId(0), 0);
-    let r = net.rdma_read(loc, NodeId(1), 0, 4096).unwrap();
-    assert!(r.settled >= r.initiator_done, "read settle before unblock");
-    let w = net.rdma_write(loc, NodeId(1), 0, 4096).unwrap();
-    assert!(w.settled >= w.initiator_done, "write settle before unblock");
-    for c in [
-        net.rdma_fetch_or(loc, NodeId(1), 0).unwrap(),
-        net.rdma_fetch_add(loc, NodeId(1), 0).unwrap(),
-        net.rdma_cas(loc, NodeId(1), 0).unwrap(),
-    ] {
-        assert!(c.settled >= c.initiator_done, "atomic settle before unblock");
+    let mut e = endpoint_on(net, 0);
+    for verb in six_verbs() {
+        let c = post(&mut e, 1, &verb, 0).unwrap();
+        assert!(c.settled >= c.initiator_done, "{verb:?} settled before unblock");
     }
 }
 
@@ -42,19 +66,14 @@ fn completions_are_ordered<T: Transport>(net: &Arc<T>) {
 /// injection and real NICs, and protocol code may rely on `Ok` when no
 /// faults are configured.
 fn healthy_fabric_is_infallible<T: Transport>(net: &Arc<T>) {
-    let loc = net.topology().loc(NodeId(0), 0);
+    let mut e = endpoint_on(net, 0);
     for _ in 0..64 {
-        assert!(net.rdma_read(loc, NodeId(1), 0, 4096).is_ok());
-        assert!(net.rdma_write(loc, NodeId(1), 0, 64).is_ok());
-        assert!(net.rdma_write_batch(loc, NodeId(1), 0, &[64, 4096]).is_ok());
-        assert!(net.rdma_fetch_or(loc, NodeId(1), 0).is_ok());
-        assert!(net.rdma_fetch_add(loc, NodeId(1), 0).is_ok());
-        assert!(net.rdma_cas(loc, NodeId(1), 0).is_ok());
-    }
-    let mut e = T::endpoint(net, loc);
-    for _ in 0..64 {
+        for verb in six_verbs() {
+            assert!(post(&mut e, 1, &verb, 0).is_ok());
+        }
         assert!(e.rdma_read(NodeId(1), 4096).is_ok());
         assert!(e.rdma_write(NodeId(1), 64).is_ok());
+        assert!(e.rdma_write_batch(NodeId(1), &[64, 4096]).is_ok());
         assert!(e.rdma_fetch_or(NodeId(1)).is_ok());
         assert!(e.rdma_fetch_add(NodeId(1)).is_ok());
         assert!(e.rdma_cas(NodeId(1)).is_ok());
@@ -62,28 +81,26 @@ fn healthy_fabric_is_infallible<T: Transport>(net: &Arc<T>) {
 }
 
 fn verbs_are_counted<T: Transport>(net: &Arc<T>) {
-    let loc = net.topology().loc(NodeId(0), 0);
+    let mut e = endpoint_on(net, 0);
     let before = net.stats().snapshot();
-    net.rdma_read(loc, NodeId(1), 0, 4096).unwrap();
-    net.rdma_write(loc, NodeId(1), 0, 128).unwrap();
-    net.rdma_fetch_or(loc, NodeId(1), 0).unwrap();
-    net.rdma_fetch_add(loc, NodeId(1), 0).unwrap();
-    net.rdma_cas(loc, NodeId(1), 0).unwrap();
+    for verb in six_verbs() {
+        post(&mut e, 1, &verb, 0).unwrap();
+    }
     let after = net.stats().snapshot();
     assert_eq!(after.rdma_reads - before.rdma_reads, 1);
-    assert_eq!(after.rdma_writes - before.rdma_writes, 1);
+    assert_eq!(after.rdma_writes - before.rdma_writes, 1 + 2, "write + 2-payload batch");
     assert_eq!(after.rdma_atomics - before.rdma_atomics, 3);
     assert_eq!(after.bytes_read - before.bytes_read, 4096);
-    assert_eq!(after.bytes_written - before.bytes_written, 128);
+    assert_eq!(after.bytes_written - before.bytes_written, 128 + 64 + 4096);
 }
 
 fn per_node_accounting_conserves<T: Transport>(net: &Arc<T>) {
     net.reset_per_node_stats();
-    let nodes = net.topology().nodes;
-    for src in 0..nodes as u16 {
-        for dst in 0..nodes as u16 {
-            let loc = net.topology().loc(NodeId(src), 0);
-            net.rdma_write(loc, NodeId(dst), 0, 1000 + dst as u64).unwrap();
+    let nodes = net.topology().nodes as u16;
+    for src in 0..nodes {
+        let mut e = endpoint_on(net, src);
+        for dst in 0..nodes {
+            e.rdma_write(NodeId(dst), 1000 + dst as u64).unwrap();
         }
     }
     let per = net.per_node_stats();
@@ -96,12 +113,13 @@ fn per_node_accounting_conserves<T: Transport>(net: &Arc<T>) {
 
 fn intra_node_traffic_is_free<T: Transport>(net: &Arc<T>) {
     net.reset_per_node_stats();
-    let loc = net.topology().loc(NodeId(0), 0);
-    net.rdma_read(loc, NodeId(0), 0, 4096).unwrap();
-    net.rdma_write(loc, NodeId(0), 0, 4096).unwrap();
+    let mut e = endpoint_on(net, 0);
+    for verb in six_verbs() {
+        post(&mut e, 0, &verb, 0).unwrap();
+    }
     let per = net.per_node_stats();
-    assert_eq!(per[0].bytes_in, 0, "intra-node read accounted");
-    assert_eq!(per[0].bytes_out, 0, "intra-node write accounted");
+    assert_eq!(per[0].bytes_in, 0, "intra-node traffic pulled in");
+    assert_eq!(per[0].bytes_out, 0, "intra-node traffic pushed out");
     net.reset_per_node_stats();
 }
 
@@ -128,13 +146,14 @@ fn endpoints_carry_placement_and_monotone_clocks<T: Transport>(net: &Arc<T>) {
     last = e.now();
     e.merge(last + 1_000);
     assert!(e.now() >= last, "merge reversed the clock");
-    e.wait_drain(NodeId(0)); // must not panic or reverse time
-    assert!(e.now() >= last);
+    // Issuing and waiting are free until the caller merges.
+    last = e.now();
+    post(&mut e, 0, &Verb::Read { bytes: 4096 }, last).unwrap();
+    assert_eq!(e.now(), last, "issue/wait moved the clock");
 }
 
 fn endpoint_clones_share_the_fabric<T: Transport>(net: &Arc<T>) {
-    let loc = net.topology().loc(NodeId(0), 0);
-    let e = T::endpoint(net, loc);
+    let e = endpoint_on(net, 0);
     let mut e2 = e.clone();
     let before = net.stats().snapshot().rdma_reads;
     e2.rdma_read(NodeId(1), 64).unwrap();
@@ -146,11 +165,11 @@ fn endpoint_clones_share_the_fabric<T: Transport>(net: &Arc<T>) {
 /// totals, same per-node conservation. An empty batch is a no-op.
 fn batched_writes_count_like_singles<T: Transport>(net: &Arc<T>) {
     net.reset_per_node_stats();
-    let loc = net.topology().loc(NodeId(0), 0);
+    let mut e = endpoint_on(net, 0);
     let sizes = [4096u64, 72, 4096, 160];
     let total: u64 = sizes.iter().sum();
     let before = net.stats().snapshot();
-    let b = net.rdma_write_batch(loc, NodeId(1), 0, &sizes).unwrap();
+    let b = post(&mut e, 1, &Verb::WriteBatch { sizes: sizes.to_vec() }, 0).unwrap();
     assert!(b.settled >= b.initiator_done, "batch settle before unblock");
     let after = net.stats().snapshot();
     assert_eq!(after.rdma_writes - before.rdma_writes, sizes.len() as u64);
@@ -161,14 +180,13 @@ fn batched_writes_count_like_singles<T: Transport>(net: &Arc<T>) {
     assert_eq!(per[1].ops_in, sizes.len() as u64, "batch ops_in mismatch");
 
     let mid = net.stats().snapshot();
-    net.rdma_write_batch(loc, NodeId(1), 0, &[]).unwrap();
+    post(&mut e, 1, &Verb::WriteBatch { sizes: vec![] }, 0).unwrap();
     let end = net.stats().snapshot();
     assert_eq!(end.rdma_writes, mid.rdma_writes, "empty batch counted");
     assert_eq!(end.bytes_written, mid.bytes_written);
     net.reset_per_node_stats();
 
-    // Endpoint flavor reaches the same fabric counters.
-    let mut e = T::endpoint(net, loc);
+    // The blocking wrapper reaches the same fabric counters.
     let before = net.stats().snapshot();
     let settled = e.rdma_write_batch(NodeId(1), &sizes).unwrap();
     assert!(settled >= e.now(), "batch settled before issue completed");
@@ -219,10 +237,10 @@ fn faulty_wrapper_failures_are_typed_and_ordered() {
     let topo = ClusterTopology::tiny(2);
     let sim = Interconnect::new(topo, CostModel::paper_2011());
     let net = FaultyTransport::wrap(sim, FaultPlan::seeded(7));
-    let loc = net.topology().loc(NodeId(0), 0);
+    let mut e = endpoint_on(&net, 0);
     let mut failures = 0u64;
     for i in 0..512 {
-        match net.rdma_write(loc, NodeId(1), i, 256) {
+        match post(&mut e, 1, &Verb::Write { bytes: 256 }, i) {
             Ok(c) => assert!(c.settled >= c.initiator_done),
             Err(_) => failures += 1,
         }
@@ -232,6 +250,33 @@ fn faulty_wrapper_failures_are_typed_and_ordered() {
     assert_eq!(snap.dropped + snap.timed_out + snap.stalled, failures);
 }
 
+/// The one spike rule, for all six verbs on any backend: a spike delays
+/// what the verb's completion delays. Reads and atomics complete at the
+/// initiator, so the spike holds the initiator (and the settle stamp with
+/// it); posted writes and batches unblock the initiator when the payload is
+/// handed to the NIC, so the spike only pushes out the settle stamp. Fresh
+/// fabrics per verb so NIC timelines don't serialize the comparisons.
+fn spikes_delay_what_the_completion_delays<T: Transport>(fabric: impl Fn() -> Arc<T>) {
+    const EXTRA: u64 = 9_999;
+    for verb in six_verbs() {
+        let clean = post(&mut endpoint_on(&fabric(), 0), 1, &verb, 500).unwrap();
+        let plan = FaultPlan::default().with_seed(5).with_spikes(1_000_000, EXTRA);
+        let net = FaultyTransport::wrap(fabric(), plan);
+        let spiked = post(&mut endpoint_on(&net, 0), 1, &verb, 500).unwrap();
+        assert_eq!(net.injected().spiked, 1, "{verb:?}");
+        let held = if verb.is_posted() { 0 } else { EXTRA };
+        assert_eq!(spiked.initiator_done, clean.initiator_done + held, "{verb:?} initiator");
+        assert_eq!(spiked.settled, clean.settled + EXTRA, "{verb:?} settle");
+    }
+}
+
+#[test]
+fn one_spike_rule_on_every_backend() {
+    let topo = ClusterTopology::tiny(2);
+    spikes_delay_what_the_completion_delays(|| Interconnect::new(topo, CostModel::paper_2011()));
+    spikes_delay_what_the_completion_delays(|| NativeTransport::new(topo));
+}
+
 /// The simulator additionally promises real latencies: remote verbs cost at
 /// least a network round trip, which the generic contract cannot ask for.
 #[test]
@@ -239,8 +284,7 @@ fn sim_transport_charges_latency() {
     let topo = ClusterTopology::tiny(2);
     let net = Interconnect::new(topo, CostModel::paper_2011());
     let c = *Transport::cost(&*net);
-    let loc = net.topology().loc(NodeId(0), 0);
-    let r = Transport::rdma_read(&*net, loc, NodeId(1), 0, 4096).unwrap();
+    let r = post(&mut endpoint_on(&net, 0), 1, &Verb::Read { bytes: 4096 }, 0).unwrap();
     assert!(r.initiator_done >= 2 * c.network_latency);
 }
 
@@ -250,14 +294,13 @@ fn sim_transport_charges_latency() {
 fn native_transport_is_timeless() {
     let topo = ClusterTopology::tiny(2);
     let net = NativeTransport::new(topo);
-    let loc = net.topology().loc(NodeId(0), 0);
-    let r = net.rdma_read(loc, NodeId(1), 0, 4096).unwrap();
-    assert_eq!((r.initiator_done, r.settled), (0, 0));
-    let mut e = <NativeTransport as Transport>::endpoint(&net, loc);
+    let mut e = endpoint_on(&net, 0);
+    for verb in six_verbs() {
+        assert_eq!(post(&mut e, 1, &verb, 777), Ok(Completion::instant(0)), "{verb:?}");
+    }
     e.compute(1_000_000);
     e.merge(u64::MAX / 2);
     assert_eq!(e.now(), 0);
-    assert_eq!(net.drained_at(NodeId(0)), 0);
 }
 
 // --- DSM contract: every transport x coherence-policy combination ---

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use rma::{
     splitmix64, Completion, Endpoint, FaultPlan, FaultyTransport, NativeTransport, Retried,
-    RetryExhausted, RetryPolicy, Transport, VerbClass, VerbError, VerbToken,
+    RetryExhausted, RetryPolicy, Transport, Verb, VerbClass, VerbError, VerbToken,
 };
 use simnet::{ClusterTopology, CostModel, Interconnect, NodeId};
 use std::sync::Arc;
@@ -16,6 +16,16 @@ fn class_of(i: u8) -> VerbClass {
 
 fn sim(nodes: usize) -> Arc<Interconnect> {
     Interconnect::new(ClusterTopology::tiny(nodes), CostModel::paper_2011())
+}
+
+/// The generated op kinds, as verbs (kinds past the table wrap to a CAS).
+fn verb_of(kind: u8, bytes: u64) -> Verb {
+    match kind {
+        0 => Verb::Read { bytes },
+        1 => Verb::Write { bytes },
+        2 => Verb::WriteBatch { sizes: vec![bytes] },
+        _ => Verb::Cas,
+    }
 }
 
 proptest! {
@@ -114,12 +124,7 @@ proptest! {
             let loc = fab.topology().loc(NodeId(0), 0);
             let mut e = <FaultyTransport<T> as Transport>::endpoint(&fab, loc);
             ops.iter()
-                .map(|&(kind, bytes)| match kind {
-                    0 => e.rdma_read(NodeId(1), bytes),
-                    1 => e.rdma_write(NodeId(1), bytes).map(|_| ()),
-                    2 => e.rdma_write_batch(NodeId(1), &[bytes]).map(|_| ()),
-                    _ => e.rdma_cas(NodeId(1)),
-                })
+                .map(|&(kind, bytes)| e.blocking(NodeId(1), &verb_of(kind, bytes)).map(drop))
                 .collect()
         }
         let a = FaultyTransport::wrap(sim(2), plan.clone());
@@ -145,13 +150,11 @@ proptest! {
         let plan = FaultPlan::default().with_seed(seed).with_duplicates(rate);
         let fab = FaultyTransport::wrap(sim(2), plan);
         let loc = fab.topology().loc(NodeId(0), 0);
+        let mut e = <FaultyTransport<_> as Transport>::endpoint(&fab, loc);
         for &(kind, bytes, at) in &ops {
-            let c = match kind {
-                0 => Transport::rdma_read(&*fab, loc, NodeId(1), at, bytes),
-                1 => Transport::rdma_write(&*fab, loc, NodeId(1), at, bytes),
-                _ => Transport::rdma_cas(&*fab, loc, NodeId(1), at),
-            };
-            let c = c.expect("duplication must never fail a verb");
+            let verb = verb_of(if kind == 2 { 3 } else { kind }, bytes);
+            let token = e.issue(NodeId(1), &verb, at);
+            let c = e.wait(token).expect("duplication must never fail a verb");
             prop_assert!(c.initiator_done > at, "a verb must cost time");
             prop_assert!(c.settled >= c.initiator_done);
         }
@@ -186,12 +189,13 @@ proptest! {
             let mut e = T::endpoint(fab, loc);
             let mut tokens: Vec<Option<VerbToken>> = ops
                 .iter()
-                .map(|&(kind, bytes, nb)| match kind {
-                    0 => e.issue_read(NodeId(1), bytes, nb),
-                    1 => e.issue_write(NodeId(1), bytes, nb),
-                    _ => e.issue_write_batch(NodeId(1), &[bytes, bytes / 2 + 1], nb),
+                .map(|&(kind, bytes, at)| {
+                    let verb = match kind {
+                        2 => Verb::WriteBatch { sizes: vec![bytes, bytes / 2 + 1] },
+                        k => verb_of(k, bytes),
+                    };
+                    Some(e.issue(NodeId(1), &verb, at))
                 })
-                .map(Some)
                 .collect();
             let mut order: Vec<usize> = (0..tokens.len()).collect();
             if let Some(s) = shuffle_seed {
@@ -259,10 +263,9 @@ proptest! {
             let outs: Vec<Outcome> = ops
                 .iter()
                 .map(|&(kind, bytes, salt)| {
-                    policy.run(class(kind), salt, |_a| match kind {
-                        0 => e.rdma_read(NodeId(1), bytes).map(|_| 0),
-                        1 => e.rdma_write(NodeId(1), bytes),
-                        _ => e.rdma_write_batch(NodeId(1), &[bytes]),
+                    policy.run(class(kind), salt, |_a| {
+                        let c = e.blocking(NodeId(1), &verb_of(kind, bytes))?;
+                        Ok(if kind == 0 { 0 } else { c.settled })
                     })
                 })
                 .collect();
@@ -278,11 +281,8 @@ proptest! {
                     let mut seq = policy.attempt_seq(class(kind), salt);
                     let mut attempt = seq.next().expect("budget is at least 1");
                     loop {
-                        let token = match kind {
-                            0 => e.issue_read(NodeId(1), bytes, e.now()),
-                            1 => e.issue_write(NodeId(1), bytes, e.now()),
-                            _ => e.issue_write_batch(NodeId(1), &[bytes], e.now()),
-                        };
+                        let now = e.now();
+                        let token = e.issue(NodeId(1), &verb_of(kind, bytes), now);
                         match e.wait(token) {
                             Ok(c) => {
                                 e.merge(c.initiator_done);

@@ -10,30 +10,36 @@ use crate::net::{Interconnect, VerbTiming};
 use crate::topology::{NodeId, ThreadLoc};
 use std::sync::Arc;
 
-/// A slab of verbs issued but not yet resolved. Raw handles encode
+/// A generation-tagged slab of verbs issued but not yet resolved, shared by
+/// every endpoint implementation (the simulator parks [`VerbTiming`]s, the
+/// `rma` backends their own pending state). Raw handles encode
 /// `generation << 32 | slot`; the generation bumps every time a slot is
-/// recycled, so a stale or duplicated handle is caught instead of silently
-/// resolving a different verb.
-///
-/// The simulator computes verb timing eagerly at issue (the interconnect is
-/// a closed-form cost model), so "in flight" here means "issued, timing
-/// reserved on the NIC timelines, but not yet folded into any thread's
-/// clock" — exactly the window in which latency is hidden.
-#[derive(Debug, Clone, Default)]
-struct PendingVerbs {
-    slots: Vec<(u32, Option<VerbTiming>)>,
+/// recycled, so a stale, duplicated or foreign handle is caught (and panics)
+/// instead of silently resolving a different verb.
+#[derive(Debug, Clone)]
+pub struct TokenSlab<P> {
+    slots: Vec<(u32, Option<P>)>,
     free: Vec<u32>,
 }
 
-impl PendingVerbs {
-    fn insert(&mut self, timing: VerbTiming) -> u64 {
+impl<P> Default for TokenSlab<P> {
+    fn default() -> Self {
+        TokenSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<P> TokenSlab<P> {
+    pub fn insert(&mut self, payload: P) -> u64 {
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s as usize].1 = Some(timing);
+                self.slots[s as usize].1 = Some(payload);
                 s
             }
             None => {
-                self.slots.push((0, Some(timing)));
+                self.slots.push((0, Some(payload)));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -41,20 +47,20 @@ impl PendingVerbs {
         (u64::from(generation) << 32) | u64::from(slot)
     }
 
-    fn take(&mut self, raw: u64) -> VerbTiming {
+    pub fn take(&mut self, raw: u64) -> P {
         let slot = (raw & 0xFFFF_FFFF) as usize;
         let generation = (raw >> 32) as u32;
         let entry = self
             .slots
             .get_mut(slot)
             .filter(|(g, _)| *g == generation)
-            .and_then(|(_, t)| t.take());
-        let Some(timing) = entry else {
+            .and_then(|(_, p)| p.take());
+        let Some(payload) = entry else {
             panic!("stale or foreign verb token (raw {raw:#x})");
         };
         self.slots[slot].0 = self.slots[slot].0.wrapping_add(1);
         self.free.push(slot as u32);
-        timing
+        payload
     }
 }
 
@@ -85,7 +91,11 @@ pub struct SimThread {
     loc: ThreadLoc,
     now: u64,
     net: Arc<Interconnect>,
-    pending: PendingVerbs,
+    /// Verbs issued but not yet folded into any thread's clock. Timing is
+    /// computed eagerly at issue (the interconnect is a closed-form cost
+    /// model), so an entry is a finished [`VerbTiming`] awaiting collection
+    /// — exactly the window in which latency is hidden.
+    pending: TokenSlab<VerbTiming>,
     /// Single-writer Lyra lane, opened against the interconnect's attached
     /// flight recorder (if any). Owning it here keeps hot-path recording
     /// free of atomic read-modify-writes.
@@ -101,7 +111,7 @@ impl SimThread {
             loc,
             now: 0,
             net,
-            pending: PendingVerbs::default(),
+            pending: TokenSlab::default(),
             lane,
         }
     }
@@ -179,45 +189,19 @@ impl SimThread {
         t.settled
     }
 
-    /// Home-coalesced posted write of `sizes.len()` page payloads to
-    /// `target` behind one doorbell. Returns the settle stamp of the whole
-    /// batch (SD fences collect the max of these).
-    pub fn rdma_write_batch(&mut self, target: NodeId, sizes: &[u64]) -> u64 {
-        let t = self.net.rdma_write_batch(self.loc, target, self.now, sizes);
-        self.now = t.initiator_done;
-        t.settled
+    /// Park the timing of a verb charged on the interconnect without
+    /// blocking: its NIC occupancy is already reserved, and the thread's
+    /// clock is untouched. Returns a raw completion handle for
+    /// [`SimThread::resolve`].
+    pub fn park(&mut self, timing: VerbTiming) -> u64 {
+        self.pending.insert(timing)
     }
 
-    /// Issue a one-sided read without blocking: the verb enters the fabric
-    /// at `max(now, not_before)`, its NIC occupancy is reserved, and the
-    /// thread's clock is untouched. Returns a raw completion handle for
-    /// [`SimThread::resolve_issued`].
-    pub fn issue_read(&mut self, target: NodeId, bytes: u64, not_before: u64) -> u64 {
-        let at = self.now.max(not_before);
-        let t = self.net.rdma_read(self.loc, target, at, bytes);
-        self.pending.insert(t)
-    }
-
-    /// Issue a posted write without blocking (see [`SimThread::issue_read`]).
-    pub fn issue_write(&mut self, target: NodeId, bytes: u64, not_before: u64) -> u64 {
-        let at = self.now.max(not_before);
-        let t = self.net.rdma_write(self.loc, target, at, bytes);
-        self.pending.insert(t)
-    }
-
-    /// Issue a home-coalesced batch write without blocking (see
-    /// [`SimThread::issue_read`]).
-    pub fn issue_write_batch(&mut self, target: NodeId, sizes: &[u64], not_before: u64) -> u64 {
-        let at = self.now.max(not_before);
-        let t = self.net.rdma_write_batch(self.loc, target, at, sizes);
-        self.pending.insert(t)
-    }
-
-    /// Resolve a handle from one of the `issue_*` verbs, consuming it. The
+    /// Resolve a handle from [`SimThread::park`], consuming it. The
     /// clock is *not* merged: the caller folds `initiator_done` in (via
     /// [`SimThread::merge`]) when — and only when — it actually waits on
     /// the verb. Panics on a stale or foreign handle.
-    pub fn resolve_issued(&mut self, raw: u64) -> VerbTiming {
+    pub fn resolve(&mut self, raw: u64) -> VerbTiming {
         self.pending.take(raw)
     }
 
@@ -225,14 +209,6 @@ impl SimThread {
     pub fn rdma_atomic(&mut self, target: NodeId) {
         let t = self.net.rdma_atomic(self.loc, target, self.now);
         self.now = t.initiator_done;
-    }
-
-    /// Wait (in virtual time) until `target`'s NIC has drained everything
-    /// reserved so far. Combined with settle timestamps this implements the
-    /// completion side of an SD fence.
-    pub fn wait_nic_drain(&mut self, target: NodeId) {
-        let t = self.net.nic_drained_at(target);
-        self.merge(t);
     }
 }
 
@@ -283,13 +259,14 @@ mod tests {
         // Async: both issued back to back, resolved afterwards — the
         // latencies overlap, only NIC occupancy serializes.
         let mut t = thread_on(0);
-        let a = t.issue_read(NodeId(1), 4096, 0);
-        let b = t.issue_read(NodeId(2), 4096, 0);
+        let net = t.net().clone();
+        let a = t.park(net.rdma_read(t.loc(), NodeId(1), 0, 4096));
+        let b = t.park(net.rdma_read(t.loc(), NodeId(2), 0, 4096));
         assert_eq!(t.now(), 0, "issuing must not advance the clock");
         let done = t
-            .resolve_issued(a)
+            .resolve(a)
             .initiator_done
-            .max(t.resolve_issued(b).initiator_done);
+            .max(t.resolve(b).initiator_done);
         t.merge(done);
         assert!(t.now() < seq.now(), "overlap must beat chaining");
         assert!(t.now() >= 2 * c.network_latency + c.transfer_cycles(4096));
@@ -299,9 +276,10 @@ mod tests {
     #[should_panic(expected = "stale or foreign verb token")]
     fn resolving_a_token_twice_panics() {
         let mut t = thread_on(0);
-        let a = t.issue_read(NodeId(1), 4096, 0);
-        let _ = t.resolve_issued(a);
-        let _ = t.resolve_issued(a);
+        let timing = t.net().rdma_read(t.loc(), NodeId(1), 0, 4096);
+        let a = t.park(timing);
+        let _ = t.resolve(a);
+        let _ = t.resolve(a);
     }
 
     #[test]

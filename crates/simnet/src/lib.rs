@@ -32,7 +32,7 @@ pub mod stats;
 pub mod testkit;
 pub mod topology;
 
-pub use clock::SimThread;
+pub use clock::{SimThread, TokenSlab};
 pub use cost::CostModel;
 pub use error::ConfigError;
 pub use msg::{Msg, MsgWorld, RecvError, Tag};

@@ -185,12 +185,6 @@ impl Interconnect {
         Self::reserve_timeline(&self.nic[node.idx()], earliest, duration)
     }
 
-    /// Time at which `node`'s NIC has drained everything reserved so far.
-    /// Used by SD fences to wait for posted writes to settle.
-    pub fn nic_drained_at(&self, node: NodeId) -> u64 {
-        self.nic[node.idx()].load(Ordering::Relaxed)
-    }
-
     /// Charge the wire time of a transfer of `bytes` between `src` and `dst`
     /// machines, starting no earlier than `earliest` (initiator's clock).
     /// Returns the time the last byte leaves the wire. Intra-node transfers
@@ -238,8 +232,8 @@ impl Interconnect {
 
     /// One-sided posted write of `bytes` to `target`. The initiator unblocks
     /// once the payload is handed to its NIC; the data settles at the target
-    /// after propagation + wire time. SD fences use [`Self::nic_drained_at`]
-    /// plus the returned `settled` to wait for global visibility.
+    /// after propagation + wire time. SD fences await the returned `settled`
+    /// for global visibility.
     pub fn rdma_write(&self, from: ThreadLoc, target: NodeId, now: u64, bytes: u64) -> VerbTiming {
         self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_written.fetch_add(bytes, Ordering::Relaxed);
@@ -511,8 +505,9 @@ mod tests {
     #[test]
     fn intra_node_transfer_skips_nics() {
         let (net, a, _) = setup();
-        let before = net.nic_drained_at(NodeId(0));
+        let busy_until = || net.nic[0].load(Ordering::Relaxed);
+        let before = busy_until();
         net.rdma_read(a, NodeId(0), 0, 4096);
-        assert_eq!(net.nic_drained_at(NodeId(0)), before);
+        assert_eq!(busy_until(), before);
     }
 }

@@ -14,7 +14,7 @@
 use crate::dsm::global_lock::lock_fault;
 use carina::{CarinaSiSd, Coherence, Dsm, DsmError};
 use parking_lot::{Condvar, Mutex};
-use rma::{Endpoint, SimTransport, Transport, VerbClass};
+use rma::{Endpoint, SimTransport, Transport, Verb, VerbClass};
 use simnet::NodeId;
 use std::sync::Arc;
 
@@ -66,12 +66,13 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
         self.dsm
             .config()
             .retry
-            .run(VerbClass::FlagWrite, self.home.0 as u64, |a| {
-                if a.step > 0 {
-                    t.compute(a.step);
-                }
-                t.rdma_write(self.home, 8).map(|_| ())
-            })
+            .run_blocking(
+                t,
+                VerbClass::FlagWrite,
+                self.home.0 as u64,
+                self.home,
+                &Verb::Write { bytes: 8 },
+            )
             .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
         let mut st = self.state.lock();
         st.generation += 1;
@@ -109,12 +110,13 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
         self.dsm
             .config()
             .retry
-            .run(VerbClass::FlagWrite, !(self.home.0 as u64), |a| {
-                if a.step > 0 {
-                    t.compute(a.step);
-                }
-                t.rdma_read(self.home, 8)
-            })
+            .run_blocking(
+                t,
+                VerbClass::FlagWrite,
+                !(self.home.0 as u64),
+                self.home,
+                &Verb::Read { bytes: 8 },
+            )
             .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
         self.dsm.try_si_fence(t)
     }

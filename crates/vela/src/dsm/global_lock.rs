@@ -35,7 +35,7 @@
 
 use carina::DsmError;
 use parking_lot::{Condvar, Mutex};
-use rma::{Endpoint, RetryExhausted, RetryPolicy, VerbClass};
+use rma::{Endpoint, RetryExhausted, RetryPolicy, Verb, VerbClass};
 use simnet::NodeId;
 use std::sync::Arc;
 
@@ -137,12 +137,7 @@ impl DsmGlobalLock {
         // The CAS on the lock word costs a round trip regardless of
         // outcome; a dropped CAS is reissued after backing off locally.
         self.retry
-            .run(VerbClass::LockAtomic, self.home.0 as u64, |a| {
-                if a.step > 0 {
-                    t.compute(a.step);
-                }
-                t.rdma_cas(self.home)
-            })
+            .run_blocking(t, VerbClass::LockAtomic, self.home.0 as u64, self.home, &Verb::Cas)
             .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
         let mut st = self.state.lock();
         while st.0.locked {
@@ -194,13 +189,9 @@ impl DsmGlobalLock {
     /// lands, the lock stays held (the successor must not observe a release
     /// that did not reach the fabric).
     pub fn try_release<E: Endpoint>(&self, t: &mut E) -> Result<(), DsmError> {
+        let flag = Verb::Write { bytes: 8 };
         self.retry
-            .run(VerbClass::LockAtomic, !(self.home.0 as u64), |a| {
-                if a.step > 0 {
-                    t.compute(a.step);
-                }
-                t.rdma_write(self.home, 8).map(|_| ())
-            })
+            .run_blocking(t, VerbClass::LockAtomic, !(self.home.0 as u64), self.home, &flag)
             .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
         let mut st = self.state.lock();
         assert!(st.0.locked, "releasing an unheld global lock");

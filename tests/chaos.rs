@@ -531,6 +531,45 @@ fn chaos_trace_links_retried_attempts_to_their_site_span() {
         .all(|r| r.fate != obs::Fate::Ok));
 }
 
+/// Every fate the injector decides reaches the flight recorder — whichever
+/// verb it hit (directory atomics, notifies and write-backs included, not
+/// only the page fetches and drain batches), attributed to the protocol
+/// site that issued it. The ring is sized so nothing is dropped, which
+/// makes the count exact.
+#[test]
+fn every_injected_fault_is_flight_recorded() {
+    use obs::RecordKind;
+    let cfg = ArgoConfig::small(2, 1);
+    let mut ccfg = CarinaConfig { lyra_ring: 1 << 14, ..CarinaConfig::default() };
+    ccfg.retry.max_attempts = [16; VerbClass::COUNT];
+    let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(77));
+    let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
+    let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
+    // Every verb below is issued inside a protocol site (write fault, read
+    // miss, SD/SI fence), so every fault has a span to be attributed to.
+    for i in 0..24u64 {
+        dsm.write_u64(&mut t, GlobalAddr(i * PAGE_BYTES), i * i);
+    }
+    dsm.sd_fence(&mut t);
+    dsm.si_fence(&mut t);
+    for i in 0..24u64 {
+        assert_eq!(dsm.read_u64(&mut t, GlobalAddr(i * PAGE_BYTES)), i * i);
+    }
+    let injected = net.injected().total();
+    assert!(injected > 0, "the fault plan never fired");
+    assert_eq!(dsm.lyra().stats().dropped, 0, "ring too small for an exact count");
+    let faults: Vec<_> = (0..cfg.nodes)
+        .flat_map(|node| dsm.lyra().snapshot(node))
+        .filter(|r| r.kind == RecordKind::FaultInjected)
+        .collect();
+    assert_eq!(faults.len() as u64, injected, "injected faults missing from the recorder");
+    assert!(
+        faults.iter().all(|r| r.span != rma::SpanId::NONE && r.fate != obs::Fate::Ok),
+        "a fault without a span or with fate ok: {faults:?}"
+    );
+    assert!(dsm.check_invariants().is_empty());
+}
+
 /// Speculation under fire: the stride prefetcher issues extra fallible
 /// verbs whose failures the protocol must absorb silently — a failed
 /// speculative fetch is dropped (counted as waste), never retried and
