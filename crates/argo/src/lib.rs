@@ -45,4 +45,4 @@ pub use ctx::ArgoCtx;
 pub use machine::{ArgoConfig, ArgoMachine, RunReport};
 pub use pgas::PgasCtx;
 pub use sync::{ArgoMutex, ArgoMutexGuard};
-pub use types::{GlobalF64Array, GlobalMatrix, GlobalU64Array};
+pub use types::{GlobalArray, GlobalF64Array, GlobalMatrix, GlobalU64Array};

@@ -37,25 +37,26 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
         }
     }
 
-    fn charge(&self, t: &mut T::Endpoint, addr: GlobalAddr, write: bool) {
+    /// Charge moving `verb`'s bytes between `t` and `addr`'s home: a DRAM
+    /// access if the element is local, the remote verb otherwise.
+    fn charge(&self, t: &mut T::Endpoint, addr: GlobalAddr, verb: Verb) {
         let home = self.dsm.home_of(addr);
         if home == t.node().0 {
             t.dram_access();
-        } else if write {
-            self.insist(t, VerbClass::Downgrade, addr.0, home, Verb::Write { bytes: ELEM_BYTES });
         } else {
-            self.insist(t, VerbClass::PageFetch, addr.0, home, Verb::Read { bytes: ELEM_BYTES });
+            let class = if verb.is_posted() { VerbClass::Downgrade } else { VerbClass::PageFetch };
+            self.insist(t, class, addr.0, home, verb);
         }
     }
 
     /// Fine-grained shared read (remote unless the element is local).
     pub fn read_u64(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> u64 {
-        self.charge(t, addr, false);
+        self.charge(t, addr, Verb::Read { bytes: ELEM_BYTES });
         self.dsm.peek_u64(addr)
     }
 
     pub fn write_u64(&self, t: &mut T::Endpoint, addr: GlobalAddr, v: u64) {
-        self.charge(t, addr, true);
+        self.charge(t, addr, Verb::Write { bytes: ELEM_BYTES });
         self.dsm.poke_u64(addr, v);
     }
 
@@ -73,45 +74,24 @@ impl<T: Transport, C: Coherence> PgasCtx<T, C> {
     pub fn bulk_read_f64(&self, t: &mut T::Endpoint, addr: GlobalAddr, words: usize) -> Vec<f64> {
         let mut out = Vec::with_capacity(words);
         // Charge one transfer per home-node run of the interleaved pages.
-        let mut i = 0usize;
-        while i < words {
-            let a = addr.offset(i as u64 * 8);
-            let home = self.dsm.home_of(a);
-            // Extent of this run: to the end of the page.
-            let page_end = (a.page().0 + 1) * mem::PAGE_BYTES;
-            let run_words = (((page_end - a.0) / 8) as usize).min(words - i);
-            if home == t.node().0 {
-                t.dram_access();
-            } else {
-                let bytes = run_words as u64 * 8;
-                self.insist(t, VerbClass::PageFetch, a.0, home, Verb::Read { bytes });
-            }
-            for k in 0..run_words {
-                out.push(f64::from_bits(self.dsm.peek_u64(addr.offset((i + k) as u64 * 8))));
-            }
-            i += run_words;
+        for (a, run) in addr.page_runs(words) {
+            let bytes = run.len() as u64 * ELEM_BYTES;
+            self.charge(t, a, Verb::Read { bytes });
+            out.extend(
+                run.map(|i| f64::from_bits(self.dsm.peek_u64(addr.offset(i as u64 * ELEM_BYTES)))),
+            );
         }
         out
     }
 
     /// Bulk write of local data back to shared space.
     pub fn bulk_write_f64(&self, t: &mut T::Endpoint, addr: GlobalAddr, data: &[f64]) {
-        let mut i = 0usize;
-        while i < data.len() {
-            let a = addr.offset(i as u64 * 8);
-            let home = self.dsm.home_of(a);
-            let page_end = (a.page().0 + 1) * mem::PAGE_BYTES;
-            let run_words = (((page_end - a.0) / 8) as usize).min(data.len() - i);
-            if home == t.node().0 {
-                t.dram_access();
-            } else {
-                let bytes = run_words as u64 * 8;
-                self.insist(t, VerbClass::Downgrade, a.0, home, Verb::Write { bytes });
+        for (a, run) in addr.page_runs(data.len()) {
+            let bytes = run.len() as u64 * ELEM_BYTES;
+            self.charge(t, a, Verb::Write { bytes });
+            for i in run {
+                self.dsm.poke_u64(addr.offset(i as u64 * ELEM_BYTES), data[i].to_bits());
             }
-            for k in 0..run_words {
-                self.dsm.poke_u64(addr.offset((i + k) as u64 * 8), data[i + k].to_bits());
-            }
-            i += run_words;
         }
     }
 }

@@ -6,98 +6,77 @@
 
 use crate::ctx::ArgoCtx;
 use carina::{Coherence, Dsm};
-use mem::{GlobalAddr, PAGE_BYTES};
+use mem::{GlobalAddr, Word, PAGE_BYTES};
 use rma::Transport;
+use std::marker::PhantomData;
+
+/// An array of 8-byte words — `u64` or `f64` — in global memory.
+#[derive(Debug, Clone, Copy)]
+pub struct GlobalArray<W> {
+    base: GlobalAddr,
+    len: usize,
+    elem: PhantomData<W>,
+}
 
 /// An array of `u64` in global memory.
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalU64Array {
-    base: GlobalAddr,
-    len: usize,
-}
-
+pub type GlobalU64Array = GlobalArray<u64>;
 /// An array of `f64` in global memory.
-#[derive(Debug, Clone, Copy)]
-pub struct GlobalF64Array {
-    base: GlobalAddr,
-    len: usize,
-}
+pub type GlobalF64Array = GlobalArray<f64>;
 
-macro_rules! array_common {
-    ($ty:ident) => {
-        impl $ty {
-            /// Allocate page-aligned storage for `len` elements.
-            pub fn alloc<T: Transport, C: Coherence>(dsm: &Dsm<T, C>, len: usize) -> Self {
-                let bytes = (len as u64 * 8).div_ceil(PAGE_BYTES) * PAGE_BYTES;
-                let base = dsm
-                    .allocator()
-                    .alloc(bytes, PAGE_BYTES)
-                    .expect("out of global memory");
-                $ty { base, len }
-            }
+impl<W: Word> GlobalArray<W> {
+    /// Allocate page-aligned storage for `len` elements.
+    pub fn alloc<T: Transport, C: Coherence>(dsm: &Dsm<T, C>, len: usize) -> Self {
+        let bytes = (len as u64 * 8).div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        let base = dsm
+            .allocator()
+            .alloc(bytes, PAGE_BYTES)
+            .expect("out of global memory");
+        Self::at(base, len)
+    }
 
-            /// View an existing allocation as an array.
-            pub fn at(base: GlobalAddr, len: usize) -> Self {
-                $ty { base, len }
-            }
+    /// View an existing allocation as an array.
+    pub fn at(base: GlobalAddr, len: usize) -> Self {
+        GlobalArray { base, len, elem: PhantomData }
+    }
 
-            /// Allocate with pages block-distributed across nodes, so each
-            /// node's block-partitioned chunk of the array is homed
-            /// locally (see `Dsm::alloc_blocked`).
-            pub fn alloc_blocked<T: Transport, C: Coherence>(dsm: &Dsm<T, C>, len: usize) -> Self {
-                let bytes = (len as u64 * 8).div_ceil(PAGE_BYTES) * PAGE_BYTES;
-                let base = dsm.alloc_blocked(bytes).expect("out of global memory");
-                $ty { base, len }
-            }
-
-            #[inline]
-            pub fn len(&self) -> usize {
-                self.len
-            }
-
-            #[inline]
-            pub fn is_empty(&self) -> bool {
-                self.len == 0
-            }
-
-            #[inline]
-            pub fn addr(&self, i: usize) -> GlobalAddr {
-                assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-                self.base.offset(i as u64 * 8)
-            }
-
-            #[inline]
-            pub fn base(&self) -> GlobalAddr {
-                self.base
-            }
-        }
-    };
-}
-
-array_common!(GlobalU64Array);
-array_common!(GlobalF64Array);
-
-impl GlobalU64Array {
-    #[inline]
-    pub fn get<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize) -> u64 {
-        ctx.read_u64(self.addr(i))
+    /// Allocate with pages block-distributed across nodes, so each
+    /// node's block-partitioned chunk of the array is homed
+    /// locally (see `Dsm::alloc_blocked`).
+    pub fn alloc_blocked<T: Transport, C: Coherence>(dsm: &Dsm<T, C>, len: usize) -> Self {
+        let bytes = (len as u64 * 8).div_ceil(PAGE_BYTES) * PAGE_BYTES;
+        let base = dsm.alloc_blocked(bytes).expect("out of global memory");
+        Self::at(base, len)
     }
 
     #[inline]
-    pub fn set<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize, v: u64) {
-        ctx.write_u64(self.addr(i), v)
-    }
-}
-
-impl GlobalF64Array {
-    #[inline]
-    pub fn get<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize) -> f64 {
-        ctx.read_f64(self.addr(i))
+    pub fn len(&self) -> usize {
+        self.len
     }
 
     #[inline]
-    pub fn set<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize, v: f64) {
-        ctx.write_f64(self.addr(i), v)
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    #[inline]
+    pub fn addr(&self, i: usize) -> GlobalAddr {
+        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
+        self.base.offset(i as u64 * 8)
+    }
+
+    #[inline]
+    pub fn base(&self) -> GlobalAddr {
+        self.base
+    }
+
+    #[inline]
+    pub fn get<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize) -> W {
+        W::from_bits(ctx.read_u64(self.addr(i)))
+    }
+
+    #[inline]
+    pub fn set<T: Transport, C: Coherence>(&self, ctx: &mut ArgoCtx<T, C>, i: usize, v: W) {
+        ctx.write_u64(self.addr(i), v.to_bits())
     }
 }
 

@@ -1,4 +1,4 @@
-//! The adaptive lease clock shared by every lease-granting policy.
+//! The adaptive lease rule shared by every lease-granting policy.
 //!
 //! A fixed lease length suffers amplification: each write bumps a page's
 //! `wts` past the max granted `rts`, so one global clock jump expires every
@@ -7,108 +7,69 @@
 //!
 //! - renewing a lease on an *unchanged* page (it expired only because
 //!   unrelated writers moved the clock) **doubles** the page's lease, up to
-//!   `tardis_lease_max`;
-//! - writing the page **halves** it, down to `tardis_lease_min` — long
+//!   [`LEASE_MAX`];
+//! - writing the page **halves** it, down to [`LEASE_MIN`] — long
 //!   promises on a write-active page only inflate future `wts` bumps.
+//!
+//! The three bounds are protocol constants, as in the Tardis paper: no
+//! workload, test or benchmark ever ran with other values.
 //!
 //! [`Tardis`](super::Tardis) uses this for every page;
 //! [`Pyxis`](super::Pyxis) reuses the identical clock for the pages it runs
 //! in lease mode, so the hybrid's lease half adapts exactly like the pure
 //! policy it borrows from.
 
-use crate::config::CarinaConfig;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The grow/shrink rule for per-page adaptive leases (init, floor, ceiling).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseClock {
-    init: u64,
-    min: u64,
-    max: u64,
+/// Logical-clock ticks a page's first read grant stays valid.
+pub const LEASE_INIT: u64 = 64;
+/// Adaptive-lease floor: writes halve a page's lease no lower than this.
+pub const LEASE_MIN: u64 = 8;
+/// Adaptive-lease ceiling: renewals of an unchanged page double its lease
+/// no higher than this.
+pub const LEASE_MAX: u64 = 4096;
+
+const _: () = assert!(1 <= LEASE_MIN && LEASE_MIN <= LEASE_INIT && LEASE_INIT <= LEASE_MAX);
+
+/// Renewal of an unchanged page: double `cell`'s lease up to the ceiling;
+/// returns the grown length.
+#[inline]
+pub fn grow(cell: &AtomicU64) -> u64 {
+    let grown = (cell.load(Ordering::Relaxed) * 2).min(LEASE_MAX);
+    cell.store(grown, Ordering::Relaxed);
+    grown
 }
 
-impl LeaseClock {
-    /// Bounds from the config's `tardis_lease{,_min,_max}` knobs, clamped
-    /// so `1 <= min <= init <= max` always holds.
-    pub fn from_config(config: &CarinaConfig) -> Self {
-        let init = config.tardis_lease.max(1);
-        LeaseClock {
-            init,
-            min: config.tardis_lease_min.max(1).min(init),
-            max: config.tardis_lease_max.max(init),
-        }
-    }
-
-    /// The lease a page starts (and resets) with.
-    #[inline]
-    pub fn initial(&self) -> u64 {
-        self.init
-    }
-
-    /// Renewal of an unchanged page: double `cell`'s lease up to the
-    /// ceiling; returns the grown length.
-    #[inline]
-    pub fn grow(&self, cell: &AtomicU64) -> u64 {
-        let grown = (cell.load(Ordering::Relaxed) * 2).min(self.max);
-        cell.store(grown, Ordering::Relaxed);
-        grown
-    }
-
-    /// Write to the page: halve `cell`'s lease down to the floor; returns
-    /// the shrunk length.
-    #[inline]
-    pub fn shrink(&self, cell: &AtomicU64) -> u64 {
-        let shrunk = (cell.load(Ordering::Relaxed) / 2).max(self.min);
-        cell.store(shrunk, Ordering::Relaxed);
-        shrunk
-    }
+/// Write to the page: halve `cell`'s lease down to the floor; returns the
+/// shrunk length.
+#[inline]
+pub fn shrink(cell: &AtomicU64) -> u64 {
+    let shrunk = (cell.load(Ordering::Relaxed) / 2).max(LEASE_MIN);
+    cell.store(shrunk, Ordering::Relaxed);
+    shrunk
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn clock() -> LeaseClock {
-        LeaseClock::from_config(&CarinaConfig::default())
-    }
-
     #[test]
     fn grows_by_doubling_up_to_max() {
-        let c = clock();
-        let cell = AtomicU64::new(c.initial());
-        assert_eq!(c.grow(&cell), c.initial() * 2);
+        let cell = AtomicU64::new(LEASE_INIT);
+        assert_eq!(grow(&cell), LEASE_INIT * 2);
         for _ in 0..20 {
-            c.grow(&cell);
+            grow(&cell);
         }
-        assert_eq!(cell.load(Ordering::Relaxed), 4096);
+        assert_eq!(cell.load(Ordering::Relaxed), LEASE_MAX);
     }
 
     #[test]
     fn shrinks_by_halving_down_to_min() {
-        let c = clock();
-        let cell = AtomicU64::new(c.initial());
-        assert_eq!(c.shrink(&cell), c.initial() / 2);
+        let cell = AtomicU64::new(LEASE_INIT);
+        assert_eq!(shrink(&cell), LEASE_INIT / 2);
         for _ in 0..20 {
-            c.shrink(&cell);
+            shrink(&cell);
         }
-        assert_eq!(cell.load(Ordering::Relaxed), 8);
-    }
-
-    #[test]
-    fn degenerate_config_is_clamped() {
-        let cfg = CarinaConfig {
-            tardis_lease: 0,
-            tardis_lease_min: 100,
-            tardis_lease_max: 0,
-            ..Default::default()
-        };
-        let c = LeaseClock::from_config(&cfg);
-        assert_eq!(c.initial(), 1);
-        let cell = AtomicU64::new(c.initial());
-        c.shrink(&cell);
-        assert_eq!(cell.load(Ordering::Relaxed), 1);
-        c.grow(&cell);
-        // max clamps to init: the degenerate clock is a fixed lease of 1.
-        assert_eq!(cell.load(Ordering::Relaxed), 1);
+        assert_eq!(cell.load(Ordering::Relaxed), LEASE_MIN);
     }
 }

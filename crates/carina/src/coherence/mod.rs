@@ -35,7 +35,6 @@ mod pyxis;
 mod tardis;
 
 pub use carina_sisd::CarinaSiSd;
-pub use lease_clock::LeaseClock;
 pub use pyxis::Pyxis;
 pub use tardis::Tardis;
 

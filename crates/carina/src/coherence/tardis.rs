@@ -69,8 +69,8 @@
 //! AllShared. Each page's home entry therefore carries its own lease
 //! length: renewing a lease on an *unchanged* page (it expired only
 //! because the clock moved past it) doubles the page's lease up to
-//! `tardis_lease_max`; writing the page halves it down to
-//! `tardis_lease_min`. Read-mostly pages quickly earn leases long enough
+//! `LEASE_MAX`; writing the page halves it down to `LEASE_MIN` (the
+//! constants of `lease_clock`). Read-mostly pages quickly earn leases long enough
 //! to ride out unrelated writers; write-hot pages keep short leases and
 //! cheap bumps.
 //!
@@ -82,7 +82,7 @@
 //! copy is authoritative, which is the DSM analogue of TARDIS's owner
 //! state.
 
-use super::{Coherence, LeaseClock, PageBitSet, PageMode, RegisterOutcome, WriteDisposition};
+use super::{lease_clock, Coherence, PageBitSet, PageMode, RegisterOutcome, WriteDisposition};
 use crate::classification::{node_bit, DirView};
 use crate::config::CarinaConfig;
 use crate::directory::DirEntry;
@@ -142,8 +142,6 @@ pub struct Tardis {
     nodes: Vec<NodeClock>,
     /// The global clock releases publish into and acquires merge from.
     gts: AtomicU64,
-    /// The shared adaptive grow/shrink rule (see [`LeaseClock`]).
-    clock: LeaseClock,
 }
 
 impl Tardis {
@@ -180,15 +178,14 @@ impl Tardis {
 impl Coherence for Tardis {
     const NAME: &'static str = "tardis";
 
-    fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
-        let clock = LeaseClock::from_config(config);
+    fn new(nodes: usize, total_pages: u64, _config: &CarinaConfig) -> Self {
         Tardis {
             entries: (0..total_pages)
                 .map(|_| TsEntry {
                     lock: Mutex::new(()),
                     wts: AtomicU64::new(0),
                     rts: AtomicU64::new(0),
-                    lease: AtomicU64::new(clock.initial()),
+                    lease: AtomicU64::new(lease_clock::LEASE_INIT),
                     diag: DirEntry::default(),
                 })
                 .collect(),
@@ -204,7 +201,6 @@ impl Coherence for Tardis {
                 })
                 .collect(),
             gts: AtomicU64::new(0),
-            clock,
         }
     }
 
@@ -253,7 +249,7 @@ impl Coherence for Tardis {
         // the lease expired only because unrelated writers moved the
         // clock — double it so the page rides out more of them.
         let lease = if renewal && nc.lease_wts[q].load(Ordering::Relaxed) == wts {
-            self.clock.grow(&e.lease)
+            lease_clock::grow(&e.lease)
         } else {
             e.lease.load(Ordering::Relaxed)
         };
@@ -283,7 +279,7 @@ impl Coherence for Tardis {
         let _serial = e.lock.lock();
         // Shrink the page's lease: it is write-active, and long promises
         // on it only inflate future bumps.
-        self.clock.shrink(&e.lease);
+        lease_clock::shrink(&e.lease);
         // No self-lease, in either branch. A lease asserts the *whole*
         // copy is current, and a multi-writer diff protocol cannot prove
         // that for a written page: words another node wrote are exactly as
@@ -456,7 +452,7 @@ impl Coherence for Tardis {
         for e in &self.entries {
             e.wts.store(0, Ordering::Relaxed);
             e.rts.store(0, Ordering::Relaxed);
-            e.lease.store(self.clock.initial(), Ordering::Relaxed);
+            e.lease.store(lease_clock::LEASE_INIT, Ordering::Relaxed);
             e.diag.reset();
         }
         for nc in &self.nodes {

@@ -9,6 +9,10 @@ use rma::RetryPolicy;
 pub const HOME_POLICY: HomePolicy = HomePolicy::Interleaved;
 /// Cycles for a page-cache hit (TLB + local cache access).
 pub const HIT_CYCLES: u64 = 4;
+/// Per-word compute charge of bulk (streaming) slice access, on top of the
+/// one [`HIT_CYCLES`] a page run pays: a loop whose per-element cost is
+/// hidden by hardware caches. Scalar accesses pay none.
+pub const STREAM_WORD_CYCLES: u64 = 1;
 /// Cycles to copy one 4 KiB page that is hot in the CPU cache (twin
 /// creation at a write fault: the faulting access just touched it):
 /// ~170 DRAM + 4096 B at 16 B/cycle.
@@ -61,9 +65,10 @@ pub struct CarinaConfig {
     /// Under [`BatchDrain::Auto`], coalesce once a fence drains at least
     /// this many pages. Small drains keep the per-page path (one doorbell per
     /// home is pure overhead when a home only holds a page or two); big
-    /// drains amortize it. The `sd_fence_drain` benchmark puts break-even
-    /// at ~8 buffered pages: batching is host-cost-neutral there and wins
-    /// on both wall and virtual time above it.
+    /// drains amortize it. Break-even measured at ~8 buffered pages:
+    /// batching is host-cost-neutral there and wins on both wall and
+    /// virtual time above it (argobench's `carina.sd_fence_*_512` probes
+    /// time the batched side).
     pub batch_drain_cutover: usize,
     /// Read-miss stride prefetcher: capacity of the per-node prefetch ring
     /// in *lines*. `0` (the default) disables prefetching entirely.
@@ -83,15 +88,6 @@ pub struct CarinaConfig {
     /// creation and downgrades by transmitting the whole page — no false
     /// sharing is possible with one writer.
     pub sw_no_diff: bool,
-    /// Initial per-page lease length for the Tardis timestamp policy
-    /// (logical-clock ticks a read grant stays valid). Ignored by SI/SD.
-    pub tardis_lease: u64,
-    /// Adaptive-lease floor: writes halve a page's lease no lower than
-    /// this (Tardis only).
-    pub tardis_lease_min: u64,
-    /// Adaptive-lease ceiling: renewals of an unchanged page double its
-    /// lease no higher than this (Tardis only).
-    pub tardis_lease_max: u64,
     /// Evidence score a page must accumulate before the Pyxis hybrid
     /// switches its mode at the next fence boundary (higher = more
     /// hysteresis, slower adaptation). Ignored by the pure policies.
@@ -144,9 +140,6 @@ impl Default for CarinaConfig {
             prefetch_streak: 2,
             active_directory: false,
             sw_no_diff: false,
-            tardis_lease: 64,
-            tardis_lease_min: 8,
-            tardis_lease_max: 4096,
             pyxis_switch_threshold: 3,
             pyxis_score_cap: 8,
             retry: RetryPolicy::default(),

@@ -30,20 +30,23 @@ pub struct DsmError {
 }
 
 impl DsmError {
-    pub(crate) fn new(e: RetryExhausted, node: u16, target: u16) -> Self {
+    pub(crate) fn new(e: RetryExhausted, node: u16, target: u16, span: SpanId) -> Self {
         DsmError {
             class: e.class,
             attempts: e.attempts,
             last_error: e.last_error,
             node,
             target,
-            span: SpanId::NONE,
+            span,
         }
     }
 
-    pub(crate) fn with_span(mut self, span: SpanId) -> Self {
-        self.span = span;
-        self
+    /// The fail-fast error for a route known dead before any verb is
+    /// issued (`attempts: 0`): `target` left the membership, or the page
+    /// was re-homed away from it under the accessor. Volans' failover
+    /// retry absorbs it by re-running the operation against the new home.
+    pub(crate) fn departed(class: VerbClass, node: u16, target: u16, span: SpanId) -> Self {
+        DsmError { class, attempts: 0, last_error: VerbError::Departed, node, target, span }
     }
 }
 

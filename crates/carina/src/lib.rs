@@ -34,7 +34,7 @@ pub mod write_buffer;
 pub use census::{Census, HotPage};
 pub use classification::{ClassificationMode, DirView, PageClass, WriterClass};
 pub use coherence::{
-    CarinaSiSd, Coherence, LeaseClock, PageMode, PolicyKind, Pyxis, RegisterOutcome, Tardis,
+    CarinaSiSd, Coherence, PageMode, PolicyKind, Pyxis, RegisterOutcome, Tardis,
     WriteDisposition,
 };
 pub use config::{BatchDrain, CarinaConfig};

@@ -1,0 +1,250 @@
+//! The typed access path (paper §3.3–§3.6): check the page cache; a miss
+//! fetches and registers, the first write to a clean page twins and
+//! registers. Two per-page steps — `read_run` and `write_run` — under four
+//! generic entry points; a scalar access is the run of one word.
+
+use super::*;
+use crate::config::{HIT_CYCLES, PAGE_COPY_CYCLES, STREAM_WORD_CYCLES};
+use mem::{PageData, Word};
+
+impl<T: Transport, C: Coherence> Dsm<T, C> {
+    /// Read the aligned word at `addr`, surfacing retry-budget exhaustion
+    /// as a [`DsmError`] instead of panicking. Under `volans_failover`, an
+    /// exhausted budget declares the target departed, re-homes its pages,
+    /// and re-runs the read against the survivors.
+    #[inline]
+    pub fn try_read<W: Word>(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> Result<W, DsmError> {
+        let mut word = [0u64];
+        self.failover_retry(t, |dsm, t| dsm.read_run(t, addr, &mut word, 0))?;
+        Ok(W::from_bits(word[0]))
+    }
+
+    /// Write the aligned word at `addr` (fallible and failover-aware; see
+    /// [`Self::try_read`]).
+    #[inline]
+    pub fn try_write<W: Word>(
+        &self,
+        t: &mut T::Endpoint,
+        addr: GlobalAddr,
+        value: W,
+    ) -> Result<(), DsmError> {
+        self.failover_retry(t, |dsm, t| dsm.write_run(t, addr, &[value.to_bits()], 0))
+    }
+
+    /// Bulk read of `out.len()` consecutive words starting at `addr`
+    /// (fallible and failover-aware; see [`Self::try_read`]).
+    ///
+    /// Semantically identical to a loop of scalar reads, but the protocol
+    /// work (slot locking, hit check) is done once per *page* and streaming
+    /// words are charged [`STREAM_WORD_CYCLES`] each — modeling a loop whose
+    /// per-element cost is hidden by hardware caches. Workload kernels use
+    /// this for row-contiguous access. An empty slice touches nothing.
+    #[inline]
+    pub fn try_read_slice<W: Word>(
+        &self,
+        t: &mut T::Endpoint,
+        addr: GlobalAddr,
+        out: &mut [W],
+    ) -> Result<(), DsmError> {
+        let out = W::as_words_mut(out);
+        self.failover_retry(t, |dsm, t| {
+            addr.page_runs(out.len()).try_for_each(|(a, run)| {
+                let stream = run.len() as u64 * STREAM_WORD_CYCLES;
+                dsm.read_run(t, a, &mut out[run], stream)
+            })
+        })
+    }
+
+    /// Bulk write of consecutive words (see [`Self::try_read_slice`]).
+    #[inline]
+    pub fn try_write_slice<W: Word>(
+        &self,
+        t: &mut T::Endpoint,
+        addr: GlobalAddr,
+        data: &[W],
+    ) -> Result<(), DsmError> {
+        let data = W::as_words(data);
+        self.failover_retry(t, |dsm, t| {
+            addr.page_runs(data.len()).try_for_each(|(a, run)| {
+                let stream = run.len() as u64 * STREAM_WORD_CYCLES;
+                dsm.write_run(t, a, &data[run], stream)
+            })
+        })
+    }
+
+    // The panicking names: programs that opted out of fault handling abort
+    // if the fabric stays broken past the retry budget.
+
+    /// Read an aligned 64-bit word at `addr`.
+    pub fn read_u64(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> u64 {
+        Self::unrecoverable(self.try_read(t, addr))
+    }
+
+    /// Write an aligned 64-bit word at `addr`.
+    pub fn write_u64(&self, t: &mut T::Endpoint, addr: GlobalAddr, value: u64) {
+        Self::unrecoverable(self.try_write(t, addr, value))
+    }
+
+    /// Read an aligned f64.
+    pub fn read_f64(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> f64 {
+        Self::unrecoverable(self.try_read(t, addr))
+    }
+
+    /// Write an aligned f64.
+    pub fn write_f64(&self, t: &mut T::Endpoint, addr: GlobalAddr, value: f64) {
+        Self::unrecoverable(self.try_write(t, addr, value))
+    }
+
+    /// Bulk u64 read (see [`Self::try_read_slice`]).
+    pub fn read_u64_slice(&self, t: &mut T::Endpoint, addr: GlobalAddr, out: &mut [u64]) {
+        Self::unrecoverable(self.try_read_slice(t, addr, out))
+    }
+
+    /// Bulk u64 write (see [`Self::try_read_slice`]).
+    pub fn write_u64_slice(&self, t: &mut T::Endpoint, addr: GlobalAddr, data: &[u64]) {
+        Self::unrecoverable(self.try_write_slice(t, addr, data))
+    }
+
+    /// Bulk f64 read (see [`Self::try_read_slice`]).
+    pub fn read_f64_slice(&self, t: &mut T::Endpoint, addr: GlobalAddr, out: &mut [f64]) {
+        Self::unrecoverable(self.try_read_slice(t, addr, out))
+    }
+
+    /// Bulk f64 write (see [`Self::try_read_slice`]).
+    pub fn write_f64_slice(&self, t: &mut T::Endpoint, addr: GlobalAddr, data: &[f64]) {
+        Self::unrecoverable(self.try_write_slice(t, addr, data))
+    }
+
+    /// The read step: fill `out` from the words at `addr`, all within one
+    /// page. Charges one hit plus the caller's `stream` cycles (0 for a
+    /// scalar; one [`STREAM_WORD_CYCLES`] per word of a slice run).
+    #[inline]
+    fn read_run(
+        &self,
+        t: &mut T::Endpoint,
+        addr: GlobalAddr,
+        out: &mut [u64],
+        stream: u64,
+    ) -> Result<(), DsmError> {
+        let (page, first) = (addr.page(), addr.word_index());
+        let me = t.node().0;
+        t.compute(HIT_CYCLES + stream);
+        if self.global.home_of(page) == me {
+            self.register_home(t, page, me, false)?;
+            self.global.home_page(page).load_run(first, out);
+            return Ok(());
+        }
+        let ns = &self.nodes[me as usize];
+        let line = ns.cache.line_of(page);
+        let idx = ns.cache.index_in_line(page);
+        // Hit fast path: the run is copied under one optimistic seqlock
+        // window, no slot mutex. Falls through to the locked path on a miss
+        // or a concurrent mutation.
+        if let Some(ready) = ns.cache.slot_for(page).try_read_run(line, idx, first, out) {
+            CoherenceStats::bump(&self.stats.shard(me).read_hits);
+            t.merge(ready);
+            return Ok(());
+        }
+        let mut st = ns.cache.lock_slot(page);
+        if st.tag == Some(line) && st.pages[idx].valid {
+            CoherenceStats::bump(&self.stats.shard(me).read_hits);
+            t.merge(st.ready_at);
+        } else {
+            self.read_miss(t, &mut st, page, me)?;
+        }
+        st.data(idx).load_run(first, out);
+        Ok(())
+    }
+
+    /// The write step: store `data` to the words at `addr`, all within one
+    /// page (cost rule as in [`Self::read_run`]).
+    #[inline]
+    fn write_run(
+        &self,
+        t: &mut T::Endpoint,
+        addr: GlobalAddr,
+        data: &[u64],
+        stream: u64,
+    ) -> Result<(), DsmError> {
+        let (page, first) = (addr.page(), addr.word_index());
+        let me = t.node().0;
+        t.compute(HIT_CYCLES + stream);
+        if self.global.home_of(page) == me {
+            self.register_home(t, page, me, true)?;
+            self.global.home_page(page).store_run(first, data);
+            // A sibling thread's release may have closed our write epoch
+            // between the registration above and the stores landing, in
+            // which case the epoch's version bump did not cover these
+            // bytes. Re-checking after the stores re-registers the page so
+            // the next release covers it. (No-op for map-based policies.)
+            return self.register_home(t, page, me, true);
+        }
+        let ns = &self.nodes[me as usize];
+        let mut st = ns.cache.lock_slot(page);
+        let idx = ns.cache.index_in_line(page);
+        if st.tag != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
+            self.read_miss(t, &mut st, page, me)?; // write-allocate
+        }
+        let buffered = if st.pages[idx].dirty {
+            CoherenceStats::bump(&self.stats.shard(me).write_hits);
+            false
+        } else {
+            self.write_fault_locked(t, &mut st, page, me)?
+        };
+        // Maintain the page's write mask: one update per touched chunk, and
+        // the first store into each 64-word chunk copies that chunk of the
+        // pre-store data into the twin — lazy, chunk-wise twin
+        // materialization, so twin cost is O(chunks written), not O(page).
+        // Sound because all stores to cached pages happen under the slot
+        // mutex: nothing can change a chunk between the fault that
+        // allocated the (empty) twin and the copy-on-first-touch here.
+        let (pd, cp) = (st.data(idx), &st.pages[idx]);
+        cp.mask.cover(first, data.len(), |chunk| {
+            if let Some(twin) = &cp.twin {
+                twin.copy_chunk_from(pd, chunk);
+            }
+        });
+        pd.store_run(first, data);
+        drop(st);
+        if buffered {
+            if let Some(victim) = ns.wbuf.push(page) {
+                self.downgrade(t, victim, me)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The clean→dirty transition of a cached page (a protection fault in
+    /// the real implementation): register as writer, snapshot a twin, mark
+    /// dirty. Returns whether the page should enter the write buffer; the
+    /// caller must push it after releasing the slot lock.
+    fn write_fault_locked(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        me: u16,
+    ) -> Result<bool, DsmError> {
+        let idx = self.nodes[me as usize].cache.index_in_line(page);
+        self.site(t, me, obs::Site::WriteFault, page.0, |t, _| {
+            CoherenceStats::bump(&self.stats.shard(me).write_faults);
+            t.fault_trap();
+            self.register_writer(t, page, me)?;
+            let disp = self.coherence.write_disposition(me, page);
+            debug_assert!(st.pages[idx].mask.is_empty(), "clean page carries mask bits");
+            if disp.need_twin {
+                // The twin starts empty; `write_run` copies each 64-word
+                // chunk from the live data the first time the chunk is
+                // written, so only touched chunks are ever materialized.
+                // The *virtual* charge stays a full hot page copy — the
+                // simulated machine snapshots eagerly; only host work
+                // became lazy.
+                st.pages[idx].twin = Some(PageData::zeroed());
+                t.compute(PAGE_COPY_CYCLES);
+                CoherenceStats::bump(&self.stats.shard(me).twins_created);
+            }
+            st.pages[idx].dirty = true;
+            Ok(disp.buffer)
+        })
+    }
+}

@@ -1,0 +1,240 @@
+//! Self-downgrade (paper §3.2 twins and diffs, §3.6.1 write buffer): the
+//! one way a dirty page reaches home memory (`write_home`), the write-back
+//! step every downgrade runs, and its per-page and home-batched postings.
+
+use super::*;
+use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
+
+/// Wire overhead of a downgrade message header (address + length).
+const DOWNGRADE_HEADER_BYTES: u64 = 32;
+/// Wire bytes per diffed word (8 data + 2 index).
+const DIFF_WORD_BYTES: u64 = 10;
+
+impl<T: Transport, C: Coherence> Dsm<T, C> {
+    /// The one way home: fold the dirty cached page at `idx` of the locked
+    /// slot into `page`'s home memory. A twinned page contributes its
+    /// masked diff — **always**, however large: a false sharer's words that
+    /// drained earlier must survive this node's stale copy of them, which
+    /// is what the twin exists for. (The twin is materialized chunk-wise
+    /// where the mask says stores landed; outside the mask both copies
+    /// agree by construction, so the masked diff is exact.) Only a page
+    /// without a twin — its policy vouched for a single writer — is copied
+    /// whole. Returns the diff's length in words, `None` for a whole copy.
+    /// Data plane only: no cycles, no counters, the page stays dirty.
+    pub(super) fn write_home(&self, st: &SlotGuard<'_>, page: PageNum, idx: usize) -> Option<u64> {
+        let home = self.global.home_page(page);
+        let cp = &st.pages[idx];
+        let Some(twin) = &cp.twin else {
+            home.copy_from(st.data(idx));
+            return None;
+        };
+        let diff = st.data(idx).diff_against_masked(twin, &cp.mask);
+        home.apply_diff(&diff);
+        Some(diff.len() as u64)
+    }
+
+    /// Where `st` — `node`'s locked slot for `page` — holds the page dirty:
+    /// its index in the line; `None` if the page is clean, invalid, or was
+    /// evicted (and flushed) since it entered the write buffer.
+    pub(super) fn dirty_index(&self, st: &SlotGuard, page: PageNum, node: u16) -> Option<usize> {
+        let cache = &self.nodes[node as usize].cache;
+        let idx = cache.index_in_line(page);
+        let cp = &st.pages[idx];
+        (st.tag == Some(cache.line_of(page)) && cp.valid && cp.dirty).then_some(idx)
+    }
+
+    /// The write-back step of every downgrade: move `owner`'s dirty copy of
+    /// `page` home, flip it clean, and return the wire size of the message
+    /// now owed to the home — `None` if the page needed no downgrade. The
+    /// diff scan is charged to `t`, the counters to `owner` (the collective
+    /// decay downgrades on other nodes' behalf).
+    ///
+    /// The wire size is a *cost* rule on top of [`Self::write_home`]'s data
+    /// rule: a diff travels as header + 10 bytes per word, capped at one
+    /// page (a sender would ship the page instead); a proven single writer
+    /// ships the page and skips the scan (the sw_no_diff extension of the
+    /// paper's §3.2 future work — Tardis can never prove it).
+    fn write_back(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        owner: u16,
+    ) -> Option<u64> {
+        let idx = self.dirty_index(st, page, owner)?;
+        let shard = self.stats.shard(owner);
+        let sw_skip = self.config.sw_no_diff && self.coherence.downgrade_skip_diff(owner, page);
+        let bytes = match self.write_home(st, page, idx) {
+            Some(words) if !sw_skip => {
+                t.compute(PAGE_COPY_CYCLES); // diff scan
+                let diff_bytes = DOWNGRADE_HEADER_BYTES + words * DIFF_WORD_BYTES;
+                if diff_bytes < PAGE_BYTES {
+                    CoherenceStats::add(&shard.diff_words, words);
+                }
+                diff_bytes.min(PAGE_BYTES)
+            }
+            _ => PAGE_BYTES,
+        };
+        st.pages[idx].mark_clean();
+        CoherenceStats::bump(&shard.writebacks);
+        CoherenceStats::add(&shard.writeback_bytes, bytes);
+        Some(bytes)
+    }
+
+    /// The local half of a node's own downgrade: [`Self::write_back`], then
+    /// retire any speculative snapshot of the old version, let the policy
+    /// advance its clocks (all drain paths — fence, overflow, eviction —
+    /// funnel through here), and re-protect the page read-only so the next
+    /// write faults again. Split from the posting so fence drains can batch
+    /// the postings by home while the data movement stays per-page.
+    fn downgrade_local(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        me: u16,
+    ) -> Option<u64> {
+        let bytes = self.write_back(t, st, page, me)?;
+        self.retire_prefetched(me, page);
+        self.coherence.note_downgrade(me, page);
+        t.compute(PROTECT_CYCLES);
+        let home = self.global.home_of(page);
+        debug_assert_ne!(home, me, "a page is never cached on its home (see `rehome_page`)");
+        self.detail(t, me, obs::RecordKind::Downgrade, page.0, home as u32);
+        Some(bytes)
+    }
+
+    /// Downgrade `page` (write its dirty data back to home), locking its
+    /// slot. Used by write-buffer overflow and fence drains.
+    pub(super) fn downgrade(
+        &self,
+        t: &mut T::Endpoint,
+        page: PageNum,
+        me: u16,
+    ) -> Result<(), DsmError> {
+        let mut st = self.nodes[me as usize].cache.lock_slot(page);
+        self.downgrade_locked(t, &mut st, page, me)
+    }
+
+    /// Post `page`'s write-back of `bytes` from `t`'s node to the page's home.
+    fn post_write_back(
+        &self,
+        t: &mut T::Endpoint,
+        page: PageNum,
+        bytes: u64,
+    ) -> Result<Completion, DsmError> {
+        let (home, verb) = (self.global.home_of(page), Verb::Write { bytes });
+        self.net_verb(t, home, VerbClass::Downgrade, page.0, t.now(), &verb)
+    }
+
+    /// Downgrade with the slot lock already held: resolve the data locally,
+    /// then post the write-back home immediately (the per-page path).
+    pub(super) fn downgrade_locked(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        me: u16,
+    ) -> Result<(), DsmError> {
+        if let Some(bytes) = self.downgrade_local(t, st, page, me) {
+            let timing = self.post_write_back(t, page, bytes)?;
+            self.settle_posted(t, me, &timing);
+        }
+        Ok(())
+    }
+
+    /// [`Self::downgrade_locked`] on behalf of node `owner`, for the
+    /// collective decay where one thread flushes every node's cache: the
+    /// posting leaves from — and is waited out by — the decay initiator,
+    /// which coordinates the epoch. The invalidation that follows stands in
+    /// for the re-protection, and the policy state is about to be reset.
+    pub(super) fn downgrade_as(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        owner: u16,
+    ) -> Result<(), DsmError> {
+        if let Some(bytes) = self.write_back(t, st, page, owner) {
+            let timing = self.post_write_back(t, page, bytes)?;
+            t.merge(timing.settled);
+        }
+        Ok(())
+    }
+
+    /// SD-fence drain that coalesces write-backs by home node: every dirty
+    /// page is still diffed into home memory individually and in global
+    /// FIFO order, but instead of one verb per page each home receives one
+    /// [`Verb::WriteBatch`] (one doorbell, one posting) carrying all of its
+    /// pages' diffs. Homes appear in first-victim order.
+    pub(super) fn drain_batched(
+        &self,
+        t: &mut T::Endpoint,
+        pages: &[PageNum],
+        me: u16,
+    ) -> Result<(), DsmError> {
+        let ns = &self.nodes[me as usize];
+        let mut batches: Vec<(u16, Vec<u64>)> = Vec::new();
+        for &page in pages {
+            let mut st = ns.cache.lock_slot(page);
+            if let Some(bytes) = self.downgrade_local(t, &mut st, page, me) {
+                push_grouped(&mut batches, self.global.home_of(page), bytes);
+            }
+        }
+        if batches.is_empty() {
+            return Ok(());
+        }
+        // (home, pages, bytes, the batch verb)
+        let batches: Vec<(u16, u64, u64, Verb)> = batches
+            .into_iter()
+            .map(|(home, sizes)| {
+                let (pages, bytes) = (sizes.len() as u64, sizes.iter().sum());
+                (home, pages, bytes, Verb::WriteBatch { sizes })
+            })
+            .collect();
+        // Issue every home's batch before polling any: drains to distinct
+        // homes overlap on the fabric, so the fence pays the slowest home's
+        // posting once instead of summing every home's. Homes still hit the
+        // wire in first-victim order.
+        let obs_issue = t.obs_now();
+        let span = t.current_span();
+        let base = t.now();
+        let mut inflight = Vec::with_capacity(batches.len());
+        for (home, _, _, verb) in &batches {
+            self.check_alive(me, *home, VerbClass::DrainBatch, span)?;
+            let mut seq = self
+                .config
+                .retry
+                .attempt_seq(VerbClass::DrainBatch, *home as u64)
+                .with_span(span);
+            let a0 = seq.next().expect("retry budget is at least one attempt");
+            let token = t.issue(NodeId(*home), verb, base + a0.delay);
+            inflight.push((token, seq, a0));
+        }
+        let mut done = base;
+        for ((home, pages, bytes, verb), issued) in batches.iter().zip(inflight) {
+            let timing = self.poll_retried(
+                t,
+                me,
+                *home,
+                issued,
+                obs_issue,
+                VerbClass::DrainBatch,
+                *bytes,
+                |t, delay| t.issue(NodeId(*home), verb, base + delay),
+            )?;
+            done = done.max(timing.initiator_done);
+            self.await_at_fence(me, &timing);
+            CoherenceStats::bump(&self.stats.shard(me).downgrade_batches);
+            CoherenceStats::add(&self.stats.shard(me).downgrade_batch_pages, *pages);
+            self.detail(t, me, obs::RecordKind::DowngradeBatch, *pages, *home as u32);
+        }
+        t.merge(done);
+        self.profile.record(
+            me as usize,
+            obs::Site::IssueToPoll,
+            t.obs_now().saturating_sub(obs_issue),
+        );
+        Ok(())
+    }
+}

@@ -1,0 +1,187 @@
+//! Read-miss handling (paper §3.3, line fills §3.6.2): evict the
+//! conflicting line, then fetch the whole line from its pages' homes —
+//! registrations and data read pipelined so the miss costs one round trip.
+
+use super::verbs::IssuedVerb;
+use super::*;
+
+impl<T: Transport, C: Coherence> Dsm<T, C> {
+    /// Handle a read miss on `page`: evict/flush the conflicting line if
+    /// needed, then fetch the whole line from the pages' homes, registering
+    /// as a reader of each fetched page.
+    pub(super) fn read_miss(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        me: u16,
+    ) -> Result<(), DsmError> {
+        // Re-read the demanded page's home under the slot lock — once; the
+        // fill below routes by this value. The accessor chose the remote
+        // path from an unlocked `home_of`, and a concurrent failover may
+        // since have re-homed `page` *here* (it flips the home under this
+        // very slot lock, so either we see the new home now, or it scrubs
+        // what we fetch by the old route). Local pages are never cached
+        // (the fill would skip it and leave the slot unfilled), so report
+        // a stale route as departed: `failover_retry` re-runs the access,
+        // which then takes the home path.
+        let demanded_home = self.global.home_of(page);
+        if demanded_home == me {
+            return Err(DsmError::departed(VerbClass::PageFetch, me, me, obs::SpanId::NONE));
+        }
+        self.site(t, me, obs::Site::ReadMiss, page.0, |t, span| {
+            self.fill_line(t, st, page, me, demanded_home, span)
+        })
+    }
+
+    /// The body of a read miss, under its site scope.
+    fn fill_line(
+        &self,
+        t: &mut T::Endpoint,
+        st: &mut SlotGuard<'_>,
+        page: PageNum,
+        me: u16,
+        demanded_home: u16,
+        span: obs::SpanId,
+    ) -> Result<(), DsmError> {
+        CoherenceStats::bump(&self.stats.shard(me).read_misses);
+        self.heat.bump(page.0 as usize);
+        t.fault_trap();
+        let ns = &self.nodes[me as usize];
+        let line = ns.cache.line_of(page);
+        if st.tag != Some(line) {
+            // Conflict eviction: flush dirty pages of the old line.
+            if let Some(old) = st.tag {
+                let old_base = ns.cache.line_base(old);
+                let mut evicted_live = false;
+                for idx in 0..st.pages.len() {
+                    if st.pages[idx].valid {
+                        evicted_live = true;
+                        if st.pages[idx].dirty {
+                            let old_page = PageNum(old_base.0 + idx as u64);
+                            // Unbuffer before posting (see `si_sweep`).
+                            ns.wbuf.remove(old_page);
+                            self.downgrade_locked(t, st, old_page, me)?;
+                        }
+                    }
+                }
+                if evicted_live {
+                    CoherenceStats::bump(&self.stats.shard(me).evictions);
+                }
+            }
+            st.retag(line);
+        }
+        // Fetch every not-yet-valid remote page of the line, grouped by
+        // home so transfers to distinct homes overlap (pipelined one-sided
+        // reads issued back to back).
+        let base = ns.cache.line_base(line);
+        let total_pages = self.global.total_pages();
+        let start = t.now();
+        let mut done = start;
+        let mut group: Vec<(u16, Vec<usize>)> = Vec::new();
+        for idx in 0..st.pages.len() {
+            let p = PageNum(base.0 + idx as u64);
+            if p.0 >= total_pages || st.pages[idx].valid {
+                continue;
+            }
+            let home = if p == page { demanded_home } else { self.global.home_of(p) };
+            if home != me {
+                // (local pages are never cached)
+                push_grouped(&mut group, home, idx);
+            }
+        }
+        // A line the stride predictor fetched ahead of time satisfies its
+        // pages from the ring; only uncovered pages go to the wire.
+        let prefetched = self.take_prefetched(me, line);
+        // Issue phase: every group's registrations are posted back-to-back
+        // (pipelined one-sided atomics: latencies overlap, only wire
+        // occupancy serializes) and its data read is posted right behind
+        // them on the same ordered channel — for all homes — before any
+        // completion is polled. The atomics reach the home ahead of the
+        // read (same queue pair), so the miss costs one round trip, and
+        // in-flight transfers to distinct homes overlap on the fabric
+        // instead of queuing behind one another on this thread.
+        let obs_issue = t.obs_now();
+        let mut inflight: Vec<(u64, Option<IssuedVerb>)> = Vec::with_capacity(group.len());
+        for (home, idxs) in &mut group {
+            self.check_alive(me, *home, VerbClass::PageFetch, span)?;
+            let mut reg_done = start;
+            for &idx in idxs.iter() {
+                let p = PageNum(base.0 + idx as u64);
+                if let Some(completed) = self.register_reader_remote(t, p, me, *home, start)? {
+                    reg_done = reg_done.max(completed);
+                }
+            }
+            // Registration covered the whole group; pages the prefetcher
+            // already has in the ring need no data read of their own.
+            if let Some(pf) = &prefetched {
+                idxs.retain(|&idx| {
+                    let p = PageNum(base.0 + idx as u64);
+                    !pf.pages.iter().any(|(q, _)| *q == p)
+                });
+            }
+            let token = if idxs.is_empty() {
+                None
+            } else {
+                let bytes = idxs.len() as u64 * PAGE_BYTES;
+                let mut seq = self
+                    .config
+                    .retry
+                    .attempt_seq(VerbClass::PageFetch, base.0.wrapping_add((*home as u64) << 48))
+                    .with_span(span);
+                let a0 = seq.next().expect("retry budget is at least one attempt");
+                // Registration outcomes (notifies, a checkpoint fetch) may
+                // have advanced the clock past `start`: never post behind it.
+                let at = (start + a0.delay).max(t.now());
+                let tok = t.issue(NodeId(*home), &Verb::Read { bytes }, at);
+                Some((tok, seq, a0))
+            };
+            inflight.push((reg_done, token));
+        }
+        // Poll phase: completions fold in as a single max, so the line fill
+        // costs one slowest-home round trip rather than the sum.
+        let overlapped = inflight.iter().filter(|(_, tok)| tok.is_some()).count() > 1;
+        for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
+            if let Some(issued) = token {
+                let bytes = idxs.len() as u64 * PAGE_BYTES;
+                let timing = self.poll_retried(
+                    t,
+                    me,
+                    home,
+                    issued,
+                    obs_issue,
+                    VerbClass::PageFetch,
+                    bytes,
+                    |t, delay| {
+                        let at = (start + delay).max(t.now());
+                        t.issue(NodeId(home), &Verb::Read { bytes }, at)
+                    },
+                )?;
+                done = done.max(timing.initiator_done);
+            }
+            // The fill is ready once both the data and the registrations
+            // are (an entirely prefetched group waits for the latter only).
+            done = done.max(reg_done);
+            for idx in idxs {
+                let p = PageNum(base.0 + idx as u64);
+                st.alloc_data(idx).copy_from(self.global.home_page(p));
+                st.pages[idx].valid = true;
+                st.pages[idx].mark_clean();
+            }
+        }
+        if let Some(pf) = prefetched {
+            done = self.consume_prefetched(st, pf, done, me);
+        }
+        t.merge(done);
+        st.ready_at = t.now();
+        if overlapped {
+            self.profile.record(
+                me as usize,
+                obs::Site::IssueToPoll,
+                t.obs_now().saturating_sub(obs_issue),
+            );
+        }
+        self.maybe_prefetch(t, line, me);
+        Ok(())
+    }
+}

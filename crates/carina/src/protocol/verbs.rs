@@ -1,0 +1,327 @@
+//! Verb plumbing shared by every protocol site: the retry glue around
+//! `Endpoint::issue`/`poll` (the paper's fabric never fails) and the Lyra
+//! helpers — the site scope, flight records, per-page detail events.
+
+use super::*;
+use rma::{Attempt, AttemptSeq, Retried, RetryExhausted, VerbToken};
+
+/// An issued-but-unpolled verb: its token, the resumable remainder of the
+/// retry schedule, and the schedule entry that issued it.
+pub(super) type IssuedVerb = (VerbToken, AttemptSeq, Attempt);
+
+impl<T: Transport, C: Coherence> Dsm<T, C> {
+    /// Fold a retry outcome into the stats, profile, and flight recorder,
+    /// and translate an exhausted budget into a [`DsmError`] naming the
+    /// route. Every remote verb site funnels through here; on a healthy
+    /// fabric the zero-retry arm is the only one ever taken and records
+    /// nothing. `span` attributes the retry records to the protocol site
+    /// that issued the verb; `obs_at` is the caller's observability clock.
+    #[inline]
+    fn verb_retried<R>(
+        &self,
+        me: u16,
+        target: u16,
+        span: obs::SpanId,
+        obs_at: u64,
+        r: Result<Retried<R>, RetryExhausted>,
+    ) -> Result<R, DsmError> {
+        // The blocking path's one aggregate flight record per retried verb.
+        let record = |arg: u64, attempt: u32, kind, fate, class| {
+            self.lyra.record(me as usize, || obs::VerbRecord {
+                span,
+                start: obs_at,
+                arg,
+                target: target as u32,
+                node: me,
+                attempt: attempt as u16,
+                kind,
+                fate,
+                class,
+                ..obs::VerbRecord::blank()
+            })
+        };
+        match r {
+            Ok(Retried { value, retries: 0, .. }) => Ok(value),
+            Ok(Retried { value, retries, delay }) => {
+                CoherenceStats::add(&self.stats.shard(me).verb_retries, retries as u64);
+                self.profile.record(me as usize, obs::Site::Retry, delay);
+                record(delay, retries, obs::RecordKind::VerbRetry, obs::Fate::Ok, obs::NO_CLASS);
+                Ok(value)
+            }
+            Err(e) => {
+                CoherenceStats::bump(&self.stats.shard(me).verb_exhaustions);
+                CoherenceStats::add(
+                    &self.stats.shard(me).verb_retries,
+                    e.attempts.saturating_sub(1) as u64,
+                );
+                self.profile.record(me as usize, obs::Site::Retry, e.delay);
+                let (kind, fate) = (obs::RecordKind::VerbExhausted, obs::Fate::Exhausted);
+                record(e.delay, e.attempts, kind, fate, e.class as u8);
+                Err(DsmError::new(e, me, target, span))
+            }
+        }
+    }
+
+    /// Drive an issued verb token to completion, reissuing along the
+    /// schedule remainder when a failure surfaces at poll time, and fold
+    /// the outcome into the usual retry bookkeeping. `reissue` posts a
+    /// replacement given the cumulative backoff delay of the next attempt.
+    /// Retrying at poll time walks exactly the schedule the blocking path
+    /// would have walked — only the moment the failure is *observed* moves.
+    ///
+    /// Lyra: the issue→poll pair is flight-recorded under the span carried
+    /// by the [`AttemptSeq`] — one `VerbIssue` slice spanning issue to
+    /// completion (whose end marks the arrival on the target's track), one
+    /// `VerbPoll` instant at completion, and one `VerbRetry` instant per
+    /// reissue carrying the failed attempt's fate.
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn poll_retried(
+        &self,
+        t: &mut T::Endpoint,
+        me: u16,
+        target: u16,
+        issued: IssuedVerb,
+        obs_issued: u64,
+        class: VerbClass,
+        bytes: u64,
+        mut reissue: impl FnMut(&mut T::Endpoint, u64) -> VerbToken,
+    ) -> Result<Completion, DsmError> {
+        let (mut token, mut seq, mut attempt) = issued;
+        let span = seq.span();
+        let rec = obs::VerbRecord {
+            span,
+            target: target as u32,
+            node: me,
+            class: class as u8,
+            ..obs::VerbRecord::blank()
+        };
+        loop {
+            match t.wait(token) {
+                Ok(c) => {
+                    let now = t.obs_now();
+                    let waited = now.saturating_sub(obs_issued);
+                    let attempt_no = attempt.index as u16;
+                    self.lyra_record(t, me, || obs::VerbRecord {
+                        start: obs_issued,
+                        dur: waited,
+                        arg: bytes,
+                        attempt: attempt_no,
+                        kind: obs::RecordKind::VerbIssue,
+                        ..rec
+                    });
+                    self.lyra_record(t, me, || obs::VerbRecord {
+                        start: now,
+                        arg: waited,
+                        attempt: attempt_no,
+                        kind: obs::RecordKind::VerbPoll,
+                        ..rec
+                    });
+                    // Stats/profile only: each reissue already produced its
+                    // own `VerbRetry` flight record above, so funneling
+                    // through `verb_retried` would double-record it.
+                    if attempt.index > 0 {
+                        CoherenceStats::add(
+                            &self.stats.shard(me).verb_retries,
+                            attempt.index as u64,
+                        );
+                        self.profile.record(me as usize, obs::Site::Retry, attempt.delay);
+                    }
+                    return Ok(c);
+                }
+                Err(e) => match seq.next() {
+                    Some(a) => {
+                        let now = t.obs_now();
+                        self.lyra_record(t, me, || obs::VerbRecord {
+                            start: now,
+                            arg: a.delay,
+                            attempt: a.index as u16,
+                            kind: obs::RecordKind::VerbRetry,
+                            fate: obs::Fate::from_error_name(e.name()),
+                            ..rec
+                        });
+                        attempt = a;
+                        token = reissue(t, a.delay);
+                    }
+                    None => {
+                        let now = t.obs_now();
+                        return self.verb_retried(me, target, span, now, Err(seq.exhausted(e)));
+                    }
+                },
+            }
+        }
+    }
+
+    /// Issue one network-timeline verb with the full retry schedule and
+    /// bookkeeping: `verb` is posted through `t` at exactly `base` plus the
+    /// attempt's cumulative backoff — which may be older than `t`'s clock,
+    /// e.g. an atomic pipelined behind a line fill's start — and waited
+    /// for; `t`'s clock is left for the caller to merge. Every
+    /// fire-and-wait remote verb site — notifications, write-backs,
+    /// directory atomics, checkpoint fetches — funnels its
+    /// `RetryPolicy::run` + error-map boilerplate through here. `t`'s
+    /// current span and observability clock feed the flight recorder (the
+    /// blocking path records one aggregate `VerbRetry`/`VerbExhausted`
+    /// entry, not one per attempt).
+    #[inline]
+    pub(super) fn net_verb(
+        &self,
+        t: &mut T::Endpoint,
+        target: u16,
+        class: VerbClass,
+        salt: u64,
+        base: u64,
+        verb: &Verb,
+    ) -> Result<Completion, DsmError> {
+        let (me, span, obs_at) = (t.node().0, t.current_span(), t.obs_now());
+        self.check_alive(me, target, class, span)?;
+        let outcome = self.config.retry.run(class, salt, |a| {
+            let token = t.issue(NodeId(target), verb, base + a.delay);
+            t.wait(token)
+        });
+        self.verb_retried(me, target, span, obs_at, outcome)
+    }
+
+    /// A posted write's settle time joins the set `me`'s next SD fence
+    /// must await before it releases anything.
+    #[inline]
+    pub(super) fn await_at_fence(&self, me: u16, timing: &Completion) {
+        self.nodes[me as usize]
+            .pending_settle
+            .fetch_max(timing.settled, Ordering::AcqRel);
+    }
+
+    /// Fold a posted write's completion into `me`'s clock and fence
+    /// obligations: the initiator-done time advances the endpoint, the
+    /// settle time is awaited by the next SD fence.
+    #[inline]
+    pub(super) fn settle_posted(&self, t: &mut T::Endpoint, me: u16, timing: &Completion) {
+        t.merge(timing.initiator_done);
+        self.await_at_fence(me, timing);
+    }
+
+    /// Mint the span for a protocol operation starting on `t`: the
+    /// endpoint's single-writer lane when present (plain stores, no atomic
+    /// read-modify-writes), else the recorder's shared per-node minter.
+    #[inline]
+    pub fn mint_span(&self, t: &mut T::Endpoint, me: u16) -> obs::SpanId {
+        match t.lyra_lane() {
+            Some(lane) => lane.mint(),
+            None => self.lyra.mint(me as usize),
+        }
+    }
+
+    /// Flight-record through `t`'s single-writer lane when present, falling
+    /// back to the recorder's shared multi-writer ring. Hot sites that hold
+    /// the issuing endpoint route here; writers without one (the blocking
+    /// retry aggregates, the fault injector) use the shared ring directly.
+    #[inline]
+    pub(super) fn lyra_record(
+        &self,
+        t: &mut T::Endpoint,
+        me: u16,
+        make: impl FnOnce() -> obs::VerbRecord,
+    ) {
+        match t.lyra_lane() {
+            Some(lane) => lane.record(make),
+            None => self.lyra.record(me as usize, make),
+        }
+    }
+
+    /// Fold one completed protocol site into every observability surface:
+    /// the latency histogram, a `Site` flight record carrying the span
+    /// (`arg` is the page for the per-page sites, 0 otherwise), and — when
+    /// the latency crosses `lyra_tail_threshold` — a tail capture of the
+    /// node's ring around the offender. Public because the synchronization
+    /// layer (Vela locks/barriers) funnels its own sites through the same
+    /// path.
+    #[inline]
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_site(
+        &self,
+        t: &mut T::Endpoint,
+        me: u16,
+        site: obs::Site,
+        span: obs::SpanId,
+        start: u64,
+        dur: u64,
+        arg: u64,
+    ) {
+        self.profile.record(me as usize, site, dur);
+        self.lyra_record(t, me, || obs::VerbRecord {
+            span,
+            start,
+            dur,
+            arg,
+            node: me,
+            kind: obs::RecordKind::Site,
+            site: site.index() as u8,
+            ..obs::VerbRecord::blank()
+        });
+        let threshold = self.config.lyra_tail_threshold;
+        if threshold > 0 && dur >= threshold {
+            self.lyra.capture_tail(me as usize, site.index() as u8, span, start, dur);
+        }
+    }
+
+    /// The one site scope: run `body` as protocol site `site` of node `me`
+    /// under a freshly minted span. The span is attached to `t` for exactly
+    /// the body's duration — detached on **every** exit, so a body bailing
+    /// out with `?` cannot leak it onto what `t` does next (a failover
+    /// re-run, say) — and a completed body is folded into the observability
+    /// surfaces by [`Self::record_site`].
+    pub(super) fn site<R>(
+        &self,
+        t: &mut T::Endpoint,
+        me: u16,
+        site: obs::Site,
+        arg: u64,
+        body: impl FnOnce(&mut T::Endpoint, obs::SpanId) -> Result<R, DsmError>,
+    ) -> Result<R, DsmError> {
+        let start = t.obs_now();
+        let span = self.mint_span(t, me);
+        t.set_span(span);
+        let result = body(t, span);
+        if result.is_ok() {
+            let dur = t.obs_now().saturating_sub(start);
+            self.record_site(t, me, site, span, start, dur, arg);
+        }
+        t.set_span(obs::SpanId::NONE);
+        result
+    }
+
+    /// Flight-record one per-page protocol event — `kind` is one of the
+    /// detail kinds, `arg` the page (or page count), `target` the other node
+    /// or [`obs::NO_TARGET`] — as an instant under `t`'s current span (none
+    /// on endpoints that do not track one). A no-op costing one relaxed
+    /// load unless [`obs::FlightRecorder::set_detail`] is on.
+    #[inline]
+    pub(super) fn detail(
+        &self,
+        t: &mut T::Endpoint,
+        me: u16,
+        kind: obs::RecordKind,
+        arg: u64,
+        target: u32,
+    ) {
+        if !self.lyra.detail() {
+            return;
+        }
+        let (span, start) = (t.current_span(), t.obs_now());
+        self.lyra_record(t, me, || obs::VerbRecord {
+            span,
+            start,
+            arg,
+            target,
+            node: me,
+            kind,
+            ..obs::VerbRecord::blank()
+        });
+    }
+
+    /// The panicking flavors' shared exit: programs that opted out of
+    /// fault handling abort with the route and class in the message.
+    #[inline]
+    pub(super) fn unrecoverable<R>(r: Result<R, DsmError>) -> R {
+        r.unwrap_or_else(|e| panic!("unrecoverable DSM fault: {e}"))
+    }
+}

@@ -3,8 +3,11 @@
 //! buffering, and the fence semantics that make DRF programs SC.
 
 use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES};
-use carina::{CarinaConfig, ClassificationMode, Dsm, PageClass, Tardis, VerbClass, WriterClass};
-use mem::{CacheConfig, GlobalAddr, PAGE_BYTES};
+use carina::{
+    CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, Dsm, PageClass, Tardis, VerbClass,
+    WriterClass,
+};
+use mem::{CacheConfig, GlobalAddr, PAGE_BYTES, WORDS_PER_PAGE};
 use rma::{Endpoint, FaultPlan, FaultyTransport, SimTransport, Transport};
 use simnet::testkit::{thread, tiny_net};
 use simnet::{CostModel, NodeId, SimThread};
@@ -194,6 +197,57 @@ fn false_sharing_merges_through_diffs() {
     assert_eq!(dsm.read_u64(t2, a1), 20);
     assert!(dsm.stats().snapshot().twins_created >= 2);
     assert!(dsm.stats().snapshot().diff_words >= 2);
+}
+
+/// The multiple-writer rule when the diff is *big*: node 0 writes words
+/// 0‥449 of a page homed on node 2, node 1 writes 450‥511, and node 1
+/// releases first. Node 0's diff (450 words) is past the size where a
+/// sender ships the whole page instead — but that cap prices the wire
+/// message; home memory must still receive the masked diff, or node 0's
+/// stale copy of words 450‥511 buries node 1's drained writes. The big
+/// writer goes home last either through its own SD fence (`decay: false`)
+/// or on its behalf through the collective decay.
+fn big_diff_keeps_a_false_sharers_words<C: Coherence>(decay: bool) {
+    const SPLIT: u64 = 450;
+    let words = WORDS_PER_PAGE as u64;
+    let net = tiny_net(3);
+    let dsm: Arc<Dsm<SimTransport, C>> =
+        Dsm::with_policy(net.clone(), 4 << 20, CarinaConfig::default());
+    let (mut big, mut small) = (thread(&net, 0, 0), thread(&net, 1, 0));
+    let mut home = thread(&net, 2, 0);
+    let base = addr_homed_at(3, 2, 0);
+    for w in 0..SPLIT {
+        dsm.write_u64(&mut big, base.offset(8 * w), 1000 + w);
+    }
+    for w in SPLIT..words {
+        dsm.write_u64(&mut small, base.offset(8 * w), 2000 + w);
+    }
+    dsm.sd_fence(&mut small);
+    if decay {
+        dsm.decay_classification(&mut home);
+    } else {
+        dsm.sd_fence(&mut big);
+    }
+    for w in 0..words {
+        let expect = if w < SPLIT { 1000 + w } else { 2000 + w };
+        assert_eq!(dsm.peek_u64(base.offset(8 * w)), expect, "{} home word {w}", C::NAME);
+    }
+    // The cap is a cost rule, not a data rule: the big write-back is still
+    // charged one whole page on the wire (and its words are not counted as
+    // diffed), the small one header + 10 bytes per word.
+    let s = dsm.stats().snapshot();
+    assert_eq!(s.writebacks, 2);
+    assert_eq!(s.writeback_bytes, PAGE_BYTES + 32 + 10 * (words - SPLIT));
+    assert_eq!(s.diff_words, words - SPLIT);
+    assert!(dsm.check_invariants().is_empty());
+}
+
+#[test]
+fn big_diff_write_back_preserves_false_sharing() {
+    for decay in [false, true] {
+        big_diff_keeps_a_false_sharers_words::<CarinaSiSd>(decay);
+        big_diff_keeps_a_false_sharers_words::<Tardis>(decay);
+    }
 }
 
 #[test]
@@ -489,6 +543,16 @@ fn sw_no_diff_extension_skips_diff_transmission() {
     assert_eq!(s.diff_words, 0); // whole page transmitted
     assert_eq!(s.writeback_bytes, PAGE_BYTES);
     assert_eq!(dsm.read_u64(&mut ts[1], a), 9);
+    // The collective decay downgrades on the owner's behalf under the same
+    // cost rule (one `write_back` step): the proven single writer's page
+    // travels whole and unscanned there too.
+    dsm.write_u64(&mut ts[0], a, 10);
+    dsm.decay_classification(&mut ts[1]);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.twins_created, s.diff_words), (0, 0));
+    assert_eq!((s.writebacks, s.writeback_bytes), (2, 2 * PAGE_BYTES));
+    assert_eq!(dsm.peek_u64(a), 10);
+    assert!(dsm.check_invariants().is_empty());
 }
 
 #[test]

@@ -3,9 +3,10 @@
 //! stay correct (home memory converges to the DRF-expected values) no
 //! matter how hostile the configuration.
 
-use carina::{CarinaConfig, Dsm};
-use mem::{CacheConfig, GlobalAddr, PAGE_BYTES};
-use simnet::testkit::tiny_net;
+use carina::config::STREAM_WORD_CYCLES;
+use carina::{CarinaConfig, CarinaSiSd, Coherence, CoherenceSnapshot, Dsm, Pyxis, Tardis};
+use mem::{CacheConfig, GlobalAddr, Word, PAGE_BYTES};
+use simnet::testkit::{thread, tiny_net};
 use simnet::{ClusterTopology, CostModel, Interconnect, NodeId, SimThread};
 use std::sync::Arc;
 
@@ -90,18 +91,99 @@ fn slices_spanning_many_pages_round_trip() {
     }
 }
 
+/// How [`access_forms_agree`] issues its program.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Form {
+    Scalars,
+    UnitSlices,
+    OneSlice,
+}
+
+/// One program — write `LEN` words starting mid-page (two remote pages,
+/// two home pages, ragged at both ends), release, acquire, read them back
+/// — issued in the given form on a fresh two-node cluster. Returns final
+/// home memory, the coherence counters and the thread's clock.
+fn run_form<W: Word + PartialEq + std::fmt::Debug, C: Coherence>(
+    form: Form,
+    val: fn(u64) -> W,
+) -> (Vec<u64>, CoherenceSnapshot, u64) {
+    const LEN: usize = 12 + 2 * 512 + 7;
+    let net = tiny_net(2);
+    let dsm = Dsm::<_, C>::with_policy(net.clone(), 8 << 20, CarinaConfig::default());
+    let mut t = thread(&net, 0, 0);
+    let base = GlobalAddr(3 * PAGE_BYTES + 500 * 8);
+    let at = |i: usize| base.offset(8 * i as u64);
+    let data: Vec<W> = (0..LEN as u64).map(val).collect();
+    let mut back = data.clone();
+    match form {
+        Form::Scalars => {
+            for (i, &v) in data.iter().enumerate() {
+                dsm.try_write(&mut t, at(i), v).unwrap();
+            }
+        }
+        Form::UnitSlices => {
+            for (i, v) in data.iter().enumerate() {
+                dsm.try_write_slice(&mut t, at(i), std::slice::from_ref(v)).unwrap();
+            }
+        }
+        Form::OneSlice => dsm.try_write_slice(&mut t, base, &data).unwrap(),
+    }
+    dsm.sd_fence(&mut t);
+    dsm.si_fence(&mut t);
+    match form {
+        Form::Scalars => {
+            for (i, v) in back.iter_mut().enumerate() {
+                *v = dsm.try_read(&mut t, at(i)).unwrap();
+            }
+        }
+        Form::UnitSlices => {
+            for (i, v) in back.iter_mut().enumerate() {
+                dsm.try_read_slice(&mut t, at(i), std::slice::from_mut(v)).unwrap();
+            }
+        }
+        Form::OneSlice => dsm.try_read_slice(&mut t, base, &mut back).unwrap(),
+    }
+    assert_eq!(back, data, "{form:?} read back something it did not write");
+    // An empty slice touches nothing: no cycle, no counter.
+    let (clock, before) = (t.now(), dsm.stats().snapshot());
+    dsm.try_read_slice::<W>(&mut t, base, &mut []).unwrap();
+    dsm.try_write_slice::<W>(&mut t, base, &[]).unwrap();
+    assert_eq!((t.now(), dsm.stats().snapshot()), (clock, before));
+    assert!(dsm.check_invariants().is_empty());
+    let memory = (0..LEN).map(|i| dsm.peek_u64(at(i))).collect();
+    (memory, before, clock)
+}
+
+/// The cost rule the one accessor core rests on: a scalar access *is* a
+/// one-word run. Scalars and one-element slices therefore leave identical
+/// memory and identical counters, and their clocks differ by exactly the
+/// streaming charge — one `STREAM_WORD_CYCLES` per word, which scalars do
+/// not pay. A single multi-page slice moves the same data through the same
+/// misses, faults and write-backs; it only checks the cache once per page
+/// run instead of once per word, so it is compared modulo the hit counters.
+fn access_forms_agree<W: Word + PartialEq + std::fmt::Debug, C: Coherence>(val: fn(u64) -> W) {
+    let (mem_s, snap_s, clock_s) = run_form::<W, C>(Form::Scalars, val);
+    let (mem_u, snap_u, clock_u) = run_form::<W, C>(Form::UnitSlices, val);
+    let (mem_o, snap_o, _) = run_form::<W, C>(Form::OneSlice, val);
+    assert_eq!(mem_s, mem_u);
+    assert_eq!(mem_s, mem_o);
+    assert_eq!(snap_s, snap_u, "{}", C::NAME);
+    let words = 2 * mem_s.len() as u64; // each word written once, read once
+    assert_eq!(clock_u - clock_s, words * STREAM_WORD_CYCLES, "{}", C::NAME);
+    let modulo_hits = |s: &CoherenceSnapshot| -> Vec<(&str, u64)> {
+        s.fields().filter(|(name, _)| !name.ends_with("_hits")).collect()
+    };
+    assert_eq!(modulo_hits(&snap_s), modulo_hits(&snap_o), "{}", C::NAME);
+}
+
 #[test]
 fn slice_of_one_element_and_empty_slice() {
-    let (dsm, net, topo) = cluster_with(2, CarinaConfig::default());
-    let mut t = SimThread::new(topo.loc(NodeId(0), 0), net);
-    let addr = GlobalAddr(3 * PAGE_BYTES);
-    dsm.write_f64_slice(&mut t, addr, &[42.5]);
-    let mut one = [0.0];
-    dsm.read_f64_slice(&mut t, addr, &mut one);
-    assert_eq!(one[0], 42.5);
-    let mut empty: [f64; 0] = [];
-    dsm.read_f64_slice(&mut t, addr, &mut empty); // must not panic
-    dsm.write_f64_slice(&mut t, addr, &empty);
+    access_forms_agree::<u64, CarinaSiSd>(|i| i * 3 + 1);
+    access_forms_agree::<u64, Tardis>(|i| i * 3 + 1);
+    access_forms_agree::<u64, Pyxis>(|i| i * 3 + 1);
+    access_forms_agree::<f64, CarinaSiSd>(|i| i as f64 * 1.5 - 7.0);
+    access_forms_agree::<f64, Tardis>(|i| i as f64 * 1.5 - 7.0);
+    access_forms_agree::<f64, Pyxis>(|i| i as f64 * 1.5 - 7.0);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Global addresses and their decomposition into pages and words.
 
 use serde_like::NodeCount;
+use std::ops::Range;
 
 /// Bytes per DSM page (the paper's granularity: a 4 KiB virtual page).
 pub const PAGE_BYTES: u64 = 4096;
@@ -121,6 +122,22 @@ impl GlobalAddr {
     #[inline]
     pub fn is_null(self) -> bool {
         self == Self::NULL
+    }
+
+    /// Split `len` consecutive words starting at `self` into per-page runs:
+    /// each item is a run's first address and its index range in `0..len`.
+    /// Bulk accessors do their per-page work once per item.
+    pub fn page_runs(self, len: usize) -> impl Iterator<Item = (GlobalAddr, Range<usize>)> {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            if i == len {
+                return None;
+            }
+            let a = self.offset(i as u64 * WORD_BYTES);
+            let run = (WORDS_PER_PAGE - a.word_index()).min(len - i);
+            i += run;
+            Some((a, i - run..i))
+        })
     }
 }
 

@@ -101,6 +101,12 @@ impl CachedPage {
     /// allocation is kept for reuse.
     pub fn invalidate(&mut self) {
         self.valid = false;
+        self.mark_clean();
+    }
+
+    /// The page's writes are home: drop the dirty bit, the twin and the
+    /// write mask together, so the next store faults and twins afresh.
+    pub fn mark_clean(&mut self) {
         self.dirty = false;
         self.twin = None;
         self.mask.clear();
@@ -177,32 +183,20 @@ impl LineSlot {
         }
     }
 
-    /// Optimistic lock-free read of `word` of the page at `idx`, provided
-    /// the slot currently holds line `tag` and that page is valid. Returns
-    /// the value and the line's `ready_at` on success; `None` means the
-    /// caller must take the locked path (miss, or a concurrent mutation).
+    /// The one-word case of [`Self::try_read_run`]: the value of `word` and
+    /// the line's `ready_at`.
     #[inline]
     pub fn try_read(&self, tag: u64, idx: usize, word: usize) -> Option<(u64, u64)> {
-        let s1 = self.seq.load(Ordering::Acquire);
-        if s1 & 1 != 0 {
-            return None;
-        }
-        if self.fast_tag.load(Ordering::Relaxed) != tag.wrapping_add(1)
-            || self.fast_valid.load(Ordering::Relaxed) & (1u64 << idx) == 0
-        {
-            return None;
-        }
-        let ready = self.fast_ready.load(Ordering::Relaxed);
-        let value = self.data[idx].get()?.load(word);
-        fence(Ordering::Acquire);
-        if self.seq.load(Ordering::Relaxed) != s1 {
-            return None;
-        }
-        Some((value, ready))
+        let mut value = [0u64];
+        let ready = self.try_read_run(tag, idx, word, &mut value)?;
+        Some((value[0], ready))
     }
 
-    /// Bulk variant of [`Self::try_read`]: fills `out` from consecutive
-    /// words starting at `first_word`. Returns `ready_at` on success.
+    /// Optimistic lock-free read of the page at `idx`, provided the slot
+    /// currently holds line `tag` and that page is valid: fills `out` from
+    /// consecutive words starting at `first_word` and returns the line's
+    /// `ready_at`. `None` means the caller must take the locked path (miss,
+    /// or a concurrent mutation).
     #[inline]
     pub fn try_read_run(
         &self,
@@ -221,10 +215,7 @@ impl LineSlot {
             return None;
         }
         let ready = self.fast_ready.load(Ordering::Relaxed);
-        let data = self.data[idx].get()?;
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = data.load(first_word + k);
-        }
+        self.data[idx].get()?.load_run(first_word, out);
         fence(Ordering::Acquire);
         if self.seq.load(Ordering::Relaxed) != s1 {
             return None;
@@ -369,6 +360,37 @@ impl PageCache {
     /// ascending (same snapshot semantics as [`Self::occupied_indices`]).
     pub fn dirty_indices(&self) -> impl Iterator<Item = usize> + '_ {
         bitset_indices(&self.dirty)
+    }
+
+    /// The sweep every fence, reset and decay walks: lock, in ascending
+    /// order, each slot of `indices` — feed it [`Self::occupied_indices`]
+    /// or [`Self::dirty_indices`] — and hand `visit` every valid page of
+    /// the line it holds (with its index in the line). A line the visit
+    /// leaves without a valid page gives its slot up, so later sweeps skip
+    /// it: behaviorally identical to a tagged all-invalid line — the next
+    /// access misses either way, with no eviction — but it keeps the
+    /// occupied set, and thus fence cost, proportional to what actually
+    /// survives fences. Stops at the first error.
+    pub fn sweep<E>(
+        &self,
+        indices: impl Iterator<Item = usize>,
+        mut visit: impl FnMut(&mut SlotGuard<'_>, usize, PageNum) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for index in indices {
+            let mut st = self.lock_index(index);
+            let Some(tag) = st.tag else { continue };
+            let base = self.line_base(tag);
+            for idx in 0..st.pages.len() {
+                if st.pages[idx].valid {
+                    visit(&mut st, idx, PageNum(base.0 + idx as u64))?;
+                }
+            }
+            if st.pages.iter().all(|p| !p.valid) {
+                st.tag = None;
+                st.ready_at = 0;
+            }
+        }
+        Ok(())
     }
 }
 

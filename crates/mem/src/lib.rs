@@ -16,6 +16,7 @@
 //!   multi-page "cache lines" to support Argo's prefetching (§3.6.2).
 //! - [`alloc`]: the collective bump allocator backing `argo`'s typed
 //!   allocation API.
+//! - [`word`]: the sealed `u64`/`f64` codec under every typed accessor.
 //!
 //! This crate holds *state*; the coherence protocol that manipulates it
 //! (misses, classification, fences) lives in `carina`.
@@ -31,9 +32,11 @@ pub mod alloc;
 pub mod cache;
 pub mod global;
 pub mod page;
+pub mod word;
 
 pub use addr::{GlobalAddr, HomeMap, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE, WORD_BYTES};
 pub use alloc::GlobalAllocator;
 pub use cache::{CacheConfig, CachedPage, LineSlot, PageCache, SlotGuard};
 pub use global::GlobalMemory;
 pub use page::{PageData, WriteMask, CHUNK_WORDS, MASK_WORDS};
+pub use word::Word;

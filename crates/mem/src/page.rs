@@ -147,14 +147,20 @@ impl PageData {
         self.words[word].store(value, Ordering::Relaxed);
     }
 
+    /// Load `out.len()` consecutive words starting at `first` into `out`.
     #[inline]
-    pub fn load_f64(&self, word: usize) -> f64 {
-        f64::from_bits(self.load(word))
+    pub fn load_run(&self, first: usize, out: &mut [u64]) {
+        for (w, o) in self.words[first..first + out.len()].iter().zip(out) {
+            *o = w.load(Ordering::Relaxed);
+        }
     }
 
+    /// Store `data` to the consecutive words starting at `first`.
     #[inline]
-    pub fn store_f64(&self, word: usize, value: f64) {
-        self.store(word, value.to_bits());
+    pub fn store_run(&self, first: usize, data: &[u64]) {
+        for (w, &v) in self.words[first..first + data.len()].iter().zip(data) {
+            w.store(v, Ordering::Relaxed);
+        }
     }
 
     /// Copy every word of `src` into `self` (an RDMA page transfer).
@@ -276,11 +282,12 @@ mod tests {
 
     #[test]
     fn f64_round_trips() {
+        use crate::Word;
         let p = PageData::zeroed();
-        p.store_f64(7, -3.25);
-        assert_eq!(p.load_f64(7), -3.25);
-        p.store_f64(7, f64::NEG_INFINITY);
-        assert_eq!(p.load_f64(7), f64::NEG_INFINITY);
+        p.store(7, Word::to_bits(-3.25f64));
+        assert_eq!(<f64 as Word>::from_bits(p.load(7)), -3.25);
+        p.store(7, Word::to_bits(f64::NEG_INFINITY));
+        assert_eq!(<f64 as Word>::from_bits(p.load(7)), f64::NEG_INFINITY);
     }
 
     #[test]

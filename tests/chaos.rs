@@ -12,10 +12,10 @@
 //! a hang or a poisoned machine.
 
 use argo::{ArgoConfig, ArgoMachine};
-use carina::{CarinaConfig, Dsm, DsmError};
+use carina::{CarinaConfig, Dsm, DsmError, SpanId};
 use mem::{GlobalAddr, PAGE_BYTES};
 use rma::{
-    FaultPlan, FaultSnapshot, FaultyTransport, SimTransport, Transport, VerbClass,
+    Endpoint, FaultPlan, FaultSnapshot, FaultyTransport, SimTransport, Transport, VerbClass,
     VerbError,
 };
 use simnet::{Interconnect, NodeId};
@@ -331,8 +331,9 @@ fn blackout_surfaces_a_clean_error_without_deadlock() {
     }
 
     let err = dsm
-        .try_read_u64(&mut t, dead)
+        .try_read::<u64>(&mut t, dead)
         .expect_err("a blacked-out home must not produce data");
+    assert_eq!(t.current_span(), SpanId::NONE, "the failed miss left its span attached");
     assert_eq!(err.last_error, VerbError::NicStall);
     assert_eq!(err.node, 0);
     assert_eq!(err.target, 1);
@@ -349,8 +350,9 @@ fn blackout_surfaces_a_clean_error_without_deadlock() {
     // and the retry counter carries exactly the two budgets' worth of
     // reissues (attempts minus the first try, twice).
     let werr = dsm
-        .try_write_u64(&mut t, dead, 7)
+        .try_write(&mut t, dead, 7u64)
         .expect_err("a blacked-out home must not accept writes");
+    assert_eq!(t.current_span(), SpanId::NONE, "the failed write left its span attached");
     assert_eq!(werr.attempts, budget);
     let snap = dsm.stats().snapshot();
     assert_eq!(snap.verb_exhaustions, 2);
