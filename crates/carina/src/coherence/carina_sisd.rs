@@ -51,45 +51,29 @@ impl CarinaSiSd {
             None
         }
     }
-}
 
-impl Coherence for CarinaSiSd {
-    const NAME: &'static str = "sisd";
-
-    fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
-        CarinaSiSd {
-            mode: config.mode,
-            sw_no_diff: config.sw_no_diff,
-            pyxis: Pyxis::new(total_pages),
-            dir_caches: DirCaches::new(nodes, total_pages),
-            reg_read: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
-            reg_write: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
-        }
+    /// A registration is two one-sided steps, and other nodes' steps run
+    /// between them. Step one, the fetch-or at the home: deposit `me`'s
+    /// reader (`write`: writer) bit, get the maps from before.
+    fn deposit(&self, me: u16, page: PageNum, write: bool) -> DirView {
+        let (entry, bit) = (self.pyxis.entry(page), node_bit(me));
+        if write { entry.or_writers(bit) } else { entry.or_readers(bit) }
     }
 
-    #[inline]
-    fn read_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
-        self.reg_read[me as usize].get(page)
-    }
-
-    #[inline]
-    fn write_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
-        self.reg_write[me as usize].get(page)
-    }
-
-    fn register_reader(
+    /// Step two of a read registration whose deposit returned `before`:
+    /// fold the reply into our own directory cache and decide the fallout.
+    /// An OR, never a store — views only grow between resets — so a
+    /// notification that landed since the deposit (a newcomer saw our bit
+    /// and told us about itself) survives.
+    fn merge_reader(
         &self,
         me: u16,
-        _home: u16,
         page: PageNum,
+        before: DirView,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        let before = self.pyxis.entry(page).or_readers(node_bit(me));
-        let after = DirView {
-            readers: before.readers | node_bit(me),
-            writers: before.writers,
-        };
-        self.dir_caches.entry(me, page).store_view(after);
+        let after = DirView { readers: before.readers | node_bit(me), ..before };
+        self.dir_caches.entry(me, page).or_view(after);
         self.reg_read[me as usize].set(page);
         // P→S caused by our read (§3.3): we notify the private owner.
         let Some(owner) = Self::private_owner(before.accessors(), me) else {
@@ -104,21 +88,17 @@ impl Coherence for CarinaSiSd {
         }
     }
 
-    fn register_writer(
+    /// Step two of a write registration (see [`Self::merge_reader`]).
+    fn merge_writer(
         &self,
         me: u16,
-        _home: u16,
         page: PageNum,
+        before: DirView,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        let before = self.pyxis.entry(page).or_writers(node_bit(me));
-        let after = DirView {
-            readers: before.readers,
-            writers: before.writers | node_bit(me),
-        };
-        self.dir_caches.entry(me, page).store_view(after);
+        let after = DirView { writers: before.writers | node_bit(me), ..before };
+        self.dir_caches.entry(me, page).or_view(after);
         self.reg_write[me as usize].set(page);
-
         let mut out = RegisterOutcome::quiet();
         let prior = before.accessors();
         // P→S caused by a write from a new node (§3.5 "Private, but
@@ -163,6 +143,51 @@ impl Coherence for CarinaSiSd {
         }
         out
     }
+}
+
+impl Coherence for CarinaSiSd {
+    const NAME: &'static str = "sisd";
+
+    fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
+        CarinaSiSd {
+            mode: config.mode,
+            sw_no_diff: config.sw_no_diff,
+            pyxis: Pyxis::new(total_pages),
+            dir_caches: DirCaches::new(nodes, total_pages),
+            reg_read: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
+            reg_write: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
+        }
+    }
+
+    #[inline]
+    fn read_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
+        self.reg_read[me as usize].get(page)
+    }
+
+    #[inline]
+    fn write_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
+        self.reg_write[me as usize].get(page)
+    }
+
+    fn register_reader(
+        &self,
+        me: u16,
+        _home: u16,
+        page: PageNum,
+        shard: &StatShard,
+    ) -> RegisterOutcome {
+        self.merge_reader(me, page, self.deposit(me, page, false), shard)
+    }
+
+    fn register_writer(
+        &self,
+        me: u16,
+        _home: u16,
+        page: PageNum,
+        shard: &StatShard,
+    ) -> RegisterOutcome {
+        self.merge_writer(me, page, self.deposit(me, page, true), shard)
+    }
 
     fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition {
         let view = self.dir_caches.entry(me, page).view();
@@ -172,6 +197,11 @@ impl Coherence for CarinaSiSd {
             need_twin: !(self.sw_no_diff && view.writers == node_bit(me)),
             buffer: view.must_self_downgrade(self.mode, me),
         }
+    }
+
+    fn keeps_write_hot(&self, me: u16, page: PageNum) -> bool {
+        let disp = self.write_disposition(me, page);
+        disp.need_twin && disp.buffer
     }
 
     fn begin_si_fence(&self, _me: u16, _shard: &StatShard) {}
@@ -314,6 +344,24 @@ mod tests {
         // n1 shares a single-writer page: n1 invalidates, writer n0 keeps.
         assert!(c.must_self_invalidate(1, p, stats.shard(1)));
         assert!(!c.must_self_invalidate(0, p, stats.shard(0)));
+    }
+
+    /// The directory-cache lost update, in its racing order: node 2's
+    /// fetch-or lands at the home, node 5's whole write registration runs
+    /// (it sees node 2 as the private owner and ORs itself into node 2's
+    /// cache), and only then does node 2 fold its — by now stale — reply
+    /// into that same cache. A plain store there erases writer 5 for good:
+    /// node 2 believes the page private and keeps it across every SI fence.
+    #[test]
+    fn a_notification_between_deposit_and_merge_survives_the_merge() {
+        let c = policy(8);
+        let stats = CoherenceStats::new(8);
+        let p = PageNum(1);
+        let stale = c.deposit(2, p, false);
+        assert!(c.register_writer(5, 1, p, stats.shard(5)).notify.contains(&2));
+        assert!(c.merge_reader(2, p, stale, stats.shard(2)).is_quiet());
+        assert_eq!(c.node_view(2, p).writers, node_bit(5), "node 2 lost the notification");
+        assert!(c.must_self_invalidate(2, p, stats.shard(2)));
     }
 
     #[test]

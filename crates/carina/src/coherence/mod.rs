@@ -162,8 +162,8 @@ pub struct WriteDisposition {
 ///   corresponding `*_registered` check returned `false`, and the
 ///   directory access (local DRAM or remote atomic verb) has already been
 ///   charged/performed — the policy applies pure metadata mutations.
-/// - `write_disposition` is called after `register_writer` for the same
-///   page (under the page's slot lock).
+/// - `write_disposition` and `note_written_epoch` are called after
+///   `register_writer` for the same page (under the page's slot lock).
 /// - `begin_si_fence` runs before any `must_self_invalidate` query of that
 ///   fence; `end_sd_fence` runs after the fence's drain has settled.
 /// - `reset_all` is only called at quiescent points.
@@ -203,8 +203,23 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
         shard: &StatShard,
     ) -> RegisterOutcome;
 
-    /// Twin/buffer decision for the write fault that just registered.
+    /// Twin/buffer decision for the write fault that just registered. Pure.
     fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition;
+
+    /// The clean→dirty event (census signals hang off it): raised exactly
+    /// once per *written* epoch of `me`'s copy of `page` — by the write
+    /// fault if the epoch began protected, by the fence drain that found
+    /// the stores if it began writable ([`Self::keeps_write_hot`]).
+    fn note_written_epoch(&self, _me: u16, _page: PageNum) {}
+
+    /// May an SD-fence drain keep `me`'s write-hot copy of `page` writable
+    /// (post the diff, re-arm the twin, skip the re-protection)? Pure.
+    /// Only a buffered page (the next fence finds it) with a twin (false
+    /// sharing stays tolerated) qualifies; pointless where written pages
+    /// are self-invalidated at the writer's next acquire.
+    fn keeps_write_hot(&self, _me: u16, _page: PageNum) -> bool {
+        false
+    }
 
     // --- fences --------------------------------------------------------
 

@@ -20,9 +20,10 @@
 //!
 //! **Signals.** Tracking is O(1) per access on paths the engine already
 //! exercises — never a page-table scan:
-//! - `write_disposition` (every clean→dirty fault, once per page per
-//!   epoch) bumps a per-page monotone *write version* and zeroes the
-//!   page's reads-between-writes counter;
+//! - `note_written_epoch` (once per written epoch of a page: its
+//!   clean→dirty fault, or the fence drain that found stores in a page
+//!   kept writable) bumps a per-page monotone *write version* and zeroes
+//!   the page's reads-between-writes counter;
 //! - `register_reader` (misses and lease renewals) bumps the
 //!   reads-between-writes counter;
 //! - each node remembers, per page, the write version it observed at its
@@ -78,13 +79,13 @@ pub struct Pyxis {
     seen_epoch: Vec<Box<[AtomicU64]>>,
     /// Per page saturating evidence score (see module docs).
     score: Vec<AtomicI64>,
-    /// Per page: monotone write version, bumped once per clean→dirty
-    /// fault. Comparing against a node's remembered version answers "was
+    /// Per page: monotone write version, bumped once per written epoch.
+    /// Comparing against a node's remembered version answers "was
     /// this page written since I last checked it?" exactly, with no decay
     /// window to tune.
     write_version: Vec<AtomicU64>,
     /// Per page: reads since the page's last write (zeroed on every
-    /// clean→dirty fault) — the reads-between-writes census signal.
+    /// written epoch) — the reads-between-writes census signal.
     reads_since_write: Vec<AtomicU64>,
     /// Per node, per page: the write version this node observed at its
     /// previous fence check of the page.
@@ -267,17 +268,23 @@ impl Coherence for Pyxis {
     }
 
     fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition {
-        // Every clean→dirty fault lands here (once per page per epoch):
-        // advance the page's write version and restart the
-        // reads-between-writes count.
-        let q = page.0 as usize;
-        self.write_version[q].fetch_add(1, Ordering::Relaxed);
-        self.reads_since_write[q].store(0, Ordering::Relaxed);
         if self.in_lease_mode(page) {
             self.tardis.write_disposition(me, page)
         } else {
             self.sisd.write_disposition(me, page)
         }
+    }
+
+    fn note_written_epoch(&self, _me: u16, page: PageNum) {
+        // Advance the write version, restart the reads-between-writes count.
+        let q = page.0 as usize;
+        self.write_version[q].fetch_add(1, Ordering::Relaxed);
+        self.reads_since_write[q].store(0, Ordering::Relaxed);
+    }
+
+    fn keeps_write_hot(&self, me: u16, page: PageNum) -> bool {
+        // Lease-mode pages follow Tardis: never kept.
+        !self.in_lease_mode(page) && self.sisd.keeps_write_hot(me, page)
     }
 
     fn begin_si_fence(&self, me: u16, shard: &StatShard) {
@@ -471,7 +478,7 @@ mod tests {
         let s = CoherenceStats::new(2);
         let p = PageNum(3);
         c.register_writer(1, 1, p, s.shard(1));
-        c.write_disposition(1, p);
+        c.note_written_epoch(1, p);
         c.end_sd_fence(1, s.shard(1));
         c.register_reader(0, 1, p, s.shard(0));
         let mut switched_at = None;
@@ -514,7 +521,7 @@ mod tests {
         c.register_reader(0, 1, p, s.shard(0));
         for _ in 0..20 {
             // Writer dirties the page every round and releases.
-            c.write_disposition(1, p);
+            c.note_written_epoch(1, p);
             c.end_sd_fence(1, s.shard(1));
             c.begin_si_fence(0, s.shard(0));
             let _ = c.must_self_invalidate(0, p, s.shard(0));
@@ -571,7 +578,7 @@ mod tests {
         let p = PageNum(0);
         c.register_reader(0, 1, p, s.shard(0));
         c.register_writer(1, 1, p, s.shard(1));
-        c.write_disposition(1, p);
+        c.note_written_epoch(1, p);
         c.end_sd_fence(1, s.shard(1));
         c.reset_all();
         assert!(!c.in_lease_mode(p));

@@ -48,35 +48,32 @@ impl DirEntry {
         }
     }
 
-    /// Atomically OR `bits` into the reader map; returns the view *before*
-    /// this update (what the initiating node uses to detect transitions).
-    pub fn or_readers(&self, bits: u128) -> DirView {
-        let before = self.view();
+    /// OR `bits` into `map`; returns the map from before, exactly (the
+    /// fetch-or's own reply, not an earlier load a racer could slip past).
+    fn or_map(map: &[AtomicU64; 2], bits: u128) -> u128 {
         let (lo, hi) = split(bits);
-        if lo != 0 {
-            self.readers[0].fetch_or(lo, Ordering::AcqRel);
-        }
-        if hi != 0 {
-            self.readers[1].fetch_or(hi, Ordering::AcqRel);
-        }
-        before
+        join(map[0].fetch_or(lo, Ordering::SeqCst), map[1].fetch_or(hi, Ordering::SeqCst))
+    }
+
+    /// Atomically OR `bits` into the reader map; returns the view before
+    /// this update (what the initiating node uses to detect transitions).
+    /// The other map is read *after* the fetch-or: of two nodes first
+    /// touching a page at once, at least one then sees the other.
+    pub fn or_readers(&self, bits: u128) -> DirView {
+        let readers = Self::or_map(&self.readers, bits);
+        DirView { readers, writers: Self::or_map(&self.writers, 0) }
     }
 
     /// Atomically OR `bits` into the writer map; returns the prior view.
     pub fn or_writers(&self, bits: u128) -> DirView {
-        let before = self.view();
-        let (lo, hi) = split(bits);
-        if lo != 0 {
-            self.writers[0].fetch_or(lo, Ordering::AcqRel);
-        }
-        if hi != 0 {
-            self.writers[1].fetch_or(hi, Ordering::AcqRel);
-        }
-        before
+        let writers = Self::or_map(&self.writers, bits);
+        DirView { readers: Self::or_map(&self.readers, 0), writers }
     }
 
-    /// Overwrite with a full view (used to refresh a directory cache copy).
-    pub fn store_view(&self, v: DirView) {
+    /// Overwrite with a full view. Private: between resets a view only
+    /// grows, and any store of a value derived from an earlier load can
+    /// erase a concurrent `or_*` — so `reset` is the only overwrite.
+    fn store_view(&self, v: DirView) {
         let (rlo, rhi) = split(v.readers);
         let (wlo, whi) = split(v.writers);
         self.readers[0].store(rlo, Ordering::Release);
@@ -322,6 +319,41 @@ mod tests {
         });
         assert_eq!(d.entry(0, PageNum(3)).view().readers, node_bit(1));
         assert_eq!(d.entry(1, PageNum(3)).view().readers, 0);
+    }
+
+    /// Two nodes first-touch one page at the same moment, one reading,
+    /// one writing. Whoever's fetch-or lands second must see the other in
+    /// its reply — if both came back blind, neither would notify the
+    /// other, and both would keep the page as private for ever.
+    #[test]
+    fn concurrent_first_touches_are_never_both_blind() {
+        use std::sync::{Arc, Barrier};
+        const ROUNDS: usize = 20_000;
+        let entries: Arc<Vec<DirEntry>> = Arc::new((0..ROUNDS).map(|_| DirEntry::default()).collect());
+        let start = Arc::new(Barrier::new(2));
+        let writer = {
+            let (entries, start) = (entries.clone(), start.clone());
+            std::thread::spawn(move || {
+                entries
+                    .iter()
+                    .map(|e| {
+                        start.wait();
+                        e.or_writers(node_bit(5)).readers
+                    })
+                    .collect::<Vec<_>>()
+            })
+        };
+        let reader_saw: Vec<u128> = entries
+            .iter()
+            .map(|e| {
+                start.wait();
+                e.or_readers(node_bit(2)).writers
+            })
+            .collect();
+        let writer_saw = writer.join().unwrap();
+        for (round, (r, w)) in reader_saw.iter().zip(&writer_saw).enumerate() {
+            assert!(*r != 0 || *w != 0, "round {round}: neither first-toucher saw the other");
+        }
     }
 
     #[test]

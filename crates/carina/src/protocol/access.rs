@@ -207,9 +207,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         pd.store_run(first, data);
         drop(st);
         if buffered {
-            if let Some(victim) = ns.wbuf.push(page) {
-                self.downgrade(t, victim, me)?;
-            }
+            self.downgrade_victim(t, ns.wbuf.push(page), me)?;
         }
         Ok(())
     }
@@ -231,6 +229,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             t.fault_trap();
             self.register_writer(t, page, me)?;
             let disp = self.coherence.write_disposition(me, page);
+            self.coherence.note_written_epoch(me, page);
             debug_assert!(st.pages[idx].mask.is_empty(), "clean page carries mask bits");
             if disp.need_twin {
                 // The twin starts empty; `write_run` copies each 64-word
@@ -243,7 +242,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 t.compute(PAGE_COPY_CYCLES);
                 CoherenceStats::bump(&self.stats.shard(me).twins_created);
             }
-            st.pages[idx].dirty = true;
+            let cp = &mut st.pages[idx];
+            cp.write_faults = cp.write_faults.saturating_add(1);
+            cp.dirty = true;
             Ok(disp.buffer)
         })
     }

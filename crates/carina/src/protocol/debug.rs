@@ -16,6 +16,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// 2. When the policy buffers every dirty page, a quiescent node's
     ///    write buffer contains exactly its dirty page set.
     /// 3. Cached pages are never homed on the caching node.
+    /// 4. A write buffer never holds more pages than its capacity.
     ///
     /// Policy-owned checks (registration consistency, `wts <= rts`, lease
     /// subsumption, …) are appended via [`Coherence::invariant_problems`].
@@ -47,6 +48,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         problems.push(format!("n{n}: clean page {} carries mask bits", page.0));
                     }
                 }
+            }
+            if ns.wbuf.len() > ns.wbuf.capacity() {
+                problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
             }
             if self.coherence.buffers_every_dirty_page() {
                 let mut buffered = ns.wbuf.snapshot();

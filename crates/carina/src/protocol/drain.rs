@@ -1,6 +1,7 @@
 //! Self-downgrade (paper §3.2 twins and diffs, §3.6.1 write buffer): the
 //! one way a dirty page reaches home memory (`write_home`), the write-back
-//! step every downgrade runs, and its per-page and home-batched postings.
+//! step every downgrade runs, the keep-or-protect decision that follows it
+//! (`downgrade_local`), and its per-page and home-batched postings.
 
 use super::*;
 use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
@@ -43,26 +44,41 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         (st.tag == Some(cache.line_of(page)) && cp.valid && cp.dirty).then_some(idx)
     }
 
+    /// Fences in a row a kept page may sit unwritten: until its scans cost
+    /// what the protect + trap they put off would (0: never keep).
+    fn idle_scan_bound(&self) -> u64 {
+        (self.net.cost().fault_trap_cycles + PROTECT_CYCLES) / PAGE_COPY_CYCLES
+    }
+
     /// The write-back step of every downgrade: move `owner`'s dirty copy of
-    /// `page` home, flip it clean, and return the wire size of the message
-    /// now owed to the home — `None` if the page needed no downgrade. The
-    /// diff scan is charged to `t`, the counters to `owner` (the collective
-    /// decay downgrades on other nodes' behalf).
+    /// `page` home; returns where `st` holds it and the wire size of the
+    /// message now owed to the home — `None` if the page needed no
+    /// downgrade. The diff scan is charged to `t`, the counters to `owner`
+    /// (the collective decay downgrades on other nodes' behalf). The page
+    /// stays dirty: the caller protects, invalidates or re-arms it.
     ///
     /// The wire size is a *cost* rule on top of [`Self::write_home`]'s data
     /// rule: a diff travels as header + 10 bytes per word, capped at one
     /// page (a sender would ship the page instead); a proven single writer
     /// ships the page and skips the scan (the sw_no_diff extension of the
-    /// paper's §3.2 future work — Tardis can never prove it).
-    fn write_back(
+    /// paper's §3.2 future work — Tardis can never prove it). A page kept
+    /// writable that nobody stored to since owes nothing and posts
+    /// nothing, but its empty mask is a host shortcut, not a cost one: the
+    /// simulated machine learns it by scanning, and pays for the scan.
+    pub(super) fn write_back(
         &self,
         t: &mut T::Endpoint,
-        st: &mut SlotGuard<'_>,
+        st: &SlotGuard<'_>,
         page: PageNum,
         owner: u16,
-    ) -> Option<u64> {
+    ) -> Option<(usize, Option<u64>)> {
         let idx = self.dirty_index(st, page, owner)?;
         let shard = self.stats.shard(owner);
+        if st.pages[idx].mask.is_empty() {
+            t.compute(PAGE_COPY_CYCLES);
+            CoherenceStats::bump(&shard.retained_idle_scans);
+            return Some((idx, None));
+        }
         let sw_skip = self.config.sw_no_diff && self.coherence.downgrade_skip_diff(owner, page);
         let bytes = match self.write_home(st, page, idx) {
             Some(words) if !sw_skip => {
@@ -75,49 +91,100 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
             _ => PAGE_BYTES,
         };
-        st.pages[idx].mark_clean();
         CoherenceStats::bump(&shard.writebacks);
         CoherenceStats::add(&shard.writeback_bytes, bytes);
-        Some(bytes)
+        Some((idx, Some(bytes)))
     }
 
-    /// The local half of a node's own downgrade: [`Self::write_back`], then
-    /// retire any speculative snapshot of the old version, let the policy
-    /// advance its clocks (all drain paths — fence, overflow, eviction —
-    /// funnel through here), and re-protect the page read-only so the next
-    /// write faults again. Split from the posting so fence drains can batch
-    /// the postings by home while the data movement stays per-page.
+    /// The local half of a node's own downgrade — all drain paths (fence,
+    /// overflow, eviction) funnel through here: [`Self::write_back`], the
+    /// one keep-or-protect decision, and, if there were stores, retiring
+    /// any speculative snapshot of the old version and the policy's clock
+    /// advance. A `fence` drain keeps a write-hot page writable where the
+    /// policy allows, re-arming the twin for the price of the simulated
+    /// machine's eager copy; anything else — another path, a cold page,
+    /// one idle for [`Self::idle_scan_bound`] fences (demoted: history
+    /// cleared) — is re-protected and faults on its next write. A kept
+    /// page re-enters the write buffer before the slot lock is released
+    /// (a sibling's store must find it buffered). Returns the wire bytes
+    /// owed to the home, if any, and the overflow victim that re-entry
+    /// pushed out, for the caller to downgrade once the lock is released.
     fn downgrade_local(
         &self,
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
         me: u16,
-    ) -> Option<u64> {
-        let bytes = self.write_back(t, st, page, me)?;
-        self.retire_prefetched(me, page);
-        self.coherence.note_downgrade(me, page);
-        t.compute(PROTECT_CYCLES);
-        let home = self.global.home_of(page);
-        debug_assert_ne!(home, me, "a page is never cached on its home (see `rehome_page`)");
-        self.detail(t, me, obs::RecordKind::Downgrade, page.0, home as u32);
-        Some(bytes)
+        fence: bool,
+    ) -> (Option<u64>, Option<PageNum>) {
+        let Some((idx, bytes)) = self.write_back(t, st, page, me) else {
+            return (None, None);
+        };
+        let cp = &mut st.pages[idx];
+        let began_writable = cp.kept_idle.is_some();
+        let idle = cp.kept_idle.filter(|_| bytes.is_none()).map_or(0, |k| k.saturating_add(1));
+        let keep = fence
+            && cp.write_faults >= 2
+            && cp.twin.is_some()
+            && u64::from(idle) < self.idle_scan_bound()
+            && self.coherence.keeps_write_hot(me, page);
+        let mut victim = None;
+        if keep {
+            cp.rearm(idle);
+            victim = self.nodes[me as usize].wbuf.push(page);
+            if bytes.is_some() {
+                t.compute(PAGE_COPY_CYCLES); // the eager re-twin
+                CoherenceStats::bump(&self.stats.shard(me).write_retained);
+            }
+        } else {
+            cp.mark_clean();
+            if fence && bytes.is_none() {
+                cp.write_faults = 0;
+            }
+            t.compute(PROTECT_CYCLES);
+        }
+        if bytes.is_some() {
+            self.retire_prefetched(me, page);
+            self.coherence.note_downgrade(me, page);
+            if began_writable {
+                // No write fault opened this epoch: its drain raises the
+                // clean→dirty event instead.
+                self.coherence.note_written_epoch(me, page);
+            }
+            let home = self.global.home_of(page);
+            debug_assert_ne!(home, me, "a page is never cached on its home (see `rehome_page`)");
+            self.detail(t, me, obs::RecordKind::Downgrade, page.0, home as u32);
+        }
+        (bytes, victim)
     }
 
-    /// Downgrade `page` (write its dirty data back to home), locking its
-    /// slot. Used by write-buffer overflow and fence drains.
+    /// Downgrade `page`, locking its slot (`fence`: the per-page drain).
     pub(super) fn downgrade(
         &self,
         t: &mut T::Endpoint,
         page: PageNum,
         me: u16,
+        fence: bool,
     ) -> Result<(), DsmError> {
         let mut st = self.nodes[me as usize].cache.lock_slot(page);
-        self.downgrade_locked(t, &mut st, page, me)
+        let victim = self.downgrade_locked(t, &mut st, page, me, fence)?;
+        drop(st);
+        self.downgrade_victim(t, victim, me)
+    }
+
+    /// Downgrade the overflow `victim`, if any, of a write-buffer push (no
+    /// slot lock held) — protected, never kept: the buffer keeps its bound.
+    pub(super) fn downgrade_victim(
+        &self,
+        t: &mut T::Endpoint,
+        victim: Option<PageNum>,
+        me: u16,
+    ) -> Result<(), DsmError> {
+        victim.map_or(Ok(()), |page| self.downgrade(t, page, me, false))
     }
 
     /// Post `page`'s write-back of `bytes` from `t`'s node to the page's home.
-    fn post_write_back(
+    pub(super) fn post_write_back(
         &self,
         t: &mut T::Endpoint,
         page: PageNum,
@@ -129,37 +196,21 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// Downgrade with the slot lock already held: resolve the data locally,
     /// then post the write-back home immediately (the per-page path).
+    /// `Ok(Some(victim))`: see [`Self::downgrade_local`].
     pub(super) fn downgrade_locked(
         &self,
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
         me: u16,
-    ) -> Result<(), DsmError> {
-        if let Some(bytes) = self.downgrade_local(t, st, page, me) {
+        fence: bool,
+    ) -> Result<Option<PageNum>, DsmError> {
+        let (bytes, victim) = self.downgrade_local(t, st, page, me, fence);
+        if let Some(bytes) = bytes {
             let timing = self.post_write_back(t, page, bytes)?;
             self.settle_posted(t, me, &timing);
         }
-        Ok(())
-    }
-
-    /// [`Self::downgrade_locked`] on behalf of node `owner`, for the
-    /// collective decay where one thread flushes every node's cache: the
-    /// posting leaves from — and is waited out by — the decay initiator,
-    /// which coordinates the epoch. The invalidation that follows stands in
-    /// for the re-protection, and the policy state is about to be reset.
-    pub(super) fn downgrade_as(
-        &self,
-        t: &mut T::Endpoint,
-        st: &mut SlotGuard<'_>,
-        page: PageNum,
-        owner: u16,
-    ) -> Result<(), DsmError> {
-        if let Some(bytes) = self.write_back(t, st, page, owner) {
-            let timing = self.post_write_back(t, page, bytes)?;
-            t.merge(timing.settled);
-        }
-        Ok(())
+        Ok(victim)
     }
 
     /// SD-fence drain that coalesces write-backs by home node: every dirty
@@ -175,11 +226,18 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     ) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
         let mut batches: Vec<(u16, Vec<u64>)> = Vec::new();
+        let mut victims = Vec::new();
         for &page in pages {
             let mut st = ns.cache.lock_slot(page);
-            if let Some(bytes) = self.downgrade_local(t, &mut st, page, me) {
+            let (bytes, victim) = self.downgrade_local(t, &mut st, page, me, true);
+            drop(st);
+            if let Some(bytes) = bytes {
                 push_grouped(&mut batches, self.global.home_of(page), bytes);
             }
+            victims.extend(victim);
+        }
+        for victim in victims {
+            self.downgrade(t, victim, me, false)?;
         }
         if batches.is_empty() {
             return Ok(());

@@ -111,7 +111,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     // on a failure the page is clean and must not linger in
                     // the buffer.
                     ns.wbuf.remove(page);
-                    self.downgrade_locked(t, st, page, me)?;
+                    self.downgrade_locked(t, st, page, me, false)?;
                 }
                 st.pages[idx].invalidate();
                 t.compute(PROTECT_CYCLES);
@@ -145,7 +145,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     fn sd_drain(&self, t: &mut T::Endpoint, me: u16) -> Result<(), DsmError> {
         CoherenceStats::bump(&self.stats.shard(me).sd_fences);
         let ns = &self.nodes[me as usize];
+        // One drain per node at a time: a sibling's fence must not return
+        // while this one holds, unbuffered, a page the sibling stored to.
+        let _draining = ns.draining.lock().expect("a sibling's drain panicked");
         let drained = ns.wbuf.drain();
+        // Shadow homes mirror what this fence writes home: no idle kept page.
+        let mut mirrored = if self.config.volans_shadow { drained.clone() } else { Vec::new() };
+        mirrored.retain(|&page| self.is_dirty_cached(me, page, true));
         // Auto: big drains coalesce — one doorbell per home amortizes once
         // a fence moves `batch_drain_cutover` pages — while small drains
         // keep the per-page path its timing calibration, on every backend.
@@ -158,15 +164,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             self.drain_batched(t, &drained, me)?;
         } else {
             for (i, &page) in drained.iter().enumerate() {
-                if let Err(e) = self.downgrade(t, page, me) {
+                if let Err(e) = self.downgrade(t, page, me, true) {
                     // Keep the buffer honest across the failure: pages the
                     // drain did not reach (and are still dirty) go back in,
-                    // so a failover retry of this fence still drains them.
-                    for &rest in &drained[i..] {
-                        if self.is_dirty_cached(me, rest) {
-                            if let Some(victim) = ns.wbuf.push(rest) {
-                                let _ = self.downgrade(t, victim, me);
-                            }
+                    // so a failover retry still drains them (`i` is clean or kept).
+                    for &rest in &drained[i + 1..] {
+                        if self.is_dirty_cached(me, rest, false) {
+                            let _ = self.downgrade_victim(t, ns.wbuf.push(rest), me);
                         }
                     }
                     return Err(e);
@@ -176,8 +180,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if self.coherence.needs_checkpoint_sweep() {
             self.naive_checkpoint_sweep(t, me)?;
         }
-        if self.config.volans_shadow && !drained.is_empty() {
-            self.mirror_to_successors(t, &drained, me)?;
+        if !mirrored.is_empty() {
+            self.mirror_to_successors(t, &mirrored, me)?;
         }
         // Wait for posted downgrades/notifications to become globally
         // visible. `pending_settle` carries the settle time of every write
@@ -192,11 +196,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Ok(())
     }
 
-    /// Is `page` currently cached dirty on `node`? Failure-path helper for
-    /// re-buffering pages a partially-failed drain did not reach.
-    fn is_dirty_cached(&self, node: u16, page: PageNum) -> bool {
+    /// Is `page` cached dirty on `node` (a failed drain re-buffers those) —
+    /// with `stores`: and written since its last drain (shadows mirror those)?
+    fn is_dirty_cached(&self, node: u16, page: PageNum, stores: bool) -> bool {
         let st = self.nodes[node as usize].cache.lock_slot(page);
-        self.dirty_index(&st, page, node).is_some()
+        self.dirty_index(&st, page, node)
+            .is_some_and(|idx| !(stores && st.pages[idx].mask.is_empty()))
     }
 
     /// The naïve P/S scheme's sync-point obligation (§3.4.2): checkpoint
@@ -208,7 +213,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let ns = &self.nodes[me as usize];
         // O(dirty): clean and empty slots owe the sweep nothing.
         ns.cache.sweep(ns.cache.dirty_indices(), |st, idx, page| {
-            if !st.pages[idx].dirty {
+            // (A page the drain just kept is buffered: the next fence's.)
+            if !st.pages[idx].dirty || st.pages[idx].kept_idle.is_some() {
                 return Ok(());
             }
             if self.coherence.private_in_cache(me, page) {
@@ -224,7 +230,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 Ok(())
             } else {
                 // Became shared since the write fault: downgrade now.
-                self.downgrade_locked(t, st, page, me)
+                self.downgrade_locked(t, st, page, me, false).map(drop)
             }
         })
     }
@@ -274,10 +280,15 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             self.flush_prefetch(n as u16);
             ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
                 t.compute(FENCE_SCAN_CYCLES);
-                if st.pages[idx].dirty {
-                    // Downgrade on behalf of the owning node; charge the
-                    // decay initiator (it coordinates the epoch).
-                    self.downgrade_as(t, st, page, n as u16)?;
+                // Write back on behalf of the owning node: the posting leaves
+                // from — and is waited out by — the decay initiator, which
+                // coordinates the epoch. The invalidation below stands in
+                // for the re-protection; the policy state is about to go.
+                if let Some((_, owed)) = self.write_back(t, st, page, n as u16) {
+                    if let Some(bytes) = owed {
+                        let timing = self.post_write_back(t, page, bytes)?;
+                        t.merge(timing.settled);
+                    }
                     ns.wbuf.remove(page);
                 }
                 st.pages[idx].invalidate();

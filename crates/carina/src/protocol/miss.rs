@@ -61,7 +61,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                             let old_page = PageNum(old_base.0 + idx as u64);
                             // Unbuffer before posting (see `si_sweep`).
                             ns.wbuf.remove(old_page);
-                            self.downgrade_locked(t, st, old_page, me)?;
+                            self.downgrade_locked(t, st, old_page, me, false)?;
                         }
                     }
                 }

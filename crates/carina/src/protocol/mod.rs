@@ -79,6 +79,9 @@ fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
 struct NodeState {
     cache: PageCache,
     wbuf: WriteBuffer,
+    /// Held across an SD fence's drain, which takes pages out of `wbuf`
+    /// while they are still dirty (host-side only; see `sd_drain`).
+    draining: Mutex<()>,
     /// Max settle time of writes this node has posted but not yet fenced.
     pending_settle: AtomicU64,
     /// Stride-prefetch state (inert unless `CarinaConfig::prefetch_lines`
@@ -204,6 +207,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 .map(|_| NodeState {
                     cache: PageCache::new(config.cache),
                     wbuf: WriteBuffer::new(config.write_buffer_pages),
+                    draining: Mutex::new(()),
                     pending_settle: AtomicU64::new(0),
                     prefetch: Mutex::new(Prefetcher::default()),
                 })

@@ -140,6 +140,11 @@ counters! {
     /// SD-fence drains mirrored to a page's rendezvous successor (Volans
     /// shadow homes; counts mirrored pages).
     shadow_mirrored,
+    /// Fence drains that posted a write-hot page's diff and re-armed its
+    /// twin instead of protecting the page.
+    write_retained,
+    /// Kept pages a drain scanned and found unwritten (nothing posted).
+    retained_idle_scans,
 }
 
 /// Cluster-wide coherence event counters, sharded per node.

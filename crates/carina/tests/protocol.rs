@@ -14,10 +14,7 @@ use simnet::{CostModel, NodeId, SimThread};
 use std::sync::Arc;
 
 fn cluster(nodes: usize, config: CarinaConfig) -> (Arc<Dsm>, Vec<SimThread>) {
-    let net = tiny_net(nodes);
-    let dsm = Dsm::new(net.clone(), 4 << 20, config);
-    let threads = (0..nodes).map(|n| thread(&net, n as u16, 0)).collect();
-    (dsm, threads)
+    policy_cluster(nodes, config)
 }
 
 /// An address on a page homed at `home` (page number ≡ home mod nodes),
@@ -867,4 +864,277 @@ fn auto_drain_coalesces_past_the_cutover() {
     let s = dsm.stats().snapshot();
     assert_eq!(s.downgrade_batches, 1);
     assert_eq!(s.downgrade_batch_pages, 4);
+}
+
+// ---- write-hot retention (DESIGN §3, "Writable across the release") ----
+
+use carina::config::PROTECT_CYCLES;
+use carina::{CoherenceSnapshot, Pyxis};
+use simnet::stats::NetStatsSnapshot;
+
+/// How many idle fences in a row a kept page survives — derived exactly as
+/// the engine derives it, from the three constants.
+fn idle_bound(cost: &CostModel) -> u64 {
+    (cost.fault_trap_cycles + PROTECT_CYCLES) / PAGE_COPY_CYCLES
+}
+
+fn policy_cluster<C: Coherence>(
+    nodes: usize,
+    config: CarinaConfig,
+) -> (Arc<Dsm<SimTransport, C>>, Vec<SimThread>) {
+    let net = tiny_net(nodes);
+    let dsm = Dsm::with_policy(net.clone(), 4 << 20, config);
+    let threads = (0..nodes).map(|n| thread(&net, n as u16, 0)).collect();
+    (dsm, threads)
+}
+
+fn wire<C: Coherence>(dsm: &Dsm<SimTransport, C>) -> NetStatsSnapshot {
+    dsm.net().stats().snapshot()
+}
+
+/// One written epoch of `a` on `t`: a store, then the release. Returns what
+/// it cost the thread.
+fn written_epoch<C: Coherence>(
+    dsm: &Dsm<SimTransport, C>,
+    t: &mut SimThread,
+    a: GlobalAddr,
+    value: u64,
+) -> u64 {
+    let before = t.now();
+    dsm.write_u64(t, a, value);
+    dsm.sd_fence(t);
+    assert_eq!(dsm.peek_u64(a), value, "{}: the release published the store", C::NAME);
+    t.now() - before
+}
+
+/// One node rewrites one remote (already filled) page over six epochs:
+/// what each epoch cost, and the counters at the end.
+fn six_rewrites<C: Coherence>() -> (Vec<u64>, CoherenceSnapshot, NetStatsSnapshot) {
+    let (dsm, mut ts) = policy_cluster::<C>(2, CarinaConfig::default());
+    let t = &mut ts[0];
+    let a = addr_homed_at(2, 1, 0);
+    dsm.read_u64(t, a);
+    let epochs = (1..=6).map(|e| written_epoch(&dsm, t, a, e)).collect();
+    assert!(dsm.check_invariants().is_empty(), "{}: {:?}", C::NAME, dsm.check_invariants());
+    (epochs, dsm.stats().snapshot(), wire(&dsm))
+}
+
+/// (a) The cost rule, and (e) its control. Tardis never keeps a page (it
+/// self-invalidates written pages at the writer's next acquire) and
+/// re-registers every epoch, so each of its epochs is a cold fault with a
+/// registration and a cold drain — what epoch 1 costs everywhere, today
+/// and before. Under SI/SD and Pyxis, epoch 2 takes the second — learning
+/// — fault and its drain re-arms instead of protecting: `PAGE_COPY −
+/// PROTECT` more than a cold epoch. From epoch 3 on there is no trap and no
+/// `mprotect`: `fault_trap + PROTECT` less, each. The wire sees the same
+/// six diffs either way.
+#[test]
+fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
+    let cost = CostModel::paper_2011();
+    let (control, s, n) = six_rewrites::<Tardis>();
+    assert!(control.iter().all(|&e| e == control[0]), "tardis: every epoch is cold: {control:?}");
+    assert_eq!((s.write_faults, s.write_retained, s.retained_idle_scans), (6, 0, 0));
+    assert_eq!((s.writebacks, s.writeback_bytes, n.rdma_writes), (6, 6 * 42, 6));
+
+    for (name, (epochs, s, n)) in
+        [("sisd", six_rewrites::<CarinaSiSd>()), ("pyxis", six_rewrites::<Pyxis>())]
+    {
+        // What posting one 1-word diff and waiting it out costs the fence:
+        // the steady-state epoch is a hit, the scan, the re-twin, and that.
+        let post = epochs[2] - HIT_CYCLES - 2 * PAGE_COPY_CYCLES;
+        // A cold epoch of a page the node is already registered to write —
+        // hit, trap, twin, scan, protect, post: the parent's every epoch.
+        let cold =
+            HIT_CYCLES + cost.fault_trap_cycles + 2 * PAGE_COPY_CYCLES + PROTECT_CYCLES + post;
+        assert_eq!(epochs[0], control[0], "{name}: epoch 1 costs what it always did");
+        assert_eq!(epochs[1], cold + PAGE_COPY_CYCLES - PROTECT_CYCLES, "{name}: first re-arm");
+        for (e, &cycles) in epochs.iter().enumerate().skip(2) {
+            let saved = cost.fault_trap_cycles + PROTECT_CYCLES;
+            assert_eq!(cycles, cold - saved, "{name}: epoch {} is a plain write hit", e + 1);
+        }
+        assert_eq!((s.write_faults, s.twins_created), (2, 2), "{name}");
+        assert_eq!((s.write_retained, s.retained_idle_scans), (5, 0), "{name}: epochs 2-6");
+        // Identical to the parent's: six 1-word diffs, two registrations
+        // (the fill's and the writer's), one page fill.
+        assert_eq!((s.writebacks, s.writeback_bytes, s.diff_words), (6, 6 * 42, 6), "{name}");
+        assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (1, 6, 2), "{name}");
+        assert_eq!((n.bytes_read, n.bytes_written), (PAGE_BYTES, 6 * 42), "{name}");
+    }
+}
+
+/// (b) False sharing under retention: nodes 0 and 1 write disjoint halves
+/// of one page homed on node 2 and release in alternating order. Once both
+/// copies are hot neither is ever refetched, so each holds stale words in
+/// the other's half — and the re-armed twin still keeps them off the wire.
+fn kept_twins_still_tolerate_false_sharing<C: Coherence>() {
+    let (dsm, mut ts) = policy_cluster::<C>(3, CarinaConfig::default());
+    let base = addr_homed_at(3, 2, 0);
+    let half = WORDS_PER_PAGE as u64 / 2;
+    let value = |epoch: u64, w: u64| epoch * 10_000 + w;
+    for epoch in 1..=5u64 {
+        for w in 0..WORDS_PER_PAGE as u64 {
+            let writer = (w / half) as usize;
+            dsm.write_u64(&mut ts[writer], base.offset(8 * w), value(epoch, w));
+        }
+        let first = (epoch % 2) as usize;
+        dsm.sd_fence(&mut ts[first]);
+        dsm.sd_fence(&mut ts[1 - first]);
+        for w in 0..WORDS_PER_PAGE as u64 {
+            assert_eq!(
+                dsm.peek_u64(base.offset(8 * w)),
+                value(epoch, w),
+                "{}: home word {w} after epoch {epoch}",
+                C::NAME
+            );
+        }
+    }
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (4, 8), "{}: both copies turned hot", C::NAME);
+    assert_eq!((s.writebacks, s.diff_words), (10, 10 * half));
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+#[test]
+fn false_sharing_survives_retention() {
+    kept_twins_still_tolerate_false_sharing::<CarinaSiSd>();
+    kept_twins_still_tolerate_false_sharing::<Pyxis>();
+}
+
+/// A cluster of two with node 0's copy of a page homed on node 1 already
+/// write-hot and kept: written and released twice.
+fn with_a_kept_page<C: Coherence>(
+    config: CarinaConfig,
+) -> (Arc<Dsm<SimTransport, C>>, SimThread, GlobalAddr) {
+    let (dsm, mut ts) = policy_cluster::<C>(2, config);
+    let (mut t, a) = (ts.remove(0), addr_homed_at(2, 1, 0));
+    written_epoch(&dsm, &mut t, a, 1);
+    written_epoch(&dsm, &mut t, a, 2);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (2, 1), "{}", C::NAME);
+    (dsm, t, a)
+}
+
+/// (c) Idle epochs. A kept page nobody stores to is still charged its diff
+/// scan at every fence — the empty mask is a host shortcut, not a cost one
+/// — but posts nothing and stays buffered; after the ski-rental count of
+/// idle fences in a row it is protected again, for good: out of the
+/// buffer, history cleared, its next two epochs cold. A store any earlier
+/// resets the count.
+fn idle_kept_pages_pay_the_scan_and_are_demoted<C: Coherence>() {
+    let cost = CostModel::paper_2011();
+    let bound = idle_bound(&cost);
+    assert_eq!(bound, 7, "(3000 + 150) / 430 with the paper's cost model");
+    let (dsm, mut t, a) = with_a_kept_page::<C>(CarinaConfig::default());
+    let idle_fence = |t: &mut SimThread, protects: bool| {
+        let (s, n, before) = (dsm.stats().snapshot(), wire(&dsm), t.now());
+        dsm.sd_fence(t);
+        let charged = PAGE_COPY_CYCLES + if protects { PROTECT_CYCLES } else { 0 };
+        assert_eq!(t.now() - before, charged, "{}: an idle fence is never free", C::NAME);
+        assert_eq!(wire(&dsm), n, "{}: an idle page posts nothing", C::NAME);
+        let after = dsm.stats().snapshot();
+        assert_eq!(after.retained_idle_scans, s.retained_idle_scans + 1);
+        assert_eq!((after.writebacks, after.write_retained), (s.writebacks, s.write_retained));
+        assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    };
+    // One short of the bound, then a store: still a hit, and the count
+    // starts over.
+    for _ in 1..bound {
+        idle_fence(&mut t, false);
+    }
+    written_epoch(&dsm, &mut t, a, 3);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (2, 2), "{}: kept through {bound}-1", C::NAME);
+    for _ in 1..bound {
+        idle_fence(&mut t, false);
+    }
+    // The bound-th idle fence in a row demotes.
+    idle_fence(&mut t, true);
+    let (n, before) = (wire(&dsm), t.now());
+    dsm.sd_fence(&mut t);
+    assert_eq!((t.now(), wire(&dsm)), (before, n), "{}: the page left the buffer", C::NAME);
+    // Cold again: a fault, a protecting drain, a second fault.
+    written_epoch(&dsm, &mut t, a, 4);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (3, 2), "{}: demotion cleared history", C::NAME);
+    written_epoch(&dsm, &mut t, a, 5);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (4, 3), "{}", C::NAME);
+    assert_eq!(s.retained_idle_scans, 2 * bound - 1);
+    assert_eq!(s.writebacks, 5, "{}: one write-back per written epoch, none per idle", C::NAME);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+#[test]
+fn idle_kept_pages_are_scanned_post_nothing_and_are_demoted() {
+    idle_kept_pages_pay_the_scan_and_are_demoted::<CarinaSiSd>();
+    idle_kept_pages_pay_the_scan_and_are_demoted::<Pyxis>();
+}
+
+/// With a free trap there is nothing to save: the bound is 0 and no page
+/// is ever kept.
+#[test]
+fn a_free_trap_never_keeps() {
+    let net = simnet::Interconnect::new(simnet::ClusterTopology::tiny(2), CostModel::free());
+    let dsm = Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
+    let mut t = thread(&net, 0, 0);
+    for e in 1..=4 {
+        written_epoch(&dsm, &mut t, addr_homed_at(2, 1, 0), e);
+    }
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (4, 0));
+}
+
+/// (d) Only fence drains keep. A kept page that is self-invalidated or
+/// evicted posts nothing if idle, and comes back cold; a write-buffer
+/// overflow victim is protected, so the buffer never exceeds its capacity.
+fn only_fence_drains_keep<C: Coherence>() {
+    // Self-invalidation (every page is shared under AllShared).
+    let (dsm, mut t, a) =
+        with_a_kept_page::<C>(CarinaConfig::with_mode(ClassificationMode::AllShared));
+    let (n, before) = (wire(&dsm), t.now());
+    dsm.si_fence(&mut t);
+    assert_eq!(wire(&dsm), n, "{}: the idle page's invalidation posts nothing", C::NAME);
+    assert!(t.now() - before >= PAGE_COPY_CYCLES + PROTECT_CYCLES, "{}: but is not free", C::NAME);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    written_epoch(&dsm, &mut t, a, 3);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (3, 1), "{}: back cold after SI", C::NAME);
+
+    // Conflict eviction, with stores in the page: written home, then cold.
+    let one_line = CarinaConfig { cache: CacheConfig::new(1, 1), ..CarinaConfig::default() };
+    let (dsm, mut t, a) = with_a_kept_page::<C>(one_line);
+    dsm.write_u64(&mut t, a, 3);
+    assert_eq!(dsm.stats().snapshot().write_faults, 2, "{}: a hit on the kept page", C::NAME);
+    dsm.read_u64(&mut t, addr_homed_at(2, 1, 1));
+    assert_eq!(dsm.peek_u64(a), 3, "{}: the eviction wrote the page home", C::NAME);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    written_epoch(&dsm, &mut t, a, 4);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_faults, s.write_retained), (3, 1), "{}: back cold after eviction", C::NAME);
+
+    // Overflow: two kept pages fill a two-page buffer; dirtying a third
+    // pushes the oldest out — protected, posting nothing (it is idle).
+    let (dsm, mut t, a) = with_a_kept_page::<C>(CarinaConfig::with_write_buffer(2));
+    let (b, c) = (addr_homed_at(2, 1, 1), addr_homed_at(2, 1, 2));
+    written_epoch(&dsm, &mut t, b, 1);
+    written_epoch(&dsm, &mut t, b, 2);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.write_retained, s.retained_idle_scans), (2, 2), "{}: a idle, b kept", C::NAME);
+    dsm.write_u64(&mut t, c, 1);
+    let after = dsm.stats().snapshot();
+    assert_eq!(after.retained_idle_scans, s.retained_idle_scans + 1, "{}: the victim", C::NAME);
+    assert_eq!(after.writebacks, s.writebacks, "{}: an idle victim posts nothing", C::NAME);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    dsm.write_u64(&mut t, a, 3);
+    assert_eq!(dsm.stats().snapshot().write_faults, after.write_faults + 1, "{}", C::NAME);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    dsm.sd_fence(&mut t);
+    assert_eq!((dsm.peek_u64(a), dsm.peek_u64(c)), (3, 1));
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+#[test]
+fn invalidation_eviction_and_overflow_never_keep() {
+    only_fence_drains_keep::<CarinaSiSd>();
+    only_fence_drains_keep::<Pyxis>();
 }

@@ -82,7 +82,7 @@ fn apply(t: &Pyxis, stats: &CoherenceStats, op: Op) {
             if !t.write_registered(node, home, PageNum(page)) {
                 t.register_writer(node, home, PageNum(page), shard);
             }
-            t.write_disposition(node, PageNum(page));
+            t.note_written_epoch(node, PageNum(page));
         }
         Op::SiFence { node } => {
             t.begin_si_fence(node, shard);

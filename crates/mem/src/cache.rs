@@ -70,7 +70,7 @@ impl Default for CacheConfig {
 /// Protocol metadata of one cached page within a line. The page *contents*
 /// live outside the slot mutex (see [`LineSlot`]) so lock-free readers can
 /// reach them.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CachedPage {
     /// Holds a valid copy of the tagged page.
     pub valid: bool,
@@ -85,22 +85,22 @@ pub struct CachedPage {
     /// superset of the words that actually changed. Drives the masked diff
     /// on downgrade and the lazy chunk-wise twin copies.
     pub mask: WriteMask,
+    /// Write faults this resident copy has taken (saturating). From the
+    /// second — it was drained, then written again — it is *write-hot*: a
+    /// fence drain may [`Self::rearm`] it instead of protecting it.
+    pub write_faults: u8,
+    /// `Some(k)` while the current dirty epoch began writable (the last
+    /// fence drain re-armed the page), `k` fences in a row having since
+    /// found it unwritten; `None` if it began with a write fault.
+    pub kept_idle: Option<u16>,
 }
 
 impl CachedPage {
-    fn empty() -> Self {
-        CachedPage {
-            valid: false,
-            dirty: false,
-            twin: None,
-            mask: WriteMask::new(),
-        }
-    }
-
-    /// Drop protocol state (self-invalidation of this page). The data
-    /// allocation is kept for reuse.
+    /// Drop protocol state (self-invalidation of this page), write history
+    /// included. The data allocation is kept for reuse.
     pub fn invalidate(&mut self) {
         self.valid = false;
+        self.write_faults = 0;
         self.mark_clean();
     }
 
@@ -110,6 +110,14 @@ impl CachedPage {
         self.dirty = false;
         self.twin = None;
         self.mask.clear();
+        self.kept_idle = None;
+    }
+
+    /// The page's writes are home and it *stays writable*: mask cleared,
+    /// dirty bit and twin kept (each chunk's first store re-snapshots it).
+    pub fn rearm(&mut self, idle_fences: u16) {
+        self.mask.clear();
+        self.kept_idle = Some(idle_fences);
     }
 }
 
@@ -173,7 +181,7 @@ impl LineSlot {
             state: Mutex::new(LineState {
                 tag: None,
                 ready_at: 0,
-                pages: (0..pages_per_line).map(|_| CachedPage::empty()).collect(),
+                pages: (0..pages_per_line).map(|_| CachedPage::default()).collect(),
             }),
             seq: AtomicU64::new(0),
             fast_tag: AtomicU64::new(0),
@@ -522,6 +530,20 @@ mod tests {
         assert!(!st.pages[0].valid);
         assert!(!st.pages[0].dirty);
         assert!(st.pages[0].twin.is_none());
+    }
+
+    #[test]
+    fn write_history_rides_in_the_flags_word() {
+        // 8192 of these per node: the 64-byte mask, the twin's fat pointer,
+        // and one word holding the flags and the write history.
+        assert_eq!(std::mem::size_of::<CachedPage>(), 64 + 16 + 8);
+        let mut p = CachedPage { valid: true, dirty: true, write_faults: 2, ..Default::default() };
+        p.rearm(3);
+        assert!(p.dirty && p.mask.is_empty() && p.kept_idle == Some(3));
+        p.mark_clean();
+        assert_eq!((p.write_faults, p.kept_idle), (2, None), "history survives a protect");
+        p.invalidate();
+        assert_eq!(p.write_faults, 0, "but not an invalidation");
     }
 
     #[test]

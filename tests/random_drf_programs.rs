@@ -11,7 +11,7 @@
 
 use argo::types::GlobalU64Array;
 use argo::{ArgoConfig, ArgoMachine};
-use carina::{CarinaConfig, ClassificationMode};
+use carina::{CarinaConfig, ClassificationMode, CoherenceSnapshot};
 use rand::prelude::*;
 use std::sync::Arc;
 
@@ -115,62 +115,63 @@ fn run_model(prog: &Program) -> (Vec<u64>, Vec<u64>) {
     (memory, checksums)
 }
 
-/// Run the same program on the DSM.
+/// Run the same program on the DSM, every thread's slots packed back to
+/// back (several threads' to a page).
 fn run_dsm(prog: &Program, mode: ClassificationMode, nodes: usize) -> (Vec<u64>, Vec<u64>) {
+    let (memory, sums, _) = run_dsm_strided(prog, mode, nodes, SLOTS / prog.threads, 0);
+    (memory, sums)
+}
+
+/// [`run_dsm`] with thread `t`'s slots starting at array word
+/// `(t + rotate) % threads * stride` — `stride` decides which threads share
+/// a page, `rotate` which node is its home. Also returns the run's
+/// coherence counters.
+fn run_dsm_strided(
+    prog: &Program,
+    mode: ClassificationMode,
+    nodes: usize,
+    stride: usize,
+    rotate: usize,
+) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
     let threads_per_node = prog.threads / nodes;
     let mut cfg = ArgoConfig::small(nodes, threads_per_node);
     cfg.carina = CarinaConfig::with_mode(mode);
     let machine = ArgoMachine::new(cfg);
-    let arr = GlobalU64Array::alloc(machine.dsm(), SLOTS);
+    let (per, threads) = (SLOTS / prog.threads, prog.threads);
+    let at = move |slot: usize| (slot / per + rotate) % threads * stride + slot % per;
+    let arr = GlobalU64Array::alloc(machine.dsm(), prog.threads * stride);
     let prog = Arc::new(prog.clone());
     let p2 = prog.clone();
     let report = machine.run(move |ctx| {
         let t = ctx.tid();
-        let per = SLOTS / p2.threads;
-        let own_start = t * per;
         let mut checksum = 0u64;
         for epoch in &p2.epochs {
             for op in &epoch[t] {
                 match *op {
                     Op::Write { slot, value } => {
-                        arr.set(ctx, slot, value.wrapping_add(slot as u64));
+                        arr.set(ctx, at(slot), value.wrapping_add(slot as u64));
                     }
                     Op::Read { slot } => {
-                        let v = arr.get(ctx, slot);
+                        let v = arr.get(ctx, at(slot));
                         checksum = checksum.rotate_left(7) ^ v;
                     }
                     Op::Combine { src, dst } => {
-                        let v = arr.get(ctx, src);
-                        arr.set(ctx, dst, v.wrapping_mul(31).wrapping_add(1));
+                        let v = arr.get(ctx, at(src));
+                        arr.set(ctx, at(dst), v.wrapping_mul(31).wrapping_add(1));
                     }
                 }
             }
             ctx.barrier();
         }
-        let _ = own_start;
         checksum
     });
     // The protocol's internal invariants must hold at quiescence.
     let violations = machine.dsm().check_invariants();
     assert!(violations.is_empty(), "invariant violations: {violations:?}");
     let memory = (0..SLOTS)
-        .map(|i| machine.dsm().peek_u64(arr.addr(i)))
+        .map(|i| machine.dsm().peek_u64(arr.addr(at(i))))
         .collect();
-    (memory, report.results)
-}
-
-fn check_seed(seed: u64, mode: ClassificationMode, nodes: usize, threads: usize) {
-    let prog = gen_program(seed, threads, 5, 40);
-    let (model_mem, model_sums) = run_model(&prog);
-    let (dsm_mem, dsm_sums) = run_dsm(&prog, mode, nodes);
-    assert_eq!(
-        dsm_sums, model_sums,
-        "checksum divergence (seed {seed}, {mode:?}, {nodes} nodes)"
-    );
-    assert_eq!(
-        dsm_mem, model_mem,
-        "final memory divergence (seed {seed}, {mode:?}, {nodes} nodes)"
-    );
+    (memory, report.results, report.coherence)
 }
 
 // Raw generated programs may read a slot that its owner writes in the
@@ -229,7 +230,6 @@ fn check_seed_sanitized(seed: u64, mode: ClassificationMode, nodes: usize, threa
         dsm_mem, model_mem,
         "final memory divergence (seed {seed}, {mode:?}, {nodes} nodes)"
     );
-    let _ = check_seed; // unsanitized checker unused by design
 }
 
 #[test]
@@ -258,6 +258,62 @@ fn random_programs_odd_shapes() {
     check_seed_sanitized(300, ClassificationMode::Ps3, 2, 8);
     check_seed_sanitized(301, ClassificationMode::Ps3, 8, 8);
     check_seed_sanitized(302, ClassificationMode::Ps3, 1, 4);
+}
+
+/// Silence thread `t`'s writes for runs of 1–9 epochs, between runs of 1–3
+/// writing ones: in a silent epoch every write becomes a read of the slot
+/// (a combine, of its source). Pages a node keeps writable across releases
+/// then sit through idle fences — some long enough to be demoted.
+fn add_idle_epochs(prog: &mut Program, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1d1e);
+    for t in 0..prog.threads {
+        let (mut silent, mut left) = (false, rng.random_range(1..4usize));
+        for epoch in prog.epochs.iter_mut() {
+            if left == 0 {
+                silent = !silent;
+                left = if silent { rng.random_range(1..10) } else { rng.random_range(1..4) };
+            }
+            left -= 1;
+            for op in epoch[t].iter_mut().filter(|_| silent) {
+                *op = match *op {
+                    Op::Write { slot, .. } => Op::Read { slot },
+                    Op::Combine { src, .. } => Op::Read { slot: src },
+                    Op::Read { slot } => Op::Read { slot },
+                };
+            }
+        }
+    }
+}
+
+/// The write-hot retention path under generated programs: 16 epochs with
+/// idle runs, every thread's slots on pages remote to it. Half a page
+/// apart on 4 × 2, a page has one writing node — two sibling threads
+/// storing to and fencing one kept copy; a page apart on 8 × 1, one
+/// writing thread, so a long silence demotes the copy and the next write
+/// re-learns; half a page apart on 8 × 1, two writing nodes — false
+/// sharing, self-invalidated at every barrier, never hot.
+#[test]
+fn random_programs_with_idle_epochs() {
+    for (seed, nodes, stride) in [(500, 4, 256), (501, 4, 256), (502, 8, 512), (503, 8, 256)] {
+        let mut prog = gen_program(seed, 8, 16, 40);
+        add_idle_epochs(&mut prog, seed);
+        sanitize(&mut prog);
+        let (model_mem, model_sums) = run_model(&prog);
+        let rotate = 1024 / stride; // one page on
+        let (mem, sums, stats) =
+            run_dsm_strided(&prog, ClassificationMode::Ps3, nodes, stride, rotate);
+        assert_eq!(sums, model_sums, "checksum divergence (seed {seed}, {nodes} nodes)");
+        assert_eq!(mem, model_mem, "final memory divergence (seed {seed}, {nodes} nodes)");
+        if (nodes, stride) != (8, 256) {
+            assert!(stats.write_retained > 0, "seed {seed}: no page was ever kept");
+            assert!(stats.retained_idle_scans > 0, "seed {seed}: no kept page sat idle");
+        }
+        if stride == 512 {
+            // Eight pages, two faults each to turn hot: any more is a
+            // demoted copy learning again.
+            assert!(stats.write_faults > 16, "seed {seed}: no copy was ever demoted");
+        }
+    }
 }
 
 /// Interleaving decay epochs between barriers must not change results.
