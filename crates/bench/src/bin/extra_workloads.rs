@@ -1,10 +1,10 @@
-//! Extra workloads beyond the paper's six ("an initial set of benchmarks —
-//! expanding rapidly", §6): red-black SOR (the TreadMarks-lineage stencil)
-//! and branch-and-bound TSP (lock-structured search on HQDL).
+//! An extra workload beyond the paper's six ("an initial set of benchmarks
+//! — expanding rapidly", §6): red-black SOR, the TreadMarks-lineage
+//! stencil.
 
 use argo::{ArgoConfig, ArgoMachine};
 use bench::{cell, f2, full_scale, print_header, print_row, threads_per_node};
-use workloads::{sor, tsp};
+use workloads::sor;
 
 fn main() {
     let full = full_scale();
@@ -31,27 +31,4 @@ fn main() {
     }
     println!("\nExpectation: near-linear until halo traffic (two boundary rows per");
     println!("chunk per half-sweep) rivals each chunk's compute.");
-
-    let p = if full {
-        tsp::TspParams { cities: 12, seed: 7 }
-    } else {
-        tsp::TspParams { cities: 10, seed: 7 }
-    };
-    let optimum = tsp::reference_best(p);
-    print_header(
-        &format!("Extra: TSP branch & bound ({} cities) on HQDL", p.cities),
-        &["config", "threads", "Mcycles", "optimal"],
-    );
-    for n in bench::node_sweep(8) {
-        let out = tsp::run_argo(n, tpn, p);
-        assert_eq!(out.checksum, optimum as f64);
-        print_row(&[
-            cell(format!("Argo {n}n")),
-            cell(n * tpn),
-            f2(out.cycles as f64 / 1e6),
-            cell(optimum),
-        ]);
-    }
-    println!("\nExpectation: the shared queue/bound stay hot on the helping node;");
-    println!("adding nodes helps only while expansion compute outweighs delegation.");
 }

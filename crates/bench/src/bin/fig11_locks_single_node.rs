@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use vela::pairing_heap::PairingHeap;
-use vela::{CohortLock, CsLock, FcLock, HboLock, HclhLock, McsLock, PthreadsMutex, QdLock};
+use vela::{CohortLock, CsLock, PthreadsMutex, QdLock};
 
 /// Run the microbenchmark for `dur` and return ops/µs.
 fn throughput<L>(lock: Arc<L>, threads: usize, work_units: usize, dur: Duration) -> f64
@@ -79,7 +79,7 @@ fn main() {
     };
     print_header(
         "Figure 11: single-node lock scaling (ops/us, real time)",
-        &["threads", "QD", "Cohort", "Pthreads", "MCS", "CLH", "FlatComb", "HBO", "HCLH"],
+        &["threads", "QD", "Cohort", "Pthreads"],
     );
     for &t in thread_counts {
         let qd = throughput(Arc::new(QdLock::new(PairingHeap::new())), t, work_units, dur);
@@ -95,42 +95,7 @@ fn main() {
             work_units,
             dur,
         );
-        let mcs = throughput(Arc::new(McsLock::new(PairingHeap::new())), t, work_units, dur);
-        let clh = throughput(
-            Arc::new(vela::ClhLock::new(PairingHeap::new())),
-            t,
-            work_units,
-            dur,
-        );
-        let fc = throughput(
-            Arc::new(FcLock::new(256, PairingHeap::new())),
-            t,
-            work_units,
-            dur,
-        );
-        let hbo = throughput(
-            Arc::new(HboLock::new(8, 64, PairingHeap::new())),
-            t,
-            work_units,
-            dur,
-        );
-        let hclh = throughput(
-            Arc::new(HclhLock::new(4, 48, PairingHeap::new())),
-            t,
-            work_units,
-            dur,
-        );
-        print_row(&[
-            cell(t),
-            f2(qd),
-            f2(cohort),
-            f2(mutex),
-            f2(mcs),
-            f2(clh),
-            f2(fc),
-            f2(hbo),
-            f2(hclh),
-        ]);
+        print_row(&[cell(t), f2(qd), f2(cohort), f2(mutex)]);
     }
     println!("\nShape check (paper): QD highest at high thread counts; Cohort second;");
     println!("the Pthreads mutex stops scaling after a handful of threads.");

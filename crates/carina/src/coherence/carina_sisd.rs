@@ -3,11 +3,11 @@
 //! deferred invalidation through per-node directory caches.
 //!
 //! This file is the *decision* half of what used to be hard-wired into the
-//! engine: registration transitions (§3.3, §3.5), the SI predicate (Table
-//! 1), the naïve P/S checkpoint obligation (§3.4.2), and the single-writer
-//! no-diff extension. The engine still owns every verb.
+//! engine: registration transitions (§3.3, §3.5), the SI predicate
+//! (Table 1) and the naïve P/S checkpoint obligation (§3.4.2). The engine
+//! still owns every verb.
 
-use super::{Coherence, PageBitSet, RegisterOutcome, WriteDisposition};
+use super::{Coherence, PageBitSet, RegisterOutcome};
 use crate::classification::{node_bit, ClassificationMode, DirView, PageClass};
 use crate::config::CarinaConfig;
 use crate::directory::{DirCaches, Pyxis};
@@ -20,7 +20,6 @@ use obs::RecordKind;
 #[derive(Debug)]
 pub struct CarinaSiSd {
     mode: ClassificationMode,
-    sw_no_diff: bool,
     pyxis: Pyxis,
     dir_caches: DirCaches,
     /// Fast-path mirrors of "this node's bit is already in the home maps".
@@ -151,7 +150,6 @@ impl Coherence for CarinaSiSd {
     fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
         CarinaSiSd {
             mode: config.mode,
-            sw_no_diff: config.sw_no_diff,
             pyxis: Pyxis::new(total_pages),
             dir_caches: DirCaches::new(nodes, total_pages),
             reg_read: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
@@ -189,19 +187,15 @@ impl Coherence for CarinaSiSd {
         self.merge_writer(me, page, self.deposit(me, page, true), shard)
     }
 
-    fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition {
-        let view = self.dir_caches.entry(me, page).view();
-        WriteDisposition {
-            // A single writer may skip twin/diff (the sw_no_diff
-            // extension): no other node can have written the page.
-            need_twin: !(self.sw_no_diff && view.writers == node_bit(me)),
-            buffer: view.must_self_downgrade(self.mode, me),
-        }
+    fn write_buffered(&self, me: u16, page: PageNum) -> bool {
+        self.dir_caches
+            .entry(me, page)
+            .view()
+            .must_self_downgrade(self.mode, me)
     }
 
     fn keeps_write_hot(&self, me: u16, page: PageNum) -> bool {
-        let disp = self.write_disposition(me, page);
-        disp.need_twin && disp.buffer
+        self.write_buffered(me, page)
     }
 
     fn begin_si_fence(&self, _me: u16, _shard: &StatShard) {}
@@ -221,10 +215,6 @@ impl Coherence for CarinaSiSd {
 
     fn private_in_cache(&self, me: u16, page: PageNum) -> bool {
         self.dir_caches.entry(me, page).view().page_class() == PageClass::Private
-    }
-
-    fn downgrade_skip_diff(&self, me: u16, page: PageNum) -> bool {
-        self.dir_caches.entry(me, page).view().writers == node_bit(me)
     }
 
     fn buffers_every_dirty_page(&self) -> bool {
@@ -337,8 +327,7 @@ mod tests {
         let stats = CoherenceStats::new(2);
         let p = PageNum(2);
         c.register_writer(0, 1, p, stats.shard(0));
-        let d = c.write_disposition(0, p);
-        assert!(d.need_twin && d.buffer); // Ps3 buffers everything
+        assert!(c.write_buffered(0, p)); // Ps3 buffers everything
         assert!(!c.must_self_invalidate(0, p, stats.shard(0))); // private
         c.register_reader(1, 1, p, stats.shard(1));
         // n1 shares a single-writer page: n1 invalidates, writer n0 keeps.

@@ -140,19 +140,6 @@ impl PageMode {
     }
 }
 
-/// What a write fault must set up for the faulting page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WriteDisposition {
-    /// Snapshot a twin for diffing at downgrade time. Policies that can
-    /// prove single-writer ownership may skip it (the `sw_no_diff`
-    /// extension); everyone else diffs to tolerate false sharing.
-    pub need_twin: bool,
-    /// Enter the page in the FIFO write buffer so fences (and overflow)
-    /// drain it. Policies that self-downgrade everything say `true`;
-    /// the naïve P/S scheme exempts private pages and checkpoints instead.
-    pub buffer: bool,
-}
-
 /// A coherence policy: every protocol *decision* point of the engine.
 ///
 /// Methods take `me` (the acting node) and, where the distinction matters
@@ -162,7 +149,7 @@ pub struct WriteDisposition {
 ///   corresponding `*_registered` check returned `false`, and the
 ///   directory access (local DRAM or remote atomic verb) has already been
 ///   charged/performed — the policy applies pure metadata mutations.
-/// - `write_disposition` and `note_written_epoch` are called after
+/// - `write_buffered` and `note_written_epoch` are called after
 ///   `register_writer` for the same page (under the page's slot lock).
 /// - `begin_si_fence` runs before any `must_self_invalidate` query of that
 ///   fence; `end_sd_fence` runs after the fence's drain has settled.
@@ -203,8 +190,13 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
         shard: &StatShard,
     ) -> RegisterOutcome;
 
-    /// Twin/buffer decision for the write fault that just registered. Pure.
-    fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition;
+    /// Does the write fault that just registered enter `page` in the FIFO
+    /// write buffer, so fences (and overflow) drain it? Pure. Policies that
+    /// self-downgrade everything say `true`; the naïve P/S scheme exempts
+    /// private pages and checkpoints them instead. (There is no twin
+    /// decision: every write fault twins, and every downgrade posts the
+    /// masked diff — what lets multiple writers of one page coexist.)
+    fn write_buffered(&self, me: u16, page: PageNum) -> bool;
 
     /// The clean→dirty event (census signals hang off it): raised exactly
     /// once per *written* epoch of `me`'s copy of `page` — by the write
@@ -214,9 +206,9 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
 
     /// May an SD-fence drain keep `me`'s write-hot copy of `page` writable
     /// (post the diff, re-arm the twin, skip the re-protection)? Pure.
-    /// Only a buffered page (the next fence finds it) with a twin (false
-    /// sharing stays tolerated) qualifies; pointless where written pages
-    /// are self-invalidated at the writer's next acquire.
+    /// Only a buffered page (the next fence finds it) qualifies; pointless
+    /// where written pages are self-invalidated at the writer's next
+    /// acquire.
     fn keeps_write_hot(&self, _me: u16, _page: PageNum) -> bool {
         false
     }
@@ -248,11 +240,6 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     }
 
     // --- downgrades ------------------------------------------------------
-
-    /// May `me` skip the twin diff and ship the whole page when
-    /// downgrading `page` (only sound when no other node can have written
-    /// it)? The engine additionally gates this on `sw_no_diff`.
-    fn downgrade_skip_diff(&self, me: u16, page: PageNum) -> bool;
 
     /// `me`'s dirty copy of `page` just landed in home memory (fence
     /// drain, write-buffer overflow, or eviction). This — not the write

@@ -56,9 +56,7 @@
 //! lease grant from a previous lease stint and no stale directory-cache
 //! view can keep stale data alive across a switch.
 
-use super::{
-    CarinaSiSd, Coherence, PageMode, RegisterOutcome, Tardis, WriteDisposition,
-};
+use super::{CarinaSiSd, Coherence, PageMode, RegisterOutcome, Tardis};
 use crate::classification::DirView;
 use crate::config::CarinaConfig;
 use crate::stats::{CoherenceStats, StatShard};
@@ -267,11 +265,11 @@ impl Coherence for Pyxis {
         out
     }
 
-    fn write_disposition(&self, me: u16, page: PageNum) -> WriteDisposition {
+    fn write_buffered(&self, me: u16, page: PageNum) -> bool {
         if self.in_lease_mode(page) {
-            self.tardis.write_disposition(me, page)
+            self.tardis.write_buffered(me, page)
         } else {
-            self.sisd.write_disposition(me, page)
+            self.sisd.write_buffered(me, page)
         }
     }
 
@@ -357,18 +355,9 @@ impl Coherence for Pyxis {
     }
 
     fn private_in_cache(&self, me: u16, page: PageNum) -> bool {
-        // Lease-mode pages always buffer (Tardis disposition), so they are
+        // Lease-mode pages always buffer (as under Tardis), so they are
         // never checkpoint candidates.
         !self.in_lease_mode(page) && self.sisd.private_in_cache(me, page)
-    }
-
-    fn downgrade_skip_diff(&self, me: u16, page: PageNum) -> bool {
-        if self.in_lease_mode(page) {
-            return false;
-        }
-        // Sound in classification mode even after a lease stint: the
-        // writer maps were maintained the whole time.
-        self.sisd.downgrade_skip_diff(me, page)
     }
 
     fn note_downgrade(&self, me: u16, page: PageNum) {

@@ -82,7 +82,7 @@
 //! copy is authoritative, which is the DSM analogue of TARDIS's owner
 //! state.
 
-use super::{lease_clock, Coherence, PageBitSet, PageMode, RegisterOutcome, WriteDisposition};
+use super::{lease_clock, Coherence, PageBitSet, PageMode, RegisterOutcome};
 use crate::classification::{node_bit, DirView};
 use crate::config::CarinaConfig;
 use crate::directory::DirEntry;
@@ -310,11 +310,10 @@ impl Coherence for Tardis {
         RegisterOutcome::quiet()
     }
 
-    fn write_disposition(&self, _me: u16, _page: PageNum) -> WriteDisposition {
-        // No sharer map means no single-writer proof: always twin (false
-        // sharing is possible) and always buffer (every dirty page is
-        // drained at the release that publishes its timestamp).
-        WriteDisposition { need_twin: true, buffer: true }
+    fn write_buffered(&self, _me: u16, _page: PageNum) -> bool {
+        // Every dirty page is drained at the release that publishes its
+        // timestamp.
+        true
     }
 
     fn begin_si_fence(&self, me: u16, _shard: &StatShard) {
@@ -357,10 +356,6 @@ impl Coherence for Tardis {
         // home.
         self.gts
             .fetch_max(nc.pts.load(Ordering::Acquire), Ordering::AcqRel);
-    }
-
-    fn downgrade_skip_diff(&self, _me: u16, _page: PageNum) -> bool {
-        false
     }
 
     fn note_downgrade(&self, me: u16, page: PageNum) {

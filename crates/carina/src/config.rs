@@ -28,26 +28,18 @@ pub const FENCE_SCAN_CYCLES: u64 = 6;
 /// Cycles to flip protection on one page (the mprotect analogue).
 pub const PROTECT_CYCLES: u64 = 150;
 
-/// Whether SD fences drain the write buffer with one home-coalesced
-/// `Verb::WriteBatch` per home node, or with one `Verb::Write` per page.
-///
-/// Both paths move the same diffs in the same global FIFO order and tick
-/// the same counters; they differ in verb timing (the batch pays one
-/// doorbell per home, the per-page path prices each write independently)
-/// and in host-side issue cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchDrain {
-    /// Decide per fence from the drain's size, the same way on every
-    /// backend: coalesce once it moves at least
-    /// [`CarinaConfig::batch_drain_cutover`] pages, keep the calibrated
-    /// per-page path below that.
-    #[default]
-    Auto,
-    /// Always coalesce (equivalence tests force this on the simulator).
-    Always,
-    /// Never coalesce.
-    Never,
-}
+/// An SD fence that drains at least this many pages coalesces them into
+/// one `Verb::WriteBatch` per home node; smaller drains post one
+/// `Verb::Write` per page. One doorbell per home is pure overhead when a
+/// home holds a page or two and amortizes past that: break-even measured
+/// at ~8 buffered pages, host-cost-neutral there and a win on both wall
+/// and virtual time above it (argobench's `carina.sd_fence_*_512` probes
+/// time the batched side). Both postings move the same diffs in the same
+/// global FIFO order and tick the same counters.
+pub const BATCH_DRAIN_CUTOVER: usize = 8;
+/// Consecutive same-stride line misses a core takes before the read-miss
+/// prefetcher issues a speculative line fetch.
+pub const PREFETCH_STREAK: u32 = 2;
 
 /// All tunables of the coherence layer. Defaults match the paper's shipped
 /// configuration (P/S3, passive directory, prefetching off unless asked).
@@ -60,34 +52,17 @@ pub struct CarinaConfig {
     /// Write-buffer capacity in pages (the Figure 9/10 sweep). When the
     /// buffer exceeds this, the oldest dirty page is downgraded.
     pub write_buffer_pages: usize,
-    /// How SD fences post the drained pages home (see [`BatchDrain`]).
-    pub batch_drain: BatchDrain,
-    /// Under [`BatchDrain::Auto`], coalesce once a fence drains at least
-    /// this many pages. Small drains keep the per-page path (one doorbell per
-    /// home is pure overhead when a home only holds a page or two); big
-    /// drains amortize it. Break-even measured at ~8 buffered pages:
-    /// batching is host-cost-neutral there and wins on both wall and
-    /// virtual time above it (argobench's `carina.sd_fence_*_512` probes
-    /// time the batched side).
-    pub batch_drain_cutover: usize,
     /// Read-miss stride prefetcher: capacity of the per-node prefetch ring
     /// in *lines*. `0` (the default) disables prefetching entirely.
     /// Prefetched lines live in a side ring — never in the page cache —
     /// until a demand miss consumes them, so coherence invariants are
     /// untouched; SI fences and parallel-section resets flush the ring.
     pub prefetch_lines: usize,
-    /// How many consecutive same-stride line misses a core must take
-    /// before the predictor starts issuing speculative line fetches.
-    pub prefetch_streak: u32,
     /// Ablation: charge a software message-handler invocation at the home
     /// node for every directory operation and notification, as a
     /// traditional *active* directory would. Argo's contribution is that
     /// this is `false`.
     pub active_directory: bool,
-    /// Extension (paper future work §3.2): a single writer skips twin/diff
-    /// creation and downgrades by transmitting the whole page — no false
-    /// sharing is possible with one writer.
-    pub sw_no_diff: bool,
     /// Evidence score a page must accumulate before the Pyxis hybrid
     /// switches its mode at the next fence boundary (higher = more
     /// hysteresis, slower adaptation). Ignored by the pure policies.
@@ -134,12 +109,8 @@ impl Default for CarinaConfig {
             mode: ClassificationMode::Ps3,
             cache: CacheConfig::default(),
             write_buffer_pages: 8192,
-            batch_drain: BatchDrain::Auto,
-            batch_drain_cutover: 8,
             prefetch_lines: 0,
-            prefetch_streak: 2,
             active_directory: false,
-            sw_no_diff: false,
             pyxis_switch_threshold: 3,
             pyxis_score_cap: 8,
             retry: RetryPolicy::default(),
@@ -179,7 +150,6 @@ mod tests {
         let c = CarinaConfig::default();
         assert_eq!(c.mode, ClassificationMode::Ps3);
         assert!(!c.active_directory);
-        assert!(!c.sw_no_diff);
     }
 
     #[test]

@@ -33,11 +33,8 @@ pub mod write_buffer;
 
 pub use census::{Census, HotPage};
 pub use classification::{ClassificationMode, DirView, PageClass, WriterClass};
-pub use coherence::{
-    CarinaSiSd, Coherence, PageMode, PolicyKind, Pyxis, RegisterOutcome, Tardis,
-    WriteDisposition,
-};
-pub use config::{BatchDrain, CarinaConfig};
+pub use coherence::{CarinaSiSd, Coherence, PageMode, PolicyKind, Pyxis, RegisterOutcome, Tardis};
+pub use config::CarinaConfig;
 pub use error::DsmError;
 pub use protocol::Dsm;
 pub use stats::{CoherenceSnapshot, CoherenceStats, StatShard};

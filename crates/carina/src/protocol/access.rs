@@ -228,24 +228,22 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             CoherenceStats::bump(&self.stats.shard(me).write_faults);
             t.fault_trap();
             self.register_writer(t, page, me)?;
-            let disp = self.coherence.write_disposition(me, page);
+            let buffer = self.coherence.write_buffered(me, page);
             self.coherence.note_written_epoch(me, page);
             debug_assert!(st.pages[idx].mask.is_empty(), "clean page carries mask bits");
-            if disp.need_twin {
-                // The twin starts empty; `write_run` copies each 64-word
-                // chunk from the live data the first time the chunk is
-                // written, so only touched chunks are ever materialized.
-                // The *virtual* charge stays a full hot page copy — the
-                // simulated machine snapshots eagerly; only host work
-                // became lazy.
-                st.pages[idx].twin = Some(PageData::zeroed());
-                t.compute(PAGE_COPY_CYCLES);
-                CoherenceStats::bump(&self.stats.shard(me).twins_created);
-            }
+            // Every fault twins. The twin starts empty; `write_run` copies
+            // each 64-word chunk from the live data the first time the
+            // chunk is written, so only touched chunks are ever
+            // materialized. The *virtual* charge stays a full hot page
+            // copy — the simulated machine snapshots eagerly; only host
+            // work became lazy.
+            t.compute(PAGE_COPY_CYCLES);
+            CoherenceStats::bump(&self.stats.shard(me).twins_created);
             let cp = &mut st.pages[idx];
+            cp.twin = Some(PageData::zeroed());
             cp.write_faults = cp.write_faults.saturating_add(1);
             cp.dirty = true;
-            Ok(disp.buffer)
+            Ok(buffer)
         })
     }
 }

@@ -12,7 +12,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// quiescent points (no concurrent accesses).
     ///
     /// Engine-owned checks:
-    /// 1. Clean pages hold no twin or mask bits; dirty pages are valid.
+    /// 1. Clean pages hold no twin or mask bits; dirty pages are valid and
+    ///    twinned (every write fault twins; every downgrade posts a masked
+    ///    diff).
     /// 2. When the policy buffers every dirty page, a quiescent node's
     ///    write buffer contains exactly its dirty page set.
     /// 3. Cached pages are never homed on the caching node.
@@ -38,6 +40,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     if cp.dirty {
                         if !cp.valid {
                             problems.push(format!("n{n}: dirty but invalid page {}", page.0));
+                        }
+                        if cp.twin.is_none() {
+                            problems.push(format!("n{n}: dirty page {} without a twin", page.0));
                         }
                         dirty_pages.push(page);
                     } else if cp.twin.is_some() {

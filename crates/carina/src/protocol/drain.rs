@@ -13,25 +13,20 @@ const DIFF_WORD_BYTES: u64 = 10;
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// The one way home: fold the dirty cached page at `idx` of the locked
-    /// slot into `page`'s home memory. A twinned page contributes its
-    /// masked diff — **always**, however large: a false sharer's words that
-    /// drained earlier must survive this node's stale copy of them, which
-    /// is what the twin exists for. (The twin is materialized chunk-wise
-    /// where the mask says stores landed; outside the mask both copies
-    /// agree by construction, so the masked diff is exact.) Only a page
-    /// without a twin — its policy vouched for a single writer — is copied
-    /// whole. Returns the diff's length in words, `None` for a whole copy.
-    /// Data plane only: no cycles, no counters, the page stays dirty.
-    pub(super) fn write_home(&self, st: &SlotGuard<'_>, page: PageNum, idx: usize) -> Option<u64> {
-        let home = self.global.home_page(page);
+    /// slot into `page`'s home memory as its masked diff against the twin
+    /// every write fault makes — **always**, however large: a false
+    /// sharer's words that drained earlier must survive this node's stale
+    /// copy of them, which is what the twin exists for. (The twin is
+    /// materialized chunk-wise where the mask says stores landed; outside
+    /// the mask both copies agree by construction, so the masked diff is
+    /// exact.) Returns the diff's length in words. Data plane only: no
+    /// cycles, no counters, the page stays dirty.
+    pub(super) fn write_home(&self, st: &SlotGuard<'_>, page: PageNum, idx: usize) -> u64 {
         let cp = &st.pages[idx];
-        let Some(twin) = &cp.twin else {
-            home.copy_from(st.data(idx));
-            return None;
-        };
+        let twin = cp.twin.as_ref().expect("every write fault twins");
         let diff = st.data(idx).diff_against_masked(twin, &cp.mask);
-        home.apply_diff(&diff);
-        Some(diff.len() as u64)
+        self.global.home_page(page).apply_diff(&diff);
+        diff.len() as u64
     }
 
     /// Where `st` — `node`'s locked slot for `page` — holds the page dirty:
@@ -59,9 +54,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     ///
     /// The wire size is a *cost* rule on top of [`Self::write_home`]'s data
     /// rule: a diff travels as header + 10 bytes per word, capped at one
-    /// page (a sender would ship the page instead); a proven single writer
-    /// ships the page and skips the scan (the sw_no_diff extension of the
-    /// paper's §3.2 future work — Tardis can never prove it). A page kept
+    /// page (a sender would ship the page instead). A page kept
     /// writable that nobody stored to since owes nothing and posts
     /// nothing, but its empty mask is a host shortcut, not a cost one: the
     /// simulated machine learns it by scanning, and pays for the scan.
@@ -79,18 +72,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             CoherenceStats::bump(&shard.retained_idle_scans);
             return Some((idx, None));
         }
-        let sw_skip = self.config.sw_no_diff && self.coherence.downgrade_skip_diff(owner, page);
-        let bytes = match self.write_home(st, page, idx) {
-            Some(words) if !sw_skip => {
-                t.compute(PAGE_COPY_CYCLES); // diff scan
-                let diff_bytes = DOWNGRADE_HEADER_BYTES + words * DIFF_WORD_BYTES;
-                if diff_bytes < PAGE_BYTES {
-                    CoherenceStats::add(&shard.diff_words, words);
-                }
-                diff_bytes.min(PAGE_BYTES)
-            }
-            _ => PAGE_BYTES,
-        };
+        let words = self.write_home(st, page, idx);
+        t.compute(PAGE_COPY_CYCLES); // diff scan
+        let diff_bytes = DOWNGRADE_HEADER_BYTES + words * DIFF_WORD_BYTES;
+        if diff_bytes < PAGE_BYTES {
+            CoherenceStats::add(&shard.diff_words, words);
+        }
+        let bytes = diff_bytes.min(PAGE_BYTES);
         CoherenceStats::bump(&shard.writebacks);
         CoherenceStats::add(&shard.writeback_bytes, bytes);
         Some((idx, Some(bytes)))
@@ -125,7 +113,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let idle = cp.kept_idle.filter(|_| bytes.is_none()).map_or(0, |k| k.saturating_add(1));
         let keep = fence
             && cp.write_faults >= 2
-            && cp.twin.is_some()
             && u64::from(idle) < self.idle_scan_bound()
             && self.coherence.keeps_write_hot(me, page);
         let mut victim = None;

@@ -4,7 +4,7 @@
 //! (§3.4) and the adaptive classification decay (§3.2).
 
 use super::*;
-use crate::config::{BatchDrain, CHECKPOINT_CYCLES, FENCE_SCAN_CYCLES, PROTECT_CYCLES};
+use crate::config::{BATCH_DRAIN_CUTOVER, CHECKPOINT_CYCLES, FENCE_SCAN_CYCLES, PROTECT_CYCLES};
 use crate::stats::StatShard;
 use std::convert::Infallible;
 
@@ -152,15 +152,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // Shadow homes mirror what this fence writes home: no idle kept page.
         let mut mirrored = if self.config.volans_shadow { drained.clone() } else { Vec::new() };
         mirrored.retain(|&page| self.is_dirty_cached(me, page, true));
-        // Auto: big drains coalesce — one doorbell per home amortizes once
-        // a fence moves `batch_drain_cutover` pages — while small drains
-        // keep the per-page path its timing calibration, on every backend.
-        let batch = match self.config.batch_drain {
-            BatchDrain::Auto => drained.len() >= self.config.batch_drain_cutover,
-            BatchDrain::Always => true,
-            BatchDrain::Never => false,
-        };
-        if batch {
+        // Big drains coalesce — one doorbell per home amortizes once a
+        // fence moves `BATCH_DRAIN_CUTOVER` pages — while small drains keep
+        // the per-page path its timing calibration, on every backend.
+        if drained.len() >= BATCH_DRAIN_CUTOVER {
             self.drain_batched(t, &drained, me)?;
         } else {
             for (i, &page) in drained.iter().enumerate() {

@@ -13,9 +13,10 @@
 //!   [`RegisterOutcome`] asks for (no handler runs anywhere).
 //! - **Write fault** (§3.5): first write to a page registers us as a
 //!   writer; the policy classifies the fault (possibly asking the engine to
-//!   notify sharers) and decides twin and buffering via
-//!   [`crate::coherence::WriteDisposition`]; the page enters the FIFO write
-//!   buffer (§3.6.1) whose overflow downgrades the oldest dirty page.
+//!   notify sharers) and decides buffering
+//!   ([`Coherence::write_buffered`]); every fault twins the page, and it
+//!   enters the FIFO write buffer (§3.6.1) whose overflow downgrades the
+//!   oldest dirty page.
 //! - **SI fence** (§3.1): sweep the page cache and invalidate exactly the
 //!   pages the policy's predicate names (Table 1 under SI/SD; expired
 //!   leases under Tardis).

@@ -3,6 +3,7 @@
 //! ring of speculatively fetched lines that only a demand miss can claim.
 
 use super::*;
+use crate::config::PREFETCH_STREAK;
 use mem::PageData;
 use rma::VerbToken;
 use std::collections::VecDeque;
@@ -84,7 +85,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// Advance `t`'s core's stride predictor past a demand miss on `line`
-    /// and, once a stride has repeated `prefetch_streak` times, issue a
+    /// and, once a stride has repeated [`PREFETCH_STREAK`] times, issue a
     /// speculative fetch of the predicted next line into the ring.
     pub(super) fn maybe_prefetch(&self, t: &mut T::Endpoint, line: u64, me: u16) {
         if self.config.prefetch_lines == 0 {
@@ -112,7 +113,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             p.last_line = line;
             p.primed = true;
             let (streak, stride) = (p.streak, p.stride);
-            if streak < self.config.prefetch_streak {
+            if streak < PREFETCH_STREAK {
                 None
             } else {
                 let next = line.wrapping_add(stride as u64);

@@ -2,7 +2,7 @@
 //! transitions, deferred invalidation, diffs under false sharing, write
 //! buffering, and the fence semantics that make DRF programs SC.
 
-use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES};
+use carina::config::{BATCH_DRAIN_CUTOVER, HIT_CYCLES, PAGE_COPY_CYCLES};
 use carina::{
     CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, Dsm, PageClass, Tardis, VerbClass,
     WriterClass,
@@ -11,6 +11,7 @@ use mem::{CacheConfig, GlobalAddr, PAGE_BYTES, WORDS_PER_PAGE};
 use rma::{Endpoint, FaultPlan, FaultyTransport, SimTransport, Transport};
 use simnet::testkit::{thread, tiny_net};
 use simnet::{CostModel, NodeId, SimThread};
+use std::ops::Range;
 use std::sync::Arc;
 
 fn cluster(nodes: usize, config: CarinaConfig) -> (Arc<Dsm>, Vec<SimThread>) {
@@ -196,54 +197,71 @@ fn false_sharing_merges_through_diffs() {
     assert!(dsm.stats().snapshot().diff_words >= 2);
 }
 
-/// The multiple-writer rule when the diff is *big*: node 0 writes words
-/// 0‥449 of a page homed on node 2, node 1 writes 450‥511, and node 1
-/// releases first. Node 0's diff (450 words) is past the size where a
-/// sender ships the whole page instead — but that cap prices the wire
-/// message; home memory must still receive the masked diff, or node 0's
-/// stale copy of words 450‥511 buries node 1's drained writes. The big
-/// writer goes home last either through its own SD fence (`decay: false`)
-/// or on its behalf through the collective decay.
-fn big_diff_keeps_a_false_sharers_words<C: Coherence>(decay: bool) {
-    const SPLIT: u64 = 450;
-    let words = WORDS_PER_PAGE as u64;
+/// The multiple-writer rule (§3.2): node 0 write-faults first — alone in
+/// the page's writer map — on the words `ours` of a page homed on node 2;
+/// node 1 then writes `theirs` and releases first; node 0 goes home last,
+/// through its own SD fence (`decay: false`) or on its behalf through the
+/// collective decay. Node 0's copy of `theirs` is stale, and only its twin
+/// keeps that off home memory: home must hold both nodes' words.
+fn false_sharers_both_reach_home<C: Coherence>(ours: Range<u64>, theirs: Range<u64>, decay: bool) {
     let net = tiny_net(3);
     let dsm: Arc<Dsm<SimTransport, C>> =
         Dsm::with_policy(net.clone(), 4 << 20, CarinaConfig::default());
-    let (mut big, mut small) = (thread(&net, 0, 0), thread(&net, 1, 0));
+    let (mut first, mut second) = (thread(&net, 0, 0), thread(&net, 1, 0));
     let mut home = thread(&net, 2, 0);
     let base = addr_homed_at(3, 2, 0);
-    for w in 0..SPLIT {
-        dsm.write_u64(&mut big, base.offset(8 * w), 1000 + w);
+    for w in ours.clone() {
+        dsm.write_u64(&mut first, base.offset(8 * w), 1000 + w);
     }
-    for w in SPLIT..words {
-        dsm.write_u64(&mut small, base.offset(8 * w), 2000 + w);
+    for w in theirs.clone() {
+        dsm.write_u64(&mut second, base.offset(8 * w), 2000 + w);
     }
-    dsm.sd_fence(&mut small);
+    dsm.sd_fence(&mut second);
     if decay {
         dsm.decay_classification(&mut home);
     } else {
-        dsm.sd_fence(&mut big);
+        dsm.sd_fence(&mut first);
     }
-    for w in 0..words {
-        let expect = if w < SPLIT { 1000 + w } else { 2000 + w };
+    for w in 0..WORDS_PER_PAGE as u64 {
+        let expect = match w {
+            _ if ours.contains(&w) => 1000 + w,
+            _ if theirs.contains(&w) => 2000 + w,
+            _ => 0,
+        };
         assert_eq!(dsm.peek_u64(base.offset(8 * w)), expect, "{} home word {w}", C::NAME);
     }
-    // The cap is a cost rule, not a data rule: the big write-back is still
-    // charged one whole page on the wire (and its words are not counted as
-    // diffed), the small one header + 10 bytes per word.
+    // The cap is a cost rule, not a data rule: a diff past the size where a
+    // sender ships the whole page is charged one page on the wire (and its
+    // words are not counted as diffed), any other header + 10 bytes per
+    // word — but home memory receives the masked diff either way.
+    let diff_bytes = |words: &Range<u64>| 32 + 10 * (words.end - words.start);
+    let wire = |words: &Range<u64>| diff_bytes(words).min(PAGE_BYTES);
+    let diffed = |words: &Range<u64>| {
+        if diff_bytes(words) < PAGE_BYTES {
+            words.end - words.start
+        } else {
+            0
+        }
+    };
     let s = dsm.stats().snapshot();
     assert_eq!(s.writebacks, 2);
-    assert_eq!(s.writeback_bytes, PAGE_BYTES + 32 + 10 * (words - SPLIT));
-    assert_eq!(s.diff_words, words - SPLIT);
+    assert_eq!(s.writeback_bytes, wire(&ours) + wire(&theirs));
+    assert_eq!(s.diff_words, diffed(&ours) + diffed(&theirs));
     assert!(dsm.check_invariants().is_empty());
 }
 
+/// Two inputs: one word each — the interleaving a twin-less single-writer
+/// downgrade lost, posting node 0's whole stale page over node 1's word
+/// 100 — and a diff so *big* (450 words) that its wire message is a page.
 #[test]
-fn big_diff_write_back_preserves_false_sharing() {
-    for decay in [false, true] {
-        big_diff_keeps_a_false_sharers_words::<CarinaSiSd>(decay);
-        big_diff_keeps_a_false_sharers_words::<Tardis>(decay);
+fn multiple_writer_diffs_preserve_false_sharing() {
+    let words = WORDS_PER_PAGE as u64;
+    for (ours, theirs) in [(0..1, 100..101), (0..450, 450..words)] {
+        for decay in [false, true] {
+            false_sharers_both_reach_home::<CarinaSiSd>(ours.clone(), theirs.clone(), decay);
+            false_sharers_both_reach_home::<Pyxis>(ours.clone(), theirs.clone(), decay);
+            false_sharers_both_reach_home::<Tardis>(ours.clone(), theirs.clone(), decay);
+        }
     }
 }
 
@@ -526,33 +544,6 @@ fn dropped_page_read_reissues_on_the_unchanged_schedule() {
 }
 
 #[test]
-fn sw_no_diff_extension_skips_diff_transmission() {
-    let cfg = CarinaConfig {
-        sw_no_diff: true,
-        ..Default::default()
-    };
-    let (dsm, mut ts) = cluster(2, cfg);
-    let a = addr_homed_at(2, 1, 0);
-    dsm.write_u64(&mut ts[0], a, 9);
-    dsm.sd_fence(&mut ts[0]);
-    let s = dsm.stats().snapshot();
-    assert_eq!(s.twins_created, 0); // single writer: no twin
-    assert_eq!(s.diff_words, 0); // whole page transmitted
-    assert_eq!(s.writeback_bytes, PAGE_BYTES);
-    assert_eq!(dsm.read_u64(&mut ts[1], a), 9);
-    // The collective decay downgrades on the owner's behalf under the same
-    // cost rule (one `write_back` step): the proven single writer's page
-    // travels whole and unscanned there too.
-    dsm.write_u64(&mut ts[0], a, 10);
-    dsm.decay_classification(&mut ts[1]);
-    let s = dsm.stats().snapshot();
-    assert_eq!((s.twins_created, s.diff_words), (0, 0));
-    assert_eq!((s.writebacks, s.writeback_bytes), (2, 2 * PAGE_BYTES));
-    assert_eq!(dsm.peek_u64(a), 10);
-    assert!(dsm.check_invariants().is_empty());
-}
-
-#[test]
 fn concurrent_threads_same_node_share_cache() {
     // Two OS threads on the same simulated node: one fills, the other hits.
     let net = tiny_net(2);
@@ -699,7 +690,7 @@ fn invariants_hold_through_a_protocol_workout() {
 fn stride_prefetcher_hides_miss_latency() {
     // Node 0 streams all pages; interleaved homing makes every odd page a
     // remote miss with a constant line stride of 2, which the predictor
-    // locks onto after `prefetch_streak` repeats. The prefetched copies
+    // locks onto after `PREFETCH_STREAK` repeats. The prefetched copies
     // must be consumed (hits), produce identical values, and make the run
     // cheaper in virtual time than the same stream without speculation.
     let run = |prefetch_lines: usize| {
@@ -708,7 +699,6 @@ fn stride_prefetcher_hides_miss_latency() {
             CarinaConfig {
                 cache: CacheConfig::new(1024, 1),
                 prefetch_lines,
-                prefetch_streak: 2,
                 ..CarinaConfig::default()
             },
         );
@@ -743,15 +733,14 @@ fn si_fence_flushes_speculation_and_counts_waste() {
         CarinaConfig {
             cache: CacheConfig::new(1024, 1),
             prefetch_lines: 8,
-            prefetch_streak: 1,
             ..CarinaConfig::default()
         },
     );
     let t = &mut ts[0];
-    // Misses on lines 1, 3, 5: the second confirms stride 2 (prefetching
-    // line 5, which the third miss consumes), the third posts line 7 into
-    // the ring where it sits unclaimed.
-    for p in [1u64, 3, 5] {
+    // Misses on lines 1, 3, 5, 7: the third confirms stride 2 twice
+    // (prefetching line 7, which the fourth miss consumes), the fourth
+    // posts line 9 into the ring where it sits unclaimed.
+    for p in [1u64, 3, 5, 7] {
         dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
     }
     let before = dsm.stats().snapshot();
@@ -769,8 +758,8 @@ fn si_fence_flushes_speculation_and_counts_waste() {
     // The flush is what makes speculation sound across synchronization:
     // a value written before this node's acquire must be observed, not
     // shadowed by a pre-acquire snapshot.
-    dsm.poke_u64(GlobalAddr(7 * PAGE_BYTES), 77);
-    assert_eq!(dsm.read_u64(t, GlobalAddr(7 * PAGE_BYTES)), 77);
+    dsm.poke_u64(GlobalAddr(9 * PAGE_BYTES), 77);
+    assert_eq!(dsm.read_u64(t, GlobalAddr(9 * PAGE_BYTES)), 77);
 }
 
 #[test]
@@ -780,12 +769,11 @@ fn same_node_acquire_drops_speculation_without_sweeping() {
         CarinaConfig {
             cache: CacheConfig::new(1024, 1),
             prefetch_lines: 8,
-            prefetch_streak: 1,
             ..CarinaConfig::default()
         },
     );
     let t = &mut ts[0];
-    for p in [1u64, 3, 5] {
+    for p in [1u64, 3, 5, 7] {
         dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
     }
     let before = dsm.stats().snapshot();
@@ -796,9 +784,9 @@ fn same_node_acquire_drops_speculation_without_sweeping() {
     let after = dsm.stats().snapshot();
     assert_eq!((after.si_fences, after.si_invalidated), (0, 0));
     assert_eq!(after.prefetch_hits + after.prefetch_wasted, after.prefetch_issued);
-    assert_eq!(dsm.stats().snapshot().read_misses, 3);
-    dsm.read_u64(t, GlobalAddr(5 * PAGE_BYTES));
-    assert_eq!(dsm.stats().snapshot().read_misses, 3, "the cache itself was kept");
+    assert_eq!(dsm.stats().snapshot().read_misses, 4);
+    dsm.read_u64(t, GlobalAddr(7 * PAGE_BYTES));
+    assert_eq!(dsm.stats().snapshot().read_misses, 4, "the cache itself was kept");
     // A handover is the full SI fence.
     dsm.acquire_fence(t, true);
     assert_eq!(dsm.stats().snapshot().si_fences, 1);
@@ -843,27 +831,27 @@ fn auto_drain_coalesces_past_the_cutover() {
         2,
         CarinaConfig {
             cache: CacheConfig::new(1024, 1),
-            batch_drain_cutover: 4,
             ..CarinaConfig::default()
         },
     );
     let t = &mut ts[0];
-    // Three dirty pages: below the cutover, Auto keeps the simulator's
+    let cutover = BATCH_DRAIN_CUTOVER as u64;
+    // One page short of the cutover: the fence keeps the simulator's
     // per-page path.
-    for salt in 0..3 {
+    for salt in 0..cutover - 1 {
         dsm.write_u64(t, addr_homed_at(2, 1, salt), salt);
     }
     dsm.sd_fence(t);
     assert_eq!(dsm.stats().snapshot().downgrade_batches, 0);
-    // Four dirty pages: at the cutover, the fence coalesces into one
-    // batched verb per home even though the transport declines.
-    for salt in 10..14 {
+    // At the cutover, the fence coalesces into one batched verb per home
+    // even though the transport declines.
+    for salt in 100..100 + cutover {
         dsm.write_u64(t, addr_homed_at(2, 1, salt), salt);
     }
     dsm.sd_fence(t);
     let s = dsm.stats().snapshot();
     assert_eq!(s.downgrade_batches, 1);
-    assert_eq!(s.downgrade_batch_pages, 4);
+    assert_eq!(s.downgrade_batch_pages, cutover);
 }
 
 // ---- write-hot retention (DESIGN §3, "Writable across the release") ----

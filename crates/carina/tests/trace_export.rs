@@ -209,24 +209,22 @@ fn detail_on_records_the_tour_story() {
     assert!(line.contains("n1 p_to_s") && line.contains("arg=5 ->n0"), "{line}");
 }
 
-/// Batched drains land in the new coherence counters.
+/// Batched drains (a fence that drains the cutover's worth of pages) land
+/// in the coherence counters.
 #[test]
 fn batched_drain_counters_tick() {
     let topo = ClusterTopology::tiny(2);
     let net = SimTransport::new(topo, CostModel::paper_2011());
-    let config = CarinaConfig {
-        batch_drain: carina::BatchDrain::Always,
-        ..Default::default()
-    };
-    let dsm: Arc<Dsm> = Dsm::new(net.clone(), 1 << 20, config);
+    let dsm: Arc<Dsm> = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
     let mut a = <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(0), 0));
-    for p in 0..5u64 {
+    let pages = carina::config::BATCH_DRAIN_CUTOVER as u64;
+    for p in 0..pages {
         // Odd pages: all homed on node 1 under interleaved placement.
         dsm.write_u64(&mut a, GlobalAddr((2 * p + 1) * PAGE_BYTES), p);
     }
     dsm.sd_fence(&mut a);
     let snap = dsm.stats().snapshot();
     assert_eq!(snap.downgrade_batches, 1, "one home, one batch");
-    assert_eq!(snap.downgrade_batch_pages, 5);
-    assert!((snap.mean_drain_batch() - 5.0).abs() < 1e-12);
+    assert_eq!(snap.downgrade_batch_pages, pages);
+    assert!((snap.mean_drain_batch() - pages as f64).abs() < 1e-12);
 }

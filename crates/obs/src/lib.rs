@@ -24,8 +24,8 @@
 //!   site and threaded through the verb layer's issue/poll/retry halves.
 //! - [`lyra`] — the always-on [`FlightRecorder`]: per-node lock-free rings
 //!   of fixed-size [`VerbRecord`]s with counted loss, tail-latency ring
-//!   captures, and a flow-arrow Perfetto export. Compiled to a no-op by
-//!   the `recorder-off` feature.
+//!   captures, and a flow-arrow Perfetto export. `set_enabled(false)` is
+//!   its one off switch.
 //! - [`metrics`] — [`MetricsSnapshot`], a live Prometheus-text + JSON
 //!   metrics exposition pollable mid-run on both backends.
 //!

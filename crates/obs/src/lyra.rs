@@ -34,9 +34,6 @@
 //! caller hands it and writes side tables nobody on the protocol path ever
 //! reads back, which is why the simulator's determinism probes stay
 //! bit-identical with it enabled.
-//!
-//! Compile-out: building `obs` with the `recorder-off` feature turns
-//! [`FlightRecorder::record`] and friends into empty inline bodies.
 
 use crate::json::escape;
 use crate::profile::Site;
@@ -227,7 +224,6 @@ impl VerbRecord {
 
     pub const WORDS: usize = 6;
 
-    #[cfg_attr(feature = "recorder-off", allow(dead_code))]
     #[inline]
     fn encode(&self) -> [u64; Self::WORDS] {
         [
@@ -313,7 +309,6 @@ impl Slot {
 /// in-flight writers abandon (counted as drops).
 struct NodeRing {
     head: AtomicU64,
-    #[cfg_attr(feature = "recorder-off", allow(dead_code))]
     mask: usize,
     slots: Box<[Slot]>,
 }
@@ -328,7 +323,6 @@ impl NodeRing {
         }
     }
 
-    #[cfg_attr(feature = "recorder-off", allow(dead_code))]
     fn push(&self, rec: &VerbRecord, dropped: &AtomicU64) {
         let ticket = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket as usize) & self.mask];
@@ -450,7 +444,6 @@ impl LaneRing {
         }
     }
 
-    #[cfg_attr(feature = "recorder-off", allow(dead_code))]
     #[inline]
     fn push(&self, rec: &VerbRecord) {
         let ticket = self.head.load(Ordering::Relaxed);
@@ -518,7 +511,6 @@ pub struct Lane {
 /// the top 16 bits, `lane + 1` in bits 32..48, sequence below. The +1
 /// keeps lane-minted ids disjoint from [`SpanMinter`]'s (whose bits 32..48
 /// are zero until a node mints 2^32 spans).
-#[cfg_attr(feature = "recorder-off", allow(dead_code))]
 const LANE_TAG_SHIFT: u32 = 32;
 
 impl Lane {
@@ -532,38 +524,24 @@ impl Lane {
     /// Disabled recorders mint [`SpanId::NONE`] (nothing will record it).
     #[inline]
     pub fn mint(&mut self) -> SpanId {
-        #[cfg(feature = "recorder-off")]
-        {
-            SpanId::NONE
+        if !self.fr.enabled.load(Ordering::Relaxed) {
+            return SpanId::NONE;
         }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            if !self.fr.enabled.load(Ordering::Relaxed) {
-                return SpanId::NONE;
-            }
-            let seq = self.ring.span_next.load(Ordering::Relaxed);
-            self.ring.span_next.store(seq + 1, Ordering::Relaxed);
-            let lane_tag = ((self.ring.id as u64 % 0xFFFF) + 1) << LANE_TAG_SHIFT;
-            SpanId(((self.ring.node as u64) << 48) | lane_tag | (seq & 0xFFFF_FFFF))
-        }
+        let seq = self.ring.span_next.load(Ordering::Relaxed);
+        self.ring.span_next.store(seq + 1, Ordering::Relaxed);
+        let lane_tag = ((self.ring.id as u64 % 0xFFFF) + 1) << LANE_TAG_SHIFT;
+        SpanId(((self.ring.node as u64) << 48) | lane_tag | (seq & 0xFFFF_FFFF))
     }
 
     /// Record one entry. Same closure gating as [`FlightRecorder::record`]:
     /// a disabled recorder never runs `make`, so it never reads the clock.
     #[inline]
     pub fn record(&mut self, make: impl FnOnce() -> VerbRecord) {
-        #[cfg(feature = "recorder-off")]
-        {
-            let _ = make;
+        if !self.fr.enabled.load(Ordering::Relaxed) {
+            return;
         }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            if !self.fr.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let rec = make();
-            self.ring.push(&rec);
-        }
+        let rec = make();
+        self.ring.push(&rec);
     }
 }
 
@@ -646,7 +624,6 @@ pub struct FlightRecorder {
     dropped: AtomicU64,
     tail_crossings: AtomicU64,
     captures: Mutex<Vec<TailCapture>>,
-    #[cfg_attr(feature = "recorder-off", allow(dead_code))]
     max_captures: usize,
 }
 
@@ -706,14 +683,7 @@ impl FlightRecorder {
 
     #[inline]
     pub fn enabled(&self) -> bool {
-        #[cfg(feature = "recorder-off")]
-        {
-            false
-        }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            self.enabled.load(Ordering::Relaxed)
-        }
+        self.enabled.load(Ordering::Relaxed)
     }
 
     pub fn set_enabled(&self, on: bool) {
@@ -733,19 +703,10 @@ impl FlightRecorder {
         self.detail.load(Ordering::Relaxed) && self.enabled()
     }
 
-    /// Mint a span for `node`. Span ids feed only observability records;
-    /// with the recorder compiled out this is free and returns NONE.
+    /// Mint a span for `node`. Span ids feed only observability records.
     #[inline]
     pub fn mint(&self, node: usize) -> SpanId {
-        #[cfg(feature = "recorder-off")]
-        {
-            let _ = node;
-            SpanId::NONE
-        }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            self.minter.mint(node)
-        }
+        self.minter.mint(node)
     }
 
     /// Record one entry for `node`. The closure runs only when enabled —
@@ -753,19 +714,12 @@ impl FlightRecorder {
     /// observes time. Clamps out-of-range nodes to the last ring.
     #[inline]
     pub fn record(&self, node: usize, make: impl FnOnce() -> VerbRecord) {
-        #[cfg(feature = "recorder-off")]
-        {
-            let _ = (node, make);
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
         }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            if !self.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            let rec = make();
-            let ring = &self.rings[node.min(self.rings.len() - 1)];
-            ring.push(&rec, &self.dropped);
-        }
+        let rec = make();
+        let ring = &self.rings[node.min(self.rings.len() - 1)];
+        ring.push(&rec, &self.dropped);
     }
 
     /// Snapshot the ring around an operation that crossed the tail
@@ -773,26 +727,19 @@ impl FlightRecorder {
     /// full snapshots are kept (off the hot path: one mutex + one clone,
     /// paid only by already-slow operations).
     pub fn capture_tail(&self, node: usize, site: u8, span: SpanId, start: u64, dur: u64) {
-        #[cfg(feature = "recorder-off")]
-        {
-            let _ = (node, site, span, start, dur);
+        if !self.enabled.load(Ordering::Relaxed) {
+            return;
         }
-        #[cfg(not(feature = "recorder-off"))]
-        {
-            if !self.enabled.load(Ordering::Relaxed) {
-                return;
-            }
-            self.tail_crossings.fetch_add(1, Ordering::Relaxed);
-            let mut caps = match self.captures.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
-            if caps.len() >= self.max_captures {
-                return;
-            }
-            let records = self.node_records(node);
-            caps.push(TailCapture { node, site, span, start, dur, records });
+        self.tail_crossings.fetch_add(1, Ordering::Relaxed);
+        let mut caps = match self.captures.lock() {
+            Ok(g) => g,
+            Err(p) => p.into_inner(),
+        };
+        if caps.len() >= self.max_captures {
+            return;
         }
+        let records = self.node_records(node);
+        caps.push(TailCapture { node, site, span, start, dur, records });
     }
 
     /// One node's resident records across the shared ring and every lane,
@@ -1014,7 +961,7 @@ impl FlightRecorder {
     }
 }
 
-#[cfg(all(test, not(feature = "recorder-off")))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

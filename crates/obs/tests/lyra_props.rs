@@ -2,8 +2,6 @@
 //! writers, records are never torn and every submission is accounted —
 //! `kept + dropped == submitted` at quiescence.
 
-#![cfg(not(feature = "recorder-off"))]
-
 use obs::lyra::{Fate, FlightRecorder, RecordKind, VerbRecord};
 use obs::span::SpanId;
 use proptest::prelude::*;

@@ -8,8 +8,8 @@
 //! Two halves:
 //!
 //! - [`local`]: real shared-memory locks measured in real time on real
-//!   threads — Pthreads mutex, MCS, CLH, flat combining, **queue delegation
-//!   (QDL)** and the **cohort lock**. These reproduce Figure 11's
+//!   threads — the Pthreads mutex, **queue delegation (QDL)** and the
+//!   **cohort lock** (over a ticket lock). These reproduce Figure 11's
 //!   single-node comparison.
 //! - [`dsm`]: cluster-wide primitives — the hierarchical barrier (§4.1), a
 //!   one-sided global lock, **HQDL** (hierarchical queue delegation, §4.2),
@@ -27,5 +27,5 @@ pub mod local;
 pub mod pairing_heap;
 
 pub use dsm::{ClockBarrier, DsmCohortLock, DsmFlag, DsmGlobalLock, DsmPairingHeap, FencePlacement, HierBarrier, Hqdl};
-pub use local::{ClhLock, CohortLock, CsLock, FcLock, HboLock, HclhLock, McsLock, PthreadsMutex, QdLock, TicketLock};
+pub use local::{CohortLock, CsLock, PthreadsMutex, QdLock, TicketLock};
 pub use pairing_heap::PairingHeap;

@@ -4,21 +4,11 @@
 //! The single-node lock microbenchmark runs them on actual OS threads and
 //! reports actual throughput, exactly as the paper does on one machine.
 
-pub mod clh;
 pub mod cohort;
-pub mod flat_combining;
-pub mod hbo;
-pub mod hclh;
-pub mod mcs;
 pub mod qd;
 pub mod ticket;
 
-pub use clh::ClhLock;
 pub use cohort::CohortLock;
-pub use flat_combining::FcLock;
-pub use hbo::HboLock;
-pub use hclh::HclhLock;
-pub use mcs::McsLock;
 pub use qd::{QdFuture, QdLock};
 pub use ticket::TicketLock;
 
@@ -57,32 +47,6 @@ impl<T: Send> CsLock<T> for PthreadsMutex<T> {
     }
 }
 
-impl<T: Send> CsLock<T> for McsLock<T> {
-    fn with<R: Send + 'static>(
-        &self,
-        _socket: usize,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
-    ) -> R {
-        McsLock::with(self, f)
-    }
-    fn name(&self) -> &'static str {
-        "mcs"
-    }
-}
-
-impl<T: Send> CsLock<T> for ClhLock<T> {
-    fn with<R: Send + 'static>(
-        &self,
-        _socket: usize,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
-    ) -> R {
-        ClhLock::with(self, f)
-    }
-    fn name(&self) -> &'static str {
-        "clh"
-    }
-}
-
 impl<T: Send> CsLock<T> for CohortLock<T> {
     fn with<R: Send + 'static>(
         &self,
@@ -106,19 +70,6 @@ impl<T: Send> CsLock<T> for QdLock<T> {
     }
     fn name(&self) -> &'static str {
         "qd"
-    }
-}
-
-impl<T: Send> CsLock<T> for FcLock<T> {
-    fn with<R: Send + 'static>(
-        &self,
-        _socket: usize,
-        f: impl FnOnce(&mut T) -> R + Send + 'static,
-    ) -> R {
-        FcLock::with(self, f)
-    }
-    fn name(&self) -> &'static str {
-        "flat-combining"
     }
 }
 
@@ -147,12 +98,7 @@ mod tests {
     #[test]
     fn every_lock_satisfies_the_trait_contract() {
         assert_eq!(hammer(Arc::new(PthreadsMutex::new(0)), 4, 5000), 20_000);
-        assert_eq!(hammer(Arc::new(McsLock::new(0)), 4, 5000), 20_000);
-        assert_eq!(hammer(Arc::new(ClhLock::new(0)), 4, 5000), 20_000);
         assert_eq!(hammer(Arc::new(CohortLock::new(4, 32, 0)), 4, 5000), 20_000);
         assert_eq!(hammer(Arc::new(QdLock::new(0)), 4, 5000), 20_000);
-        assert_eq!(hammer(Arc::new(FcLock::new(64, 0)), 4, 5000), 20_000);
-        assert_eq!(hammer(Arc::new(HboLock::new(8, 64, 0)), 4, 5000), 20_000);
-        assert_eq!(hammer(Arc::new(HclhLock::new(4, 32, 0)), 4, 5000), 20_000);
     }
 }

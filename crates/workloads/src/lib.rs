@@ -13,7 +13,6 @@
 //! | [`ep`] | 13e | Argo, OpenMP (1-node), UPC (PGAS mode) |
 //! | [`cg`] | 13f | Argo, OpenMP (1-node), UPC (PGAS mode) |
 //! | [`sor`] | extra (TreadMarks-lineage stencil) | Argo, sequential reference |
-//! | [`tsp`] | extra (lock-structured branch & bound on HQDL) | Argo, exact reference |
 //!
 //! (The seventh "benchmark" is the priority-queue lock microbenchmark of
 //! Figures 11/12, which lives in `vela` + `bench`.)
@@ -30,6 +29,5 @@ pub mod lu;
 pub mod matmul;
 pub mod nbody;
 pub mod sor;
-pub mod tsp;
 
 pub use harness::Outcome;

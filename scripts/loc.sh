@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Lines of Rust per crate under crates/*/src: total, and non-test (the lines
-# of each file before its first `#[cfg(test)]`). Exits non-zero if any file
+# of each file before its first test-only gate — `#[cfg(test)]` or a
+# `#[cfg(all(test, …))]`-style compound naming `test`). Exits non-zero if any file
 # under crates/carina/src exceeds 1000 lines — the engine stays split along
 # its seams. Run from anywhere; pass another checkout's root to measure it.
 set -eu
@@ -13,7 +14,7 @@ for crate in crates/*/; do
     code=0
     while IFS= read -r f; do
         total=$((total + $(wc -l <"$f")))
-        code=$((code + $(awk '/^#\[cfg\(test\)\]/{exit} {n++} END{print n+0}' "$f")))
+        code=$((code + $(awk '/^#\[cfg\((all\()?test[,)]/{exit} {n++} END{print n+0}' "$f")))
     done < <(find "${crate}src" -name '*.rs')
     printf '%-10s %7d %9d\n' "$(basename "$crate")" "$total" "$code"
     sum_total=$((sum_total + total))

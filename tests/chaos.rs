@@ -586,7 +586,6 @@ fn prefetch_speculation_is_bit_identical_under_mixed_faults() {
         let mut cfg = ArgoConfig::small(2, 2);
         cfg.carina.retry.max_attempts = [16; VerbClass::COUNT];
         cfg.carina.prefetch_lines = 8;
-        cfg.carina.prefetch_streak = 2;
         let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(seed));
         let m = ArgoMachine::<_, carina::CarinaSiSd>::on(cfg, net.clone());
         let faulted = matmul::run_argo(&m, p);

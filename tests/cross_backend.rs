@@ -191,32 +191,43 @@ fn barrier_phases_identical_memory_on_both_backends() {
     check_invariants(&coh_nat);
 }
 
-/// Batched and per-page SD-fence drains are data-plane equivalent: forcing
-/// `BatchDrain::Always` vs `Never` must leave bit-identical final home
-/// memory (and identical observed values) on *both* backends. Only verb
-/// timing and doorbell accounting may differ.
+/// Batched and per-page SD-fence drains are data-plane equivalent. The
+/// fence picks the posting from the drain's size, so the same dirty set is
+/// drained once (at least `BATCH_DRAIN_CUTOVER` pages: batched) or over two
+/// fences of fewer pages each (per-page); final home memory and observed
+/// values must be bit-identical on *both* backends, and the wire must
+/// carry the same write-backs. Only verb timing and doorbell accounting
+/// may differ.
 #[test]
 fn batched_drain_equals_per_page_drain_on_both_backends() {
-    use carina::BatchDrain;
-    // Thread-striped writes: every thread writes word `tid` of each of its
-    // slots, so every thread dirties (mostly remote) pages homed all over
-    // the cluster — fence drains then have several homes to coalesce per
-    // batch. One thread per node keeps each node's push/downgrade sequence
-    // fully deterministic, so the two modes' counters are exactly
-    // comparable.
+    use carina::config::BATCH_DRAIN_CUTOVER;
+    use mem::WORDS_PER_PAGE;
+    // Twice the cutover in pages: each node homes at most a third of any
+    // run of them, so one drain of the whole set is past the cutover and
+    // either half is below it.
+    let pages = 2 * BATCH_DRAIN_CUTOVER;
+    // Thread-striped writes: every thread writes word `tid` of each page,
+    // so every thread dirties (mostly remote) pages homed all over the
+    // cluster — a batched drain has several homes to coalesce. Pages
+    // `0..split` are written before the first barrier, the rest before the
+    // second. One thread per node keeps each node's push/downgrade
+    // sequence fully deterministic, so the two drains' counters are
+    // exactly comparable.
     fn striped<T: Transport>(
         machine: &std::sync::Arc<ArgoMachine<T>>,
-        n: usize,
+        pages: usize,
+        split: usize,
     ) -> (Vec<u64>, Vec<f64>, CoherenceSnapshot) {
-        let total = machine.config().total_threads();
+        let n = pages * WORDS_PER_PAGE;
         let arr = GlobalF64Array::alloc(machine.dsm(), n);
         let report = machine.run(move |ctx| {
-            let mut i = ctx.tid();
-            while i < n {
-                arr.set(ctx, i, (i * i) as f64);
-                i += total;
+            for half in [0..split, split..pages] {
+                for page in half {
+                    let i = page * WORDS_PER_PAGE + ctx.tid();
+                    arr.set(ctx, i, (i * i) as f64);
+                }
+                ctx.barrier();
             }
-            ctx.barrier();
             (0..n).map(|i| arr.get(ctx, i)).sum()
         });
         let words = (0..n)
@@ -224,26 +235,32 @@ fn batched_drain_equals_per_page_drain_on_both_backends() {
             .collect();
         (words, report.results, report.coherence)
     }
-    let run = |mode: BatchDrain| {
-        let mut cfg = ArgoConfig::small(3, 1);
-        cfg.carina.batch_drain = mode;
-        // Small write buffer: overflow victims (always per-page) and fence
-        // drains (mode-dependent) both occur.
-        cfg.carina.write_buffer_pages = 6;
-        let sim = striped(&ArgoMachine::new(cfg), 1536);
-        let nat = striped(&ArgoMachine::native(cfg), 1536);
+    let run = |split: usize| {
+        let cfg = ArgoConfig::small(3, 1);
+        let sim = striped(&ArgoMachine::new(cfg), pages, split);
+        let nat = striped(&ArgoMachine::native(cfg), pages, split);
         (sim, nat)
     };
-    let (sim_b, nat_b) = run(BatchDrain::Always);
-    let (sim_p, nat_p) = run(BatchDrain::Never);
+    let (sim_b, nat_b) = run(pages);
+    let (sim_p, nat_p) = run(pages / 2);
     assert_eq!(sim_b.0, sim_p.0, "sim: batch vs per-page memory diverged");
     assert_eq!(nat_b.0, nat_p.0, "native: batch vs per-page memory diverged");
     assert_eq!(sim_b.0, nat_b.0, "backends diverged under batching");
     assert_eq!(sim_b.1, sim_p.1, "sim: observed sums diverged");
     check_invariants(&sim_b.2);
     check_invariants(&nat_b.2);
+    for (batched, per_page) in [(&sim_b.2, &sim_p.2), (&nat_b.2, &nat_p.2)] {
+        assert!(
+            batched.downgrade_batches > 0,
+            "one big drain coalesces: {batched:?}"
+        );
+        assert_eq!(
+            per_page.downgrade_batches, 0,
+            "small drains post per page: {per_page:?}"
+        );
+    }
     // Batching coalesces postings but not traffic: byte totals match the
-    // per-page drain exactly on the deterministic simulator.
+    // per-page drains exactly on the deterministic simulator.
     assert_eq!(
         sim_b.2.writeback_bytes, sim_p.2.writeback_bytes,
         "batching changed how many bytes go home"
@@ -253,27 +270,26 @@ fn batched_drain_equals_per_page_drain_on_both_backends() {
 
 /// Overlapped verb issue is a timing feature only. Multi-page cache lines
 /// make every read miss put several home groups' reads in flight before
-/// polling any; `BatchDrain::Always` makes every SD fence post all per-home
+/// polling any; drains past the cutover make an SD fence post all per-home
 /// drain batches before polling any; and the stride prefetcher adds
 /// speculative reads on top. None of that may change what memory says:
 /// final home memory and every observed value must be bit-identical across
 /// configurations and across backends.
 #[test]
 fn overlapped_fills_and_prefetch_identical_memory_on_both_backends() {
-    use carina::BatchDrain;
     use mem::CacheConfig;
     type Run = (Vec<u64>, Vec<f64>, CoherenceSnapshot);
+    // 96 pages: each of the six threads writes 16, at least ten of them
+    // remote — past the cutover, so every node's fence drains overlap.
     fn run(cfg: ArgoConfig) -> (Run, Run) {
-        let sim = producer_consumer(&ArgoMachine::new(cfg), 16384);
-        let nat = producer_consumer(&ArgoMachine::native(cfg), 16384);
+        let sim = producer_consumer(&ArgoMachine::new(cfg), 49152);
+        let nat = producer_consumer(&ArgoMachine::native(cfg), 49152);
         (sim, nat)
     }
     let mut plain = ArgoConfig::small(3, 2);
     plain.carina.cache = CacheConfig::new(256, 4); // multi-group line fills
-    plain.carina.batch_drain = BatchDrain::Always; // overlapped fence drains
     let mut speculative = plain;
     speculative.carina.prefetch_lines = 8;
-    speculative.carina.prefetch_streak = 2;
     let (sim_plain, nat_plain) = run(plain);
     let (sim_spec, nat_spec) = run(speculative);
     assert_eq!(sim_plain.0, nat_plain.0, "backends diverged (plain)");
@@ -282,6 +298,9 @@ fn overlapped_fills_and_prefetch_identical_memory_on_both_backends() {
     assert_eq!(sim_plain.1, sim_spec.1, "prefetch changed observed values");
     check_invariants(&sim_spec.2);
     check_invariants(&nat_spec.2);
+    for c in [&sim_plain.2, &nat_plain.2, &sim_spec.2, &nat_spec.2] {
+        assert!(c.downgrade_batches > 0, "fence drains must coalesce: {c:?}");
+    }
     assert!(
         sim_spec.2.prefetch_issued > 0 && sim_spec.2.prefetch_hits > 0,
         "the sequential sum phase must engage the stride predictor: {:?}",
