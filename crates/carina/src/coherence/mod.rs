@@ -193,9 +193,9 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// Does the write fault that just registered enter `page` in the FIFO
     /// write buffer, so fences (and overflow) drain it? Pure. Policies that
     /// self-downgrade everything say `true`; the naïve P/S scheme exempts
-    /// private pages and checkpoints them instead. (There is no twin
-    /// decision: every write fault twins, and every downgrade posts the
-    /// masked diff — what lets multiple writers of one page coexist.)
+    /// private pages and checkpoints them instead. (There is no diff
+    /// decision: every store marks its words, and every downgrade posts
+    /// the masked words — what lets multiple writers of one page coexist.)
     fn write_buffered(&self, me: u16, page: PageNum) -> bool;
 
     /// The clean→dirty event (census signals hang off it): raised exactly
@@ -205,7 +205,8 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     fn note_written_epoch(&self, _me: u16, _page: PageNum) {}
 
     /// May an SD-fence drain keep `me`'s write-hot copy of `page` writable
-    /// (post the diff, re-arm the twin, skip the re-protection)? Pure.
+    /// (post the masked words, clear the mask, skip the re-protection)?
+    /// Pure.
     /// Only a buffered page (the next fence finds it) qualifies; pointless
     /// where written pages are self-invalidated at the writer's next
     /// acquire.

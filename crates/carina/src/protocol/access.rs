@@ -1,11 +1,12 @@
 //! The typed access path (paper §3.3–§3.6): check the page cache; a miss
-//! fetches and registers, the first write to a clean page twins and
-//! registers. Two per-page steps — `read_run` and `write_run` — under four
-//! generic entry points; a scalar access is the run of one word.
+//! fetches and registers, the first write to a clean page registers, and
+//! every store marks its words in the page's write mask. Two per-page
+//! steps — `read_run` and `write_run` — under four generic entry points; a
+//! scalar access is the run of one word.
 
 use super::*;
 use crate::config::{HIT_CYCLES, PAGE_COPY_CYCLES, STREAM_WORD_CYCLES};
-use mem::{PageData, Word};
+use mem::Word;
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Read the aligned word at `addr`, surfacing retry-budget exhaustion
@@ -191,20 +192,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         } else {
             self.write_fault_locked(t, &mut st, page, me)?
         };
-        // Maintain the page's write mask: one update per touched chunk, and
-        // the first store into each 64-word chunk copies that chunk of the
-        // pre-store data into the twin — lazy, chunk-wise twin
-        // materialization, so twin cost is O(chunks written), not O(page).
-        // Sound because all stores to cached pages happen under the slot
-        // mutex: nothing can change a chunk between the fault that
-        // allocated the (empty) twin and the copy-on-first-touch here.
-        let (pd, cp) = (st.data(idx), &st.pages[idx]);
-        cp.mask.cover(first, data.len(), |chunk| {
-            if let Some(twin) = &cp.twin {
-                twin.copy_chunk_from(pd, chunk);
-            }
-        });
-        pd.store_run(first, data);
+        // The mask records exactly the stored words — the diff the
+        // write-back posts. Sound because all stores to cached pages happen
+        // under the slot mutex, which the downgrade that reads and clears
+        // the mask takes too.
+        st.pages[idx].mask.cover(first, data.len());
+        st.data(idx).store_run(first, data);
         drop(st);
         if buffered {
             self.downgrade_victim(t, ns.wbuf.push(page), me)?;
@@ -213,9 +206,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// The clean→dirty transition of a cached page (a protection fault in
-    /// the real implementation): register as writer, snapshot a twin, mark
-    /// dirty. Returns whether the page should enter the write buffer; the
-    /// caller must push it after releasing the slot lock.
+    /// the real implementation): register as writer, mark dirty. Returns
+    /// whether the page should enter the write buffer; the caller must push
+    /// it after releasing the slot lock.
     fn write_fault_locked(
         &self,
         t: &mut T::Endpoint,
@@ -231,16 +224,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             let buffer = self.coherence.write_buffered(me, page);
             self.coherence.note_written_epoch(me, page);
             debug_assert!(st.pages[idx].mask.is_empty(), "clean page carries mask bits");
-            // Every fault twins. The twin starts empty; `write_run` copies
-            // each 64-word chunk from the live data the first time the
-            // chunk is written, so only touched chunks are ever
-            // materialized. The *virtual* charge stays a full hot page
-            // copy — the simulated machine snapshots eagerly; only host
-            // work became lazy.
+            // The paper twins here, because its trap cannot say which words
+            // will be stored; the mask can, so the host copies nothing. The
+            // simulated machine still pays the paper's hot page copy.
             t.compute(PAGE_COPY_CYCLES);
-            CoherenceStats::bump(&self.stats.shard(me).twins_created);
             let cp = &mut st.pages[idx];
-            cp.twin = Some(PageData::zeroed());
             cp.write_faults = cp.write_faults.saturating_add(1);
             cp.dirty = true;
             Ok(buffer)

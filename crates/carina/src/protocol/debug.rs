@@ -12,9 +12,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// quiescent points (no concurrent accesses).
     ///
     /// Engine-owned checks:
-    /// 1. Clean pages hold no twin or mask bits; dirty pages are valid and
-    ///    twinned (every write fault twins; every downgrade posts a masked
-    ///    diff).
+    /// 1. A dirty page is valid; a clean page carries no mask bits (every
+    ///    write fault marks; every downgrade posts the masked words).
     /// 2. When the policy buffers every dirty page, a quiescent node's
     ///    write buffer contains exactly its dirty page set.
     /// 3. Cached pages are never homed on the caching node.
@@ -41,15 +40,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         if !cp.valid {
                             problems.push(format!("n{n}: dirty but invalid page {}", page.0));
                         }
-                        if cp.twin.is_none() {
-                            problems.push(format!("n{n}: dirty page {} without a twin", page.0));
-                        }
                         dirty_pages.push(page);
-                    } else if cp.twin.is_some() {
-                        problems.push(format!("n{n}: clean page {} holds a twin", page.0));
                     } else if !cp.mask.is_empty() {
-                        // A stale mask would make the next fault's lazy twin
-                        // skip chunk snapshots it actually needs.
+                        // A stale mask would post words nobody stored in
+                        // the next epoch, over a false sharer's.
                         problems.push(format!("n{n}: clean page {} carries mask bits", page.0));
                     }
                 }

@@ -1,6 +1,6 @@
-//! Self-downgrade (paper §3.2 twins and diffs, §3.6.1 write buffer): the
-//! one way a dirty page reaches home memory (`write_home`), the write-back
-//! step every downgrade runs, the keep-or-protect decision that follows it
+//! Self-downgrade (paper §3.2 diffs, §3.6.1 write buffer): the one way a
+//! dirty page reaches home memory (`write_home`), the write-back step every
+//! downgrade runs, the keep-or-protect decision that follows it
 //! (`downgrade_local`), and its per-page and home-batched postings.
 
 use super::*;
@@ -12,21 +12,18 @@ const DOWNGRADE_HEADER_BYTES: u64 = 32;
 const DIFF_WORD_BYTES: u64 = 10;
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
-    /// The one way home: fold the dirty cached page at `idx` of the locked
-    /// slot into `page`'s home memory as its masked diff against the twin
-    /// every write fault makes — **always**, however large: a false
-    /// sharer's words that drained earlier must survive this node's stale
-    /// copy of them, which is what the twin exists for. (The twin is
-    /// materialized chunk-wise where the mask says stores landed; outside
-    /// the mask both copies agree by construction, so the masked diff is
-    /// exact.) Returns the diff's length in words. Data plane only: no
+    /// The one way home: copy the words the write mask covers from the
+    /// dirty cached page at `idx` of the locked slot into `page`'s home
+    /// memory — **always** just those, however many: a false sharer's
+    /// words that drained earlier must survive this node's stale copy of
+    /// them. The mask is the diff: under DRF no other node writes a masked
+    /// word in this epoch, so posting it — even unchanged (a silent store)
+    /// — loses nothing. Returns the words posted. Data plane only: no
     /// cycles, no counters, the page stays dirty.
     pub(super) fn write_home(&self, st: &SlotGuard<'_>, page: PageNum, idx: usize) -> u64 {
-        let cp = &st.pages[idx];
-        let twin = cp.twin.as_ref().expect("every write fault twins");
-        let diff = st.data(idx).diff_against_masked(twin, &cp.mask);
-        self.global.home_page(page).apply_diff(&diff);
-        diff.len() as u64
+        let (mask, home) = (&st.pages[idx].mask, self.global.home_page(page));
+        st.data(idx).masked_words(mask, |w, v| home.store(w, v));
+        mask.count() as u64
     }
 
     /// Where `st` — `node`'s locked slot for `page` — holds the page dirty:
@@ -73,7 +70,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return Some((idx, None));
         }
         let words = self.write_home(st, page, idx);
-        t.compute(PAGE_COPY_CYCLES); // diff scan
+        t.compute(PAGE_COPY_CYCLES); // the paper's diff scan
         let diff_bytes = DOWNGRADE_HEADER_BYTES + words * DIFF_WORD_BYTES;
         if diff_bytes < PAGE_BYTES {
             CoherenceStats::add(&shard.diff_words, words);
@@ -89,8 +86,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// one keep-or-protect decision, and, if there were stores, retiring
     /// any speculative snapshot of the old version and the policy's clock
     /// advance. A `fence` drain keeps a write-hot page writable where the
-    /// policy allows, re-arming the twin for the price of the simulated
-    /// machine's eager copy; anything else — another path, a cold page,
+    /// policy allows, re-arming its mask for the price of the paper's
+    /// eager re-twin; anything else — another path, a cold page,
     /// one idle for [`Self::idle_scan_bound`] fences (demoted: history
     /// cleared) — is re-protected and faults on its next write. A kept
     /// page re-enters the write buffer before the slot lock is released
@@ -120,7 +117,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             cp.rearm(idle);
             victim = self.nodes[me as usize].wbuf.push(page);
             if bytes.is_some() {
-                t.compute(PAGE_COPY_CYCLES); // the eager re-twin
+                t.compute(PAGE_COPY_CYCLES); // the paper's eager re-twin
                 CoherenceStats::bump(&self.stats.shard(me).write_retained);
             }
         } else {

@@ -14,15 +14,15 @@
 //! - **Write fault** (§3.5): first write to a page registers us as a
 //!   writer; the policy classifies the fault (possibly asking the engine to
 //!   notify sharers) and decides buffering
-//!   ([`Coherence::write_buffered`]); every fault twins the page, and it
-//!   enters the FIFO write buffer (§3.6.1) whose overflow downgrades the
-//!   oldest dirty page.
+//!   ([`Coherence::write_buffered`]); every store marks its words in the
+//!   page's write mask, and the page enters the FIFO write buffer (§3.6.1)
+//!   whose overflow downgrades the oldest dirty page.
 //! - **SI fence** (§3.1): sweep the page cache and invalidate exactly the
 //!   pages the policy's predicate names (Table 1 under SI/SD; expired
 //!   leases under Tardis).
-//! - **SD fence** (§3.1): drain the write buffer, diffing dirty pages
-//!   against their twins and posting the result to their homes; wait for
-//!   all posted writes to settle, then give the policy its release hook.
+//! - **SD fence** (§3.1): drain the write buffer, posting each dirty page's
+//!   masked words — its diff, under DRF — to its home; wait for all posted
+//!   writes to settle, then give the policy its release hook.
 //!
 //! The split is mechanism vs decision: the engine owns transport verbs,
 //! retry/fault plumbing, issue/poll overlap, prefetching, and the write

@@ -74,8 +74,6 @@ counters! {
     writebacks,
     /// Bytes of downgrade traffic (diffs or whole pages).
     writeback_bytes,
-    /// Twin snapshots created on write faults.
-    twins_created,
     /// Words carried by diffs (vs whole-page transfers).
     diff_words,
     /// Private-page checkpoints taken at sync points (naïve P/S only).
@@ -141,7 +139,7 @@ counters! {
     /// shadow homes; counts mirrored pages).
     shadow_mirrored,
     /// Fence drains that posted a write-hot page's diff and re-armed its
-    /// twin instead of protecting the page.
+    /// mask instead of protecting the page.
     write_retained,
     /// Kept pages a drain scanned and found unwritten (nothing posted).
     retained_idle_scans,
@@ -255,9 +253,8 @@ impl CoherenceSnapshot {
     }
 
     /// Fraction of write-back wire bytes that were diffed words — how much
-    /// of the downgrade traffic the twin/diff machinery compressed into
-    /// word-granular payloads instead of whole pages (higher = diffs doing
-    /// more of the work).
+    /// of the downgrade traffic travelled as word-granular payloads instead
+    /// of whole pages (higher = diffs doing more of the work).
     pub fn diff_efficiency(&self) -> f64 {
         ratio(self.diff_words * 8, self.writeback_bytes)
     }

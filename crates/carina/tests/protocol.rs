@@ -193,17 +193,25 @@ fn false_sharing_merges_through_diffs() {
     dsm.si_fence(t2);
     assert_eq!(dsm.read_u64(t2, a0), 10);
     assert_eq!(dsm.read_u64(t2, a1), 20);
-    assert!(dsm.stats().snapshot().twins_created >= 2);
+    assert!(dsm.stats().snapshot().write_faults >= 2);
     assert!(dsm.stats().snapshot().diff_words >= 2);
 }
 
 /// The multiple-writer rule (§3.2): node 0 write-faults first — alone in
-/// the page's writer map — on the words `ours` of a page homed on node 2;
-/// node 1 then writes `theirs` and releases first; node 0 goes home last,
-/// through its own SD fence (`decay: false`) or on its behalf through the
-/// collective decay. Node 0's copy of `theirs` is stale, and only its twin
-/// keeps that off home memory: home must hold both nodes' words.
-fn false_sharers_both_reach_home<C: Coherence>(ours: Range<u64>, theirs: Range<u64>, decay: bool) {
+/// the page's writer map — on the words `ours` of a page homed on node 2,
+/// and stores the value already there (0) to the words `silent`, the last
+/// of them by way of another value (A→B→A); node 1 then writes `theirs` and
+/// releases first; node 0 goes home last, through its own SD fence
+/// (`decay: false`) or on its behalf through the collective decay. Node 0's
+/// copy of `theirs` is stale, and only its write mask keeps that off home
+/// memory: home must hold both nodes' words. The mask is the diff, so node
+/// 0's silent stores travel too: 10 bytes and one diffed word each.
+fn false_sharers_both_reach_home<C: Coherence>(
+    ours: Range<u64>,
+    silent: Range<u64>,
+    theirs: Range<u64>,
+    decay: bool,
+) {
     let net = tiny_net(3);
     let dsm: Arc<Dsm<SimTransport, C>> =
         Dsm::with_policy(net.clone(), 4 << 20, CarinaConfig::default());
@@ -212,6 +220,12 @@ fn false_sharers_both_reach_home<C: Coherence>(ours: Range<u64>, theirs: Range<u
     let base = addr_homed_at(3, 2, 0);
     for w in ours.clone() {
         dsm.write_u64(&mut first, base.offset(8 * w), 1000 + w);
+    }
+    for w in silent.clone() {
+        if w + 1 == silent.end {
+            dsm.write_u64(&mut first, base.offset(8 * w), 3000 + w);
+        }
+        dsm.write_u64(&mut first, base.offset(8 * w), 0);
     }
     for w in theirs.clone() {
         dsm.write_u64(&mut second, base.offset(8 * w), 2000 + w);
@@ -233,34 +247,35 @@ fn false_sharers_both_reach_home<C: Coherence>(ours: Range<u64>, theirs: Range<u
     // The cap is a cost rule, not a data rule: a diff past the size where a
     // sender ships the whole page is charged one page on the wire (and its
     // words are not counted as diffed), any other header + 10 bytes per
-    // word — but home memory receives the masked diff either way.
-    let diff_bytes = |words: &Range<u64>| 32 + 10 * (words.end - words.start);
-    let wire = |words: &Range<u64>| diff_bytes(words).min(PAGE_BYTES);
-    let diffed = |words: &Range<u64>| {
-        if diff_bytes(words) < PAGE_BYTES {
-            words.end - words.start
-        } else {
-            0
-        }
-    };
+    // word — but home memory receives the masked words either way.
+    let diff_bytes = |words: u64| 32 + 10 * words;
+    let wire = |words: u64| diff_bytes(words).min(PAGE_BYTES);
+    let diffed = |words: u64| if diff_bytes(words) < PAGE_BYTES { words } else { 0 };
+    let ours = ours.end - ours.start + silent.end - silent.start;
+    let theirs = theirs.end - theirs.start;
     let s = dsm.stats().snapshot();
     assert_eq!(s.writebacks, 2);
-    assert_eq!(s.writeback_bytes, wire(&ours) + wire(&theirs));
-    assert_eq!(s.diff_words, diffed(&ours) + diffed(&theirs));
+    assert_eq!(s.writeback_bytes, wire(ours) + wire(theirs));
+    assert_eq!(s.diff_words, diffed(ours) + diffed(theirs));
     assert!(dsm.check_invariants().is_empty());
 }
 
-/// Two inputs: one word each — the interleaving a twin-less single-writer
-/// downgrade lost, posting node 0's whole stale page over node 1's word
-/// 100 — and a diff so *big* (450 words) that its wire message is a page.
+/// Three inputs: one word each — the interleaving a single-writer
+/// downgrade that posted the whole page lost, node 0's stale page over
+/// node 1's word 100 — the same with node 0's silent stores to words
+/// 200..204, and a diff so *big* (450 words) that its wire message is a
+/// page.
 #[test]
 fn multiple_writer_diffs_preserve_false_sharing() {
     let words = WORDS_PER_PAGE as u64;
-    for (ours, theirs) in [(0..1, 100..101), (0..450, 450..words)] {
+    for (ours, silent, theirs) in
+        [(0..1, 1..1, 100..101), (0..1, 200..204, 100..101), (0..450, 450..450, 450..words)]
+    {
         for decay in [false, true] {
-            false_sharers_both_reach_home::<CarinaSiSd>(ours.clone(), theirs.clone(), decay);
-            false_sharers_both_reach_home::<Pyxis>(ours.clone(), theirs.clone(), decay);
-            false_sharers_both_reach_home::<Tardis>(ours.clone(), theirs.clone(), decay);
+            let (o, q, h) = (ours.clone(), silent.clone(), theirs.clone());
+            false_sharers_both_reach_home::<CarinaSiSd>(o.clone(), q.clone(), h.clone(), decay);
+            false_sharers_both_reach_home::<Pyxis>(o.clone(), q.clone(), h.clone(), decay);
+            false_sharers_both_reach_home::<Tardis>(o, q, h, decay);
         }
     }
 }
@@ -450,7 +465,7 @@ fn write_registration_is_posted_and_settles_at_the_sd_fence() {
     let (atomic_rtt, _) = round_trips(&cost);
     let before = t.now();
     dsm.write_u64(t, a, 9);
-    // The fault pays the trap and the twin copy; the directory atomic is
+    // The fault pays the trap and the paper's twin copy; the directory atomic is
     // posted at the trap and nobody waits for its reply here.
     assert_eq!(
         t.now() - before,
@@ -928,10 +943,12 @@ fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
         [("sisd", six_rewrites::<CarinaSiSd>()), ("pyxis", six_rewrites::<Pyxis>())]
     {
         // What posting one 1-word diff and waiting it out costs the fence:
-        // the steady-state epoch is a hit, the scan, the re-twin, and that.
+        // the steady-state epoch is a hit, the scan, the paper's re-twin,
+        // and that.
         let post = epochs[2] - HIT_CYCLES - 2 * PAGE_COPY_CYCLES;
         // A cold epoch of a page the node is already registered to write —
-        // hit, trap, twin, scan, protect, post: the parent's every epoch.
+        // hit, trap, twin copy, scan, protect, post: every epoch before
+        // retention.
         let cold =
             HIT_CYCLES + cost.fault_trap_cycles + 2 * PAGE_COPY_CYCLES + PROTECT_CYCLES + post;
         assert_eq!(epochs[0], control[0], "{name}: epoch 1 costs what it always did");
@@ -940,7 +957,7 @@ fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
             let saved = cost.fault_trap_cycles + PROTECT_CYCLES;
             assert_eq!(cycles, cold - saved, "{name}: epoch {} is a plain write hit", e + 1);
         }
-        assert_eq!((s.write_faults, s.twins_created), (2, 2), "{name}");
+        assert_eq!(s.write_faults, 2, "{name}");
         assert_eq!((s.write_retained, s.retained_idle_scans), (5, 0), "{name}: epochs 2-6");
         // Identical to the parent's: six 1-word diffs, two registrations
         // (the fill's and the writer's), one page fill.
@@ -953,8 +970,8 @@ fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
 /// (b) False sharing under retention: nodes 0 and 1 write disjoint halves
 /// of one page homed on node 2 and release in alternating order. Once both
 /// copies are hot neither is ever refetched, so each holds stale words in
-/// the other's half — and the re-armed twin still keeps them off the wire.
-fn kept_twins_still_tolerate_false_sharing<C: Coherence>() {
+/// the other's half — and the re-armed mask still keeps them off the wire.
+fn kept_pages_still_tolerate_false_sharing<C: Coherence>() {
     let (dsm, mut ts) = policy_cluster::<C>(3, CarinaConfig::default());
     let base = addr_homed_at(3, 2, 0);
     let half = WORDS_PER_PAGE as u64 / 2;
@@ -984,8 +1001,8 @@ fn kept_twins_still_tolerate_false_sharing<C: Coherence>() {
 
 #[test]
 fn false_sharing_survives_retention() {
-    kept_twins_still_tolerate_false_sharing::<CarinaSiSd>();
-    kept_twins_still_tolerate_false_sharing::<Pyxis>();
+    kept_pages_still_tolerate_false_sharing::<CarinaSiSd>();
+    kept_pages_still_tolerate_false_sharing::<Pyxis>();
 }
 
 /// A cluster of two with node 0's copy of a page homed on node 1 already

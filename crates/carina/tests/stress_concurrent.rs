@@ -91,7 +91,6 @@ fn concurrent_stripes_account_every_access() {
     );
     assert_eq!(s.sd_fences, THREADS * (ROUNDS + 1));
     assert_eq!(s.si_fences, THREADS * ROUNDS);
-    assert!(s.twins_created <= s.write_faults);
     assert!(s.writebacks > 0, "tiny write buffer must have overflowed");
     assert!(
         s.read_hits + s.read_misses >= THREADS * ROUNDS * SLOTS * 2 / NODES,

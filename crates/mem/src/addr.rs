@@ -1,12 +1,11 @@
 //! Global addresses and their decomposition into pages and words.
 
-use serde_like::NodeCount;
 use std::ops::Range;
 
 /// Bytes per DSM page (the paper's granularity: a 4 KiB virtual page).
 pub const PAGE_BYTES: u64 = 4096;
 /// Bytes per atomic word of simulated DRAM.
-pub const WORD_BYTES: u64 = 8;
+pub(crate) const WORD_BYTES: u64 = 8;
 /// Words per page.
 pub const WORDS_PER_PAGE: usize = (PAGE_BYTES / WORD_BYTES) as usize;
 
@@ -28,30 +27,21 @@ pub enum HomePolicy {
 
 /// The page→home mapping for a concrete address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HomeMap {
-    pub nodes: usize,
-    pub pages_per_node: u64,
-    pub policy: HomePolicy,
+pub(crate) struct HomeMap {
+    pub(crate) nodes: usize,
+    pub(crate) pages_per_node: u64,
+    pub(crate) policy: HomePolicy,
 }
 
 impl HomeMap {
     /// Home node of `page`.
     #[inline]
-    pub fn home(&self, page: PageNum) -> u16 {
+    pub(crate) fn home(&self, page: PageNum) -> u16 {
         match self.policy {
             HomePolicy::Interleaved => (page.0 % self.nodes as u64) as u16,
             HomePolicy::Blocked => {
                 ((page.0 / self.pages_per_node).min(self.nodes as u64 - 1)) as u16
             }
-        }
-    }
-
-    /// Index of `page` within its home node's backing store.
-    #[inline]
-    pub fn home_index(&self, page: PageNum) -> usize {
-        match self.policy {
-            HomePolicy::Interleaved => (page.0 / self.nodes as u64) as usize,
-            HomePolicy::Blocked => (page.0 % self.pages_per_node) as usize,
         }
     }
 }
@@ -60,34 +50,11 @@ impl HomeMap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageNum(pub u64);
 
-impl PageNum {
-    /// Home node of this page under the paper's interleaved distribution:
-    /// page p lives on node `p mod nodes`.
-    #[inline]
-    pub fn home(self, nodes: NodeCount) -> u16 {
-        (self.0 % nodes as u64) as u16
-    }
-
-    /// Index of this page within its home node's backing store.
-    #[inline]
-    pub fn home_index(self, nodes: NodeCount) -> usize {
-        (self.0 / nodes as u64) as usize
-    }
-
-    /// First byte address of the page.
-    #[inline]
-    pub fn base(self) -> GlobalAddr {
-        GlobalAddr(self.0 * PAGE_BYTES)
-    }
-}
-
 /// A byte address in the global shared address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GlobalAddr(pub u64);
 
 impl GlobalAddr {
-    pub const NULL: GlobalAddr = GlobalAddr(u64::MAX);
-
     #[inline]
     pub fn page(self) -> PageNum {
         PageNum(self.0 / PAGE_BYTES)
@@ -95,7 +62,7 @@ impl GlobalAddr {
 
     /// Byte offset within the page.
     #[inline]
-    pub fn page_offset(self) -> u64 {
+    pub(crate) fn page_offset(self) -> u64 {
         self.0 % PAGE_BYTES
     }
 
@@ -117,11 +84,6 @@ impl GlobalAddr {
     #[inline]
     pub fn offset(self, bytes: u64) -> GlobalAddr {
         GlobalAddr(self.0 + bytes)
-    }
-
-    #[inline]
-    pub fn is_null(self) -> bool {
-        self == Self::NULL
     }
 
     /// Split `len` consecutive words starting at `self` into per-page runs:
@@ -147,11 +109,6 @@ impl std::fmt::Display for GlobalAddr {
     }
 }
 
-/// Minimal local alias to avoid a dependency: node counts fit in u16.
-mod serde_like {
-    pub type NodeCount = usize;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,23 +119,6 @@ mod tests {
         assert_eq!(a.page(), PageNum(2));
         assert_eq!(a.page_offset(), 24);
         assert_eq!(a.word_index(), 3);
-        assert_eq!(a.page().base(), GlobalAddr(2 * PAGE_BYTES));
-    }
-
-    #[test]
-    fn interleaved_home_assignment() {
-        // 4 nodes: pages 0,4,8.. on node 0; 1,5,9.. on node 1; etc.
-        for p in 0..32u64 {
-            let page = PageNum(p);
-            assert_eq!(page.home(4) as u64, p % 4);
-            assert_eq!(page.home_index(4) as u64, p / 4);
-        }
-    }
-
-    #[test]
-    fn single_node_homes_everything() {
-        assert_eq!(PageNum(17).home(1), 0);
-        assert_eq!(PageNum(17).home_index(1), 17);
     }
 
     #[test]
@@ -196,22 +136,8 @@ mod tests {
         };
         for p in 0..32u64 {
             assert_eq!(m.home(PageNum(p)) as u64, p / 8);
-            assert_eq!(m.home_index(PageNum(p)) as u64, p % 8);
         }
         // Out-of-range pages clamp to the last node (defensive).
         assert_eq!(m.home(PageNum(100)), 3);
-    }
-
-    #[test]
-    fn interleaved_policy_matches_legacy_helpers() {
-        let m = HomeMap {
-            nodes: 3,
-            pages_per_node: 10,
-            policy: HomePolicy::Interleaved,
-        };
-        for p in 0..30u64 {
-            assert_eq!(m.home(PageNum(p)), PageNum(p).home(3));
-            assert_eq!(m.home_index(PageNum(p)), PageNum(p).home_index(3));
-        }
     }
 }

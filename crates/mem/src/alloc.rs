@@ -75,15 +75,6 @@ impl GlobalAllocator {
     pub fn alloc_pages(&self, pages: u64) -> Result<GlobalAddr, OutOfGlobalMemory> {
         self.alloc(pages * PAGE_BYTES, PAGE_BYTES)
     }
-
-    /// Bytes handed out so far.
-    pub fn used(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +145,6 @@ mod tests {
                     prop_assert!(addr.0 + s <= cap);
                 }
             }
-            prop_assert!(a.used() <= cap);
         }
     }
 }

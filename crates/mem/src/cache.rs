@@ -40,7 +40,7 @@ use std::sync::OnceLock;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Number of direct-mapped line slots.
-    pub lines: usize,
+    pub(crate) lines: usize,
     /// Consecutive pages fetched per line (the paper's prefetch "cache line
     /// size"; 1 disables prefetching).
     pub pages_per_line: usize,
@@ -74,16 +74,10 @@ impl Default for CacheConfig {
 pub struct CachedPage {
     /// Holds a valid copy of the tagged page.
     pub valid: bool,
-    /// Written since the last downgrade (a twin exists while dirty).
+    /// Written since the last downgrade.
     pub dirty: bool,
-    /// Snapshot taken at write-miss time; diffed against the live data on
-    /// downgrade to avoid clobbering concurrent remote writers. Lazily
-    /// materialized per 64-word chunk as the mask's chunks are first
-    /// touched, so it only holds meaningful data inside masked chunks.
-    pub twin: Option<PageData>,
-    /// Which words have been stored to since the page last went clean — a
-    /// superset of the words that actually changed. Drives the masked diff
-    /// on downgrade and the lazy chunk-wise twin copies.
+    /// Exactly the words stored since the page last went clean (or was
+    /// re-armed): what the next write-back posts home.
     pub mask: WriteMask,
     /// Write faults this resident copy has taken (saturating). From the
     /// second — it was drained, then written again — it is *write-hot*: a
@@ -104,17 +98,16 @@ impl CachedPage {
         self.mark_clean();
     }
 
-    /// The page's writes are home: drop the dirty bit, the twin and the
-    /// write mask together, so the next store faults and twins afresh.
+    /// The page's writes are home: drop the dirty bit and the write mask
+    /// together, so the next store faults afresh.
     pub fn mark_clean(&mut self) {
         self.dirty = false;
-        self.twin = None;
         self.mask.clear();
         self.kept_idle = None;
     }
 
     /// The page's writes are home and it *stays writable*: mask cleared,
-    /// dirty bit and twin kept (each chunk's first store re-snapshots it).
+    /// dirty bit kept.
     pub fn rearm(&mut self, idle_fences: u16) {
         self.mask.clear();
         self.kept_idle = Some(idle_fences);
@@ -237,13 +230,13 @@ impl LineSlot {
     /// Panics if the page was never filled — protocol code only reads data
     /// from `valid` pages, which have always been filled.
     #[inline]
-    pub fn data(&self, idx: usize) -> &PageData {
+    pub(crate) fn data(&self, idx: usize) -> &PageData {
         self.data[idx].get().expect("reading a never-filled cache page")
     }
 
     /// The data storage of the page at `idx`, allocating it on first use.
     #[inline]
-    pub fn alloc_data(&self, idx: usize) -> &PageData {
+    pub(crate) fn alloc_data(&self, idx: usize) -> &PageData {
         self.data[idx].get_or_init(PageData::zeroed)
     }
 }
@@ -298,11 +291,6 @@ impl PageCache {
             occupied: bitset_words(config.lines),
             dirty: bitset_words(config.lines),
         }
-    }
-
-    #[inline]
-    pub fn config(&self) -> CacheConfig {
-        self.config
     }
 
     /// Line id containing `page`.
@@ -425,12 +413,6 @@ impl<'a> SlotGuard<'a> {
         &self.cache.slots[self.index]
     }
 
-    /// This slot's index within the cache.
-    #[inline]
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// Data storage of the page at `idx`. The reference is tied to the
     /// cache, not the guard, so it can be used while metadata is mutably
     /// borrowed; contents are word-atomic.
@@ -524,19 +506,19 @@ mod tests {
         st.tag = Some(0);
         st.pages[0].valid = true;
         st.pages[0].dirty = true;
-        st.pages[0].twin = Some(PageData::zeroed());
+        st.pages[0].mask.set(3);
         st.retag(5);
         assert_eq!(st.tag, Some(5));
         assert!(!st.pages[0].valid);
         assert!(!st.pages[0].dirty);
-        assert!(st.pages[0].twin.is_none());
+        assert!(st.pages[0].mask.is_empty());
     }
 
     #[test]
     fn write_history_rides_in_the_flags_word() {
-        // 8192 of these per node: the 64-byte mask, the twin's fat pointer,
-        // and one word holding the flags and the write history.
-        assert_eq!(std::mem::size_of::<CachedPage>(), 64 + 16 + 8);
+        // 8192 of these per node: the 64-byte mask and one word holding
+        // the flags and the write history.
+        assert_eq!(std::mem::size_of::<CachedPage>(), 64 + 8);
         let mut p = CachedPage { valid: true, dirty: true, write_faults: 2, ..Default::default() };
         p.rearm(3);
         assert!(p.dirty && p.mask.is_empty() && p.kept_idle == Some(3));

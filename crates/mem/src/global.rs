@@ -11,7 +11,7 @@
 //! "more sophisticated data distribution schemes" the paper leaves for
 //! future work.
 
-use crate::addr::{GlobalAddr, HomeMap, HomePolicy, PageNum, PAGE_BYTES};
+use crate::addr::{HomeMap, HomePolicy, PageNum, PAGE_BYTES};
 use crate::page::PageData;
 use std::sync::atomic::{AtomicU16, Ordering};
 
@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU16, Ordering};
 pub struct GlobalMemory {
     nodes: usize,
     pages_per_node: usize,
-    home_map: HomeMap,
     /// `homes[page]` = node whose memory serves this page.
     homes: Vec<AtomicU16>,
     /// `store[page]` = the home copy (flat; the split across nodes is
@@ -29,13 +28,8 @@ pub struct GlobalMemory {
 }
 
 impl GlobalMemory {
-    /// Allocate a space of `nodes * bytes_per_node` bytes. `bytes_per_node`
-    /// is rounded up to whole pages. Interleaved home assignment.
-    pub fn new(nodes: usize, bytes_per_node: u64) -> Self {
-        Self::with_policy(nodes, bytes_per_node, HomePolicy::Interleaved)
-    }
-
-    /// As [`Self::new`] with an explicit default distribution policy.
+    /// Allocate a space of `nodes * bytes_per_node` bytes, homed by
+    /// `policy`. `bytes_per_node` is rounded up to whole pages.
     pub fn with_policy(nodes: usize, bytes_per_node: u64, policy: HomePolicy) -> Self {
         assert!(nodes > 0, "need at least one node");
         let pages_per_node = bytes_per_node.div_ceil(PAGE_BYTES) as usize;
@@ -48,23 +42,11 @@ impl GlobalMemory {
         GlobalMemory {
             nodes,
             pages_per_node,
-            home_map,
             homes: (0..total)
                 .map(|p| AtomicU16::new(home_map.home(PageNum(p as u64))))
                 .collect(),
             store: (0..total).map(|_| PageData::zeroed()).collect(),
         }
-    }
-
-    /// The default page→home mapping of this space.
-    #[inline]
-    pub fn home_map(&self) -> HomeMap {
-        self.home_map
-    }
-
-    #[inline]
-    pub fn nodes(&self) -> usize {
-        self.nodes
     }
 
     /// Total pages in the global space.
@@ -104,28 +86,26 @@ impl GlobalMemory {
     pub fn home_page(&self, page: PageNum) -> &PageData {
         &self.store[page.0 as usize]
     }
-
-    /// True if `addr` lies within the allocated space.
-    #[inline]
-    pub fn contains(&self, addr: GlobalAddr) -> bool {
-        addr.0 < self.total_bytes()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn interleaved(nodes: usize, bytes_per_node: u64) -> GlobalMemory {
+        GlobalMemory::with_policy(nodes, bytes_per_node, HomePolicy::Interleaved)
+    }
+
     #[test]
     fn sizes_round_up_to_pages() {
-        let g = GlobalMemory::new(4, PAGE_BYTES + 1);
+        let g = interleaved(4, PAGE_BYTES + 1);
         assert_eq!(g.total_pages(), 8);
         assert_eq!(g.total_bytes(), 8 * PAGE_BYTES);
     }
 
     #[test]
     fn home_pages_are_distinct_storage() {
-        let g = GlobalMemory::new(2, 4 * PAGE_BYTES);
+        let g = interleaved(2, 4 * PAGE_BYTES);
         g.home_page(PageNum(0)).store(0, 111);
         g.home_page(PageNum(1)).store(0, 222);
         assert_eq!(g.home_page(PageNum(0)).load(0), 111);
@@ -135,23 +115,15 @@ mod tests {
 
     #[test]
     fn interleaving_matches_addr_module() {
-        let g = GlobalMemory::new(3, 8 * PAGE_BYTES);
+        let g = interleaved(3, 8 * PAGE_BYTES);
         for p in 0..g.total_pages() {
             assert_eq!(g.home_of(PageNum(p)), (p % 3) as u16);
         }
     }
 
     #[test]
-    fn contains_checks_bounds() {
-        let g = GlobalMemory::new(2, 2 * PAGE_BYTES);
-        assert!(g.contains(GlobalAddr(0)));
-        assert!(g.contains(GlobalAddr(4 * PAGE_BYTES - 1)));
-        assert!(!g.contains(GlobalAddr(4 * PAGE_BYTES)));
-    }
-
-    #[test]
     fn set_home_rehomes_metadata_not_data() {
-        let g = GlobalMemory::new(4, 4 * PAGE_BYTES);
+        let g = interleaved(4, 4 * PAGE_BYTES);
         g.home_page(PageNum(5)).store(0, 99);
         assert_eq!(g.home_of(PageNum(5)), 1); // interleaved default
         g.set_home(PageNum(5), 3);
@@ -162,6 +134,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn set_home_rejects_bad_node() {
-        GlobalMemory::new(2, PAGE_BYTES).set_home(PageNum(0), 7);
+        interleaved(2, PAGE_BYTES).set_home(PageNum(0), 7);
     }
 }

@@ -3,20 +3,20 @@
 //! Data-plane structures for the Argo DSM: the paper's globally shared
 //! virtual address space (§3), realized inside one process.
 //!
-//! - [`page`]: 4 KiB pages stored as 512 atomic 64-bit words. The simulated
+//! - `page`: 4 KiB pages stored as 512 atomic 64-bit words. The simulated
 //!   machine is *word-atomic DRAM*: all data accesses are `Relaxed` word
 //!   atomics, so the host program is data-race-free even though the
 //!   *simulated* program's correctness rests on DRF + SI/SD, exactly as in
 //!   the paper.
 //! - [`addr`]: global byte addresses and their page/word decomposition.
-//! - [`global`]: home storage. Pages are interleaved across nodes — for N
+//! - `global`: home storage. Pages are interleaved across nodes — for N
 //!   nodes, node 0 serves the lowest addresses, node N−1 the highest, page
 //!   by page (paper §3).
-//! - [`cache`]: each node's local page cache — direct mapped, organized in
+//! - `cache`: each node's local page cache — direct mapped, organized in
 //!   multi-page "cache lines" to support Argo's prefetching (§3.6.2).
 //! - [`alloc`]: the collective bump allocator backing `argo`'s typed
 //!   allocation API.
-//! - [`word`]: the sealed `u64`/`f64` codec under every typed accessor.
+//! - `word`: the sealed `u64`/`f64` codec under every typed accessor.
 //!
 //! This crate holds *state*; the coherence protocol that manipulates it
 //! (misses, classification, fences) lives in `carina`.
@@ -29,14 +29,14 @@
 
 pub mod addr;
 pub mod alloc;
-pub mod cache;
-pub mod global;
-pub mod page;
-pub mod word;
+mod cache;
+mod global;
+mod page;
+mod word;
 
-pub use addr::{GlobalAddr, HomeMap, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE, WORD_BYTES};
+pub use addr::{GlobalAddr, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE};
 pub use alloc::GlobalAllocator;
-pub use cache::{CacheConfig, CachedPage, LineSlot, PageCache, SlotGuard};
+pub use cache::{CacheConfig, PageCache, SlotGuard};
 pub use global::GlobalMemory;
-pub use page::{PageData, WriteMask, CHUNK_WORDS, MASK_WORDS};
+pub use page::{PageData, WriteMask};
 pub use word::Word;

@@ -15,7 +15,7 @@ use crate::hist::{Histogram, HistogramSnapshot};
 pub enum Site {
     /// Read-miss service: fault trap through page fetch + classification.
     ReadMiss,
-    /// Write fault: twin creation + directory registration.
+    /// Write fault: trap + directory registration.
     WriteFault,
     /// Self-downgrade fence: write-buffer drain (diffs + writebacks).
     SdFence,

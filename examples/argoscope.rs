@@ -34,7 +34,7 @@ fn workload<T: Transport>(machine: &Arc<ArgoMachine<T>>) -> RunReport<u64> {
     let counter = GlobalU64Array::alloc(machine.dsm(), 1).addr(0);
     let ledger = vela::Hqdl::new_named(dsm.clone(), 64, "ledger");
     machine.run(move |ctx| {
-        // Phase 1: every thread fills its stripe (write faults, twins).
+        // Phase 1: every thread fills its stripe (write faults, diffs).
         for i in ctx.my_chunk(CELLS) {
             arr.set(ctx, i, i as u64);
         }

@@ -96,8 +96,8 @@ fn main() {
 
     let s = dsm.stats().snapshot();
     println!(
-        "\nprotocol events: {} P->S, {} NW->SW, {} SW->MW, {} twins, {} diff words",
-        s.p_to_s, s.nw_to_sw, s.sw_to_mw, s.twins_created, s.diff_words
+        "\nprotocol events: {} P->S, {} NW->SW, {} SW->MW, {} write faults, {} diff words",
+        s.p_to_s, s.nw_to_sw, s.sw_to_mw, s.write_faults, s.diff_words
     );
     println!(
         "message handlers executed anywhere: {} (the Pyxis property)",
