@@ -77,6 +77,13 @@ impl<R> RunReport<R> {
                 100.0 * c.prefetch_accuracy()
             );
         }
+        if c.refills > 0 || c.refill_unused > 0 {
+            let _ = writeln!(
+                s,
+                "refill       : {} refills, {} pages, {} dropped untouched",
+                c.refills, c.refill_pages, c.refill_unused
+            );
+        }
         if c.lease_renewals > 0 || c.lease_expiries > 0 || c.lease_kept > 0 {
             let _ = writeln!(
                 s,
@@ -283,6 +290,28 @@ mod tests {
         assert!(s.contains("recorder     :"));
         assert!(s.contains("tail captures"));
         assert!(report.headline().contains("ms virtual"));
+    }
+
+    #[test]
+    fn summary_reports_refills() {
+        // Thread 0 rewrites eight pages every round; thread 1, on the other
+        // node, re-reads them: from the third round its first miss refills.
+        let m = ArgoMachine::new(ArgoConfig::small(2, 1));
+        let arr = GlobalU64Array::alloc(m.dsm(), 8 * 512);
+        let report = m.run(move |ctx| {
+            for round in 0..4 {
+                if ctx.tid() == 0 {
+                    (0..8).for_each(|p| arr.set(ctx, p * 512, round));
+                }
+                ctx.barrier();
+                if ctx.tid() == 1 {
+                    (0..8).for_each(|p| assert_eq!(arr.get(ctx, p * 512), round));
+                }
+                ctx.barrier();
+            }
+        });
+        assert!(report.coherence.refills > 0);
+        assert!(report.summary().contains("refill       :"));
     }
 
     #[test]

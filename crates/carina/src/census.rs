@@ -15,44 +15,44 @@ use rma::Transport;
 
 /// Classification cell indices for [`Census::by_class`]:
 /// `[page_class][writer_class]` with P=0/S=1 and NW=0/SW=1/MW=2.
-pub const CLASS_NAMES: [&str; 2] = ["private", "shared"];
+const CLASS_NAMES: [&str; 2] = ["private", "shared"];
 /// Writer-class axis labels (see [`CLASS_NAMES`]).
-pub const WRITER_NAMES: [&str; 3] = ["nw", "sw", "mw"];
+const WRITER_NAMES: [&str; 3] = ["nw", "sw", "mw"];
 
 /// One hot page in the census's top-K list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HotPage {
-    pub page: PageNum,
+pub(crate) struct HotPage {
+    pub(crate) page: PageNum,
     /// Read misses recorded against this page since the last reset.
-    pub misses: u64,
-    pub home: u16,
-    pub class: PageClass,
-    pub writers: WriterClass,
+    pub(crate) misses: u64,
+    pub(crate) home: u16,
+    pub(crate) class: PageClass,
+    pub(crate) writers: WriterClass,
     /// Which protocol governs the page right now: fixed under the pure
     /// policies, per-page under the Pyxis hybrid.
-    pub mode: PageMode,
+    pub(crate) mode: PageMode,
 }
 
 /// Snapshot of directory-wide classification state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Census {
-    pub total_pages: u64,
+    pub(crate) total_pages: u64,
     /// Pages no node has ever registered an access to.
-    pub untouched: u64,
+    pub(crate) untouched: u64,
     /// Touched pages by `[page_class][writer_class]` (see [`CLASS_NAMES`]).
-    pub by_class: [[u64; 3]; 2],
+    pub(crate) by_class: [[u64; 3]; 2],
     /// Touched pages by governing protocol: `[classify, lease]`. Pure
     /// policies land every touched page in one cell; Pyxis splits them.
-    pub by_mode: [u64; 2],
+    pub(crate) by_mode: [u64; 2],
     /// Total read misses across all pages.
-    pub total_misses: u64,
+    pub(crate) total_misses: u64,
     /// The `top_k` hottest pages, most-missed first.
-    pub hottest: Vec<HotPage>,
+    pub(crate) hottest: Vec<HotPage>,
 }
 
 impl Census {
     /// Touched pages (total minus untouched).
-    pub fn touched(&self) -> u64 {
+    pub(crate) fn touched(&self) -> u64 {
         self.total_pages - self.untouched
     }
 

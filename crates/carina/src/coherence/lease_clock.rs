@@ -22,19 +22,19 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Logical-clock ticks a page's first read grant stays valid.
-pub const LEASE_INIT: u64 = 64;
+pub(crate) const LEASE_INIT: u64 = 64;
 /// Adaptive-lease floor: writes halve a page's lease no lower than this.
-pub const LEASE_MIN: u64 = 8;
+pub(crate) const LEASE_MIN: u64 = 8;
 /// Adaptive-lease ceiling: renewals of an unchanged page double its lease
 /// no higher than this.
-pub const LEASE_MAX: u64 = 4096;
+pub(crate) const LEASE_MAX: u64 = 4096;
 
 const _: () = assert!(1 <= LEASE_MIN && LEASE_MIN <= LEASE_INIT && LEASE_INIT <= LEASE_MAX);
 
 /// Renewal of an unchanged page: double `cell`'s lease up to the ceiling;
 /// returns the grown length.
 #[inline]
-pub fn grow(cell: &AtomicU64) -> u64 {
+pub(crate) fn grow(cell: &AtomicU64) -> u64 {
     let grown = (cell.load(Ordering::Relaxed) * 2).min(LEASE_MAX);
     cell.store(grown, Ordering::Relaxed);
     grown
@@ -43,7 +43,7 @@ pub fn grow(cell: &AtomicU64) -> u64 {
 /// Write to the page: halve `cell`'s lease down to the floor; returns the
 /// shrunk length.
 #[inline]
-pub fn shrink(cell: &AtomicU64) -> u64 {
+pub(crate) fn shrink(cell: &AtomicU64) -> u64 {
     let shrunk = (cell.load(Ordering::Relaxed) / 2).max(LEASE_MIN);
     cell.store(shrunk, Ordering::Relaxed);
     shrunk

@@ -47,36 +47,36 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// A lock-free page-indexed bitset: the fast-path mirror of "this node has
 /// registered with the home directory", checked on every access.
 #[derive(Debug)]
-pub struct PageBitSet {
+pub(crate) struct PageBitSet {
     words: Vec<AtomicU64>,
 }
 
 impl PageBitSet {
-    pub fn new(pages: u64) -> Self {
+    pub(crate) fn new(pages: u64) -> Self {
         PageBitSet {
             words: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
     #[inline]
-    pub fn get(&self, page: PageNum) -> bool {
+    pub(crate) fn get(&self, page: PageNum) -> bool {
         let w = (page.0 / 64) as usize;
         self.words[w].load(Ordering::Relaxed) & (1 << (page.0 % 64)) != 0
     }
 
     #[inline]
-    pub fn set(&self, page: PageNum) {
+    pub(crate) fn set(&self, page: PageNum) {
         let w = (page.0 / 64) as usize;
         self.words[w].fetch_or(1 << (page.0 % 64), Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn clear(&self, page: PageNum) {
+    pub(crate) fn clear(&self, page: PageNum) {
         let w = (page.0 / 64) as usize;
         self.words[w].fetch_and(!(1 << (page.0 % 64)), Ordering::Relaxed);
     }
 
-    pub fn clear_all(&self) {
+    pub(crate) fn clear_all(&self) {
         for w in &self.words {
             w.store(0, Ordering::Relaxed);
         }
@@ -94,27 +94,27 @@ pub struct RegisterOutcome {
     /// (the passive notification mechanism). The engine posts one
     /// notification verb per target; the metadata itself was already
     /// deposited by the policy (host-side, like the real one-sided write).
-    pub notify: Vec<u16>,
+    pub(crate) notify: Vec<u16>,
     /// Service this fill from `owner`'s checkpoint with one extra page
     /// fetch (the naïve P/S scheme's P→S obligation, §3.4.2).
-    pub fetch_from: Option<u16>,
+    pub(crate) fetch_from: Option<u16>,
     /// The classification transitions this registration caused, as
     /// `(detail kind, other node)` — at most a P→S plus one writer-class
     /// step. The engine turns them into Lyra detail records.
-    pub transitions: [Option<(obs::RecordKind, u32)>; 2],
+    pub(crate) transitions: [Option<(obs::RecordKind, u32)>; 2],
 }
 
 impl RegisterOutcome {
     /// A registration that caused no transition: nothing to post or record.
     #[inline]
-    pub fn quiet() -> Self {
+    pub(crate) fn quiet() -> Self {
         RegisterOutcome::default()
     }
 
     /// True if the engine has no wire or recording work to do — the common
     /// case, kept cheap (no allocation ever happened for a quiet outcome).
     #[inline]
-    pub fn is_quiet(&self) -> bool {
+    pub(crate) fn is_quiet(&self) -> bool {
         self.notify.is_empty() && self.fetch_from.is_none() && self.transitions == [None; 2]
     }
 }
@@ -132,7 +132,7 @@ pub enum PageMode {
 }
 
 impl PageMode {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             PageMode::Classify => "si/sd",
             PageMode::Lease => "lease",
@@ -288,45 +288,6 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     fn reset_all(&self);
 }
 
-/// Which coherence policy to instantiate — the dynamic counterpart of the
-/// static `C: Coherence` parameter, for CLI surfaces (`--coherence
-/// {sisd,tardis,pyxis}`) that pick a monomorphized code path at startup.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PolicyKind {
-    /// The paper's SI/SD protocol with Pyxis classification.
-    #[default]
-    SiSd,
-    /// Timestamp leases (TARDIS-style).
-    Tardis,
-    /// The census-driven per-page hybrid of the two.
-    Pyxis,
-}
-
-impl PolicyKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            PolicyKind::SiSd => CarinaSiSd::NAME,
-            PolicyKind::Tardis => Tardis::NAME,
-            PolicyKind::Pyxis => Pyxis::NAME,
-        }
-    }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sisd" | "carina" | "si-sd" => Ok(PolicyKind::SiSd),
-            "tardis" | "lease" => Ok(PolicyKind::Tardis),
-            "pyxis" | "hybrid" => Ok(PolicyKind::Pyxis),
-            other => Err(format!(
-                "unknown coherence policy {other:?} (try sisd|tardis|pyxis)"
-            )),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,18 +306,6 @@ mod tests {
         assert!(b.get(PageNum(129)), "clear only drops its own bit");
         b.clear_all();
         assert!(!b.get(PageNum(129)));
-    }
-
-    #[test]
-    fn policy_kind_parses() {
-        assert_eq!("sisd".parse::<PolicyKind>().unwrap(), PolicyKind::SiSd);
-        assert_eq!("tardis".parse::<PolicyKind>().unwrap(), PolicyKind::Tardis);
-        assert_eq!("pyxis".parse::<PolicyKind>().unwrap(), PolicyKind::Pyxis);
-        assert_eq!("hybrid".parse::<PolicyKind>().unwrap(), PolicyKind::Pyxis);
-        assert!("mesi".parse::<PolicyKind>().is_err());
-        assert_eq!(PolicyKind::SiSd.name(), "sisd");
-        assert_eq!(PolicyKind::Tardis.name(), "tardis");
-        assert_eq!(PolicyKind::Pyxis.name(), "pyxis");
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct Pyxis {
 impl Pyxis {
     /// Is `page` currently governed by timestamp leases?
     #[inline]
-    pub fn in_lease_mode(&self, page: PageNum) -> bool {
+    pub(crate) fn in_lease_mode(&self, page: PageNum) -> bool {
         self.mode_epoch[page.0 as usize].load(Ordering::Relaxed) & 1 == 1
     }
 
@@ -111,14 +111,6 @@ impl Pyxis {
     /// The page's current evidence score (tests).
     pub fn score_of(&self, page: PageNum) -> i64 {
         self.score[page.0 as usize].load(Ordering::Relaxed)
-    }
-
-    /// Pages currently in lease mode (diagnostics; walks the mode table).
-    pub fn lease_mode_pages(&self) -> u64 {
-        self.mode_epoch
-            .iter()
-            .filter(|e| e.load(Ordering::Relaxed) & 1 == 1)
-            .count() as u64
     }
 
     /// Add clamped evidence to the page's score; when the total crosses
@@ -575,6 +567,5 @@ mod tests {
         assert_eq!(c.score_of(p), 0);
         assert!(!c.read_registered(0, 1, p));
         assert!(c.invariant_problems(0, &[]).is_empty());
-        assert_eq!(c.lease_mode_pages(), 0);
     }
 }

@@ -168,11 +168,6 @@ impl Tardis {
             .get(page)
             .then(|| nc.lease_rts[page.0 as usize].load(Ordering::Relaxed))
     }
-
-    /// The page's current adaptive lease length (tests and benches).
-    pub fn lease_len(&self, page: PageNum) -> u64 {
-        self.entry(page).lease.load(Ordering::Relaxed)
-    }
 }
 
 impl Coherence for Tardis {
@@ -544,7 +539,8 @@ mod tests {
             kept_after_growth,
             "adaptive lease never outlived the hot page's writes"
         );
-        assert!(c.lease_len(cold) > c.lease_len(hot));
+        let lease = |page| c.entry(page).lease.load(Ordering::Relaxed);
+        assert!(lease(cold) > lease(hot));
     }
 
     #[test]

@@ -6,7 +6,7 @@ use mem::CacheConfig;
 use rma::RetryPolicy;
 
 /// How pages map to home nodes (paper: interleaved).
-pub const HOME_POLICY: HomePolicy = HomePolicy::Interleaved;
+pub(crate) const HOME_POLICY: HomePolicy = HomePolicy::Interleaved;
 /// Cycles for a page-cache hit (TLB + local cache access).
 pub const HIT_CYCLES: u64 = 4;
 /// Per-word compute charge of bulk (streaming) slice access, on top of the
@@ -24,9 +24,9 @@ pub const PAGE_COPY_CYCLES: u64 = 430;
 /// cache lines of cold DRAM traffic), so this is an order of magnitude
 /// more than a hot copy — the cost that makes the paper's naïve P/S "no
 /// better than S" (§5.1).
-pub const CHECKPOINT_CYCLES: u64 = 4200;
+pub(crate) const CHECKPOINT_CYCLES: u64 = 4200;
 /// Cycles to examine one cached page during a fence sweep.
-pub const FENCE_SCAN_CYCLES: u64 = 6;
+pub(crate) const FENCE_SCAN_CYCLES: u64 = 6;
 /// Cycles to flip protection on one page (the mprotect analogue).
 pub const PROTECT_CYCLES: u64 = 150;
 
@@ -41,7 +41,7 @@ pub const PROTECT_CYCLES: u64 = 150;
 pub const BATCH_DRAIN_CUTOVER: usize = 8;
 /// Consecutive same-stride line misses a core takes before the read-miss
 /// prefetcher issues a speculative line fetch.
-pub const PREFETCH_STREAK: u32 = 2;
+pub(crate) const PREFETCH_STREAK: u32 = 2;
 
 /// All tunables of the coherence layer. Defaults match the paper's shipped
 /// configuration (P/S3, passive directory, prefetching off unless asked).

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
 /// One directory entry: reader and writer full maps for up to 128 nodes.
 #[derive(Debug, Default)]
-pub struct DirEntry {
+pub(crate) struct DirEntry {
     readers: [AtomicU64; 2],
     writers: [AtomicU64; 2],
 }
@@ -35,7 +35,7 @@ fn join(lo: u64, hi: u64) -> u128 {
 
 impl DirEntry {
     /// Decode the current maps.
-    pub fn view(&self) -> DirView {
+    pub(crate) fn view(&self) -> DirView {
         DirView {
             readers: join(
                 self.readers[0].load(Ordering::Acquire),
@@ -59,13 +59,13 @@ impl DirEntry {
     /// this update (what the initiating node uses to detect transitions).
     /// The other map is read *after* the fetch-or: of two nodes first
     /// touching a page at once, at least one then sees the other.
-    pub fn or_readers(&self, bits: u128) -> DirView {
+    pub(crate) fn or_readers(&self, bits: u128) -> DirView {
         let readers = Self::or_map(&self.readers, bits);
         DirView { readers, writers: Self::or_map(&self.writers, 0) }
     }
 
     /// Atomically OR `bits` into the writer map; returns the prior view.
-    pub fn or_writers(&self, bits: u128) -> DirView {
+    pub(crate) fn or_writers(&self, bits: u128) -> DirView {
         let writers = Self::or_map(&self.writers, bits);
         DirView { readers: Self::or_map(&self.readers, 0), writers }
     }
@@ -83,7 +83,7 @@ impl DirEntry {
     }
 
     /// OR both maps (remote notification of a transition).
-    pub fn or_view(&self, v: DirView) {
+    pub(crate) fn or_view(&self, v: DirView) {
         if v.readers != 0 {
             self.or_readers(v.readers);
         }
@@ -93,7 +93,7 @@ impl DirEntry {
     }
 
     /// Reset to empty maps (end-of-initialization reset, paper §3.4).
-    pub fn reset(&self) {
+    pub(crate) fn reset(&self) {
         self.store_view(DirView::default());
     }
 }
@@ -102,12 +102,12 @@ impl DirEntry {
 /// node's memory (like the data pages, the placement is timing metadata in
 /// the simulator; the entries themselves are stored flat).
 #[derive(Debug)]
-pub struct Pyxis {
+pub(crate) struct Pyxis {
     entries: Vec<DirEntry>,
 }
 
 impl Pyxis {
-    pub fn new(total_pages: u64) -> Self {
+    pub(crate) fn new(total_pages: u64) -> Self {
         Pyxis {
             entries: (0..total_pages).map(|_| DirEntry::default()).collect(),
         }
@@ -115,19 +115,19 @@ impl Pyxis {
 
     /// The home entry for `page`.
     #[inline]
-    pub fn entry(&self, page: PageNum) -> &DirEntry {
+    pub(crate) fn entry(&self, page: PageNum) -> &DirEntry {
         &self.entries[page.0 as usize]
     }
 
     /// How many pages the directory covers.
     #[inline]
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.entries.len() as u64
     }
 
     /// Reset every entry — the paper's "initialization writes do not count"
     /// rule: reader/writer maps are nulled when the parallel section starts.
-    pub fn reset_all(&self) {
+    pub(crate) fn reset_all(&self) {
         for e in &self.entries {
             e.reset();
         }
@@ -149,7 +149,7 @@ impl Pyxis {
 /// over a large address space would otherwise need gigabytes of
 /// always-resident metadata for pages most nodes never touch.
 #[derive(Debug)]
-pub struct DirCaches {
+pub(crate) struct DirCaches {
     caches: Vec<NodeDirCache>,
 }
 
@@ -242,7 +242,7 @@ impl Drop for NodeDirCache {
 }
 
 impl DirCaches {
-    pub fn new(nodes: usize, total_pages: u64) -> Self {
+    pub(crate) fn new(nodes: usize, total_pages: u64) -> Self {
         DirCaches {
             caches: (0..nodes).map(|_| NodeDirCache::new(total_pages)).collect(),
         }
@@ -251,11 +251,11 @@ impl DirCaches {
     /// `node`'s cached copy of the entry for `page` (created empty on first
     /// touch).
     #[inline]
-    pub fn entry(&self, node: u16, page: PageNum) -> &DirEntry {
+    pub(crate) fn entry(&self, node: u16, page: PageNum) -> &DirEntry {
         self.caches[node as usize].entry(page)
     }
 
-    pub fn reset_all(&self) {
+    pub(crate) fn reset_all(&self) {
         for node in &self.caches {
             node.reset();
         }

@@ -150,6 +150,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if st.tag == Some(line) && st.pages[idx].valid {
             CoherenceStats::bump(&self.stats.shard(me).read_hits);
             t.merge(st.ready_at);
+            if st.pages[idx].reuse == Reuse::Refilled {
+                st.pages[idx].reuse = Reuse::Consumer; // a refill, then touched
+            }
         } else {
             self.read_miss(t, &mut st, page, me)?;
         }
@@ -185,6 +188,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let idx = ns.cache.index_in_line(page);
         if st.tag != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
             self.read_miss(t, &mut st, page, me)?; // write-allocate
+        } else if st.pages[idx].reuse == Reuse::Refilled {
+            t.merge(st.ready_at); // the store lands on the refilled data
         }
         let buffered = if st.pages[idx].dirty {
             CoherenceStats::bump(&self.stats.shard(me).write_hits);
@@ -231,6 +236,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             let cp = &mut st.pages[idx];
             cp.write_faults = cp.write_faults.saturating_add(1);
             cp.dirty = true;
+            cp.reuse = Reuse::Cold; // written: migratory, never refilled
             Ok(buffer)
         })
     }

@@ -85,13 +85,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// The policy's accessor view for `page` (census walks). Authoritative
     /// under SI/SD; diagnostic under timestamp policies.
-    pub fn home_dir_view_of_page(&self, page: PageNum) -> DirView {
+    pub(crate) fn home_dir_view_of_page(&self, page: PageNum) -> DirView {
         self.coherence.census_view(page)
     }
 
     /// Which protocol currently governs `page` (census walks). Fixed for
     /// the pure policies; per-page under the Pyxis hybrid.
-    pub fn page_mode_of(&self, page: PageNum) -> PageMode {
+    pub(crate) fn page_mode_of(&self, page: PageNum) -> PageMode {
         self.coherence.page_mode(page)
     }
 

@@ -100,6 +100,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // Acquire-side policy hook (Tardis merges the global clock here).
         self.coherence.begin_si_fence(me, shard);
         let ns = &self.nodes[me as usize];
+        let mut consumed = Vec::new();
         // O(resident): only slots holding a line are visited; empty slots
         // of a roomy cache cost nothing.
         ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
@@ -113,7 +114,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     ns.wbuf.remove(page);
                     self.downgrade_locked(t, st, page, me, false)?;
                 }
-                st.pages[idx].invalidate();
+                // A consumer's page is recorded for the next refill; a
+                // refilled page nobody touched is not.
+                match st.pages[idx].si_drop() {
+                    Reuse::Consumer => consumed.push(page),
+                    Reuse::Refilled => CoherenceStats::bump(&shard.refill_unused),
+                    _ => {}
+                }
                 t.compute(PROTECT_CYCLES);
                 CoherenceStats::bump(&shard.si_invalidated);
                 self.detail(t, me, obs::RecordKind::SiInvalidate, page.0, obs::NO_TARGET);
@@ -122,7 +129,15 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 self.detail(t, me, obs::RecordKind::SiKeep, page.0, obs::NO_TARGET);
             }
             Ok(())
-        })
+        })?;
+        let mut recorded = ns.refill.lock().expect("a refill panicked");
+        // An epoch that missed but never on a recorded page left stale
+        // candidates; an idle one (a writer's turn, say) hands them on.
+        if ns.missed.swap(false, Ordering::Relaxed) {
+            recorded.clear();
+        }
+        recorded.extend(consumed);
+        Ok(())
     }
 
     /// Self-downgrade fence (release side): drain the write buffer and wait
@@ -269,7 +284,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// Fallible flavor of [`Self::decay_classification`].
-    pub fn try_decay_classification(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
+    pub(crate) fn try_decay_classification(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let me = t.node().0;
         for (n, ns) in self.nodes.iter().enumerate() {
             self.flush_prefetch(n as u16);

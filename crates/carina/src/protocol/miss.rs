@@ -1,9 +1,11 @@
 //! Read-miss handling (paper §3.3, line fills §3.6.2): evict the
 //! conflicting line, then fetch the whole line from its pages' homes —
-//! registrations and data read pipelined so the miss costs one round trip.
+//! registrations and data read pipelined so the miss costs one round trip —
+//! and, on a recorded consumer page, refill the rest of the recorded set.
 
 use super::verbs::IssuedVerb;
 use super::*;
+use crate::config::PROTECT_CYCLES;
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Handle a read miss on `page`: evict/flush the conflicting line if
@@ -71,6 +73,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
             st.retag(line);
         }
+        let refill_due = st.pages[ns.cache.index_in_line(page)].reuse == Reuse::Dropped;
+        ns.missed.store(true, Ordering::Relaxed);
         // Fetch every not-yet-valid remote page of the line, grouped by
         // home so transfers to distinct homes overlap (pipelined one-sided
         // reads issued back to back).
@@ -165,8 +169,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 st.alloc_data(idx).copy_from(self.global.home_page(p));
-                st.pages[idx].valid = true;
-                st.pages[idx].mark_clean();
+                st.pages[idx].fill();
             }
         }
         if let Some(pf) = prefetched {
@@ -181,7 +184,75 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 t.obs_now().saturating_sub(obs_issue),
             );
         }
+        if refill_due {
+            self.refill(t, page, me)?;
+        }
         self.maybe_prefetch(t, line, me);
+        Ok(())
+    }
+
+    /// The refill, beyond the paper (its prefetch is spatial only; DESIGN
+    /// §11): once a demand miss on a page of the node's recorded set
+    /// completed, fetch every other page of the set that is still invalid.
+    /// Each page gets the registration its demand fill would issue, with
+    /// the page read posted right behind, all at the same instant. The
+    /// thread pays the re-map of each installed page, never a completion:
+    /// a page is ready at its own. Like a prefetch, a failed verb drops its
+    /// page — no retry, no error.
+    fn refill(&self, t: &mut T::Endpoint, demanded: PageNum, me: u16) -> Result<(), DsmError> {
+        let ns = &self.nodes[me as usize];
+        let recorded = {
+            let mut set = ns.refill.lock().expect("a sweep panicked");
+            // A page recorded by an earlier, stale set triggers nothing.
+            if !set.contains(&demanded) {
+                return Ok(());
+            }
+            std::mem::take(&mut *set)
+        };
+        let (at, mut installed) = (t.now(), 0);
+        for page in recorded {
+            // Never wait for a slot and never evict: a held slot, or one a
+            // different line has taken, keeps what it holds.
+            let Some(mut st) = ns.cache.try_lock_slot(page) else { continue };
+            let idx = ns.cache.index_in_line(page);
+            if st.tag != Some(ns.cache.line_of(page)) || st.pages[idx].reuse != Reuse::Dropped {
+                continue;
+            }
+            // Re-read under the slot lock, like a miss: a page re-homed
+            // here is local now, one homed on a departed node is not ours
+            // to fetch.
+            let home = self.global.home_of(page);
+            if home == me || (self.membership.epoch() != 0 && !self.membership.is_alive(home)) {
+                continue;
+            }
+            let register = !self.coherence.read_registered(me, home, page);
+            let reg = register.then(|| t.issue(NodeId(home), &Verb::FetchOr, at));
+            let read = t.issue(NodeId(home), &Verb::Read { bytes: PAGE_BYTES }, at);
+            let reg = reg.map(|token| t.poll(token));
+            let Some(Ok(data)) = t.poll(read) else { continue };
+            let ready = match reg {
+                None => data.initiator_done,
+                Some(Some(Ok(c))) => {
+                    let shard = self.stats.shard(me);
+                    let outcome = self.coherence.register_reader(me, home, page, shard);
+                    self.apply_outcome(t, page, me, outcome, c.initiator_done)?;
+                    data.initiator_done.max(c.initiator_done + self.handler_cycles())
+                }
+                Some(_) => continue,
+            };
+            st.alloc_data(idx).copy_from(self.global.home_page(page));
+            let live = st.pages.iter().any(|p| p.valid);
+            st.ready_at = if live { st.ready_at.max(ready) } else { ready };
+            st.pages[idx].fill();
+            st.pages[idx].reuse = Reuse::Refilled;
+            t.compute(PROTECT_CYCLES);
+            installed += 1;
+        }
+        if installed > 0 {
+            let shard = self.stats.shard(me);
+            CoherenceStats::bump(&shard.refills);
+            CoherenceStats::add(&shard.refill_pages, installed);
+        }
         Ok(())
     }
 }

@@ -56,13 +56,15 @@ use crate::config::{CarinaConfig, HOME_POLICY};
 use crate::error::DsmError;
 use crate::stats::CoherenceStats;
 use crate::write_buffer::WriteBuffer;
-use mem::{GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, SlotGuard, PAGE_BYTES};
+use mem::{
+    GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, Reuse, SlotGuard, PAGE_BYTES,
+};
 use prefetch::Prefetcher;
 use rma::{
     rendezvous_home, Completion, Endpoint, Membership, SimTransport, Transport, Verb, VerbClass,
 };
 use simnet::NodeId;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Append `item` to `home`'s group, opening the group at the end on first
@@ -88,6 +90,11 @@ struct NodeState {
     /// Stride-prefetch state (inert unless `CarinaConfig::prefetch_lines`
     /// is nonzero).
     prefetch: Mutex<Prefetcher>,
+    /// The consumer pages SI fences dropped since the node's last demand
+    /// miss, until a refill takes them (`miss.rs`).
+    refill: Mutex<Vec<PageNum>>,
+    /// A demand miss happened since the last SI fence.
+    missed: AtomicBool,
 }
 
 /// The distributed shared memory: data plane plus a pluggable coherence
@@ -211,6 +218,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     draining: Mutex::new(()),
                     pending_settle: AtomicU64::new(0),
                     prefetch: Mutex::new(Prefetcher::default()),
+                    refill: Mutex::new(Vec::new()),
+                    missed: AtomicBool::new(false),
                 })
                 .collect(),
         })
@@ -220,12 +229,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     #[inline]
     pub fn policy_name(&self) -> &'static str {
         C::NAME
-    }
-
-    /// The coherence policy instance (tests and policy-specific probes).
-    #[inline]
-    pub fn coherence(&self) -> &C {
-        &self.coherence
     }
 
     #[inline]
@@ -283,7 +286,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// Total pages in the global address space.
     #[inline]
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.global.total_pages()
     }
 

@@ -76,8 +76,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 continue;
             }
             st.alloc_data(idx).copy_from(&data);
-            st.pages[idx].valid = true;
-            st.pages[idx].mark_clean();
+            st.pages[idx].fill();
             CoherenceStats::bump(&shard.prefetch_hits);
             done = done.max(pf.ready_at);
         }

@@ -15,7 +15,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// or notification: the cycles of a software message-handler invocation
     /// at the target (counted in the net stats), 0 under the passive
     /// directory that is Argo's contribution.
-    fn handler_cycles(&self) -> u64 {
+    pub(super) fn handler_cycles(&self) -> u64 {
         if !self.config.active_directory {
             return 0;
         }
@@ -120,7 +120,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// notifies chain behind it on the network timeline and join
     /// `pending_settle` for the next SD fence without holding the thread,
     /// while a checkpoint fetch, whose data the thread needs, still does.
-    fn apply_outcome(
+    pub(super) fn apply_outcome(
         &self,
         t: &mut T::Endpoint,
         page: PageNum,

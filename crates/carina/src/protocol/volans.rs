@@ -89,7 +89,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// `span`/`obs_at` attribute the Lyra `EpochBump`/`Rehome` records to
     /// the exhausted verb that triggered the declaration, giving Perfetto a
     /// flow arrow from the failure to the transition.
-    pub fn declare_dead(&self, dead: u16, me: u16, span: obs::SpanId, obs_at: u64) -> bool {
+    pub(crate) fn declare_dead(&self, dead: u16, me: u16, span: obs::SpanId, obs_at: u64) -> bool {
         let _serial = self.transition.lock().unwrap();
         if !self.membership.is_alive(dead) {
             // Someone else declared it while we waited: re-homing is done

@@ -143,6 +143,13 @@ counters! {
     write_retained,
     /// Kept pages a drain scanned and found unwritten (nothing posted).
     retained_idle_scans,
+    /// Demand misses that re-fetched the consumer pages an SI fence dropped
+    /// (refills installing at least one page).
+    refills,
+    /// Pages those refills installed.
+    refill_pages,
+    /// Refilled pages an SI fence dropped untouched.
+    refill_unused,
 }
 
 /// Cluster-wide coherence event counters, sharded per node.
@@ -166,12 +173,12 @@ impl CoherenceStats {
     }
 
     #[inline]
-    pub fn bump(counter: &AtomicU64) {
+    pub(crate) fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
-    pub fn add(counter: &AtomicU64, n: u64) {
+    pub(crate) fn add(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -181,13 +188,6 @@ impl CoherenceStats {
         for s in self.shards.iter() {
             s.add_into(&mut out);
         }
-        out
-    }
-
-    /// One node's totals.
-    pub fn node_snapshot(&self, node: u16) -> CoherenceSnapshot {
-        let mut out = CoherenceSnapshot::default();
-        self.shards[node as usize].add_into(&mut out);
         out
     }
 
@@ -222,7 +222,7 @@ impl CoherenceSnapshot {
 
     /// Fraction of SI-fence page examinations that resulted in keeping the
     /// page — the benefit classification buys (higher is better).
-    pub fn si_keep_ratio(&self) -> f64 {
+    pub(crate) fn si_keep_ratio(&self) -> f64 {
         ratio(self.si_kept, self.si_invalidated + self.si_kept)
     }
 
@@ -273,8 +273,8 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.read_misses, 2);
         assert_eq!(snap.writeback_bytes, 4096);
-        assert_eq!(s.node_snapshot(0).read_misses, 1);
-        assert_eq!(s.node_snapshot(1).read_misses, 0);
+        assert_eq!(s.shard(0).read_misses.load(Ordering::Relaxed), 1);
+        assert_eq!(s.shard(1).read_misses.load(Ordering::Relaxed), 0);
         s.reset();
         assert_eq!(s.snapshot(), CoherenceSnapshot::default());
     }

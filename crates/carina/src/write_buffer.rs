@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// node's threads serialize per stripe, not globally): enough to spread a
 /// node's worker threads with negligible memory cost. Purely host-side:
 /// global FIFO victim order is preserved by push tickets.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 #[derive(Debug, Default)]
 struct Fifo {
@@ -72,7 +72,7 @@ pub struct WriteBuffer {
 }
 
 impl WriteBuffer {
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, DEFAULT_SHARDS)
     }
 
@@ -87,7 +87,7 @@ impl WriteBuffer {
         }
     }
 
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -183,7 +183,7 @@ impl WriteBuffer {
 
     /// The buffered pages, globally oldest first, without consuming them
     /// (invariant checking).
-    pub fn snapshot(&self) -> Vec<PageNum> {
+    pub(crate) fn snapshot(&self) -> Vec<PageNum> {
         let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
         let mut entries = Vec::new();
         for g in guards.iter() {

@@ -1143,3 +1143,192 @@ fn invalidation_eviction_and_overflow_never_keep() {
     only_fence_drains_keep::<CarinaSiSd>();
     only_fence_drains_keep::<Pyxis>();
 }
+
+// ---- the refill (DESIGN §11, "Refill") ----
+
+/// Consumer pages per script: node 0 rewrites them, node 1 re-reads them.
+const K: u64 = 8;
+
+/// `K` pages homed on node 0 of a two-node cluster.
+fn produced() -> Vec<GlobalAddr> {
+    (0..K).map(|i| addr_homed_at(2, 0, i)).collect()
+}
+
+/// One producer/consumer round: node 0 rewrites every page and releases;
+/// node 1 acquires, stores one word of each page first if `stores`, and
+/// reads the pages `read` names. Returns node 1's clock advance.
+fn consumer_round<C: Coherence>(
+    dsm: &Dsm<SimTransport, C>,
+    ts: &mut [SimThread],
+    round: u64,
+    read: impl Fn(usize) -> bool,
+    stores: bool,
+) -> u64 {
+    let pages = produced();
+    for &a in &pages {
+        dsm.write_u64(&mut ts[0], a, round);
+    }
+    dsm.sd_fence(&mut ts[0]);
+    let t = &mut ts[1];
+    let before = t.now();
+    dsm.si_fence(t);
+    for (i, &a) in pages.iter().enumerate() {
+        if stores {
+            dsm.write_u64(t, a.offset(8), round);
+        }
+        if read(i) {
+            assert_eq!(dsm.read_u64(t, a), round, "{}: page {i}, round {round}", C::NAME);
+        }
+    }
+    if stores {
+        dsm.sd_fence(t);
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    t.now() - before
+}
+
+/// `[read_misses, refills, refill_pages, refill_unused]` so far.
+fn refill_counts<C: Coherence>(dsm: &Dsm<SimTransport, C>) -> [u64; 4] {
+    let s = dsm.stats().snapshot();
+    [s.read_misses, s.refills, s.refill_pages, s.refill_unused]
+}
+
+/// Run `rounds` consumer rounds; returns each round's clock advance and
+/// its `refill_counts` delta.
+fn consumer_script<C: Coherence>(
+    dsm: &Dsm<SimTransport, C>,
+    ts: &mut [SimThread],
+    rounds: u64,
+    read: impl Fn(u64, usize) -> bool,
+    stores: bool,
+) -> Vec<(u64, [u64; 4])> {
+    (1..=rounds)
+        .map(|round| {
+            let before = refill_counts(dsm);
+            let advance = consumer_round(dsm, ts, round, |i| read(round, i), stores);
+            let after = refill_counts(dsm);
+            (advance, std::array::from_fn(|i| after[i] - before[i]))
+        })
+        .collect()
+}
+
+/// (a) From round 3 on — once the pages were re-fetched after an SI drop —
+/// the first miss refills the other `K − 1`: one trap, and a round costs
+/// less than two misses plus the `K` transfers. The wire is what the
+/// demand misses alone would carry: the same reads, registrations, bytes.
+#[test]
+fn the_first_miss_refills_the_consumer_pages() {
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+    let cost = CostModel::paper_2011();
+    let (atomic_rtt, read_rtt) = round_trips(&cost);
+    let miss = cost.fault_trap_cycles + atomic_rtt + read_rtt;
+    let bound = 2 * miss + K * cost.transfer_cycles(PAGE_BYTES);
+    for (round, (advance, d)) in (1..).zip(consumer_script(&dsm, &mut ts, 6, |_, _| true, false)) {
+        if round <= 2 {
+            assert_eq!(d, [K, 0, 0, 0], "round {round}");
+        } else {
+            assert_eq!(d, [1, 1, K - 1, 0], "round {round}");
+            assert!(advance < bound, "round {round}: {advance} cycles, bound {bound}");
+        }
+    }
+    let n = wire(&dsm);
+    assert_eq!((n.rdma_reads, n.rdma_atomics, n.bytes_read), (6 * K, K, 6 * K * PAGE_BYTES));
+}
+
+/// (b) Pages node 1 writes are migratory: never recorded, never
+/// refilled, every counter and the wire exactly what the protocol without
+/// a refill produces.
+#[test]
+fn written_pages_are_never_refilled() {
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+    consumer_script(&dsm, &mut ts, 6, |_, _| true, true);
+    let s = dsm.stats().snapshot();
+    let counted: Vec<_> = s.fields().filter(|&(_, v)| v > 0).collect();
+    assert_eq!(
+        counted,
+        [
+            ("read_hits", 48),
+            ("read_misses", 48),
+            ("write_faults", 48),
+            ("si_invalidated", 40),
+            ("writebacks", 48),
+            ("writeback_bytes", 2016),
+            ("diff_words", 48),
+            ("p_to_s", 8),
+            ("sw_to_mw", 8),
+            ("si_fences", 6),
+            ("sd_fences", 12),
+            ("downgrade_batches", 6),
+            ("downgrade_batch_pages", 48),
+        ]
+    );
+    let n = wire(&dsm);
+    assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (48, 64, 16));
+    assert_eq!((n.bytes_read, n.bytes_written), (48 * PAGE_BYTES, 2528));
+}
+
+/// (c) Pages a refill brought in and nobody touched count as unused at the
+/// next drop and are not refilled again; read once more, they re-qualify.
+#[test]
+fn untouched_refills_are_counted_and_not_repeated() {
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+    let half = K / 2;
+    // Round 4 reads the even pages only.
+    let rounds = consumer_script(&dsm, &mut ts, 6, |r, i| r != 4 || i % 2 == 0, false);
+    let deltas: Vec<[u64; 4]> = rounds.iter().map(|&(_, d)| d).collect();
+    assert_eq!(deltas[3], [1, 1, K - 1, 0], "round 4 refills all, reads half");
+    // Round 5 refills the touched half; the skipped half is demand-missed.
+    assert_eq!(deltas[4], [1 + half, 1, half - 1, half], "round 5");
+    assert_eq!(deltas[5], [1, 1, K - 1, 0], "round 6: all consumers again");
+}
+
+/// (d) A refill never evicts: node 1 drops `p` and `q`, then a page it
+/// keeps private takes `q`'s slot of a four-slot cache. The miss on `p`
+/// refills nothing — `q`'s slot holds a live line, and `q`'s standing
+/// went with its line — and the private page is still a hit.
+#[test]
+fn a_refill_skips_a_slot_another_line_took() {
+    let four = CarinaConfig { cache: CacheConfig::new(4, 1), ..CarinaConfig::default() };
+    let (dsm, mut ts) = cluster(2, four);
+    // Pages 2 and 4 are homed on node 0; page 8 shares page 4's slot.
+    let (p, q, private) = (addr_homed_at(2, 0, 0), addr_homed_at(2, 0, 1), addr_homed_at(2, 0, 3));
+    let (t0, t1) = ts.split_at_mut(1);
+    let (t0, t1) = (&mut t0[0], &mut t1[0]);
+    for round in 1..=3 {
+        dsm.write_u64(t0, p, round);
+        dsm.write_u64(t0, q, round);
+        dsm.sd_fence(t0);
+        dsm.si_fence(t1);
+        if round == 3 {
+            assert_eq!(dsm.read_u64(t1, private), 0);
+        }
+        assert_eq!(dsm.read_u64(t1, p), round);
+        if round == 3 {
+            assert_eq!(refill_counts(&dsm)[2], 0, "q's slot was taken: nothing refilled");
+            let misses = refill_counts(&dsm)[0];
+            assert_eq!(dsm.read_u64(t1, private), 0);
+            assert_eq!(refill_counts(&dsm)[0], misses, "the live line stayed valid");
+        }
+        assert_eq!(dsm.read_u64(t1, q), round);
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+/// (e) Lease pages renew inside the refill, on the registration a demand
+/// fill would issue: the renewals and atomics of the misses it replaces,
+/// under Tardis, and under Pyxis once its pages switched to lease mode.
+#[test]
+fn lease_pages_renew_inside_the_refill() {
+    fn leases<C: Coherence>(rounds: u64) -> (CoherenceSnapshot, NetStatsSnapshot) {
+        let (dsm, mut ts) = policy_cluster::<C>(2, CarinaConfig::default());
+        consumer_script(&dsm, &mut ts, rounds, |_, _| true, false);
+        (dsm.stats().snapshot(), wire(&dsm))
+    }
+    let (s, n) = leases::<Tardis>(6);
+    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (40, 48, 48));
+    assert_eq!((s.read_misses, s.refill_pages), (2 * K + 4, 4 * (K - 1)));
+    let (s, n) = leases::<Pyxis>(12);
+    assert_eq!(s.mode_to_lease, K, "every page switched to lease mode");
+    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (56, 72, 96));
+    assert_eq!((s.read_misses, s.refill_pages), (2 * K + 10, 10 * (K - 1)));
+}

@@ -17,8 +17,8 @@
 //!   the sequence check and falls back to the locked path. Page contents
 //!   are word-atomic, so the optimistic loads are race-free by
 //!   construction.
-//! - **Occupancy bitsets.** The cache tracks which slots hold a line and
-//!   which hold dirty pages, so fence sweeps visit O(resident) slots
+//! - **Occupancy bitsets.** The cache tracks which slots hold a valid page
+//!   and which hold dirty pages, so fence sweeps visit O(resident) slots
 //!   instead of scanning every slot of a mostly-empty cache.
 //!
 //! Both structures are maintained in one place: [`SlotGuard`], the only
@@ -67,6 +67,26 @@ impl Default for CacheConfig {
     }
 }
 
+/// A page's standing under the refill's consumer rule (carina's SI fence
+/// records the consumer pages it drops; the next demand miss on one
+/// re-fetches them all). It belongs to the page, not to the copy: it
+/// survives the SI fence that drops the copy and the slot falling empty,
+/// and resets only when a different line takes the slot.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub enum Reuse {
+    /// No SI drop since the slot took the line, or a copy this node wrote.
+    #[default]
+    Cold,
+    /// An SI fence dropped the page's last copy.
+    Dropped,
+    /// A copy fetched after an SI drop — by a demand miss, or by a refill
+    /// then touched — and not written since.
+    Consumer,
+    /// Installed by a refill, not touched yet: off the lock-free hit path,
+    /// so the first touch takes the slot lock and is seen.
+    Refilled,
+}
+
 /// Protocol metadata of one cached page within a line. The page *contents*
 /// live outside the slot mutex (see [`LineSlot`]) so lock-free readers can
 /// reach them.
@@ -87,15 +107,37 @@ pub struct CachedPage {
     /// fence drain re-armed the page), `k` fences in a row having since
     /// found it unwritten; `None` if it began with a write fault.
     pub kept_idle: Option<u16>,
+    /// The page's standing under the refill's consumer rule.
+    pub reuse: Reuse,
 }
 
 impl CachedPage {
-    /// Drop protocol state (self-invalidation of this page), write history
-    /// included. The data allocation is kept for reuse.
+    /// Drop protocol state, write and reuse history included. The data
+    /// allocation is kept for reuse.
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.write_faults = 0;
+        self.reuse = Reuse::Cold;
         self.mark_clean();
+    }
+
+    /// An SI fence drops the copy; returns the standing the copy had.
+    pub fn si_drop(&mut self) -> Reuse {
+        let was = self.reuse;
+        self.invalidate();
+        self.reuse = Reuse::Dropped;
+        was
+    }
+
+    /// Install a fetched copy, valid and clean. A copy fetched after an SI
+    /// drop of the page is a consumer's.
+    pub fn fill(&mut self) {
+        self.valid = true;
+        self.mark_clean();
+        self.reuse = match self.reuse {
+            Reuse::Dropped => Reuse::Consumer,
+            _ => Reuse::Cold,
+        };
     }
 
     /// The page's writes are home: drop the dirty bit and the write mask
@@ -157,7 +199,7 @@ pub struct LineSlot {
     seq: AtomicU64,
     /// Mirror of `tag`, biased by one (0 = empty slot).
     fast_tag: AtomicU64,
-    /// Mirror of the per-page `valid` bits.
+    /// Mirror of the per-page `valid` bits, less [`Reuse::Refilled`] pages.
     fast_valid: AtomicU64,
     /// Mirror of `ready_at`.
     fast_ready: AtomicU64,
@@ -275,7 +317,7 @@ fn bitset_indices(words: &[AtomicU64]) -> impl Iterator<Item = usize> + '_ {
 pub struct PageCache {
     config: CacheConfig,
     slots: Vec<LineSlot>,
-    /// Slots currently holding a line (`tag.is_some()`).
+    /// Slots currently holding a valid or dirty page.
     occupied: Box<[AtomicU64]>,
     /// Slots currently holding at least one dirty page.
     dirty: Box<[AtomicU64]>,
@@ -345,9 +387,10 @@ impl PageCache {
         }
     }
 
-    /// Indices of slots currently holding a line, ascending. A lock-free
-    /// snapshot: slots mutated concurrently may appear or not, exactly as
-    /// they might under a full scan — callers re-check under the slot lock.
+    /// Indices of slots currently holding a valid or dirty page, ascending.
+    /// A lock-free snapshot: slots mutated concurrently may appear or not,
+    /// exactly as they might under a full scan — callers re-check under the
+    /// slot lock.
     pub fn occupied_indices(&self) -> impl Iterator<Item = usize> + '_ {
         bitset_indices(&self.occupied)
     }
@@ -358,15 +401,22 @@ impl PageCache {
         bitset_indices(&self.dirty)
     }
 
+    /// Lock the slot that `page` maps to unless someone else holds it.
+    #[inline]
+    pub fn try_lock_slot(&self, page: PageNum) -> Option<SlotGuard<'_>> {
+        let index = self.slot_index_for(page);
+        let st = self.slots[index].state.try_lock()?;
+        Some(SlotGuard { cache: self, index, wrote: false, st })
+    }
+
     /// The sweep every fence, reset and decay walks: lock, in ascending
     /// order, each slot of `indices` — feed it [`Self::occupied_indices`]
     /// or [`Self::dirty_indices`] — and hand `visit` every valid page of
     /// the line it holds (with its index in the line). A line the visit
-    /// leaves without a valid page gives its slot up, so later sweeps skip
-    /// it: behaviorally identical to a tagged all-invalid line — the next
-    /// access misses either way, with no eviction — but it keeps the
-    /// occupied set, and thus fence cost, proportional to what actually
-    /// survives fences. Stops at the first error.
+    /// leaves without a valid page gives its slot up — it leaves the
+    /// occupied set, so fence cost stays proportional to what survives
+    /// fences — but keeps its tag, and with it each page's [`Reuse`], until
+    /// a different line takes the slot. Stops at the first error.
     pub fn sweep<E>(
         &self,
         indices: impl Iterator<Item = usize>,
@@ -380,10 +430,6 @@ impl PageCache {
                 if st.pages[idx].valid {
                     visit(&mut st, idx, PageNum(base.0 + idx as u64))?;
                 }
-            }
-            if st.pages.iter().all(|p| !p.valid) {
-                st.tag = None;
-                st.ready_at = 0;
             }
         }
         Ok(())
@@ -462,17 +508,20 @@ impl Drop for SlotGuard<'_> {
         let st = &*self.st;
         slot.fast_tag
             .store(st.tag.map_or(0, |t| t.wrapping_add(1)), Ordering::Relaxed);
-        let mut valid = 0u64;
+        let (mut valid, mut hits) = (0u64, 0u64);
         let mut any_dirty = false;
         for (i, p) in st.pages.iter().enumerate() {
             if p.valid {
                 valid |= 1u64 << i;
+                if p.reuse != Reuse::Refilled {
+                    hits |= 1u64 << i;
+                }
             }
             any_dirty |= p.dirty;
         }
-        slot.fast_valid.store(valid, Ordering::Relaxed);
+        slot.fast_valid.store(hits, Ordering::Relaxed);
         slot.fast_ready.store(st.ready_at, Ordering::Relaxed);
-        bitset_write(&self.cache.occupied, self.index, st.tag.is_some());
+        bitset_write(&self.cache.occupied, self.index, valid != 0 || any_dirty);
         bitset_write(&self.cache.dirty, self.index, any_dirty);
         // Seqlock writer exit: back to even, releasing the mutations.
         let s = slot.seq.load(Ordering::Relaxed);
@@ -526,6 +575,52 @@ mod tests {
         assert_eq!((p.write_faults, p.kept_idle), (2, None), "history survives a protect");
         p.invalidate();
         assert_eq!(p.write_faults, 0, "but not an invalidation");
+    }
+
+    #[test]
+    fn reuse_survives_the_slot_falling_empty_but_not_a_new_line() {
+        let c = PageCache::new(CacheConfig::new(4, 1));
+        let reuse = |page: u64| c.lock_slot(PageNum(page)).pages[0].reuse;
+        let fill = |page: u64| {
+            let mut g = c.lock_slot(PageNum(page));
+            if g.tag != Some(page) {
+                g.retag(page);
+            }
+            g.alloc_data(0);
+            g.pages[0].fill();
+        };
+        let si_drop_all = || {
+            c.sweep(c.occupied_indices(), |st, idx, _| {
+                st.pages[idx].si_drop();
+                Ok::<(), ()>(())
+            })
+        };
+        fill(1);
+        si_drop_all().unwrap();
+        assert_eq!(c.occupied_indices().count(), 0, "the emptied slot is given up");
+        assert_eq!(reuse(1), Reuse::Dropped);
+        fill(1);
+        assert_eq!(reuse(1), Reuse::Consumer, "re-fetched after an SI drop");
+        si_drop_all().unwrap();
+        assert_eq!(reuse(1), Reuse::Dropped);
+        fill(5); // the same slot, another line
+        assert_eq!(reuse(5), Reuse::Cold);
+    }
+
+    #[test]
+    fn refilled_pages_stay_off_the_lock_free_path_until_touched() {
+        let c = PageCache::new(CacheConfig::new(4, 1));
+        {
+            let mut g = c.lock_slot(PageNum(2));
+            g.retag(2);
+            g.alloc_data(0).store(0, 9);
+            g.pages[0].fill();
+            g.pages[0].reuse = Reuse::Refilled;
+        }
+        assert_eq!(c.slot_for(PageNum(2)).try_read(2, 0, 0), None);
+        assert_eq!(c.occupied_indices().count(), 1);
+        c.lock_slot(PageNum(2)).pages[0].reuse = Reuse::Consumer;
+        assert_eq!(c.slot_for(PageNum(2)).try_read(2, 0, 0), Some((9, 0)));
     }
 
     #[test]

@@ -36,7 +36,7 @@ mod word;
 
 pub use addr::{GlobalAddr, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE};
 pub use alloc::GlobalAllocator;
-pub use cache::{CacheConfig, PageCache, SlotGuard};
+pub use cache::{CacheConfig, PageCache, Reuse, SlotGuard};
 pub use global::GlobalMemory;
 pub use page::{PageData, WriteMask};
 pub use word::Word;

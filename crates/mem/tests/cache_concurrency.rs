@@ -45,6 +45,7 @@ fn occupancy_covers_every_filled_slot_exactly_once() {
         seen.insert(cache.slot_for(p) as *const _ as usize);
         let mut g = cache.lock_slot(p);
         g.retag(line);
+        g.pages[0].valid = true;
     }
     assert_eq!(seen.len(), 16);
     assert_eq!(cache.occupied_indices().count(), 16);

@@ -7,11 +7,15 @@
 //! epoch each thread owns a disjoint set of slots and performs
 //! reads/writes/read-modify-writes on them (reads may target *any* slot
 //! written in a previous epoch — cross-thread visibility is exactly what
-//! the protocol must get right).
+//! the protocol must get right). A second generator builds the
+//! producer/consumer shape the refill serves, run under all three policies.
 
 use argo::types::GlobalU64Array;
 use argo::{ArgoConfig, ArgoMachine};
-use carina::{CarinaConfig, ClassificationMode, CoherenceSnapshot};
+use carina::{
+    CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, CoherenceSnapshot, Pyxis, Tardis,
+};
+use mem::CacheConfig;
 use rand::prelude::*;
 use std::sync::Arc;
 
@@ -133,13 +137,23 @@ fn run_dsm_strided(
     stride: usize,
     rotate: usize,
 ) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
-    let threads_per_node = prog.threads / nodes;
-    let mut cfg = ArgoConfig::small(nodes, threads_per_node);
+    let mut cfg = ArgoConfig::small(nodes, prog.threads / nodes);
     cfg.carina = CarinaConfig::with_mode(mode);
-    let machine = ArgoMachine::new(cfg);
     let (per, threads) = (SLOTS / prog.threads, prog.threads);
     let at = move |slot: usize| (slot / per + rotate) % threads * stride + slot % per;
-    let arr = GlobalU64Array::alloc(machine.dsm(), prog.threads * stride);
+    run_dsm_on::<CarinaSiSd>(prog, cfg, threads * stride, at)
+}
+
+/// Run `prog` on a machine of `cfg`'s shape under policy `C`, slot `s`
+/// at word `at(s)` of a `words`-word array.
+fn run_dsm_on<C: Coherence>(
+    prog: &Program,
+    cfg: ArgoConfig,
+    words: usize,
+    at: impl Fn(usize) -> usize + Copy + Send + Sync + 'static,
+) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
+    let machine = ArgoMachine::<_, C>::with_policy(cfg);
+    let arr = GlobalU64Array::alloc(machine.dsm(), words);
     let prog = Arc::new(prog.clone());
     let p2 = prog.clone();
     let report = machine.run(move |ctx| {
@@ -362,4 +376,62 @@ fn random_programs_with_decay_epochs() {
             .collect();
         assert_eq!(mem, model_mem, "seed {seed} memory with decay");
     }
+}
+
+/// The shape the refill serves: thread 0 rewrites all its slots in even
+/// epochs; every other thread reads them all (folding some into its own
+/// slots) in odd epochs, so each reader re-reads the same pages after
+/// every publishing barrier. Race-free by construction.
+fn gen_producer_consumer(seed: u64, threads: usize, epochs: usize) -> Program {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let per = SLOTS / threads;
+    let mut epoch_ops = |e: usize, t: usize| -> Vec<Op> {
+        match (t, e % 2) {
+            (0, 0) => (0..per)
+                .map(|slot| Op::Write { slot, value: rng.random::<u32>() as u64 })
+                .collect(),
+            (0, _) | (_, 0) => Vec::new(),
+            _ => (0..per)
+                .map(|src| match rng.random_range(0..4u32) {
+                    0 => Op::Combine { src, dst: t * per + src },
+                    _ => Op::Read { slot: src },
+                })
+                .collect(),
+        }
+    };
+    let epochs = (0..epochs)
+        .map(|e| (0..threads).map(|t| epoch_ops(e, t)).collect())
+        .collect();
+    Program { threads, epochs }
+}
+
+/// One producer/consumer program under policy `C` on `nodes` nodes with a
+/// cache of `lines` one-page lines, every slot on its own 512 bytes (the
+/// writer's slots span 16 pages); returns the run's `refill_pages`.
+fn producer_consumer<C: Coherence>(prog: &Program, nodes: usize, lines: usize) -> u64 {
+    let (model_mem, model_sums) = run_model(prog);
+    let mut cfg = ArgoConfig::small(nodes, prog.threads / nodes);
+    cfg.carina.cache = CacheConfig::new(lines, 1);
+    let spread = 64;
+    let (mem, sums, stats) = run_dsm_on::<C>(prog, cfg, SLOTS * spread, move |s| s * spread);
+    let run = format!("{} on {nodes} nodes, {lines} lines", C::NAME);
+    assert_eq!(sums, model_sums, "checksum divergence ({run})");
+    assert_eq!(mem, model_mem, "final memory divergence ({run})");
+    stats.refill_pages
+}
+
+/// The refill under the oracle: readers re-read one writer's pages across
+/// four reading epochs, under every policy, on 8 × 1, on 4 × 2 (sibling
+/// threads share the cache and its recorded set), and through a 24-slot
+/// cache — the readers' 32 pages conflict, taking recorded pages' slots.
+#[test]
+fn producer_consumer_programs_refill() {
+    let mut refilled = 0;
+    for (seed, nodes, lines) in [(600, 8, 8192), (601, 4, 8192), (602, 8, 24)] {
+        let prog = gen_producer_consumer(seed, 8, 8);
+        refilled += producer_consumer::<CarinaSiSd>(&prog, nodes, lines);
+        refilled += producer_consumer::<Tardis>(&prog, nodes, lines);
+        refilled += producer_consumer::<Pyxis>(&prog, nodes, lines);
+    }
+    assert!(refilled > 0, "no program exercised the refill");
 }
