@@ -44,18 +44,54 @@ use crate::stats::StatShard;
 use mem::PageNum;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// A page-indexed table of zero-initialised cells, resident only where a
+/// run stored ([`mem::zeroed_slice`]).
+pub(crate) fn page_table<A: mem::Zeroed>(pages: u64) -> Box<[A]> {
+    let n = usize::try_from(pages).unwrap_or_else(|_| panic!("{pages} pages overflow usize"));
+    mem::zeroed_slice(n)
+}
+
+/// A node × page table of counters: one zero-mapped allocation, a row of
+/// `pages` cells per node. One allocation rather than one per node keeps
+/// it on the allocator's fresh-mapping path when a machine is rebuilt.
+#[derive(Debug)]
+pub(crate) struct NodePageTable {
+    pages: usize,
+    cells: Box<[AtomicU64]>,
+}
+
+impl NodePageTable {
+    pub(crate) fn new(nodes: usize, pages: u64) -> Self {
+        let total = usize::try_from(pages).ok().and_then(|p| Some((p, p.checked_mul(nodes)?)));
+        let (pages, total) =
+            total.unwrap_or_else(|| panic!("{nodes} nodes × {pages} pages overflow usize"));
+        NodePageTable { pages, cells: mem::zeroed_slice(total) }
+    }
+
+    /// `node`'s cell for `page`.
+    #[inline]
+    pub(crate) fn at(&self, node: u16, page: PageNum) -> &AtomicU64 {
+        let q = page.0 as usize;
+        assert!(q < self.pages, "page {q} outside a {}-page table", self.pages);
+        &self.cells[node as usize * self.pages + q]
+    }
+
+    /// Zero every cell (storing only to nonzero ones).
+    pub(crate) fn clear_all(&self) {
+        mem::clear_nonzero(&self.cells);
+    }
+}
+
 /// A lock-free page-indexed bitset: the fast-path mirror of "this node has
 /// registered with the home directory", checked on every access.
 #[derive(Debug)]
 pub(crate) struct PageBitSet {
-    words: Vec<AtomicU64>,
+    words: Box<[AtomicU64]>,
 }
 
 impl PageBitSet {
     pub(crate) fn new(pages: u64) -> Self {
-        PageBitSet {
-            words: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
-        }
+        PageBitSet { words: page_table(pages.div_ceil(64)) }
     }
 
     #[inline]
@@ -77,9 +113,7 @@ impl PageBitSet {
     }
 
     pub(crate) fn clear_all(&self) {
-        for w in &self.words {
-            w.store(0, Ordering::Relaxed);
-        }
+        mem::clear_nonzero(&self.words);
     }
 }
 

@@ -56,7 +56,7 @@
 //! lease grant from a previous lease stint and no stale directory-cache
 //! view can keep stale data alive across a switch.
 
-use super::{CarinaSiSd, Coherence, PageMode, RegisterOutcome, Tardis};
+use super::{page_table, CarinaSiSd, Coherence, NodePageTable, PageMode, RegisterOutcome, Tardis};
 use crate::classification::DirView;
 use crate::config::CarinaConfig;
 use crate::stats::{CoherenceStats, StatShard};
@@ -71,23 +71,23 @@ pub struct Pyxis {
     tardis: Tardis,
     /// Per page: switch count. Parity is the mode (even = classify,
     /// odd = lease); every page starts in classification mode.
-    mode_epoch: Vec<AtomicU64>,
+    mode_epoch: Box<[AtomicU64]>,
     /// Per node, per page: the mode epoch this node last reconciled at an
     /// acquire (mismatch ⇒ force-invalidate once).
-    seen_epoch: Vec<Box<[AtomicU64]>>,
+    seen_epoch: NodePageTable,
     /// Per page saturating evidence score (see module docs).
-    score: Vec<AtomicI64>,
+    score: Box<[AtomicI64]>,
     /// Per page: monotone write version, bumped once per written epoch.
     /// Comparing against a node's remembered version answers "was
     /// this page written since I last checked it?" exactly, with no decay
     /// window to tune.
-    write_version: Vec<AtomicU64>,
+    write_version: Box<[AtomicU64]>,
     /// Per page: reads since the page's last write (zeroed on every
     /// written epoch) — the reads-between-writes census signal.
-    reads_since_write: Vec<AtomicU64>,
+    reads_since_write: Box<[AtomicU64]>,
     /// Per node, per page: the write version this node observed at its
     /// previous fence check of the page.
-    seen_version: Vec<Box<[AtomicU64]>>,
+    seen_version: NodePageTable,
     /// Pages whose score crossed the threshold since the last fence hook;
     /// drained (and the switches applied) only at fence boundaries.
     pending: Mutex<Vec<PageNum>>,
@@ -182,16 +182,12 @@ impl Coherence for Pyxis {
         Pyxis {
             sisd: CarinaSiSd::new(nodes, total_pages, config),
             tardis: Tardis::new(nodes, total_pages, config),
-            mode_epoch: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
-            seen_epoch: (0..nodes.max(1))
-                .map(|_| (0..total_pages).map(|_| AtomicU64::new(0)).collect())
-                .collect(),
-            score: (0..total_pages).map(|_| AtomicI64::new(0)).collect(),
-            write_version: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
-            reads_since_write: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
-            seen_version: (0..nodes.max(1))
-                .map(|_| (0..total_pages).map(|_| AtomicU64::new(0)).collect())
-                .collect(),
+            mode_epoch: page_table(total_pages),
+            seen_epoch: NodePageTable::new(nodes, total_pages),
+            score: page_table(total_pages),
+            write_version: page_table(total_pages),
+            reads_since_write: page_table(total_pages),
+            seen_version: NodePageTable::new(nodes, total_pages),
             pending: Mutex::new(Vec::new()),
             pending_len: AtomicUsize::new(0),
             threshold,
@@ -286,7 +282,7 @@ impl Coherence for Pyxis {
     fn must_self_invalidate(&self, me: u16, page: PageNum, shard: &StatShard) -> bool {
         let q = page.0 as usize;
         let epoch = self.mode_epoch[q].load(Ordering::Relaxed);
-        let seen = &self.seen_epoch[me as usize][q];
+        let seen = self.seen_epoch.at(me, page);
         let version = self.write_version[q].load(Ordering::Relaxed);
         if seen.load(Ordering::Relaxed) != epoch {
             // Reconcile: the first acquire that observes a page's new mode
@@ -295,15 +291,14 @@ impl Coherence for Pyxis {
             // write version too, so the next check scores the new mode on
             // post-switch evidence only.
             seen.store(epoch, Ordering::Relaxed);
-            self.seen_version[me as usize][q].store(version, Ordering::Relaxed);
+            self.seen_version.at(me, page).store(version, Ordering::Relaxed);
             CoherenceStats::bump(&shard.mode_reconciles);
             return true;
         }
         // One swap answers "was the page written since this node's last
         // check?" — exact, and independent of fence cadence or how many
         // threads share a node.
-        let unchanged =
-            self.seen_version[me as usize][q].swap(version, Ordering::Relaxed) == version;
+        let unchanged = self.seen_version.at(me, page).swap(version, Ordering::Relaxed) == version;
         if epoch & 1 == 1 {
             CoherenceStats::bump(&shard.mode_lease_checks);
             let inval = self.tardis.must_self_invalidate(me, page, shard);
@@ -414,28 +409,12 @@ impl Coherence for Pyxis {
     fn reset_all(&self) {
         self.sisd.reset_all();
         self.tardis.reset_all();
-        for a in &self.mode_epoch {
-            a.store(0, Ordering::Relaxed);
-        }
-        for per_node in &self.seen_epoch {
-            for a in per_node.iter() {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
-        for a in &self.score {
-            a.store(0, Ordering::Relaxed);
-        }
-        for a in &self.write_version {
-            a.store(0, Ordering::Relaxed);
-        }
-        for a in &self.reads_since_write {
-            a.store(0, Ordering::Relaxed);
-        }
-        for per_node in &self.seen_version {
-            for a in per_node.iter() {
-                a.store(0, Ordering::Relaxed);
-            }
-        }
+        mem::clear_nonzero(&self.mode_epoch);
+        mem::clear_nonzero(&self.score);
+        mem::clear_nonzero(&self.write_version);
+        mem::clear_nonzero(&self.reads_since_write);
+        self.seen_epoch.clear_all();
+        self.seen_version.clear_all();
         let mut pend = self.pending.lock();
         pend.clear();
         self.pending_len.store(0, Ordering::Relaxed);
@@ -561,11 +540,16 @@ mod tests {
         c.register_writer(1, 1, p, s.shard(1));
         c.note_written_epoch(1, p);
         c.end_sd_fence(1, s.shard(1));
+        c.begin_si_fence(0, s.shard(0));
+        c.must_self_invalidate(0, p, s.shard(0));
         c.reset_all();
         assert!(!c.in_lease_mode(p));
         assert_eq!(c.switch_count(p), 0);
         assert_eq!(c.score_of(p), 0);
         assert!(!c.read_registered(0, 1, p));
         assert!(c.invariant_problems(0, &[]).is_empty());
+        let zero = |cells: &[AtomicU64]| cells.iter().all(|a| a.load(Ordering::Relaxed) == 0);
+        assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.reads_since_write));
+        assert!(zero(&c.seen_epoch.cells) && zero(&c.seen_version.cells));
     }
 }

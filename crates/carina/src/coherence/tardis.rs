@@ -82,7 +82,7 @@
 //! copy is authoritative, which is the DSM analogue of TARDIS's owner
 //! state.
 
-use super::{lease_clock, Coherence, PageBitSet, PageMode, RegisterOutcome};
+use super::{lease_clock, Coherence, NodePageTable, PageBitSet, PageMode, RegisterOutcome};
 use crate::classification::{node_bit, DirView};
 use crate::config::CarinaConfig;
 use crate::directory::DirEntry;
@@ -110,7 +110,7 @@ struct TsEntry {
     diag: DirEntry,
 }
 
-/// One node's clock and lease table.
+/// One node's clock.
 #[derive(Debug)]
 struct NodeClock {
     /// The node's logical clock.
@@ -121,13 +121,6 @@ struct NodeClock {
     epoch: AtomicU64,
     /// Pages this node holds a (possibly expired) lease on.
     granted: PageBitSet,
-    /// The granted `rts` per page (valid where `granted` is set).
-    lease_rts: Vec<AtomicU64>,
-    /// The `wts` the lease was granted against (renewal-of-unchanged-page
-    /// detection).
-    lease_wts: Vec<AtomicU64>,
-    /// Epoch of this node's last `wts` bump per page.
-    wrote_epoch: Vec<AtomicU64>,
     /// Pages homed *here* and written this epoch. Home stores land in home
     /// memory directly — no cached copy, no drain — so their version bump
     /// is deferred to `end_sd_fence` (after every store of the epoch) and
@@ -140,6 +133,13 @@ struct NodeClock {
 pub struct Tardis {
     entries: Vec<TsEntry>,
     nodes: Vec<NodeClock>,
+    /// Per node, per page: the granted `rts` (valid where `granted` is set).
+    lease_rts: NodePageTable,
+    /// Per node, per page: the `wts` the lease was granted against
+    /// (renewal-of-unchanged-page detection).
+    lease_wts: NodePageTable,
+    /// Per node, per page: epoch of the node's last `wts` bump.
+    wrote_epoch: NodePageTable,
     /// The global clock releases publish into and acquires merge from.
     gts: AtomicU64,
 }
@@ -163,10 +163,10 @@ impl Tardis {
 
     /// The lease `node` currently holds on `page`, if any (tests).
     pub fn granted_lease(&self, node: u16, page: PageNum) -> Option<u64> {
-        let nc = &self.nodes[node as usize];
-        nc.granted
+        self.nodes[node as usize]
+            .granted
             .get(page)
-            .then(|| nc.lease_rts[page.0 as usize].load(Ordering::Relaxed))
+            .then(|| self.lease_rts.at(node, page).load(Ordering::Relaxed))
     }
 }
 
@@ -189,12 +189,12 @@ impl Coherence for Tardis {
                     pts: AtomicU64::new(0),
                     epoch: AtomicU64::new(1),
                     granted: PageBitSet::new(total_pages),
-                    lease_rts: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
-                    lease_wts: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
-                    wrote_epoch: (0..total_pages).map(|_| AtomicU64::new(0)).collect(),
                     home_writes: Mutex::new(Vec::new()),
                 })
                 .collect(),
+            lease_rts: NodePageTable::new(nodes, total_pages),
+            lease_wts: NodePageTable::new(nodes, total_pages),
+            wrote_epoch: NodePageTable::new(nodes, total_pages),
             gts: AtomicU64::new(0),
         }
     }
@@ -207,8 +207,7 @@ impl Coherence for Tardis {
         }
         let nc = &self.nodes[me as usize];
         nc.granted.get(page)
-            && nc.lease_rts[page.0 as usize].load(Ordering::Relaxed)
-                >= nc.pts.load(Ordering::Relaxed)
+            && self.lease_rts.at(me, page).load(Ordering::Relaxed) >= nc.pts.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -221,8 +220,7 @@ impl Coherence for Tardis {
         // old epoch is totally ordered before the increment, hence before
         // the queue drain that bumps the page.
         let nc = &self.nodes[me as usize];
-        nc.wrote_epoch[page.0 as usize].load(Ordering::Relaxed)
-            == nc.epoch.load(Ordering::SeqCst)
+        self.wrote_epoch.at(me, page).load(Ordering::Relaxed) == nc.epoch.load(Ordering::SeqCst)
     }
 
     fn register_reader(
@@ -234,7 +232,6 @@ impl Coherence for Tardis {
     ) -> RegisterOutcome {
         let e = self.entry(page);
         let nc = &self.nodes[me as usize];
-        let q = page.0 as usize;
         let _serial = e.lock.lock();
         let renewal = nc.granted.get(page);
         let wts = e.wts.load(Ordering::Acquire);
@@ -243,15 +240,15 @@ impl Coherence for Tardis {
         // Adaptive growth: renewing a lease on an unchanged version means
         // the lease expired only because unrelated writers moved the
         // clock — double it so the page rides out more of them.
-        let lease = if renewal && nc.lease_wts[q].load(Ordering::Relaxed) == wts {
+        let lease = if renewal && self.lease_wts.at(me, page).load(Ordering::Relaxed) == wts {
             lease_clock::grow(&e.lease)
         } else {
             e.lease.load(Ordering::Relaxed)
         };
         let grant = pts.saturating_add(lease);
         let prev = e.rts.fetch_max(grant, Ordering::AcqRel);
-        nc.lease_rts[q].store(prev.max(grant), Ordering::Relaxed);
-        nc.lease_wts[q].store(wts, Ordering::Relaxed);
+        self.lease_rts.at(me, page).store(prev.max(grant), Ordering::Relaxed);
+        self.lease_wts.at(me, page).store(wts, Ordering::Relaxed);
         if renewal {
             CoherenceStats::bump(&shard.lease_renewals);
         } else {
@@ -270,7 +267,6 @@ impl Coherence for Tardis {
     ) -> RegisterOutcome {
         let e = self.entry(page);
         let nc = &self.nodes[me as usize];
-        let q = page.0 as usize;
         let _serial = e.lock.lock();
         // Shrink the page's lease: it is write-active, and long promises
         // on it only inflate future bumps.
@@ -300,7 +296,7 @@ impl Coherence for Tardis {
             let wts = e.wts.load(Ordering::Acquire);
             nc.pts.fetch_max(wts, Ordering::AcqRel);
         }
-        nc.wrote_epoch[q].store(nc.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
+        self.wrote_epoch.at(me, page).store(nc.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
         e.diag.or_writers(node_bit(me));
         RegisterOutcome::quiet()
     }
@@ -321,8 +317,7 @@ impl Coherence for Tardis {
     fn must_self_invalidate(&self, me: u16, page: PageNum, shard: &StatShard) -> bool {
         let nc = &self.nodes[me as usize];
         let pts = nc.pts.load(Ordering::Acquire);
-        let held = nc.granted.get(page)
-            && nc.lease_rts[page.0 as usize].load(Ordering::Relaxed) >= pts;
+        let held = nc.granted.get(page) && self.lease_rts.at(me, page).load(Ordering::Relaxed) >= pts;
         if held {
             CoherenceStats::bump(&shard.lease_kept);
         } else {
@@ -406,13 +401,9 @@ impl Coherence for Tardis {
             if rts < wts {
                 problems.push(format!("page {q}: rts {rts} < wts {wts}"));
             }
-            if nc.granted.get(PageNum(q as u64))
-                && nc.lease_rts[q].load(Ordering::Relaxed) > rts
-            {
-                problems.push(format!(
-                    "n{n}: lease on page {q} beyond home rts ({} > {rts})",
-                    nc.lease_rts[q].load(Ordering::Relaxed)
-                ));
+            let lease = self.lease_rts.at(node, PageNum(q as u64)).load(Ordering::Relaxed);
+            if nc.granted.get(PageNum(q as u64)) && lease > rts {
+                problems.push(format!("n{n}: lease on page {q} beyond home rts ({lease} > {rts})"));
             }
         }
         problems
@@ -425,14 +416,13 @@ impl Coherence for Tardis {
         // the flat entry store survives the re-homing, and regressing a
         // clock could revalidate a lease some node still remembers.
         for &page in rehomed {
-            let q = page.0 as usize;
             let e = self.entry(page);
             let _serial = e.lock.lock();
-            for nc in &self.nodes {
+            for (n, nc) in self.nodes.iter().enumerate() {
                 nc.granted.clear(page);
-                nc.lease_rts[q].store(0, Ordering::Relaxed);
-                nc.lease_wts[q].store(0, Ordering::Relaxed);
-                nc.wrote_epoch[q].store(0, Ordering::Relaxed);
+                for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
+                    table.at(n as u16, page).store(0, Ordering::Relaxed);
+                }
             }
             e.diag.reset();
         }
@@ -449,17 +439,11 @@ impl Coherence for Tardis {
             nc.pts.store(0, Ordering::Relaxed);
             nc.epoch.store(1, Ordering::Relaxed);
             nc.granted.clear_all();
-            for a in &nc.lease_rts {
-                a.store(0, Ordering::Relaxed);
-            }
-            for a in &nc.lease_wts {
-                a.store(0, Ordering::Relaxed);
-            }
-            for a in &nc.wrote_epoch {
-                a.store(0, Ordering::Relaxed);
-            }
             nc.home_writes.lock().clear();
         }
+        self.lease_rts.clear_all();
+        self.lease_wts.clear_all();
+        self.wrote_epoch.clear_all();
         self.gts.store(0, Ordering::Relaxed);
     }
 }
@@ -611,5 +595,8 @@ mod tests {
         assert_eq!(c.clock(1), 0);
         assert!(!c.read_registered(0, 1, PageNum(0)));
         assert!(c.invariant_problems(0, &[]).is_empty());
+        for table in [&c.lease_rts, &c.lease_wts, &c.wrote_epoch] {
+            assert!(table.cells.iter().all(|a| a.load(Ordering::Relaxed) == 0));
+        }
     }
 }

@@ -168,7 +168,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             done = done.max(reg_done);
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
-                st.alloc_data(idx).copy_from(self.global.home_page(p));
+                st.data(idx).copy_from(self.global.home_page(p));
                 st.pages[idx].fill();
             }
         }
@@ -240,7 +240,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 }
                 Some(_) => continue,
             };
-            st.alloc_data(idx).copy_from(self.global.home_page(page));
+            st.data(idx).copy_from(self.global.home_page(page));
             let live = st.pages.iter().any(|p| p.valid);
             st.ready_at = if live { st.ready_at.max(ready) } else { ready };
             st.pages[idx].fill();

@@ -75,7 +75,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 CoherenceStats::bump(&shard.prefetch_wasted);
                 continue;
             }
-            st.alloc_data(idx).copy_from(&data);
+            st.data(idx).copy_from(&data);
             st.pages[idx].fill();
             CoherenceStats::bump(&shard.prefetch_hits);
             done = done.max(pf.ready_at);

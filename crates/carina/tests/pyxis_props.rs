@@ -166,6 +166,31 @@ proptest! {
             }
         }
     }
+
+    /// `reset_all` after any schedule leaves every page in classification
+    /// mode with a zero score and no node registered: the reset stores
+    /// only to nonzero cells, and must still find each one the schedule
+    /// stored to.
+    #[test]
+    fn prop_reset_zeroes_every_entry(
+        ops in proptest::collection::vec(op_strategy(), 1..250)
+    ) {
+        let t = Pyxis::new(NODES, PAGES, &flappy_config());
+        let stats = CoherenceStats::new(NODES);
+        for op in ops.into_iter().map(decode) {
+            apply(&t, &stats, op);
+        }
+        t.reset_all();
+        for q in 0..PAGES {
+            prop_assert_eq!(t.switch_count(PageNum(q)), 0);
+            prop_assert_eq!(t.score_of(PageNum(q)), 0);
+            let home = (q % NODES as u64) as u16;
+            for n in 0..NODES as u16 {
+                prop_assert!(!t.read_registered(n, home, PageNum(q)));
+                prop_assert!(!t.write_registered(n, home, PageNum(q)));
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

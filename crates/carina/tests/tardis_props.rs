@@ -201,6 +201,32 @@ proptest! {
         }
     }
 
+    /// `reset_all` after any schedule returns every page entry and every
+    /// node's table to zero: the reset stores only to nonzero cells, and
+    /// must still find each one the schedule stored to.
+    #[test]
+    fn prop_reset_zeroes_every_entry(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+        let t = Tardis::new(NODES, PAGES, &CarinaConfig::default());
+        let shard = StatShard::default();
+        let mut dirty = new_dirty();
+        for op in ops.into_iter().map(decode) {
+            apply(&t, &shard, &mut dirty, op);
+        }
+        t.reset_all();
+        for q in 0..PAGES {
+            prop_assert_eq!(t.timestamps(PageNum(q)), (0, 0));
+            let home = (q % NODES as u64) as u16;
+            for n in 0..NODES as u16 {
+                prop_assert_eq!(t.granted_lease(n, PageNum(q)), None);
+                prop_assert!(n == home || !t.read_registered(n, home, PageNum(q)));
+                prop_assert!(!t.write_registered(n, home, PageNum(q)));
+            }
+        }
+        for n in 0..NODES as u16 {
+            prop_assert_eq!(t.clock(n), 0);
+        }
+    }
+
     /// A reader that still holds a valid (unexpired) lease is never told
     /// to self-invalidate; one whose lease expired always is — the
     /// predicate is exactly `granted rts < pts`.

@@ -9,9 +9,14 @@
 //!
 //! Host-side engineering (none of it visible in virtual time):
 //!
+//! - **One zero-mapped arena.** The page contents of every slot live in
+//!   one [`crate::zeroed_slice`] indexed `slot × pages_per_line + idx`,
+//!   outside the slot mutexes so lock-free readers reach them. A cache is
+//!   sized for the worst case (8 192 slots, 32 MiB per node by default),
+//!   and the OS backs only the pages a run fills.
 //! - **Seqlock read path.** Each slot publishes lock-free mirrors of its
 //!   tag, valid mask, and fill timestamp, guarded by a sequence word
-//!   ([`LineSlot::try_read`]). Read hits — the overwhelming majority of
+//!   ([`SlotRef::try_read`]). Read hits — the overwhelming majority of
 //!   protocol operations — validate the mirrors optimistically and never
 //!   touch the slot mutex; any concurrent metadata mutation is caught by
 //!   the sequence check and falls back to the locked path. Page contents
@@ -21,20 +26,20 @@
 //!   and which hold dirty pages, so fence sweeps visit O(resident) slots
 //!   instead of scanning every slot of a mostly-empty cache.
 //!
-//! Both structures are maintained in one place: [`SlotGuard`], the only
-//! handle through which slot metadata can be mutated. Its `Drop` republishes
-//! the mirrors and bitset bits while the slot mutex is still held, so they
-//! can never drift from the locked state.
+//! The mirrors and the bitsets are maintained in one place: [`SlotGuard`],
+//! the only handle through which slot metadata can be mutated. Its `Drop`
+//! republishes them while the slot mutex is still held, so they can never
+//! drift from the locked state.
 //!
 //! This module is purely structural: eviction/fill/invalidation *policy* and
 //! all network charging live in `carina`.
 
 use crate::addr::PageNum;
 use crate::page::{PageData, WriteMask};
+use crate::zeroed::zeroed_slice;
 use parking_lot::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Geometry of a node's page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,8 +60,13 @@ impl CacheConfig {
     }
 
     /// Total pages the cache can hold.
+    ///
+    /// # Panics
+    /// Panics if the count overflows `usize`.
     pub fn capacity_pages(&self) -> usize {
-        self.lines * self.pages_per_line
+        self.lines.checked_mul(self.pages_per_line).unwrap_or_else(|| {
+            panic!("a cache of {} lines × {} pages overflows", self.lines, self.pages_per_line)
+        })
     }
 }
 
@@ -88,8 +98,8 @@ pub enum Reuse {
 }
 
 /// Protocol metadata of one cached page within a line. The page *contents*
-/// live outside the slot mutex (see [`LineSlot`]) so lock-free readers can
-/// reach them.
+/// live in the cache's arena, outside the slot mutex, so lock-free readers
+/// can reach them.
 #[derive(Debug, Default)]
 pub struct CachedPage {
     /// Holds a valid copy of the tagged page.
@@ -112,8 +122,7 @@ pub struct CachedPage {
 }
 
 impl CachedPage {
-    /// Drop protocol state, write and reuse history included. The data
-    /// allocation is kept for reuse.
+    /// Drop protocol state, write and reuse history included.
     pub fn invalidate(&mut self) {
         self.valid = false;
         self.write_faults = 0;
@@ -180,17 +189,17 @@ impl LineState {
 
 /// A direct-mapped slot holding one line.
 ///
-/// Alongside the mutex-protected [`LineState`], the slot carries:
-///
-/// - per-page data storage in [`OnceLock`]s — allocated on first fill,
-///   never freed, contents word-atomic, readable without the mutex;
-/// - seqlock mirrors of the metadata (`seq`, `tag`, valid mask,
-///   `ready_at`), republished by [`SlotGuard`] on every mutation.
+/// Alongside the mutex-protected [`LineState`], the slot carries seqlock
+/// mirrors of the metadata (`seq`, `tag`, valid mask, `ready_at`),
+/// republished by [`SlotGuard`] on every mutation. Its pages' contents sit
+/// in the cache's arena: word-atomic, readable without the mutex, and
+/// resident only once filled. Per-slot storage allocated up front would
+/// cost gigabytes at 128 nodes; the arena costs what a run fills.
 ///
 /// Writer protocol (inside `SlotGuard`): bump `seq` to odd before the
 /// first mutation with a release fence, mutate under the mutex, republish
 /// the mirrors, bump `seq` back to even with a release store. Readers
-/// ([`Self::try_read`]) load `seq` (acquire), read the mirrors and data,
+/// ([`SlotRef::try_read`]) load `seq` (acquire), read the mirrors and data,
 /// then re-check `seq` behind an acquire fence.
 #[derive(Debug)]
 pub struct LineSlot {
@@ -203,11 +212,6 @@ pub struct LineSlot {
     fast_valid: AtomicU64,
     /// Mirror of `ready_at`.
     fast_ready: AtomicU64,
-    /// Page contents, indexed like `LineState::pages`. Allocation is lazy:
-    /// a cache is sized for the worst case (thousands of slots per node)
-    /// but typical programs touch a small fraction, and eager allocation
-    /// would cost gigabytes at 128 nodes.
-    data: Box<[OnceLock<PageData>]>,
 }
 
 impl LineSlot {
@@ -222,10 +226,20 @@ impl LineSlot {
             fast_tag: AtomicU64::new(0),
             fast_valid: AtomicU64::new(0),
             fast_ready: AtomicU64::new(0),
-            data: (0..pages_per_line).map(|_| OnceLock::new()).collect(),
         }
     }
+}
 
+/// A slot with its line's page contents: the lock-free read path's handle
+/// ([`PageCache::slot_for`]).
+#[derive(Debug, Clone, Copy)]
+pub struct SlotRef<'a> {
+    slot: &'a LineSlot,
+    /// The line's pages in the arena, indexed like `LineState::pages`.
+    data: &'a [PageData],
+}
+
+impl SlotRef<'_> {
     /// The one-word case of [`Self::try_read_run`]: the value of `word` and
     /// the line's `ready_at`.
     #[inline]
@@ -248,44 +262,29 @@ impl LineSlot {
         first_word: usize,
         out: &mut [u64],
     ) -> Option<u64> {
-        let s1 = self.seq.load(Ordering::Acquire);
+        let slot = self.slot;
+        let s1 = slot.seq.load(Ordering::Acquire);
         if s1 & 1 != 0 {
             return None;
         }
-        if self.fast_tag.load(Ordering::Relaxed) != tag.wrapping_add(1)
-            || self.fast_valid.load(Ordering::Relaxed) & (1u64 << idx) == 0
+        if slot.fast_tag.load(Ordering::Relaxed) != tag.wrapping_add(1)
+            || slot.fast_valid.load(Ordering::Relaxed) & (1u64 << idx) == 0
         {
             return None;
         }
-        let ready = self.fast_ready.load(Ordering::Relaxed);
-        self.data[idx].get()?.load_run(first_word, out);
+        let ready = slot.fast_ready.load(Ordering::Relaxed);
+        self.data[idx].load_run(first_word, out);
         fence(Ordering::Acquire);
-        if self.seq.load(Ordering::Relaxed) != s1 {
+        if slot.seq.load(Ordering::Relaxed) != s1 {
             return None;
         }
         Some(ready)
-    }
-
-    /// The data storage of the page at `idx`.
-    ///
-    /// # Panics
-    /// Panics if the page was never filled — protocol code only reads data
-    /// from `valid` pages, which have always been filled.
-    #[inline]
-    pub(crate) fn data(&self, idx: usize) -> &PageData {
-        self.data[idx].get().expect("reading a never-filled cache page")
-    }
-
-    /// The data storage of the page at `idx`, allocating it on first use.
-    #[inline]
-    pub(crate) fn alloc_data(&self, idx: usize) -> &PageData {
-        self.data[idx].get_or_init(PageData::zeroed)
     }
 }
 
 #[inline]
 fn bitset_words(bits: usize) -> Box<[AtomicU64]> {
-    (0..bits.div_ceil(64)).map(|_| AtomicU64::new(0)).collect()
+    zeroed_slice(bits.div_ceil(64))
 }
 
 #[inline]
@@ -317,6 +316,8 @@ fn bitset_indices(words: &[AtomicU64]) -> impl Iterator<Item = usize> + '_ {
 pub struct PageCache {
     config: CacheConfig,
     slots: Vec<LineSlot>,
+    /// Page contents, `slot × pages_per_line + idx`.
+    data: Box<[PageData]>,
     /// Slots currently holding a valid or dirty page.
     occupied: Box<[AtomicU64]>,
     /// Slots currently holding at least one dirty page.
@@ -326,6 +327,7 @@ pub struct PageCache {
 impl PageCache {
     pub fn new(config: CacheConfig) -> Self {
         PageCache {
+            data: zeroed_slice(config.capacity_pages()),
             config,
             slots: (0..config.lines)
                 .map(|_| LineSlot::new(config.pages_per_line))
@@ -356,18 +358,21 @@ impl PageCache {
     /// The direct-mapped slot that `page` maps to (for the lock-free read
     /// path; mutations go through [`Self::lock_slot`]).
     #[inline]
-    pub fn slot_for(&self, page: PageNum) -> &LineSlot {
-        &self.slots[self.slot_index_for(page)]
+    pub fn slot_for(&self, page: PageNum) -> SlotRef<'_> {
+        let index = self.slot_index_for(page);
+        SlotRef { slot: &self.slots[index], data: self.line_data(index) }
+    }
+
+    /// The page contents of slot `index`'s line.
+    #[inline]
+    fn line_data(&self, index: usize) -> &[PageData] {
+        let n = self.config.pages_per_line;
+        &self.data[index * n..][..n]
     }
 
     #[inline]
     fn slot_index_for(&self, page: PageNum) -> usize {
         (self.line_of(page) % self.config.lines as u64) as usize
-    }
-
-    #[inline]
-    pub fn num_slots(&self) -> usize {
-        self.slots.len()
     }
 
     /// Lock the slot that `page` maps to.
@@ -454,23 +459,19 @@ pub struct SlotGuard<'a> {
 }
 
 impl<'a> SlotGuard<'a> {
-    #[inline]
-    fn slot(&self) -> &'a LineSlot {
-        &self.cache.slots[self.index]
-    }
-
-    /// Data storage of the page at `idx`. The reference is tied to the
-    /// cache, not the guard, so it can be used while metadata is mutably
-    /// borrowed; contents are word-atomic.
+    /// Data storage of the page at `idx` (zeros until first filled). The
+    /// reference is tied to the cache, not the guard, so it can be used
+    /// while metadata is mutably borrowed; contents are word-atomic.
     #[inline]
     pub fn data(&self, idx: usize) -> &'a PageData {
-        self.slot().data(idx)
+        &self.cache.line_data(self.index)[idx]
     }
 
-    /// Like [`Self::data`], allocating the page storage on first use.
+    /// Alias of [`Self::data`] for callers about to fill the page: every
+    /// page's storage exists from the cache's creation.
     #[inline]
     pub fn alloc_data(&self, idx: usize) -> &'a PageData {
-        self.slot().alloc_data(idx)
+        self.data(idx)
     }
 }
 
@@ -543,9 +544,25 @@ mod tests {
         assert_eq!(c.line_of(PageNum(0)), 0);
         assert_eq!(c.line_of(PageNum(1)), 0);
         assert_eq!(c.line_of(PageNum(8)), 4);
-        assert!(std::ptr::eq(c.slot_for(PageNum(0)), c.slot_for(PageNum(1))));
-        assert!(std::ptr::eq(c.slot_for(PageNum(0)), c.slot_for(PageNum(8))));
-        assert!(!std::ptr::eq(c.slot_for(PageNum(0)), c.slot_for(PageNum(2))));
+        let slot = |page| c.slot_for(PageNum(page)).slot;
+        assert!(std::ptr::eq(slot(0), slot(1)));
+        assert!(std::ptr::eq(slot(0), slot(8)));
+        assert!(!std::ptr::eq(slot(0), slot(2)));
+        assert!(std::ptr::eq(c.slot_for(PageNum(8)).data, c.line_data(0)));
+    }
+
+    #[test]
+    fn a_never_filled_page_reads_zeros() {
+        let c = PageCache::new(CacheConfig::new(4, 2));
+        let g = c.lock_slot(PageNum(7));
+        assert!((0..crate::WORDS_PER_PAGE).all(|w| g.data(1).load(w) == 0));
+        assert!(std::ptr::eq(g.data(1), g.data(1)));
+    }
+
+    #[test]
+    #[should_panic(expected = "a cache of 18446744073709551615 lines × 2 pages overflows")]
+    fn oversized_caches_are_refused() {
+        PageCache::new(CacheConfig::new(usize::MAX, 2));
     }
 
     #[test]
@@ -586,8 +603,7 @@ mod tests {
             if g.tag != Some(page) {
                 g.retag(page);
             }
-            g.alloc_data(0);
-            g.pages[0].fill();
+                        g.pages[0].fill();
         };
         let si_drop_all = || {
             c.sweep(c.occupied_indices(), |st, idx, _| {
@@ -613,7 +629,7 @@ mod tests {
         {
             let mut g = c.lock_slot(PageNum(2));
             g.retag(2);
-            g.alloc_data(0).store(0, 9);
+            g.data(0).store(0, 9);
             g.pages[0].fill();
             g.pages[0].reuse = Reuse::Refilled;
         }
@@ -653,7 +669,7 @@ mod tests {
             let mut g = c.lock_slot(PageNum(page));
             let line = c.line_of(PageNum(page));
             g.retag(line);
-            g.alloc_data(0).store(0, page);
+            g.data(0).store(0, page);
             g.pages[0].valid = true;
         }
         assert_eq!(c.occupied_indices().collect::<Vec<_>>(), vec![3, 70, 100]);
@@ -691,7 +707,7 @@ mod tests {
         {
             let mut g = c.lock_slot(PageNum(0));
             g.retag(0);
-            g.alloc_data(0).store(7, 42);
+            g.data(0).store(7, 42);
             g.pages[0].valid = true;
             g.ready_at = 123;
         }
@@ -711,7 +727,7 @@ mod tests {
         {
             let mut g = c.lock_slot(PageNum(5));
             g.retag(5);
-            let d = g.alloc_data(0);
+            let d = g.data(0);
             for w in 0..8 {
                 d.store(w, (w as u64) * 11);
             }
@@ -740,7 +756,7 @@ mod tests {
                             st.retag(line);
                         }
                         let idx = cache.index_in_line(page);
-                        st.alloc_data(idx).store(0, t * 1000 + round);
+                        st.data(idx).store(0, t * 1000 + round);
                         st.pages[idx].valid = true;
                         // Invariant under the lock: tag matches what we set.
                         assert_eq!(st.tag, Some(line));
@@ -783,7 +799,7 @@ mod tests {
             let tag = round % 2;
             let mut g = cache.lock_slot(PageNum(tag));
             g.retag(tag);
-            g.alloc_data(0).store(0, tag * 1000 + 5);
+            g.data(0).store(0, tag * 1000 + 5);
             g.pages[0].valid = true;
             g.ready_at = tag + 7;
         }

@@ -13,46 +13,53 @@
 
 use crate::addr::{HomeMap, HomePolicy, PageNum, PAGE_BYTES};
 use crate::page::PageData;
+use crate::zeroed::zeroed_slice;
 use std::sync::atomic::{AtomicU16, Ordering};
 
 /// The home copies of all pages, with per-page home-node metadata.
 #[derive(Debug)]
 pub struct GlobalMemory {
     nodes: usize,
-    pages_per_node: usize,
     /// `homes[page]` = node whose memory serves this page.
     homes: Vec<AtomicU16>,
-    /// `store[page]` = the home copy (flat; the split across nodes is
-    /// expressed by `homes`).
-    store: Vec<PageData>,
+    /// `store[page]` = the home copy: one zero-mapped arena (the split
+    /// across nodes is expressed by `homes`), resident where written.
+    store: Box<[PageData]>,
 }
 
 impl GlobalMemory {
     /// Allocate a space of `nodes * bytes_per_node` bytes, homed by
     /// `policy`. `bytes_per_node` is rounded up to whole pages.
+    ///
+    /// # Panics
+    /// Panics if there are no nodes, or if the space's size in bytes
+    /// overflows.
     pub fn with_policy(nodes: usize, bytes_per_node: u64, policy: HomePolicy) -> Self {
         assert!(nodes > 0, "need at least one node");
-        let pages_per_node = bytes_per_node.div_ceil(PAGE_BYTES) as usize;
-        let home_map = HomeMap {
-            nodes,
-            pages_per_node: pages_per_node as u64,
-            policy,
-        };
-        let total = nodes * pages_per_node;
+        let pages_per_node = bytes_per_node.div_ceil(PAGE_BYTES);
+        let total = u64::try_from(nodes)
+            .ok()
+            .and_then(|n| n.checked_mul(pages_per_node))
+            .filter(|t| t.checked_mul(PAGE_BYTES).is_some())
+            .and_then(|t| usize::try_from(t).ok())
+            .unwrap_or_else(|| {
+                panic!("a space of {nodes} nodes × {bytes_per_node} bytes overflows")
+            });
+        let home_map = HomeMap { nodes, pages_per_node, policy };
+        let store = zeroed_slice(total);
         GlobalMemory {
             nodes,
-            pages_per_node,
             homes: (0..total)
                 .map(|p| AtomicU16::new(home_map.home(PageNum(p as u64))))
                 .collect(),
-            store: (0..total).map(|_| PageData::zeroed()).collect(),
+            store,
         }
     }
 
     /// Total pages in the global space.
     #[inline]
     pub fn total_pages(&self) -> u64 {
-        (self.nodes * self.pages_per_node) as u64
+        self.store.len() as u64
     }
 
     /// Total bytes in the global space.
@@ -129,6 +136,12 @@ mod tests {
         g.set_home(PageNum(5), 3);
         assert_eq!(g.home_of(PageNum(5)), 3);
         assert_eq!(g.home_page(PageNum(5)).load(0), 99); // data untouched
+    }
+
+    #[test]
+    #[should_panic(expected = "4 nodes × 18446744073709551615 bytes overflows")]
+    fn oversized_spaces_are_refused() {
+        interleaved(4, u64::MAX);
     }
 
     #[test]

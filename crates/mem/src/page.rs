@@ -91,22 +91,23 @@ impl WriteMask {
     }
 }
 
-/// One 4 KiB page of word-atomic memory.
+/// One 4 KiB page of word-atomic memory: exactly its words, so a slice of
+/// pages is one flat arena ([`crate::zeroed_slice`]).
 #[derive(Debug)]
+#[repr(transparent)]
 pub struct PageData {
-    words: Box<[AtomicU64]>,
+    words: [AtomicU64; WORDS_PER_PAGE],
 }
 
+const _: () = assert!(
+    std::mem::size_of::<PageData>() == crate::PAGE_BYTES as usize
+        && std::mem::align_of::<PageData>() <= 16
+);
+
 impl PageData {
-    /// A zeroed page. Allocated as a plain `u64` buffer so the allocator's
-    /// zeroed-memory fast path applies — a per-word constructor loop shows
-    /// up when a cache or the home store allocates thousands of pages.
+    /// A zeroed page.
     pub fn zeroed() -> Self {
-        let raw: Box<[u64]> = vec![0u64; WORDS_PER_PAGE].into_boxed_slice();
-        // SAFETY: AtomicU64 has the same size and alignment as u64
-        // (guaranteed by std), and all-zero bytes are a valid AtomicU64.
-        let words = unsafe { Box::from_raw(Box::into_raw(raw) as *mut [AtomicU64]) };
-        PageData { words }
+        PageData { words: [const { AtomicU64::new(0) }; WORDS_PER_PAGE] }
     }
 
     #[inline]
@@ -184,23 +185,15 @@ impl PageData {
         out
     }
 
-    /// Snapshot into a fresh page. Builds it directly from the source
-    /// words — no zeroed intermediate page that every word would then
-    /// overwrite.
+    /// Snapshot into a fresh page.
     pub fn snapshot(&self) -> PageData {
-        PageData {
-            words: self
-                .words
-                .iter()
-                .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
-                .collect(),
-        }
+        PageData { words: std::array::from_fn(|w| AtomicU64::new(self.load(w))) }
     }
 }
 
-impl Default for PageData {
-    fn default() -> Self {
-        Self::zeroed()
+impl crate::zeroed::sealed::Sealed for PageData {
+    fn clear(&self) {
+        crate::clear_nonzero(&self.words);
     }
 }
 
