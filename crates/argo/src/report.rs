@@ -51,10 +51,10 @@ impl<R> RunReport<R> {
         );
         let _ = writeln!(
             s,
-            "downgrades   : {} batched drains, {:.1} pages/batch mean, {:.0}% of writeback bytes diffed",
-            c.downgrade_batches,
-            c.mean_drain_batch(),
-            100.0 * c.diff_efficiency()
+            "downgrades   : {} write-backs posted, {:.0}% of bytes diffed, {} pages kept writable",
+            c.writebacks,
+            100.0 * c.diff_efficiency(),
+            c.write_retained
         );
         let n = &self.net;
         let _ = writeln!(
@@ -281,7 +281,7 @@ mod tests {
         let s = report.summary();
         assert!(s.contains("virtual time"));
         assert!(s.contains("read misses"));
-        assert!(s.contains("batched drains"));
+        assert!(s.contains("write-backs posted"));
         assert!(s.contains("handlers"));
         // This workload misses across nodes, so the heatmap line renders
         // with the hottest pages, and the recorder line is always present.

@@ -29,16 +29,6 @@ pub(crate) const CHECKPOINT_CYCLES: u64 = 4200;
 pub(crate) const FENCE_SCAN_CYCLES: u64 = 6;
 /// Cycles to flip protection on one page (the mprotect analogue).
 pub const PROTECT_CYCLES: u64 = 150;
-
-/// An SD fence that drains at least this many pages coalesces them into
-/// one `Verb::WriteBatch` per home node; smaller drains post one
-/// `Verb::Write` per page. One doorbell per home is pure overhead when a
-/// home holds a page or two and amortizes past that: break-even measured
-/// at ~8 buffered pages, host-cost-neutral there and a win on both wall
-/// and virtual time above it (argobench's `carina.sd_fence_*_512` probes
-/// time the batched side). Both postings move the same diffs in the same
-/// global FIFO order and tick the same counters.
-pub const BATCH_DRAIN_CUTOVER: usize = 8;
 /// Consecutive same-stride line misses a core takes before the read-miss
 /// prefetcher issues a speculative line fetch.
 pub(crate) const PREFETCH_STREAK: u32 = 2;
@@ -87,8 +77,8 @@ pub struct CarinaConfig {
     /// a latent node in at an epoch bump, and it warms purely by
     /// demand-faulting — no bulk transfer.
     pub volans_latent_nodes: usize,
-    /// Volans: mirror each SD-fence write-batch drain to the page's
-    /// rendezvous successor (the node that would inherit it on failover).
+    /// Volans: mirror the pages each SD-fence drain writes home to their
+    /// rendezvous successor (the node that would inherit them on failover).
     /// Off the hot path — coalesced at fence boundaries, one batched verb
     /// per successor — and purely a shadow: the successor's copy only
     /// matters after a failover re-homes the page there.

@@ -1,7 +1,8 @@
 //! Self-downgrade (paper §3.2 diffs, §3.6.1 write buffer): the one way a
 //! dirty page reaches home memory (`write_home`), the write-back step every
 //! downgrade runs, the keep-or-protect decision that follows it
-//! (`downgrade_local`), and its per-page and home-batched postings.
+//! (`downgrade_local`), and its postings: one at a time, or pipelined
+//! behind the scan for a fence.
 
 use super::*;
 use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
@@ -142,29 +143,17 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         (bytes, victim)
     }
 
-    /// Downgrade `page`, locking its slot (`fence`: the per-page drain).
-    pub(super) fn downgrade(
-        &self,
-        t: &mut T::Endpoint,
-        page: PageNum,
-        me: u16,
-        fence: bool,
-    ) -> Result<(), DsmError> {
-        let mut st = self.nodes[me as usize].cache.lock_slot(page);
-        let victim = self.downgrade_locked(t, &mut st, page, me, fence)?;
-        drop(st);
-        self.downgrade_victim(t, victim, me)
-    }
-
     /// Downgrade the overflow `victim`, if any, of a write-buffer push (no
-    /// slot lock held) — protected, never kept: the buffer keeps its bound.
+    /// slot lock held): the buffer keeps its bound.
     pub(super) fn downgrade_victim(
         &self,
         t: &mut T::Endpoint,
         victim: Option<PageNum>,
         me: u16,
     ) -> Result<(), DsmError> {
-        victim.map_or(Ok(()), |page| self.downgrade(t, page, me, false))
+        let Some(page) = victim else { return Ok(()) };
+        let mut st = self.nodes[me as usize].cache.lock_slot(page);
+        self.downgrade_locked(t, &mut st, page, me)
     }
 
     /// Post `page`'s write-back of `bytes` from `t`'s node to the page's home.
@@ -178,105 +167,101 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.net_verb(t, home, VerbClass::Downgrade, page.0, t.now(), &verb)
     }
 
-    /// Downgrade with the slot lock already held: resolve the data locally,
-    /// then post the write-back home immediately (the per-page path).
-    /// `Ok(Some(victim))`: see [`Self::downgrade_local`].
+    /// Downgrade with the slot lock already held — protected, never kept
+    /// (every path but the fence's): resolve the data locally, then post
+    /// the write-back home and wait out its posting.
     pub(super) fn downgrade_locked(
         &self,
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
         me: u16,
-        fence: bool,
-    ) -> Result<Option<PageNum>, DsmError> {
-        let (bytes, victim) = self.downgrade_local(t, st, page, me, fence);
-        if let Some(bytes) = bytes {
+    ) -> Result<(), DsmError> {
+        if let (Some(bytes), _) = self.downgrade_local(t, st, page, me, false) {
             let timing = self.post_write_back(t, page, bytes)?;
             self.settle_posted(t, me, &timing);
         }
-        Ok(victim)
+        Ok(())
     }
 
-    /// SD-fence drain that coalesces write-backs by home node: every dirty
-    /// page is still diffed into home memory individually and in global
-    /// FIFO order, but instead of one verb per page each home receives one
-    /// [`Verb::WriteBatch`] (one doorbell, one posting) carrying all of its
-    /// pages' diffs. Homes appear in first-victim order.
-    pub(super) fn drain_batched(
+    /// The SD fence's drain, posted as it scans: each page, in FIFO order,
+    /// runs [`Self::downgrade_local`] and has its write-back issued at the
+    /// thread's clock right away, its completion unmerged — a put returns
+    /// once posted (MPI-3 RMA), so the next page's scan overlaps this one's
+    /// wire time. An overflow victim a kept page pushes out is downgraded
+    /// (never kept) and posted the same way. Only after the last page is
+    /// every posting polled, each retried from its own issue time; the
+    /// thread then waits once, for the latest initiator window, and the
+    /// fence for the latest settle. A failed posting does not stop the
+    /// other polls — no completion stays parked in the endpoint — and since
+    /// every local half already ran, no page is left dirty outside the
+    /// write buffer; the first error is returned.
+    pub(super) fn drain_posted(
         &self,
         t: &mut T::Endpoint,
         pages: &[PageNum],
         me: u16,
     ) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
-        let mut batches: Vec<(u16, Vec<u64>)> = Vec::new();
-        let mut victims = Vec::new();
+        let (span, obs_issue) = (t.current_span(), t.obs_now());
+        let mut inflight = Vec::with_capacity(pages.len());
+        let mut failed = None;
         for &page in pages {
-            let mut st = ns.cache.lock_slot(page);
-            let (bytes, victim) = self.downgrade_local(t, &mut st, page, me, true);
-            drop(st);
-            if let Some(bytes) = bytes {
-                push_grouped(&mut batches, self.global.home_of(page), bytes);
+            let mut next = Some((page, true));
+            while let Some((page, fence)) = next.take() {
+                let mut st = ns.cache.lock_slot(page);
+                let (bytes, victim) = self.downgrade_local(t, &mut st, page, me, fence);
+                drop(st);
+                next = victim.map(|victim| (victim, false));
+                let Some(bytes) = bytes else { continue };
+                let home = self.global.home_of(page);
+                if let Err(e) = self.check_alive(me, home, VerbClass::Downgrade, span) {
+                    failed.get_or_insert(e);
+                    continue;
+                }
+                let at = t.now();
+                let token = t.issue(NodeId(home), &Verb::Write { bytes }, at);
+                inflight.push(Posted { token, page, bytes, at, home });
             }
-            victims.extend(victim);
         }
-        for victim in victims {
-            self.downgrade(t, victim, me, false)?;
-        }
-        if batches.is_empty() {
-            return Ok(());
-        }
-        // (home, pages, bytes, the batch verb)
-        let batches: Vec<(u16, u64, u64, Verb)> = batches
-            .into_iter()
-            .map(|(home, sizes)| {
-                let (pages, bytes) = (sizes.len() as u64, sizes.iter().sum());
-                (home, pages, bytes, Verb::WriteBatch { sizes })
-            })
-            .collect();
-        // Issue every home's batch before polling any: drains to distinct
-        // homes overlap on the fabric, so the fence pays the slowest home's
-        // posting once instead of summing every home's. Homes still hit the
-        // wire in first-victim order.
-        let obs_issue = t.obs_now();
-        let span = t.current_span();
-        let base = t.now();
-        let mut inflight = Vec::with_capacity(batches.len());
-        for (home, _, _, verb) in &batches {
-            self.check_alive(me, *home, VerbClass::DrainBatch, span)?;
-            let mut seq = self
-                .config
-                .retry
-                .attempt_seq(VerbClass::DrainBatch, *home as u64)
-                .with_span(span);
-            let a0 = seq.next().expect("retry budget is at least one attempt");
-            let token = t.issue(NodeId(*home), verb, base + a0.delay);
-            inflight.push((token, seq, a0));
-        }
-        let mut done = base;
-        for ((home, pages, bytes, verb), issued) in batches.iter().zip(inflight) {
-            let timing = self.poll_retried(
+        let mut done = Completion::default();
+        for p in &inflight {
+            let verb = Verb::Write { bytes: p.bytes };
+            let polled = self.poll_retried(
                 t,
-                me,
-                *home,
-                issued,
+                p.home,
+                p.token,
+                (VerbClass::Downgrade, p.page.0),
+                span,
                 obs_issue,
-                VerbClass::DrainBatch,
-                *bytes,
-                |t, delay| t.issue(NodeId(*home), verb, base + delay),
-            )?;
-            done = done.max(timing.initiator_done);
-            self.await_at_fence(me, &timing);
-            CoherenceStats::bump(&self.stats.shard(me).downgrade_batches);
-            CoherenceStats::add(&self.stats.shard(me).downgrade_batch_pages, *pages);
-            self.detail(t, me, obs::RecordKind::DowngradeBatch, *pages, *home as u32);
+                p.bytes,
+                |t, delay| t.issue(NodeId(p.home), &verb, p.at + delay),
+            );
+            match polled {
+                Ok(c) => {
+                    done.initiator_done = done.initiator_done.max(c.initiator_done);
+                    done.settled = done.settled.max(c.settled);
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
         }
-        t.merge(done);
-        self.profile.record(
-            me as usize,
-            obs::Site::IssueToPoll,
-            t.obs_now().saturating_sub(obs_issue),
-        );
-        Ok(())
+        self.settle_posted(t, me, &done);
+        if inflight.len() > 1 {
+            let waited = t.obs_now().saturating_sub(obs_issue);
+            self.profile.record(me as usize, obs::Site::IssueToPoll, waited);
+        }
+        failed.map_or(Ok(()), Err)
     }
+}
+
+/// One write-back of an SD-fence drain in flight: all its poll needs to
+/// retry it (the schedule is rebuilt from the page, and only on failure).
+struct Posted {
+    token: VerbToken,
+    page: PageNum,
+    bytes: u64,
+    at: u64,
+    home: u16,
 }

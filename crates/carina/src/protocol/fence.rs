@@ -4,7 +4,7 @@
 //! (§3.4) and the adaptive classification decay (§3.2).
 
 use super::*;
-use crate::config::{BATCH_DRAIN_CUTOVER, CHECKPOINT_CYCLES, FENCE_SCAN_CYCLES, PROTECT_CYCLES};
+use crate::config::{CHECKPOINT_CYCLES, FENCE_SCAN_CYCLES, PROTECT_CYCLES};
 use crate::stats::StatShard;
 use std::convert::Infallible;
 
@@ -112,7 +112,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     // on a failure the page is clean and must not linger in
                     // the buffer.
                     ns.wbuf.remove(page);
-                    self.downgrade_locked(t, st, page, me, false)?;
+                    self.downgrade_locked(t, st, page, me)?;
                 }
                 // A consumer's page is recorded for the next refill; a
                 // refilled page nobody touched is not.
@@ -166,27 +166,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let drained = ns.wbuf.drain();
         // Shadow homes mirror what this fence writes home: no idle kept page.
         let mut mirrored = if self.config.volans_shadow { drained.clone() } else { Vec::new() };
-        mirrored.retain(|&page| self.is_dirty_cached(me, page, true));
-        // Big drains coalesce — one doorbell per home amortizes once a
-        // fence moves `BATCH_DRAIN_CUTOVER` pages — while small drains keep
-        // the per-page path its timing calibration, on every backend.
-        if drained.len() >= BATCH_DRAIN_CUTOVER {
-            self.drain_batched(t, &drained, me)?;
-        } else {
-            for (i, &page) in drained.iter().enumerate() {
-                if let Err(e) = self.downgrade(t, page, me, true) {
-                    // Keep the buffer honest across the failure: pages the
-                    // drain did not reach (and are still dirty) go back in,
-                    // so a failover retry still drains them (`i` is clean or kept).
-                    for &rest in &drained[i + 1..] {
-                        if self.is_dirty_cached(me, rest, false) {
-                            let _ = self.downgrade_victim(t, ns.wbuf.push(rest), me);
-                        }
-                    }
-                    return Err(e);
-                }
-            }
-        }
+        mirrored.retain(|&page| self.has_stores(me, page));
+        self.drain_posted(t, &drained, me)?;
         if self.coherence.needs_checkpoint_sweep() {
             self.naive_checkpoint_sweep(t, me)?;
         }
@@ -206,12 +187,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Ok(())
     }
 
-    /// Is `page` cached dirty on `node` (a failed drain re-buffers those) —
-    /// with `stores`: and written since its last drain (shadows mirror those)?
-    fn is_dirty_cached(&self, node: u16, page: PageNum, stores: bool) -> bool {
+    /// Is `page` cached dirty on `node` and written since its last drain
+    /// (shadows mirror those)?
+    fn has_stores(&self, node: u16, page: PageNum) -> bool {
         let st = self.nodes[node as usize].cache.lock_slot(page);
-        self.dirty_index(&st, page, node)
-            .is_some_and(|idx| !(stores && st.pages[idx].mask.is_empty()))
+        self.dirty_index(&st, page, node).is_some_and(|idx| !st.pages[idx].mask.is_empty())
     }
 
     /// The naïve P/S scheme's sync-point obligation (§3.4.2): checkpoint
@@ -240,7 +220,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 Ok(())
             } else {
                 // Became shared since the write fault: downgrade now.
-                self.downgrade_locked(t, st, page, me, false).map(drop)
+                self.downgrade_locked(t, st, page, me)
             }
         })
     }

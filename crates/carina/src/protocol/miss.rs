@@ -3,7 +3,6 @@
 //! registrations and data read pipelined so the miss costs one round trip —
 //! and, on a recorded consumer page, refill the rest of the recorded set.
 
-use super::verbs::IssuedVerb;
 use super::*;
 use crate::config::PROTECT_CYCLES;
 
@@ -63,7 +62,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                             let old_page = PageNum(old_base.0 + idx as u64);
                             // Unbuffer before posting (see `si_sweep`).
                             ns.wbuf.remove(old_page);
-                            self.downgrade_locked(t, st, old_page, me, false)?;
+                            self.downgrade_locked(t, st, old_page, me)?;
                         }
                     }
                 }
@@ -106,7 +105,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // in-flight transfers to distinct homes overlap on the fabric
         // instead of queuing behind one another on this thread.
         let obs_issue = t.obs_now();
-        let mut inflight: Vec<(u64, Option<IssuedVerb>)> = Vec::with_capacity(group.len());
+        let mut inflight: Vec<(u64, Option<VerbToken>)> = Vec::with_capacity(group.len());
         for (home, idxs) in &mut group {
             self.check_alive(me, *home, VerbClass::PageFetch, span)?;
             let mut reg_done = start;
@@ -128,17 +127,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 None
             } else {
                 let bytes = idxs.len() as u64 * PAGE_BYTES;
-                let mut seq = self
-                    .config
-                    .retry
-                    .attempt_seq(VerbClass::PageFetch, base.0.wrapping_add((*home as u64) << 48))
-                    .with_span(span);
-                let a0 = seq.next().expect("retry budget is at least one attempt");
                 // Registration outcomes (notifies, a checkpoint fetch) may
                 // have advanced the clock past `start`: never post behind it.
-                let at = (start + a0.delay).max(t.now());
-                let tok = t.issue(NodeId(*home), &Verb::Read { bytes }, at);
-                Some((tok, seq, a0))
+                Some(t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now())))
             };
             inflight.push((reg_done, token));
         }
@@ -146,15 +137,16 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // costs one slowest-home round trip rather than the sum.
         let overlapped = inflight.iter().filter(|(_, tok)| tok.is_some()).count() > 1;
         for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
-            if let Some(issued) = token {
+            if let Some(token) = token {
                 let bytes = idxs.len() as u64 * PAGE_BYTES;
+                let salt = base.0.wrapping_add((home as u64) << 48);
                 let timing = self.poll_retried(
                     t,
-                    me,
                     home,
-                    issued,
+                    token,
+                    (VerbClass::PageFetch, salt),
+                    span,
                     obs_issue,
-                    VerbClass::PageFetch,
                     bytes,
                     |t, delay| {
                         let at = (start + delay).max(t.now());

@@ -62,6 +62,7 @@ use mem::{
 use prefetch::Prefetcher;
 use rma::{
     rendezvous_home, Completion, Endpoint, Membership, SimTransport, Transport, Verb, VerbClass,
+    VerbToken,
 };
 use simnet::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,7 +70,7 @@ use std::sync::{Arc, Mutex};
 
 /// Append `item` to `home`'s group, opening the group at the end on first
 /// sight: homes stay in first-seen order, which is the wire order of every
-/// home-grouped posting (line fills, prefetches, batched drains, mirrors).
+/// home-grouped posting (line fills, prefetches, mirrors).
 fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
     match groups.iter_mut().find(|(h, _)| *h == home) {
         Some((_, items)) => items.push(item),

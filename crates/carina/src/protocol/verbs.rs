@@ -3,11 +3,7 @@
 //! helpers — the site scope, flight records, per-page detail events.
 
 use super::*;
-use rma::{Attempt, AttemptSeq, Retried, RetryExhausted, VerbToken};
-
-/// An issued-but-unpolled verb: its token, the resumable remainder of the
-/// retry schedule, and the schedule entry that issued it.
-pub(super) type IssuedVerb = (VerbToken, AttemptSeq, Attempt);
+use rma::{Attempt, AttemptSeq, Retried, RetryExhausted};
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Fold a retry outcome into the stats, profile, and flight recorder,
@@ -62,32 +58,34 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
     }
 
-    /// Drive an issued verb token to completion, reissuing along the
-    /// schedule remainder when a failure surfaces at poll time, and fold
-    /// the outcome into the usual retry bookkeeping. `reissue` posts a
-    /// replacement given the cumulative backoff delay of the next attempt.
-    /// Retrying at poll time walks exactly the schedule the blocking path
-    /// would have walked — only the moment the failure is *observed* moves.
+    /// Drive `token` — attempt 0 of `class`'s retry schedule under `salt`,
+    /// issued earlier through `t` — to completion, reissuing along the
+    /// schedule when a failure surfaces at poll time, and fold the outcome
+    /// into the usual retry bookkeeping. `reissue` posts a replacement
+    /// given the cumulative backoff delay of the next attempt. The schedule
+    /// is built only once a failure surfaces, so an in-flight verb is just
+    /// its token; retrying at poll time walks exactly the schedule the
+    /// blocking path would have walked — only the moment the failure is
+    /// *observed* moves.
     ///
-    /// Lyra: the issue→poll pair is flight-recorded under the span carried
-    /// by the [`AttemptSeq`] — one `VerbIssue` slice spanning issue to
-    /// completion (whose end marks the arrival on the target's track), one
-    /// `VerbPoll` instant at completion, and one `VerbRetry` instant per
-    /// reissue carrying the failed attempt's fate.
+    /// Lyra: the issue→poll pair is flight-recorded under `span` — one
+    /// `VerbIssue` slice spanning issue to completion (whose end marks the
+    /// arrival on the target's track), one `VerbPoll` instant at
+    /// completion, and one `VerbRetry` instant per reissue carrying the
+    /// failed attempt's fate.
     #[allow(clippy::too_many_arguments)]
     pub(super) fn poll_retried(
         &self,
         t: &mut T::Endpoint,
-        me: u16,
         target: u16,
-        issued: IssuedVerb,
+        token: VerbToken,
+        (class, salt): (VerbClass, u64),
+        span: obs::SpanId,
         obs_issued: u64,
-        class: VerbClass,
         bytes: u64,
         mut reissue: impl FnMut(&mut T::Endpoint, u64) -> VerbToken,
     ) -> Result<Completion, DsmError> {
-        let (mut token, mut seq, mut attempt) = issued;
-        let span = seq.span();
+        let me = t.node().0;
         let rec = obs::VerbRecord {
             span,
             target: target as u32,
@@ -95,8 +93,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             class: class as u8,
             ..obs::VerbRecord::blank()
         };
+        let mut attempt = Attempt { index: 0, step: 0, delay: 0 };
+        let mut seq: Option<AttemptSeq> = None;
+        let mut outcome = t.wait(token);
         loop {
-            match t.wait(token) {
+            match outcome {
                 Ok(c) => {
                     let now = t.obs_now();
                     let waited = now.saturating_sub(obs_issued);
@@ -128,25 +129,28 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     }
                     return Ok(c);
                 }
-                Err(e) => match seq.next() {
-                    Some(a) => {
-                        let now = t.obs_now();
-                        self.lyra_record(t, me, || obs::VerbRecord {
-                            start: now,
-                            arg: a.delay,
-                            attempt: a.index as u16,
-                            kind: obs::RecordKind::VerbRetry,
-                            fate: obs::Fate::from_error_name(e.name()),
-                            ..rec
-                        });
-                        attempt = a;
-                        token = reissue(t, a.delay);
-                    }
-                    None => {
-                        let now = t.obs_now();
+                Err(e) => {
+                    let seq = seq.get_or_insert_with(|| {
+                        let mut seq = self.config.retry.attempt_seq(class, salt);
+                        seq.next(); // attempt 0: the token that just failed
+                        seq
+                    });
+                    let now = t.obs_now();
+                    let Some(a) = seq.next() else {
                         return self.verb_retried(me, target, span, now, Err(seq.exhausted(e)));
-                    }
-                },
+                    };
+                    self.lyra_record(t, me, || obs::VerbRecord {
+                        start: now,
+                        arg: a.delay,
+                        attempt: a.index as u16,
+                        kind: obs::RecordKind::VerbRetry,
+                        fate: obs::Fate::from_error_name(e.name()),
+                        ..rec
+                    });
+                    attempt = a;
+                    let token = reissue(t, a.delay);
+                    outcome = t.wait(token);
+                }
             }
         }
     }

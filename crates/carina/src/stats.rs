@@ -92,10 +92,6 @@ counters! {
     sd_fences,
     /// Collective classification decays performed (adaptive extension).
     decays,
-    /// Home-coalesced fence drains posted (one batched verb per home).
-    downgrade_batches,
-    /// Write-backs carried inside those batches.
-    downgrade_batch_pages,
     /// Verb reissues after a fabric failure (0 on a healthy fabric).
     verb_retries,
     /// Retry budgets exhausted — each one surfaced a `DsmError`.
@@ -209,10 +205,9 @@ fn ratio(part: u64, whole: u64) -> f64 {
 impl CoherenceSnapshot {
     /// The derived ratios with their names, for the same loops that walk
     /// [`Self::fields`].
-    pub fn ratios(&self) -> [(&'static str, f64); 6] {
+    pub fn ratios(&self) -> [(&'static str, f64); 5] {
         [
             ("si_keep_ratio", self.si_keep_ratio()),
-            ("mean_drain_batch", self.mean_drain_batch()),
             ("prefetch_accuracy", self.prefetch_accuracy()),
             ("lease_keep_ratio", self.lease_keep_ratio()),
             ("lease_mode_occupancy", self.lease_mode_occupancy()),
@@ -224,11 +219,6 @@ impl CoherenceSnapshot {
     /// page — the benefit classification buys (higher is better).
     pub(crate) fn si_keep_ratio(&self) -> f64 {
         ratio(self.si_kept, self.si_invalidated + self.si_kept)
-    }
-
-    /// Mean write-backs carried per home-coalesced drain batch.
-    pub fn mean_drain_batch(&self) -> f64 {
-        ratio(self.downgrade_batch_pages, self.downgrade_batches)
     }
 
     /// Fraction of speculatively fetched pages a demand miss later

@@ -2,13 +2,13 @@
 //! transitions, deferred invalidation, diffs under false sharing, write
 //! buffering, and the fence semantics that make DRF programs SC.
 
-use carina::config::{BATCH_DRAIN_CUTOVER, HIT_CYCLES, PAGE_COPY_CYCLES};
+use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES};
 use carina::{
     CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, Dsm, PageClass, Tardis, VerbClass,
     WriterClass,
 };
 use mem::{CacheConfig, GlobalAddr, PAGE_BYTES, WORDS_PER_PAGE};
-use rma::{Endpoint, FaultPlan, FaultyTransport, SimTransport, Transport};
+use rma::{Endpoint, FaultPlan, FaultyEndpoint, FaultyTransport, SimTransport, Transport};
 use simnet::testkit::{thread, tiny_net};
 use simnet::{CostModel, NodeId, SimThread};
 use std::ops::Range;
@@ -840,33 +840,118 @@ fn own_write_back_outdates_a_parked_ring_snapshot() {
     assert!(dsm.check_invariants().is_empty());
 }
 
+// ---- the SD fence's drain: posted as it scans ----
+
+/// An SD fence posts each page's write-back as its scan finishes and
+/// waits once: for `N` pages to one home it costs the `N` scans (a diff
+/// scan and a re-protect each), then the last posting's serialization and
+/// flight — never the sum of the serializations, which the scans hide.
+/// Exact, from the cost model: a diff of `W` words is a 32-byte header and
+/// 10 bytes per word, and the NIC never queues (a scan outlasts any page's
+/// wire time).
 #[test]
-fn auto_drain_coalesces_past_the_cutover() {
-    let (dsm, mut ts) = cluster(
-        2,
-        CarinaConfig {
-            cache: CacheConfig::new(1024, 1),
-            ..CarinaConfig::default()
-        },
-    );
+fn a_fence_pays_its_scans_and_the_last_settle() {
+    const N: u64 = 8;
+    const W: u64 = 300;
+    let cost = CostModel::paper_2011();
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
     let t = &mut ts[0];
-    let cutover = BATCH_DRAIN_CUTOVER as u64;
-    // One page short of the cutover: the fence keeps the simulator's
-    // per-page path.
-    for salt in 0..cutover - 1 {
-        dsm.write_u64(t, addr_homed_at(2, 1, salt), salt);
+    for salt in 0..N {
+        let page = addr_homed_at(2, 1, salt);
+        for w in 0..W {
+            dsm.write_u64(t, page.offset(8 * w), salt * 1000 + w);
+        }
     }
+    // Put the stores' own traffic (fills, registrations) in the past.
+    t.compute(1_000_000);
+    let before = t.now();
     dsm.sd_fence(t);
-    assert_eq!(dsm.stats().snapshot().downgrade_batches, 0);
-    // At the cutover, the fence coalesces into one batched verb per home
-    // even though the transport declines.
-    for salt in 100..100 + cutover {
-        dsm.write_u64(t, addr_homed_at(2, 1, salt), salt);
-    }
-    dsm.sd_fence(t);
+    let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
+    let wire = cost.transfer_cycles(32 + 10 * W);
+    assert!(wire < scan, "the scan hides the wire: {wire} vs {scan}");
+    assert_eq!(t.now() - before, N * scan + wire + cost.network_latency);
+    assert!(t.now() - before < N * scan + N * wire + cost.network_latency);
     let s = dsm.stats().snapshot();
-    assert_eq!(s.downgrade_batches, 1);
-    assert_eq!(s.downgrade_batch_pages, cutover);
+    assert_eq!((s.writebacks, s.writeback_bytes), (N, N * (32 + 10 * W)));
+    for salt in 0..N {
+        let page = addr_homed_at(2, 1, salt);
+        assert_eq!(dsm.peek_u64(page.offset(8 * (W - 1))), salt * 1000 + W - 1);
+    }
+    assert!(dsm.check_invariants().is_empty());
+}
+
+/// Node 0 of three dirties eight pages homed alternately on nodes 1 and 2;
+/// from `blackout` on, node 1's NIC stalls every verb. Returns the DSM, the
+/// writer's endpoint (past `blackout`), and the pages in FIFO order.
+fn dirty_across_a_blackout(
+    failover: bool,
+) -> (Arc<Dsm<FaultyTransport<SimTransport>>>, FaultyEndpoint<SimTransport>, Vec<GlobalAddr>) {
+    let blackout = 10_000_000;
+    let plan = FaultPlan::disabled().with_seed(29).with_brownout(NodeId(1), blackout, u64::MAX);
+    let net = FaultyTransport::wrap(tiny_net(3), plan);
+    let config = CarinaConfig {
+        retry: CarinaConfig::default().retry.with_budget(VerbClass::Downgrade, 3),
+        volans_failover: failover,
+        ..CarinaConfig::default()
+    };
+    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> = Dsm::new(net.clone(), 4 << 20, config);
+    let mut t = FaultyTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+    let pages: Vec<GlobalAddr> =
+        (0..4).flat_map(|salt| [addr_homed_at(3, 1, salt), addr_homed_at(3, 2, salt)]).collect();
+    for (i, &a) in pages.iter().enumerate() {
+        dsm.write_u64(&mut t, a, 100 + i as u64);
+    }
+    assert!(t.now() < blackout, "the stores ran before the blackout");
+    t.compute(blackout);
+    (dsm, t, pages)
+}
+
+/// A posting that exhausts its budget mid-drain does not strand the rest:
+/// the drain polls every other posting — the ones to the healthy home
+/// complete, each one to the stalled home exhausts on its own — before it
+/// returns the first error. Every page's local half already ran, so the
+/// data is home, no page is dirty outside the write buffer, and the next
+/// fence has nothing left to drain.
+#[test]
+fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
+    let (dsm, mut t, pages) = dirty_across_a_blackout(false);
+    let err = dsm.try_sd_fence(&mut t).unwrap_err();
+    assert_eq!((err.target, err.class), (1, VerbClass::Downgrade));
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.writebacks, s.verb_exhaustions, s.verb_retries), (8, 4, 8));
+    let polled_home = |home: u32| {
+        dsm.lyra()
+            .snapshot(0)
+            .iter()
+            .filter(|r| {
+                r.kind == obs::RecordKind::VerbPoll
+                    && r.class == VerbClass::Downgrade as u8
+                    && r.target == home
+            })
+            .count()
+    };
+    assert_eq!((polled_home(1), polled_home(2)), (0, 4), "every healthy posting was polled");
+    for (i, &a) in pages.iter().enumerate() {
+        assert_eq!(dsm.peek_u64(a), 100 + i as u64);
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    assert_eq!(dsm.try_sd_fence(&mut t), Ok(()), "nothing left to drain");
+}
+
+/// Under Volans failover the same exhaustion declares node 1 dead, re-homes
+/// its pages, and the fence's re-run completes.
+#[test]
+fn a_failed_drain_fails_over_and_completes() {
+    let (dsm, mut t, pages) = dirty_across_a_blackout(true);
+    assert_eq!(dsm.try_sd_fence(&mut t), Ok(()));
+    assert!(!dsm.membership().is_alive(1));
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.failovers, s.verb_exhaustions, s.sd_fences), (1, 4, 2));
+    for (i, &a) in pages.iter().enumerate() {
+        assert_ne!(dsm.home_of(a), 1);
+        assert_eq!(dsm.peek_u64(a), 100 + i as u64);
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }
 
 // ---- write-hot retention (DESIGN §3, "Writable across the release") ----
@@ -1258,8 +1343,6 @@ fn written_pages_are_never_refilled() {
             ("sw_to_mw", 8),
             ("si_fences", 6),
             ("sd_fences", 12),
-            ("downgrade_batches", 6),
-            ("downgrade_batch_pages", 48),
         ]
     );
     let n = wire(&dsm);

@@ -5,6 +5,7 @@
 //! `set_detail` is on, and the read/write-hit fast paths must never record
 //! anything anywhere.
 
+use carina::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
 use carina::{CarinaConfig, Dsm};
 use mem::{GlobalAddr, PAGE_BYTES};
 use obs::{JsonValue, RecordKind, Site, VerbRecord};
@@ -173,15 +174,24 @@ fn hit_fast_paths_record_nothing() {
     assert_eq!(dsm.stats().snapshot().write_hits, 10_000);
 }
 
+/// What the always-on ring records of the tour with detail off: 16 site
+/// records, plus the `VerbIssue`/`VerbPoll` pair of each of the two
+/// write-backs its releases post.
+const TOUR_RECORDS: u64 = 16 + 2 * 2;
+
 /// With detail off (the default) the always-on ring sees exactly what it
-/// saw before the detail kinds existed: 16 records on the tour scenario,
-/// none of them per-page.
+/// saw before the detail kinds existed, none of it per-page.
 #[test]
 fn detail_off_records_no_per_page_kinds() {
     let (dsm, mut ts) = cluster(3);
     protocol_tour(&dsm, &mut ts);
     assert!(detail_records(&dsm).is_empty());
-    assert_eq!(dsm.lyra().stats().submitted, 16);
+    assert_eq!(dsm.lyra().stats().submitted, TOUR_RECORDS);
+    let posted = |kind| {
+        let recs = dsm.lyra().snapshot(0).into_iter().chain(dsm.lyra().snapshot(1));
+        recs.filter(|r| r.kind == kind && r.class == rma::VerbClass::Downgrade as u8).count()
+    };
+    assert_eq!((posted(RecordKind::VerbIssue), posted(RecordKind::VerbPoll)), (2, 2));
 }
 
 /// With detail on the tour's whole story is in the recorder.
@@ -202,29 +212,42 @@ fn detail_on_records_the_tour_story() {
     assert!(has(RecordKind::Downgrade, 0, 2), "diff travels to the home");
     assert!(has(RecordKind::SiKeep, 0, obs::NO_TARGET), "the single writer keeps its copy");
     assert!(has(RecordKind::SiInvalidate, 1, obs::NO_TARGET));
-    assert_eq!(dsm.lyra().stats().submitted, 16 + details.len() as u64);
+    assert_eq!(dsm.lyra().stats().submitted, TOUR_RECORDS + details.len() as u64);
     // The one-line rendering the tour prints names the kind and the peer.
     let p_to_s = details.iter().find(|r| r.kind == RecordKind::PToS).unwrap();
     let line = p_to_s.to_string();
     assert!(line.contains("n1 p_to_s") && line.contains("arg=5 ->n0"), "{line}");
 }
 
-/// Batched drains (a fence that drains the cutover's worth of pages) land
-/// in the coherence counters.
+/// Every write-back a fence posts is its own verb on the wire and in the
+/// recorder: per page, one `VerbIssue` slice (its bytes, its home) and one
+/// `VerbPoll` instant — every poll at the end of the scan of all pages.
 #[test]
-fn batched_drain_counters_tick() {
-    let topo = ClusterTopology::tiny(2);
-    let net = SimTransport::new(topo, CostModel::paper_2011());
-    let dsm: Arc<Dsm> = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
-    let mut a = <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(0), 0));
-    let pages = carina::config::BATCH_DRAIN_CUTOVER as u64;
+fn fence_postings_are_flight_recorded() {
+    let (dsm, mut ts) = cluster(2);
+    let pages = 8;
     for p in 0..pages {
         // Odd pages: all homed on node 1 under interleaved placement.
-        dsm.write_u64(&mut a, GlobalAddr((2 * p + 1) * PAGE_BYTES), p);
+        dsm.write_u64(&mut ts[0], GlobalAddr((2 * p + 1) * PAGE_BYTES), p);
     }
-    dsm.sd_fence(&mut a);
+    let writes = dsm.net().stats().snapshot().rdma_writes;
+    dsm.sd_fence(&mut ts[0]);
     let snap = dsm.stats().snapshot();
-    assert_eq!(snap.downgrade_batches, 1, "one home, one batch");
-    assert_eq!(snap.downgrade_batch_pages, pages);
-    assert!((snap.mean_drain_batch() - pages as f64).abs() < 1e-12);
+    assert_eq!((snap.writebacks, snap.writeback_bytes), (pages, pages * 42));
+    assert_eq!(dsm.net().stats().snapshot().rdma_writes - writes, pages);
+    let drained: Vec<VerbRecord> = dsm
+        .lyra()
+        .snapshot(0)
+        .into_iter()
+        .filter(|r| r.class == rma::VerbClass::Downgrade as u8)
+        .collect();
+    let (issues, polls): (Vec<&VerbRecord>, Vec<&VerbRecord>) =
+        drained.iter().partition(|r| r.kind == RecordKind::VerbIssue);
+    assert_eq!((issues.len(), polls.len()), (pages as usize, pages as usize));
+    assert!(polls.iter().all(|r| r.kind == RecordKind::VerbPoll));
+    let scans = pages * (PAGE_COPY_CYCLES + PROTECT_CYCLES);
+    for (issue, poll) in issues.iter().zip(&polls) {
+        assert_eq!((issue.target, poll.target, issue.arg), (1, 1, 42));
+        assert_eq!(poll.start, issue.start + scans, "polled once every page was scanned");
+    }
 }

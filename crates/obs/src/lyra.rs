@@ -121,9 +121,7 @@ wire_enum! {
         // written only while [`FlightRecorder::set_detail`] is on.
         /// A dirty page was written back: `arg` is the page, `target` its home.
         Downgrade = 10 => "downgrade",
-        /// A home-coalesced fence drain: `arg` is the page count, `target`
-        /// the home that received the one batched verb.
-        DowngradeBatch = 11 => "downgrade_batch",
+        // 11 is retired (a home-coalesced fence drain) and never reused.
         /// An SI fence invalidated page `arg`.
         SiInvalidate = 12 => "si_invalidate",
         /// An SI fence kept page `arg`.

@@ -10,7 +10,6 @@
 
 use crate::transport::{Completion, Endpoint, Verb, VerbError};
 use simnet::NodeId;
-use obs::SpanId;
 use std::fmt;
 
 /// The protocol-level classes a remote verb can belong to. Budgets and
@@ -26,7 +25,7 @@ pub enum VerbClass {
     Notify,
     /// Posted diff/page write-back to the home.
     Downgrade,
-    /// Home-coalesced drain batch issued by an SD fence.
+    /// Batched write issued at an SD fence (the Volans shadow mirror).
     DrainBatch,
     /// Lock CAS / handover write (HQDL, global ticket lock).
     LockAtomic,
@@ -223,7 +222,6 @@ impl RetryPolicy {
             next_index: 0,
             delay: 0,
             budget: self.attempts(class),
-            span: SpanId::NONE,
         }
     }
 
@@ -301,10 +299,6 @@ pub struct AttemptSeq {
     next_index: u32,
     delay: u64,
     budget: u32,
-    /// The Lyra span of the operation this schedule retries for. Purely
-    /// observational — not part of the schedule function, so attaching a
-    /// span can never change when attempts happen.
-    span: SpanId,
 }
 
 impl AttemptSeq {
@@ -312,18 +306,6 @@ impl AttemptSeq {
     #[inline]
     pub fn class(&self) -> VerbClass {
         self.class
-    }
-
-    /// Attach the parent operation's Lyra span (builder style).
-    pub fn with_span(mut self, span: SpanId) -> Self {
-        self.span = span;
-        self
-    }
-
-    /// The attached span, or [`SpanId::NONE`].
-    #[inline]
-    pub fn span(&self) -> SpanId {
-        self.span
     }
 
     /// The attempt index `next()` will hand out next (== attempts already

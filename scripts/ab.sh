@@ -1,30 +1,37 @@
 #!/usr/bin/env bash
-# A/B one argobench workload: <base-rev> against the working tree.
+# A/B argobench workloads: <base-rev> against the working tree.
 #
-#   scripts/ab.sh <base-rev> <workload> [pairs] [seed]
+#   scripts/ab.sh <base-rev> <workload[,workload...]|all> [pairs] [seed]
 #
 # Builds benchmark/ of both sides, each into its own CARGO_TARGET_DIR — the
 # base from a `git archive` export of <base-rev> (committed files only, as
-# the driver measures it; nothing is left behind in .git) — then runs the
-# one BENCHMARK.json command on them alternately, swapping which side goes
+# the driver measures it; nothing is left behind in .git) — then, workload
+# by workload (`all`: every workload of BENCHMARK.json), runs the one
+# BENCHMARK.json command on them alternately, swapping which side goes
 # first every pair. Prints every end-to-end metric of every pair with its
-# new/base ratio, then per metric: both medians, their ratio, the base's
-# quartile distance, and how many pairs the change won (ties count for
-# neither). Rule for a claimed gain (choosing-metrics guide §8): >= 10
-# pairs, the change wins >= 9 in 10, medians further apart than the base's
-# quartile distance — and the same on the held-out seed 7741.
+# new/base ratio, then one summary block per workload: per metric, both
+# medians, their ratio, the base's quartile distance, and how many pairs
+# the change won (ties count for neither). Rule for a claimed gain
+# (choosing-metrics guide §8): >= 10 pairs, the change wins >= 9 in 10,
+# medians further apart than the base's quartile distance — and the same
+# on the held-out seed 7741.
 #
 # Defaults: 10 pairs, seed 20150615. Environment: AB_DIR (scratch space,
 # default ${TMPDIR:-/tmp}/argobench-ab; the two target dirs are kept there
 # between invocations), AB_SECONDS (default: run_seconds of BENCHMARK.json).
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,20p' "$0" >&2; exit 2; }
-rev=$1 workload=$2 pairs=${3:-10} seed=${4:-20150615}
+[ $# -ge 2 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+rev=$1 workloads=${2//,/ } pairs=${3:-10} seed=${4:-20150615}
 repo=$(cd "$(dirname "$0")/.." && pwd)
 dir=${AB_DIR:-${TMPDIR:-/tmp}/argobench-ab}
 seconds=${AB_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$repo/BENCHMARK.json")}
-metrics=$(sed -n '/"end_to_end"/,/\]/p' "$repo/BENCHMARK.json" | grep -o '"name": "[^"]*"' | cut -d'"' -f4)
+# names <section>: the "name"s listed in one section of BENCHMARK.json.
+names() {
+    sed -n "/\"$1\"/,/\]/p" "$repo/BENCHMARK.json" | grep -o '"name": "[^"]*"' | cut -d'"' -f4
+}
+metrics=$(names end_to_end)
+[ "$workloads" = all ] && workloads=$(names workloads)
 
 sha=$(git -C "$repo" rev-parse --verify "$rev^{commit}")
 mkdir -p "$dir"
@@ -39,13 +46,13 @@ bench() {
     (cd "$src" && CARGO_TARGET_DIR="$target" \
         cargo "$verb" --release --offline --quiet --manifest-path benchmark/Cargo.toml -- "$@")
 }
-echo "# base $sha vs working tree; $workload, seed $seed, $pairs pairs of ${seconds}s runs"
+echo "# base $sha vs working tree; seed $seed, $pairs pairs of ${seconds}s runs per workload"
 bench "$dir/base_src" "$dir/base_target" build
 bench "$repo" "$dir/new_target" build
 
-# one <side>: run it, append each metric's value to $dir/<side>.<metric>.
+# one <side> <workload>: run it, append each metric's value to $dir/<side>.<metric>.
 one() {
-    local side=$1 src=$repo line
+    local side=$1 workload=$2 src=$repo line
     [ "$side" = base ] && src=$dir/base_src
     line=$(bench "$src" "$dir/${side}_target" run \
         --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | tail -n 1)
@@ -58,29 +65,42 @@ one() {
     done
 }
 
-failed=0
-for m in $metrics; do : >"$dir/base.$m"; : >"$dir/new.$m"; done
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then one base; one new; else one new; one base; fi
-    for m in $metrics; do
-        paste "$dir/base.$m" "$dir/new.$m" | tail -n 1 | awk -v p="$pair" -v m="$m" \
-            '{ printf "pair %2d %-14s base %16.6f new %16.6f ratio %.4f\n", p, m, $1, $2, ($1 ? $2 / $1 : 0) }'
-    done
-done
-
 # quartile <file> <q>: the value at quantile q (nearest rank) of a column.
 quartile() {
     sort -g "$1" | awk -v q="$2" '{ v[NR] = $1 } END { i = int((NR - 1) * q + 1.5); print v[(i > NR) ? NR : i] }'
 }
-echo "# medians (new/base), the base's quartile distance, pairs won by the change"
-for m in $metrics; do
-    paste "$dir/base.$m" "$dir/new.$m" | awk -v m="$m" \
-        -v b="$(quartile "$dir/base.$m" 0.5)" -v c="$(quartile "$dir/new.$m" 0.5)" \
-        -v q1="$(quartile "$dir/base.$m" 0.25)" -v q3="$(quartile "$dir/base.$m" 0.75)" '
-        { if ($2 < $1) won++; else if ($2 > $1) lost++ }
-        END {
-            printf "%-14s base %16.6f new %16.6f ratio %.4f  base IQR %.6f  won %d lost %d of %d\n",
-                m, b, c, (b ? c / b : 0), q3 - q1, won, lost, NR
-        }'
+
+# ab <workload>: the alternating pairs, then the workload's summary block.
+ab() {
+    local workload=$1 pair m
+    echo "## $workload"
+    for m in $metrics; do : >"$dir/base.$m"; : >"$dir/new.$m"; done
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then
+            one base "$workload"; one new "$workload"
+        else
+            one new "$workload"; one base "$workload"
+        fi
+        for m in $metrics; do
+            paste "$dir/base.$m" "$dir/new.$m" | tail -n 1 | awk -v p="$pair" -v m="$m" \
+                '{ printf "pair %2d %-14s base %16.6f new %16.6f ratio %.4f\n", p, m, $1, $2, ($1 ? $2 / $1 : 0) }'
+        done
+    done
+    echo "# $workload: medians (new/base), the base's quartile distance, pairs won by the change"
+    for m in $metrics; do
+        paste "$dir/base.$m" "$dir/new.$m" | awk -v m="$m" \
+            -v b="$(quartile "$dir/base.$m" 0.5)" -v c="$(quartile "$dir/new.$m" 0.5)" \
+            -v q1="$(quartile "$dir/base.$m" 0.25)" -v q3="$(quartile "$dir/base.$m" 0.75)" '
+            { if ($2 < $1) won++; else if ($2 > $1) lost++ }
+            END {
+                printf "%-14s base %16.6f new %16.6f ratio %.4f  base IQR %.6f  won %d lost %d of %d\n",
+                    m, b, c, (b ? c / b : 0), q3 - q1, won, lost, NR
+            }'
+    done
+}
+
+failed=0
+for workload in $workloads; do
+    ab "$workload"
 done
 exit $failed

@@ -191,28 +191,22 @@ fn barrier_phases_identical_memory_on_both_backends() {
     check_invariants(&coh_nat);
 }
 
-/// Batched and per-page SD-fence drains are data-plane equivalent. The
-/// fence picks the posting from the drain's size, so the same dirty set is
-/// drained once (at least `BATCH_DRAIN_CUTOVER` pages: batched) or over two
-/// fences of fewer pages each (per-page); final home memory and observed
-/// values must be bit-identical on *both* backends, and the wire must
-/// carry the same write-backs. Only verb timing and doorbell accounting
-/// may differ.
+/// An SD fence's drain posts every page as its scan finishes and polls
+/// them all at the end, so how a dirty set is split across fences is a
+/// timing question only. The same set drained by one fence, or by two
+/// fences over its halves, must leave bit-identical final home memory and
+/// observed values on *both* backends, and the wire must carry the same
+/// write-backs.
 #[test]
-fn batched_drain_equals_per_page_drain_on_both_backends() {
-    use carina::config::BATCH_DRAIN_CUTOVER;
+fn one_fence_or_two_leave_identical_memory_on_both_backends() {
     use mem::WORDS_PER_PAGE;
-    // Twice the cutover in pages: each node homes at most a third of any
-    // run of them, so one drain of the whole set is past the cutover and
-    // either half is below it.
-    let pages = 2 * BATCH_DRAIN_CUTOVER;
+    let pages = 16;
     // Thread-striped writes: every thread writes word `tid` of each page,
     // so every thread dirties (mostly remote) pages homed all over the
-    // cluster — a batched drain has several homes to coalesce. Pages
-    // `0..split` are written before the first barrier, the rest before the
-    // second. One thread per node keeps each node's push/downgrade
-    // sequence fully deterministic, so the two drains' counters are
-    // exactly comparable.
+    // cluster — one drain posts to several homes. Pages `0..split` are
+    // written before the first barrier, the rest before the second. One
+    // thread per node keeps each node's push/downgrade sequence fully
+    // deterministic, so the two runs' counters are exactly comparable.
     fn striped<T: Transport>(
         machine: &std::sync::Arc<ArgoMachine<T>>,
         pages: usize,
@@ -241,46 +235,37 @@ fn batched_drain_equals_per_page_drain_on_both_backends() {
         let nat = striped(&ArgoMachine::native(cfg), pages, split);
         (sim, nat)
     };
-    let (sim_b, nat_b) = run(pages);
-    let (sim_p, nat_p) = run(pages / 2);
-    assert_eq!(sim_b.0, sim_p.0, "sim: batch vs per-page memory diverged");
-    assert_eq!(nat_b.0, nat_p.0, "native: batch vs per-page memory diverged");
-    assert_eq!(sim_b.0, nat_b.0, "backends diverged under batching");
-    assert_eq!(sim_b.1, sim_p.1, "sim: observed sums diverged");
-    check_invariants(&sim_b.2);
-    check_invariants(&nat_b.2);
-    for (batched, per_page) in [(&sim_b.2, &sim_p.2), (&nat_b.2, &nat_p.2)] {
-        assert!(
-            batched.downgrade_batches > 0,
-            "one big drain coalesces: {batched:?}"
-        );
+    let (sim_one, nat_one) = run(pages);
+    let (sim_two, nat_two) = run(pages / 2);
+    assert_eq!(sim_one.0, sim_two.0, "sim: one fence vs two diverged");
+    assert_eq!(nat_one.0, nat_two.0, "native: one fence vs two diverged");
+    assert_eq!(sim_one.0, nat_one.0, "backends diverged");
+    assert_eq!(sim_one.1, sim_two.1, "sim: observed sums diverged");
+    assert_eq!(nat_one.1, nat_two.1, "native: observed sums diverged");
+    for (one, two) in [(&sim_one.2, &sim_two.2), (&nat_one.2, &nat_two.2)] {
+        check_invariants(one);
+        check_invariants(two);
         assert_eq!(
-            per_page.downgrade_batches, 0,
-            "small drains post per page: {per_page:?}"
+            (one.writebacks, one.writeback_bytes),
+            (two.writebacks, two.writeback_bytes),
+            "the split changed what goes home"
         );
     }
-    // Batching coalesces postings but not traffic: byte totals match the
-    // per-page drains exactly on the deterministic simulator.
-    assert_eq!(
-        sim_b.2.writeback_bytes, sim_p.2.writeback_bytes,
-        "batching changed how many bytes go home"
-    );
-    assert_eq!(sim_b.2.writebacks, sim_p.2.writebacks);
+    assert_eq!(sim_one.2.writeback_bytes, nat_one.2.writeback_bytes);
 }
 
 /// Overlapped verb issue is a timing feature only. Multi-page cache lines
 /// make every read miss put several home groups' reads in flight before
-/// polling any; drains past the cutover make an SD fence post all per-home
-/// drain batches before polling any; and the stride prefetcher adds
-/// speculative reads on top. None of that may change what memory says:
-/// final home memory and every observed value must be bit-identical across
-/// configurations and across backends.
+/// polling any; an SD fence posts every page's write-back before polling
+/// any; and the stride prefetcher adds speculative reads on top. None of
+/// that may change what memory says: final home memory and every observed
+/// value must be bit-identical across configurations and across backends.
 #[test]
 fn overlapped_fills_and_prefetch_identical_memory_on_both_backends() {
     use mem::CacheConfig;
     type Run = (Vec<u64>, Vec<f64>, CoherenceSnapshot);
     // 96 pages: each of the six threads writes 16, at least ten of them
-    // remote — past the cutover, so every node's fence drains overlap.
+    // remote, so every node's fence drains overlap many postings.
     fn run(cfg: ArgoConfig) -> (Run, Run) {
         let sim = producer_consumer(&ArgoMachine::new(cfg), 49152);
         let nat = producer_consumer(&ArgoMachine::native(cfg), 49152);
@@ -299,7 +284,7 @@ fn overlapped_fills_and_prefetch_identical_memory_on_both_backends() {
     check_invariants(&sim_spec.2);
     check_invariants(&nat_spec.2);
     for c in [&sim_plain.2, &nat_plain.2, &sim_spec.2, &nat_spec.2] {
-        assert!(c.downgrade_batches > 0, "fence drains must coalesce: {c:?}");
+        assert!(c.writebacks >= 60, "every node's fence drains many pages: {c:?}");
     }
     assert!(
         sim_spec.2.prefetch_issued > 0 && sim_spec.2.prefetch_hits > 0,
