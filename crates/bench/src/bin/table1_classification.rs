@@ -50,7 +50,7 @@ fn main() {
             print_row(&[
                 cell(label),
                 cell(tick(view.must_self_invalidate(mode, me)).replace("SI/SD", "SI")),
-                cell(tick(view.must_self_downgrade(mode, me)).replace("SI/SD", "SD")),
+                cell(tick(view.must_self_downgrade(mode)).replace("SI/SD", "SD")),
             ]);
         }
     }

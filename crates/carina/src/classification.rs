@@ -113,7 +113,7 @@ impl DirView {
     /// Table 1: must a dirty copy of this page be self-downgraded at a
     /// synchronization point? Only the naïve P/S scheme exempts private
     /// pages (and pays for it with checkpointing).
-    pub fn must_self_downgrade(&self, mode: ClassificationMode, _node: u16) -> bool {
+    pub fn must_self_downgrade(&self, mode: ClassificationMode) -> bool {
         match mode {
             ClassificationMode::AllShared | ClassificationMode::Ps3 => true,
             ClassificationMode::PsNaive => self.page_class() == PageClass::Shared,
@@ -158,7 +158,7 @@ mod tests {
     fn table1_all_shared_mode() {
         let private = view(&[0], &[0]);
         assert!(private.must_self_invalidate(AllShared, 0));
-        assert!(private.must_self_downgrade(AllShared, 0));
+        assert!(private.must_self_downgrade(AllShared));
     }
 
     #[test]
@@ -169,8 +169,8 @@ mod tests {
         assert!(!private.must_self_invalidate(Ps3, 0));
         // P/S3 self-downgrades private pages ("SD to avoid P→S forced
         // downgrade"); naïve P/S does not (it checkpoints instead).
-        assert!(private.must_self_downgrade(Ps3, 0));
-        assert!(!private.must_self_downgrade(PsNaive, 0));
+        assert!(private.must_self_downgrade(Ps3));
+        assert!(!private.must_self_downgrade(PsNaive));
     }
 
     #[test]
@@ -178,7 +178,7 @@ mod tests {
         // Naïve P/S does not discriminate writers: every shared page SIs.
         for v in [view(&[0, 1], &[]), view(&[0, 1], &[0]), view(&[0, 1], &[0, 1])] {
             assert!(v.must_self_invalidate(PsNaive, 0));
-            assert!(v.must_self_downgrade(PsNaive, 0));
+            assert!(v.must_self_downgrade(PsNaive));
         }
     }
 
@@ -195,8 +195,8 @@ mod tests {
         assert!(mw.must_self_invalidate(Ps3, 0));
         assert!(mw.must_self_invalidate(Ps3, 1));
         // All shared rows self-downgrade in P/S3.
-        assert!(sw.must_self_downgrade(Ps3, 0));
-        assert!(mw.must_self_downgrade(Ps3, 1));
+        assert!(sw.must_self_downgrade(Ps3));
+        assert!(mw.must_self_downgrade(Ps3));
     }
 
     #[test]

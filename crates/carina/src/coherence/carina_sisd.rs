@@ -7,10 +7,10 @@
 //! (Table 1) and the naïve P/S checkpoint obligation (§3.4.2). The engine
 //! still owns every verb.
 
-use super::{Coherence, PageBitSet, RegisterOutcome};
-use crate::classification::{node_bit, ClassificationMode, DirView, PageClass};
+use super::{page_table, Coherence, NodePageTable, PageBitSet, RegisterOutcome};
+use crate::classification::{node_bit, ClassificationMode, DirView};
 use crate::config::CarinaConfig;
-use crate::directory::{DirCaches, Pyxis};
+use crate::directory::{DirEntry, DirWords};
 use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
 use obs::RecordKind;
@@ -20,24 +20,43 @@ use obs::RecordKind;
 #[derive(Debug)]
 pub struct CarinaSiSd {
     mode: ClassificationMode,
-    pyxis: Pyxis,
-    dir_caches: DirCaches,
+    /// The Pyxis home directory: one entry per page, living in the page's
+    /// home node's memory (like the data pages, the placement is timing
+    /// metadata in the simulator; the entries themselves are stored flat).
+    home: Box<[DirWords]>,
+    /// Per node, per page: that node's directory cache. Other nodes OR
+    /// into it remotely on classification transitions; the owner reads it
+    /// locally at fences. That asymmetry is the whole point: the *causing*
+    /// node pays, the affected node stays passive.
+    dir_caches: NodePageTable<DirWords>,
     /// Fast-path mirrors of "this node's bit is already in the home maps".
     reg_read: Vec<PageBitSet>,
     reg_write: Vec<PageBitSet>,
 }
 
 impl CarinaSiSd {
+    /// The home directory entry of `page`.
+    #[inline]
+    fn home_entry(&self, page: PageNum) -> DirEntry<'_> {
+        DirEntry(&self.home[page.0 as usize])
+    }
+
+    /// `node`'s directory-cache entry for `page`.
+    #[inline]
+    fn cached_entry(&self, node: u16, page: PageNum) -> DirEntry<'_> {
+        DirEntry(self.dir_caches.at(node, page))
+    }
+
     /// The directory view `node` currently holds for `page`.
     #[inline]
     pub(crate) fn node_view(&self, node: u16, page: PageNum) -> DirView {
-        self.dir_caches.entry(node, page).view()
+        self.cached_entry(node, page).view()
     }
 
     /// The authoritative home directory view for `page`.
     #[inline]
     pub(crate) fn home_view(&self, page: PageNum) -> DirView {
-        self.pyxis.entry(page).view()
+        self.home_entry(page).view()
     }
 
     /// Detect a P→S transition caused by `me` joining `prior`'s accessors:
@@ -55,7 +74,7 @@ impl CarinaSiSd {
     /// between them. Step one, the fetch-or at the home: deposit `me`'s
     /// reader (`write`: writer) bit, get the maps from before.
     fn deposit(&self, me: u16, page: PageNum, write: bool) -> DirView {
-        let (entry, bit) = (self.pyxis.entry(page), node_bit(me));
+        let (entry, bit) = (self.home_entry(page), node_bit(me));
         if write { entry.or_writers(bit) } else { entry.or_readers(bit) }
     }
 
@@ -72,14 +91,14 @@ impl CarinaSiSd {
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { readers: before.readers | node_bit(me), ..before };
-        self.dir_caches.entry(me, page).or_view(after);
+        self.cached_entry(me, page).or_view(after);
         self.reg_read[me as usize].set(page);
         // P→S caused by our read (§3.3): we notify the private owner.
         let Some(owner) = Self::private_owner(before.accessors(), me) else {
             return RegisterOutcome::quiet();
         };
         CoherenceStats::bump(&shard.p_to_s);
-        self.dir_caches.entry(owner, page).or_view(after);
+        self.cached_entry(owner, page).or_view(after);
         RegisterOutcome {
             notify: vec![owner],
             fetch_from: (self.mode == ClassificationMode::PsNaive).then_some(owner),
@@ -96,7 +115,7 @@ impl CarinaSiSd {
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { writers: before.writers | node_bit(me), ..before };
-        self.dir_caches.entry(me, page).or_view(after);
+        self.cached_entry(me, page).or_view(after);
         self.reg_write[me as usize].set(page);
         let mut out = RegisterOutcome::quiet();
         let prior = before.accessors();
@@ -104,7 +123,7 @@ impl CarinaSiSd {
         // written by a new node").
         if let Some(owner) = Self::private_owner(prior, me) {
             CoherenceStats::bump(&shard.p_to_s);
-            self.dir_caches.entry(owner, page).or_view(after);
+            self.cached_entry(owner, page).or_view(after);
             out.notify.push(owner);
             out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
@@ -121,7 +140,7 @@ impl CarinaSiSd {
                         let n = others.trailing_zeros() as u16;
                         others &= others - 1;
                         if n != me {
-                            self.dir_caches.entry(n, page).or_view(after);
+                            self.cached_entry(n, page).or_view(after);
                             out.notify.push(n);
                         }
                     }
@@ -134,7 +153,7 @@ impl CarinaSiSd {
                 let w = before.writers.trailing_zeros() as u16;
                 out.transitions[1] = Some((RecordKind::SwToMw, w as u32));
                 if w != me {
-                    self.dir_caches.entry(w, page).or_view(after);
+                    self.cached_entry(w, page).or_view(after);
                     out.notify.push(w);
                 }
             }
@@ -150,8 +169,8 @@ impl Coherence for CarinaSiSd {
     fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
         CarinaSiSd {
             mode: config.mode,
-            pyxis: Pyxis::new(total_pages),
-            dir_caches: DirCaches::new(nodes, total_pages),
+            home: page_table(total_pages),
+            dir_caches: NodePageTable::new(nodes, total_pages),
             reg_read: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
             reg_write: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
         }
@@ -188,41 +207,23 @@ impl Coherence for CarinaSiSd {
     }
 
     fn write_buffered(&self, me: u16, page: PageNum) -> bool {
-        self.dir_caches
-            .entry(me, page)
-            .view()
-            .must_self_downgrade(self.mode, me)
-    }
-
-    fn keeps_write_hot(&self, me: u16, page: PageNum) -> bool {
-        self.write_buffered(me, page)
+        self.node_view(me, page).must_self_downgrade(self.mode)
     }
 
     fn begin_si_fence(&self, _me: u16, _shard: &StatShard) {}
 
     fn must_self_invalidate(&self, me: u16, page: PageNum, _shard: &StatShard) -> bool {
-        self.dir_caches
-            .entry(me, page)
-            .view()
-            .must_self_invalidate(self.mode, me)
+        self.node_view(me, page).must_self_invalidate(self.mode, me)
     }
 
     fn end_sd_fence(&self, _me: u16, _shard: &StatShard) {}
-
-    fn needs_checkpoint_sweep(&self) -> bool {
-        self.mode == ClassificationMode::PsNaive
-    }
-
-    fn private_in_cache(&self, me: u16, page: PageNum) -> bool {
-        self.dir_caches.entry(me, page).view().page_class() == PageClass::Private
-    }
 
     fn buffers_every_dirty_page(&self) -> bool {
         self.mode != ClassificationMode::PsNaive
     }
 
     fn census_view(&self, page: PageNum) -> DirView {
-        self.pyxis.entry(page).view()
+        self.home_view(page)
     }
 
     fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String> {
@@ -230,7 +231,7 @@ impl Coherence for CarinaSiSd {
         let me = node;
         let n = node as usize;
         for &page in dirty {
-            let home = self.pyxis.entry(page).view();
+            let home = self.home_view(page);
             if home.writers & node_bit(me) == 0 {
                 problems.push(format!(
                     "n{n}: dirty page {} without writer registration",
@@ -239,9 +240,9 @@ impl Coherence for CarinaSiSd {
             }
         }
         // Fast-path bitsets must be a subset of the home maps.
-        for q in 0..self.pyxis.total_pages() {
+        for q in 0..self.home.len() as u64 {
             let page = PageNum(q);
-            let home = self.pyxis.entry(page).view();
+            let home = self.home_view(page);
             if self.reg_read[n].get(page) && home.readers & node_bit(me) == 0 {
                 problems.push(format!("n{n}: reg_read bit for {q} not in home map"));
             }
@@ -258,9 +259,9 @@ impl Coherence for CarinaSiSd {
         // and the fast-path registration mirrors, so the first access under
         // the new epoch re-registers at the rendezvous home from scratch.
         for &page in rehomed {
-            self.pyxis.entry(page).reset();
+            self.home_entry(page).reset();
             for n in 0..self.reg_read.len() {
-                self.dir_caches.entry(n as u16, page).reset();
+                self.cached_entry(n as u16, page).reset();
                 self.reg_read[n].clear(page);
                 self.reg_write[n].clear(page);
             }
@@ -268,8 +269,8 @@ impl Coherence for CarinaSiSd {
     }
 
     fn reset_all(&self) {
-        self.pyxis.reset_all();
-        self.dir_caches.reset_all();
+        mem::clear_nonzero(&self.home);
+        self.dir_caches.clear_all();
         for b in &self.reg_read {
             b.clear_all();
         }
@@ -283,6 +284,7 @@ impl Coherence for CarinaSiSd {
 mod tests {
     use super::*;
     use crate::stats::CoherenceStats;
+    use std::sync::atomic::Ordering::Relaxed;
 
     fn policy(nodes: usize) -> CarinaSiSd {
         CarinaSiSd::new(nodes, 16, &CarinaConfig::default())
@@ -353,13 +355,29 @@ mod tests {
         assert!(c.must_self_invalidate(2, p, stats.shard(2)));
     }
 
+    /// Each node's directory cache is its own row: a notification into
+    /// node 0's copy of a page leaves node 1's untouched.
+    #[test]
+    fn dir_caches_are_per_node() {
+        let c = policy(2);
+        c.cached_entry(0, PageNum(3)).or_view(DirView { readers: node_bit(1), writers: 0 });
+        assert_eq!(c.node_view(0, PageNum(3)).readers, node_bit(1));
+        assert_eq!(c.node_view(1, PageNum(3)).readers, 0);
+    }
+
     #[test]
     fn reset_clears_everything() {
         let c = policy(2);
         let stats = CoherenceStats::new(2);
-        c.register_reader(0, 1, PageNum(0), stats.shard(0));
+        c.register_reader(0, 1, PageNum(1), stats.shard(0));
+        c.register_writer(1, 1, PageNum(1), stats.shard(1));
+        // A registration touches its own page's entry only.
+        assert_eq!(c.home_view(PageNum(5)), DirView::default());
         c.reset_all();
-        assert!(!c.read_registered(0, 1, PageNum(0)));
-        assert_eq!(c.census_view(PageNum(0)), DirView::default());
+        assert!(!c.read_registered(0, 1, PageNum(1)));
+        assert_eq!(c.census_view(PageNum(1)), DirView::default());
+        let zero = |words: &[DirWords]| words.iter().flatten().all(|w| w.load(Relaxed) == 0);
+        assert!(zero(&c.home));
+        assert!(c.dir_caches.touched().flatten().all(|w| w.load(Relaxed) == 0));
     }
 }

@@ -12,7 +12,10 @@
 //!   promises on a write-active page only inflate future `wts` bumps.
 //!
 //! The three bounds are protocol constants, as in the Tardis paper: no
-//! workload, test or benchmark ever ran with other values.
+//! workload, test or benchmark ever ran with other values. A page's lease
+//! lives in a zero-mapped column, so a cell of 0 — never written, or reset
+//! — reads as [`LEASE_INIT`]; every stored length is at least
+//! [`LEASE_MIN`], never 0.
 //!
 //! [`Tardis`](super::Tardis) uses this for every page;
 //! [`Pyxis`](super::Pyxis) reuses the identical clock for the pages it runs
@@ -31,11 +34,20 @@ pub(crate) const LEASE_MAX: u64 = 4096;
 
 const _: () = assert!(1 <= LEASE_MIN && LEASE_MIN <= LEASE_INIT && LEASE_INIT <= LEASE_MAX);
 
+/// The lease length `cell` holds.
+#[inline]
+pub(crate) fn length(cell: &AtomicU64) -> u64 {
+    match cell.load(Ordering::Relaxed) {
+        0 => LEASE_INIT,
+        lease => lease,
+    }
+}
+
 /// Renewal of an unchanged page: double `cell`'s lease up to the ceiling;
 /// returns the grown length.
 #[inline]
 pub(crate) fn grow(cell: &AtomicU64) -> u64 {
-    let grown = (cell.load(Ordering::Relaxed) * 2).min(LEASE_MAX);
+    let grown = (length(cell) * 2).min(LEASE_MAX);
     cell.store(grown, Ordering::Relaxed);
     grown
 }
@@ -44,7 +56,7 @@ pub(crate) fn grow(cell: &AtomicU64) -> u64 {
 /// shrunk length.
 #[inline]
 pub(crate) fn shrink(cell: &AtomicU64) -> u64 {
-    let shrunk = (cell.load(Ordering::Relaxed) / 2).max(LEASE_MIN);
+    let shrunk = (length(cell) / 2).max(LEASE_MIN);
     cell.store(shrunk, Ordering::Relaxed);
     shrunk
 }
@@ -52,6 +64,13 @@ pub(crate) fn shrink(cell: &AtomicU64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_zero_cell_is_the_initial_lease() {
+        assert_eq!(length(&AtomicU64::new(0)), LEASE_INIT);
+        assert_eq!(grow(&AtomicU64::new(0)), LEASE_INIT * 2);
+        assert_eq!(shrink(&AtomicU64::new(0)), LEASE_INIT / 2);
+    }
 
     #[test]
     fn grows_by_doubling_up_to_max() {

@@ -25,6 +25,16 @@
 //!   pages, SI/SD classification on write-shared ones, switching per page
 //!   at fence boundaries with hysteresis (DESIGN.md §13).
 //!
+//! Policy metadata is tables, as in the paper, where the directory is only
+//! words in home memory: every page-indexed column — the home directory,
+//! the directory caches, Tardis's timestamps, the hybrid's census signals
+//! — is a zero-mapped [`page_table`] or a [`NodePageTable`] of zeroed
+//! chunks, resident only where a run touched and reset by
+//! `mem::clear_nonzero`. The trait asks only what the engine cannot
+//! derive: whether a drain keeps a write-hot page, and which dirty pages
+//! the naïve P/S sweep checkpoints, both follow from
+//! [`Coherence::write_buffered`] and [`Coherence::page_mode`].
+//!
 //! Dispatch is static, mirroring the transport generic: `Dsm<T, C>` with
 //! `C: Coherence` defaulting to [`CarinaSiSd`], so existing call sites
 //! compile unchanged and any policy monomorphizes to straight-line code.
@@ -43,6 +53,7 @@ use crate::config::CarinaConfig;
 use crate::stats::StatShard;
 use mem::PageNum;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// A page-indexed table of zero-initialised cells, resident only where a
 /// run stored ([`mem::zeroed_slice`]).
@@ -51,34 +62,52 @@ pub(crate) fn page_table<A: mem::Zeroed>(pages: u64) -> Box<[A]> {
     mem::zeroed_slice(n)
 }
 
-/// A node × page table of counters: one zero-mapped allocation, a row of
-/// `pages` cells per node. One allocation rather than one per node keeps
-/// it on the allocator's fresh-mapping path when a machine is rebuilt.
+/// Cells per lazily allocated chunk of a [`NodePageTable`] row.
+const CHUNK_PAGES: usize = 1024;
+
+/// A node × page table of zero-initialised cells (counters by default;
+/// SI/SD's directory caches are one of `DirWords`). Each node's row is cut
+/// into chunks of [`CHUNK_PAGES`] cells, allocated zeroed on first touch,
+/// and a reset visits only the chunks a run touched. One zero-mapped
+/// table would be lazy only on a machine's first build: glibc serves a
+/// rebuilt small machine's tables from recycled heap, which `calloc`
+/// clears eagerly.
 #[derive(Debug)]
-pub(crate) struct NodePageTable {
+pub(crate) struct NodePageTable<A = AtomicU64> {
     pages: usize,
-    cells: Box<[AtomicU64]>,
+    row_chunks: usize,
+    chunks: Box<[OnceLock<Box<[A]>>]>,
 }
 
-impl NodePageTable {
+impl<A: mem::Zeroed> NodePageTable<A> {
     pub(crate) fn new(nodes: usize, pages: u64) -> Self {
-        let total = usize::try_from(pages).ok().and_then(|p| Some((p, p.checked_mul(nodes)?)));
-        let (pages, total) =
-            total.unwrap_or_else(|| panic!("{nodes} nodes × {pages} pages overflow usize"));
-        NodePageTable { pages, cells: mem::zeroed_slice(total) }
+        let pages =
+            usize::try_from(pages).unwrap_or_else(|_| panic!("{pages} pages overflow usize"));
+        let row_chunks = pages.div_ceil(CHUNK_PAGES);
+        let chunks = (0..row_chunks * nodes).map(|_| OnceLock::new()).collect();
+        NodePageTable { pages, row_chunks, chunks }
     }
 
     /// `node`'s cell for `page`.
     #[inline]
-    pub(crate) fn at(&self, node: u16, page: PageNum) -> &AtomicU64 {
+    pub(crate) fn at(&self, node: u16, page: PageNum) -> &A {
         let q = page.0 as usize;
         assert!(q < self.pages, "page {q} outside a {}-page table", self.pages);
-        &self.cells[node as usize * self.pages + q]
+        let chunk = &self.chunks[node as usize * self.row_chunks + q / CHUNK_PAGES];
+        &chunk.get_or_init(|| mem::zeroed_slice(CHUNK_PAGES))[q % CHUNK_PAGES]
+    }
+
+    /// The cells of every chunk a run touched.
+    #[cfg(test)]
+    fn touched(&self) -> impl Iterator<Item = &A> {
+        self.chunks.iter().filter_map(OnceLock::get).flat_map(|cells| cells.iter())
     }
 
     /// Zero every cell (storing only to nonzero ones).
     pub(crate) fn clear_all(&self) {
-        mem::clear_nonzero(&self.cells);
+        for cells in self.chunks.iter().filter_map(OnceLock::get) {
+            mem::clear_nonzero(cells);
+        }
     }
 }
 
@@ -184,7 +213,9 @@ impl PageMode {
 ///   directory access (local DRAM or remote atomic verb) has already been
 ///   charged/performed — the policy applies pure metadata mutations.
 /// - `write_buffered` and `note_written_epoch` are called after
-///   `register_writer` for the same page (under the page's slot lock).
+///   `register_writer` for the same page (under the page's slot lock);
+///   fence drains and the checkpoint sweep re-ask `write_buffered` later,
+///   so it answers from the page's current classification.
 /// - `begin_si_fence` runs before any `must_self_invalidate` query of that
 ///   fence; `end_sd_fence` runs after the fence's drain has settled.
 /// - `reset_all` is only called at quiescent points.
@@ -224,29 +255,26 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
         shard: &StatShard,
     ) -> RegisterOutcome;
 
-    /// Does the write fault that just registered enter `page` in the FIFO
-    /// write buffer, so fences (and overflow) drain it? Pure. Policies that
+    /// Does `me`'s dirty copy of `page` belong in the FIFO write buffer,
+    /// so fences (and overflow) drain it? Pure. Policies that
     /// self-downgrade everything say `true`; the naïve P/S scheme exempts
     /// private pages and checkpoints them instead. (There is no diff
     /// decision: every store marks its words, and every downgrade posts
     /// the masked words — what lets multiple writers of one page coexist.)
+    ///
+    /// The engine derives two more decisions from it. An SD-fence drain
+    /// keeps a write-hot copy writable only where it is buffered (the next
+    /// fence finds it) and the page is in [`PageMode::Classify`] — a
+    /// leased page's written copy is self-invalidated at the writer's next
+    /// acquire, so keeping it would be pointless. And the checkpoint sweep
+    /// checkpoints exactly the dirty pages that are not buffered.
     fn write_buffered(&self, me: u16, page: PageNum) -> bool;
 
     /// The clean→dirty event (census signals hang off it): raised exactly
     /// once per *written* epoch of `me`'s copy of `page` — by the write
     /// fault if the epoch began protected, by the fence drain that found
-    /// the stores if it began writable ([`Self::keeps_write_hot`]).
+    /// the stores if it began writable (kept write-hot).
     fn note_written_epoch(&self, _me: u16, _page: PageNum) {}
-
-    /// May an SD-fence drain keep `me`'s write-hot copy of `page` writable
-    /// (post the masked words, clear the mask, skip the re-protection)?
-    /// Pure.
-    /// Only a buffered page (the next fence finds it) qualifies; pointless
-    /// where written pages are self-invalidated at the writer's next
-    /// acquire.
-    fn keeps_write_hot(&self, _me: u16, _page: PageNum) -> bool {
-        false
-    }
 
     // --- fences --------------------------------------------------------
 
@@ -262,16 +290,13 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// Release-side hook, after the drain has settled.
     fn end_sd_fence(&self, me: u16, shard: &StatShard);
 
-    /// Does the release side owe a checkpoint sweep over dirty private
-    /// pages (the naïve P/S scheme's obligation)?
-    fn needs_checkpoint_sweep(&self) -> bool {
-        false
-    }
-
-    /// During a checkpoint sweep: is `page` (dirty in `me`'s cache)
-    /// private, i.e. checkpointed locally rather than downgraded?
-    fn private_in_cache(&self, _me: u16, _page: PageNum) -> bool {
-        false
+    /// Does every dirty page go through the write buffer? Policies that
+    /// exempt pages from buffering (naïve P/S privates) answer `false`:
+    /// their release runs the checkpoint sweep over the dirty pages the
+    /// buffer does not hold, and the write buffer equals the dirty set at
+    /// quiescent points (invariant 3) only where this is `true`.
+    fn buffers_every_dirty_page(&self) -> bool {
+        true
     }
 
     // --- downgrades ------------------------------------------------------
@@ -286,13 +311,6 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     fn note_downgrade(&self, _me: u16, _page: PageNum) {}
 
     // --- diagnostics & invariants -----------------------------------
-
-    /// Does the write buffer hold exactly the dirty set at quiescent
-    /// points (invariant 3)? Policies that exempt pages from buffering
-    /// (naïve P/S privates) answer `false`.
-    fn buffers_every_dirty_page(&self) -> bool {
-        true
-    }
 
     /// A best-effort accessor view of `page` for the census and tests.
     /// Authoritative under [`CarinaSiSd`]; synthesized from grant state
@@ -340,6 +358,24 @@ mod tests {
         assert!(b.get(PageNum(129)), "clear only drops its own bit");
         b.clear_all();
         assert!(!b.get(PageNum(129)));
+    }
+
+    #[test]
+    fn node_page_tables_have_a_row_per_node_and_allocate_on_touch() {
+        let t = NodePageTable::<AtomicU64>::new(2, 3 * CHUNK_PAGES as u64 - 5);
+        assert_eq!(t.touched().count(), 0);
+        t.at(1, PageNum(2 * CHUNK_PAGES as u64)).store(7, Ordering::Relaxed);
+        assert_eq!(t.touched().count(), CHUNK_PAGES, "one chunk, of node 1's row");
+        assert_eq!(t.at(0, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 0);
+        assert_eq!(t.at(1, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 7);
+        t.clear_all();
+        assert!(t.touched().all(|c| c.load(Ordering::Relaxed) == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside a 16-page table")]
+    fn node_page_tables_refuse_pages_past_their_end() {
+        NodePageTable::<AtomicU64>::new(2, 16).at(0, PageNum(16));
     }
 
     #[test]

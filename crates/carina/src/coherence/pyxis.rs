@@ -268,11 +268,6 @@ impl Coherence for Pyxis {
         self.reads_since_write[q].store(0, Ordering::Relaxed);
     }
 
-    fn keeps_write_hot(&self, me: u16, page: PageNum) -> bool {
-        // Lease-mode pages follow Tardis: never kept.
-        !self.in_lease_mode(page) && self.sisd.keeps_write_hot(me, page)
-    }
-
     fn begin_si_fence(&self, me: u16, shard: &StatShard) {
         self.tardis.begin_si_fence(me, shard);
         self.sisd.begin_si_fence(me, shard);
@@ -337,16 +332,6 @@ impl Coherence for Pyxis {
         self.apply_pending(shard);
     }
 
-    fn needs_checkpoint_sweep(&self) -> bool {
-        self.sisd.needs_checkpoint_sweep()
-    }
-
-    fn private_in_cache(&self, me: u16, page: PageNum) -> bool {
-        // Lease-mode pages always buffer (as under Tardis), so they are
-        // never checkpoint candidates.
-        !self.in_lease_mode(page) && self.sisd.private_in_cache(me, page)
-    }
-
     fn note_downgrade(&self, me: u16, page: PageNum) {
         // Version bumps are lease-mode bookkeeping. A classify-mode drain
         // leaves the Tardis clocks stale, which is sound: a later switch
@@ -358,6 +343,8 @@ impl Coherence for Pyxis {
     }
 
     fn buffers_every_dirty_page(&self) -> bool {
+        // Lease-mode pages always buffer (as under Tardis); classify-mode
+        // ones follow SI/SD, whose naïve P/S mode exempts privates.
         self.sisd.buffers_every_dirty_page()
     }
 
@@ -550,6 +537,8 @@ mod tests {
         assert!(c.invariant_problems(0, &[]).is_empty());
         let zero = |cells: &[AtomicU64]| cells.iter().all(|a| a.load(Ordering::Relaxed) == 0);
         assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.reads_since_write));
-        assert!(zero(&c.seen_epoch.cells) && zero(&c.seen_version.cells));
+        for table in [&c.seen_epoch, &c.seen_version] {
+            assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
+        }
     }
 }

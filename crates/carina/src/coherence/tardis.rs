@@ -56,12 +56,18 @@
 //! the new version, whose bytes are already home. Conversely a page nobody
 //! wrote keeps `rts >= pts` and survives.
 //!
-//! The per-entry mutex stands in for the directory's serialization point:
+//! The entry lock stands in for the directory's serialization point:
 //! a reader's grant (`read wts → extend rts`) and a drain's bump
 //! (`read rts → advance wts`) are each two steps over two cells, and
 //! interleaving them can grant a lease the bump never saw. Hardware TARDIS
 //! gets this atomicity for free at the LLC; the lock is host-side only and
-//! costs no modeled cycles.
+//! costs no modeled cycles. It is one of a fixed set of stripes indexed by
+//! page, and no code path holds two entries' stripes at once.
+//!
+//! The home entries are columns (`wts`, `rts`, `lease`, `diag`), each a
+//! zero-mapped page table like every other per-page policy table: a run
+//! makes resident only the entries it touched, and a reset stores only to
+//! the cells it wrote.
 //!
 //! **Adaptive leases.** A fixed lease suffers amplification: every write
 //! bumps `wts` past the max granted `rts`, so after one global clock jump
@@ -82,33 +88,20 @@
 //! copy is authoritative, which is the DSM analogue of TARDIS's owner
 //! state.
 
-use super::{lease_clock, Coherence, NodePageTable, PageBitSet, PageMode, RegisterOutcome};
+use super::{
+    lease_clock, page_table, Coherence, NodePageTable, PageBitSet, PageMode, RegisterOutcome,
+};
 use crate::classification::{node_bit, DirView};
 use crate::config::CarinaConfig;
-use crate::directory::DirEntry;
+use crate::directory::{DirEntry, DirWords};
 use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One page's home timestamp entry.
-#[derive(Debug)]
-struct TsEntry {
-    /// Serializes lease grants against version bumps (see module docs);
-    /// the fields stay atomics so fence predicates read them lock-free.
-    lock: Mutex<()>,
-    /// Write timestamp of the home copy's version.
-    wts: AtomicU64,
-    /// Promise horizon: max granted read lease. Invariant: `wts <= rts`
-    /// whenever `rts > 0`.
-    rts: AtomicU64,
-    /// This page's current lease length (adaptive, see module docs).
-    lease: AtomicU64,
-    /// Diagnostic accessor maps for the census and invariant checks.
-    /// Never consulted by a protocol decision — Tardis's whole point is
-    /// that it needs no sharer bitmap.
-    diag: DirEntry,
-}
+/// Entry lock stripes (see module docs); page `q` takes stripe
+/// `q % LOCK_STRIPES`.
+const LOCK_STRIPES: usize = 64;
 
 /// One node's clock.
 #[derive(Debug)]
@@ -131,7 +124,21 @@ struct NodeClock {
 /// Timestamp-lease coherence (TARDIS-style).
 #[derive(Debug)]
 pub struct Tardis {
-    entries: Vec<TsEntry>,
+    /// Serialize lease grants against version bumps (see module docs);
+    /// the columns stay atomics so fence predicates read them lock-free.
+    locks: [Mutex<()>; LOCK_STRIPES],
+    /// Per page: write timestamp of the home copy's version.
+    wts: Box<[AtomicU64]>,
+    /// Per page: promise horizon, the max granted read lease. Invariant:
+    /// `wts <= rts` whenever `rts > 0`.
+    rts: Box<[AtomicU64]>,
+    /// Per page: current lease length (adaptive, see module docs; 0 reads
+    /// as the initial lease, `lease_clock::length`).
+    lease: Box<[AtomicU64]>,
+    /// Per page: diagnostic accessor maps for the census and invariant
+    /// checks. Never consulted by a protocol decision — Tardis's whole
+    /// point is that it needs no sharer bitmap.
+    diag: Box<[DirWords]>,
     nodes: Vec<NodeClock>,
     /// Per node, per page: the granted `rts` (valid where `granted` is set).
     lease_rts: NodePageTable,
@@ -145,15 +152,22 @@ pub struct Tardis {
 }
 
 impl Tardis {
+    /// Take `page`'s entry lock.
     #[inline]
-    fn entry(&self, page: PageNum) -> &TsEntry {
-        &self.entries[page.0 as usize]
+    fn lock(&self, page: PageNum) -> MutexGuard<'_, ()> {
+        self.locks[page.0 as usize % LOCK_STRIPES].lock()
+    }
+
+    /// `page`'s diagnostic accessor maps.
+    #[inline]
+    fn diag(&self, page: PageNum) -> DirEntry<'_> {
+        DirEntry(&self.diag[page.0 as usize])
     }
 
     /// Home `wts`/`rts` of `page` (tests and proptests).
     pub fn timestamps(&self, page: PageNum) -> (u64, u64) {
-        let e = self.entry(page);
-        (e.wts.load(Ordering::Acquire), e.rts.load(Ordering::Acquire))
+        let q = page.0 as usize;
+        (self.wts[q].load(Ordering::Acquire), self.rts[q].load(Ordering::Acquire))
     }
 
     /// `node`'s logical clock (tests and proptests).
@@ -175,15 +189,11 @@ impl Coherence for Tardis {
 
     fn new(nodes: usize, total_pages: u64, _config: &CarinaConfig) -> Self {
         Tardis {
-            entries: (0..total_pages)
-                .map(|_| TsEntry {
-                    lock: Mutex::new(()),
-                    wts: AtomicU64::new(0),
-                    rts: AtomicU64::new(0),
-                    lease: AtomicU64::new(lease_clock::LEASE_INIT),
-                    diag: DirEntry::default(),
-                })
-                .collect(),
+            locks: [const { Mutex::new(()) }; LOCK_STRIPES],
+            wts: page_table(total_pages),
+            rts: page_table(total_pages),
+            lease: page_table(total_pages),
+            diag: page_table(total_pages),
             nodes: (0..nodes)
                 .map(|_| NodeClock {
                     pts: AtomicU64::new(0),
@@ -230,23 +240,23 @@ impl Coherence for Tardis {
         page: PageNum,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        let e = self.entry(page);
+        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
-        let _serial = e.lock.lock();
+        let _serial = self.lock(page);
         let renewal = nc.granted.get(page);
-        let wts = e.wts.load(Ordering::Acquire);
+        let wts = self.wts[q].load(Ordering::Acquire);
         nc.pts.fetch_max(wts, Ordering::AcqRel);
         let pts = nc.pts.load(Ordering::Acquire);
         // Adaptive growth: renewing a lease on an unchanged version means
         // the lease expired only because unrelated writers moved the
         // clock — double it so the page rides out more of them.
         let lease = if renewal && self.lease_wts.at(me, page).load(Ordering::Relaxed) == wts {
-            lease_clock::grow(&e.lease)
+            lease_clock::grow(&self.lease[q])
         } else {
-            e.lease.load(Ordering::Relaxed)
+            lease_clock::length(&self.lease[q])
         };
         let grant = pts.saturating_add(lease);
-        let prev = e.rts.fetch_max(grant, Ordering::AcqRel);
+        let prev = self.rts[q].fetch_max(grant, Ordering::AcqRel);
         self.lease_rts.at(me, page).store(prev.max(grant), Ordering::Relaxed);
         self.lease_wts.at(me, page).store(wts, Ordering::Relaxed);
         if renewal {
@@ -254,7 +264,7 @@ impl Coherence for Tardis {
         } else {
             nc.granted.set(page);
         }
-        e.diag.or_readers(node_bit(me));
+        self.diag(page).or_readers(node_bit(me));
         RegisterOutcome::quiet()
     }
 
@@ -265,12 +275,12 @@ impl Coherence for Tardis {
         page: PageNum,
         _shard: &StatShard,
     ) -> RegisterOutcome {
-        let e = self.entry(page);
+        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
-        let _serial = e.lock.lock();
+        let _serial = self.lock(page);
         // Shrink the page's lease: it is write-active, and long promises
         // on it only inflate future bumps.
-        lease_clock::shrink(&e.lease);
+        lease_clock::shrink(&self.lease[q]);
         // No self-lease, in either branch. A lease asserts the *whole*
         // copy is current, and a multi-writer diff protocol cannot prove
         // that for a written page: words another node wrote are exactly as
@@ -293,11 +303,11 @@ impl Coherence for Tardis {
             // The version does not move here — the new bytes exist only in
             // this writer's cache until the downgrade (rule 3). Write at
             // the current clock: `pts = max(pts, wts)`.
-            let wts = e.wts.load(Ordering::Acquire);
+            let wts = self.wts[q].load(Ordering::Acquire);
             nc.pts.fetch_max(wts, Ordering::AcqRel);
         }
         self.wrote_epoch.at(me, page).store(nc.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
-        e.diag.or_writers(node_bit(me));
+        self.diag(page).or_writers(node_bit(me));
         RegisterOutcome::quiet()
     }
 
@@ -349,25 +359,21 @@ impl Coherence for Tardis {
     }
 
     fn note_downgrade(&self, me: u16, page: PageNum) {
-        let e = self.entry(page);
+        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
-        let _serial = e.lock.lock();
+        let _serial = self.lock(page);
         // The drained bytes are home: this is the moment the new version
         // exists. Bump past every granted lease — anyone still holding one
         // leased the old bytes, and the release about to publish our clock
         // will expire them at their next acquire.
-        let v = e
-            .wts
-            .load(Ordering::Acquire)
-            .max(e.rts.load(Ordering::Acquire))
-            + 1;
-        e.wts.store(v, Ordering::Release);
+        let v = self.wts[q].load(Ordering::Acquire).max(self.rts[q].load(Ordering::Acquire)) + 1;
+        self.wts[q].store(v, Ordering::Release);
         // Keep `wts <= rts` (an rts below the version would promise the
         // previous version past its life). No self-lease: see
         // `register_writer` — written copies cannot be proven whole.
-        e.rts.fetch_max(v, Ordering::AcqRel);
+        self.rts[q].fetch_max(v, Ordering::AcqRel);
         nc.pts.fetch_max(v, Ordering::AcqRel);
-        e.diag.or_writers(node_bit(me));
+        self.diag(page).or_writers(node_bit(me));
     }
 
     fn page_mode(&self, _page: PageNum) -> PageMode {
@@ -378,31 +384,28 @@ impl Coherence for Tardis {
         // Diagnostic maps only (home reads take no lease and writers are
         // recorded at bump time); good enough for the census's heat and
         // sharing reports, never used for a protocol decision.
-        self.entry(page).diag.view()
+        self.diag(page).view()
     }
 
     fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String> {
         let mut problems = Vec::new();
         let n = node as usize;
-        let nc = &self.nodes[n];
         for &page in dirty {
-            if self.entry(page).diag.view().writers & node_bit(node) == 0 {
+            if self.diag(page).view().writers & node_bit(node) == 0 {
                 problems.push(format!(
                     "n{n}: dirty page {} without a writer on record",
                     page.0
                 ));
             }
         }
-        for (q, e) in self.entries.iter().enumerate() {
-            let (wts, rts) = (
-                e.wts.load(Ordering::Acquire),
-                e.rts.load(Ordering::Acquire),
-            );
+        for q in 0..self.wts.len() {
+            let (wts, rts) = self.timestamps(PageNum(q as u64));
             if rts < wts {
                 problems.push(format!("page {q}: rts {rts} < wts {wts}"));
             }
-            let lease = self.lease_rts.at(node, PageNum(q as u64)).load(Ordering::Relaxed);
-            if nc.granted.get(PageNum(q as u64)) && lease > rts {
+            // Granted pages only: reading another page's lease cell would
+            // allocate its chunk.
+            if let Some(lease) = self.granted_lease(node, PageNum(q as u64)).filter(|&l| l > rts) {
                 problems.push(format!("n{n}: lease on page {q} beyond home rts ({lease} > {rts})"));
             }
         }
@@ -416,25 +419,22 @@ impl Coherence for Tardis {
         // the flat entry store survives the re-homing, and regressing a
         // clock could revalidate a lease some node still remembers.
         for &page in rehomed {
-            let e = self.entry(page);
-            let _serial = e.lock.lock();
+            let _serial = self.lock(page);
             for (n, nc) in self.nodes.iter().enumerate() {
                 nc.granted.clear(page);
                 for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
                     table.at(n as u16, page).store(0, Ordering::Relaxed);
                 }
             }
-            e.diag.reset();
+            self.diag(page).reset();
         }
     }
 
     fn reset_all(&self) {
-        for e in &self.entries {
-            e.wts.store(0, Ordering::Relaxed);
-            e.rts.store(0, Ordering::Relaxed);
-            e.lease.store(lease_clock::LEASE_INIT, Ordering::Relaxed);
-            e.diag.reset();
-        }
+        mem::clear_nonzero(&self.wts);
+        mem::clear_nonzero(&self.rts);
+        mem::clear_nonzero(&self.lease);
+        mem::clear_nonzero(&self.diag);
         for nc in &self.nodes {
             nc.pts.store(0, Ordering::Relaxed);
             nc.epoch.store(1, Ordering::Relaxed);
@@ -523,7 +523,7 @@ mod tests {
             kept_after_growth,
             "adaptive lease never outlived the hot page's writes"
         );
-        let lease = |page| c.entry(page).lease.load(Ordering::Relaxed);
+        let lease = |page: PageNum| lease_clock::length(&c.lease[page.0 as usize]);
         assert!(lease(cold) > lease(hot));
     }
 
@@ -596,7 +596,11 @@ mod tests {
         assert!(!c.read_registered(0, 1, PageNum(0)));
         assert!(c.invariant_problems(0, &[]).is_empty());
         for table in [&c.lease_rts, &c.lease_wts, &c.wrote_epoch] {
-            assert!(table.cells.iter().all(|a| a.load(Ordering::Relaxed) == 0));
+            assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
         }
+        for column in [&c.wts, &c.rts, &c.lease] {
+            assert!(column.iter().all(|a| a.load(Ordering::Relaxed) == 0));
+        }
+        assert!(c.diag.iter().flatten().all(|a| a.load(Ordering::Relaxed) == 0));
     }
 }

@@ -11,17 +11,25 @@
 //! remotely OR-ing the new bits into *their* directory caches (again plain
 //! RDMA, no handler). The affected node observes the change at its next
 //! synchronization or request: *deferred invalidation* (paper §3.4.1).
+//!
+//! Both are page-indexed tables of [`DirWords`] (`coherence::page_table`,
+//! `coherence::NodePageTable`), zeroed where a run never touched them, so
+//! a 128-node cluster over a large address space is resident only where
+//! it consulted an entry.
 
 use crate::classification::DirView;
-use mem::PageNum;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One directory entry: reader and writer full maps for up to 128 nodes.
-#[derive(Debug, Default)]
-pub(crate) struct DirEntry {
-    readers: [AtomicU64; 2],
-    writers: [AtomicU64; 2],
-}
+/// One directory entry's storage: the reader map's low and high words,
+/// then the writer map's — full maps for up to 128 nodes.
+pub(crate) type DirWords = [AtomicU64; 4];
+
+const READERS: usize = 0;
+const WRITERS: usize = 2;
+
+/// A directory entry: the operations on its four words.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DirEntry<'a>(pub(crate) &'a DirWords);
 
 #[inline]
 fn split(map: u128) -> (u64, u64) {
@@ -33,57 +41,43 @@ fn join(lo: u64, hi: u64) -> u128 {
     lo as u128 | ((hi as u128) << 64)
 }
 
-impl DirEntry {
+impl DirEntry<'_> {
+    fn load_map(self, map: usize) -> u128 {
+        join(self.0[map].load(Ordering::Acquire), self.0[map + 1].load(Ordering::Acquire))
+    }
+
     /// Decode the current maps.
-    pub(crate) fn view(&self) -> DirView {
-        DirView {
-            readers: join(
-                self.readers[0].load(Ordering::Acquire),
-                self.readers[1].load(Ordering::Acquire),
-            ),
-            writers: join(
-                self.writers[0].load(Ordering::Acquire),
-                self.writers[1].load(Ordering::Acquire),
-            ),
-        }
+    pub(crate) fn view(self) -> DirView {
+        DirView { readers: self.load_map(READERS), writers: self.load_map(WRITERS) }
     }
 
     /// OR `bits` into `map`; returns the map from before, exactly (the
     /// fetch-or's own reply, not an earlier load a racer could slip past).
-    fn or_map(map: &[AtomicU64; 2], bits: u128) -> u128 {
+    fn or_map(self, map: usize, bits: u128) -> u128 {
         let (lo, hi) = split(bits);
-        join(map[0].fetch_or(lo, Ordering::SeqCst), map[1].fetch_or(hi, Ordering::SeqCst))
+        join(
+            self.0[map].fetch_or(lo, Ordering::SeqCst),
+            self.0[map + 1].fetch_or(hi, Ordering::SeqCst),
+        )
     }
 
     /// Atomically OR `bits` into the reader map; returns the view before
     /// this update (what the initiating node uses to detect transitions).
     /// The other map is read *after* the fetch-or: of two nodes first
     /// touching a page at once, at least one then sees the other.
-    pub(crate) fn or_readers(&self, bits: u128) -> DirView {
-        let readers = Self::or_map(&self.readers, bits);
-        DirView { readers, writers: Self::or_map(&self.writers, 0) }
+    pub(crate) fn or_readers(self, bits: u128) -> DirView {
+        let readers = self.or_map(READERS, bits);
+        DirView { readers, writers: self.or_map(WRITERS, 0) }
     }
 
     /// Atomically OR `bits` into the writer map; returns the prior view.
-    pub(crate) fn or_writers(&self, bits: u128) -> DirView {
-        let writers = Self::or_map(&self.writers, bits);
-        DirView { readers: Self::or_map(&self.readers, 0), writers }
-    }
-
-    /// Overwrite with a full view. Private: between resets a view only
-    /// grows, and any store of a value derived from an earlier load can
-    /// erase a concurrent `or_*` — so `reset` is the only overwrite.
-    fn store_view(&self, v: DirView) {
-        let (rlo, rhi) = split(v.readers);
-        let (wlo, whi) = split(v.writers);
-        self.readers[0].store(rlo, Ordering::Release);
-        self.readers[1].store(rhi, Ordering::Release);
-        self.writers[0].store(wlo, Ordering::Release);
-        self.writers[1].store(whi, Ordering::Release);
+    pub(crate) fn or_writers(self, bits: u128) -> DirView {
+        let writers = self.or_map(WRITERS, bits);
+        DirView { readers: self.or_map(READERS, 0), writers }
     }
 
     /// OR both maps (remote notification of a transition).
-    pub(crate) fn or_view(&self, v: DirView) {
+    pub(crate) fn or_view(self, v: DirView) {
         if v.readers != 0 {
             self.or_readers(v.readers);
         }
@@ -92,173 +86,14 @@ impl DirEntry {
         }
     }
 
-    /// Reset to empty maps (end-of-initialization reset, paper §3.4).
-    pub(crate) fn reset(&self) {
-        self.store_view(DirView::default());
-    }
-}
-
-/// The home-side directory: one entry per page, living in the page's home
-/// node's memory (like the data pages, the placement is timing metadata in
-/// the simulator; the entries themselves are stored flat).
-#[derive(Debug)]
-pub(crate) struct Pyxis {
-    entries: Vec<DirEntry>,
-}
-
-impl Pyxis {
-    pub(crate) fn new(total_pages: u64) -> Self {
-        Pyxis {
-            entries: (0..total_pages).map(|_| DirEntry::default()).collect(),
-        }
-    }
-
-    /// The home entry for `page`.
-    #[inline]
-    pub(crate) fn entry(&self, page: PageNum) -> &DirEntry {
-        &self.entries[page.0 as usize]
-    }
-
-    /// How many pages the directory covers.
-    #[inline]
-    pub(crate) fn total_pages(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
-    /// Reset every entry — the paper's "initialization writes do not count"
-    /// rule: reader/writer maps are nulled when the parallel section starts.
-    pub(crate) fn reset_all(&self) {
-        for e in &self.entries {
-            e.reset();
-        }
-    }
-}
-
-/// Per-node directory caches: `caches[node]` holds that node's local copy of
-/// every directory entry it has consulted, indexed by global page number.
-///
-/// Other nodes write into these remotely on classification transitions; the
-/// owner reads them locally at fences. That asymmetry is the whole point:
-/// the *causing* node pays, the affected node stays passive.
-///
-/// Every protocol operation consults a directory cache, so the lookup is a
-/// hot path: a flat page-indexed table of entries, grown lazily in
-/// fixed-size chunks that are published with a compare-and-swap. Lookups
-/// are two dependent loads and return a plain `&DirEntry` — no locks, no
-/// reference-count traffic. Laziness matters at scale: a 128-node cluster
-/// over a large address space would otherwise need gigabytes of
-/// always-resident metadata for pages most nodes never touch.
-#[derive(Debug)]
-pub(crate) struct DirCaches {
-    caches: Vec<NodeDirCache>,
-}
-
-/// Entries per lazily-allocated chunk (32 KiB of `DirEntry`s).
-const DIR_CHUNK: usize = 1024;
-
-type DirChunk = [DirEntry; DIR_CHUNK];
-
-fn new_chunk() -> Box<DirChunk> {
-    let entries: Box<[DirEntry]> = (0..DIR_CHUNK).map(|_| DirEntry::default()).collect();
-    // Infallible: the slice has exactly DIR_CHUNK elements.
-    entries.try_into().unwrap()
-}
-
-#[derive(Debug)]
-struct NodeDirCache {
-    chunks: Box<[AtomicPtr<DirChunk>]>,
-}
-
-impl NodeDirCache {
-    fn new(total_pages: u64) -> Self {
-        let n = (total_pages as usize).div_ceil(DIR_CHUNK);
-        NodeDirCache {
-            chunks: (0..n).map(|_| AtomicPtr::new(std::ptr::null_mut())).collect(),
-        }
-    }
-
-    #[inline]
-    fn entry(&self, page: PageNum) -> &DirEntry {
-        let (c, o) = (page.0 as usize / DIR_CHUNK, page.0 as usize % DIR_CHUNK);
-        let ptr = self.chunks[c].load(Ordering::Acquire);
-        let chunk = if ptr.is_null() {
-            self.alloc_chunk(c)
-        } else {
-            // Safety: non-null chunk pointers are only installed by
-            // `alloc_chunk` below and stay valid until `Drop`.
-            unsafe { &*ptr }
-        };
-        &chunk[o]
-    }
-
-    #[cold]
-    fn alloc_chunk(&self, c: usize) -> &DirChunk {
-        let fresh = Box::into_raw(new_chunk());
-        match self.chunks[c].compare_exchange(
-            std::ptr::null_mut(),
-            fresh,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            // Safety: we just installed `fresh`; it is never removed or
-            // freed before `Drop`.
-            Ok(_) => unsafe { &*fresh },
-            Err(existing) => {
-                // Lost the race: free ours, use the winner's.
-                // Safety: `fresh` came from Box::into_raw above and was
-                // never shared; `existing` is a published chunk.
-                unsafe {
-                    drop(Box::from_raw(fresh));
-                    &*existing
-                }
-            }
-        }
-    }
-
-    fn reset(&self) {
-        for chunk in self.chunks.iter() {
-            let ptr = chunk.load(Ordering::Acquire);
-            if !ptr.is_null() {
-                // Safety: published chunks stay valid until `Drop`.
-                for e in unsafe { &*ptr }.iter() {
-                    e.reset();
-                }
-            }
-        }
-    }
-}
-
-impl Drop for NodeDirCache {
-    fn drop(&mut self) {
-        for chunk in self.chunks.iter_mut() {
-            let ptr = *chunk.get_mut();
-            if !ptr.is_null() {
-                // Safety: exclusively owned at drop time; installed via
-                // Box::into_raw.
-                unsafe { drop(Box::from_raw(ptr)) };
-            }
-        }
-    }
-}
-
-impl DirCaches {
-    pub(crate) fn new(nodes: usize, total_pages: u64) -> Self {
-        DirCaches {
-            caches: (0..nodes).map(|_| NodeDirCache::new(total_pages)).collect(),
-        }
-    }
-
-    /// `node`'s cached copy of the entry for `page` (created empty on first
-    /// touch).
-    #[inline]
-    pub(crate) fn entry(&self, node: u16, page: PageNum) -> &DirEntry {
-        self.caches[node as usize].entry(page)
-    }
-
-    pub(crate) fn reset_all(&self) {
-        for node in &self.caches {
-            node.reset();
-        }
+    /// Reset to empty maps (end-of-initialization reset, paper §3.4). The
+    /// only overwrite: between resets a view only grows, and any store of
+    /// a value derived from an earlier load can erase a concurrent `or_*`.
+    /// The stores are relaxed: resets run at quiescent points or, for a
+    /// re-homed page, before the membership epoch's `AcqRel` bump, which
+    /// an access that sees the new epoch acquires.
+    pub(crate) fn reset(self) {
+        mem::clear_nonzero(self.0);
     }
 }
 
@@ -269,7 +104,8 @@ mod tests {
 
     #[test]
     fn or_returns_prior_view() {
-        let e = DirEntry::default();
+        let words = DirWords::default();
+        let e = DirEntry(&words);
         let before = e.or_readers(node_bit(3));
         assert_eq!(before.readers, 0);
         let before = e.or_readers(node_bit(70));
@@ -279,46 +115,20 @@ mod tests {
 
     #[test]
     fn high_node_ids_use_second_word() {
-        let e = DirEntry::default();
-        e.or_writers(node_bit(127));
-        assert_eq!(e.view().writers, 1u128 << 127);
+        let words = DirWords::default();
+        DirEntry(&words).or_writers(node_bit(127));
+        assert_eq!(DirEntry(&words).view().writers, 1u128 << 127);
+        assert_eq!(words[WRITERS + 1].load(Ordering::Relaxed), 1 << 63);
     }
 
     #[test]
-    fn store_view_overwrites() {
-        let e = DirEntry::default();
-        e.or_readers(node_bit(1));
-        e.store_view(DirView {
-            readers: node_bit(5),
-            writers: node_bit(6),
-        });
-        let v = e.view();
-        assert_eq!(v.readers, node_bit(5));
-        assert_eq!(v.writers, node_bit(6));
+    fn reset_empties_both_maps() {
+        let words = DirWords::default();
+        let e = DirEntry(&words);
+        e.or_view(DirView { readers: node_bit(5), writers: node_bit(100) });
+        assert_eq!(e.view(), DirView { readers: node_bit(5), writers: node_bit(100) });
         e.reset();
         assert_eq!(e.view(), DirView::default());
-    }
-
-    #[test]
-    fn pyxis_shards_like_data_pages() {
-        let p = Pyxis::new(32);
-        // Pages 1 and 5 both live on home node 1; distinct entries.
-        p.entry(PageNum(1)).or_readers(node_bit(0));
-        assert_eq!(p.entry(PageNum(5)).view().readers, 0);
-        assert_eq!(p.entry(PageNum(1)).view().readers, node_bit(0));
-        p.reset_all();
-        assert_eq!(p.entry(PageNum(1)).view().readers, 0);
-    }
-
-    #[test]
-    fn dir_caches_are_per_node() {
-        let d = DirCaches::new(2, 16);
-        d.entry(0, PageNum(3)).or_view(DirView {
-            readers: node_bit(1),
-            writers: 0,
-        });
-        assert_eq!(d.entry(0, PageNum(3)).view().readers, node_bit(1));
-        assert_eq!(d.entry(1, PageNum(3)).view().readers, 0);
     }
 
     /// Two nodes first-touch one page at the same moment, one reading,
@@ -329,7 +139,7 @@ mod tests {
     fn concurrent_first_touches_are_never_both_blind() {
         use std::sync::{Arc, Barrier};
         const ROUNDS: usize = 20_000;
-        let entries: Arc<Vec<DirEntry>> = Arc::new((0..ROUNDS).map(|_| DirEntry::default()).collect());
+        let entries: Arc<[DirWords]> = mem::zeroed_slice(ROUNDS).into();
         let start = Arc::new(Barrier::new(2));
         let writer = {
             let (entries, start) = (entries.clone(), start.clone());
@@ -338,7 +148,7 @@ mod tests {
                     .iter()
                     .map(|e| {
                         start.wait();
-                        e.or_writers(node_bit(5)).readers
+                        DirEntry(e).or_writers(node_bit(5)).readers
                     })
                     .collect::<Vec<_>>()
             })
@@ -347,7 +157,7 @@ mod tests {
             .iter()
             .map(|e| {
                 start.wait();
-                e.or_readers(node_bit(2)).writers
+                DirEntry(e).or_readers(node_bit(2)).writers
             })
             .collect();
         let writer_saw = writer.join().unwrap();
@@ -359,18 +169,18 @@ mod tests {
     #[test]
     fn concurrent_or_preserves_all_bits() {
         use std::sync::Arc;
-        let e = Arc::new(DirEntry::default());
+        let words = Arc::new(DirWords::default());
         let handles: Vec<_> = (0..16u16)
             .map(|n| {
-                let e = e.clone();
+                let words = words.clone();
                 std::thread::spawn(move || {
-                    e.or_readers(node_bit(n));
+                    DirEntry(&words).or_readers(node_bit(n));
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(e.view().readers.count_ones(), 16);
+        assert_eq!(DirEntry(&words).view().readers.count_ones(), 16);
     }
 }

@@ -11,8 +11,9 @@
 //!   decision logic for what self-invalidates and self-downgrades.
 //! - `coherence` — the [`Coherence`] policies: [`CarinaSiSd`], [`Tardis`],
 //!   [`Pyxis`].
-//! - `directory` — Pyxis home entries (reader/writer full maps) and the
-//!   per-node directory caches that transitions are remotely reflected into.
+//! - `directory` — a Pyxis directory entry: reader/writer full maps in four
+//!   words, the cell type of the home directory and of the per-node
+//!   directory caches that transitions are remotely reflected into.
 //! - `write_buffer` — the FIFO that drains dirty pages between syncs.
 //! - [`config`] / `stats` — tunables and the one counter table.
 //! - `protocol` — [`Dsm`], the engine: typed access path, miss handling,
@@ -22,6 +23,8 @@
 //! synchronization point issues the appropriate fences — SI on acquire, SD
 //! on release (both for a full fence). The `argo` crate's synchronization
 //! primitives do this implicitly.
+
+#![forbid(unsafe_code)]
 
 mod census;
 pub mod classification;

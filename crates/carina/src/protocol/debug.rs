@@ -4,7 +4,6 @@
 
 use super::*;
 use crate::classification::DirView;
-use crate::coherence::PageMode;
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Check the protocol's internal invariants; returns a list of

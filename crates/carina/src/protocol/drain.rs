@@ -86,11 +86,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// overflow, eviction) funnel through here: [`Self::write_back`], the
     /// one keep-or-protect decision, and, if there were stores, retiring
     /// any speculative snapshot of the old version and the policy's clock
-    /// advance. A `fence` drain keeps a write-hot page writable where the
-    /// policy allows, re-arming its mask for the price of the paper's
-    /// eager re-twin; anything else — another path, a cold page,
-    /// one idle for [`Self::idle_scan_bound`] fences (demoted: history
-    /// cleared) — is re-protected and faults on its next write. A kept
+    /// advance. A `fence` drain keeps a write-hot page writable if it is
+    /// buffered in classification mode, re-arming its mask for the price of
+    /// the paper's eager re-twin (a leased page's written copy dies at the
+    /// writer's next acquire, so keeping it buys nothing); anything else —
+    /// another path, a cold page, one idle for [`Self::idle_scan_bound`]
+    /// fences (demoted: history cleared) — is re-protected and faults on its next write. A kept
     /// page re-enters the write buffer before the slot lock is released
     /// (a sibling's store must find it buffered). Returns the wire bytes
     /// owed to the home, if any, and the overflow victim that re-entry
@@ -112,7 +113,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let keep = fence
             && cp.write_faults >= 2
             && u64::from(idle) < self.idle_scan_bound()
-            && self.coherence.keeps_write_hot(me, page);
+            && self.coherence.page_mode(page) == PageMode::Classify
+            && self.coherence.write_buffered(me, page);
         let mut victim = None;
         if keep {
             cp.rearm(idle);

@@ -168,7 +168,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let mut mirrored = if self.config.volans_shadow { drained.clone() } else { Vec::new() };
         mirrored.retain(|&page| self.has_stores(me, page));
         self.drain_posted(t, &drained, me)?;
-        if self.coherence.needs_checkpoint_sweep() {
+        if !self.coherence.buffers_every_dirty_page() {
             self.naive_checkpoint_sweep(t, me)?;
         }
         if !mirrored.is_empty() {
@@ -195,10 +195,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// The naïve P/S scheme's sync-point obligation (§3.4.2): checkpoint
-    /// every modified private page so a later P→S transition can be
-    /// serviced. The page stays dirty and private; the checkpoint cost is
-    /// paid at *every* synchronization point — which is why Figure 8 shows
-    /// naïve P/S performing no better than no classification at all.
+    /// every modified private page — the dirty pages the write buffer
+    /// exempts — so a later P→S transition can be serviced. The page stays
+    /// dirty and private; the checkpoint cost is paid at *every*
+    /// synchronization point — which is why Figure 8 shows naïve P/S
+    /// performing no better than no classification at all.
     fn naive_checkpoint_sweep(&self, t: &mut T::Endpoint, me: u16) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
         // O(dirty): clean and empty slots owe the sweep nothing.
@@ -207,7 +208,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             if !st.pages[idx].dirty || st.pages[idx].kept_idle.is_some() {
                 return Ok(());
             }
-            if self.coherence.private_in_cache(me, page) {
+            if !self.coherence.write_buffered(me, page) {
                 // Local checkpoint copy; the simulator also quietly deposits
                 // the data at home so a later P→S reader finds it (the
                 // newcomer is charged the checkpoint-service round trip at
@@ -219,7 +220,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 self.write_home(st, page, idx);
                 Ok(())
             } else {
-                // Became shared since the write fault: downgrade now.
+                // Became shared since the write fault, so the policy would
+                // buffer it now: downgrade it instead.
                 self.downgrade_locked(t, st, page, me)
             }
         })

@@ -51,7 +51,7 @@ mod volans;
 
 // The children share this module's imports (`use super::*`), as they share
 // its private fields: one engine, cut into files.
-use crate::coherence::{CarinaSiSd, Coherence};
+use crate::coherence::{CarinaSiSd, Coherence, PageMode};
 use crate::config::{CarinaConfig, HOME_POLICY};
 use crate::error::DsmError;
 use crate::stats::CoherenceStats;

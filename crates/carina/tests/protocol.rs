@@ -332,19 +332,36 @@ fn eviction_flushes_dirty_conflicting_line() {
     assert_eq!(dsm.read_u64(&mut ts[1], a), 11);
 }
 
-#[test]
-fn naive_ps_checkpoints_private_pages_every_sync() {
-    let (dsm, mut ts) = cluster(2, CarinaConfig::with_mode(ClassificationMode::PsNaive));
+/// The naïve P/S sweep (§3.4.2) checkpoints exactly the dirty pages the
+/// policy does not buffer. Node 0 writes a page homed on node 1 and fences
+/// twice. Left private, the page is checkpointed at *each* fence and never
+/// written back; if node 1 reads it between node 0's write fault and its
+/// first fence (`turned_shared`), the policy would now buffer it, and the
+/// sweep downgrades it instead, once.
+fn naive_ps_checkpoints_private_pages<C: Coherence>(turned_shared: bool) {
+    let (dsm, mut ts) =
+        policy_cluster::<C>(2, CarinaConfig::with_mode(ClassificationMode::PsNaive));
     let a = addr_homed_at(2, 1, 0);
     dsm.write_u64(&mut ts[0], a, 3);
+    if turned_shared {
+        dsm.read_u64(&mut ts[1], a);
+    }
     dsm.sd_fence(&mut ts[0]);
     dsm.sd_fence(&mut ts[0]);
     let s = dsm.stats().snapshot();
-    // Private page: no writebacks, but a checkpoint at *each* fence.
-    assert_eq!(s.writebacks, 0);
-    assert_eq!(s.checkpoints, 2);
-    // Data still reaches a late joiner correctly.
+    let expect = if turned_shared { (1, 0) } else { (0, 2) };
+    assert_eq!((s.writebacks, s.checkpoints), expect, "{} (writebacks, checkpoints)", C::NAME);
+    // Data still reaches a late reader correctly.
     assert_eq!(dsm.read_u64(&mut ts[1], a), 3);
+    assert!(dsm.check_invariants().is_empty());
+}
+
+#[test]
+fn naive_ps_checkpoints_private_pages_every_sync() {
+    for turned_shared in [false, true] {
+        naive_ps_checkpoints_private_pages::<CarinaSiSd>(turned_shared);
+        naive_ps_checkpoints_private_pages::<Pyxis>(turned_shared);
+    }
 }
 
 #[test]

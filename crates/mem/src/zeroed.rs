@@ -22,7 +22,8 @@ pub(crate) mod sealed {
 }
 
 /// A type whose all-zero bytes are a valid value: `AtomicU64`,
-/// `AtomicI64` and [`crate::PageData`], and sealed to those.
+/// `AtomicI64`, [`crate::PageData`] and arrays of these, and sealed to
+/// those.
 ///
 /// # Safety
 /// All-zero bytes must be a valid `Self`.
@@ -46,6 +47,15 @@ zeroed_atomics!(AtomicU64, AtomicI64);
 
 // SAFETY: `PageData` is `#[repr(transparent)]` over `[AtomicU64; _]`.
 unsafe impl Zeroed for crate::PageData {}
+
+impl<A: Zeroed, const N: usize> sealed::Sealed for [A; N] {
+    #[inline]
+    fn clear(&self) {
+        clear_nonzero(self);
+    }
+}
+// SAFETY: an array is its elements, and all-zero bytes are each of them.
+unsafe impl<A: Zeroed, const N: usize> Zeroed for [A; N] {}
 
 /// `n` zeroed `T`s in one allocation that the OS backs lazily.
 ///
@@ -84,6 +94,8 @@ mod tests {
         assert!(pages
             .iter()
             .all(|p| (0..crate::WORDS_PER_PAGE).all(|w| p.load(w) == 0)));
+        let quads = zeroed_slice::<[AtomicU64; 4]>(1000);
+        assert!(quads.iter().flatten().all(|w| w.load(Ordering::Relaxed) == 0));
     }
 
     #[test]
@@ -110,5 +122,10 @@ mod tests {
         pages[1].store(511, 7);
         clear_nonzero(&pages);
         assert_eq!(pages[1].load(511), 0);
+        let quads = zeroed_slice::<[AtomicU64; 4]>(8);
+        quads[7][3].store(u64::MAX, Ordering::Relaxed);
+        quads[0][0].store(1, Ordering::Relaxed);
+        clear_nonzero(&quads);
+        assert!(quads.iter().flatten().all(|w| w.load(Ordering::Relaxed) == 0));
     }
 }

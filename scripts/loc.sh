@@ -10,7 +10,7 @@ cd "${1:-$(dirname "$0")/..}"
 # Non-test line ceilings. A change that shrinks one of these crates lowers
 # its ceiling to the new count; one that must grow one offsets what it can
 # and moves the ceiling by the net only.
-declare -A ceiling=([carina]=5315 [mem]=1204)
+declare -A ceiling=([carina]=5174 [mem]=1214)
 declare -A code_of
 printf '%-10s %7s %9s\n' crate total non-test
 sum_total=0
