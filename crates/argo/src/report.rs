@@ -67,16 +67,6 @@ impl<R> RunReport<R> {
             n.rdma_atomics,
             n.handler_invocations
         );
-        if c.prefetch_issued > 0 {
-            let _ = writeln!(
-                s,
-                "prefetch     : {} pages issued, {} hit, {} wasted ({:.0}% accurate)",
-                c.prefetch_issued,
-                c.prefetch_hits,
-                c.prefetch_wasted,
-                100.0 * c.prefetch_accuracy()
-            );
-        }
         if c.refills > 0 || c.refill_unused > 0 {
             let _ = writeln!(
                 s,

@@ -29,12 +29,9 @@ pub(crate) const CHECKPOINT_CYCLES: u64 = 4200;
 pub(crate) const FENCE_SCAN_CYCLES: u64 = 6;
 /// Cycles to flip protection on one page (the mprotect analogue).
 pub const PROTECT_CYCLES: u64 = 150;
-/// Consecutive same-stride line misses a core takes before the read-miss
-/// prefetcher issues a speculative line fetch.
-pub(crate) const PREFETCH_STREAK: u32 = 2;
 
 /// All tunables of the coherence layer. Defaults match the paper's shipped
-/// configuration (P/S3, passive directory, prefetching off unless asked).
+/// configuration (P/S3, passive directory, one-page cache lines).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarinaConfig {
     /// Classification scheme (the Figure 8 sweep).
@@ -44,12 +41,6 @@ pub struct CarinaConfig {
     /// Write-buffer capacity in pages (the Figure 9/10 sweep). When the
     /// buffer exceeds this, the oldest dirty page is downgraded.
     pub write_buffer_pages: usize,
-    /// Read-miss stride prefetcher: capacity of the per-node prefetch ring
-    /// in *lines*. `0` (the default) disables prefetching entirely.
-    /// Prefetched lines live in a side ring — never in the page cache —
-    /// until a demand miss consumes them, so coherence invariants are
-    /// untouched; SI fences and parallel-section resets flush the ring.
-    pub prefetch_lines: usize,
     /// Ablation: charge a software message-handler invocation at the home
     /// node for every directory operation and notification, as a
     /// traditional *active* directory would. Argo's contribution is that
@@ -101,7 +92,6 @@ impl Default for CarinaConfig {
             mode: ClassificationMode::Ps3,
             cache: CacheConfig::default(),
             write_buffer_pages: 8192,
-            prefetch_lines: 0,
             active_directory: false,
             pyxis_switch_threshold: 3,
             pyxis_score_cap: 8,

@@ -84,9 +84,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// The local half of a node's own downgrade — all drain paths (fence,
     /// overflow, eviction) funnel through here: [`Self::write_back`], the
-    /// one keep-or-protect decision, and, if there were stores, retiring
-    /// any speculative snapshot of the old version and the policy's clock
-    /// advance. A `fence` drain keeps a write-hot page writable if it is
+    /// one keep-or-protect decision, and, if there were stores, the
+    /// policy's clock advance. A `fence` drain keeps a write-hot page writable if it is
     /// buffered in classification mode, re-arming its mask for the price of
     /// the paper's eager re-twin (a leased page's written copy dies at the
     /// writer's next acquire, so keeping it buys nothing); anything else —
@@ -131,7 +130,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             t.compute(PROTECT_CYCLES);
         }
         if bytes.is_some() {
-            self.retire_prefetched(me, page);
             self.coherence.note_downgrade(me, page);
             if began_writable {
                 // No write fault opened this epoch: its drain raises the

@@ -79,14 +79,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// never): only then is there a remote critical section to observe,
     /// and the full SI fence runs. A lock that stayed on this node orders
     /// only writes the node made itself — still in its page cache, or
-    /// written home where the next miss reads them — so the sweep is
-    /// skipped; the acquire still drops speculation, exactly as the SI
-    /// fence would have.
+    /// written home where the next miss reads them — so nothing runs.
     pub fn acquire_fence(&self, t: &mut T::Endpoint, handover: bool) {
         if handover {
             self.si_fence(t);
-        } else {
-            self.flush_prefetch(t.node().0);
         }
     }
 
@@ -94,9 +90,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     fn si_sweep(&self, t: &mut T::Endpoint, me: u16) -> Result<(), DsmError> {
         let shard = self.stats.shard(me);
         CoherenceStats::bump(&shard.si_fences);
-        // An acquire invalidates speculation too: ring snapshots predate
-        // the synchronization this fence establishes.
-        self.flush_prefetch(me);
         // Acquire-side policy hook (Tardis merges the global clock here).
         self.coherence.begin_si_fence(me, shard);
         let ns = &self.nodes[me as usize];
@@ -232,8 +225,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// plane only — initialization is excluded from measurements), then
     /// nulls every reader/writer map, directory cache, and statistic.
     pub fn reset_for_parallel_section(&self) {
-        for (n, ns) in self.nodes.iter().enumerate() {
-            self.flush_prefetch(n as u16);
+        for ns in &self.nodes {
             let Ok(()) = ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
                 if st.pages[idx].dirty {
                     self.write_home(st, page, idx);
@@ -269,7 +261,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub(crate) fn try_decay_classification(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let me = t.node().0;
         for (n, ns) in self.nodes.iter().enumerate() {
-            self.flush_prefetch(n as u16);
             ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
                 t.compute(FENCE_SCAN_CYCLES);
                 // Write back on behalf of the owning node: the posting leaves

@@ -93,9 +93,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 push_grouped(&mut group, home, idx);
             }
         }
-        // A line the stride predictor fetched ahead of time satisfies its
-        // pages from the ring; only uncovered pages go to the wire.
-        let prefetched = self.take_prefetched(me, line);
         // Issue phase: every group's registrations are posted back-to-back
         // (pipelined one-sided atomics: latencies overlap, only wire
         // occupancy serializes) and its data read is posted right behind
@@ -105,67 +102,48 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // in-flight transfers to distinct homes overlap on the fabric
         // instead of queuing behind one another on this thread.
         let obs_issue = t.obs_now();
-        let mut inflight: Vec<(u64, Option<VerbToken>)> = Vec::with_capacity(group.len());
-        for (home, idxs) in &mut group {
+        let mut inflight: Vec<(u64, VerbToken)> = Vec::with_capacity(group.len());
+        for (home, idxs) in &group {
             self.check_alive(me, *home, VerbClass::PageFetch, span)?;
             let mut reg_done = start;
-            for &idx in idxs.iter() {
+            for &idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 if let Some(completed) = self.register_reader_remote(t, p, me, *home, start)? {
                     reg_done = reg_done.max(completed);
                 }
             }
-            // Registration covered the whole group; pages the prefetcher
-            // already has in the ring need no data read of their own.
-            if let Some(pf) = &prefetched {
-                idxs.retain(|&idx| {
-                    let p = PageNum(base.0 + idx as u64);
-                    !pf.pages.iter().any(|(q, _)| *q == p)
-                });
-            }
-            let token = if idxs.is_empty() {
-                None
-            } else {
-                let bytes = idxs.len() as u64 * PAGE_BYTES;
-                // Registration outcomes (notifies, a checkpoint fetch) may
-                // have advanced the clock past `start`: never post behind it.
-                Some(t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now())))
-            };
+            let bytes = idxs.len() as u64 * PAGE_BYTES;
+            // Registration outcomes (notifies, a checkpoint fetch) may have
+            // advanced the clock past `start`: never post behind it.
+            let token = t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now()));
             inflight.push((reg_done, token));
         }
         // Poll phase: completions fold in as a single max, so the line fill
         // costs one slowest-home round trip rather than the sum.
-        let overlapped = inflight.iter().filter(|(_, tok)| tok.is_some()).count() > 1;
+        let overlapped = inflight.len() > 1;
         for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
-            if let Some(token) = token {
-                let bytes = idxs.len() as u64 * PAGE_BYTES;
-                let salt = base.0.wrapping_add((home as u64) << 48);
-                let timing = self.poll_retried(
-                    t,
-                    home,
-                    token,
-                    (VerbClass::PageFetch, salt),
-                    span,
-                    obs_issue,
-                    bytes,
-                    |t, delay| {
-                        let at = (start + delay).max(t.now());
-                        t.issue(NodeId(home), &Verb::Read { bytes }, at)
-                    },
-                )?;
-                done = done.max(timing.initiator_done);
-            }
-            // The fill is ready once both the data and the registrations
-            // are (an entirely prefetched group waits for the latter only).
-            done = done.max(reg_done);
+            let bytes = idxs.len() as u64 * PAGE_BYTES;
+            let salt = base.0.wrapping_add((home as u64) << 48);
+            let timing = self.poll_retried(
+                t,
+                home,
+                token,
+                (VerbClass::PageFetch, salt),
+                span,
+                obs_issue,
+                bytes,
+                |t, delay| {
+                    let at = (start + delay).max(t.now());
+                    t.issue(NodeId(home), &Verb::Read { bytes }, at)
+                },
+            )?;
+            // The fill is ready once both the data and the registrations are.
+            done = done.max(timing.initiator_done).max(reg_done);
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 st.data(idx).copy_from(self.global.home_page(p));
                 st.pages[idx].fill();
             }
-        }
-        if let Some(pf) = prefetched {
-            done = self.consume_prefetched(st, pf, done, me);
         }
         t.merge(done);
         st.ready_at = t.now();
@@ -179,7 +157,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if refill_due {
             self.refill(t, page, me)?;
         }
-        self.maybe_prefetch(t, line, me);
         Ok(())
     }
 
@@ -189,8 +166,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Each page gets the registration its demand fill would issue, with
     /// the page read posted right behind, all at the same instant. The
     /// thread pays the re-map of each installed page, never a completion:
-    /// a page is ready at its own. Like a prefetch, a failed verb drops its
-    /// page — no retry, no error.
+    /// a page is ready at its own. A failed verb drops its page — no retry,
+    /// no error; the page's next access misses on demand.
     fn refill(&self, t: &mut T::Endpoint, demanded: PageNum, me: u16) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
         let recorded = {

@@ -25,9 +25,10 @@
 //!   writes to settle, then give the policy its release hook.
 //!
 //! The split is mechanism vs decision: the engine owns transport verbs,
-//! retry/fault plumbing, issue/poll overlap, prefetching, and the write
-//! buffer; the policy owns every *what-to-do* question. Both axes dispatch
-//! statically: `Dsm<T, C>` defaults to `SimTransport` + `CarinaSiSd`.
+//! retry/fault plumbing, issue/poll overlap, line fills and the refill, and
+//! the write buffer; the policy owns every *what-to-do* question. Both axes
+//! dispatch statically: `Dsm<T, C>` defaults to `SimTransport` +
+//! `CarinaSiSd`.
 //!
 //! Pages whose home is the accessing node are read and written directly in
 //! home memory (they are local); they still register with the policy so
@@ -44,7 +45,6 @@ mod debug;
 mod drain;
 mod fence;
 mod miss;
-mod prefetch;
 mod register;
 mod verbs;
 mod volans;
@@ -59,7 +59,6 @@ use crate::write_buffer::WriteBuffer;
 use mem::{
     GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, Reuse, SlotGuard, PAGE_BYTES,
 };
-use prefetch::Prefetcher;
 use rma::{
     rendezvous_home, Completion, Endpoint, Membership, SimTransport, Transport, Verb, VerbClass,
     VerbToken,
@@ -70,7 +69,7 @@ use std::sync::{Arc, Mutex};
 
 /// Append `item` to `home`'s group, opening the group at the end on first
 /// sight: homes stay in first-seen order, which is the wire order of every
-/// home-grouped posting (line fills, prefetches, mirrors).
+/// home-grouped posting (line fills, mirrors).
 fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
     match groups.iter_mut().find(|(h, _)| *h == home) {
         Some((_, items)) => items.push(item),
@@ -88,9 +87,6 @@ struct NodeState {
     draining: Mutex<()>,
     /// Max settle time of writes this node has posted but not yet fenced.
     pending_settle: AtomicU64,
-    /// Stride-prefetch state (inert unless `CarinaConfig::prefetch_lines`
-    /// is nonzero).
-    prefetch: Mutex<Prefetcher>,
     /// The consumer pages SI fences dropped since the node's last demand
     /// miss, until a refill takes them (`miss.rs`).
     refill: Mutex<Vec<PageNum>>,
@@ -218,7 +214,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     wbuf: WriteBuffer::new(config.write_buffer_pages),
                     draining: Mutex::new(()),
                     pending_settle: AtomicU64::new(0),
-                    prefetch: Mutex::new(Prefetcher::default()),
                     refill: Mutex::new(Vec::new()),
                     missed: AtomicBool::new(false),
                 })

@@ -96,13 +96,6 @@ counters! {
     verb_retries,
     /// Retry budgets exhausted — each one surfaced a `DsmError`.
     verb_exhaustions,
-    /// Pages fetched speculatively by the stride prefetcher.
-    prefetch_issued,
-    /// Prefetched pages a demand miss later consumed.
-    prefetch_hits,
-    /// Prefetched pages dropped unconsumed (ring overflow, fence flush, or
-    /// a failed speculative verb).
-    prefetch_wasted,
     /// Leases re-granted on a page the node already held (Tardis only).
     lease_renewals,
     /// Cached pages an SI fence dropped because their lease expired
@@ -205,10 +198,9 @@ fn ratio(part: u64, whole: u64) -> f64 {
 impl CoherenceSnapshot {
     /// The derived ratios with their names, for the same loops that walk
     /// [`Self::fields`].
-    pub fn ratios(&self) -> [(&'static str, f64); 5] {
+    pub fn ratios(&self) -> [(&'static str, f64); 4] {
         [
             ("si_keep_ratio", self.si_keep_ratio()),
-            ("prefetch_accuracy", self.prefetch_accuracy()),
             ("lease_keep_ratio", self.lease_keep_ratio()),
             ("lease_mode_occupancy", self.lease_mode_occupancy()),
             ("diff_efficiency", self.diff_efficiency()),
@@ -219,13 +211,6 @@ impl CoherenceSnapshot {
     /// page — the benefit classification buys (higher is better).
     pub(crate) fn si_keep_ratio(&self) -> f64 {
         ratio(self.si_kept, self.si_invalidated + self.si_kept)
-    }
-
-    /// Fraction of speculatively fetched pages a demand miss later
-    /// consumed (the stride predictor's accuracy; 0.0 when prefetching is
-    /// off or nothing resolved yet).
-    pub fn prefetch_accuracy(&self) -> f64 {
-        ratio(self.prefetch_hits, self.prefetch_hits + self.prefetch_wasted)
     }
 
     /// Fraction of lease-held pages an SI fence kept because their lease

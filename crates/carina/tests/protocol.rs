@@ -718,143 +718,35 @@ fn invariants_hold_through_a_protocol_workout() {
     assert!(v.is_empty(), "after decay: {v:?}");
 }
 
+/// The engine half of the handover rule: a same-node acquire moves no
+/// clock, counter or verb and keeps the cache; a handover acquire is
+/// exactly one SI fence.
 #[test]
-fn stride_prefetcher_hides_miss_latency() {
-    // Node 0 streams all pages; interleaved homing makes every odd page a
-    // remote miss with a constant line stride of 2, which the predictor
-    // locks onto after `PREFETCH_STREAK` repeats. The prefetched copies
-    // must be consumed (hits), produce identical values, and make the run
-    // cheaper in virtual time than the same stream without speculation.
-    let run = |prefetch_lines: usize| {
-        let (dsm, mut ts) = cluster(
-            2,
-            CarinaConfig {
-                cache: CacheConfig::new(1024, 1),
-                prefetch_lines,
-                ..CarinaConfig::default()
-            },
-        );
-        for p in 0..200u64 {
-            dsm.poke_u64(GlobalAddr(p * PAGE_BYTES), p + 1);
+fn same_node_acquire_is_free_and_a_handover_is_one_si_fence() {
+    let warm = || {
+        let cfg = CarinaConfig { cache: CacheConfig::new(1024, 1), ..CarinaConfig::default() };
+        let (dsm, mut ts) = cluster(2, cfg);
+        for p in [1u64, 3, 5, 7] {
+            dsm.read_u64(&mut ts[0], GlobalAddr(p * PAGE_BYTES));
         }
-        let t = &mut ts[0];
-        let mut sum = 0u64;
-        for p in 1..200u64 {
-            sum += dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
-        }
-        let v = dsm.check_invariants();
-        assert!(v.is_empty(), "prefetch broke invariants: {v:?}");
-        (sum, t.now(), dsm.stats().snapshot())
+        (dsm, ts)
     };
-    let (sum_off, clock_off, s_off) = run(0);
-    let (sum_on, clock_on, s_on) = run(8);
-    assert_eq!(sum_off, sum_on, "speculation must not change values");
-    assert_eq!(s_off.prefetch_issued, 0);
-    assert!(s_on.prefetch_issued > 0);
-    assert!(s_on.prefetch_hits > 50, "stride stream must hit the ring: {s_on:?}");
-    assert!(
-        clock_on < clock_off,
-        "prefetch hits must hide fetch latency: {clock_on} !< {clock_off}"
-    );
-}
+    let observe = |dsm: &Dsm, t: &SimThread| {
+        (t.now(), dsm.stats().snapshot(), dsm.net().stats().snapshot())
+    };
+    let (dsm, mut ts) = warm();
+    let before = observe(&dsm, &ts[0]);
+    dsm.acquire_fence(&mut ts[0], false);
+    assert_eq!(observe(&dsm, &ts[0]), before, "a same-node acquire moved something");
+    dsm.read_u64(&mut ts[0], GlobalAddr(7 * PAGE_BYTES));
+    assert_eq!(dsm.stats().snapshot().read_misses, 4, "the cache was kept");
 
-#[test]
-fn si_fence_flushes_speculation_and_counts_waste() {
-    let (dsm, mut ts) = cluster(
-        2,
-        CarinaConfig {
-            cache: CacheConfig::new(1024, 1),
-            prefetch_lines: 8,
-            ..CarinaConfig::default()
-        },
-    );
-    let t = &mut ts[0];
-    // Misses on lines 1, 3, 5, 7: the third confirms stride 2 twice
-    // (prefetching line 7, which the fourth miss consumes), the fourth
-    // posts line 9 into the ring where it sits unclaimed.
-    for p in [1u64, 3, 5, 7] {
-        dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
-    }
-    let before = dsm.stats().snapshot();
-    assert!(
-        before.prefetch_issued > before.prefetch_hits + before.prefetch_wasted,
-        "a line should still be parked in the ring: {before:?}"
-    );
-    dsm.si_fence(t);
-    let after = dsm.stats().snapshot();
-    assert_eq!(
-        after.prefetch_hits + after.prefetch_wasted,
-        after.prefetch_issued,
-        "the acquire must flush (and account) all parked speculation"
-    );
-    // The flush is what makes speculation sound across synchronization:
-    // a value written before this node's acquire must be observed, not
-    // shadowed by a pre-acquire snapshot.
-    dsm.poke_u64(GlobalAddr(9 * PAGE_BYTES), 77);
-    assert_eq!(dsm.read_u64(t, GlobalAddr(9 * PAGE_BYTES)), 77);
-}
-
-#[test]
-fn same_node_acquire_drops_speculation_without_sweeping() {
-    let (dsm, mut ts) = cluster(
-        2,
-        CarinaConfig {
-            cache: CacheConfig::new(1024, 1),
-            prefetch_lines: 8,
-            ..CarinaConfig::default()
-        },
-    );
-    let t = &mut ts[0];
-    for p in [1u64, 3, 5, 7] {
-        dsm.read_u64(t, GlobalAddr(p * PAGE_BYTES));
-    }
-    let before = dsm.stats().snapshot();
-    assert!(before.prefetch_issued > before.prefetch_hits + before.prefetch_wasted);
-    // A lock that never left the node: no SI sweep, nothing invalidated,
-    // but the parked line goes — it predates the acquire.
-    dsm.acquire_fence(t, false);
-    let after = dsm.stats().snapshot();
-    assert_eq!((after.si_fences, after.si_invalidated), (0, 0));
-    assert_eq!(after.prefetch_hits + after.prefetch_wasted, after.prefetch_issued);
-    assert_eq!(dsm.stats().snapshot().read_misses, 4);
-    dsm.read_u64(t, GlobalAddr(7 * PAGE_BYTES));
-    assert_eq!(dsm.stats().snapshot().read_misses, 4, "the cache itself was kept");
-    // A handover is the full SI fence.
-    dsm.acquire_fence(t, true);
-    assert_eq!(dsm.stats().snapshot().si_fences, 1);
-}
-
-#[test]
-fn own_write_back_outdates_a_parked_ring_snapshot() {
-    // Program order on one thread, no fence anywhere: the ring may hold a
-    // snapshot of a page this node later writes and evicts. The write-back
-    // must retire the snapshot, or the re-read would be served the value
-    // from before the node's own write.
-    let (dsm, mut ts) = cluster(
-        2,
-        CarinaConfig {
-            cache: CacheConfig::new(8, 1),
-            prefetch_lines: 4,
-            ..CarinaConfig::default()
-        },
-    );
-    let t = &mut ts[0];
-    let at = |p: u64| GlobalAddr(p * PAGE_BYTES);
-    dsm.read_u64(t, at(41));
-    // Misses on 35, 37, 39 confirm stride 2 and park line 41 in the ring
-    // although the cache still holds it.
-    for p in [35, 37, 39] {
-        dsm.read_u64(t, at(p));
-    }
-    assert!(dsm.stats().snapshot().prefetch_issued > 0);
-    dsm.write_u64(t, at(41), 42);
-    // Page 57 conflicts with 41 in the 8-slot cache: the eviction writes
-    // 41 back, and the re-read of 41 is a miss again.
-    dsm.read_u64(t, at(57));
-    assert_eq!(dsm.peek_u64(at(41)), 42, "the eviction wrote the page home");
-    assert_eq!(dsm.read_u64(t, at(41)), 42);
-    assert_eq!(dsm.stats().snapshot().prefetch_hits, 0, "the stale line was dropped");
-    assert!(dsm.check_invariants().is_empty());
+    let (handover, mut th) = warm();
+    let (fenced, mut tf) = warm();
+    handover.acquire_fence(&mut th[0], true);
+    fenced.si_fence(&mut tf[0]);
+    assert_eq!(handover.stats().snapshot().si_fences, 1);
+    assert_eq!(observe(&handover, &th[0]), observe(&fenced, &tf[0]));
 }
 
 // ---- the SD fence's drain: posted as it scans ----

@@ -46,7 +46,7 @@ fn conflict_storm_tiny_cache_preserves_all_writes() {
 }
 
 #[test]
-fn prefetch_lines_with_evictions_stay_coherent() {
+fn four_page_lines_with_evictions_stay_coherent() {
     // 2 slots × 4-page lines: any two distinct lines conflict. Interleave
     // reads and writes across lines so fills/evictions/flushes churn.
     let cfg = CarinaConfig {

@@ -184,11 +184,6 @@ impl PageData {
         });
         out
     }
-
-    /// Snapshot into a fresh page.
-    pub fn snapshot(&self) -> PageData {
-        PageData { words: std::array::from_fn(|w| AtomicU64::new(self.load(w))) }
-    }
 }
 
 impl crate::zeroed::sealed::Sealed for PageData {
@@ -209,6 +204,13 @@ mod tests {
             .map(|w| (w, page.load(w)))
             .filter(|&(w, v)| v != twin.load(w))
             .collect()
+    }
+
+    /// A fresh copy of `page`.
+    fn twin_of(page: &PageData) -> PageData {
+        let twin = PageData::zeroed();
+        twin.copy_from(page);
+        twin
     }
 
     /// The word indices `mask` covers, ascending.
@@ -249,7 +251,7 @@ mod tests {
     #[test]
     fn diff_finds_only_changed_words() {
         let p = PageData::zeroed();
-        let twin = p.snapshot();
+        let twin = twin_of(&p);
         p.store(3, 42);
         p.store(100, 7);
         assert_eq!(diff_against(&p, &twin), vec![(3, 42), (100, 7)]);
@@ -284,7 +286,7 @@ mod tests {
         fn prop_diff_of_identical_is_empty(seed in any::<u64>()) {
             let p = PageData::zeroed();
             p.store((seed % 512) as usize, seed);
-            let twin = p.snapshot();
+            let twin = twin_of(&p);
             prop_assert!(diff_against(&p, &twin).is_empty());
         }
 
@@ -302,7 +304,7 @@ mod tests {
             for &(w, v) in &writes {
                 page.store(w, v.rotate_left(17));
             }
-            let twin = page.snapshot();
+            let twin = twin_of(&page);
             let mask = WriteMask::new();
             for &(w, v) in &writes {
                 mask.set(w);

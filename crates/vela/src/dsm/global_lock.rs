@@ -24,10 +24,8 @@
 //! both released the lock last and acquires it now, no other node ran a
 //! critical section in between, so every write this release→acquire edge
 //! orders was made on `n` itself: it is in `n`'s cache, or — once evicted —
-//! in the page's home memory, which `n`'s next miss reads. (The one copy
-//! that could predate it, a stride-prefetch snapshot, is retired by the
-//! write-back itself, and a same-node acquire still drops all parked
-//! speculation, as an SI fence would.) Writes of *earlier* remote tenures
+//! in the page's home memory, which `n`'s next miss reads. Writes of
+//! *earlier* remote tenures
 //! were covered by the SI fence `n` ran when the lock last arrived from
 //! elsewhere. A never-held lock reports a handover, so a node's first
 //! tenure always fences. Data published through another synchronization

@@ -133,15 +133,7 @@ fn workout<C: Coherence>(header: String, mode: ClassificationMode) {
     for (n, t) in ts.iter().enumerate() {
         println!("clock[{n}]        {}", t.now());
     }
-    // The refill counters postdate the pinned baselines and print only
-    // once nonzero: this script writes every page it re-reads, so no page
-    // qualifies, and a refill here would show as a diff.
-    let quiet = s.refills + s.refill_pages + s.refill_unused == 0;
-    for line in format!("{s:#?}").lines() {
-        if !(quiet && line.trim_start().starts_with("refill")) {
-            println!("{line}");
-        }
-    }
+    println!("{s:#?}");
     println!("net {:#?}", dsm.net().stats().snapshot());
 }
 

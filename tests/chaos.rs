@@ -571,31 +571,3 @@ fn every_injected_fault_is_flight_recorded() {
     );
     assert!(dsm.check_invariants().is_empty());
 }
-
-/// Speculation under fire: the stride prefetcher issues extra fallible
-/// verbs whose failures the protocol must absorb silently — a failed
-/// speculative fetch is dropped (counted as waste), never retried and
-/// never surfaced. The checksum must still match the fault-free,
-/// prefetch-free reference bit for bit, and the prefetch books must
-/// balance: every issued page is eventually a hit or a waste.
-#[test]
-fn prefetch_speculation_is_bit_identical_under_mixed_faults() {
-    let p = matmul::MatmulParams { n: 96 };
-    let clean = matmul::run_argo(&clean_machine(2, 2), p);
-    for seed in [41u64, 42] {
-        let mut cfg = ArgoConfig::small(2, 2);
-        cfg.carina.retry.max_attempts = [16; VerbClass::COUNT];
-        cfg.carina.prefetch_lines = 8;
-        let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(seed));
-        let m = ArgoMachine::<_, carina::CarinaSiSd>::on(cfg, net.clone());
-        let faulted = matmul::run_argo(&m, p);
-        assert_faulted_run_matches(&clean, &faulted, &net, "matmul+prefetch");
-        let c = &faulted.coherence;
-        assert!(c.prefetch_issued > 0, "seed {seed}: the predictor never engaged");
-        assert_eq!(
-            c.prefetch_hits + c.prefetch_wasted,
-            c.prefetch_issued,
-            "seed {seed}: prefetch books must balance after the run"
-        );
-    }
-}
