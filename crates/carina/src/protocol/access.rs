@@ -150,8 +150,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if st.tag == Some(line) && st.pages[idx].valid {
             CoherenceStats::bump(&self.stats.shard(me).read_hits);
             t.merge(st.ready_at);
-            if st.pages[idx].reuse == Reuse::Refilled {
-                st.pages[idx].reuse = Reuse::Consumer; // a refill, then touched
+            if st.pages[idx].standing == Standing::Refilled {
+                st.pages[idx].step(Event::Touch);
             }
         } else {
             self.read_miss(t, &mut st, page, me)?;
@@ -188,10 +188,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let idx = ns.cache.index_in_line(page);
         if st.tag != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
             self.read_miss(t, &mut st, page, me)?; // write-allocate
-        } else if st.pages[idx].reuse == Reuse::Refilled {
+        } else if st.pages[idx].standing == Standing::Refilled {
             t.merge(st.ready_at); // the store lands on the refilled data
         }
-        let buffered = if st.pages[idx].dirty {
+        let buffered = if st.pages[idx].dirty() {
             CoherenceStats::bump(&self.stats.shard(me).write_hits);
             false
         } else {
@@ -233,10 +233,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // will be stored; the mask can, so the host copies nothing. The
             // simulated machine still pays the paper's hot page copy.
             t.compute(PAGE_COPY_CYCLES);
-            let cp = &mut st.pages[idx];
-            cp.write_faults = cp.write_faults.saturating_add(1);
-            cp.dirty = true;
-            cp.reuse = Reuse::Cold; // written: migratory, never refilled
+            st.pages[idx].step(Event::WriteFault);
             Ok(buffer)
         })
     }

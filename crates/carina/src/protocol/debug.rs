@@ -11,12 +11,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// quiescent points (no concurrent accesses).
     ///
     /// Engine-owned checks:
-    /// 1. A dirty page is valid; a clean page carries no mask bits (every
-    ///    write fault marks; every downgrade posts the masked words).
+    /// 1. A page's standing agrees with its bits: a dirty standing is
+    ///    valid, `Dropped` is not, and a clean standing carries no mask bits
+    ///    (every write fault marks; every downgrade posts the masked words).
     /// 2. When the policy buffers every dirty page, a quiescent node's
     ///    write buffer contains exactly its dirty page set.
     /// 3. Cached pages are never homed on the caching node.
     /// 4. A write buffer never holds more pages than its capacity.
+    /// 5. A kept page is in its node's write buffer, under every policy.
     ///
     /// Policy-owned checks (registration consistency, `wts <= rts`, lease
     /// subsumption, …) are appended via [`Coherence::invariant_problems`].
@@ -24,26 +26,37 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let mut problems = Vec::new();
         for (n, ns) in self.nodes.iter().enumerate() {
             let me = n as u16;
-            let mut dirty_pages = Vec::new();
-            // Not `PageCache::sweep`: the checker must see invalid pages too.
-            for slot in ns.cache.occupied_indices() {
+            let (mut dirty_pages, mut buffered) = (Vec::new(), ns.wbuf.snapshot());
+            buffered.sort_unstable();
+            // Not `PageCache::sweep`: the checker must see invalid pages too,
+            // and a dirty page that lost its copy sits in a dirty slot only.
+            let mut slots: Vec<_> =
+                ns.cache.occupied_indices().chain(ns.cache.dirty_indices()).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            for slot in slots {
                 let st = ns.cache.lock_index(slot);
                 let Some(tag) = st.tag else { continue };
                 let base = ns.cache.line_base(tag);
                 for (idx, cp) in st.pages.iter().enumerate() {
-                    let page = PageNum(base.0 + idx as u64);
-                    if cp.valid && self.global.home_of(page) == me {
+                    let (page, s, valid) = (PageNum(base.0 + idx as u64), cp.standing, cp.valid);
+                    if valid && self.global.home_of(page) == me {
                         problems.push(format!("n{n}: caches its own home page {}", page.0));
                     }
-                    if cp.dirty {
-                        if !cp.valid {
-                            problems.push(format!("n{n}: dirty but invalid page {}", page.0));
-                        }
+                    // A clean page's stale mask would post words nobody
+                    // stored in the next epoch, over a false sharer's.
+                    let (dirty, bits) = (cp.dirty(), cp.mask.count());
+                    let dropped = s == Standing::Dropped;
+                    if (dirty && !valid) || (valid && dropped) || (!dirty && bits > 0) {
+                        let what = format!("{s:?} with valid = {valid} and {bits} mask bits");
+                        problems.push(format!("n{n}: page {} is {what}", page.0));
+                    }
+                    if dirty {
                         dirty_pages.push(page);
-                    } else if !cp.mask.is_empty() {
-                        // A stale mask would post words nobody stored in
-                        // the next epoch, over a false sharer's.
-                        problems.push(format!("n{n}: clean page {} carries mask bits", page.0));
+                    }
+                    let kept = matches!(s, Standing::Kept { .. });
+                    if kept && buffered.binary_search(&page).is_err() {
+                        problems.push(format!("n{n}: kept page {} is unbuffered", page.0));
                     }
                 }
             }
@@ -51,8 +64,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
             }
             if self.coherence.buffers_every_dirty_page() {
-                let mut buffered = ns.wbuf.snapshot();
-                buffered.sort_unstable();
                 let mut dirty = dirty_pages.clone();
                 dirty.sort_unstable();
                 if buffered != dirty {
@@ -149,5 +160,46 @@ impl<T: Transport> Dsm<T, CarinaSiSd> {
     /// The authoritative home directory view for `addr`'s page.
     pub fn home_dir_view(&self, addr: GlobalAddr) -> DirView {
         self.coherence.home_view(addr.page())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::classification::ClassificationMode;
+    use rma::NativeTransport;
+    use simnet::ClusterTopology;
+
+    /// Node 0 of two under naïve P/S holds page 1 written (private, so
+    /// unbuffered) and page 3 read; `plant` edits one of them through the
+    /// pub fields. Naïve P/S leaves check (2) out, which a dirty plant
+    /// would trip too. Returns what the checker finds.
+    fn planted(page: u64, plant: impl FnOnce(&mut SlotGuard<'_>, usize)) -> Vec<String> {
+        let net = NativeTransport::new(ClusterTopology::tiny(2));
+        let cfg = CarinaConfig::with_mode(ClassificationMode::PsNaive);
+        let dsm = Dsm::<NativeTransport>::with_policy(net.clone(), 1 << 20, cfg);
+        let mut t = NativeTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+        dsm.write_u64(&mut t, GlobalAddr(PAGE_BYTES), 1);
+        dsm.read_u64(&mut t, GlobalAddr(3 * PAGE_BYTES));
+        assert_eq!(dsm.check_invariants(), Vec::<String>::new());
+        let (cache, page) = (&dsm.nodes[0].cache, PageNum(page));
+        plant(&mut cache.lock_slot(page), cache.index_in_line(page));
+        dsm.check_invariants()
+    }
+
+    #[test]
+    fn each_standing_its_bits_contradict_is_one_problem() {
+        let one = |problems: Vec<String>, what: &str| {
+            assert_eq!(problems.len(), 1, "{what}: {problems:?}");
+            assert!(problems[0].ends_with(what), "{what}: {problems:?}");
+        };
+        let written = "page 1 is Written { hot: false } with valid = false and 1 mask bits";
+        one(planted(1, |st, i| st.pages[i].valid = false), written);
+        let dropped = "page 3 is Dropped with valid = true and 0 mask bits";
+        one(planted(3, |st, i| st.pages[i].standing = Standing::Dropped), dropped);
+        let masked = "page 3 is Cold with valid = true and 1 mask bits";
+        one(planted(3, |st, i| st.pages[i].mask.set(7)), masked);
+        let kept = "kept page 1 is unbuffered";
+        one(planted(1, |st, i| st.pages[i].standing = Standing::Kept { idle: 0 }), kept);
     }
 }

@@ -33,8 +33,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub(super) fn dirty_index(&self, st: &SlotGuard, page: PageNum, node: u16) -> Option<usize> {
         let cache = &self.nodes[node as usize].cache;
         let idx = cache.index_in_line(page);
-        let cp = &st.pages[idx];
-        (st.tag == Some(cache.line_of(page)) && cp.valid && cp.dirty).then_some(idx)
+        (st.tag == Some(cache.line_of(page)) && st.pages[idx].dirty()).then_some(idx)
     }
 
     /// Fences in a row a kept page may sit unwritten: until its scans cost
@@ -84,13 +83,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// The local half of a node's own downgrade — all drain paths (fence,
     /// overflow, eviction) funnel through here: [`Self::write_back`], the
-    /// one keep-or-protect decision, and, if there were stores, the
-    /// policy's clock advance. A `fence` drain keeps a write-hot page writable if it is
-    /// buffered in classification mode, re-arming its mask for the price of
-    /// the paper's eager re-twin (a leased page's written copy dies at the
-    /// writer's next acquire, so keeping it buys nothing); anything else —
-    /// another path, a cold page, one idle for [`Self::idle_scan_bound`]
-    /// fences (demoted: history cleared) — is re-protected and faults on its next write. A kept
+    /// page's [`Event::Drain`] step, and, if there were stores, the
+    /// policy's clock advance. The step keeps a write-hot page writable on
+    /// a `fence` drain the policy buffers in classification mode (a leased
+    /// copy dies at the writer's next acquire anyway), for the price of the
+    /// paper's eager re-twin, and re-protects anything else. A kept
     /// page re-enters the write buffer before the slot lock is released
     /// (a sibling's store must find it buffered). Returns the wire bytes
     /// owed to the home, if any, and the overflow victim that re-entry
@@ -106,32 +103,21 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let Some((idx, bytes)) = self.write_back(t, st, page, me) else {
             return (None, None);
         };
-        let cp = &mut st.pages[idx];
-        let began_writable = cp.kept_idle.is_some();
-        let idle = cp.kept_idle.filter(|_| bytes.is_none()).map_or(0, |k| k.saturating_add(1));
-        let keep = fence
-            && cp.write_faults >= 2
-            && u64::from(idle) < self.idle_scan_bound()
+        let gate = fence
             && self.coherence.page_mode(page) == PageMode::Classify
             && self.coherence.write_buffered(me, page);
-        let mut victim = None;
-        if keep {
-            cp.rearm(idle);
-            victim = self.nodes[me as usize].wbuf.push(page);
-            if bytes.is_some() {
-                t.compute(PAGE_COPY_CYCLES); // the paper's eager re-twin
-                CoherenceStats::bump(&self.stats.shard(me).write_retained);
-            }
-        } else {
-            cp.mark_clean();
-            if fence && bytes.is_none() {
-                cp.write_faults = 0;
-            }
+        let was = st.pages[idx].step(Event::Drain { fence, gate, bound: self.idle_scan_bound() });
+        let kept = st.pages[idx].dirty();
+        let victim = kept.then(|| self.nodes[me as usize].wbuf.push(page)).flatten();
+        if !kept {
             t.compute(PROTECT_CYCLES);
+        } else if bytes.is_some() {
+            t.compute(PAGE_COPY_CYCLES); // the paper's eager re-twin
+            CoherenceStats::bump(&self.stats.shard(me).write_retained);
         }
         if bytes.is_some() {
             self.coherence.note_downgrade(me, page);
-            if began_writable {
+            if matches!(was, Standing::Kept { .. }) {
                 // No write fault opened this epoch: its drain raises the
                 // clean→dirty event instead.
                 self.coherence.note_written_epoch(me, page);

@@ -99,7 +99,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
             t.compute(FENCE_SCAN_CYCLES);
             if self.coherence.must_self_invalidate(me, page, shard) {
-                if st.pages[idx].dirty {
+                if st.pages[idx].dirty() {
                     // Unbuffer first: the downgrade's local half always
                     // completes (errors only surface from the posting), so
                     // on a failure the page is clean and must not linger in
@@ -109,9 +109,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 }
                 // A consumer's page is recorded for the next refill; a
                 // refilled page nobody touched is not.
-                match st.pages[idx].si_drop() {
-                    Reuse::Consumer => consumed.push(page),
-                    Reuse::Refilled => CoherenceStats::bump(&shard.refill_unused),
+                match st.pages[idx].step(Event::SiDrop) {
+                    Standing::Consumer => consumed.push(page),
+                    Standing::Refilled => CoherenceStats::bump(&shard.refill_unused),
                     _ => {}
                 }
                 t.compute(PROTECT_CYCLES);
@@ -198,7 +198,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // O(dirty): clean and empty slots owe the sweep nothing.
         ns.cache.sweep(ns.cache.dirty_indices(), |st, idx, page| {
             // (A page the drain just kept is buffered: the next fence's.)
-            if !st.pages[idx].dirty || st.pages[idx].kept_idle.is_some() {
+            if !matches!(st.pages[idx].standing, Standing::Written { .. }) {
                 return Ok(());
             }
             if !self.coherence.write_buffered(me, page) {
@@ -227,10 +227,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub fn reset_for_parallel_section(&self) {
         for ns in &self.nodes {
             let Ok(()) = ns.cache.sweep(ns.cache.occupied_indices(), |st, idx, page| {
-                if st.pages[idx].dirty {
+                if st.pages[idx].dirty() {
                     self.write_home(st, page, idx);
                 }
-                st.pages[idx].invalidate();
+                st.pages[idx].step(Event::Invalidate);
                 Ok::<(), Infallible>(())
             });
             let _ = ns.wbuf.drain();
@@ -274,7 +274,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     }
                     ns.wbuf.remove(page);
                 }
-                st.pages[idx].invalidate();
+                st.pages[idx].step(Event::Invalidate);
                 t.compute(PROTECT_CYCLES);
                 CoherenceStats::bump(&self.stats.shard(me).si_invalidated);
                 Ok(())

@@ -58,7 +58,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 for idx in 0..st.pages.len() {
                     if st.pages[idx].valid {
                         evicted_live = true;
-                        if st.pages[idx].dirty {
+                        if st.pages[idx].dirty() {
                             let old_page = PageNum(old_base.0 + idx as u64);
                             // Unbuffer before posting (see `si_sweep`).
                             ns.wbuf.remove(old_page);
@@ -72,7 +72,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
             st.retag(line);
         }
-        let refill_due = st.pages[ns.cache.index_in_line(page)].reuse == Reuse::Dropped;
+        let refill_due = st.pages[ns.cache.index_in_line(page)].standing == Standing::Dropped;
         ns.missed.store(true, Ordering::Relaxed);
         // Fetch every not-yet-valid remote page of the line, grouped by
         // home so transfers to distinct homes overlap (pipelined one-sided
@@ -142,7 +142,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 st.data(idx).copy_from(self.global.home_page(p));
-                st.pages[idx].fill();
+                st.pages[idx].step(Event::Fill);
             }
         }
         t.merge(done);
@@ -184,7 +184,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // different line has taken, keeps what it holds.
             let Some(mut st) = ns.cache.try_lock_slot(page) else { continue };
             let idx = ns.cache.index_in_line(page);
-            if st.tag != Some(ns.cache.line_of(page)) || st.pages[idx].reuse != Reuse::Dropped {
+            if st.tag != Some(ns.cache.line_of(page)) || st.pages[idx].standing != Standing::Dropped
+            {
                 continue;
             }
             // Re-read under the slot lock, like a miss: a page re-homed
@@ -212,8 +213,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             st.data(idx).copy_from(self.global.home_page(page));
             let live = st.pages.iter().any(|p| p.valid);
             st.ready_at = if live { st.ready_at.max(ready) } else { ready };
-            st.pages[idx].fill();
-            st.pages[idx].reuse = Reuse::Refilled;
+            st.pages[idx].step(Event::Refill);
             t.compute(PROTECT_CYCLES);
             installed += 1;
         }

@@ -57,7 +57,8 @@ use crate::error::DsmError;
 use crate::stats::CoherenceStats;
 use crate::write_buffer::WriteBuffer;
 use mem::{
-    GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, Reuse, SlotGuard, PAGE_BYTES,
+    Event, GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, SlotGuard, Standing,
+    PAGE_BYTES,
 };
 use rma::{
     rendezvous_home, Completion, Endpoint, Membership, SimTransport, Transport, Verb, VerbClass,

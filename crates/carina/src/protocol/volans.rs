@@ -172,11 +172,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let mut st = ns.cache.lock_slot(page);
         let idx = ns.cache.index_in_line(page);
         if st.tag == Some(ns.cache.line_of(page)) && st.pages[idx].valid {
-            if st.pages[idx].dirty {
+            if st.pages[idx].dirty() {
                 self.write_home(&st, page, idx);
                 ns.wbuf.remove(page);
             }
-            st.pages[idx].invalidate();
+            st.pages[idx].step(Event::Invalidate);
         }
         if inherits {
             self.global.set_home(page, node);

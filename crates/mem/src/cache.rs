@@ -77,24 +77,84 @@ impl Default for CacheConfig {
     }
 }
 
-/// A page's standing under the refill's consumer rule (carina's SI fence
-/// records the consumer pages it drops; the next demand miss on one
-/// re-fetches them all). It belongs to the page, not to the copy: it
-/// survives the SI fence that drops the copy and the slot falling empty,
-/// and resets only when a different line takes the slot.
+/// What the protocol remembers of a cached page besides `valid` and its
+/// mask: it survives the SI drop and the slot falling empty, and resets when
+/// another line takes the slot. Only `CachedPage::step` changes it (`·`: a
+/// step the engine never makes, which `step` `debug_assert!`s):
+///
+/// | standing         | Fill     | Refill   | Touch    | WriteFault     | SiDrop  | Invalidate |
+/// |------------------|----------|----------|----------|----------------|---------|------------|
+/// | `Cold`           | Cold     | ·        | ·        | Written{false} | Dropped | Cold       |
+/// | `Dropped`        | Consumer | Refilled | ·        | ·              | ·       | Cold       |
+/// | `Consumer`       | ·        | ·        | ·        | Written{false} | Dropped | Cold       |
+/// | `Refilled`       | ·        | ·        | Consumer | Written{false} | Dropped | Cold       |
+/// | `Protected{hot}` | ·        | ·        | ·        | Written{true}  | Dropped | Cold       |
+/// | `Written{hot}`   | ·        | ·        | ·        | ·              | ·       | Cold       |
+/// | `Kept{idle}`     | ·        | ·        | ·        | ·              | ·       | Cold       |
+///
+/// `Drain{fence, gate, bound}` steps the dirty two. With `posted` = "the
+/// mask was non-empty", `idle'` = `idle + 1` for an unposted `Kept`, else 0,
+/// and every `Kept` hot: `fence ∧ gate ∧ hot ∧ idle' < bound` → `Kept{idle'}`;
+/// else `fence ∧ ¬posted` → `Cold` (demoted); else `Protected{hot}`.
+/// Fill and Refill want no copy, Invalidate either, the other events a copy.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub enum Reuse {
-    /// No SI drop since the slot took the line, or a copy this node wrote.
+pub enum Standing {
+    /// No history, with or without a copy.
     #[default]
     Cold,
-    /// An SI fence dropped the page's last copy.
+    /// No copy: an SI fence dropped the last one.
     Dropped,
-    /// A copy fetched after an SI drop — by a demand miss, or by a refill
-    /// then touched — and not written since.
+    /// Fetched after an SI drop (refilled, then touched), not written since.
     Consumer,
-    /// Installed by a refill, not touched yet: off the lock-free hit path,
-    /// so the first touch takes the slot lock and is seen.
+    /// Refilled, untouched: off the lock-free path, so the touch is seen.
     Refilled,
+    /// Clean, and write-faulted once, or (`hot`) more often.
+    Protected { hot: bool },
+    /// Dirty since a write fault, `hot` unless it was the copy's first.
+    Written { hot: bool },
+    /// Dirty, re-armed by a fence drain, and unwritten for `idle` fences since.
+    Kept { idle: u16 },
+}
+
+/// What happens to a cached page: [`Standing`]'s columns. A touch is the
+/// first locked access to a refilled copy; invalidation includes a retag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    Fill,
+    Refill,
+    Touch,
+    WriteFault,
+    /// The stores went home; a `fence` drain may keep a hot page writable.
+    Drain { fence: bool, gate: bool, bound: u64 },
+    SiDrop,
+    Invalidate,
+}
+
+/// [`Standing`]'s table; `None` for a step the engine never makes.
+fn next(from: Standing, event: Event, posted: bool) -> Option<Standing> {
+    use Standing::*;
+    Some(match (from, event) {
+        (_, Event::Invalidate) | (Cold, Event::Fill) => Cold,
+        (Dropped, Event::Fill) | (Refilled, Event::Touch) => Consumer,
+        (Dropped, Event::Refill) => Refilled,
+        (Cold | Consumer | Refilled, Event::WriteFault) => Written { hot: false },
+        (Protected { .. }, Event::WriteFault) => Written { hot: true },
+        (Cold | Consumer | Refilled | Protected { .. }, Event::SiDrop) => Dropped,
+        (Written { .. } | Kept { .. }, Event::Drain { fence, gate, bound }) => {
+            let (hot, idle) = match from {
+                Kept { idle } => (true, if posted { 0 } else { idle.saturating_add(1) }),
+                _ => (from == Written { hot: true }, 0),
+            };
+            if fence && gate && hot && u64::from(idle) < bound {
+                Kept { idle }
+            } else if fence && !posted {
+                Cold
+            } else {
+                Protected { hot }
+            }
+        }
+        _ => return None,
+    })
 }
 
 /// Protocol metadata of one cached page within a line. The page *contents*
@@ -104,64 +164,36 @@ pub enum Reuse {
 pub struct CachedPage {
     /// Holds a valid copy of the tagged page.
     pub valid: bool,
-    /// Written since the last downgrade.
-    pub dirty: bool,
     /// Exactly the words stored since the page last went clean (or was
     /// re-armed): what the next write-back posts home.
     pub mask: WriteMask,
-    /// Write faults this resident copy has taken (saturating). From the
-    /// second — it was drained, then written again — it is *write-hot*: a
-    /// fence drain may [`Self::rearm`] it instead of protecting it.
-    pub write_faults: u8,
-    /// `Some(k)` while the current dirty epoch began writable (the last
-    /// fence drain re-armed the page), `k` fences in a row having since
-    /// found it unwritten; `None` if it began with a write fault.
-    pub kept_idle: Option<u16>,
-    /// The page's standing under the refill's consumer rule.
-    pub reuse: Reuse,
+    pub standing: Standing,
 }
 
 impl CachedPage {
-    /// Drop protocol state, write and reuse history included.
-    pub fn invalidate(&mut self) {
-        self.valid = false;
-        self.write_faults = 0;
-        self.reuse = Reuse::Cold;
-        self.mark_clean();
+    /// Written since the last downgrade, or kept writable by it.
+    #[inline]
+    pub fn dirty(&self) -> bool {
+        matches!(self.standing, Standing::Written { .. } | Standing::Kept { .. })
     }
 
-    /// An SI fence drops the copy; returns the standing the copy had.
-    pub fn si_drop(&mut self) -> Reuse {
-        let was = self.reuse;
-        self.invalidate();
-        self.reuse = Reuse::Dropped;
+    /// Apply `event`, the one way `valid` and the standing change and the
+    /// mask clears; returns the standing the page had.
+    pub fn step(&mut self, event: Event) -> Standing {
+        let (was, copy) = (self.standing, !matches!(event, Event::Fill | Event::Refill));
+        debug_assert!(event == Event::Invalidate || self.valid == copy, "{event:?} on {self:?}");
+        let next = next(was, event, !self.mask.is_empty());
+        debug_assert!(next.is_some(), "no {event:?} step from {was:?}");
+        let Some(next) = next else { return was };
+        self.standing = next;
+        match event {
+            Event::Touch | Event::WriteFault => return was,
+            Event::Fill | Event::Refill => self.valid = true,
+            Event::SiDrop | Event::Invalidate => self.valid = false,
+            Event::Drain { .. } => {}
+        }
+        self.mask.clear();
         was
-    }
-
-    /// Install a fetched copy, valid and clean. A copy fetched after an SI
-    /// drop of the page is a consumer's.
-    pub fn fill(&mut self) {
-        self.valid = true;
-        self.mark_clean();
-        self.reuse = match self.reuse {
-            Reuse::Dropped => Reuse::Consumer,
-            _ => Reuse::Cold,
-        };
-    }
-
-    /// The page's writes are home: drop the dirty bit and the write mask
-    /// together, so the next store faults afresh.
-    pub fn mark_clean(&mut self) {
-        self.dirty = false;
-        self.mask.clear();
-        self.kept_idle = None;
-    }
-
-    /// The page's writes are home and it *stays writable*: mask cleared,
-    /// dirty bit kept.
-    pub fn rearm(&mut self, idle_fences: u16) {
-        self.mask.clear();
-        self.kept_idle = Some(idle_fences);
     }
 }
 
@@ -182,7 +214,7 @@ impl LineState {
         self.tag = Some(tag);
         self.ready_at = 0;
         for p in &mut self.pages {
-            p.invalidate();
+            p.step(Event::Invalidate);
         }
     }
 }
@@ -208,7 +240,7 @@ pub struct LineSlot {
     seq: AtomicU64,
     /// Mirror of `tag`, biased by one (0 = empty slot).
     fast_tag: AtomicU64,
-    /// Mirror of the per-page `valid` bits, less [`Reuse::Refilled`] pages.
+    /// Mirror of the per-page `valid` bits, less [`Standing::Refilled`] pages.
     fast_valid: AtomicU64,
     /// Mirror of `ready_at`.
     fast_ready: AtomicU64,
@@ -318,7 +350,7 @@ pub struct PageCache {
     slots: Vec<LineSlot>,
     /// Page contents, `slot × pages_per_line + idx`.
     data: Box<[PageData]>,
-    /// Slots currently holding a valid or dirty page.
+    /// Slots currently holding a valid page.
     occupied: Box<[AtomicU64]>,
     /// Slots currently holding at least one dirty page.
     dirty: Box<[AtomicU64]>,
@@ -392,7 +424,7 @@ impl PageCache {
         }
     }
 
-    /// Indices of slots currently holding a valid or dirty page, ascending.
+    /// Indices of slots currently holding a valid page, ascending.
     /// A lock-free snapshot: slots mutated concurrently may appear or not,
     /// exactly as they might under a full scan — callers re-check under the
     /// slot lock.
@@ -420,7 +452,7 @@ impl PageCache {
     /// the line it holds (with its index in the line). A line the visit
     /// leaves without a valid page gives its slot up — it leaves the
     /// occupied set, so fence cost stays proportional to what survives
-    /// fences — but keeps its tag, and with it each page's [`Reuse`], until
+    /// fences — but keeps its tag, and with it each page's [`Standing`], until
     /// a different line takes the slot. Stops at the first error.
     pub fn sweep<E>(
         &self,
@@ -509,20 +541,15 @@ impl Drop for SlotGuard<'_> {
         let st = &*self.st;
         slot.fast_tag
             .store(st.tag.map_or(0, |t| t.wrapping_add(1)), Ordering::Relaxed);
-        let (mut valid, mut hits) = (0u64, 0u64);
-        let mut any_dirty = false;
+        let (mut valid, mut hits, mut any_dirty) = (0u64, 0u64, false);
         for (i, p) in st.pages.iter().enumerate() {
-            if p.valid {
-                valid |= 1u64 << i;
-                if p.reuse != Reuse::Refilled {
-                    hits |= 1u64 << i;
-                }
-            }
-            any_dirty |= p.dirty;
+            valid |= u64::from(p.valid) << i;
+            hits |= u64::from(p.valid && p.standing != Standing::Refilled) << i;
+            any_dirty |= p.dirty();
         }
         slot.fast_valid.store(hits, Ordering::Relaxed);
         slot.fast_ready.store(st.ready_at, Ordering::Relaxed);
-        bitset_write(&self.cache.occupied, self.index, valid != 0 || any_dirty);
+        bitset_write(&self.cache.occupied, self.index, valid != 0);
         bitset_write(&self.cache.dirty, self.index, any_dirty);
         // Seqlock writer exit: back to even, releasing the mutations.
         let s = slot.seq.load(Ordering::Relaxed);
@@ -570,57 +597,125 @@ mod tests {
         let c = PageCache::new(CacheConfig::new(2, 2));
         let mut st = c.lock_slot(PageNum(0));
         st.tag = Some(0);
-        st.pages[0].valid = true;
-        st.pages[0].dirty = true;
+        st.pages[0].step(Event::Fill);
+        st.pages[0].step(Event::WriteFault);
         st.pages[0].mask.set(3);
         st.retag(5);
         assert_eq!(st.tag, Some(5));
         assert!(!st.pages[0].valid);
-        assert!(!st.pages[0].dirty);
+        assert!(!st.pages[0].dirty());
         assert!(st.pages[0].mask.is_empty());
+    }
+
+    #[test]
+    fn every_standing_steps_by_the_table() {
+        use Standing::*;
+        let (cold, gone, k) = (Some(Cold), Some(Dropped), |idle| Some(Kept { idle }));
+        let (p0, p1) = (Some(Protected { hot: false }), Some(Protected { hot: true }));
+        let (w0, w1) = (Some(Written { hot: false }), Some(Written { hot: true }));
+        let events = [
+            Event::Fill,
+            Event::Refill,
+            Event::Touch,
+            Event::WriteFault,
+            Event::SiDrop,
+            Event::Invalidate,
+        ];
+        // Each standing's row of the table, then its drains at bound 7 by
+        // (fence, gate, posted) = FFF FFT FTF FTT TFF TFT TTF TTT.
+        let rows = [
+            (Cold, [cold, None, None, w0, gone, cold], [None; 8]),
+            (Dropped, [Some(Consumer), Some(Refilled), None, None, None, cold], [None; 8]),
+            (Consumer, [None, None, None, w0, gone, cold], [None; 8]),
+            (Refilled, [None, None, Some(Consumer), w0, gone, cold], [None; 8]),
+            (Protected { hot: false }, [None, None, None, w1, gone, cold], [None; 8]),
+            (Protected { hot: true }, [None, None, None, w1, gone, cold], [None; 8]),
+            (
+                Written { hot: false },
+                [None, None, None, None, None, cold],
+                [p0, p0, p0, p0, cold, p0, cold, p0],
+            ),
+            (
+                Written { hot: true },
+                [None, None, None, None, None, cold],
+                [p1, p1, p1, p1, cold, p1, k(0), k(0)],
+            ),
+            (
+                Kept { idle: 0 },
+                [None, None, None, None, None, cold],
+                [p1, p1, p1, p1, cold, p1, k(1), k(0)],
+            ),
+            (
+                Kept { idle: 6 },
+                [None, None, None, None, None, cold],
+                [p1, p1, p1, p1, cold, p1, cold, k(0)],
+            ),
+        ];
+        for (standing, row, drains) in rows {
+            for (event, want) in events.into_iter().zip(row) {
+                for posted in [false, true] {
+                    assert_eq!(next(standing, event, posted), want, "{standing:?} × {event:?}");
+                }
+            }
+            for (i, want) in drains.into_iter().enumerate() {
+                let (fence, gate, posted) = (i & 4 != 0, i & 2 != 0, i & 1 != 0);
+                let drain = Event::Drain { fence, gate, bound: 7 };
+                assert_eq!(
+                    next(standing, drain, posted),
+                    want,
+                    "{standing:?} × {drain:?}, {posted}"
+                );
+            }
+        }
+        let (saturated, keep) =
+            (Kept { idle: u16::MAX }, Event::Drain { fence: true, gate: true, bound: u64::MAX });
+        assert_eq!(next(saturated, keep, false), Some(saturated), "the idle count saturates");
     }
 
     #[test]
     fn write_history_rides_in_the_flags_word() {
         // 8192 of these per node: the 64-byte mask and one word holding
-        // the flags and the write history.
+        // `valid` and the standing.
         assert_eq!(std::mem::size_of::<CachedPage>(), 64 + 8);
-        let mut p = CachedPage { valid: true, dirty: true, write_faults: 2, ..Default::default() };
-        p.rearm(3);
-        assert!(p.dirty && p.mask.is_empty() && p.kept_idle == Some(3));
-        p.mark_clean();
-        assert_eq!((p.write_faults, p.kept_idle), (2, None), "history survives a protect");
-        p.invalidate();
-        assert_eq!(p.write_faults, 0, "but not an invalidation");
+        let mut p =
+            CachedPage { valid: true, standing: Standing::Kept { idle: 2 }, ..Default::default() };
+        p.step(Event::Drain { fence: true, gate: true, bound: 7 });
+        assert!(p.dirty() && p.mask.is_empty() && p.standing == Standing::Kept { idle: 3 });
+        p.mask.set(0);
+        p.step(Event::Drain { fence: false, gate: true, bound: 7 });
+        assert!(p.valid && p.mask.is_empty());
+        assert_eq!(p.standing, Standing::Protected { hot: true }, "history survives a protect");
+        p.step(Event::Invalidate);
+        assert_eq!(p.standing, Standing::Cold, "but not an invalidation");
     }
 
     #[test]
     fn reuse_survives_the_slot_falling_empty_but_not_a_new_line() {
         let c = PageCache::new(CacheConfig::new(4, 1));
-        let reuse = |page: u64| c.lock_slot(PageNum(page)).pages[0].reuse;
+        let standing = |page: u64| c.lock_slot(PageNum(page)).pages[0].standing;
         let fill = |page: u64| {
             let mut g = c.lock_slot(PageNum(page));
             if g.tag != Some(page) {
                 g.retag(page);
             }
-                        g.pages[0].fill();
+            g.pages[0].step(Event::Fill);
         };
         let si_drop_all = || {
             c.sweep(c.occupied_indices(), |st, idx, _| {
-                st.pages[idx].si_drop();
+                st.pages[idx].step(Event::SiDrop);
                 Ok::<(), ()>(())
             })
         };
         fill(1);
         si_drop_all().unwrap();
         assert_eq!(c.occupied_indices().count(), 0, "the emptied slot is given up");
-        assert_eq!(reuse(1), Reuse::Dropped);
+        assert_eq!(standing(1), Standing::Dropped);
         fill(1);
-        assert_eq!(reuse(1), Reuse::Consumer, "re-fetched after an SI drop");
+        assert_eq!(standing(1), Standing::Consumer, "re-fetched after an SI drop");
         si_drop_all().unwrap();
-        assert_eq!(reuse(1), Reuse::Dropped);
+        assert_eq!(standing(1), Standing::Dropped);
         fill(5); // the same slot, another line
-        assert_eq!(reuse(5), Reuse::Cold);
+        assert_eq!(standing(5), Standing::Cold);
     }
 
     #[test]
@@ -630,12 +725,13 @@ mod tests {
             let mut g = c.lock_slot(PageNum(2));
             g.retag(2);
             g.data(0).store(0, 9);
-            g.pages[0].fill();
-            g.pages[0].reuse = Reuse::Refilled;
+            g.pages[0].step(Event::Fill);
+            g.pages[0].step(Event::SiDrop);
+            g.pages[0].step(Event::Refill);
         }
         assert_eq!(c.slot_for(PageNum(2)).try_read(2, 0, 0), None);
         assert_eq!(c.occupied_indices().count(), 1);
-        c.lock_slot(PageNum(2)).pages[0].reuse = Reuse::Consumer;
+        c.lock_slot(PageNum(2)).pages[0].step(Event::Touch);
         assert_eq!(c.slot_for(PageNum(2)).try_read(2, 0, 0), Some((9, 0)));
     }
 
@@ -670,18 +766,18 @@ mod tests {
             let line = c.line_of(PageNum(page));
             g.retag(line);
             g.data(0).store(0, page);
-            g.pages[0].valid = true;
+            g.pages[0].step(Event::Fill);
         }
         assert_eq!(c.occupied_indices().collect::<Vec<_>>(), vec![3, 70, 100]);
         assert_eq!(c.dirty_indices().count(), 0);
         {
             let mut g = c.lock_slot(PageNum(70));
-            g.pages[0].dirty = true;
+            g.pages[0].step(Event::WriteFault);
         }
         assert_eq!(c.dirty_indices().collect::<Vec<_>>(), vec![70]);
         {
             let mut g = c.lock_slot(PageNum(70));
-            g.pages[0].invalidate();
+            g.pages[0].step(Event::Invalidate);
             g.tag = None;
         }
         assert_eq!(c.occupied_indices().collect::<Vec<_>>(), vec![3, 100]);
@@ -708,7 +804,7 @@ mod tests {
             let mut g = c.lock_slot(PageNum(0));
             g.retag(0);
             g.data(0).store(7, 42);
-            g.pages[0].valid = true;
+            g.pages[0].step(Event::Fill);
             g.ready_at = 123;
         }
         assert_eq!(slot.try_read(0, 0, 7), Some((42, 123)));
@@ -716,7 +812,7 @@ mod tests {
         assert_eq!(slot.try_read(9, 0, 7), None); // wrong tag
         {
             let mut g = c.lock_slot(PageNum(0));
-            g.pages[0].invalidate();
+            g.pages[0].step(Event::Invalidate);
         }
         assert_eq!(slot.try_read(0, 0, 7), None); // invalidated
     }
@@ -731,7 +827,7 @@ mod tests {
             for w in 0..8 {
                 d.store(w, (w as u64) * 11);
             }
-            g.pages[0].valid = true;
+            g.pages[0].step(Event::Fill);
             g.ready_at = 9;
         }
         let mut out = [0u64; 4];
@@ -757,7 +853,7 @@ mod tests {
                         }
                         let idx = cache.index_in_line(page);
                         st.data(idx).store(0, t * 1000 + round);
-                        st.pages[idx].valid = true;
+                        st.pages[idx].step(Event::Fill);
                         // Invariant under the lock: tag matches what we set.
                         assert_eq!(st.tag, Some(line));
                     }
@@ -800,7 +896,7 @@ mod tests {
             let mut g = cache.lock_slot(PageNum(tag));
             g.retag(tag);
             g.data(0).store(0, tag * 1000 + 5);
-            g.pages[0].valid = true;
+            g.pages[0].step(Event::Fill);
             g.ready_at = tag + 7;
         }
         stop.store(true, Ordering::Relaxed);

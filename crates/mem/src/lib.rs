@@ -13,8 +13,8 @@
 //!   number. Pages are interleaved across nodes — for N nodes, node 0
 //!   serves the lowest addresses, node N−1 the highest, page by page
 //!   (paper §3) — and re-homing a page moves no bytes.
-//! - `cache`: each node's local page cache — direct mapped, organized in
-//!   multi-page "cache lines" to support Argo's prefetching (§3.6.2).
+//! - `cache`: each node's direct-mapped page cache of multi-page lines
+//!   (§3.6.2); a cached page's history is one [`Standing`] with one table.
 //! - [`alloc`]: the collective bump allocator backing `argo`'s typed
 //!   allocation API.
 //! - `word`: the sealed `u64`/`f64` codec under every typed accessor.
@@ -41,7 +41,7 @@ mod zeroed;
 
 pub use addr::{GlobalAddr, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE};
 pub use alloc::GlobalAllocator;
-pub use cache::{CacheConfig, PageCache, Reuse, SlotGuard};
+pub use cache::{CacheConfig, Event, PageCache, SlotGuard, Standing};
 pub use global::GlobalMemory;
 pub use page::{PageData, WriteMask};
 pub use word::Word;

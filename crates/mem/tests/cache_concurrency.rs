@@ -2,7 +2,7 @@
 //! line state consistent under contention, and the lock-free read path must
 //! agree with the locked state it mirrors.
 
-use mem::{CacheConfig, PageCache, PageNum};
+use mem::{CacheConfig, Event, PageCache, PageNum};
 use std::sync::Arc;
 
 #[test]
@@ -21,7 +21,7 @@ fn concurrent_retag_and_fill_is_consistent() {
                     }
                     let idx = cache.index_in_line(page);
                     st.data(idx).store(0, t * 1000 + round);
-                    st.pages[idx].valid = true;
+                    st.pages[idx].step(Event::Fill);
                     // Invariant under the lock: tag matches what we set.
                     assert_eq!(st.tag, Some(line));
                 }
@@ -42,7 +42,7 @@ fn occupancy_covers_every_filled_slot_exactly_once() {
         let mut g = cache.lock_slot(p);
         g.retag(line);
         g.data(0).store(0, line + 1);
-        g.pages[0].valid = true;
+        g.pages[0].step(Event::Fill);
     }
     // Distinct lines within capacity hit distinct slots: every fill is
     // still there to be read.
@@ -69,13 +69,13 @@ fn lock_free_reads_race_with_locked_writers() {
                     let mut g = cache.lock_slot(page);
                     if round % 7 == 3 {
                         if g.tag == Some(line) {
-                            g.pages[0].invalidate();
+                            g.pages[0].step(Event::Invalidate);
                             g.tag = None;
                         }
                     } else {
                         g.retag(line);
                         g.data(0).store(3, line * 100 + 9);
-                        g.pages[0].valid = true;
+                        g.pages[0].step(Event::Fill);
                         g.ready_at = line;
                     }
                 }
