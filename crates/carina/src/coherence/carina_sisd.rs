@@ -23,7 +23,7 @@ pub struct CarinaSiSd {
     /// The Pyxis home directory: one entry per page, living in the page's
     /// home node's memory (like the data pages, the placement is timing
     /// metadata in the simulator; the entries themselves are stored flat).
-    home: Box<[DirWords]>,
+    home: mem::Arena<DirWords>,
     /// Per node, per page: that node's directory cache. Other nodes OR
     /// into it remotely on classification transitions; the owner reads it
     /// locally at fences. That asymmetry is the whole point: the *causing*

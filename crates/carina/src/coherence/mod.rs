@@ -57,7 +57,7 @@ use std::sync::OnceLock;
 
 /// A page-indexed table of zero-initialised cells, resident only where a
 /// run stored ([`mem::zeroed_slice`]).
-pub(crate) fn page_table<A: mem::Zeroed>(pages: u64) -> Box<[A]> {
+pub(crate) fn page_table<A: mem::Zeroed>(pages: u64) -> mem::Arena<A> {
     let n = usize::try_from(pages).unwrap_or_else(|_| panic!("{pages} pages overflow usize"));
     mem::zeroed_slice(n)
 }
@@ -68,15 +68,14 @@ const CHUNK_PAGES: usize = 1024;
 /// A node × page table of zero-initialised cells (counters by default;
 /// SI/SD's directory caches are one of `DirWords`). Each node's row is cut
 /// into chunks of [`CHUNK_PAGES`] cells, allocated zeroed on first touch,
-/// and a reset visits only the chunks a run touched. One zero-mapped
-/// table would be lazy only on a machine's first build: glibc serves a
-/// rebuilt small machine's tables from recycled heap, which `calloc`
-/// clears eagerly.
+/// and a reset visits only the chunks a run touched: one zero-mapped
+/// table would cost nothing untouched too, but its reset would read
+/// every node's row.
 #[derive(Debug)]
 pub(crate) struct NodePageTable<A = AtomicU64> {
     pages: usize,
     row_chunks: usize,
-    chunks: Box<[OnceLock<Box<[A]>>]>,
+    chunks: Box<[OnceLock<mem::Arena<A>>]>,
 }
 
 impl<A: mem::Zeroed> NodePageTable<A> {
@@ -115,7 +114,7 @@ impl<A: mem::Zeroed> NodePageTable<A> {
 /// registered with the home directory", checked on every access.
 #[derive(Debug)]
 pub(crate) struct PageBitSet {
-    words: Box<[AtomicU64]>,
+    words: mem::Arena<AtomicU64>,
 }
 
 impl PageBitSet {

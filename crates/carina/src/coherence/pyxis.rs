@@ -71,20 +71,20 @@ pub struct Pyxis {
     tardis: Tardis,
     /// Per page: switch count. Parity is the mode (even = classify,
     /// odd = lease); every page starts in classification mode.
-    mode_epoch: Box<[AtomicU64]>,
+    mode_epoch: mem::Arena<AtomicU64>,
     /// Per node, per page: the mode epoch this node last reconciled at an
     /// acquire (mismatch ⇒ force-invalidate once).
     seen_epoch: NodePageTable,
     /// Per page saturating evidence score (see module docs).
-    score: Box<[AtomicI64]>,
+    score: mem::Arena<AtomicI64>,
     /// Per page: monotone write version, bumped once per written epoch.
     /// Comparing against a node's remembered version answers "was
     /// this page written since I last checked it?" exactly, with no decay
     /// window to tune.
-    write_version: Box<[AtomicU64]>,
+    write_version: mem::Arena<AtomicU64>,
     /// Per page: reads since the page's last write (zeroed on every
     /// written epoch) — the reads-between-writes census signal.
-    reads_since_write: Box<[AtomicU64]>,
+    reads_since_write: mem::Arena<AtomicU64>,
     /// Per node, per page: the write version this node observed at its
     /// previous fence check of the page.
     seen_version: NodePageTable,

@@ -128,17 +128,17 @@ pub struct Tardis {
     /// the columns stay atomics so fence predicates read them lock-free.
     locks: [Mutex<()>; LOCK_STRIPES],
     /// Per page: write timestamp of the home copy's version.
-    wts: Box<[AtomicU64]>,
+    wts: mem::Arena<AtomicU64>,
     /// Per page: promise horizon, the max granted read lease. Invariant:
     /// `wts <= rts` whenever `rts > 0`.
-    rts: Box<[AtomicU64]>,
+    rts: mem::Arena<AtomicU64>,
     /// Per page: current lease length (adaptive, see module docs; 0 reads
     /// as the initial lease, `lease_clock::length`).
-    lease: Box<[AtomicU64]>,
+    lease: mem::Arena<AtomicU64>,
     /// Per page: diagnostic accessor maps for the census and invariant
     /// checks. Never consulted by a protocol decision — Tardis's whole
     /// point is that it needs no sharer bitmap.
-    diag: Box<[DirWords]>,
+    diag: mem::Arena<DirWords>,
     nodes: Vec<NodeClock>,
     /// Per node, per page: the granted `rts` (valid where `granted` is set).
     lease_rts: NodePageTable,

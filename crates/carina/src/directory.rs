@@ -139,7 +139,7 @@ mod tests {
     fn concurrent_first_touches_are_never_both_blind() {
         use std::sync::{Arc, Barrier};
         const ROUNDS: usize = 20_000;
-        let entries: Arc<[DirWords]> = mem::zeroed_slice(ROUNDS).into();
+        let entries = Arc::new(mem::zeroed_slice::<DirWords>(ROUNDS));
         let start = Arc::new(Barrier::new(2));
         let writer = {
             let (entries, start) = (entries.clone(), start.clone());

@@ -139,7 +139,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let line = ns.cache.line_of(page);
         let idx = ns.cache.index_in_line(page);
         // Hit fast path: the run is copied under one optimistic seqlock
-        // window, no slot mutex. Falls through to the locked path on a miss
+        // window, no slot lock. Falls through to the locked path on a miss
         // or a concurrent mutation.
         if let Some(ready) = ns.cache.slot_for(page).try_read_run(line, idx, first, out) {
             CoherenceStats::bump(&self.stats.shard(me).read_hits);
@@ -147,9 +147,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return Ok(());
         }
         let mut st = ns.cache.lock_slot(page);
-        if st.tag == Some(line) && st.pages[idx].valid {
+        if st.tag() == Some(line) && st.pages[idx].valid {
             CoherenceStats::bump(&self.stats.shard(me).read_hits);
-            t.merge(st.ready_at);
+            t.merge(st.ready_at());
             if st.pages[idx].standing == Standing::Refilled {
                 st.pages[idx].step(Event::Touch);
             }
@@ -186,10 +186,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let ns = &self.nodes[me as usize];
         let mut st = ns.cache.lock_slot(page);
         let idx = ns.cache.index_in_line(page);
-        if st.tag != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
+        if st.tag() != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
             self.read_miss(t, &mut st, page, me)?; // write-allocate
         } else if st.pages[idx].standing == Standing::Refilled {
-            t.merge(st.ready_at); // the store lands on the refilled data
+            t.merge(st.ready_at()); // the store lands on the refilled data
         }
         let buffered = if st.pages[idx].dirty() {
             CoherenceStats::bump(&self.stats.shard(me).write_hits);
@@ -199,7 +199,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         };
         // The mask records exactly the stored words — the diff the
         // write-back posts. Sound because all stores to cached pages happen
-        // under the slot mutex, which the downgrade that reads and clears
+        // under the slot lock, which the downgrade that reads and clears
         // the mask takes too.
         st.pages[idx].mask.cover(first, data.len());
         st.data(idx).store_run(first, data);

@@ -36,7 +36,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             slots.dedup();
             for slot in slots {
                 let st = ns.cache.lock_index(slot);
-                let Some(tag) = st.tag else { continue };
+                let Some(tag) = st.tag() else { continue };
                 let base = ns.cache.line_base(tag);
                 for (idx, cp) in st.pages.iter().enumerate() {
                     let (page, s, valid) = (PageNum(base.0 + idx as u64), cp.standing, cp.valid);

@@ -33,7 +33,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub(super) fn dirty_index(&self, st: &SlotGuard, page: PageNum, node: u16) -> Option<usize> {
         let cache = &self.nodes[node as usize].cache;
         let idx = cache.index_in_line(page);
-        (st.tag == Some(cache.line_of(page)) && st.pages[idx].dirty()).then_some(idx)
+        (st.tag() == Some(cache.line_of(page)) && st.pages[idx].dirty()).then_some(idx)
     }
 
     /// Fences in a row a kept page may sit unwritten: until its scans cost

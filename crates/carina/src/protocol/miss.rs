@@ -50,9 +50,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         t.fault_trap();
         let ns = &self.nodes[me as usize];
         let line = ns.cache.line_of(page);
-        if st.tag != Some(line) {
+        if st.tag() != Some(line) {
             // Conflict eviction: flush dirty pages of the old line.
-            if let Some(old) = st.tag {
+            if let Some(old) = st.tag() {
                 let old_base = ns.cache.line_base(old);
                 let mut evicted_live = false;
                 for idx in 0..st.pages.len() {
@@ -146,7 +146,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
         }
         t.merge(done);
-        st.ready_at = t.now();
+        st.set_ready(t.now());
         if overlapped {
             self.profile.record(
                 me as usize,
@@ -184,7 +184,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             // different line has taken, keeps what it holds.
             let Some(mut st) = ns.cache.try_lock_slot(page) else { continue };
             let idx = ns.cache.index_in_line(page);
-            if st.tag != Some(ns.cache.line_of(page)) || st.pages[idx].standing != Standing::Dropped
+            if st.tag() != Some(ns.cache.line_of(page)) || st.pages[idx].standing != Standing::Dropped
             {
                 continue;
             }
@@ -212,7 +212,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             };
             st.data(idx).copy_from(self.global.home_page(page));
             let live = st.pages.iter().any(|p| p.valid);
-            st.ready_at = if live { st.ready_at.max(ready) } else { ready };
+            st.set_ready(if live { st.ready_at().max(ready) } else { ready });
             st.pages[idx].step(Event::Refill);
             t.compute(PROTECT_CYCLES);
             installed += 1;

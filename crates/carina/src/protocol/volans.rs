@@ -171,7 +171,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let ns = &self.nodes[node as usize];
         let mut st = ns.cache.lock_slot(page);
         let idx = ns.cache.index_in_line(page);
-        if st.tag == Some(ns.cache.line_of(page)) && st.pages[idx].valid {
+        if st.tag() == Some(ns.cache.line_of(page)) && st.pages[idx].valid {
             if st.pages[idx].dirty() {
                 self.write_home(&st, page, idx);
                 ns.wbuf.remove(page);
@@ -291,7 +291,7 @@ mod tests {
             let mut st = dsm.nodes[0].cache.lock_slot(page);
             dsm.global.set_home(page, 0); // what a failover does under this lock
             let err = dsm.read_miss(&mut t, &mut st, page, 0).unwrap_err();
-            assert_eq!(st.tag, None, "the refused miss touched the slot");
+            assert_eq!(st.tag(), None, "the refused miss touched the slot");
             err
         };
         assert_eq!(err.last_error, VerbError::Departed);

@@ -9,37 +9,41 @@
 //!
 //! Host-side engineering (none of it visible in virtual time):
 //!
-//! - **One zero-mapped arena.** The page contents of every slot live in
-//!   one [`crate::zeroed_slice`] indexed `slot × pages_per_line + idx`,
-//!   outside the slot mutexes so lock-free readers reach them. A cache is
-//!   sized for the worst case (8 192 slots, 32 MiB per node by default),
-//!   and the OS backs only the pages a run fills.
-//! - **Seqlock read path.** Each slot publishes lock-free mirrors of its
-//!   tag, valid mask, and fill timestamp, guarded by a sequence word
-//!   ([`SlotRef::try_read`]). Read hits — the overwhelming majority of
-//!   protocol operations — validate the mirrors optimistically and never
-//!   touch the slot mutex; any concurrent metadata mutation is caught by
-//!   the sequence check and falls back to the locked path. Page contents
-//!   are word-atomic, so the optimistic loads are race-free by
-//!   construction.
+//! - **Three zero-mapped arenas, nothing per slot.** A cache is a slot
+//!   table (five words a slot), each page's [`CachedPage`] metadata and
+//!   each page's contents, the last two indexed
+//!   `slot × pages_per_line + idx`, all from [`crate::zeroed_slice`]. A
+//!   cache is sized for the worst case (8 192 slots, 32 MiB of pages per
+//!   node by default). Every page starts on its own OS page and all-zero
+//!   slot words and metadata are an empty slot, so a page a run fills
+//!   costs one frame and a slot it never uses costs none.
+//! - **Seqlock read path.** A slot's tag, valid mask and fill timestamp
+//!   are words of the slot table — their only copy — guarded by a
+//!   sequence word ([`SlotRef::try_read`]). Read hits — the overwhelming
+//!   majority of protocol operations — validate them optimistically and
+//!   never take the slot lock; any concurrent change is caught by the
+//!   sequence check and falls back to the locked path. Page contents are
+//!   word-atomic, so the optimistic loads are race-free by construction.
 //! - **Occupancy bitsets.** The cache tracks which slots hold a valid page
 //!   and which hold dirty pages, so fence sweeps visit O(resident) slots
 //!   instead of scanning every slot of a mostly-empty cache.
 //!
-//! The mirrors and the bitsets are maintained in one place: [`SlotGuard`],
-//! the only handle through which slot metadata can be mutated. Its `Drop`
-//! republishes them while the slot mutex is still held, so they can never
-//! drift from the locked state.
+//! The slot words and the bitsets are maintained in one place:
+//! [`SlotGuard`], the only handle through which a line can be changed. It
+//! holds the slot's lock, and its `Drop` publishes them before releasing
+//! it, so they can never drift from the locked view.
 //!
 //! This module is purely structural: eviction/fill/invalidation *policy* and
 //! all network charging live in `carina`.
 
 use crate::addr::PageNum;
 use crate::page::{PageData, WriteMask};
-use crate::zeroed::zeroed_slice;
-use parking_lot::{Mutex, MutexGuard};
+use crate::zeroed::{sealed::ZeroValid, zeroed_slice, Arena};
+use std::cell::UnsafeCell;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::thread::Thread;
 
 /// Geometry of a node's page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,7 +101,9 @@ impl Default for CacheConfig {
 /// and every `Kept` hot: `fence ∧ gate ∧ hot ∧ idle' < bound` → `Kept{idle'}`;
 /// else `fence ∧ ¬posted` → `Cold` (demoted); else `Protected{hot}`.
 /// Fill and Refill want no copy, Invalidate either, the other events a copy.
+/// `repr(u8)` makes `Cold` the all-zero standing, as a fresh slot needs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum Standing {
     /// No history, with or without a copy.
     #[default]
@@ -157,9 +163,10 @@ fn next(from: Standing, event: Event, posted: bool) -> Option<Standing> {
     })
 }
 
-/// Protocol metadata of one cached page within a line. The page *contents*
-/// live in the cache's arena, outside the slot mutex, so lock-free readers
-/// can reach them.
+/// Protocol metadata of one cached page within a line, in the cache's
+/// metadata arena: all-zero bytes are the default, an invalid, clean,
+/// `Cold` page. The page *contents* live in the page arena, where
+/// lock-free readers reach them.
 #[derive(Debug, Default)]
 pub struct CachedPage {
     /// Holds a valid copy of the tagged page.
@@ -197,77 +204,138 @@ impl CachedPage {
     }
 }
 
-/// Mutable state of a line slot.
+/// A locked line's page metadata, in the metadata arena: what a
+/// [`SlotGuard`] dereferences to.
 #[derive(Debug)]
-pub struct LineState {
-    /// Line id (`page / pages_per_line`) currently resident, if any.
-    pub tag: Option<u64>,
-    /// Virtual time at which the resident line's fill completed. Hits merge
-    /// this: a thread cannot consume data before it arrived.
-    pub ready_at: u64,
-    pub pages: Vec<CachedPage>,
+#[repr(transparent)]
+pub struct Line {
+    pub pages: [CachedPage],
 }
 
-impl LineState {
-    /// Reset the slot for a new line tag; all pages become invalid/clean.
-    pub fn retag(&mut self, tag: u64) {
-        self.tag = Some(tag);
-        self.ready_at = 0;
-        for p in &mut self.pages {
-            p.step(Event::Invalidate);
-        }
-    }
-}
-
-/// A direct-mapped slot holding one line.
+/// A direct-mapped slot: five words of the cache's slot table, all zero
+/// for a slot never used.
 ///
-/// Alongside the mutex-protected [`LineState`], the slot carries seqlock
-/// mirrors of the metadata (`seq`, `tag`, valid mask, `ready_at`),
-/// republished by [`SlotGuard`] on every mutation. Its pages' contents sit
-/// in the cache's arena: word-atomic, readable without the mutex, and
-/// resident only once filled. Per-slot storage allocated up front would
-/// cost gigabytes at 128 nodes; the arena costs what a run fills.
-///
-/// Writer protocol (inside `SlotGuard`): bump `seq` to odd before the
-/// first mutation with a release fence, mutate under the mutex, republish
-/// the mirrors, bump `seq` back to even with a release store. Readers
-/// ([`SlotRef::try_read`]) load `seq` (acquire), read the mirrors and data,
-/// then re-check `seq` behind an acquire fence.
+/// Writer protocol (inside [`SlotGuard`]): take `lock`; before the first
+/// change bump `seq` to odd behind a release fence; change the line; store
+/// `tag`, `valid` and `ready`; bump `seq` back to even with a release
+/// store; release `lock`. Readers ([`SlotRef::try_read`]) load `seq`
+/// (acquire), read the words and data, then re-check `seq` behind an
+/// acquire fence.
 #[derive(Debug)]
-pub struct LineSlot {
-    state: Mutex<LineState>,
-    /// Seqlock word: odd while a mutation is in flight.
+struct LineSlot {
+    /// 0 free; 1 held by a [`SlotGuard`]; 2 held, with waiters asleep.
+    lock: AtomicU64,
+    /// Seqlock word: odd while a change is in flight.
     seq: AtomicU64,
-    /// Mirror of `tag`, biased by one (0 = empty slot).
-    fast_tag: AtomicU64,
-    /// Mirror of the per-page `valid` bits, less [`Standing::Refilled`] pages.
-    fast_valid: AtomicU64,
-    /// Mirror of `ready_at`.
-    fast_ready: AtomicU64,
+    /// The resident line's id (`page / pages_per_line`), biased by one
+    /// (0 = empty slot).
+    tag: AtomicU64,
+    /// The valid pages' bits, less [`Standing::Refilled`] pages.
+    valid: AtomicU64,
+    /// Virtual time at which the resident line's fill completed.
+    ready: AtomicU64,
 }
+
+/// Where the waiters of held slots sleep: per stripe of slots (by address),
+/// each parked thread and the slot it waits for, so a slot needs nothing
+/// but its zero-valid lock word.
+static PARKED: [Mutex<Vec<(usize, Thread)>>; 16] = [const { Mutex::new(Vec::new()) }; 16];
 
 impl LineSlot {
-    fn new(pages_per_line: usize) -> Self {
-        LineSlot {
-            state: Mutex::new(LineState {
-                tag: None,
-                ready_at: 0,
-                pages: (0..pages_per_line).map(|_| CachedPage::default()).collect(),
-            }),
-            seq: AtomicU64::new(0),
-            fast_tag: AtomicU64::new(0),
-            fast_valid: AtomicU64::new(0),
-            fast_ready: AtomicU64::new(0),
+    #[inline]
+    fn try_lock(&self) -> bool {
+        // Acquire: pairs with the release in `unlock`.
+        self.lock.compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed).is_ok()
+    }
+
+    /// A futex-style mutex: spin while the holder runs alone (`lock` 1),
+    /// then mark it 2 and park until the holder's `unlock` wakes this
+    /// waiter, and only this one.
+    #[inline]
+    fn lock(&self) {
+        if !self.try_lock() {
+            self.lock_contended();
         }
     }
+
+    #[cold]
+    fn lock_contended(&self) {
+        let mut state = self.spin();
+        if state == 0 && self.try_lock() {
+            return;
+        }
+        let me = std::thread::current();
+        while state == 2 || self.lock.swap(2, Ordering::Acquire) != 0 {
+            let mut parked = self.parked();
+            // Under the queue's lock, so the holder's `unlock` finds this
+            // thread queued.
+            if self.lock.load(Ordering::Relaxed) == 2 {
+                parked.push((self.addr(), me.clone()));
+                drop(parked);
+                // `unlock` dequeues before it unparks: any other return from
+                // `park` is spurious.
+                while self.parked().iter().any(|(_, t)| t.id() == me.id()) {
+                    std::thread::park();
+                }
+            }
+            state = self.spin();
+        }
+    }
+
+    /// The lock word once it is no longer 1, or after 100 spins.
+    fn spin(&self) -> u64 {
+        for _ in 0..100 {
+            match self.lock.load(Ordering::Relaxed) {
+                1 => std::hint::spin_loop(),
+                state => return state,
+            }
+        }
+        self.lock.load(Ordering::Relaxed)
+    }
+
+    #[inline]
+    fn unlock(&self) {
+        if self.lock.swap(0, Ordering::Release) == 2 {
+            let mut parked = self.parked();
+            if let Some(i) = parked.iter().position(|(slot, _)| *slot == self.addr()) {
+                let (_, waiter) = parked.remove(i);
+                drop(parked);
+                waiter.unpark();
+            }
+        }
+    }
+
+    fn addr(&self) -> usize {
+        std::ptr::from_ref(self).addr()
+    }
+
+    fn parked(&self) -> MutexGuard<'static, Vec<(usize, Thread)>> {
+        let queue = &PARKED[self.addr() / size_of::<Self>() % PARKED.len()];
+        queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
+
+/// One page's [`CachedPage`] in the metadata arena, changed only through a
+/// [`SlotGuard`] of its slot.
+#[derive(Debug)]
+#[repr(transparent)]
+struct MetaCell(UnsafeCell<CachedPage>);
+
+// SAFETY: a slot is five atomic words, and zero is each of them.
+unsafe impl ZeroValid for LineSlot {}
+// SAFETY: all-zero bytes are a `CachedPage`: `valid` false, an empty mask
+// of atomic words, and `Standing::Cold`, the `repr(u8)` enum's zero.
+unsafe impl ZeroValid for MetaCell {}
+// SAFETY: only the holder of its slot's lock reaches a cell
+// (`PageCache::locked`), so no two threads share one.
+unsafe impl Sync for MetaCell {}
 
 /// A slot with its line's page contents: the lock-free read path's handle
 /// ([`PageCache::slot_for`]).
 #[derive(Debug, Clone, Copy)]
 pub struct SlotRef<'a> {
     slot: &'a LineSlot,
-    /// The line's pages in the arena, indexed like `LineState::pages`.
+    /// The line's pages in the page arena, indexed like [`Line::pages`].
     data: &'a [PageData],
 }
 
@@ -299,12 +367,12 @@ impl SlotRef<'_> {
         if s1 & 1 != 0 {
             return None;
         }
-        if slot.fast_tag.load(Ordering::Relaxed) != tag.wrapping_add(1)
-            || slot.fast_valid.load(Ordering::Relaxed) & (1u64 << idx) == 0
+        if slot.tag.load(Ordering::Relaxed) != tag.wrapping_add(1)
+            || slot.valid.load(Ordering::Relaxed) & (1u64 << idx) == 0
         {
             return None;
         }
-        let ready = slot.fast_ready.load(Ordering::Relaxed);
+        let ready = slot.ready.load(Ordering::Relaxed);
         self.data[idx].load_run(first_word, out);
         fence(Ordering::Acquire);
         if slot.seq.load(Ordering::Relaxed) != s1 {
@@ -315,7 +383,7 @@ impl SlotRef<'_> {
 }
 
 #[inline]
-fn bitset_words(bits: usize) -> Box<[AtomicU64]> {
+fn bitset_words(bits: usize) -> Arena<AtomicU64> {
     zeroed_slice(bits.div_ceil(64))
 }
 
@@ -347,23 +415,24 @@ fn bitset_indices(words: &[AtomicU64]) -> impl Iterator<Item = usize> + '_ {
 #[derive(Debug)]
 pub struct PageCache {
     config: CacheConfig,
-    slots: Vec<LineSlot>,
-    /// Page contents, `slot × pages_per_line + idx`.
-    data: Box<[PageData]>,
+    slots: Arena<LineSlot>,
+    /// Page metadata, `slot × pages_per_line + idx`.
+    meta: Arena<MetaCell>,
+    /// Page contents, indexed like `meta`.
+    data: Arena<PageData>,
     /// Slots currently holding a valid page.
-    occupied: Box<[AtomicU64]>,
+    occupied: Arena<AtomicU64>,
     /// Slots currently holding at least one dirty page.
-    dirty: Box<[AtomicU64]>,
+    dirty: Arena<AtomicU64>,
 }
 
 impl PageCache {
     pub fn new(config: CacheConfig) -> Self {
         PageCache {
+            meta: zeroed_slice(config.capacity_pages()),
             data: zeroed_slice(config.capacity_pages()),
             config,
-            slots: (0..config.lines)
-                .map(|_| LineSlot::new(config.pages_per_line))
-                .collect(),
+            slots: zeroed_slice(config.lines),
             occupied: bitset_words(config.lines),
             dirty: bitset_words(config.lines),
         }
@@ -416,11 +485,20 @@ impl PageCache {
     /// Lock slot `index` (used with the occupancy iterators for sweeps).
     #[inline]
     pub fn lock_index(&self, index: usize) -> SlotGuard<'_> {
+        self.slots[index].lock();
+        self.locked(index)
+    }
+
+    /// The guard of slot `index`, whose lock the caller has just taken.
+    #[inline]
+    fn locked(&self, index: usize) -> SlotGuard<'_> {
+        let slot = &self.slots[index];
         SlotGuard {
+            tag: slot.tag.load(Ordering::Relaxed).checked_sub(1),
+            ready_at: slot.ready.load(Ordering::Relaxed),
             cache: self,
             index,
             wrote: false,
-            st: self.slots[index].state.lock(),
         }
     }
 
@@ -442,8 +520,7 @@ impl PageCache {
     #[inline]
     pub fn try_lock_slot(&self, page: PageNum) -> Option<SlotGuard<'_>> {
         let index = self.slot_index_for(page);
-        let st = self.slots[index].state.try_lock()?;
-        Some(SlotGuard { cache: self, index, wrote: false, st })
+        self.slots[index].try_lock().then(|| self.locked(index))
     }
 
     /// The sweep every fence, reset and decay walks: lock, in ascending
@@ -461,7 +538,7 @@ impl PageCache {
     ) -> Result<(), E> {
         for index in indices {
             let mut st = self.lock_index(index);
-            let Some(tag) = st.tag else { continue };
+            let Some(tag) = st.tag() else { continue };
             let base = self.line_base(tag);
             for idx in 0..st.pages.len() {
                 if st.pages[idx].valid {
@@ -473,21 +550,20 @@ impl PageCache {
     }
 }
 
-/// Exclusive access to one slot's metadata.
+/// Exclusive access to one slot: its lock.
 ///
-/// Dereferences to [`LineState`]. The first mutable dereference flips the
-/// slot's seqlock odd (fencing out optimistic readers); dropping the guard
-/// after a mutation republishes the lock-free mirrors and the cache's
-/// occupancy bitsets, then flips the seqlock even — all before the mutex is
-/// released, so locked and lock-free views can never disagree. Read-only
-/// uses pay none of this.
+/// Dereferences to the slot's [`Line`]. The first change — a mutable
+/// dereference, [`Self::retag`] or [`Self::set_ready`] — flips the slot's
+/// seqlock odd (fencing out optimistic readers); dropping the guard after
+/// one stores the slot words and the cache's occupancy bitsets, then flips
+/// the seqlock even — all before the lock is released, so locked and
+/// lock-free views can never disagree. Read-only uses pay none of this.
 pub struct SlotGuard<'a> {
+    tag: Option<u64>,
+    ready_at: u64,
     cache: &'a PageCache,
     index: usize,
     wrote: bool,
-    // Dropped last (declaration order): the republish in `Drop::drop` runs
-    // while the mutex is still held.
-    st: MutexGuard<'a, LineState>,
 }
 
 impl<'a> SlotGuard<'a> {
@@ -505,55 +581,100 @@ impl<'a> SlotGuard<'a> {
     pub fn alloc_data(&self, idx: usize) -> &'a PageData {
         self.data(idx)
     }
+
+    /// Line id (`page / pages_per_line`) resident in the slot, if any.
+    #[inline]
+    pub fn tag(&self) -> Option<u64> {
+        self.tag
+    }
+
+    /// Virtual time at which the resident line's fill completed. Hits merge
+    /// this: a thread cannot consume data before it arrived.
+    #[inline]
+    pub fn ready_at(&self) -> u64 {
+        self.ready_at
+    }
+
+    #[inline]
+    pub fn set_ready(&mut self, at: u64) {
+        self.begin_write();
+        self.ready_at = at;
+    }
+
+    /// Reset the slot for a new line tag; all pages become invalid/clean.
+    pub fn retag(&mut self, tag: u64) {
+        self.tag = Some(tag);
+        self.ready_at = 0;
+        for p in &mut self.pages {
+            p.step(Event::Invalidate);
+        }
+    }
+
+    /// The line's metadata cells, viewed as a [`Line`].
+    #[inline]
+    fn line(&self) -> *mut Line {
+        let n = self.cache.config.pages_per_line;
+        let cells: *const [MetaCell] = &self.cache.meta[self.index * n..][..n];
+        // `MetaCell` is a transparent `UnsafeCell<CachedPage>`, `Line` a
+        // transparent `[CachedPage]`.
+        cells as *mut Line
+    }
+
+    /// Seqlock writer entry, once per guard: odd store, then a release
+    /// fence so the odd value is visible before any change.
+    #[inline]
+    fn begin_write(&mut self) {
+        if !self.wrote {
+            self.wrote = true;
+            let seq = &self.cache.slots[self.index].seq;
+            seq.store(seq.load(Ordering::Relaxed).wrapping_add(1), Ordering::Relaxed);
+            fence(Ordering::Release);
+        }
+    }
 }
 
 impl Deref for SlotGuard<'_> {
-    type Target = LineState;
+    type Target = Line;
 
     #[inline]
-    fn deref(&self) -> &LineState {
-        &self.st
+    fn deref(&self) -> &Line {
+        // SAFETY: as in `deref_mut`, and `&self` lends no `&mut Line`.
+        unsafe { &*self.line() }
     }
 }
 
 impl DerefMut for SlotGuard<'_> {
     #[inline]
-    fn deref_mut(&mut self) -> &mut LineState {
-        if !self.wrote {
-            self.wrote = true;
-            let slot = &self.cache.slots[self.index];
-            // Seqlock writer entry: odd store, then a release fence so the
-            // odd value is visible before any mutation.
-            let s = slot.seq.load(Ordering::Relaxed);
-            slot.seq.store(s.wrapping_add(1), Ordering::Relaxed);
-            fence(Ordering::Release);
-        }
-        &mut self.st
+    fn deref_mut(&mut self) -> &mut Line {
+        self.begin_write();
+        // SAFETY: the slot lock hands its holder its own line's metadata,
+        // as a `MutexGuard` does: the guard holds the lock, so no other
+        // thread reaches these cells (`MetaCell`), and the line is
+        // borrowed no longer than the guard.
+        unsafe { &mut *self.line() }
     }
 }
 
 impl Drop for SlotGuard<'_> {
     fn drop(&mut self) {
-        if !self.wrote {
-            return;
-        }
         let slot = &self.cache.slots[self.index];
-        let st = &*self.st;
-        slot.fast_tag
-            .store(st.tag.map_or(0, |t| t.wrapping_add(1)), Ordering::Relaxed);
-        let (mut valid, mut hits, mut any_dirty) = (0u64, 0u64, false);
-        for (i, p) in st.pages.iter().enumerate() {
-            valid |= u64::from(p.valid) << i;
-            hits |= u64::from(p.valid && p.standing != Standing::Refilled) << i;
-            any_dirty |= p.dirty();
+        if self.wrote {
+            let (mut valid, mut hits, mut any_dirty) = (0u64, 0u64, false);
+            for (i, p) in self.pages.iter().enumerate() {
+                valid |= u64::from(p.valid) << i;
+                hits |= u64::from(p.valid && p.standing != Standing::Refilled) << i;
+                any_dirty |= p.dirty();
+            }
+            slot.tag.store(self.tag.map_or(0, |t| t.wrapping_add(1)), Ordering::Relaxed);
+            slot.valid.store(hits, Ordering::Relaxed);
+            slot.ready.store(self.ready_at, Ordering::Relaxed);
+            bitset_write(&self.cache.occupied, self.index, valid != 0);
+            bitset_write(&self.cache.dirty, self.index, any_dirty);
+            // Seqlock writer exit: back to even, releasing the changes.
+            let s = slot.seq.load(Ordering::Relaxed);
+            slot.seq.store(s.wrapping_add(1), Ordering::Release);
         }
-        slot.fast_valid.store(hits, Ordering::Relaxed);
-        slot.fast_ready.store(st.ready_at, Ordering::Relaxed);
-        bitset_write(&self.cache.occupied, self.index, valid != 0);
-        bitset_write(&self.cache.dirty, self.index, any_dirty);
-        // Seqlock writer exit: back to even, releasing the mutations.
-        let s = slot.seq.load(Ordering::Relaxed);
-        slot.seq.store(s.wrapping_add(1), Ordering::Release);
+        slot.unlock();
     }
 }
 
@@ -601,7 +722,7 @@ mod tests {
         st.pages[0].step(Event::WriteFault);
         st.pages[0].mask.set(3);
         st.retag(5);
-        assert_eq!(st.tag, Some(5));
+        assert_eq!(st.tag(), Some(5));
         assert!(!st.pages[0].valid);
         assert!(!st.pages[0].dirty());
         assert!(st.pages[0].mask.is_empty());
@@ -695,7 +816,7 @@ mod tests {
         let standing = |page: u64| c.lock_slot(PageNum(page)).pages[0].standing;
         let fill = |page: u64| {
             let mut g = c.lock_slot(PageNum(page));
-            if g.tag != Some(page) {
+            if g.tag() != Some(page) {
                 g.retag(page);
             }
             g.pages[0].step(Event::Fill);
@@ -785,12 +906,29 @@ mod tests {
     }
 
     #[test]
+    fn a_waiter_sleeps_until_the_holder_lets_go() {
+        let c = Arc::new(PageCache::new(CacheConfig::new(1, 1)));
+        let held = c.lock_index(0);
+        let waiter = {
+            let c = c.clone();
+            std::thread::spawn(move || c.lock_index(0).set_ready(1))
+        };
+        while c.slots[0].lock.load(Ordering::Relaxed) != 2 {
+            std::thread::yield_now();
+        }
+        drop(held);
+        waiter.join().unwrap();
+        assert_eq!(c.lock_index(0).ready_at(), 1);
+        assert_eq!(c.slots[0].lock.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
     fn read_only_guard_leaves_seqlock_untouched() {
         let c = PageCache::new(CacheConfig::new(4, 1));
         let before = c.slots[0].seq.load(Ordering::Relaxed);
         {
             let g = c.lock_index(0);
-            assert_eq!(g.tag, None);
+            assert_eq!(g.tag(), None);
         }
         assert_eq!(c.slots[0].seq.load(Ordering::Relaxed), before);
     }
@@ -805,7 +943,7 @@ mod tests {
             g.retag(0);
             g.data(0).store(7, 42);
             g.pages[0].step(Event::Fill);
-            g.ready_at = 123;
+            g.set_ready(123);
         }
         assert_eq!(slot.try_read(0, 0, 7), Some((42, 123)));
         assert_eq!(slot.try_read(0, 1, 7), None); // page 1 invalid
@@ -828,7 +966,7 @@ mod tests {
                 d.store(w, (w as u64) * 11);
             }
             g.pages[0].step(Event::Fill);
-            g.ready_at = 9;
+            g.set_ready(9);
         }
         let mut out = [0u64; 4];
         let slot = c.slot_for(PageNum(5));
@@ -848,14 +986,14 @@ mod tests {
                         let page = PageNum((t * 500 + round) * 2);
                         let mut st = cache.lock_slot(page);
                         let line = cache.line_of(page);
-                        if st.tag != Some(line) {
+                        if st.tag() != Some(line) {
                             st.retag(line);
                         }
                         let idx = cache.index_in_line(page);
                         st.data(idx).store(0, t * 1000 + round);
                         st.pages[idx].step(Event::Fill);
                         // Invariant under the lock: tag matches what we set.
-                        assert_eq!(st.tag, Some(line));
+                        assert_eq!(st.tag(), Some(line));
                     }
                 })
             })
@@ -897,7 +1035,7 @@ mod tests {
             g.retag(tag);
             g.data(0).store(0, tag * 1000 + 5);
             g.pages[0].step(Event::Fill);
-            g.ready_at = tag + 7;
+            g.set_ready(tag + 7);
         }
         stop.store(true, Ordering::Relaxed);
         for h in readers {

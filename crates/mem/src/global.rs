@@ -13,7 +13,7 @@
 
 use crate::addr::{HomeMap, HomePolicy, PageNum, PAGE_BYTES};
 use crate::page::PageData;
-use crate::zeroed::zeroed_slice;
+use crate::zeroed::{zeroed_slice, Arena};
 use std::sync::atomic::{AtomicU16, Ordering};
 
 /// The home copies of all pages, with per-page home-node metadata.
@@ -24,7 +24,7 @@ pub struct GlobalMemory {
     homes: Vec<AtomicU16>,
     /// `store[page]` = the home copy: one zero-mapped arena (the split
     /// across nodes is expressed by `homes`), resident where written.
-    store: Box<[PageData]>,
+    store: Arena<PageData>,
 }
 
 impl GlobalMemory {

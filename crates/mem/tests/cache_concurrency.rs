@@ -1,6 +1,6 @@
 //! Concurrency tests for the page-cache structure: slot locking must keep
 //! line state consistent under contention, and the lock-free read path must
-//! agree with the locked state it mirrors.
+//! agree with what the lock holder stored.
 
 use mem::{CacheConfig, Event, PageCache, PageNum};
 use std::sync::Arc;
@@ -16,14 +16,14 @@ fn concurrent_retag_and_fill_is_consistent() {
                     let page = PageNum((t * 500 + round) * 2);
                     let mut st = cache.lock_slot(page);
                     let line = cache.line_of(page);
-                    if st.tag != Some(line) {
+                    if st.tag() != Some(line) {
                         st.retag(line);
                     }
                     let idx = cache.index_in_line(page);
                     st.data(idx).store(0, t * 1000 + round);
                     st.pages[idx].step(Event::Fill);
                     // Invariant under the lock: tag matches what we set.
-                    assert_eq!(st.tag, Some(line));
+                    assert_eq!(st.tag(), Some(line));
                 }
             })
         })
@@ -68,15 +68,14 @@ fn lock_free_reads_race_with_locked_writers() {
                     let page = PageNum(line);
                     let mut g = cache.lock_slot(page);
                     if round % 7 == 3 {
-                        if g.tag == Some(line) {
+                        if g.tag() == Some(line) {
                             g.pages[0].step(Event::Invalidate);
-                            g.tag = None;
                         }
                     } else {
                         g.retag(line);
                         g.data(0).store(3, line * 100 + 9);
                         g.pages[0].step(Event::Fill);
-                        g.ready_at = line;
+                        g.set_ready(line);
                     }
                 }
             })
