@@ -284,7 +284,9 @@ impl Coherence for Pyxis {
             // drops the copy unconditionally, so no lease grant or stale
             // view from the old mode can keep stale data alive. Record the
             // write version too, so the next check scores the new mode on
-            // post-switch evidence only.
+            // post-switch evidence only. Plain stores on per-node cells
+            // sibling threads share: safe because this runs only inside
+            // `si_sweep`, under the page's slot lock.
             seen.store(epoch, Ordering::Relaxed);
             self.seen_version.at(me, page).store(version, Ordering::Relaxed);
             CoherenceStats::bump(&shard.mode_reconciles);

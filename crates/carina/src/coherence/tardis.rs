@@ -257,6 +257,9 @@ impl Coherence for Tardis {
         };
         let grant = pts.saturating_add(lease);
         let prev = self.rts[q].fetch_max(grant, Ordering::AcqRel);
+        // A store derived from a load, on a cell sibling threads of `me`
+        // share: safe because `_serial` (the page's stripe) orders every
+        // renewal of the page, so none lowers the lease another granted.
         self.lease_rts.at(me, page).store(prev.max(grant), Ordering::Relaxed);
         self.lease_wts.at(me, page).store(wts, Ordering::Relaxed);
         if renewal {

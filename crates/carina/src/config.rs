@@ -15,9 +15,9 @@ pub const HIT_CYCLES: u64 = 4;
 pub const STREAM_WORD_CYCLES: u64 = 1;
 /// Cycles to copy one 4 KiB page that is hot in the CPU cache: ~170 DRAM +
 /// 4096 B at 16 B/cycle. Charged where the paper copies or scans a page —
-/// the twin at a write fault (the faulting access just touched it), the
-/// re-twin of a kept page and the diff scan of a downgrade — although the
-/// host, which takes the diff from the write mask, makes no copy.
+/// the twin at a write fault (the faulting access just touched it) and the
+/// diff scan of a downgrade, which also re-twins a kept page — although
+/// the host, which takes the diff from the write mask, makes no copy.
 pub const PAGE_COPY_CYCLES: u64 = 430;
 /// Cycles to copy one *cold* 4 KiB page during a sync-point checkpoint
 /// sweep (naïve P/S only): every line misses on the way in and out (2×64

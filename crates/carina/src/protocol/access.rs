@@ -6,7 +6,7 @@
 
 use super::*;
 use crate::config::{HIT_CYCLES, PAGE_COPY_CYCLES, STREAM_WORD_CYCLES};
-use mem::Word;
+use mem::{Word, WORDS_PER_PAGE};
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Read the aligned word at `addr`, surfacing retry-budget exhaustion
@@ -154,7 +154,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 st.pages[idx].step(Event::Touch);
             }
         } else {
-            self.read_miss(t, &mut st, page, me)?;
+            self.read_miss(t, &mut st, page, me, false)?;
         }
         st.data(idx).load_run(first, out);
         Ok(())
@@ -186,8 +186,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let ns = &self.nodes[me as usize];
         let mut st = ns.cache.lock_slot(page);
         let idx = ns.cache.index_in_line(page);
-        if st.tag() != Some(ns.cache.line_of(page)) || !st.pages[idx].valid {
-            self.read_miss(t, &mut st, page, me)?; // write-allocate
+        let missing = st.tag() != Some(ns.cache.line_of(page)) || !st.pages[idx].valid;
+        let overwrite = missing && data.len() == WORDS_PER_PAGE;
+        if missing {
+            // Write-allocate; a store of the whole page fetches none of it.
+            self.read_miss(t, &mut st, page, me, overwrite)?;
         } else if st.pages[idx].standing == Standing::Refilled {
             t.merge(st.ready_at()); // the store lands on the refilled data
         }
@@ -195,7 +198,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             CoherenceStats::bump(&self.stats.shard(me).write_hits);
             false
         } else {
-            self.write_fault_locked(t, &mut st, page, me)?
+            let fault = self.write_fault_locked(t, &mut st, page, me);
+            if fault.is_err() && overwrite {
+                // The store will not land: drop the copy no verb fetched.
+                st.pages[idx].step(Event::Invalidate);
+            }
+            fault?
         };
         // The mask records exactly the stored words — the diff the
         // write-back posts. Sound because all stores to cached pages happen

@@ -5,7 +5,7 @@
 //! behind the scan for a fence.
 
 use super::*;
-use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
+use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES, STREAM_WORD_CYCLES};
 
 /// Wire overhead of a downgrade message header (address + length).
 const DOWNGRADE_HEADER_BYTES: u64 = 32;
@@ -86,8 +86,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// page's [`Event::Drain`] step, and, if there were stores, the
     /// policy's clock advance. The step keeps a write-hot page writable on
     /// a `fence` drain the policy buffers in classification mode (a leased
-    /// copy dies at the writer's next acquire anyway), for the price of the
-    /// paper's eager re-twin, and re-protects anything else. A kept
+    /// copy dies at the writer's next acquire anyway) and re-protects
+    /// anything else. A kept page's re-twin rides its diff scan: the scan
+    /// stores each word it emits into the twin as well, so the re-arm costs
+    /// one streamed store per posted word, not a second page copy. A kept
     /// page re-enters the write buffer before the slot lock is released
     /// (a sibling's store must find it buffered). Returns the wire bytes
     /// owed to the home, if any, and the overflow victim that re-entry
@@ -106,13 +108,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let gate = fence
             && self.coherence.page_mode(page) == PageMode::Classify
             && self.coherence.write_buffered(me, page);
+        let words = st.pages[idx].mask.count() as u64;
         let was = st.pages[idx].step(Event::Drain { fence, gate, bound: self.idle_scan_bound() });
         let kept = st.pages[idx].dirty();
         let victim = kept.then(|| self.nodes[me as usize].wbuf.push(page)).flatten();
         if !kept {
             t.compute(PROTECT_CYCLES);
         } else if bytes.is_some() {
-            t.compute(PAGE_COPY_CYCLES); // the paper's eager re-twin
+            t.compute(words * STREAM_WORD_CYCLES); // the re-twin, fused into the scan
             CoherenceStats::bump(&self.stats.shard(me).write_retained);
         }
         if bytes.is_some() {

@@ -9,13 +9,16 @@ use crate::config::PROTECT_CYCLES;
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Handle a read miss on `page`: evict/flush the conflicting line if
     /// needed, then fetch the whole line from the pages' homes, registering
-    /// as a reader of each fetched page.
+    /// as a reader of each fetched page. With `overwrite` — a write-allocate
+    /// whose store covers all of `page` — `page` is registered and marked
+    /// valid but not read: its contents are the caller's to store.
     pub(super) fn read_miss(
         &self,
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
         me: u16,
+        overwrite: bool,
     ) -> Result<(), DsmError> {
         // Re-read the demanded page's home under the slot lock — once; the
         // fill below routes by this value. The accessor chose the remote
@@ -31,20 +34,21 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return Err(DsmError::departed(VerbClass::PageFetch, me, me, obs::SpanId::NONE));
         }
         self.site(t, me, obs::Site::ReadMiss, page.0, |t, span| {
-            self.fill_line(t, st, page, me, demanded_home, span)
+            self.fill_line(t, st, page, demanded_home, overwrite, span)
         })
     }
 
-    /// The body of a read miss, under its site scope.
+    /// The body of a read miss, under its site scope: `t`'s node misses.
     fn fill_line(
         &self,
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
-        me: u16,
         demanded_home: u16,
+        overwrite: bool,
         span: obs::SpanId,
     ) -> Result<(), DsmError> {
+        let me = t.node().0;
         CoherenceStats::bump(&self.stats.shard(me).read_misses);
         self.heat.bump(page.0 as usize);
         t.fault_trap();
@@ -72,7 +76,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
             st.retag(line);
         }
-        let refill_due = st.pages[ns.cache.index_in_line(page)].standing == Standing::Dropped;
+        let demanded = ns.cache.index_in_line(page);
+        let refill_due = st.pages[demanded].standing == Standing::Dropped;
         ns.missed.store(true, Ordering::Relaxed);
         // Fetch every not-yet-valid remote page of the line, grouped by
         // home so transfers to distinct homes overlap (pipelined one-sided
@@ -100,28 +105,35 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // completion is polled. The atomics reach the home ahead of the
         // read (same queue pair), so the miss costs one round trip, and
         // in-flight transfers to distinct homes overlap on the fabric
-        // instead of queuing behind one another on this thread.
+        // instead of queuing behind one another on this thread. A page to
+        // be overwritten leaves its group's read once registered; a group
+        // left with nothing to read posts no read.
         let obs_issue = t.obs_now();
-        let mut inflight: Vec<(u64, VerbToken)> = Vec::with_capacity(group.len());
-        for (home, idxs) in &group {
+        let mut inflight: Vec<(u64, Option<VerbToken>)> = Vec::with_capacity(group.len());
+        for (home, idxs) in &mut group {
             self.check_alive(me, *home, VerbClass::PageFetch, span)?;
             let mut reg_done = start;
-            for &idx in idxs {
+            for &idx in idxs.iter() {
                 let p = PageNum(base.0 + idx as u64);
                 if let Some(completed) = self.register_reader_remote(t, p, me, *home, start)? {
                     reg_done = reg_done.max(completed);
                 }
             }
+            idxs.retain(|&idx| !(overwrite && idx == demanded));
             let bytes = idxs.len() as u64 * PAGE_BYTES;
             // Registration outcomes (notifies, a checkpoint fetch) may have
             // advanced the clock past `start`: never post behind it.
-            let token = t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now()));
+            let token = (bytes > 0)
+                .then(|| t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now())));
             inflight.push((reg_done, token));
         }
         // Poll phase: completions fold in as a single max, so the line fill
         // costs one slowest-home round trip rather than the sum.
         let overlapped = inflight.len() > 1;
         for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
+            // The fill is ready once both the data and the registrations are.
+            done = done.max(reg_done);
+            let Some(token) = token else { continue };
             let bytes = idxs.len() as u64 * PAGE_BYTES;
             let salt = base.0.wrapping_add((home as u64) << 48);
             let timing = self.poll_retried(
@@ -137,13 +149,17 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     t.issue(NodeId(home), &Verb::Read { bytes }, at)
                 },
             )?;
-            // The fill is ready once both the data and the registrations are.
-            done = done.max(timing.initiator_done).max(reg_done);
+            done = done.max(timing.initiator_done);
             for idx in idxs {
                 let p = PageNum(base.0 + idx as u64);
                 st.data(idx).copy_from(self.global.home_page(p));
                 st.pages[idx].step(Event::Fill);
             }
+        }
+        if overwrite {
+            // Valid only once every fetch landed: a failed miss leaves no
+            // page holding what no verb brought.
+            st.pages[demanded].step(Event::Fill);
         }
         t.merge(done);
         st.set_ready(t.now());

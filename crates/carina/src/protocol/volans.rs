@@ -290,7 +290,7 @@ mod tests {
         let err = {
             let mut st = dsm.nodes[0].cache.lock_slot(page);
             dsm.global.set_home(page, 0); // what a failover does under this lock
-            let err = dsm.read_miss(&mut t, &mut st, page, 0).unwrap_err();
+            let err = dsm.read_miss(&mut t, &mut st, page, 0, false).unwrap_err();
             assert_eq!(st.tag(), None, "the refused miss touched the slot");
             err
         };

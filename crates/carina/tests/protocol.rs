@@ -2,7 +2,7 @@
 //! transitions, deferred invalidation, diffs under false sharing, write
 //! buffering, and the fence semantics that make DRF programs SC.
 
-use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES};
+use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES, STREAM_WORD_CYCLES};
 use carina::{
     CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, Dsm, PageClass, Tardis, VerbClass,
     WriterClass,
@@ -919,12 +919,13 @@ fn six_rewrites<C: Coherence>() -> (Vec<u64>, CoherenceSnapshot, NetStatsSnapsho
 /// (a) The cost rule, and (e) its control. Tardis never keeps a page (it
 /// self-invalidates written pages at the writer's next acquire) and
 /// re-registers every epoch, so each of its epochs is a cold fault with a
-/// registration and a cold drain — what epoch 1 costs everywhere, today
-/// and before. Under SI/SD and Pyxis, epoch 2 takes the second — learning
-/// — fault and its drain re-arms instead of protecting: `PAGE_COPY −
-/// PROTECT` more than a cold epoch. From epoch 3 on there is no trap and no
-/// `mprotect`: `fault_trap + PROTECT` less, each. The wire sees the same
-/// six diffs either way.
+/// registration and a cold drain — what epoch 1 costs everywhere. Under
+/// SI/SD and Pyxis, epoch 2 takes the second — learning — fault and its
+/// drain re-arms instead of protecting: the re-twin rides the diff scan, one
+/// streamed store per posted word, in place of the `PROTECT`. From epoch 3
+/// on there is no trap, no twin copy and no `mprotect`: a steady epoch is a
+/// hit, the scan, the one-word re-twin and the posting. The wire sees the
+/// same six diffs either way. Every charge is derived from the cost model.
 #[test]
 fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
     let cost = CostModel::paper_2011();
@@ -932,24 +933,21 @@ fn a_page_rewritten_every_epoch_pays_one_learning_trap() {
     assert!(control.iter().all(|&e| e == control[0]), "tardis: every epoch is cold: {control:?}");
     assert_eq!((s.write_faults, s.write_retained, s.retained_idle_scans), (6, 0, 0));
     assert_eq!((s.writebacks, s.writeback_bytes, n.rdma_writes), (6, 6 * 42, 6));
+    // What posting one 1-word diff (42 bytes) and waiting it out costs the
+    // fence: its serialization and its flight.
+    let post = cost.transfer_cycles(42) + cost.network_latency;
+    // A cold epoch of a page the node is already registered to write —
+    // hit, trap, twin copy, scan, protect, post.
+    let cold = HIT_CYCLES + cost.fault_trap_cycles + 2 * PAGE_COPY_CYCLES + PROTECT_CYCLES + post;
+    let steady = HIT_CYCLES + PAGE_COPY_CYCLES + STREAM_WORD_CYCLES + post;
 
     for (name, (epochs, s, n)) in
         [("sisd", six_rewrites::<CarinaSiSd>()), ("pyxis", six_rewrites::<Pyxis>())]
     {
-        // What posting one 1-word diff and waiting it out costs the fence:
-        // the steady-state epoch is a hit, the scan, the paper's re-twin,
-        // and that.
-        let post = epochs[2] - HIT_CYCLES - 2 * PAGE_COPY_CYCLES;
-        // A cold epoch of a page the node is already registered to write —
-        // hit, trap, twin copy, scan, protect, post: every epoch before
-        // retention.
-        let cold =
-            HIT_CYCLES + cost.fault_trap_cycles + 2 * PAGE_COPY_CYCLES + PROTECT_CYCLES + post;
         assert_eq!(epochs[0], control[0], "{name}: epoch 1 costs what it always did");
-        assert_eq!(epochs[1], cold + PAGE_COPY_CYCLES - PROTECT_CYCLES, "{name}: first re-arm");
+        assert_eq!(epochs[1], cold - PROTECT_CYCLES + STREAM_WORD_CYCLES, "{name}: first re-arm");
         for (e, &cycles) in epochs.iter().enumerate().skip(2) {
-            let saved = cost.fault_trap_cycles + PROTECT_CYCLES;
-            assert_eq!(cycles, cold - saved, "{name}: epoch {} is a plain write hit", e + 1);
+            assert_eq!(cycles, steady, "{name}: epoch {} is a plain write hit", e + 1);
         }
         assert_eq!(s.write_faults, 2, "{name}");
         assert_eq!((s.write_retained, s.retained_idle_scans), (5, 0), "{name}: epochs 2-6");
@@ -1323,4 +1321,106 @@ fn lease_pages_renew_inside_the_refill() {
     assert_eq!(s.mode_to_lease, K, "every page switched to lease mode");
     assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (56, 72, 96));
     assert_eq!((s.read_misses, s.refill_pages), (2 * K + 10, 10 * (K - 1)));
+}
+
+// ---- write-allocate of a whole page (DESIGN §8, "The mask is the diff") ----
+
+/// One `len`-word slice store from word `first` of a page homed at node 1,
+/// uncached on node 0 of two, under policy `C`: what the store cost the
+/// thread and the wire it used. The SD fence then publishes every stored
+/// word.
+fn allocating_store<C: Coherence>(first: u64, len: u64) -> (u64, NetStatsSnapshot) {
+    let (dsm, mut ts) = policy_cluster::<C>(2, CarinaConfig::default());
+    let (t, a) = (&mut ts[0], addr_homed_at(2, 1, 0).offset(8 * first));
+    let before = t.now();
+    dsm.write_u64_slice(t, a, &(0..len).map(|w| 1000 + w).collect::<Vec<_>>());
+    let (cycles, n) = (t.now() - before, wire(&dsm));
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.read_misses, s.write_faults), (1, 1), "{}: one miss, one fault", C::NAME);
+    dsm.sd_fence(t);
+    for w in 0..len {
+        assert_eq!(dsm.peek_u64(a.offset(8 * w)), 1000 + w, "{}: home word {w}", C::NAME);
+    }
+    assert!(dsm.check_invariants().is_empty(), "{}: {:?}", C::NAME, dsm.check_invariants());
+    (cycles, n)
+}
+
+/// A store that covers a whole page (word 0, `WORDS_PER_PAGE` words)
+/// registers the page like any miss but reads none of it; one word short,
+/// or one word in, it fetches the page. The two misses differ by exactly
+/// the page's serialization behind the registration atomic, the two
+/// stores' streaming by one word.
+fn whole_page_stores_fetch_nothing<C: Coherence>() {
+    let cost = CostModel::paper_2011();
+    let (whole, n) = allocating_store::<C>(0, WORDS_PER_PAGE as u64);
+    assert_eq!((n.rdma_reads, n.bytes_read), (0, 0), "{}: nothing fetched", C::NAME);
+    assert!(n.rdma_atomics > 0, "{}: the registration is still posted", C::NAME);
+    for first in [0, 1] {
+        let (partial, p) = allocating_store::<C>(first, WORDS_PER_PAGE as u64 - 1);
+        let run = format!("{}: 511 words from word {first}", C::NAME);
+        assert_eq!((p.rdma_reads, p.bytes_read), (1, PAGE_BYTES), "{run} fetch the page");
+        assert_eq!(p.rdma_atomics, n.rdma_atomics, "{run}: the same registrations");
+        assert_eq!(whole + cost.transfer_cycles(PAGE_BYTES), partial + STREAM_WORD_CYCLES, "{run}");
+    }
+}
+
+#[test]
+fn a_whole_page_store_allocates_without_a_fetch() {
+    whole_page_stores_fetch_nothing::<CarinaSiSd>();
+    whole_page_stores_fetch_nothing::<Tardis>();
+    whole_page_stores_fetch_nothing::<Pyxis>();
+}
+
+/// Five nodes, four-page lines: pages 16–19 are homed at nodes 1–4, so a
+/// whole-page store to page 16 leaves node 1's group with nothing to read
+/// and still fetches the other three pages of its line.
+fn a_whole_page_store_fills_the_rest_of_its_line<C: Coherence>() {
+    let config = CarinaConfig { cache: CacheConfig::new(1024, 4), ..CarinaConfig::default() };
+    let (dsm, mut ts) = policy_cluster::<C>(5, config);
+    let (t, page) = (&mut ts[0], |p: u64| GlobalAddr(p * PAGE_BYTES));
+    assert_eq!((16..20).map(|p| dsm.home_of(page(p))).collect::<Vec<_>>(), [1, 2, 3, 4]);
+    dsm.write_u64_slice(t, page(16), &[5; WORDS_PER_PAGE]);
+    let n = wire(&dsm);
+    assert_eq!((n.rdma_reads, n.bytes_read), (3, 3 * PAGE_BYTES), "{}", C::NAME);
+    for p in 17..20 {
+        assert_eq!(dsm.read_u64(t, page(p)), 0, "{}: page {p} came with the line", C::NAME);
+    }
+    assert_eq!(dsm.stats().snapshot().read_misses, 1, "{}", C::NAME);
+    dsm.sd_fence(t);
+    assert_eq!(dsm.peek_u64(page(16).offset(8 * 511)), 5, "{}", C::NAME);
+}
+
+#[test]
+fn a_whole_page_store_still_fetches_its_line() {
+    a_whole_page_store_fills_the_rest_of_its_line::<CarinaSiSd>();
+    a_whole_page_store_fills_the_rest_of_its_line::<Tardis>();
+    a_whole_page_store_fills_the_rest_of_its_line::<Pyxis>();
+}
+
+/// A whole-page store whose write fault fails leaves no copy behind: the
+/// slot held another page's words (a four-line cache maps pages 5 and 9 to
+/// one slot), and the unfetched page must not serve them once the fabric
+/// heals — the next read misses and fetches the home's zeros.
+#[test]
+fn a_failed_whole_page_store_leaves_no_copy() {
+    let (from, until) = (1_000_000, 2_000_000);
+    let plan = FaultPlan::disabled().with_brownout(NodeId(1), from, until);
+    let net = FaultyTransport::wrap(tiny_net(2), plan);
+    let config = CarinaConfig { cache: CacheConfig::new(4, 1), ..CarinaConfig::default() };
+    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> = Dsm::new(net.clone(), 4 << 20, config);
+    let mut home = FaultyTransport::endpoint(&net, net.topology().loc(NodeId(1), 0));
+    let mut t = FaultyTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+    let (stale, target) = (GlobalAddr(5 * PAGE_BYTES), GlobalAddr(9 * PAGE_BYTES));
+    dsm.write_u64(&mut home, stale, 77);
+    assert_eq!(dsm.read_u64(&mut t, stale), 77);
+    // The miss's registration goes out before the brownout, the write
+    // fault's inside it.
+    t.compute(from - t.now() - 5_000);
+    let err = dsm.try_write_slice(&mut t, target, &[1u64; WORDS_PER_PAGE]).unwrap_err();
+    assert_eq!((err.target, err.class), (1, VerbClass::DirectoryAtomic));
+    assert_eq!(dsm.net().stats().snapshot().rdma_reads, 1, "the failed store fetched nothing");
+    t.compute(until);
+    assert_eq!(dsm.read_u64(&mut t, target), 0, "the unfetched copy was dropped");
+    assert_eq!(dsm.stats().snapshot().read_misses, 3);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }

@@ -265,3 +265,37 @@ proptest! {
         }
     }
 }
+
+/// `register_reader` stores a node's lease as `max(prev rts, grant)`: a
+/// load-then-store on a cell the node's sibling threads share, ordered by
+/// the page's stripe lock. Two threads of node 0 renew one page while node
+/// 1's releases of another page keep moving the clock, so later renewals
+/// grant more. Only grants raise a page nobody writes, so its `rts` is the
+/// largest grant, and node 0's lease must end there.
+#[test]
+fn sibling_renewals_never_lower_the_lease() {
+    let t = Tardis::new(2, PAGES, &CarinaConfig::default());
+    let (read, written) = (PageNum(1), PageNum(2));
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                let shard = StatShard::default();
+                for _ in 0..20_000 {
+                    t.begin_si_fence(0, &shard);
+                    t.register_reader(0, 1, read, &shard);
+                }
+            });
+        }
+        s.spawn(|| {
+            let shard = StatShard::default();
+            for _ in 0..20_000 {
+                t.register_writer(1, 0, written, &shard);
+                t.note_downgrade(1, written);
+                t.end_sd_fence(1, &shard);
+            }
+        });
+    });
+    let (_, rts) = t.timestamps(read);
+    assert!(rts > 4096, "the grants moved past the longest lease: {rts}");
+    assert_eq!(t.granted_lease(0, read), Some(rts));
+}

@@ -275,6 +275,50 @@ fn overlapped_fills_identical_memory_on_both_backends() {
     }
 }
 
+/// Whole-page stores allocate without fetching the page. Each of the six
+/// threads overwrites its own pages with one slice store each, then — after
+/// a barrier — its neighbour's, which the neighbour's node holds dirty or
+/// clean; then every thread reads every page. The page contents never
+/// travel to a writer, so home memory and every observed value must still
+/// be bit-identical across backends, and equal to the last round's stores.
+#[test]
+fn whole_page_stores_identical_memory_on_both_backends() {
+    use argo::types::GlobalU64Array;
+    use mem::WORDS_PER_PAGE;
+    const PAGES: usize = 24;
+    fn overwrite<T: Transport>(machine: &std::sync::Arc<ArgoMachine<T>>) -> (Vec<u64>, Vec<u64>) {
+        let arr = GlobalU64Array::alloc(machine.dsm(), PAGES * WORDS_PER_PAGE);
+        let value =
+            |round: usize, page: usize, w: usize| (round * PAGES + page) as u64 * 1000 + w as u64;
+        let report = machine.run(move |ctx| {
+            let threads = ctx.nthreads();
+            for round in 0..2 {
+                let writer = (ctx.tid() + round) % threads;
+                for page in (writer..PAGES).step_by(threads) {
+                    let data: Vec<u64> =
+                        (0..WORDS_PER_PAGE).map(|w| value(round, page, w)).collect();
+                    ctx.write_u64_slice(arr.addr(page * WORDS_PER_PAGE), &data);
+                }
+                ctx.barrier();
+            }
+            let mut page = vec![0u64; WORDS_PER_PAGE];
+            (0..PAGES).fold(0u64, |sum, p| {
+                ctx.read_u64_slice(arr.addr(p * WORDS_PER_PAGE), &mut page);
+                page.iter().fold(sum, |s, &v| s.rotate_left(5) ^ v)
+            })
+        });
+        let words: Vec<u64> = (0..PAGES * WORDS_PER_PAGE)
+            .map(|i| machine.dsm().peek_u64(arr.addr(i)))
+            .collect();
+        for (i, &w) in words.iter().enumerate() {
+            assert_eq!(w, value(1, i / WORDS_PER_PAGE, i % WORDS_PER_PAGE), "word {i}");
+        }
+        (words, report.results)
+    }
+    let (sim, native) = machines(3, 2);
+    assert_eq!(overwrite(&sim), overwrite(&native), "backends diverged");
+}
+
 #[test]
 fn matmul_end_to_end_on_native() {
     let p = matmul::MatmulParams { n: 48 };

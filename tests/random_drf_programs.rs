@@ -7,19 +7,35 @@
 //! epoch each thread owns a disjoint set of slots and performs
 //! reads/writes/read-modify-writes on them (reads may target *any* slot
 //! written in a previous epoch — cross-thread visibility is exactly what
-//! the protocol must get right). A second generator builds the
-//! producer/consumer shape the refill serves, run under all three policies.
+//! the protocol must get right). Besides its slots each thread owns one
+//! page, which it overwrites whole with one slice store — the
+//! write-allocate that fetches nothing — and which any thread may read in
+//! a later epoch. A second generator builds the producer/consumer shape the
+//! refill serves, run under all three policies.
 
 use argo::types::GlobalU64Array;
-use argo::{ArgoConfig, ArgoMachine};
+use argo::{ArgoConfig, ArgoCtx, ArgoMachine};
 use carina::{
     CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, CoherenceSnapshot, Pyxis, Tardis,
 };
-use mem::CacheConfig;
+use mem::{CacheConfig, WORDS_PER_PAGE};
 use rand::prelude::*;
+use rma::SimTransport;
+use std::ops::Range;
 use std::sync::Arc;
 
 const SLOTS: usize = 1024;
+
+/// Every cell of a `threads`-thread program: the slots, then one page per
+/// thread.
+fn cells(threads: usize) -> usize {
+    SLOTS + threads * WORDS_PER_PAGE
+}
+
+/// The cells of thread `t`'s page.
+fn page_of(t: usize) -> Range<usize> {
+    SLOTS + t * WORDS_PER_PAGE..SLOTS + (t + 1) * WORDS_PER_PAGE
+}
 
 /// One thread's plan for one epoch.
 #[derive(Debug, Clone)]
@@ -30,6 +46,9 @@ enum Op {
     Read { slot: usize },
     /// owned[dst] = f(any[src]) — cross-slot dependency.
     Combine { src: usize, dst: usize },
+    /// Write `value + cell` into every cell of the thread's page: one
+    /// page-aligned whole-page slice store.
+    Fill { value: u64 },
 }
 
 #[derive(Debug, Clone)]
@@ -71,49 +90,60 @@ fn gen_program(seed: u64, threads: usize, epochs: usize, ops_per_epoch: usize) -
         }
         prog.epochs.push(epoch);
     }
+    add_page_ops(&mut prog, seed);
     prog
+}
+
+/// Give about half of each thread's epochs one fill of its page, and every
+/// epoch a few reads of any thread's page, at random places among the slot
+/// ops (a stream of its own, so the slot ops stay what the seed made them).
+fn add_page_ops(prog: &mut Program, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xf111);
+    let pages = SLOTS..cells(prog.threads);
+    for ops in prog.epochs.iter_mut().flatten() {
+        let fill = rng.random_bool(0.5).then(|| Op::Fill { value: rng.random::<u32>() as u64 });
+        let reads: Vec<Op> = (0..rng.random_range(0..3))
+            .map(|_| Op::Read { slot: rng.random_range(pages.clone()) })
+            .collect();
+        for op in fill.into_iter().chain(reads) {
+            ops.insert(rng.random_range(0..ops.len() + 1), op);
+        }
+    }
 }
 
 /// Sequential model: apply epochs in order; within an epoch, reads see the
 /// *previous* epoch's memory (threads are concurrent), writes land in the
 /// next memory. Returns (final memory, per-thread checksums).
 fn run_model(prog: &Program) -> (Vec<u64>, Vec<u64>) {
-    let mut memory = vec![0u64; SLOTS];
+    let mut memory = vec![0u64; cells(prog.threads)];
     let mut checksums = vec![0u64; prog.threads];
     for epoch in &prog.epochs {
         let snapshot = memory.clone();
         // Each thread's ops execute against the snapshot for cross-thread
-        // reads; reads/combines of a thread's OWN slots see its own writes
-        // within the epoch (program order). We model this by tracking each
-        // thread's private view of its own slots.
+        // reads; reads/combines of a thread's OWN cells see its own writes
+        // within the epoch (program order). We model this by giving each
+        // thread a private view it writes only its own cells of.
         for (t, ops) in epoch.iter().enumerate() {
             let per = SLOTS / prog.threads;
-            let own_range = (t * per)..((t + 1) * per);
-            let mut own_view: Vec<u64> = snapshot[own_range.clone()].to_vec();
+            let own = [(t * per)..((t + 1) * per), page_of(t)];
+            let mut view = snapshot.clone();
             for op in ops {
                 match *op {
-                    Op::Write { slot, value } => {
-                        own_view[slot - own_range.start] = value.wrapping_add(slot as u64);
-                    }
-                    Op::Read { slot } => {
-                        let v = if own_range.contains(&slot) {
-                            own_view[slot - own_range.start]
-                        } else {
-                            snapshot[slot]
-                        };
-                        checksums[t] = checksums[t].rotate_left(7) ^ v;
-                    }
+                    Op::Write { slot, value } => view[slot] = value.wrapping_add(slot as u64),
+                    Op::Read { slot } => checksums[t] = checksums[t].rotate_left(7) ^ view[slot],
                     Op::Combine { src, dst } => {
-                        let v = if own_range.contains(&src) {
-                            own_view[src - own_range.start]
-                        } else {
-                            snapshot[src]
-                        };
-                        own_view[dst - own_range.start] = v.wrapping_mul(31).wrapping_add(1);
+                        view[dst] = view[src].wrapping_mul(31).wrapping_add(1)
+                    }
+                    Op::Fill { value } => {
+                        for c in page_of(t) {
+                            view[c] = value.wrapping_add(c as u64);
+                        }
                     }
                 }
             }
-            memory[own_range.clone()].copy_from_slice(&own_view);
+            for range in own {
+                memory[range.clone()].copy_from_slice(&view[range]);
+            }
         }
     }
     (memory, checksums)
@@ -153,28 +183,13 @@ fn run_dsm_on<C: Coherence>(
     at: impl Fn(usize) -> usize + Copy + Send + Sync + 'static,
 ) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
     let machine = ArgoMachine::<_, C>::with_policy(cfg);
-    let arr = GlobalU64Array::alloc(machine.dsm(), words);
+    let cells = Cells::alloc(&machine, prog.threads, words, at);
     let prog = Arc::new(prog.clone());
     let p2 = prog.clone();
     let report = machine.run(move |ctx| {
-        let t = ctx.tid();
         let mut checksum = 0u64;
         for epoch in &p2.epochs {
-            for op in &epoch[t] {
-                match *op {
-                    Op::Write { slot, value } => {
-                        arr.set(ctx, at(slot), value.wrapping_add(slot as u64));
-                    }
-                    Op::Read { slot } => {
-                        let v = arr.get(ctx, at(slot));
-                        checksum = checksum.rotate_left(7) ^ v;
-                    }
-                    Op::Combine { src, dst } => {
-                        let v = arr.get(ctx, at(src));
-                        arr.set(ctx, at(dst), v.wrapping_mul(31).wrapping_add(1));
-                    }
-                }
-            }
+            cells.run(ctx, &epoch[ctx.tid()], &mut checksum);
             ctx.barrier();
         }
         checksum
@@ -182,10 +197,73 @@ fn run_dsm_on<C: Coherence>(
     // The protocol's internal invariants must hold at quiescence.
     let violations = machine.dsm().check_invariants();
     assert!(violations.is_empty(), "invariant violations: {violations:?}");
-    let memory = (0..SLOTS)
-        .map(|i| machine.dsm().peek_u64(arr.addr(at(i))))
-        .collect();
-    (memory, report.results, report.coherence)
+    (cells.memory(&machine), report.results, report.coherence)
+}
+
+/// Where a program's cells live on the DSM: slot `s` at word `at(s)` of
+/// `slots`, thread `t`'s page at page `t` of `pages` (page-aligned).
+#[derive(Clone, Copy)]
+struct Cells<F> {
+    slots: GlobalU64Array,
+    pages: GlobalU64Array,
+    at: F,
+}
+
+impl<F: Fn(usize) -> usize + Copy> Cells<F> {
+    fn alloc<C: Coherence>(
+        machine: &ArgoMachine<SimTransport, C>,
+        threads: usize,
+        words: usize,
+        at: F,
+    ) -> Self {
+        let slots = GlobalU64Array::alloc(machine.dsm(), words);
+        let pages = GlobalU64Array::alloc(machine.dsm(), threads * WORDS_PER_PAGE);
+        Cells { slots, pages, at }
+    }
+
+    fn addr(&self, cell: usize) -> mem::GlobalAddr {
+        match cell.checked_sub(SLOTS) {
+            None => self.slots.addr((self.at)(cell)),
+            Some(w) => self.pages.addr(w),
+        }
+    }
+
+    /// Run one thread's ops of one epoch, folding reads into `checksum`.
+    fn run<C: Coherence>(
+        &self,
+        ctx: &mut ArgoCtx<SimTransport, C>,
+        ops: &[Op],
+        checksum: &mut u64,
+    ) {
+        for op in ops {
+            match *op {
+                Op::Write { slot, value } => {
+                    ctx.write_u64(self.addr(slot), value.wrapping_add(slot as u64))
+                }
+                Op::Read { slot } => {
+                    *checksum = checksum.rotate_left(7) ^ ctx.read_u64(self.addr(slot))
+                }
+                Op::Combine { src, dst } => {
+                    let v = ctx.read_u64(self.addr(src));
+                    ctx.write_u64(self.addr(dst), v.wrapping_mul(31).wrapping_add(1));
+                }
+                Op::Fill { value } => {
+                    let page = page_of(ctx.tid());
+                    let data: Vec<u64> =
+                        page.clone().map(|c| value.wrapping_add(c as u64)).collect();
+                    ctx.write_u64_slice(self.addr(page.start), &data);
+                }
+            }
+        }
+    }
+
+    /// Every cell's home word, at quiescence.
+    fn memory<C: Coherence>(&self, machine: &ArgoMachine<SimTransport, C>) -> Vec<u64> {
+        let threads = machine.config().total_threads();
+        (0..cells(threads))
+            .map(|c| machine.dsm().peek_u64(self.addr(c)))
+            .collect()
+    }
 }
 
 // Raw generated programs may read a slot that its owner writes in the
@@ -200,12 +278,13 @@ fn sanitize(prog: &mut Program) {
     // written before the current epoch.
     let mut written_before: Vec<Vec<bool>> = Vec::new(); // per epoch: written this epoch
     for epoch in &prog.epochs {
-        let mut w = vec![false; SLOTS];
-        for ops in epoch {
+        let mut w = vec![false; cells(threads)];
+        for (t, ops) in epoch.iter().enumerate() {
             for op in ops {
                 match *op {
                     Op::Write { slot, .. } | Op::Combine { dst: slot, .. } => w[slot] = true,
-                    _ => {}
+                    Op::Fill { .. } => w[page_of(t)].fill(true),
+                    Op::Read { .. } => {}
                 }
             }
         }
@@ -216,7 +295,8 @@ fn sanitize(prog: &mut Program) {
             let own_range = (t * per)..((t + 1) * per);
             for op in ops {
                 let fix = |slot: &mut usize| {
-                    if !own_range.contains(slot) && written_before[e][*slot] {
+                    let own = own_range.contains(slot) || page_of(t).contains(slot);
+                    if !own && written_before[e][*slot] {
                         // Redirect to an owned slot: always race-free.
                         *slot = own_range.start + (*slot % per);
                     }
@@ -224,7 +304,7 @@ fn sanitize(prog: &mut Program) {
                 match op {
                     Op::Read { slot } => fix(slot),
                     Op::Combine { src, .. } => fix(src),
-                    Op::Write { .. } => {}
+                    Op::Write { .. } | Op::Fill { .. } => {}
                 }
             }
         }
@@ -293,6 +373,7 @@ fn add_idle_epochs(prog: &mut Program, seed: u64) {
                     Op::Write { slot, .. } => Op::Read { slot },
                     Op::Combine { src, .. } => Op::Read { slot: src },
                     Op::Read { slot } => Op::Read { slot },
+                    Op::Fill { .. } => Op::Read { slot: page_of(t).start },
                 };
             }
         }
@@ -341,39 +422,22 @@ fn random_programs_with_decay_epochs() {
         let mut cfg = ArgoConfig::small(4, 2);
         cfg.carina = CarinaConfig::with_mode(ClassificationMode::Ps3);
         let machine = ArgoMachine::new(cfg);
-        let arr = GlobalU64Array::alloc(machine.dsm(), SLOTS);
+        let cells = Cells::alloc(&machine, prog.threads, SLOTS, |s| s);
         let prog = Arc::new(prog);
         let p2 = prog.clone();
         let report = machine.run(move |ctx| {
-            let t = ctx.tid();
             let mut checksum = 0u64;
             for (e, epoch) in p2.epochs.iter().enumerate() {
                 if e == 2 {
                     ctx.adapt_classification();
                 }
-                for op in &epoch[t] {
-                    match *op {
-                        Op::Write { slot, value } => {
-                            arr.set(ctx, slot, value.wrapping_add(slot as u64));
-                        }
-                        Op::Read { slot } => {
-                            let v = arr.get(ctx, slot);
-                            checksum = checksum.rotate_left(7) ^ v;
-                        }
-                        Op::Combine { src, dst } => {
-                            let v = arr.get(ctx, src);
-                            arr.set(ctx, dst, v.wrapping_mul(31).wrapping_add(1));
-                        }
-                    }
-                }
+                cells.run(ctx, &epoch[ctx.tid()], &mut checksum);
                 ctx.barrier();
             }
             checksum
         });
         assert_eq!(report.results, model_sums, "seed {seed} with decay");
-        let mem: Vec<u64> = (0..SLOTS)
-            .map(|i| machine.dsm().peek_u64(arr.addr(i)))
-            .collect();
+        let mem = cells.memory(&machine);
         assert_eq!(mem, model_mem, "seed {seed} memory with decay");
     }
 }
