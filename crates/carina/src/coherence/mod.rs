@@ -212,7 +212,8 @@ impl PageMode {
 ///   directory access (local DRAM or remote atomic verb) has already been
 ///   charged/performed — the policy applies pure metadata mutations.
 /// - `write_buffered` and `note_written_epoch` are called after
-///   `register_writer` for the same page (under the page's slot lock);
+///   `register_writer` for the same page (under the page's slot lock, for
+///   a cached copy);
 ///   fence drains and the checkpoint sweep re-ask `write_buffered` later,
 ///   so it answers from the page's current classification.
 /// - `begin_si_fence` runs before any `must_self_invalidate` query of that
@@ -269,10 +270,12 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// checkpoints exactly the dirty pages that are not buffered.
     fn write_buffered(&self, me: u16, page: PageNum) -> bool;
 
-    /// The clean→dirty event (census signals hang off it): raised exactly
-    /// once per *written* epoch of `me`'s copy of `page` — by the write
-    /// fault if the epoch began protected, by the fence drain that found
-    /// the stores if it began writable (kept write-hot).
+    /// The clean→dirty event (census signals hang off it): raised once per
+    /// *written* epoch of `me`'s copy of `page` — by the write fault if the
+    /// epoch began protected, by the fence drain that found the stores if
+    /// it began writable (kept write-hot). A home node has no copy: its
+    /// stores raise it at their write registration, so a policy sees a home
+    /// page's written epochs exactly as often as `write_registered` lapses.
     fn note_written_epoch(&self, _me: u16, _page: PageNum) {}
 
     // --- fences --------------------------------------------------------

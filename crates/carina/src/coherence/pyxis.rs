@@ -20,12 +20,13 @@
 //!
 //! **Signals.** Tracking is O(1) per access on paths the engine already
 //! exercises — never a page-table scan:
-//! - `note_written_epoch` (once per written epoch of a page: its
-//!   clean→dirty fault, or the fence drain that found stores in a page
-//!   kept writable) bumps a per-page monotone *write version* and zeroes
-//!   the page's reads-between-writes counter;
-//! - `register_reader` (misses and lease renewals) bumps the
-//!   reads-between-writes counter;
+//! - `note_written_epoch` (once per written epoch of a page: a copy's
+//!   clean→dirty fault, the fence drain that found stores in a copy kept
+//!   writable, or a home node's write registration) bumps a per-page
+//!   monotone *write version*. Home stores have no fault and no drain, so
+//!   a classify-mode home page another node has on record stays
+//!   write-registered only within the release epoch it registered in; a
+//!   page nobody else has on record stays registered;
 //! - each node remembers, per page, the write version it observed at its
 //!   previous fence check. "Did anything change since I last looked?" is
 //!   one compare — and it is independent of fence cadence and thread
@@ -35,8 +36,10 @@
 //!   (writer-set cardinality straight from the census maps) prices each
 //!   keep/expiry against what SI/SD would have done; in classification
 //!   mode an invalidation of a page whose write version has *not* moved
-//!   since this node's last check — yet which has been read since its
-//!   last write — is the read-mostly waste leases exist to avoid.
+//!   since this node's last check is the read-mostly waste leases exist to
+//!   avoid. The sweep checks only present copies, and a copy present at an
+//!   invalidating check was fetched after this node's previous check, so
+//!   "unchanged" already means "read since its last write".
 //!
 //! **Hysteresis.** Evidence accumulates in a saturating per-page score
 //! (positive = leases are winning, negative = SI/SD is): +1 per avoided
@@ -57,7 +60,7 @@
 //! view can keep stale data alive across a switch.
 
 use super::{page_table, CarinaSiSd, Coherence, NodePageTable, PageMode, RegisterOutcome, Tardis};
-use crate::classification::DirView;
+use crate::classification::{node_bit, DirView};
 use crate::config::CarinaConfig;
 use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
@@ -82,9 +85,9 @@ pub struct Pyxis {
     /// this page written since I last checked it?" exactly, with no decay
     /// window to tune.
     write_version: mem::Arena<AtomicU64>,
-    /// Per page: reads since the page's last write (zeroed on every
-    /// written epoch) — the reads-between-writes census signal.
-    reads_since_write: mem::Arena<AtomicU64>,
+    /// Per page: the home node's release epoch (`Tardis::epoch`) at its
+    /// last write registration of the page.
+    home_written: mem::Arena<AtomicU64>,
     /// Per node, per page: the write version this node observed at its
     /// previous fence check of the page.
     seen_version: NodePageTable,
@@ -186,7 +189,7 @@ impl Coherence for Pyxis {
             seen_epoch: NodePageTable::new(nodes, total_pages),
             score: page_table(total_pages),
             write_version: page_table(total_pages),
-            reads_since_write: page_table(total_pages),
+            home_written: page_table(total_pages),
             seen_version: NodePageTable::new(nodes, total_pages),
             pending: Mutex::new(Vec::new()),
             pending_len: AtomicUsize::new(0),
@@ -212,10 +215,15 @@ impl Coherence for Pyxis {
         if self.in_lease_mode(page) {
             // Per-epoch wts bumps; the map bit is set by the same
             // register_writer call that bumps, so no separate check.
-            self.tardis.write_registered(me, home, page)
-        } else {
-            self.sisd.write_registered(me, home, page)
+            return self.tardis.write_registered(me, home, page);
         }
+        // A home store's registration is the census's only sight of its
+        // written epoch (module docs): one per epoch, if others read it.
+        let q = page.0 as usize;
+        self.sisd.write_registered(me, home, page)
+            && (home != me
+                || self.home_written[q].load(Ordering::Relaxed) == self.tardis.epoch(me)
+                || self.sisd.home_view(page).accessors() & !node_bit(me) == 0)
     }
 
     fn register_reader(
@@ -225,8 +233,6 @@ impl Coherence for Pyxis {
         page: PageNum,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        let q = page.0 as usize;
-        self.reads_since_write[q].fetch_add(1, Ordering::Relaxed);
         // The classification maps and directory caches are maintained in
         // both modes (idempotent after the first registration), so Table 1
         // stays sound across lease stints; its notifications are the
@@ -247,6 +253,9 @@ impl Coherence for Pyxis {
         shard: &StatShard,
     ) -> RegisterOutcome {
         let out = self.sisd.register_writer(me, home, page, shard);
+        if home == me {
+            self.home_written[page.0 as usize].store(self.tardis.epoch(me), Ordering::Relaxed);
+        }
         if self.in_lease_mode(page) {
             let _ = self.tardis.register_writer(me, home, page, shard);
         }
@@ -262,10 +271,7 @@ impl Coherence for Pyxis {
     }
 
     fn note_written_epoch(&self, _me: u16, page: PageNum) {
-        // Advance the write version, restart the reads-between-writes count.
-        let q = page.0 as usize;
-        self.write_version[q].fetch_add(1, Ordering::Relaxed);
-        self.reads_since_write[q].store(0, Ordering::Relaxed);
+        self.write_version[page.0 as usize].fetch_add(1, Ordering::Relaxed);
     }
 
     fn begin_si_fence(&self, me: u16, shard: &StatShard) {
@@ -315,14 +321,9 @@ impl Coherence for Pyxis {
             let inval = self.sisd.must_self_invalidate(me, page, shard);
             if inval {
                 // Invalidating a page nobody wrote since this node's last
-                // look — but which *is* being read — is the read-mostly
-                // waste leases avoid; invalidating a freshly written page
-                // is classification doing its job.
-                if unchanged && self.reads_since_write[q].load(Ordering::Relaxed) > 0 {
-                    self.add_score(q, 1);
-                } else {
-                    self.add_score(q, -1);
-                }
+                // look is the read-mostly waste leases avoid; invalidating
+                // a freshly written page is classification doing its job.
+                self.add_score(q, if unchanged { 1 } else { -1 });
             }
             inval
         }
@@ -389,9 +390,7 @@ impl Coherence for Pyxis {
         self.sisd.on_membership_change(rehomed);
         self.tardis.on_membership_change(rehomed);
         for &page in rehomed {
-            let q = page.0 as usize;
-            self.score[q].store(0, Ordering::Relaxed);
-            self.reads_since_write[q].store(0, Ordering::Relaxed);
+            self.score[page.0 as usize].store(0, Ordering::Relaxed);
         }
     }
 
@@ -401,7 +400,7 @@ impl Coherence for Pyxis {
         mem::clear_nonzero(&self.mode_epoch);
         mem::clear_nonzero(&self.score);
         mem::clear_nonzero(&self.write_version);
-        mem::clear_nonzero(&self.reads_since_write);
+        mem::clear_nonzero(&self.home_written);
         self.seen_epoch.clear_all();
         self.seen_version.clear_all();
         let mut pend = self.pending.lock();
@@ -479,6 +478,62 @@ mod tests {
         assert_eq!(s.snapshot().mode_to_lease, 0);
     }
 
+    /// One home store of `page` on node `home`, as the engine's
+    /// `register_home` drives it: a lapsed registration re-registers and
+    /// raises the written epoch. Returns whether it registered.
+    fn home_store(c: &Pyxis, s: &CoherenceStats, home: u16, p: PageNum) -> bool {
+        if c.write_registered(home, home, p) {
+            return false;
+        }
+        c.register_writer(home, home, p, s.shard(home));
+        c.note_written_epoch(home, p);
+        true
+    }
+
+    /// A page its home rewrites every epoch looks read-mostly only to a
+    /// census that cannot see home stores. Each epoch's first store
+    /// re-registers, so every invalidation node 1's check makes follows a
+    /// write, and the page never earns a lease.
+    #[test]
+    fn a_page_its_home_rewrites_every_epoch_stays_in_classify_mode() {
+        let c = policy(2);
+        let s = CoherenceStats::new(2);
+        let p = PageNum(4);
+        c.register_reader(1, 0, p, s.shard(1));
+        for epoch in 0..20 {
+            assert!(home_store(&c, &s, 0, p), "epoch {epoch}: the shared page re-registers");
+            assert!(!home_store(&c, &s, 0, p), "once per epoch");
+            c.end_sd_fence(0, s.shard(0));
+            c.begin_si_fence(1, s.shard(1));
+            assert!(c.must_self_invalidate(1, p, s.shard(1)), "epoch {epoch}");
+            c.end_sd_fence(1, s.shard(1));
+        }
+        assert!(!c.in_lease_mode(p));
+        assert!(c.score_of(p) < 0, "every check saw a fresh write");
+        assert_eq!(s.snapshot().mode_to_lease, 0);
+    }
+
+    /// A home page no other node has on record keeps its write
+    /// registration across epochs, so a private page pays nothing new.
+    /// Once a reader appears, it holds only for the epoch it was taken in.
+    #[test]
+    fn a_private_home_page_stays_write_registered() {
+        let c = policy(2);
+        let s = CoherenceStats::new(2);
+        let p = PageNum(6);
+        assert!(home_store(&c, &s, 0, p));
+        for _ in 0..5 {
+            c.end_sd_fence(0, s.shard(0));
+            assert!(c.write_registered(0, 0, p));
+        }
+        c.register_reader(1, 0, p, s.shard(1));
+        assert!(!c.write_registered(0, 0, p), "registered five epochs ago");
+        assert!(home_store(&c, &s, 0, p));
+        assert!(c.write_registered(0, 0, p));
+        c.end_sd_fence(0, s.shard(0));
+        assert!(!c.write_registered(0, 0, p), "the next epoch re-registers");
+    }
+
     /// Mode switches are applied only by the fence hooks, never by the
     /// access paths that merely accumulate evidence.
     #[test]
@@ -538,7 +593,7 @@ mod tests {
         assert!(!c.read_registered(0, 1, p));
         assert!(c.invariant_problems(0, &[]).is_empty());
         let zero = |cells: &[AtomicU64]| cells.iter().all(|a| a.load(Ordering::Relaxed) == 0);
-        assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.reads_since_write));
+        assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.home_written));
         for table in [&c.seen_epoch, &c.seen_version] {
             assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
         }

@@ -175,6 +175,12 @@ impl Tardis {
         self.nodes[node as usize].pts.load(Ordering::Acquire)
     }
 
+    /// `node`'s release epoch (SeqCst: see `write_registered`).
+    #[inline]
+    pub(crate) fn epoch(&self, node: u16) -> u64 {
+        self.nodes[node as usize].epoch.load(Ordering::SeqCst)
+    }
+
     /// The lease `node` currently holds on `page`, if any (tests).
     pub fn granted_lease(&self, node: u16, page: PageNum) -> Option<u64> {
         self.nodes[node as usize]
@@ -229,8 +235,7 @@ impl Coherence for Tardis {
         // epoch increment in `end_sd_fence`: a gate check that reads the
         // old epoch is totally ordered before the increment, hence before
         // the queue drain that bumps the page.
-        let nc = &self.nodes[me as usize];
-        self.wrote_epoch.at(me, page).load(Ordering::Relaxed) == nc.epoch.load(Ordering::SeqCst)
+        self.wrote_epoch.at(me, page).load(Ordering::Relaxed) == self.epoch(me)
     }
 
     fn register_reader(

@@ -46,6 +46,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             true => policy.register_writer(me, me, page, shard),
             false => policy.register_reader(me, me, page, shard),
         };
+        if write {
+            // A home store has no fault and no drain to raise it.
+            policy.note_written_epoch(me, page);
+        }
         let now = t.now();
         self.apply_outcome(t, page, me, outcome, now)
     }

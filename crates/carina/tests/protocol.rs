@@ -1146,19 +1146,24 @@ fn produced() -> Vec<GlobalAddr> {
     (0..K).map(|i| addr_homed_at(2, 0, i)).collect()
 }
 
-/// One producer/consumer round: node 0 rewrites every page and releases;
-/// node 1 acquires, stores one word of each page first if `stores`, and
-/// reads the pages `read` names. Returns node 1's clock advance.
+/// One producer/consumer round: node 0 rewrites every page if round
+/// `round` is one of every `every`th (rounds 1, 1 + `every`, …) and
+/// releases; node 1 acquires, stores one word of each page first if
+/// `stores`, and reads the pages `read` names. Returns node 1's clock
+/// advance.
 fn consumer_round<C: Coherence>(
     dsm: &Dsm<SimTransport, C>,
     ts: &mut [SimThread],
-    round: u64,
+    (round, every): (u64, u64),
     read: impl Fn(usize) -> bool,
     stores: bool,
 ) -> u64 {
     let pages = produced();
-    for &a in &pages {
-        dsm.write_u64(&mut ts[0], a, round);
+    let written = round - (round - 1) % every;
+    if written == round {
+        for &a in &pages {
+            dsm.write_u64(&mut ts[0], a, round);
+        }
     }
     dsm.sd_fence(&mut ts[0]);
     let t = &mut ts[1];
@@ -1169,7 +1174,7 @@ fn consumer_round<C: Coherence>(
             dsm.write_u64(t, a.offset(8), round);
         }
         if read(i) {
-            assert_eq!(dsm.read_u64(t, a), round, "{}: page {i}, round {round}", C::NAME);
+            assert_eq!(dsm.read_u64(t, a), written, "{}: page {i}, round {round}", C::NAME);
         }
     }
     if stores {
@@ -1185,19 +1190,20 @@ fn refill_counts<C: Coherence>(dsm: &Dsm<SimTransport, C>) -> [u64; 4] {
     [s.read_misses, s.refills, s.refill_pages, s.refill_unused]
 }
 
-/// Run `rounds` consumer rounds; returns each round's clock advance and
-/// its `refill_counts` delta.
+/// Run `rounds` consumer rounds, node 0 rewriting the pages every
+/// `every`th; returns each round's clock advance and its `refill_counts`
+/// delta.
 fn consumer_script<C: Coherence>(
     dsm: &Dsm<SimTransport, C>,
     ts: &mut [SimThread],
-    rounds: u64,
+    (rounds, every): (u64, u64),
     read: impl Fn(u64, usize) -> bool,
     stores: bool,
 ) -> Vec<(u64, [u64; 4])> {
     (1..=rounds)
         .map(|round| {
             let before = refill_counts(dsm);
-            let advance = consumer_round(dsm, ts, round, |i| read(round, i), stores);
+            let advance = consumer_round(dsm, ts, (round, every), |i| read(round, i), stores);
             let after = refill_counts(dsm);
             (advance, std::array::from_fn(|i| after[i] - before[i]))
         })
@@ -1215,7 +1221,8 @@ fn the_first_miss_refills_the_consumer_pages() {
     let (atomic_rtt, read_rtt) = round_trips(&cost);
     let miss = cost.fault_trap_cycles + atomic_rtt + read_rtt;
     let bound = 2 * miss + K * cost.transfer_cycles(PAGE_BYTES);
-    for (round, (advance, d)) in (1..).zip(consumer_script(&dsm, &mut ts, 6, |_, _| true, false)) {
+    let rounds = consumer_script(&dsm, &mut ts, (6, 1), |_, _| true, false);
+    for (round, (advance, d)) in (1..).zip(rounds) {
         if round <= 2 {
             assert_eq!(d, [K, 0, 0, 0], "round {round}");
         } else {
@@ -1233,7 +1240,7 @@ fn the_first_miss_refills_the_consumer_pages() {
 #[test]
 fn written_pages_are_never_refilled() {
     let (dsm, mut ts) = cluster(2, CarinaConfig::default());
-    consumer_script(&dsm, &mut ts, 6, |_, _| true, true);
+    consumer_script(&dsm, &mut ts, (6, 1), |_, _| true, true);
     let s = dsm.stats().snapshot();
     let counted: Vec<_> = s.fields().filter(|&(_, v)| v > 0).collect();
     assert_eq!(
@@ -1264,7 +1271,7 @@ fn untouched_refills_are_counted_and_not_repeated() {
     let (dsm, mut ts) = cluster(2, CarinaConfig::default());
     let half = K / 2;
     // Round 4 reads the even pages only.
-    let rounds = consumer_script(&dsm, &mut ts, 6, |r, i| r != 4 || i % 2 == 0, false);
+    let rounds = consumer_script(&dsm, &mut ts, (6, 1), |r, i| r != 4 || i % 2 == 0, false);
     let deltas: Vec<[u64; 4]> = rounds.iter().map(|&(_, d)| d).collect();
     assert_eq!(deltas[3], [1, 1, K - 1, 0], "round 4 refills all, reads half");
     // Round 5 refills the touched half; the skipped half is demand-missed.
@@ -1304,23 +1311,65 @@ fn a_refill_skips_a_slot_another_line_took() {
     assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }
 
+/// Run `schedule` (rounds, rewrite period) of the consumer script under
+/// policy `C`; the counters and the wire at the end.
+fn consumer_ledger<C: Coherence>(schedule: (u64, u64)) -> (CoherenceSnapshot, NetStatsSnapshot) {
+    let (dsm, mut ts) = policy_cluster::<C>(2, CarinaConfig::default());
+    consumer_script(&dsm, &mut ts, schedule, |_, _| true, false);
+    (dsm.stats().snapshot(), wire(&dsm))
+}
+
 /// (e) Lease pages renew inside the refill, on the registration a demand
 /// fill would issue: the renewals and atomics of the misses it replaces,
 /// under Tardis, and under Pyxis once its pages switched to lease mode.
+/// Pyxis leases only pages a census that sees the home's writes calls
+/// read-mostly, so its producer rewrites them every fourth round.
 #[test]
 fn lease_pages_renew_inside_the_refill() {
-    fn leases<C: Coherence>(rounds: u64) -> (CoherenceSnapshot, NetStatsSnapshot) {
-        let (dsm, mut ts) = policy_cluster::<C>(2, CarinaConfig::default());
-        consumer_script(&dsm, &mut ts, rounds, |_, _| true, false);
-        (dsm.stats().snapshot(), wire(&dsm))
-    }
-    let (s, n) = leases::<Tardis>(6);
+    let (s, n) = consumer_ledger::<Tardis>((6, 1));
     assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (40, 48, 48));
     assert_eq!((s.read_misses, s.refill_pages), (2 * K + 4, 4 * (K - 1)));
-    let (s, n) = leases::<Pyxis>(12);
+    // Rewrites at rounds 1, 5, 9, 13 and 17. Node 1's checks score -1 at
+    // rounds 2 and 5 and +1 at 3, 4, 6, 7 and 8, so the score reaches the
+    // threshold (3) at round 8 and round 9's acquire reconciles. Rounds 1-9
+    // fetch every page; the leases then expire only at the rewrites of
+    // rounds 13 and 17, which renew inside their refills. Atomics: the
+    // first registration, the reconcile's grant and the two renewals.
+    let (s, n) = consumer_ledger::<Pyxis>((20, 4));
     assert_eq!(s.mode_to_lease, K, "every page switched to lease mode");
-    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (56, 72, 96));
-    assert_eq!((s.read_misses, s.refill_pages), (2 * K + 10, 10 * (K - 1)));
+    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (2 * K, 4 * K, 11 * K));
+    assert_eq!((s.read_misses, s.refill_pages), (2 * K + 9, 9 * (K - 1)));
+}
+
+/// (f) Pages their home rewrites every round are write-shared, not
+/// read-mostly. The home's write registrations show the census each
+/// written epoch, so no page switches to lease mode, and the refills
+/// renew nothing: node 1's only atomics are its first `K` registrations.
+/// The wire is SI/SD's.
+#[test]
+fn pages_their_home_rewrites_stay_off_leases() {
+    let (s, n) = consumer_ledger::<Pyxis>((12, 1));
+    assert_eq!((s.mode_to_lease, s.lease_renewals, s.mode_lease_checks), (0, 0, 0));
+    assert_eq!((n.rdma_atomics, n.rdma_reads), (K, 12 * K));
+    assert_eq!(n, consumer_ledger::<CarinaSiSd>((12, 1)).1);
+}
+
+/// The control for (f), on 1 × 1: a home page with no other node on
+/// record keeps its write registration, so after its first epoch every
+/// store is a plain hit — the census charges only shared home pages.
+#[test]
+fn a_private_home_page_stores_at_hit_cost() {
+    let (dsm, mut ts) = policy_cluster::<Pyxis>(1, CarinaConfig::default());
+    let (t, a) = (&mut ts[0], addr_homed_at(1, 0, 0));
+    let dram = CostModel::paper_2011().dram_latency;
+    for epoch in 1..=6 {
+        let before = t.now();
+        dsm.write_u64(t, a, epoch);
+        let first = if epoch == 1 { dram } else { 0 };
+        assert_eq!(t.now() - before, HIT_CYCLES + first, "epoch {epoch}");
+        dsm.sd_fence(t);
+    }
+    assert_eq!(dsm.peek_u64(a), 6);
 }
 
 // ---- write-allocate of a whole page (DESIGN §8, "The mask is the diff") ----

@@ -18,9 +18,9 @@
 //!    the identity.
 //!
 //! The policy-level harness drives Pyxis exactly as the engine does:
-//! registration only when the matching `*_registered` check fails, and the
-//! invalidation predicate only between `begin_si_fence` and the end of the
-//! sweep.
+//! registration only when the matching `*_registered` check fails, a home
+//! write's written epoch only when it registered, and the invalidation
+//! predicate only between `begin_si_fence` and the end of the sweep.
 
 use carina::{CarinaConfig, Coherence, CoherenceStats, Dsm, Pyxis, Tardis};
 use mem::{GlobalAddr, PageNum, PAGE_BYTES};
@@ -79,10 +79,15 @@ fn apply(t: &Pyxis, stats: &CoherenceStats, op: Op) {
         }
         Op::Write { node, page } => {
             let home = (page % NODES as u64) as u16;
-            if !t.write_registered(node, home, PageNum(page)) {
+            let registers = !t.write_registered(node, home, PageNum(page));
+            if registers {
                 t.register_writer(node, home, PageNum(page), shard);
             }
-            t.note_written_epoch(node, PageNum(page));
+            // A home store has no fault: its registration is the census's
+            // written epoch.
+            if registers || home != node {
+                t.note_written_epoch(node, PageNum(page));
+            }
         }
         Op::SiFence { node } => {
             t.begin_si_fence(node, shard);
