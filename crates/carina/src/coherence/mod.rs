@@ -296,7 +296,8 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// exempt pages from buffering (naïve P/S privates) answer `false`:
     /// their release runs the checkpoint sweep over the dirty pages the
     /// buffer does not hold, and the write buffer equals the dirty set at
-    /// quiescent points (invariant 3) only where this is `true`.
+    /// quiescent points (check 2 of `Dsm::check_invariants`) only where
+    /// this is `true`.
     fn buffers_every_dirty_page(&self) -> bool {
         true
     }

@@ -42,7 +42,6 @@ pub use config::CarinaConfig;
 pub use error::DsmError;
 pub use protocol::Dsm;
 pub use stats::{CoherenceSnapshot, CoherenceStats, StatShard};
-pub use write_buffer::WriteBuffer;
 
 // Re-exported so programs handling DSM errors can name the verb class
 // without depending on `rma` directly, and read the Lyra recorder's health

@@ -15,19 +15,20 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     ///    valid, `Dropped` is not, and a clean standing carries no mask bits
     ///    (every write fault marks; every downgrade posts the masked words).
     /// 2. When the policy buffers every dirty page, a quiescent node's
-    ///    write buffer contains exactly its dirty page set.
+    ///    write buffer contains exactly its dirty page set: each cached
+    ///    page is buffered iff dirty, and the buffer holds no other page.
     /// 3. Cached pages are never homed on the caching node.
-    /// 4. A write buffer never holds more pages than its capacity.
+    /// 4. A write buffer never holds more than `write_buffer_pages` pages.
     /// 5. A kept page is in its node's write buffer, under every policy.
     ///
     /// Policy-owned checks (registration consistency, `wts <= rts`, lease
     /// subsumption, …) are appended via [`Coherence::invariant_problems`].
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
+        let every = self.coherence.buffers_every_dirty_page();
         for (n, ns) in self.nodes.iter().enumerate() {
             let me = n as u16;
-            let (mut dirty_pages, mut buffered) = (Vec::new(), ns.wbuf.snapshot());
-            buffered.sort_unstable();
+            let (mut dirty_pages, mut held) = (Vec::new(), 0);
             // Not `PageCache::sweep`: the checker must see invalid pages too,
             // and a dirty page that lost its copy sits in a dirty slot only.
             let mut slots: Vec<_> =
@@ -54,25 +55,24 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     if dirty {
                         dirty_pages.push(page);
                     }
-                    let kept = matches!(s, Standing::Kept { .. });
-                    if kept && buffered.binary_search(&page).is_err() {
+                    let buffered = ns.wbuf.holds(page);
+                    held += usize::from(buffered);
+                    if matches!(s, Standing::Kept { .. }) && !buffered {
                         problems.push(format!("n{n}: kept page {} is unbuffered", page.0));
+                    } else if every && dirty != buffered {
+                        let (class, what) =
+                            if dirty { ("dirty", "unbuffered") } else { ("clean", "buffered") };
+                        problems.push(format!("n{n}: {class} page {} is {what}", page.0));
                     }
                 }
             }
-            if ns.wbuf.len() > ns.wbuf.capacity() {
-                problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
+            // The walk met every buffered page: none sits outside the cache.
+            if every && ns.wbuf.len() != held {
+                let len = ns.wbuf.len();
+                problems.push(format!("n{n}: write buffer holds {len} pages, {held} cached"));
             }
-            if self.coherence.buffers_every_dirty_page() {
-                let mut dirty = dirty_pages.clone();
-                dirty.sort_unstable();
-                if buffered != dirty {
-                    problems.push(format!(
-                        "n{n}: write buffer {:?} != dirty set {:?}",
-                        buffered.iter().map(|q| q.0).collect::<Vec<_>>(),
-                        dirty.iter().map(|q| q.0).collect::<Vec<_>>()
-                    ));
-                }
+            if ns.wbuf.len() > self.config.write_buffer_pages {
+                problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
             }
             problems.extend(self.coherence.invariant_problems(me, &dirty_pages));
         }
@@ -170,36 +170,63 @@ mod tests {
     use rma::NativeTransport;
     use simnet::ClusterTopology;
 
-    /// Node 0 of two under naïve P/S holds page 1 written (private, so
-    /// unbuffered) and page 3 read; `plant` edits one of them through the
-    /// pub fields. Naïve P/S leaves check (2) out, which a dirty plant
-    /// would trip too. Returns what the checker finds.
-    fn planted(page: u64, plant: impl FnOnce(&mut SlotGuard<'_>, usize)) -> Vec<String> {
+    /// Node 0 of two under `cfg` holds pages 1 and 5 written and page 3
+    /// read; `plant` edits one page's slot or the write buffer. Under naïve
+    /// P/S the written pages are private, so unbuffered, and check (2) is
+    /// off, which a dirty plant would trip too. Returns what the checker
+    /// finds.
+    fn planted(
+        cfg: CarinaConfig,
+        page: u64,
+        plant: impl FnOnce(&mut SlotGuard<'_>, usize, &WriteBuffer),
+    ) -> Vec<String> {
         let net = NativeTransport::new(ClusterTopology::tiny(2));
-        let cfg = CarinaConfig::with_mode(ClassificationMode::PsNaive);
         let dsm = Dsm::<NativeTransport>::with_policy(net.clone(), 1 << 20, cfg);
         let mut t = NativeTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
         dsm.write_u64(&mut t, GlobalAddr(PAGE_BYTES), 1);
+        dsm.write_u64(&mut t, GlobalAddr(5 * PAGE_BYTES), 1);
         dsm.read_u64(&mut t, GlobalAddr(3 * PAGE_BYTES));
         assert_eq!(dsm.check_invariants(), Vec::<String>::new());
-        let (cache, page) = (&dsm.nodes[0].cache, PageNum(page));
-        plant(&mut cache.lock_slot(page), cache.index_in_line(page));
+        let (ns, page) = (&dsm.nodes[0], PageNum(page));
+        plant(&mut ns.cache.lock_slot(page), ns.cache.index_in_line(page), &ns.wbuf);
         dsm.check_invariants()
+    }
+
+    fn one(problems: Vec<String>, what: &str) {
+        assert_eq!(problems.len(), 1, "{what}: {problems:?}");
+        assert!(problems[0].ends_with(what), "{what}: {problems:?}");
     }
 
     #[test]
     fn each_standing_its_bits_contradict_is_one_problem() {
-        let one = |problems: Vec<String>, what: &str| {
-            assert_eq!(problems.len(), 1, "{what}: {problems:?}");
-            assert!(problems[0].ends_with(what), "{what}: {problems:?}");
-        };
+        let naive = || CarinaConfig::with_mode(ClassificationMode::PsNaive);
         let written = "page 1 is Written { hot: false } with valid = false and 1 mask bits";
-        one(planted(1, |st, i| st.pages[i].valid = false), written);
+        one(planted(naive(), 1, |st, i, _| st.pages[i].valid = false), written);
         let dropped = "page 3 is Dropped with valid = true and 0 mask bits";
-        one(planted(3, |st, i| st.pages[i].standing = Standing::Dropped), dropped);
+        one(planted(naive(), 3, |st, i, _| st.pages[i].standing = Standing::Dropped), dropped);
         let masked = "page 3 is Cold with valid = true and 1 mask bits";
-        one(planted(3, |st, i| st.pages[i].mask.set(7)), masked);
-        let kept = "kept page 1 is unbuffered";
-        one(planted(1, |st, i| st.pages[i].standing = Standing::Kept { idle: 0 }), kept);
+        one(planted(naive(), 3, |st, i, _| st.pages[i].mask.set(7)), masked);
+        let kept =
+            planted(naive(), 1, |st, i, _| st.pages[i].standing = Standing::Kept { idle: 0 });
+        one(kept, "kept page 1 is unbuffered");
+    }
+
+    /// Under P/S3 the buffer is the dirty set (check 2) and never holds
+    /// more than its capacity (check 4).
+    #[test]
+    fn each_buffer_the_pages_contradict_is_one_problem() {
+        let ps3 = CarinaConfig::default;
+        let zeroed = planted(ps3(), 1, |_, _, wb| assert!(wb.remove(PageNum(1))));
+        one(zeroed, "n0: dirty page 1 is unbuffered");
+        let clean = planted(ps3(), 3, |_, _, wb| assert_eq!(wb.push(PageNum(3)), None));
+        one(clean, "n0: clean page 3 is buffered");
+        // One page of buffer: writing page 5 downgraded page 1. Re-dirty
+        // it and buffer it again past the overflow check.
+        let overfull = planted(CarinaConfig::with_write_buffer(1), 1, |st, i, wb| {
+            assert!(!wb.holds(PageNum(1)));
+            st.pages[i].standing = Standing::Written { hot: false };
+            wb.push_past_capacity(PageNum(1));
+        });
+        one(overfull, "n0: 2 pages in the write buffer");
     }
 }

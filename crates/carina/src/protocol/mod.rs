@@ -212,7 +212,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             nodes: (0..n)
                 .map(|_| NodeState {
                     cache: PageCache::new(config.cache),
-                    wbuf: WriteBuffer::new(config.write_buffer_pages),
+                    wbuf: WriteBuffer::new(config.write_buffer_pages, total_pages),
                     draining: Mutex::new(()),
                     pending_settle: AtomicU64::new(0),
                     refill: Mutex::new(Vec::new()),

@@ -4,216 +4,154 @@
 //! unbounded pile of dirty pages at once. Instead, dirty pages enter a FIFO
 //! of configurable capacity that "drains slowly": each push beyond capacity
 //! downgrades the *oldest* dirty page, bounding both steady-state write
-//! traffic and the worst-case fence latency. This is the knob swept by
-//! Figures 9 and 10.
+//! traffic and the worst-case fence latency (the knob of Figures 9 and 10).
 //!
-//! Removal must be O(1): evictions and SI fences pull pages out of the
-//! middle of the queue on the access fast path. Each shard therefore pairs
-//! an append-only deque of `(page, ticket)` entries with a page→ticket
-//! membership map; `remove` just deletes the map entry, and stale tickets
-//! (whose ticket no longer matches the map) are lazily discarded when a
-//! deque head is consumed.
+//! **One ring, a ticket per page.** A push stamps the page's cell with the
+//! node's next ticket (from 1; 0 means "not buffered") and appends `(page,
+//! ticket)` to one ring. The cell is the truth: `remove` (evictions, SI
+//! fences) is one swap to 0, and a ring entry whose ticket its cell no
+//! longer holds is stale. Overflow pops the ring's front and claims it with
+//! a compare-and-swap from its ticket to 0, skipping stale entries; a drain
+//! takes the whole ring and keeps what it claims. Stale entries are
+//! compacted once they outnumber live ones, so the ring stays O(live).
 //!
-//! **Sharding.** Every clean→dirty store on a node funnels through this
-//! structure, so one global mutex is the protocol's worst host-side
-//! serialization point. The buffer is striped by page number across
-//! independently locked shards; a process-wide atomic ticket counter stamps
-//! each push. Tickets make global FIFO order recoverable at any merge
-//! point: overflow pops the minimum live head ticket across shards, and
-//! drains merge shard queues by ticket. On a single thread, tickets are
-//! handed out in push order, so victim order is bit-for-bit what the old
-//! single-queue buffer produced; concurrent pushers get some valid
-//! interleaving of their stores, exactly as they would racing one mutex.
+//! **Why a cell, not a `CachedPage` field.** `downgrade_local` pushes a kept
+//! page under its slot lock, and the overflow pop must check its victim's
+//! liveness. Under slot locks that check takes a second one, and with
+//! `pages_per_line > 1` the victim can sit in the pusher's own slot: a
+//! self-deadlock. An atomic cell keeps the buffer free of slot locks.
 
+use crate::coherence::page_table;
 use mem::PageNum;
-use parking_lot::Mutex;
-use std::collections::{HashMap, VecDeque};
+use parking_lot::{Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Lock stripes of a node's write buffer (clean→dirty pushes from the
-/// node's threads serialize per stripe, not globally): enough to spread a
-/// node's worker threads with negligible memory cost. Purely host-side:
-/// global FIFO victim order is preserved by push tickets.
-pub(crate) const DEFAULT_SHARDS: usize = 8;
+/// `(page, ticket)` entries, oldest first, and the last ticket handed out.
+type Ring = (VecDeque<(PageNum, u64)>, u64);
 
-#[derive(Debug, Default)]
-struct Fifo {
-    /// Insertion tickets, oldest first. May contain stale entries for
-    /// removed pages; `live` is authoritative.
-    queue: VecDeque<(PageNum, u64)>,
-    /// Buffered pages → the ticket that represents them.
-    live: HashMap<u64, u64>,
-}
-
-impl Fifo {
-    /// Drop stale entries from the head so `queue.front()` is live (or the
-    /// queue is empty).
-    fn prune_head(&mut self) {
-        while let Some(&(page, ticket)) = self.queue.front() {
-            if self.live.get(&page.0) == Some(&ticket) {
-                return;
-            }
-            self.queue.pop_front();
-        }
-    }
-}
-
-/// FIFO of dirty pages awaiting downgrade, striped over independently
-/// locked shards.
+/// FIFO of dirty pages awaiting downgrade.
 #[derive(Debug)]
-pub struct WriteBuffer {
-    shards: Box<[Mutex<Fifo>]>,
-    /// Process-wide push stamp; defines the global FIFO order that shard
-    /// merges reconstruct.
-    next_ticket: AtomicU64,
-    /// Live pages across all shards (the overflow trigger).
-    live_count: AtomicUsize,
+pub(crate) struct WriteBuffer {
+    ring: Mutex<Ring>,
+    /// Each page's live ticket; 0 = not buffered.
+    tickets: mem::Arena<AtomicU64>,
+    /// Buffered pages (the overflow trigger). Raised before a cell is
+    /// stamped and lowered after one is cleared — the cells' `AcqRel`
+    /// orders the two across threads — so it never undercounts.
+    live: AtomicUsize,
     capacity: usize,
 }
 
 impl WriteBuffer {
-    pub(crate) fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
+    /// A buffer of `capacity` pages over a memory of `pages` pages.
+    pub(crate) fn new(capacity: usize, pages: u64) -> Self {
         assert!(capacity > 0, "write buffer needs capacity >= 1");
-        assert!(shards > 0, "write buffer needs shards >= 1");
         WriteBuffer {
-            shards: (0..shards).map(|_| Mutex::new(Fifo::default())).collect(),
-            next_ticket: AtomicU64::new(0),
-            live_count: AtomicUsize::new(0),
+            ring: Mutex::new((VecDeque::new(), 0)),
+            tickets: page_table(pages),
+            live: AtomicUsize::new(0),
             capacity,
         }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
+    fn cell(&self, page: PageNum) -> &AtomicU64 {
+        &self.tickets[page.0 as usize]
     }
 
-    #[inline]
-    fn shard_of(&self, page: PageNum) -> &Mutex<Fifo> {
-        &self.shards[(page.0 % self.shards.len() as u64) as usize]
+    /// Is `page` buffered?
+    pub(crate) fn holds(&self, page: PageNum) -> bool {
+        self.cell(page).load(Ordering::Relaxed) != 0
+    }
+
+    /// Unbuffer `page` if `ticket` (`None`: any) is its live one.
+    fn claim(&self, page: PageNum, ticket: Option<u64>) -> bool {
+        let cell = self.cell(page);
+        let claimed = match ticket {
+            Some(t) => cell.compare_exchange(t, 0, Ordering::AcqRel, Ordering::Relaxed).is_ok(),
+            None => cell.swap(0, Ordering::AcqRel) != 0,
+        };
+        if claimed {
+            self.live.fetch_sub(1, Ordering::Relaxed);
+        }
+        claimed
+    }
+
+    /// Buffer `page` under a fresh ticket; returns the ring, still locked.
+    fn stamp(&self, page: PageNum) -> MutexGuard<'_, Ring> {
+        let mut ring = self.ring.lock();
+        let (entries, last) = &mut *ring;
+        *last += 1;
+        self.live.fetch_add(1, Ordering::Relaxed);
+        if self.cell(page).swap(*last, Ordering::AcqRel) != 0 {
+            self.live.fetch_sub(1, Ordering::Relaxed); // re-pushed: its old entry went stale
+        }
+        entries.push_back((page, *last));
+        // Amortized O(1): compact once stale entries outnumber live ones.
+        if entries.len() > 2 * self.len() + 16 {
+            entries.retain(|&(page, ticket)| self.cell(page).load(Ordering::Relaxed) == ticket);
+        }
+        ring
     }
 
     /// Record that `page` became dirty. Returns the overflow victim (the
-    /// globally oldest entry) if the buffer exceeded capacity — the caller
-    /// must downgrade it. Pages are only pushed on a clean→dirty
-    /// transition, so entries are unique.
+    /// oldest buffered page) if the buffer exceeded capacity — the caller
+    /// must downgrade it.
     #[must_use]
-    pub fn push(&self, page: PageNum) -> Option<PageNum> {
-        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut q = self.shard_of(page).lock();
-            q.queue.push_back((page, ticket));
-            if q.live.insert(page.0, ticket).is_none() {
-                self.live_count.fetch_add(1, Ordering::Relaxed);
-            }
-            // Keep stale tickets from accumulating across push/remove churn:
-            // compact when they outnumber live entries (amortized O(1)).
-            if q.queue.len() > 2 * q.live.len() + 16 {
-                let Fifo { queue, live } = &mut *q;
-                queue.retain(|(page, ticket)| live.get(&page.0) == Some(ticket));
-            }
+    pub(crate) fn push(&self, page: PageNum) -> Option<PageNum> {
+        let mut ring = self.stamp(page);
+        if self.len() <= self.capacity {
+            return None;
         }
-        if self.live_count.load(Ordering::Relaxed) > self.capacity {
-            self.pop_oldest()
-        } else {
-            None
-        }
+        let oldest_first = std::iter::from_fn(|| ring.0.pop_front());
+        oldest_first.filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p).next()
     }
 
-    /// Pop the live entry with the globally smallest ticket. Locks every
-    /// shard (in index order — the only multi-shard lock pattern, so there
-    /// is no deadlock) — overflow is the rare path by construction.
-    fn pop_oldest(&self) -> Option<PageNum> {
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut best: Option<(usize, u64)> = None;
-        for (i, g) in guards.iter_mut().enumerate() {
-            g.prune_head();
-            if let Some(&(_, ticket)) = g.queue.front() {
-                if best.is_none_or(|(_, t)| ticket < t) {
-                    best = Some((i, ticket));
-                }
-            }
-        }
-        let (i, _) = best?;
-        let g = &mut guards[i];
-        let (page, _) = g.queue.pop_front().expect("pruned head is live");
-        g.live.remove(&page.0);
-        self.live_count.fetch_sub(1, Ordering::Relaxed);
-        Some(page)
+    /// Unbuffer `page` (downgraded out of band, e.g. evicted); true if it was buffered.
+    pub(crate) fn remove(&self, page: PageNum) -> bool {
+        self.claim(page, None)
     }
 
-    /// Remove a specific page (it was downgraded or invalidated out of
-    /// band, e.g. by an eviction). O(1), touches one shard. Returns true if
-    /// it was present.
-    pub fn remove(&self, page: PageNum) -> bool {
-        let removed = self.shard_of(page).lock().live.remove(&page.0).is_some();
-        if removed {
-            self.live_count.fetch_sub(1, Ordering::Relaxed);
-        }
-        removed
-    }
-
-    /// Take everything, globally oldest first (SD-fence drain): shard
-    /// queues are emptied under all shard locks and merged by ticket.
-    pub fn drain(&self) -> Vec<PageNum> {
-        // Fences on clean nodes are the common case: don't touch any shard
-        // lock for an empty buffer. A racing push that misses this check
-        // merely waits for its own fence, same as racing the old mutex.
-        if self.live_count.load(Ordering::Relaxed) == 0 {
+    /// Take everything, oldest first (SD-fence drain).
+    pub(crate) fn drain(&self) -> Vec<PageNum> {
+        // Fences on clean nodes are the common case: no lock for an empty
+        // buffer. A push racing this check waits for its own fence.
+        if self.len() == 0 {
             return Vec::new();
         }
-        let mut guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut entries = Vec::new();
-        for g in guards.iter_mut() {
-            let Fifo { queue, live } = &mut **g;
-            entries.extend(
-                queue
-                    .drain(..)
-                    .filter(|(page, ticket)| live.get(&page.0) == Some(ticket)),
-            );
-            live.clear();
-        }
-        self.live_count.fetch_sub(entries.len(), Ordering::Relaxed);
-        entries.sort_unstable_by_key(|&(_, ticket)| ticket);
-        entries.into_iter().map(|(page, _)| page).collect()
+        let entries = std::mem::take(&mut self.ring.lock().0);
+        entries.into_iter().filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p).collect()
     }
 
-    /// The buffered pages, globally oldest first, without consuming them
-    /// (invariant checking).
-    pub(crate) fn snapshot(&self) -> Vec<PageNum> {
-        let guards: Vec<_> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut entries = Vec::new();
-        for g in guards.iter() {
-            entries.extend(
-                g.queue
-                    .iter()
-                    .filter(|(page, ticket)| g.live.get(&page.0) == Some(ticket))
-                    .copied(),
-            );
-        }
-        entries.sort_unstable_by_key(|&(_, ticket)| ticket);
-        entries.into_iter().map(|(page, _)| page).collect()
+    pub(crate) fn len(&self) -> usize {
+        self.live.load(Ordering::Relaxed)
     }
+}
 
-    pub fn len(&self) -> usize {
-        self.live_count.load(Ordering::Relaxed)
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+#[cfg(test)]
+impl WriteBuffer {
+    /// Buffer `page` without the overflow check (planted invariant breaks).
+    pub(crate) fn push_past_capacity(&self, page: PageNum) {
+        drop(self.stamp(page));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+
+    const PAGES: u64 = 1 << 14;
+
+    fn buffer(capacity: usize) -> WriteBuffer {
+        WriteBuffer::new(capacity, PAGES)
+    }
 
     #[test]
     fn fifo_overflow_returns_oldest() {
-        let wb = WriteBuffer::new(2);
+        let wb = buffer(2);
         assert_eq!(wb.push(PageNum(1)), None);
         assert_eq!(wb.push(PageNum(2)), None);
         assert_eq!(wb.push(PageNum(3)), Some(PageNum(1)));
@@ -222,17 +160,17 @@ mod tests {
 
     #[test]
     fn drain_is_oldest_first_and_empties() {
-        let wb = WriteBuffer::new(8);
+        let wb = buffer(8);
         for p in [5, 6, 7] {
             let _ = wb.push(PageNum(p));
         }
         assert_eq!(wb.drain(), vec![PageNum(5), PageNum(6), PageNum(7)]);
-        assert!(wb.is_empty());
+        assert_eq!(wb.len(), 0);
     }
 
     #[test]
     fn remove_deletes_mid_queue() {
-        let wb = WriteBuffer::new(8);
+        let wb = buffer(8);
         for p in [1, 2, 3] {
             let _ = wb.push(PageNum(p));
         }
@@ -243,21 +181,21 @@ mod tests {
 
     #[test]
     fn removed_pages_do_not_count_toward_overflow() {
-        let wb = WriteBuffer::new(2);
+        let wb = buffer(2);
         let _ = wb.push(PageNum(1));
         let _ = wb.push(PageNum(2));
         assert!(wb.remove(PageNum(1)));
         // Only page 2 is live: pushing two more overflows once, victim 2.
         assert_eq!(wb.push(PageNum(3)), None);
         assert_eq!(wb.push(PageNum(4)), Some(PageNum(2)));
-        assert_eq!(wb.snapshot(), vec![PageNum(3), PageNum(4)]);
+        assert_eq!(wb.drain(), vec![PageNum(3), PageNum(4)]);
     }
 
     #[test]
     fn repushed_page_takes_queue_position_of_newest_ticket() {
         // Remove then re-push: the page's FIFO position is its newest push,
         // exactly as a deque with mid-queue deletion would behave.
-        let wb = WriteBuffer::new(8);
+        let wb = buffer(8);
         for p in [1, 2, 3] {
             let _ = wb.push(PageNum(p));
         }
@@ -267,52 +205,116 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_nondestructive() {
-        let wb = WriteBuffer::new(4);
-        for p in [9, 4] {
-            let _ = wb.push(PageNum(p));
-        }
-        assert_eq!(wb.snapshot(), vec![PageNum(9), PageNum(4)]);
-        assert_eq!(wb.len(), 2);
-        assert_eq!(wb.drain(), vec![PageNum(9), PageNum(4)]);
+    fn holds_follows_push_remove_overflow_and_drain() {
+        let wb = buffer(2);
+        let _ = wb.push(PageNum(9));
+        let _ = wb.push(PageNum(4));
+        assert!(wb.holds(PageNum(9)) && wb.holds(PageNum(4)) && !wb.holds(PageNum(5)));
+        assert_eq!(wb.push(PageNum(5)), Some(PageNum(9)));
+        assert!(!wb.holds(PageNum(9)) && wb.holds(PageNum(5)));
+        assert!(wb.remove(PageNum(4)));
+        assert!(!wb.holds(PageNum(4)));
+        assert_eq!(wb.drain(), vec![PageNum(5)]);
+        assert!(!wb.holds(PageNum(5)));
     }
 
     #[test]
     #[should_panic(expected = "capacity")]
     fn zero_capacity_rejected() {
-        WriteBuffer::new(0);
+        buffer(0);
     }
 
     #[test]
-    #[should_panic(expected = "shards")]
-    fn zero_shards_rejected() {
-        WriteBuffer::with_shards(4, 0);
-    }
-
-    #[test]
-    fn order_is_global_fifo_across_shards() {
-        // Consecutive page numbers land in different shards; tickets must
-        // still reconstruct exact push order at every observation point.
-        for shards in [1, 2, 3, 8] {
-            let wb = WriteBuffer::with_shards(64, shards);
-            let pages: Vec<u64> = (0..32).map(|i| (i * 7) % 64).collect();
-            for &p in &pages {
-                let _ = wb.push(PageNum(p));
+    fn order_is_push_order_under_churn() {
+        // Enough removals to compact the ring several times; the survivors
+        // still drain in push order.
+        let wb = buffer(1 << 12);
+        let pages: Vec<u64> = (0..600).map(|i| (i * 7) % 1024).collect();
+        for &p in &pages {
+            let _ = wb.push(PageNum(p));
+            if p % 3 == 0 {
+                assert!(wb.remove(PageNum(p)));
             }
-            let want: Vec<PageNum> = pages.iter().map(|&p| PageNum(p)).collect();
-            assert_eq!(wb.snapshot(), want, "shards={shards}");
-            assert_eq!(wb.drain(), want, "shards={shards}");
         }
+        let want: Vec<_> = pages.iter().filter(|&p| p % 3 != 0).map(|&p| PageNum(p)).collect();
+        assert!(wb.ring.lock().0.len() <= 2 * want.len() + 16, "the ring stays O(live)");
+        assert_eq!(wb.drain(), want);
     }
 
     #[test]
-    fn overflow_victims_follow_global_order_across_shards() {
-        let wb = WriteBuffer::with_shards(3, 2);
+    fn overflow_victims_follow_push_order() {
+        let wb = buffer(3);
         for p in [10, 11, 12] {
             assert_eq!(wb.push(PageNum(p)), None);
         }
         assert_eq!(wb.push(PageNum(13)), Some(PageNum(10)));
         assert_eq!(wb.push(PageNum(14)), Some(PageNum(11)));
-        assert_eq!(wb.snapshot(), vec![PageNum(12), PageNum(13), PageNum(14)]);
+        assert_eq!(wb.drain(), vec![PageNum(12), PageNum(13), PageNum(14)]);
+    }
+
+    /// Pusher threads feed disjoint page ranges (with interleaved removals)
+    /// while a fencer thread drains concurrently. Accounting must be
+    /// airtight — every push is resolved exactly once, as an overflow
+    /// victim, a successful removal, or a drained entry — and the buffer
+    /// must end empty, with no cell still holding a page. A lost downgrade
+    /// here would be silent data loss at the next SD fence.
+    #[test]
+    fn write_buffer_loses_nothing_under_contention() {
+        const PUSHERS: u64 = 4;
+        const PAGES_EACH: u64 = 3_000;
+        let wb = Arc::new(buffer(64));
+        let stop = Arc::new(AtomicBool::new(false));
+
+        // Fencer: drains everything, repeatedly, while pushes are in flight.
+        let drained = {
+            let (wb, stop) = (wb.clone(), stop.clone());
+            std::thread::spawn(move || {
+                let mut got = Vec::new();
+                while !stop.load(Ordering::Acquire) {
+                    got.extend(wb.drain());
+                }
+                got.extend(wb.drain()); // sweep what raced the stop flag
+                got
+            })
+        };
+
+        // Pushers own disjoint ranges, so no page is ever live twice; each
+        // removes every third page right after pushing it (the eviction path).
+        let pushers: Vec<_> = (0..PUSHERS)
+            .map(|id| {
+                let wb = wb.clone();
+                std::thread::spawn(move || {
+                    let (mut victims, mut removed) = (Vec::new(), Vec::new());
+                    for i in 0..PAGES_EACH {
+                        let page = PageNum(id * PAGES_EACH + i);
+                        victims.extend(wb.push(page));
+                        if i % 3 == 0 && wb.remove(page) {
+                            removed.push(page);
+                        }
+                    }
+                    (victims, removed)
+                })
+            })
+            .collect();
+
+        let mut counts: HashMap<u64, u64> = HashMap::new();
+        for h in pushers {
+            let (victims, removed) = h.join().unwrap();
+            for p in victims.into_iter().chain(removed) {
+                *counts.entry(p.0).or_default() += 1;
+            }
+        }
+        stop.store(true, Ordering::Release);
+        for p in drained.join().unwrap() {
+            *counts.entry(p.0).or_default() += 1;
+        }
+
+        assert_eq!(wb.len(), 0, "buffer must end empty");
+        let all = 0..PUSHERS * PAGES_EACH;
+        let held: Vec<_> = all.clone().filter(|&p| wb.holds(PageNum(p))).collect();
+        assert!(held.is_empty(), "cells still hold pages: {held:?}");
+        assert_eq!(counts.len() as u64, all.end, "some pushed pages were never resolved");
+        let dupes: Vec<_> = counts.iter().filter(|&(_, &c)| c != 1).collect();
+        assert!(dupes.is_empty(), "pages resolved more than once (duplicate downgrade): {dupes:?}");
     }
 }
