@@ -43,7 +43,7 @@ impl CarinaSiSd {
 
     /// `node`'s directory-cache entry for `page`.
     #[inline]
-    fn cached_entry(&self, node: u16, page: PageNum) -> DirEntry<'_> {
+    pub(crate) fn cached_entry(&self, node: u16, page: PageNum) -> DirEntry<'_> {
         DirEntry(self.dir_caches.at(node, page))
     }
 
@@ -60,8 +60,8 @@ impl CarinaSiSd {
     }
 
     /// Detect a P→S transition caused by `me` joining `prior`'s accessors:
-    /// the single prior owner must be notified (and under naïve P/S, a
-    /// read newcomer must fetch the owner's checkpoint).
+    /// the single prior owner, unless it is the home, must be notified (and
+    /// under naïve P/S, a read newcomer must fetch its checkpoint).
     fn private_owner(prior: u128, me: u16) -> Option<u16> {
         if prior != 0 && prior & node_bit(me) == 0 && prior.count_ones() == 1 {
             Some(prior.trailing_zeros() as u16)
@@ -86,45 +86,48 @@ impl CarinaSiSd {
     fn merge_reader(
         &self,
         me: u16,
+        home: u16,
         page: PageNum,
         before: DirView,
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { readers: before.readers | node_bit(me), ..before };
-        self.cached_entry(me, page).or_view(after);
         self.reg_read[me as usize].set(page);
-        // P→S caused by our read (§3.3): we notify the private owner.
-        let Some(owner) = Self::private_owner(before.accessors(), me) else {
-            return RegisterOutcome::quiet();
-        };
-        CoherenceStats::bump(&shard.p_to_s);
-        self.cached_entry(owner, page).or_view(after);
-        RegisterOutcome {
-            notify: vec![owner],
-            fetch_from: (self.mode == ClassificationMode::PsNaive).then_some(owner),
-            transitions: [Some((RecordKind::PToS, owner as u32)), None],
+        let mut out = RegisterOutcome::quiet();
+        let mut told = node_bit(me);
+        // P→S caused by our read (§3.3): we notify the private owner, and
+        // under naïve P/S fetch its checkpoint — unless it is the home,
+        // whose stores are already in the home memory our fill reads.
+        if let Some(owner) = Self::private_owner(before.accessors(), me) {
+            CoherenceStats::bump(&shard.p_to_s);
+            told |= node_bit(owner);
+            let naive = self.mode == ClassificationMode::PsNaive;
+            out.fetch_from = (naive && owner != home).then_some(owner);
+            out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
+        out.notify = self.deliver(me, home, page, told, after);
+        out
     }
 
     /// Step two of a write registration (see [`Self::merge_reader`]).
     fn merge_writer(
         &self,
         me: u16,
+        home: u16,
         page: PageNum,
         before: DirView,
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { writers: before.writers | node_bit(me), ..before };
-        self.cached_entry(me, page).or_view(after);
         self.reg_write[me as usize].set(page);
         let mut out = RegisterOutcome::quiet();
+        let mut told = node_bit(me);
         let prior = before.accessors();
         // P→S caused by a write from a new node (§3.5 "Private, but
         // written by a new node").
         if let Some(owner) = Self::private_owner(prior, me) {
             CoherenceStats::bump(&shard.p_to_s);
-            self.cached_entry(owner, page).or_view(after);
-            out.notify.push(owner);
+            told |= node_bit(owner);
             out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
         // Writer-class transitions.
@@ -135,15 +138,7 @@ impl CarinaSiSd {
                 if (prior.count_ones() > 1 || (prior != 0 && prior & node_bit(me) == 0)) => {
                     CoherenceStats::bump(&shard.nw_to_sw);
                     out.transitions[1] = Some((RecordKind::NwToSw, obs::NO_TARGET));
-                    let mut others = prior & !node_bit(me);
-                    while others != 0 {
-                        let n = others.trailing_zeros() as u16;
-                        others &= others - 1;
-                        if n != me {
-                            self.cached_entry(n, page).or_view(after);
-                            out.notify.push(n);
-                        }
-                    }
+                    told |= prior;
                 }
             1 if before.writers & node_bit(me) == 0 => {
                 // SW→MW: only the previous single writer needs to know
@@ -152,14 +147,26 @@ impl CarinaSiSd {
                 CoherenceStats::bump(&shard.sw_to_mw);
                 let w = before.writers.trailing_zeros() as u16;
                 out.transitions[1] = Some((RecordKind::SwToMw, w as u32));
-                if w != me {
-                    self.cached_entry(w, page).or_view(after);
-                    out.notify.push(w);
-                }
+                told |= before.writers;
             }
             _ => {}
         }
+        out.notify = self.deliver(me, home, page, told, after);
         out
+    }
+
+    /// OR `after` into the directory-cache rows of the `told` nodes (`me`
+    /// among them); returns the others, to notify. The page's `home` never
+    /// caches it, so it keeps no row for it and is never notified; a node
+    /// told twice (the P→S owner is also an NW→SW sharer) is one bit.
+    fn deliver(&self, me: u16, home: u16, page: PageNum, told: u128, after: DirView) -> u128 {
+        let rows = told & !node_bit(home);
+        let mut left = rows;
+        while left != 0 {
+            self.cached_entry(left.trailing_zeros() as u16, page).or_view(after);
+            left &= left - 1;
+        }
+        rows & !node_bit(me)
     }
 }
 
@@ -189,21 +196,21 @@ impl Coherence for CarinaSiSd {
     fn register_reader(
         &self,
         me: u16,
-        _home: u16,
+        home: u16,
         page: PageNum,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        self.merge_reader(me, page, self.deposit(me, page, false), shard)
+        self.merge_reader(me, home, page, self.deposit(me, page, false), shard)
     }
 
     fn register_writer(
         &self,
         me: u16,
-        _home: u16,
+        home: u16,
         page: PageNum,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        self.merge_writer(me, page, self.deposit(me, page, true), shard)
+        self.merge_writer(me, home, page, self.deposit(me, page, true), shard)
     }
 
     fn write_buffered(&self, me: u16, page: PageNum) -> bool {
@@ -226,7 +233,12 @@ impl Coherence for CarinaSiSd {
         self.home_view(page)
     }
 
-    fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String> {
+    fn invariant_problems(
+        &self,
+        node: u16,
+        dirty: &[PageNum],
+        home_of: impl Fn(PageNum) -> u16,
+    ) -> Vec<String> {
         let mut problems = Vec::new();
         let me = node;
         let n = node as usize;
@@ -239,10 +251,16 @@ impl Coherence for CarinaSiSd {
                 ));
             }
         }
-        // Fast-path bitsets must be a subset of the home maps.
+        // Fast-path bitsets must be a subset of the home maps, and a node
+        // keeps no directory-cache row for the pages it homes (it never
+        // caches them, and nobody notifies it).
         for q in 0..self.home.len() as u64 {
             let page = PageNum(q);
             let home = self.home_view(page);
+            let own = self.dir_caches.get(me, page).map(|row| DirEntry(row).view());
+            if let Some(view) = own.filter(|&v| v != DirView::default() && home_of(page) == me) {
+                problems.push(format!("n{n}: directory-cache row for its home page {q}: {view:?}"));
+            }
             if self.reg_read[n].get(page) && home.readers & node_bit(me) == 0 {
                 problems.push(format!("n{n}: reg_read bit for {q} not in home map"));
             }
@@ -253,18 +271,16 @@ impl Coherence for CarinaSiSd {
         problems
     }
 
-    fn on_membership_change(&self, rehomed: &[PageNum]) {
+    fn on_membership_change(&self, page: PageNum) {
         // A re-homed page's directory entry lived on the departed node and
         // is gone with it: null the home maps, every node's cached copy,
         // and the fast-path registration mirrors, so the first access under
         // the new epoch re-registers at the rendezvous home from scratch.
-        for &page in rehomed {
-            self.home_entry(page).reset();
-            for n in 0..self.reg_read.len() {
-                self.cached_entry(n as u16, page).reset();
-                self.reg_read[n].clear(page);
-                self.reg_write[n].clear(page);
-            }
+        self.home_entry(page).reset();
+        for n in 0..self.reg_read.len() {
+            self.cached_entry(n as u16, page).reset();
+            self.reg_read[n].clear(page);
+            self.reg_write[n].clear(page);
         }
     }
 
@@ -295,21 +311,59 @@ mod tests {
         let c = policy(3);
         let stats = CoherenceStats::new(3);
         let p = PageNum(3);
+        // Home n1 registers like any node; it is never told anything.
+        let home = 1;
         // n0 reads: private, quiet.
-        assert!(c.register_reader(0, 1, p, stats.shard(0)).is_quiet());
-        assert!(c.read_registered(0, 1, p));
-        // n1 reads: P→S, owner n0 notified.
-        let oc = c.register_reader(1, 1, p, stats.shard(1));
-        assert_eq!(oc.notify, vec![0]);
+        assert!(c.register_reader(0, home, p, stats.shard(0)).is_quiet());
+        assert!(c.read_registered(0, home, p));
+        // n1 reads at home: P→S, owner n0 notified.
+        let oc = c.register_reader(1, home, p, stats.shard(1));
+        assert_eq!(oc.notify, node_bit(0));
         assert!(oc.fetch_from.is_none()); // Ps3: no checkpoint service
-        // n2 writes: NW→SW, both sharers notified.
-        let oc = c.register_writer(2, 1, p, stats.shard(2));
-        assert!(oc.notify.contains(&0) && oc.notify.contains(&1));
+        // n2 writes: NW→SW; of the sharers {n0, n1} only n0 is notified —
+        // n1 is the home (it used to be told too).
+        let oc = c.register_writer(2, home, p, stats.shard(2));
+        assert_eq!(oc.notify, node_bit(0));
         // n0 writes: SW→MW, only prior writer n2 notified.
-        let oc = c.register_writer(0, 1, p, stats.shard(0));
-        assert_eq!(oc.notify, vec![2]);
+        let oc = c.register_writer(0, home, p, stats.shard(0));
+        assert_eq!(oc.notify, node_bit(2));
         let s = stats.snapshot();
         assert_eq!((s.p_to_s, s.nw_to_sw, s.sw_to_mw), (1, 1, 1));
+        // The home's own row stayed empty throughout; n0's holds it all.
+        assert_eq!(c.node_view(home, p), DirView::default());
+        assert_eq!(c.node_view(0, p), c.home_view(p));
+    }
+
+    /// A newcomer's write to a no-writer page private to n0 is a P→S and an
+    /// NW→SW at once, and both name n0: one bit, so one notification.
+    #[test]
+    fn a_node_two_transitions_name_is_notified_once() {
+        let c = policy(3);
+        let stats = CoherenceStats::new(3);
+        let p = PageNum(5);
+        c.register_reader(0, 2, p, stats.shard(0));
+        let oc = c.register_writer(1, 2, p, stats.shard(1));
+        assert_eq!(oc.notify, node_bit(0));
+        let s = stats.snapshot();
+        assert_eq!((s.p_to_s, s.nw_to_sw), (1, 1));
+    }
+
+    /// A page private to its home: the newcomer's P→S records the
+    /// transition but tells the home nothing, and under naïve P/S fetches
+    /// no checkpoint — the home's stores are in the memory the fill reads.
+    #[test]
+    fn a_home_owner_is_neither_notified_nor_fetched_from() {
+        for mode in [ClassificationMode::Ps3, ClassificationMode::PsNaive] {
+            let c = CarinaSiSd::new(2, 16, &CarinaConfig::with_mode(mode));
+            let stats = CoherenceStats::new(2);
+            let p = PageNum(1);
+            assert!(c.register_writer(1, 1, p, stats.shard(1)).is_quiet());
+            let oc = c.register_reader(0, 1, p, stats.shard(0));
+            assert_eq!((oc.notify, oc.fetch_from), (0, None), "{mode:?}");
+            assert_eq!(oc.transitions[0], Some((RecordKind::PToS, 1)), "{mode:?}");
+            assert_eq!(stats.snapshot().p_to_s, 1, "{mode:?}");
+            assert_eq!(c.node_view(1, p), DirView::default(), "{mode:?}");
+        }
     }
 
     #[test]
@@ -325,13 +379,14 @@ mod tests {
 
     #[test]
     fn disposition_tracks_table1() {
-        let c = policy(2);
-        let stats = CoherenceStats::new(2);
+        // Homed on n2, which caches nothing of it.
+        let c = policy(3);
+        let stats = CoherenceStats::new(3);
         let p = PageNum(2);
-        c.register_writer(0, 1, p, stats.shard(0));
+        c.register_writer(0, 2, p, stats.shard(0));
         assert!(c.write_buffered(0, p)); // Ps3 buffers everything
         assert!(!c.must_self_invalidate(0, p, stats.shard(0))); // private
-        c.register_reader(1, 1, p, stats.shard(1));
+        c.register_reader(1, 2, p, stats.shard(1));
         // n1 shares a single-writer page: n1 invalidates, writer n0 keeps.
         assert!(c.must_self_invalidate(1, p, stats.shard(1)));
         assert!(!c.must_self_invalidate(0, p, stats.shard(0)));
@@ -349,8 +404,8 @@ mod tests {
         let stats = CoherenceStats::new(8);
         let p = PageNum(1);
         let stale = c.deposit(2, p, false);
-        assert!(c.register_writer(5, 1, p, stats.shard(5)).notify.contains(&2));
-        assert!(c.merge_reader(2, p, stale, stats.shard(2)).is_quiet());
+        assert_eq!(c.register_writer(5, 1, p, stats.shard(5)).notify, node_bit(2));
+        assert!(c.merge_reader(2, 1, p, stale, stats.shard(2)).is_quiet());
         assert_eq!(c.node_view(2, p).writers, node_bit(5), "node 2 lost the notification");
         assert!(c.must_self_invalidate(2, p, stats.shard(2)));
     }

@@ -96,6 +96,17 @@ impl<A: mem::Zeroed> NodePageTable<A> {
         &chunk.get_or_init(|| mem::zeroed_slice(CHUNK_PAGES))[q % CHUNK_PAGES]
     }
 
+    /// `node`'s cell for `page` if its chunk was ever touched, without
+    /// allocating one (checkers that read every page).
+    pub(crate) fn get(&self, node: u16, page: PageNum) -> Option<&A> {
+        let q = page.0 as usize;
+        if q >= self.pages {
+            return None;
+        }
+        let cells = self.chunks[node as usize * self.row_chunks + q / CHUNK_PAGES].get()?;
+        Some(&cells[q % CHUNK_PAGES])
+    }
+
     /// The cells of every chunk a run touched.
     #[cfg(test)]
     fn touched(&self) -> impl Iterator<Item = &A> {
@@ -153,12 +164,16 @@ impl PageBitSet {
 #[derive(Debug, Default)]
 pub struct RegisterOutcome {
     /// Nodes whose directory caches this registration must update remotely
-    /// (the passive notification mechanism). The engine posts one
-    /// notification verb per target; the metadata itself was already
-    /// deposited by the policy (host-side, like the real one-sided write).
-    pub(crate) notify: Vec<u16>,
+    /// (the passive notification mechanism), as a node map like
+    /// [`DirView`]'s: a node appears once however many transitions name
+    /// it. The engine posts one notification verb per bit; the metadata
+    /// itself was already deposited by the policy (host-side, like the
+    /// real one-sided write). Never the registering node, never the
+    /// page's home: the home does not cache its own pages.
+    pub(crate) notify: u128,
     /// Service this fill from `owner`'s checkpoint with one extra page
-    /// fetch (the naïve P/S scheme's P→S obligation, §3.4.2).
+    /// fetch (the naïve P/S scheme's P→S obligation, §3.4.2). Never the
+    /// page's home: its stores are in the home memory the fill reads.
     pub(crate) fetch_from: Option<u16>,
     /// The classification transitions this registration caused, as
     /// `(detail kind, other node)` — at most a P→S plus one writer-class
@@ -174,10 +189,10 @@ impl RegisterOutcome {
     }
 
     /// True if the engine has no wire or recording work to do — the common
-    /// case, kept cheap (no allocation ever happened for a quiet outcome).
+    /// case.
     #[inline]
     pub(crate) fn is_quiet(&self) -> bool {
-        self.notify.is_empty() && self.fetch_from.is_none() && self.transitions == [None; 2]
+        self.notify == 0 && self.fetch_from.is_none() && self.transitions == [None; 2]
     }
 }
 
@@ -327,17 +342,24 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     }
 
     /// Policy-specific invariant violations for `node`, given its dirty
-    /// page set at a quiescent point. Appended to the engine's own checks.
-    fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String>;
+    /// page set at a quiescent point and every page's current home.
+    /// Appended to the engine's own checks.
+    fn invariant_problems(
+        &self,
+        node: u16,
+        dirty: &[PageNum],
+        home_of: impl Fn(PageNum) -> u16,
+    ) -> Vec<String>;
 
-    /// Volans membership change: `rehomed` pages just moved to new home
-    /// nodes (their old home departed). The policy must null every piece of
-    /// per-page metadata tied to the old home — registrations, directory
-    /// caches, granted leases — so the first access under the new epoch
+    /// Volans membership change: `page` just moved to a new home node (its
+    /// old home departed). The policy must null every piece of per-page
+    /// metadata tied to the old home — registrations, directory caches,
+    /// granted leases — so the first access under the new epoch
     /// re-registers from scratch, exactly like the Pyxis mode-epoch
-    /// reconcile. Called under the engine's membership-transition lock,
-    /// after the re-homed pages' cached copies have been scrubbed.
-    fn on_membership_change(&self, _rehomed: &[PageNum]) {}
+    /// reconcile. Called under the engine's membership-transition lock and
+    /// the heir's slot lock, as the home moves, after the heir's cached
+    /// copy was folded into home memory.
+    fn on_membership_change(&self, _page: PageNum) {}
 
     /// Null all policy metadata (end-of-initialization reset, decay).
     fn reset_all(&self);
@@ -369,6 +391,10 @@ mod tests {
         assert_eq!(t.touched().count(), 0);
         t.at(1, PageNum(2 * CHUNK_PAGES as u64)).store(7, Ordering::Relaxed);
         assert_eq!(t.touched().count(), CHUNK_PAGES, "one chunk, of node 1's row");
+        let page = PageNum(2 * CHUNK_PAGES as u64);
+        assert!(t.get(0, page).is_none(), "`get` allocates nothing");
+        assert_eq!(t.get(1, page).map(|c| c.load(Ordering::Relaxed)), Some(7));
+        assert_eq!(t.touched().count(), CHUNK_PAGES);
         assert_eq!(t.at(0, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 0);
         assert_eq!(t.at(1, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 7);
         t.clear_all();
@@ -384,10 +410,7 @@ mod tests {
     #[test]
     fn quiet_outcome_is_quiet() {
         assert!(RegisterOutcome::quiet().is_quiet());
-        let oc = RegisterOutcome {
-            notify: vec![1],
-            ..Default::default()
-        };
+        let oc = RegisterOutcome { notify: 1 << 1, ..Default::default() };
         assert!(!oc.is_quiet());
     }
 }

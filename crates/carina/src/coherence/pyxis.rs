@@ -364,13 +364,18 @@ impl Coherence for Pyxis {
         }
     }
 
-    fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String> {
+    fn invariant_problems(
+        &self,
+        node: u16,
+        dirty: &[PageNum],
+        home_of: impl Fn(PageNum) -> u16,
+    ) -> Vec<String> {
         // The classification invariants hold unconditionally (maps are
         // maintained in both modes). Of the Tardis per-dirty-page checks
         // only the global timestamp ordering applies: a page can go dirty
         // in classification mode and switch before draining, so "dirty ⇒
         // holds a lease" is not a hybrid invariant.
-        let mut problems = self.sisd.invariant_problems(node, dirty);
+        let mut problems = self.sisd.invariant_problems(node, dirty, home_of);
         for q in 0..self.mode_epoch.len() {
             let (wts, rts) = self.tardis.timestamps(PageNum(q as u64));
             if rts < wts {
@@ -380,18 +385,16 @@ impl Coherence for Pyxis {
         problems
     }
 
-    fn on_membership_change(&self, rehomed: &[PageNum]) {
+    fn on_membership_change(&self, page: PageNum) {
         // Both sub-protocols null their per-page metadata; the hybrid's own
         // census signals restart too, so post-failover mode decisions rest
         // on post-failover evidence only. The mode epoch itself is *not*
         // reset — bumping nothing keeps `seen_epoch` consistent, and the
         // membership-epoch invalidation in the engine already forces the
         // reconcile-style refetch.
-        self.sisd.on_membership_change(rehomed);
-        self.tardis.on_membership_change(rehomed);
-        for &page in rehomed {
-            self.score[page.0 as usize].store(0, Ordering::Relaxed);
-        }
+        self.sisd.on_membership_change(page);
+        self.tardis.on_membership_change(page);
+        self.score[page.0 as usize].store(0, Ordering::Relaxed);
     }
 
     fn reset_all(&self) {
@@ -591,7 +594,7 @@ mod tests {
         assert_eq!(c.switch_count(p), 0);
         assert_eq!(c.score_of(p), 0);
         assert!(!c.read_registered(0, 1, p));
-        assert!(c.invariant_problems(0, &[]).is_empty());
+        assert!(c.invariant_problems(0, &[], |_| 1).is_empty());
         let zero = |cells: &[AtomicU64]| cells.iter().all(|a| a.load(Ordering::Relaxed) == 0);
         assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.home_written));
         for table in [&c.seen_epoch, &c.seen_version] {

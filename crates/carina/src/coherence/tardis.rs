@@ -395,7 +395,12 @@ impl Coherence for Tardis {
         self.diag(page).view()
     }
 
-    fn invariant_problems(&self, node: u16, dirty: &[PageNum]) -> Vec<String> {
+    fn invariant_problems(
+        &self,
+        node: u16,
+        dirty: &[PageNum],
+        _home_of: impl Fn(PageNum) -> u16,
+    ) -> Vec<String> {
         let mut problems = Vec::new();
         let n = node as usize;
         for &page in dirty {
@@ -420,22 +425,20 @@ impl Coherence for Tardis {
         problems
     }
 
-    fn on_membership_change(&self, rehomed: &[PageNum]) {
+    fn on_membership_change(&self, page: PageNum) {
         // A re-homed page's timestamp entry lived on the departed node.
         // Drop every granted lease on it (the copies it vouched for were
         // scrubbed by the failover sweep) but keep `wts`/`rts` monotone —
         // the flat entry store survives the re-homing, and regressing a
         // clock could revalidate a lease some node still remembers.
-        for &page in rehomed {
-            let _serial = self.lock(page);
-            for (n, nc) in self.nodes.iter().enumerate() {
-                nc.granted.clear(page);
-                for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
-                    table.at(n as u16, page).store(0, Ordering::Relaxed);
-                }
+        let _serial = self.lock(page);
+        for (n, nc) in self.nodes.iter().enumerate() {
+            nc.granted.clear(page);
+            for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
+                table.at(n as u16, page).store(0, Ordering::Relaxed);
             }
-            self.diag(page).reset();
         }
+        self.diag(page).reset();
     }
 
     fn reset_all(&self) {
@@ -602,7 +605,7 @@ mod tests {
         assert_eq!(c.clock(0), 0);
         assert_eq!(c.clock(1), 0);
         assert!(!c.read_registered(0, 1, PageNum(0)));
-        assert!(c.invariant_problems(0, &[]).is_empty());
+        assert!(c.invariant_problems(0, &[], |_| 1).is_empty());
         for table in [&c.lease_rts, &c.lease_wts, &c.wrote_epoch] {
             assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
         }

@@ -74,7 +74,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             if ns.wbuf.len() > self.config.write_buffer_pages {
                 problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
             }
-            problems.extend(self.coherence.invariant_problems(me, &dirty_pages));
+            let home_of = |page| self.global.home_of(page);
+            problems.extend(self.coherence.invariant_problems(me, &dirty_pages, home_of));
         }
         problems
     }
@@ -228,5 +229,25 @@ mod tests {
             wb.push_past_capacity(PageNum(1));
         });
         one(overfull, "n0: 2 pages in the write buffer");
+    }
+
+    /// A node keeps no directory-cache row for a page it homes: node 1's
+    /// read of node 0's home page 2 is a P→S that tells node 0 nothing,
+    /// and a bit planted in node 0's row is one problem.
+    #[test]
+    fn a_row_for_its_own_home_page_is_one_problem() {
+        let net = NativeTransport::new(ClusterTopology::tiny(2));
+        let dsm = Dsm::<NativeTransport>::with_policy(net.clone(), 1 << 20, CarinaConfig::default());
+        let endpoint = |n| NativeTransport::endpoint(&net, net.topology().loc(NodeId(n), 0));
+        let (mut t0, mut t1) = (endpoint(0), endpoint(1));
+        let own = PageNum(2);
+        dsm.write_u64(&mut t0, GlobalAddr(own.0 * PAGE_BYTES), 1);
+        assert_eq!(dsm.read_u64(&mut t1, GlobalAddr(own.0 * PAGE_BYTES)), 1);
+        assert_eq!(dsm.stats().snapshot().p_to_s, 1);
+        assert_eq!(dsm.check_invariants(), Vec::<String>::new());
+        let planted = DirView { readers: 1 << 1, writers: 0 };
+        dsm.coherence.cached_entry(0, own).or_view(planted);
+        let what = "n0: directory-cache row for its home page 2: DirView { readers: 2, writers: 0 }";
+        one(dsm.check_invariants(), what);
     }
 }

@@ -10,8 +10,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Handle a read miss on `page`: evict/flush the conflicting line if
     /// needed, then fetch the whole line from the pages' homes, registering
     /// as a reader of each fetched page. With `overwrite` — a write-allocate
-    /// whose store covers all of `page` — `page` is registered and marked
-    /// valid but not read: its contents are the caller's to store.
+    /// whose store covers all of `page` — `page` is marked valid but
+    /// neither read nor registered: its contents are the caller's to store,
+    /// and its write fault's writer registration is its one atomic (Table 1
+    /// reads `readers | writers`, and no lease covers a written copy).
     pub(super) fn read_miss(
         &self,
         t: &mut T::Endpoint,
@@ -81,7 +83,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         ns.missed.store(true, Ordering::Relaxed);
         // Fetch every not-yet-valid remote page of the line, grouped by
         // home so transfers to distinct homes overlap (pipelined one-sided
-        // reads issued back to back).
+        // reads issued back to back) — all but a page to be overwritten.
         let base = ns.cache.line_base(line);
         let total_pages = self.global.total_pages();
         let start = t.now();
@@ -89,7 +91,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let mut group: Vec<(u16, Vec<usize>)> = Vec::new();
         for idx in 0..st.pages.len() {
             let p = PageNum(base.0 + idx as u64);
-            if p.0 >= total_pages || st.pages[idx].valid {
+            if p.0 >= total_pages || st.pages[idx].valid || (overwrite && idx == demanded) {
                 continue;
             }
             let home = if p == page { demanded_home } else { self.global.home_of(p) };
@@ -105,12 +107,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // completion is polled. The atomics reach the home ahead of the
         // read (same queue pair), so the miss costs one round trip, and
         // in-flight transfers to distinct homes overlap on the fabric
-        // instead of queuing behind one another on this thread. A page to
-        // be overwritten leaves its group's read once registered; a group
-        // left with nothing to read posts no read.
+        // instead of queuing behind one another on this thread.
         let obs_issue = t.obs_now();
-        let mut inflight: Vec<(u64, Option<VerbToken>)> = Vec::with_capacity(group.len());
-        for (home, idxs) in &mut group {
+        let mut inflight: Vec<(u64, VerbToken)> = Vec::with_capacity(group.len());
+        for (home, idxs) in &group {
             self.check_alive(me, *home, VerbClass::PageFetch, span)?;
             let mut reg_done = start;
             for &idx in idxs.iter() {
@@ -119,12 +119,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     reg_done = reg_done.max(completed);
                 }
             }
-            idxs.retain(|&idx| !(overwrite && idx == demanded));
             let bytes = idxs.len() as u64 * PAGE_BYTES;
             // Registration outcomes (notifies, a checkpoint fetch) may have
             // advanced the clock past `start`: never post behind it.
-            let token = (bytes > 0)
-                .then(|| t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now())));
+            let token = t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now()));
             inflight.push((reg_done, token));
         }
         // Poll phase: completions fold in as a single max, so the line fill
@@ -133,7 +131,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
             // The fill is ready once both the data and the registrations are.
             done = done.max(reg_done);
-            let Some(token) = token else { continue };
             let bytes = idxs.len() as u64 * PAGE_BYTES;
             let salt = base.0.wrapping_add((home as u64) << 48);
             let timing = self.poll_retried(
@@ -221,7 +218,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 Some(Some(Ok(c))) => {
                     let shard = self.stats.shard(me);
                     let outcome = self.coherence.register_reader(me, home, page, shard);
-                    self.apply_outcome(t, page, me, outcome, c.initiator_done)?;
+                    self.apply_outcome(t, page, me, home, outcome, c.initiator_done)?;
                     data.initiator_done.max(c.initiator_done + self.handler_cycles())
                 }
                 Some(_) => continue,

@@ -3,6 +3,12 @@
 //! post whatever one-sided notifications the policy's [`RegisterOutcome`]
 //! asks for. No handler runs anywhere — unless the `active_directory`
 //! ablation charges one.
+//!
+//! Nothing here tells a page's home what it already knows. The home never
+//! caches its own pages, so it is never notified and never serves a
+//! checkpoint fetch; and a store covering a whole uncached page registers
+//! once, as a writer, at its write fault (`miss.rs` skips the reader
+//! registration of the page it will overwrite).
 
 use super::*;
 use crate::coherence::RegisterOutcome;
@@ -51,7 +57,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             policy.note_written_epoch(me, page);
         }
         let now = t.now();
-        self.apply_outcome(t, page, me, outcome, now)
+        self.apply_outcome(t, page, me, me, outcome, now)
     }
 
     /// Register as a reader of `page` at remote `home`, issuing the
@@ -78,7 +84,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             .coherence
             .register_reader(me, home, page, self.stats.shard(me));
         let now = t.now();
-        self.apply_outcome(t, page, me, outcome, now)?;
+        self.apply_outcome(t, page, me, home, outcome, now)?;
         Ok(Some(op_clock))
     }
 
@@ -107,14 +113,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             .register_writer(me, home, page, self.stats.shard(me));
         // Whom to notify is in the atomic's reply: the notifies chain behind
         // it on the network timeline, not on this thread's clock.
-        self.apply_outcome(t, page, me, outcome, timing.initiator_done)
+        self.apply_outcome(t, page, me, home, outcome, timing.initiator_done)
     }
 
-    /// Perform the wire work a registration decided on: flight-record its
-    /// transitions (detail kinds), post one notification per affected node, and
-    /// service a checkpoint fetch if the policy asked for one. The policy
-    /// already applied all metadata mutations host-side; this is purely
-    /// the engine's verbs-and-clocks half.
+    /// Perform the wire work a registration at `home` decided on:
+    /// flight-record its transitions (detail kinds), post one notification
+    /// per affected node, and service a checkpoint fetch if the policy
+    /// asked for one. The policy already applied all metadata mutations
+    /// host-side; this is purely the engine's verbs-and-clocks half.
     ///
     /// `reply_at` is when the registration's reply — which names the nodes
     /// to notify and the owner to fetch from — reaches this node; nothing
@@ -129,6 +135,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         t: &mut T::Endpoint,
         page: PageNum,
         me: u16,
+        home: u16,
         outcome: RegisterOutcome,
         reply_at: u64,
     ) -> Result<(), DsmError> {
@@ -140,8 +147,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         let waited = reply_at <= t.now();
         let mut at = reply_at;
-        for target in outcome.notify {
-            let Some(timing) = self.notify(t, target, page, me, at.max(t.now()))? else {
+        let mut targets = outcome.notify;
+        while targets != 0 {
+            let target = targets.trailing_zeros() as u16;
+            targets &= targets - 1;
+            let Some(timing) = self.notify(t, target, page, me, home, at.max(t.now()))? else {
                 continue;
             };
             if waited {
@@ -153,6 +163,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             t.compute(self.handler_cycles());
         }
         if let Some(owner) = outcome.fetch_from {
+            debug_assert_ne!(owner, home, "a checkpoint fetch from the home");
             // Service the fill from `owner`'s checkpoint: one extra round
             // trip (§3.4.2 "naïve solution").
             let (at, verb) = (at.max(t.now()), Verb::Read { bytes: PAGE_BYTES });
@@ -167,17 +178,18 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// `target`. The metadata itself was already deposited by the policy
     /// (host-side, like the real remote OR). Returns the posted write's
     /// timing for the caller to settle, `None` if there was nobody to tell.
+    /// The policy never names this node or the page's `home`.
     fn notify(
         &self,
         t: &mut T::Endpoint,
         target: u16,
         page: PageNum,
         me: u16,
+        home: u16,
         at: u64,
     ) -> Result<Option<Completion>, DsmError> {
-        if target == me {
-            return Ok(None);
-        }
+        debug_assert_ne!(target, me, "a notification to the registering node");
+        debug_assert_ne!(target, home, "a notification to the page's home");
         if self.membership.epoch() != 0 && !self.membership.is_alive(target) {
             // The sharer departed: its directory cache died with it, so
             // there is nothing left to notify.

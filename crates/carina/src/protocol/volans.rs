@@ -78,8 +78,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Volans failover: declare `dead` departed, re-home every page it
     /// homed onto the rendezvous survivors ([`Self::rehome_page`]: cached
     /// copies are scrubbed, dirty data is preserved by writing it through
-    /// to the flat store, which outlives the metadata change), null the
-    /// affected coherence state, and bump the membership epoch.
+    /// to the flat store, which outlives the metadata change, and the
+    /// page's coherence state is nulled), and bump the membership epoch.
     ///
     /// Deterministic: the sweep order and [`rendezvous_home`] are pure
     /// functions of `(page, survivors)`, so every declarer computes the
@@ -105,21 +105,20 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if survivors.is_empty() {
             return false;
         }
-        let mut rehomed = Vec::new();
+        let mut rehomed = 0;
         for q in 0..self.global.total_pages() {
             let page = PageNum(q);
             if self.global.home_of(page) == dead {
                 self.rehome_page(page, rendezvous_home(q, &survivors));
-                rehomed.push(page);
+                rehomed += 1;
             }
         }
-        self.coherence.on_membership_change(&rehomed);
         self.membership.mark_dead(dead);
         let epoch = self.membership.bump_epoch();
         self.membership.observe(me);
         let shard = self.stats.shard(me);
         CoherenceStats::bump(&shard.failovers);
-        CoherenceStats::add(&shard.pages_rehomed, rehomed.len() as u64);
+        CoherenceStats::add(&shard.pages_rehomed, rehomed);
         let record = |kind, arg| {
             self.lyra.record(me as usize, || obs::VerbRecord {
                 span,
@@ -132,8 +131,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             })
         };
         record(obs::RecordKind::EpochBump, epoch);
-        if !rehomed.is_empty() {
-            record(obs::RecordKind::Rehome, rehomed.len() as u64);
+        if rehomed > 0 {
+            record(obs::RecordKind::Rehome, rehomed);
         }
         true
     }
@@ -143,7 +142,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// lost), then invalidated so the next access refetches under the new
     /// home — the forced invalidation the epoch bump implies. `set_home`
     /// moves no bytes: the flat store survives the metadata change, so the
-    /// last drained version is intact at the heir.
+    /// last drained version is intact at the heir. The page's coherence
+    /// state is nulled as the home moves
+    /// ([`Coherence::on_membership_change`]), which clears the heir's
+    /// directory-cache row: a home keeps none for its own pages.
     ///
     /// **Order.** The heir goes first, and the home changes *while its slot
     /// lock is held*: from the instant a thread on the heir can take the
@@ -166,7 +168,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// One step of [`Self::rehome_page`], under `node`'s slot lock for
     /// `page`: write its dirty copy through, invalidate it, and — when
-    /// `node` `inherits` the page — only then move the home there.
+    /// `node` `inherits` the page — only then move the home there and null
+    /// the page's coherence state.
     fn scrub_copy(&self, page: PageNum, node: u16, inherits: bool) {
         let ns = &self.nodes[node as usize];
         let mut st = ns.cache.lock_slot(page);
@@ -180,6 +183,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         if inherits {
             self.global.set_home(page, node);
+            self.coherence.on_membership_change(page);
         }
     }
 

@@ -1259,9 +1259,14 @@ fn written_pages_are_never_refilled() {
             ("sd_fences", 12),
         ]
     );
+    // Round 1 registers node 1 once per page as a reader (P→S) and once
+    // as a writer (SW→MW): 16 atomics. Both transitions name node 0, the
+    // pages' home, which is never notified, so the writes are the 48
+    // write-backs alone and carry exactly their `writeback_bytes` (it was
+    // 64 writes and 2 528 B: 16 notifications of 32 B to the home).
     let n = wire(&dsm);
-    assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (48, 64, 16));
-    assert_eq!((n.bytes_read, n.bytes_written), (48 * PAGE_BYTES, 2528));
+    assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (48, 48, 16));
+    assert_eq!((n.bytes_read, n.bytes_written), (48 * PAGE_BYTES, 2016));
 }
 
 /// (c) Pages a refill brought in and nobody touched count as unused at the
@@ -1395,21 +1400,26 @@ fn allocating_store<C: Coherence>(first: u64, len: u64) -> (u64, NetStatsSnapsho
 }
 
 /// A store that covers a whole page (word 0, `WORDS_PER_PAGE` words)
-/// registers the page like any miss but reads none of it; one word short,
-/// or one word in, it fetches the page. The two misses differ by exactly
-/// the page's serialization behind the registration atomic, the two
-/// stores' streaming by one word.
+/// neither reads nor reader-registers it: its write fault's posted writer
+/// registration is its one atomic. One word short, or one word in, the
+/// miss registers the page as a reader and fetches it, then the fault
+/// registers it as a writer: one atomic more (it used to be the same two
+/// for both). So the two misses differ by the partial one's whole round
+/// trip — the atomic's, with the page serialized behind it on the same
+/// channel — and the two stores' streaming by one word.
 fn whole_page_stores_fetch_nothing<C: Coherence>() {
     let cost = CostModel::paper_2011();
+    let (atomic_rtt, _) = round_trips(&cost);
     let (whole, n) = allocating_store::<C>(0, WORDS_PER_PAGE as u64);
     assert_eq!((n.rdma_reads, n.bytes_read), (0, 0), "{}: nothing fetched", C::NAME);
-    assert!(n.rdma_atomics > 0, "{}: the registration is still posted", C::NAME);
+    assert_eq!(n.rdma_atomics, 1, "{}: the writer registration alone", C::NAME);
     for first in [0, 1] {
         let (partial, p) = allocating_store::<C>(first, WORDS_PER_PAGE as u64 - 1);
         let run = format!("{}: 511 words from word {first}", C::NAME);
         assert_eq!((p.rdma_reads, p.bytes_read), (1, PAGE_BYTES), "{run} fetch the page");
-        assert_eq!(p.rdma_atomics, n.rdma_atomics, "{run}: the same registrations");
-        assert_eq!(whole + cost.transfer_cycles(PAGE_BYTES), partial + STREAM_WORD_CYCLES, "{run}");
+        assert_eq!(p.rdma_atomics, n.rdma_atomics + 1, "{run}: a reader registration more");
+        let fill = atomic_rtt + cost.transfer_cycles(PAGE_BYTES);
+        assert_eq!(whole + fill, partial + STREAM_WORD_CYCLES, "{run}");
     }
 }
 
@@ -1418,6 +1428,26 @@ fn a_whole_page_store_allocates_without_a_fetch() {
     whole_page_stores_fetch_nothing::<CarinaSiSd>();
     whole_page_stores_fetch_nothing::<Tardis>();
     whole_page_stores_fetch_nothing::<Pyxis>();
+}
+
+/// A whole-page store by a newcomer to a page private to node 0 and never
+/// written is a P→S and an NW→SW in its one writer registration. Both name
+/// node 0, which hears of it once: one atomic, no read, and one 32 B
+/// notification (it used to be two, carrying the same view).
+#[test]
+fn a_node_two_transitions_name_gets_one_notification() {
+    let (dsm, mut ts) = cluster(3, CarinaConfig::default());
+    let a = addr_homed_at(3, 2, 0);
+    dsm.read_u64(&mut ts[0], a);
+    let before = wire(&dsm);
+    dsm.write_u64_slice(&mut ts[1], a, &[7; WORDS_PER_PAGE]);
+    let n = wire(&dsm);
+    let atomics_reads = (n.rdma_atomics - before.rdma_atomics, n.rdma_reads - before.rdma_reads);
+    assert_eq!(atomics_reads, (1, 0));
+    let writes = (n.rdma_writes - before.rdma_writes, n.bytes_written - before.bytes_written);
+    assert_eq!(writes, (1, 32), "one notification");
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.p_to_s, s.nw_to_sw), (1, 1));
 }
 
 /// Five nodes, four-page lines: pages 16–19 are homed at nodes 1–4, so a
@@ -1462,8 +1492,8 @@ fn a_failed_whole_page_store_leaves_no_copy() {
     let (stale, target) = (GlobalAddr(5 * PAGE_BYTES), GlobalAddr(9 * PAGE_BYTES));
     dsm.write_u64(&mut home, stale, 77);
     assert_eq!(dsm.read_u64(&mut t, stale), 77);
-    // The miss's registration goes out before the brownout, the write
-    // fault's inside it.
+    // The whole-page miss posts nothing; its write fault's registration,
+    // a trap later, goes out inside the brownout.
     t.compute(from - t.now() - 5_000);
     let err = dsm.try_write_slice(&mut t, target, &[1u64; WORDS_PER_PAGE]).unwrap_err();
     assert_eq!((err.target, err.class), (1, VerbClass::DirectoryAtomic));

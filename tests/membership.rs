@@ -221,6 +221,48 @@ fn mid_run_kill_preserves_buffered_writes_through_writethrough() {
     assert!(trace.contains("rehome"), "the re-homing must be flight-recorded");
 }
 
+/// A home keeps no directory-cache row for its own pages, and one that
+/// inherits a page in a failover is no exception. Node 0 reads page `p`,
+/// homed on node 1, and node 2's read of it then tells node 0 of the P→S:
+/// node 0's row for `p` holds both readers. Node 1 dies, node 0 inherits
+/// `p` with an empty row, and the row stays empty once node 0 reads `p` at
+/// home and node 2 re-registers it there (a P→S whose owner is the home).
+#[test]
+fn the_heir_keeps_no_row_for_the_pages_it_inherits() {
+    let cfg = ArgoConfig::small(3, 1);
+    let ccfg = CarinaConfig { volans_failover: true, ..Default::default() };
+    let outage = 2_000_000;
+    let net = FaultyTransport::wrap(
+        Interconnect::new(cfg.topology(), cfg.cost),
+        FaultPlan::outage(NodeId(1), outage, u64::MAX),
+    );
+    let dsm: Arc<Dsm<SimChaos>> = Dsm::new(net.clone(), 1 << 20, ccfg);
+    let endpoint = |n| <SimChaos as Transport>::endpoint(&net, net.topology().loc(NodeId(n), 0));
+    let (mut t0, mut t2) = (endpoint(0), endpoint(2));
+    let homed_on_1 = |q: &u64| dsm.home_of(GlobalAddr(q * PAGE_BYTES)) == 1;
+    let mut pages = (1..).filter(homed_on_1);
+    let p = pages.find(|&q| rendezvous_home(q, &[0, 2]) == 0).unwrap();
+    let (p, other) = (GlobalAddr(p * PAGE_BYTES), GlobalAddr(pages.next().unwrap() * PAGE_BYTES));
+
+    dsm.read_u64(&mut t0, p);
+    dsm.read_u64(&mut t2, p);
+    assert_eq!(dsm.dir_view(0, p).readers, 0b101, "node 2's P→S reached node 0's row");
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+
+    // The next touch of node 1 declares it dead and re-homes its pages.
+    t0.compute(outage);
+    assert_eq!(dsm.read_u64(&mut t0, other), 0);
+    assert_eq!((dsm.membership().epoch(), dsm.home_of(p)), (1, 0), "node 0 inherited p");
+    assert_eq!(dsm.dir_view(0, p), Default::default(), "the heir kept its row");
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+
+    dsm.read_u64(&mut t0, p);
+    dsm.read_u64(&mut t2, p);
+    assert_eq!(dsm.home_dir_view(p).readers, 0b101);
+    assert_eq!(dsm.dir_view(0, p), Default::default(), "the home was notified");
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
 /// Online join: a latent node homes nothing and is not a member; joining
 /// it is an epoch bump and *zero verbs* — it warms by demand-faulting.
 #[test]
