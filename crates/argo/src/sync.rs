@@ -89,10 +89,11 @@ pub struct ArgoMutexGuard<'a, T: Transport = SimTransport, C: Coherence = Carina
 
 impl<T: Transport, C: Coherence> ArgoMutexGuard<'_, T, C> {
     /// Release: self-downgrade (publish this section's writes), then free
-    /// the global lock.
+    /// the global lock. The next holder waits for the write-backs to
+    /// settle; this thread does not.
     pub fn unlock(self, ctx: &mut ArgoCtx<T, C>) {
-        self.mutex.dsm.sd_fence(&mut ctx.thread);
-        self.mutex.lock.release(&mut ctx.thread);
+        let stamp = self.mutex.dsm.publish(&mut ctx.thread);
+        self.mutex.lock.release(&mut ctx.thread, stamp);
     }
 }
 
@@ -145,6 +146,53 @@ mod tests {
             ok
         });
         assert!(report.results.iter().all(|&ok| ok));
+    }
+
+    /// Unlock posts the section's write-back and returns without waiting
+    /// for it; the next holder starts no earlier than it settles — a
+    /// sibling on the same node at the settle, a thread of another node
+    /// one network hop after it. Threads take turns through a host
+    /// barrier, which carries no clock.
+    #[test]
+    fn the_next_holder_waits_for_the_settle_unlock_skipped() {
+        let m = ArgoMachine::new(ArgoConfig::small(2, 2));
+        let arr = GlobalU64Array::alloc(m.dsm(), 2 * mem::WORDS_PER_PAGE);
+        let addr = (0..2)
+            .map(|p| arr.addr(p * mem::WORDS_PER_PAGE))
+            .find(|&a| m.dsm().home_of(a) == 1)
+            .expect("one of two pages is homed on node 1");
+        let mutex = ArgoMutex::new(m.dsm().clone(), 0);
+        let latency = m.config().cost.network_latency;
+        let turn = Arc::new(std::sync::Barrier::new(4));
+        let report = m.run(move |ctx| {
+            let me = (ctx.node(), ctx.tid() % 2);
+            // (unlocked at, settle) of node 0's writing tenure, then the
+            // start of the next holder's.
+            let mut seen = Vec::new();
+            for next in [(0, 1), (1, 0)] {
+                if me == (0, 0) {
+                    mutex.with(ctx, |ctx| ctx.write_u64(addr, 7));
+                    let settle = ctx.dsm().settle_stamp(0).0;
+                    seen.extend([ctx.thread.now(), settle]);
+                }
+                turn.wait();
+                if me == next {
+                    let guard = mutex.lock(ctx);
+                    seen.push(ctx.thread.now());
+                    guard.unlock(ctx);
+                }
+                turn.wait();
+            }
+            seen
+        });
+        let writer = &report.results[0];
+        let (sibling, other) = (report.results[1][0], report.results[2][0]);
+        let (unlocked, settle) = (writer[0], writer[1]);
+        assert!(unlocked < settle, "unlock waited for its write-back");
+        assert!(sibling >= settle, "a same-node holder started before the settle");
+        let (unlocked, settle) = (writer[2], writer[3]);
+        assert!(unlocked < settle, "unlock waited for its write-back");
+        assert!(other >= settle + latency, "a handover started before the settle");
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn run(kind: Kind, threads: usize, ops: usize) -> f64 {
                     } else {
                         heap.extract_min(&d0, &mut ctx.thread);
                     }
-                    mutex.release(&mut ctx.thread);
+                    mutex.release(&mut ctx.thread, carina::Published::default());
                 }
             }
         }

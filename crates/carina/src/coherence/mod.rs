@@ -232,7 +232,9 @@ impl PageMode {
 ///   fence drains and the checkpoint sweep re-ask `write_buffered` later,
 ///   so it answers from the page's current classification.
 /// - `begin_si_fence` runs before any `must_self_invalidate` query of that
-///   fence; `end_sd_fence` runs after the fence's drain has settled.
+///   fence; `end_sd_fence` runs after the fence's drain has posted every
+///   write-back (their bytes are in home memory; their virtual settle is
+///   the acquirer's to wait for).
 /// - `reset_all` is only called at quiescent points.
 pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// Short lowercase name (CLI value, bench ids, report labels).
@@ -304,7 +306,7 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
     /// Called once per resident page per SI fence.
     fn must_self_invalidate(&self, me: u16, page: PageNum, shard: &StatShard) -> bool;
 
-    /// Release-side hook, after the drain has settled.
+    /// Release-side hook, after the drain has posted every write-back.
     fn end_sd_fence(&self, me: u16, shard: &StatShard);
 
     /// Does every dirty page go through the write buffer? Policies that

@@ -31,8 +31,8 @@
 //!    exists before its bytes are fetchable. (Bumping at fault time lets a
 //!    concurrent read fill lease the *old* home bytes at a clock past the
 //!    new version, and that stale copy would survive the writer's
-//!    release.) The release (`end_sd_fence`, after every drain settled)
-//!    then publishes `gts = max(gts, pts)`. Writes to pages homed at the
+//!    release.) The release (`end_sd_fence`, once every write-back is
+//!    posted) then publishes `gts = max(gts, pts)`. Writes to pages homed at the
 //!    writer never downgrade — the stores land in home memory directly —
 //!    so their bump is deferred to the release itself, after every store
 //!    of the epoch, via a per-epoch queue of home-written pages. Because
@@ -46,6 +46,13 @@
 //!    `rts < pts` — *expired* leases. Unexpired leases are kept: that is
 //!    the entire win on read-mostly pages, where SI/SD's MW class would
 //!    have invalidated everything.
+//!
+//! The argument is in logical time and host order only, never in virtual
+//! time: a write-back's bytes are in home memory when its drain posts it,
+//! before `note_downgrade` bumps `wts` and before `end_sd_fence`
+//! publishes. The write-backs' virtual settle is the release stamp the
+//! acquirer merges (`carina::Published`); the release hook does not wait
+//! for it.
 //!
 //! Soundness (DRF programs): if node W writes page p and releases, and
 //! node A subsequently acquires, then `wts_p > rts` held at W's drain-time
@@ -360,8 +367,8 @@ impl Coherence for Tardis {
         for page in pending {
             self.note_downgrade(me, page);
         }
-        // Publish after the drain settled: clock moves only once data is
-        // home.
+        // Publish after the drain posted: the clock moves only once the
+        // epoch's bytes are home.
         self.gts
             .fetch_max(nc.pts.load(Ordering::Acquire), Ordering::AcqRel);
     }

@@ -40,7 +40,7 @@ pub use classification::{ClassificationMode, PageClass, WriterClass};
 pub use coherence::{CarinaSiSd, Coherence, Pyxis, Tardis};
 pub use config::CarinaConfig;
 pub use error::DsmError;
-pub use protocol::Dsm;
+pub use protocol::{Dsm, Published};
 pub use stats::{CoherenceSnapshot, CoherenceStats, StatShard};
 
 // Re-exported so programs handling DSM errors can name the verb class

@@ -18,6 +18,15 @@ fn policy_events(shard: &StatShard, kind: obs::RecordKind) -> u64 {
     }
 }
 
+/// The stamp a release publishes: the virtual time by which every write
+/// its node posted has settled at its home ([`Dsm::publish`]). The
+/// releasing thread does not wait for it; the release object carries it,
+/// and every acquirer — one on the releaser's own node included — merges
+/// it before it may read what the release published.
+#[must_use = "an acquirer must merge the stamp a release published"]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Published(pub u64);
+
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Run a fence `body` of node `me` under its site scope and, once it
     /// completed, flight-record — under the same span and interval — how
@@ -134,7 +143,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// Self-downgrade fence (release side): drain the write buffer and wait
-    /// for every posted write of this node to settle at its home.
+    /// for every posted write of this node to settle at its home. A bare
+    /// fence — nobody acquires through it — waits itself; a release that
+    /// hands its stamp to an acquirer uses [`Self::publish`] instead.
     pub fn sd_fence(&self, t: &mut T::Endpoint) {
         Self::unrecoverable(self.try_sd_fence(t))
     }
@@ -142,11 +153,39 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Fallible flavor of [`Self::sd_fence`] (failover-aware; see
     /// [`Self::try_read`]).
     pub fn try_sd_fence(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
+        let stamp = self.try_publish(t)?;
+        t.merge(stamp.0);
+        Ok(())
+    }
+
+    /// The release half of an SD fence: drain the write buffer and post
+    /// every write-back, but do not wait for them. Returns the stamp by
+    /// which all of them — and every other write this node posted — have
+    /// settled at their homes. The releasing thread runs on; whoever
+    /// acquires through the release (lock, flag, barrier) merges the stamp
+    /// before it may look (DESIGN §5).
+    pub fn publish(&self, t: &mut T::Endpoint) -> Published {
+        Self::unrecoverable(self.try_publish(t))
+    }
+
+    /// Fallible flavor of [`Self::publish`] (failover-aware; see
+    /// [`Self::try_read`]).
+    pub fn try_publish(&self, t: &mut T::Endpoint) -> Result<Published, DsmError> {
         let me = t.node().0;
         let watch = [obs::RecordKind::ModeSwitch];
         self.failover_retry(t, |dsm, t| {
             dsm.fence_site(t, me, obs::Site::SdFence, watch, |t| dsm.sd_drain(t, me))
-        })
+        })?;
+        Ok(Published(t.now()).max(self.settle_stamp(me)))
+    }
+
+    /// When every write `node` has posted so far settles at its home: the
+    /// least stamp a release by the node publishes now. `pending_settle`
+    /// carries each posting's settle time (including its NIC
+    /// serialization), which is exactly the set a release must await; the
+    /// NIC timeline itself also holds *other* nodes' future reservations.
+    pub fn settle_stamp(&self, node: u16) -> Published {
+        Published(self.nodes[node as usize].pending_settle.load(Ordering::Acquire))
     }
 
     /// The body of an SD fence, under its site scope.
@@ -167,15 +206,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         if !mirrored.is_empty() {
             self.mirror_to_successors(t, &mirrored, me)?;
         }
-        // Wait for posted downgrades/notifications to become globally
-        // visible. `pending_settle` carries the settle time of every write
-        // this node posted (including its NIC serialization), which is
-        // exactly the set the fence must await — the NIC timeline itself
-        // also holds *other* nodes' future reservations and must not be
-        // merged wholesale.
-        t.merge(ns.pending_settle.load(Ordering::Acquire));
-        // Release-side policy hook, after the drain settled (Tardis
-        // publishes its clock and opens a new write epoch here).
+        // Release-side policy hook, once every write-back is posted (Tardis
+        // publishes its clock and opens a new write epoch here). Its
+        // argument is in logical time and host order: the posted bytes are
+        // already in home memory; virtual settle time is the acquirer's.
         self.coherence.end_sd_fence(me, self.stats.shard(me));
         Ok(())
     }

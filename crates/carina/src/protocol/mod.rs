@@ -49,6 +49,8 @@ mod register;
 mod verbs;
 mod volans;
 
+pub use fence::Published;
+
 // The children share this module's imports (`use super::*`), as they share
 // its private fields: one engine, cut into files.
 use crate::coherence::{CarinaSiSd, Coherence, PageMode};

@@ -789,6 +789,44 @@ fn a_fence_pays_its_scans_and_the_last_settle() {
     assert!(dsm.check_invariants().is_empty());
 }
 
+/// The same drain released through `publish` instead of a bare fence. The
+/// releasing thread pays the `N` scans and the last posting's
+/// serialization, and returns before its flight: `network_latency` short
+/// of the stamp. The stamp is the node's settle, and exactly where the
+/// bare fence above ends — a bare fence still waits for it (twin clusters,
+/// same stores, one thread each: deterministic).
+#[test]
+fn publish_stamps_the_settle_a_bare_fence_waits_for() {
+    const N: u64 = 8;
+    const W: u64 = 300;
+    let cost = CostModel::paper_2011();
+    let drained = || {
+        let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+        let mut t = ts.swap_remove(0);
+        for salt in 0..N {
+            let page = addr_homed_at(2, 1, salt);
+            for w in 0..W {
+                dsm.write_u64(&mut t, page.offset(8 * w), salt * 1000 + w);
+            }
+        }
+        t.compute(1_000_000);
+        (dsm, t)
+    };
+    let (released, mut r) = drained();
+    let (fenced, mut f) = drained();
+    let before = r.now();
+    assert_eq!(f.now(), before);
+    let stamp = released.publish(&mut r);
+    fenced.sd_fence(&mut f);
+    let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
+    let wire = cost.transfer_cycles(32 + 10 * W);
+    assert_eq!(r.now() - before, N * scan + wire, "the releaser skips the flight");
+    assert_eq!(stamp.0, r.now() + cost.network_latency);
+    assert_eq!(stamp, released.settle_stamp(0));
+    assert_eq!(f.now(), stamp.0, "a bare fence ends at the settle");
+    assert_eq!(released.stats().snapshot(), fenced.stats().snapshot());
+}
+
 /// Node 0 of three dirties eight pages homed alternately on nodes 1 and 2;
 /// from `blackout` on, node 1's NIC stalls every verb. Returns the DSM, the
 /// writer's endpoint (past `blackout`), and the pages in FIFO order.

@@ -25,6 +25,7 @@
 use carina::{CarinaConfig, Coherence, StatShard, Tardis};
 use mem::PageNum;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const NODES: usize = 4;
 const PAGES: u64 = 8;
@@ -271,19 +272,27 @@ proptest! {
 /// the page's stripe lock. Two threads of node 0 renew one page while node
 /// 1's releases of another page keep moving the clock, so later renewals
 /// grant more. Only grants raise a page nobody writes, so its `rts` is the
-/// largest grant, and node 0's lease must end there.
+/// largest grant, and node 0's lease must end there. The readers renew for
+/// as long as the writer runs, and once more after its last release, so the
+/// final clock is always renewed against — however the host schedules the
+/// three threads.
 #[test]
 fn sibling_renewals_never_lower_the_lease() {
     let t = Tardis::new(2, PAGES, &CarinaConfig::default());
     let (read, written) = (PageNum(1), PageNum(2));
+    let writer_done = AtomicBool::new(false);
     std::thread::scope(|s| {
         for _ in 0..2 {
             s.spawn(|| {
                 let shard = StatShard::default();
-                for _ in 0..20_000 {
+                let renew = || {
                     t.begin_si_fence(0, &shard);
                     t.register_reader(0, 1, read, &shard);
+                };
+                while !writer_done.load(Ordering::Acquire) {
+                    renew();
                 }
+                renew();
             });
         }
         s.spawn(|| {
@@ -293,6 +302,7 @@ fn sibling_renewals_never_lower_the_lease() {
                 t.note_downgrade(1, written);
                 t.end_sd_fence(1, &shard);
             }
+            writer_done.store(true, Ordering::Release);
         });
     });
     let (_, rts) = t.timestamps(read);

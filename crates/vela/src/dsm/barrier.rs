@@ -4,9 +4,12 @@
 //! The hierarchical barrier is: node-local barrier → leader self-downgrades
 //! the node's write buffer → global barrier across node leaders → leader
 //! self-invalidates the node's cache → node-local release. One SD and one
-//! SI per *node* per barrier episode, not per thread.
+//! SI per *node* per barrier episode, not per thread. A leader's SD fence
+//! posts its write-backs without waiting for them and brings their settle
+//! stamp to the global rendezvous, which departs no earlier than the
+//! latest leader's stamp.
 
-use carina::{CarinaSiSd, Coherence, Dsm};
+use carina::{CarinaSiSd, Coherence, Dsm, Published};
 use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport};
 use std::sync::Arc;
@@ -15,6 +18,8 @@ struct BarrierState {
     entered: usize,
     generation: u64,
     max_clock: u64,
+    /// The largest release stamp an arrival of this episode carried.
+    max_stamp: u64,
     release_clock: u64,
 }
 
@@ -37,6 +42,7 @@ impl ClockBarrier {
                 entered: 0,
                 generation: 0,
                 max_clock: 0,
+                max_stamp: 0,
                 release_clock: 0,
             }),
             cond: Condvar::new(),
@@ -52,15 +58,29 @@ impl ClockBarrier {
         self.wait_leader(t, |_| {});
     }
 
+    /// [`wait`](Self::wait) for an arrival that carries a release: nobody
+    /// departs before `stamp`, the settle time of the write-backs the
+    /// arrival posted without waiting for them. The stamp rides the
+    /// rendezvous as a number, so the rendezvous overlaps the write-backs'
+    /// flight: departure is `max(max(arrivals) + exit_cost, max(stamps))`.
+    pub fn wait_published<E: Endpoint>(&self, t: &mut E, stamp: Published) {
+        self.rendezvous(t, stamp, |_| {});
+    }
+
     /// Wait for all participants; the **last** to arrive runs `leader`
     /// (with the merged clock) before everyone is released with the
     /// leader's final clock. This is how the hierarchical barrier performs
     /// its one-per-node fences.
     pub fn wait_leader<E: Endpoint>(&self, t: &mut E, leader: impl FnOnce(&mut E)) {
+        self.rendezvous(t, Published::default(), leader);
+    }
+
+    fn rendezvous<E: Endpoint>(&self, t: &mut E, stamp: Published, leader: impl FnOnce(&mut E)) {
         let mut st = self.state.lock();
         let my_gen = st.generation;
         st.entered += 1;
         st.max_clock = st.max_clock.max(t.now());
+        st.max_stamp = st.max_stamp.max(stamp.0);
         if st.entered == self.n {
             // Leader: everyone has arrived. Run the leader section at the
             // merged clock, then release.
@@ -69,6 +89,7 @@ impl ClockBarrier {
             leader(t);
             t.compute(self.exit_cost);
             let mut st = self.state.lock();
+            t.merge(std::mem::take(&mut st.max_stamp));
             st.entered = 0;
             st.generation += 1;
             st.max_clock = 0;
@@ -119,8 +140,10 @@ impl<T: Transport, C: Coherence> HierBarrier<T, C> {
         let dsm = &self.dsm;
         let global = &self.global;
         self.node_barriers[node].wait_leader(t, |t| {
-            dsm.sd_fence(t);
-            global.wait(t);
+            // The global rendezvous departs no earlier than every leader's
+            // write-backs settle; no leader waits for its own.
+            let stamp = dsm.publish(t);
+            global.wait_published(t, stamp);
             dsm.si_fence(t);
         });
         // The whole episode — local rendezvous, leader fences, global
@@ -199,6 +222,37 @@ mod tests {
         });
         writer.join().unwrap();
         assert_eq!(reader.join().unwrap(), 123);
+    }
+
+    /// Each leader's SD fence posts its node's write-back and arrives at
+    /// the global rendezvous without waiting for it; nobody departs before
+    /// every leader's write-backs settle.
+    #[test]
+    fn departure_waits_for_every_leaders_settle() {
+        let net = tiny_net(2);
+        let dsm = carina::Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
+        let barrier = Arc::new(HierBarrier::new(dsm.clone(), &[2, 1]));
+        let handles: Vec<_> = [(0, 0), (0, 1), (1, 0)]
+            .into_iter()
+            .map(|(node, core)| {
+                let (dsm, barrier, net) = (dsm.clone(), barrier.clone(), net.clone());
+                std::thread::spawn(move || {
+                    let mut t = thread(&net, node, core);
+                    // Each node writes a page homed on the other one.
+                    let addr = GlobalAddr((3 + 2 * core as u64 + node as u64) * PAGE_BYTES);
+                    assert_ne!(dsm.home_of(addr), node);
+                    dsm.write_u64(&mut t, addr, 1);
+                    barrier.wait(&mut t);
+                    t.now()
+                })
+            })
+            .collect();
+        let departures: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let settles = [dsm.settle_stamp(0).0, dsm.settle_stamp(1).0];
+        assert!(settles.iter().all(|&s| s > 0), "both nodes posted a write-back");
+        for d in departures {
+            assert!(settles.iter().all(|&s| d >= s), "departed at {d} before {settles:?}");
+        }
     }
 
     #[test]

@@ -142,9 +142,10 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
         } else {
             st.owns_global = false;
             drop(st);
-            // The lock leaves this node: publish our sections' writes.
-            self.dsm.sd_fence(t);
-            self.global.release(t);
+            // The lock leaves this node: publish our sections' writes. The
+            // next global holder waits for them to settle.
+            let stamp = self.dsm.publish(t);
+            self.global.release(t, stamp);
             let mut st = tier.state.lock();
             st.locked = false;
             st.last_release = t.now();

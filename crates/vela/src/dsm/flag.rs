@@ -8,10 +8,15 @@
 //! barrier episode across all threads.
 //!
 //! The flag word itself is synchronization (a deliberate data race in the
-//! application's terms), so it is exercised through one-sided atomics on
-//! its home node, not through the page cache.
+//! application's terms), so it is exercised through one-sided verbs on its
+//! home node, not through the page cache — or, on the home node itself, as
+//! plain local memory.
+//!
+//! The signaller's SD fence posts its write-backs without waiting for them
+//! (`carina::Dsm::publish`); the flag carries their settle stamp and every
+//! waiter starts at or after it.
 
-use crate::dsm::global_lock::lock_fault;
+use crate::dsm::global_lock::local_or_remote;
 use carina::{CarinaSiSd, Coherence, Dsm, DsmError};
 use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport, Verb, VerbClass};
@@ -62,21 +67,13 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
     /// both the fence and the flag write reach the fabric, so waiters never
     /// observe a signal whose payload was lost.
     pub fn try_signal(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
-        self.dsm.try_sd_fence(t)?;
-        self.dsm
-            .config()
-            .retry
-            .run_blocking(
-                t,
-                VerbClass::FlagWrite,
-                self.home.0 as u64,
-                self.home,
-                &Verb::Write { bytes: 8 },
-            )
-            .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
+        let stamp = self.dsm.try_publish(t)?;
+        self.access_word(t, self.home.0 as u64, &Verb::Write { bytes: 8 })?;
         let mut st = self.state.lock();
         st.generation += 1;
-        st.signal_clock = st.signal_clock.max(t.now());
+        // A waiter starts once the signal is out and the write-backs it
+        // follows have settled; the signaller runs on.
+        st.signal_clock = st.signal_clock.max(t.now()).max(stamp.0);
         self.cond.notify_all();
         Ok(())
     }
@@ -105,20 +102,17 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
             }
             t.merge(st.signal_clock);
         }
-        // The successful poll: one remote read of the flag word. A dropped
-        // poll is just another unsuccessful poll — reissue after backing off.
-        self.dsm
-            .config()
-            .retry
-            .run_blocking(
-                t,
-                VerbClass::FlagWrite,
-                !(self.home.0 as u64),
-                self.home,
-                &Verb::Read { bytes: 8 },
-            )
-            .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
+        // The successful poll: one read of the flag word. A dropped poll is
+        // just another unsuccessful poll — reissue after backing off.
+        self.access_word(t, !(self.home.0 as u64), &Verb::Read { bytes: 8 })?;
         self.dsm.try_si_fence(t)
+    }
+
+    /// One access to the flag word: local memory on its home node, else
+    /// `verb` under the DSM's retry policy.
+    fn access_word(&self, t: &mut T::Endpoint, salt: u64, verb: &Verb) -> Result<(), DsmError> {
+        let retry = &self.dsm.config().retry;
+        local_or_remote(t, retry, VerbClass::FlagWrite, salt, self.home, verb)
     }
 
     /// Wait for the *next* signal after this call. Note: if the signal of
@@ -185,6 +179,37 @@ mod tests {
         flag.wait_past(&mut t, 0);
         let signal_time = signaller.join().unwrap();
         assert!(t.now() >= signal_time);
+    }
+
+    /// The signaller's SD fence posts its write-back and the signaller
+    /// runs on; the waiter starts no earlier than the write-back settles.
+    #[test]
+    fn the_waiter_starts_after_the_signallers_settle() {
+        let (dsm, net) = setup(2);
+        let flag = DsmFlag::new(dsm.clone(), NodeId(0));
+        let addr = GlobalAddr(3 * PAGE_BYTES);
+        assert_eq!(dsm.home_of(addr), 1, "the write-back must cross the network");
+        let (mut t0, mut t1) = (thread(&net, 0, 0), thread(&net, 1, 0));
+        dsm.write_u64(&mut t0, addr, 5);
+        flag.signal(&mut t0);
+        let settle = dsm.settle_stamp(0).0;
+        assert!(t0.now() < settle, "the signaller waited for its write-back");
+        flag.wait_past(&mut t1, 0);
+        assert!(t1.now() >= settle);
+        assert_eq!(dsm.read_u64(&mut t1, addr), 5);
+    }
+
+    /// A flag homed on the signaller's and the waiter's node is local
+    /// memory: with nothing to publish or drop, the fabric sees nothing.
+    #[test]
+    fn a_flag_on_its_home_node_is_local_memory() {
+        let (dsm, net) = setup(2);
+        let flag = DsmFlag::new(dsm, NodeId(1));
+        let (mut a, mut b) = (thread(&net, 1, 0), thread(&net, 1, 1));
+        let before = net.stats().snapshot();
+        flag.signal(&mut a);
+        flag.wait_past(&mut b, 0);
+        assert_eq!(net.stats().snapshot(), before);
     }
 
     #[test]

@@ -30,12 +30,50 @@
 //! elsewhere. A never-held lock reports a handover, so a node's first
 //! tenure always fences. Data published through another synchronization
 //! object (a barrier, a `DsmFlag`) is ordered by that object's own fences.
+//!
+//! # The release stamp
+//!
+//! The SD fence before a release *posts* its write-backs and does not wait
+//! for them (`carina::Dsm::publish`). The release carries the returned
+//! stamp — when the last of them settles at its home — and every next
+//! holder starts no earlier than it: a same-node holder at the stamp, a
+//! handover one network hop after it. The same node waits too: the lock
+//! word's release is physically visible only after the write-backs it
+//! follows, either on the same ordered channel (when the word and the
+//! pages share a home) or behind a WAIT on the others. Only the releasing
+//! CPU runs on. In virtual time, then, every acquirer still sees the
+//! release's writes settled, exactly as when the releaser waited itself.
+//!
+//! A lock word on the acquirer's own node is local memory: its CAS and
+//! its release are one DRAM access each and issue no verb.
 
-use carina::DsmError;
+use carina::{DsmError, Published};
 use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, RetryExhausted, RetryPolicy, Verb, VerbClass};
 use simnet::NodeId;
 use std::sync::Arc;
+
+/// Access a synchronization word homed on `home`: a node's own lock and
+/// flag words are local memory — one DRAM access, no verb, nothing to
+/// retry — and anyone else's take `verb`, reissued until it completes or
+/// `class`'s budget runs out.
+pub(crate) fn local_or_remote<E: Endpoint>(
+    t: &mut E,
+    retry: &RetryPolicy,
+    class: VerbClass,
+    salt: u64,
+    home: NodeId,
+    verb: &Verb,
+) -> Result<(), DsmError> {
+    if t.node() == home {
+        t.dram_access();
+        return Ok(());
+    }
+    retry
+        .run_blocking(t, class, salt, home, verb)
+        .map(|_| ())
+        .map_err(|e| lock_fault(e, t.node().0, home.0))
+}
 
 /// Translate an exhausted retry budget into the DSM-level error, naming
 /// the route (Vela builds it field-wise; the carina constructor is private
@@ -134,9 +172,7 @@ impl DsmGlobalLock {
     pub fn try_acquire_tracked<E: Endpoint>(&self, t: &mut E) -> Result<bool, DsmError> {
         // The CAS on the lock word costs a round trip regardless of
         // outcome; a dropped CAS is reissued after backing off locally.
-        self.retry
-            .run_blocking(t, VerbClass::LockAtomic, self.home.0 as u64, self.home, &Verb::Cas)
-            .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
+        self.access_word(t, self.home.0 as u64, &Verb::Cas)?;
         let mut st = self.state.lock();
         while st.0.locked {
             self.cond.wait(&mut st);
@@ -146,6 +182,7 @@ impl DsmGlobalLock {
         let me = t.node().0;
         let switched = st.0.last_holder != Some(me);
         let before = t.now();
+        // `last_release` already covers the release's published stamp.
         if switched {
             st.1.node_switches += 1;
             // Hand-off from another node: the release flag travelled one
@@ -173,12 +210,17 @@ impl DsmGlobalLock {
         Ok(switched)
     }
 
-    /// Release: a posted write of the lock word (the successor's spin flag).
+    /// Release: a posted write of the lock word (the successor's spin
+    /// flag). `stamp` is what the release publishes
+    /// (`carina::Dsm::publish`): the next holder — on this node or another
+    /// — starts no earlier than it, so the releasing thread need not wait
+    /// for its own write-backs. A release that published nothing passes
+    /// `Published::default()`.
     ///
     /// Panics if the fabric stays broken past the retry budget; see
     /// [`Self::try_release`] for the fallible flavor.
-    pub fn release<E: Endpoint>(&self, t: &mut E) {
-        if let Err(e) = self.try_release(t) {
+    pub fn release<E: Endpoint>(&self, t: &mut E, stamp: Published) {
+        if let Err(e) = self.try_release(t, stamp) {
             panic!("unrecoverable DSM fault: {e}");
         }
     }
@@ -186,17 +228,23 @@ impl DsmGlobalLock {
     /// Fallible flavor of [`Self::release`]: if the hand-off write never
     /// lands, the lock stays held (the successor must not observe a release
     /// that did not reach the fabric).
-    pub fn try_release<E: Endpoint>(&self, t: &mut E) -> Result<(), DsmError> {
-        let flag = Verb::Write { bytes: 8 };
-        self.retry
-            .run_blocking(t, VerbClass::LockAtomic, !(self.home.0 as u64), self.home, &flag)
-            .map_err(|e| lock_fault(e, t.node().0, self.home.0))?;
+    pub fn try_release<E: Endpoint>(&self, t: &mut E, stamp: Published) -> Result<(), DsmError> {
+        self.access_word(t, !(self.home.0 as u64), &Verb::Write { bytes: 8 })?;
         let mut st = self.state.lock();
         assert!(st.0.locked, "releasing an unheld global lock");
         st.0.locked = false;
-        st.0.last_release = t.now();
+        // Physically the release becomes visible only after its write-backs
+        // settle: behind them on the same channel when the lock word shares
+        // their target (RC ordering), behind a cross-channel WAIT when not.
+        st.0.last_release = t.now().max(stamp.0);
         self.cond.notify_one();
         Ok(())
+    }
+
+    /// One access to the lock word: a local DRAM access when `t` runs on
+    /// the word's home node, else `verb`, reissued as the retry policy says.
+    fn access_word<E: Endpoint>(&self, t: &mut E, salt: u64, verb: &Verb) -> Result<(), DsmError> {
+        local_or_remote(t, &self.retry, VerbClass::LockAtomic, salt, self.home, verb)
     }
 
     pub fn stats(&self) -> GlobalLockStats {
@@ -233,7 +281,7 @@ mod tests {
                             s.1 = t.now();
                         }
                         t.compute(50);
-                        lock.release(&mut t);
+                        lock.release(&mut t, Published::default());
                     }
                 })
             })
@@ -255,7 +303,7 @@ mod tests {
         lock.acquire(&mut t);
         let c = CostModel::paper_2011();
         assert!(t.now() >= 2 * c.network_latency);
-        lock.release(&mut t);
+        lock.release(&mut t, Published::default());
     }
 
     #[test]
@@ -267,7 +315,7 @@ mod tests {
         let mut b = thread(&net, 1, 0);
         let acquire = |t: &mut _| {
             let switched = lock.try_acquire_tracked(t).unwrap();
-            lock.release(t);
+            lock.release(t, Published::default());
             switched
         };
         // Never held: the first tenure always counts as a handover.
@@ -283,13 +331,54 @@ mod tests {
         assert_eq!((st.acquisitions, st.node_switches), (6, 3));
     }
 
+    /// A node's own lock word is local memory: the CAS and the release are
+    /// one DRAM access each, and the fabric sees nothing.
+    #[test]
+    fn a_lock_homed_on_the_acquirer_is_local_memory() {
+        let net = tiny_net(2);
+        let lock = DsmGlobalLock::new(NodeId(1));
+        let mut t = thread(&net, 1, 0);
+        let before = net.stats().snapshot();
+        assert!(lock.acquire_tracked(&mut t));
+        lock.release(&mut t, Published::default());
+        assert!(!lock.acquire_tracked(&mut t));
+        lock.release(&mut t, Published::default());
+        assert_eq!(net.stats().snapshot(), before);
+        // Four DRAM accesses; the never-held first acquire counts as a
+        // handover and merges the empty release one hop out, past the
+        // first access.
+        let c = CostModel::paper_2011();
+        assert_eq!(t.now(), c.network_latency + 3 * c.dram_latency);
+    }
+
+    /// The next holder starts at the release's stamp, the releaser's clock
+    /// notwithstanding: on the same node at it, after a handover one
+    /// network hop after it.
+    #[test]
+    fn the_next_holder_merges_the_release_stamp() {
+        let net = tiny_net(2);
+        let lock = DsmGlobalLock::new(NodeId(0));
+        let latency = CostModel::paper_2011().network_latency;
+        let (mut a, mut a2, mut b) = (thread(&net, 0, 0), thread(&net, 0, 1), thread(&net, 1, 0));
+        let stamp = Published(1_000_000);
+        lock.acquire(&mut a);
+        lock.release(&mut a, stamp);
+        assert!(a.now() < stamp.0, "the releaser runs on");
+        assert!(!lock.acquire_tracked(&mut a2));
+        assert_eq!(a2.now(), stamp.0);
+        lock.release(&mut a2, Published(2_000_000));
+        assert!(lock.acquire_tracked(&mut b));
+        assert_eq!(b.now(), 2_000_000 + latency);
+        lock.release(&mut b, Published::default());
+    }
+
     #[test]
     #[should_panic(expected = "unheld")]
     fn double_release_is_a_bug() {
         let lock = DsmGlobalLock::new(NodeId(0));
         let mut t = thread(&tiny_net(1), 0, 0);
         lock.acquire(&mut t);
-        lock.release(&mut t);
-        lock.release(&mut t);
+        lock.release(&mut t, Published::default());
+        lock.release(&mut t, Published::default());
     }
 }

@@ -19,7 +19,8 @@
 //!    fences, no lock hand-offs, local cache reuse.
 //! 4. After the queue is empty (or a batch limit is reached), **one** SD
 //!    fence publishes every executed section's writes, and the global lock
-//!    moves on.
+//!    moves on carrying the fence's settle stamp: the next holder waits for
+//!    the write-backs to land, the helper does not.
 //!
 //! Threads on non-active nodes simply wait to become the active node; "if
 //! the program depends on lock performance, it has enough work even on a
@@ -296,11 +297,12 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         self.obs.batch_size.record(executed as u64);
         let t3 = t.now();
         self.section_cycles.fetch_add(t3 - t2, Ordering::Relaxed);
-        // Close the queue: one SD to publish every section's writes.
-        self.dsm.sd_fence(t);
+        // Close the queue: one SD to publish every section's writes. The
+        // helper does not wait for them to settle; the next holder does.
+        let stamp = self.dsm.publish(t);
         self.fence_cycles
             .fetch_add((t2 - t1) + (t.now() - t3), Ordering::Relaxed);
-        self.global.release(t);
+        self.global.release(t, stamp);
         t.set_span(rma::SpanId::NONE);
         // SAFETY: locked above.
         unsafe { nq.helper.unlock() };
@@ -313,7 +315,7 @@ mod tests {
     use carina::CarinaConfig;
     use mem::{GlobalAddr, PAGE_BYTES};
     use simnet::testkit::{thread, tiny_net};
-    use simnet::Interconnect;
+    use simnet::{Interconnect, SimThread};
 
     fn setup(nodes: usize) -> (Arc<Dsm>, Arc<Interconnect>) {
         let net = tiny_net(nodes);
@@ -424,6 +426,35 @@ mod tests {
         }
         let d = dsm.clone();
         assert_eq!(lock.delegate_wait(&mut t, move |ht| d.read_u64(ht, addr)), 100);
+    }
+
+    /// A tenure's SD fence posts its write-backs and the helper runs on
+    /// without waiting for them; the next tenure starts no earlier than
+    /// they settle — a sibling's on the same node at the settle, another
+    /// node's one network hop after it (the release stamp).
+    #[test]
+    fn the_next_tenure_waits_for_the_settle_the_helper_skipped() {
+        let (dsm, net) = setup(2);
+        let addr = GlobalAddr(3 * PAGE_BYTES);
+        assert_eq!(dsm.home_of(addr), 1, "node 0's write-back must cross the network");
+        let lock = Hqdl::new(dsm.clone(), 8);
+        let latency = net.cost().network_latency;
+        let (mut a, mut a2, mut b) = (thread(&net, 0, 0), thread(&net, 0, 1), thread(&net, 1, 0));
+        let write = |t: &mut SimThread, v: u64| {
+            let d = dsm.clone();
+            lock.delegate_wait(t, move |ht| d.write_u64(ht, addr, v));
+        };
+        let start = |t: &mut SimThread| lock.delegate_wait(t, |ht| ht.now());
+
+        write(&mut a, 1);
+        let settle = dsm.settle_stamp(0).0;
+        assert!(a.now() < settle, "the helper waited for its write-back");
+        assert!(start(&mut a2) >= settle, "a same-node tenure started before the settle");
+
+        write(&mut a, 2);
+        let settle = dsm.settle_stamp(0).0;
+        assert!(a.now() < settle, "the helper waited for its write-back");
+        assert!(start(&mut b) >= settle + latency, "a handover started before the settle");
     }
 
     #[test]
