@@ -99,11 +99,6 @@ pub struct RunReport<R> {
     /// Flight-recorder health: ring occupancy, drops, tail captures;
     /// non-zero `dropped` means the exported trace is partial.
     pub recorder: carina::RecorderStats,
-    /// Volans membership epoch at region end (0 = membership never
-    /// changed: no failover, no join).
-    pub membership_epoch: u64,
-    /// Nodes alive in the Volans membership at region end.
-    pub nodes_alive: usize,
     /// The coherence policy the region ran under (`Coherence::NAME`).
     pub policy: &'static str,
 }
@@ -250,8 +245,6 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
             heat_total: self.dsm.page_heat().total(),
             hot_pages: self.dsm.page_heat().top_k(HOT_PAGES),
             recorder: self.dsm.lyra().stats(),
-            membership_epoch: self.dsm.membership().epoch(),
-            nodes_alive: self.dsm.membership().nodes_alive(),
             policy: self.dsm.policy_name(),
         }
     }

@@ -101,17 +101,6 @@ impl<R> RunReport<R> {
                 c.verb_retries, c.verb_exhaustions
             );
         }
-        if self.membership_epoch > 0 {
-            let _ = writeln!(
-                s,
-                "membership   : epoch {}, {} nodes alive, {} failovers, {} pages re-homed, {} shadow pages mirrored",
-                self.membership_epoch,
-                self.nodes_alive,
-                c.failovers,
-                c.pages_rehomed,
-                c.shadow_mirrored
-            );
-        }
         if self.heat_total > 0 {
             let mut hot = String::new();
             for (i, (page, n)) in self.hot_pages.iter().enumerate() {
@@ -155,11 +144,6 @@ impl<R> RunReport<R> {
             self.wall_seconds,
             self.results.len(),
             self.policy
-        );
-        let _ = write!(
-            s,
-            ",\"membership\":{{\"epoch\":{},\"nodes_alive\":{}}}",
-            self.membership_epoch, self.nodes_alive
         );
         // Every counter of the table, then the derived ratios.
         s.push_str(",\"coherence\":{");
@@ -324,12 +308,6 @@ mod tests {
         // Healthy fabric: retry counters are present and zero.
         assert_eq!(coh.get("verb_retries").unwrap().as_u64(), Some(0));
         assert_eq!(coh.get("verb_exhaustions").unwrap().as_u64(), Some(0));
-        // Static membership: epoch 0, everyone alive, no failover work.
-        let mem = doc.get("membership").unwrap();
-        assert_eq!(mem.get("epoch").unwrap().as_u64(), Some(0));
-        assert_eq!(mem.get("nodes_alive").unwrap().as_u64(), Some(2));
-        assert_eq!(coh.get("failovers").unwrap().as_u64(), Some(0));
-        assert_eq!(coh.get("pages_rehomed").unwrap().as_u64(), Some(0));
         assert_eq!(
             doc.get("profile").unwrap().get("retry").unwrap().get("count").unwrap().as_u64(),
             Some(0)

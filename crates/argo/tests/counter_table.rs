@@ -19,7 +19,7 @@ fn every_counter_reaches_every_view() {
     let coh = doc.get("coherence").unwrap();
     let prom = m.dsm().metrics_snapshot().to_prometheus();
     let names: Vec<&str> = report.coherence.fields().map(|(name, _)| name).collect();
-    assert_eq!(names.len(), 35);
+    assert_eq!(names.len(), 32);
     assert!(names.ends_with(&["refills", "refill_pages", "refill_unused"]));
     for (i, name) in names.iter().enumerate() {
         let want = 1000 + i as u64;

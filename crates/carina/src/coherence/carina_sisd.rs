@@ -271,19 +271,6 @@ impl Coherence for CarinaSiSd {
         problems
     }
 
-    fn on_membership_change(&self, page: PageNum) {
-        // A re-homed page's directory entry lived on the departed node and
-        // is gone with it: null the home maps, every node's cached copy,
-        // and the fast-path registration mirrors, so the first access under
-        // the new epoch re-registers at the rendezvous home from scratch.
-        self.home_entry(page).reset();
-        for n in 0..self.reg_read.len() {
-            self.cached_entry(n as u16, page).reset();
-            self.reg_read[n].clear(page);
-            self.reg_write[n].clear(page);
-        }
-    }
-
     fn reset_all(&self) {
         mem::clear_nonzero(&self.home);
         self.dir_caches.clear_all();

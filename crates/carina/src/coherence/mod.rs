@@ -146,11 +146,6 @@ impl PageBitSet {
     }
 
     #[inline]
-    pub(crate) fn clear(&self, page: PageNum) {
-        let w = (page.0 / 64) as usize;
-        self.words[w].fetch_and(!(1 << (page.0 % 64)), Ordering::Relaxed);
-    }
-
     pub(crate) fn clear_all(&self) {
         mem::clear_nonzero(&self.words);
     }
@@ -353,16 +348,6 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
         home_of: impl Fn(PageNum) -> u16,
     ) -> Vec<String>;
 
-    /// Volans membership change: `page` just moved to a new home node (its
-    /// old home departed). The policy must null every piece of per-page
-    /// metadata tied to the old home — registrations, directory caches,
-    /// granted leases — so the first access under the new epoch
-    /// re-registers from scratch, exactly like the Pyxis mode-epoch
-    /// reconcile. Called under the engine's membership-transition lock and
-    /// the heir's slot lock, as the home moves, after the heir's cached
-    /// copy was folded into home memory.
-    fn on_membership_change(&self, _page: PageNum) {}
-
     /// Null all policy metadata (end-of-initialization reset, decay).
     fn reset_all(&self);
 }
@@ -380,9 +365,6 @@ mod tests {
         assert!(b.get(PageNum(129)));
         assert!(b.get(PageNum(0)));
         assert!(!b.get(PageNum(64)));
-        b.clear(PageNum(0));
-        assert!(!b.get(PageNum(0)));
-        assert!(b.get(PageNum(129)), "clear only drops its own bit");
         b.clear_all();
         assert!(!b.get(PageNum(129)));
     }

@@ -385,18 +385,6 @@ impl Coherence for Pyxis {
         problems
     }
 
-    fn on_membership_change(&self, page: PageNum) {
-        // Both sub-protocols null their per-page metadata; the hybrid's own
-        // census signals restart too, so post-failover mode decisions rest
-        // on post-failover evidence only. The mode epoch itself is *not*
-        // reset — bumping nothing keeps `seen_epoch` consistent, and the
-        // membership-epoch invalidation in the engine already forces the
-        // reconcile-style refetch.
-        self.sisd.on_membership_change(page);
-        self.tardis.on_membership_change(page);
-        self.score[page.0 as usize].store(0, Ordering::Relaxed);
-    }
-
     fn reset_all(&self) {
         self.sisd.reset_all();
         self.tardis.reset_all();

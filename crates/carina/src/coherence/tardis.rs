@@ -432,22 +432,6 @@ impl Coherence for Tardis {
         problems
     }
 
-    fn on_membership_change(&self, page: PageNum) {
-        // A re-homed page's timestamp entry lived on the departed node.
-        // Drop every granted lease on it (the copies it vouched for were
-        // scrubbed by the failover sweep) but keep `wts`/`rts` monotone —
-        // the flat entry store survives the re-homing, and regressing a
-        // clock could revalidate a lease some node still remembers.
-        let _serial = self.lock(page);
-        for (n, nc) in self.nodes.iter().enumerate() {
-            nc.granted.clear(page);
-            for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
-                table.at(n as u16, page).store(0, Ordering::Relaxed);
-            }
-        }
-        self.diag(page).reset();
-    }
-
     fn reset_all(&self) {
         mem::clear_nonzero(&self.wts);
         mem::clear_nonzero(&self.rts);

@@ -56,24 +56,6 @@ pub struct CarinaConfig {
     /// How failed verbs are reissued (backoff, jitter, per-class budgets).
     /// Irrelevant on a healthy fabric — no verb ever fails there.
     pub retry: RetryPolicy,
-    /// Volans: when a verb's retry budget exhausts, declare the target dead,
-    /// re-home its pages to survivors by rendezvous hashing, and reissue the
-    /// verb against the new home — instead of surfacing the `DsmError`.
-    /// Off by default: the error-surfacing contract of the chaos tests (and
-    /// any caller that wants to see failures) is unchanged.
-    pub volans_failover: bool,
-    /// Volans: how many of the cluster's trailing node ids start *outside*
-    /// the membership (latent). Their interleaved home pages are re-homed
-    /// to the initially-alive set at construction; `Dsm::join_node` brings
-    /// a latent node in at an epoch bump, and it warms purely by
-    /// demand-faulting — no bulk transfer.
-    pub volans_latent_nodes: usize,
-    /// Volans: mirror the pages each SD-fence drain writes home to their
-    /// rendezvous successor (the node that would inherit them on failover).
-    /// Off the hot path — coalesced at fence boundaries, one batched verb
-    /// per successor — and purely a shadow: the successor's copy only
-    /// matters after a failover re-homes the page there.
-    pub volans_shadow: bool,
     /// Per-node capacity (records) of the Lyra flight-recorder ring,
     /// rounded up to a power of two. The recorder is always on; recording
     /// is purely passive (it never feeds back into protocol or timing), so
@@ -96,9 +78,6 @@ impl Default for CarinaConfig {
             pyxis_switch_threshold: 3,
             pyxis_score_cap: 8,
             retry: RetryPolicy::default(),
-            volans_failover: false,
-            volans_latent_nodes: 0,
-            volans_shadow: false,
             lyra_ring: 1024,
             lyra_tail_threshold: 0,
         }

@@ -85,16 +85,6 @@ impl DirEntry<'_> {
             self.or_writers(v.writers);
         }
     }
-
-    /// Reset to empty maps (end-of-initialization reset, paper §3.4). The
-    /// only overwrite: between resets a view only grows, and any store of
-    /// a value derived from an earlier load can erase a concurrent `or_*`.
-    /// The stores are relaxed: resets run at quiescent points or, for a
-    /// re-homed page, before the membership epoch's `AcqRel` bump, which
-    /// an access that sees the new epoch acquires.
-    pub(crate) fn reset(self) {
-        mem::clear_nonzero(self.0);
-    }
 }
 
 #[cfg(test)]
@@ -119,16 +109,6 @@ mod tests {
         DirEntry(&words).or_writers(node_bit(127));
         assert_eq!(DirEntry(&words).view().writers, 1u128 << 127);
         assert_eq!(words[WRITERS + 1].load(Ordering::Relaxed), 1 << 63);
-    }
-
-    #[test]
-    fn reset_empties_both_maps() {
-        let words = DirWords::default();
-        let e = DirEntry(&words);
-        e.or_view(DirView { readers: node_bit(5), writers: node_bit(100) });
-        assert_eq!(e.view(), DirView { readers: node_bit(5), writers: node_bit(100) });
-        e.reset();
-        assert_eq!(e.view(), DirView::default());
     }
 
     /// Two nodes first-touch one page at the same moment, one reading,

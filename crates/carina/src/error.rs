@@ -6,7 +6,7 @@
 //! from the `try_*` flavor of whichever public operation was underway; the
 //! panicking flavors translate it into an abort with the same message.
 
-use rma::{RetryExhausted, SpanId, VerbClass, VerbError};
+use rma::{RetryExhausted, VerbClass, VerbError};
 use std::fmt;
 
 /// A remote verb kept failing until its retry budget ran out.
@@ -22,31 +22,11 @@ pub struct DsmError {
     pub node: u16,
     /// Node the verb targeted.
     pub target: u16,
-    /// The Lyra span the failing verb ran under ([`SpanId::NONE`] when the
-    /// failure happened outside a traced verb). Volans failover records its
-    /// epoch bump under this span, so the trace draws a flow arrow from the
-    /// exhausted verb to the membership change it triggered.
-    pub span: SpanId,
 }
 
 impl DsmError {
-    pub(crate) fn new(e: RetryExhausted, node: u16, target: u16, span: SpanId) -> Self {
-        DsmError {
-            class: e.class,
-            attempts: e.attempts,
-            last_error: e.last_error,
-            node,
-            target,
-            span,
-        }
-    }
-
-    /// The fail-fast error for a route known dead before any verb is
-    /// issued (`attempts: 0`): `target` left the membership, or the page
-    /// was re-homed away from it under the accessor. Volans' failover
-    /// retry absorbs it by re-running the operation against the new home.
-    pub(crate) fn departed(class: VerbClass, node: u16, target: u16, span: SpanId) -> Self {
-        DsmError { class, attempts: 0, last_error: VerbError::Departed, node, target, span }
+    pub(crate) fn new(e: RetryExhausted, node: u16, target: u16) -> Self {
+        DsmError { class: e.class, attempts: e.attempts, last_error: e.last_error, node, target }
     }
 }
 
@@ -74,7 +54,6 @@ mod tests {
             last_error: VerbError::NicStall,
             node: 2,
             target: 0,
-            span: SpanId::NONE,
         };
         let s = e.to_string();
         assert!(s.contains("page_fetch"));

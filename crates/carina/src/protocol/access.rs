@@ -10,18 +10,15 @@ use mem::{Word, WORDS_PER_PAGE};
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Read the aligned word at `addr`, surfacing retry-budget exhaustion
-    /// as a [`DsmError`] instead of panicking. Under `volans_failover`, an
-    /// exhausted budget declares the target departed, re-homes its pages,
-    /// and re-runs the read against the survivors.
+    /// as a [`DsmError`] instead of panicking.
     #[inline]
     pub fn try_read<W: Word>(&self, t: &mut T::Endpoint, addr: GlobalAddr) -> Result<W, DsmError> {
         let mut word = [0u64];
-        self.failover_retry(t, |dsm, t| dsm.read_run(t, addr, &mut word, 0))?;
+        self.read_run(t, addr, &mut word, 0)?;
         Ok(W::from_bits(word[0]))
     }
 
-    /// Write the aligned word at `addr` (fallible and failover-aware; see
-    /// [`Self::try_read`]).
+    /// Write the aligned word at `addr` (fallible; see [`Self::try_read`]).
     #[inline]
     pub fn try_write<W: Word>(
         &self,
@@ -29,11 +26,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         addr: GlobalAddr,
         value: W,
     ) -> Result<(), DsmError> {
-        self.failover_retry(t, |dsm, t| dsm.write_run(t, addr, &[value.to_bits()], 0))
+        self.write_run(t, addr, &[value.to_bits()], 0)
     }
 
     /// Bulk read of `out.len()` consecutive words starting at `addr`
-    /// (fallible and failover-aware; see [`Self::try_read`]).
+    /// (fallible; see [`Self::try_read`]).
     ///
     /// Semantically identical to a loop of scalar reads, but the protocol
     /// work (slot locking, hit check) is done once per *page* and streaming
@@ -48,11 +45,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         out: &mut [W],
     ) -> Result<(), DsmError> {
         let out = W::as_words_mut(out);
-        self.failover_retry(t, |dsm, t| {
-            addr.page_runs(out.len()).try_for_each(|(a, run)| {
-                let stream = run.len() as u64 * STREAM_WORD_CYCLES;
-                dsm.read_run(t, a, &mut out[run], stream)
-            })
+        addr.page_runs(out.len()).try_for_each(|(a, run)| {
+            let stream = run.len() as u64 * STREAM_WORD_CYCLES;
+            self.read_run(t, a, &mut out[run], stream)
         })
     }
 
@@ -65,11 +60,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         data: &[W],
     ) -> Result<(), DsmError> {
         let data = W::as_words(data);
-        self.failover_retry(t, |dsm, t| {
-            addr.page_runs(data.len()).try_for_each(|(a, run)| {
-                let stream = run.len() as u64 * STREAM_WORD_CYCLES;
-                dsm.write_run(t, a, &data[run], stream)
-            })
+        addr.page_runs(data.len()).try_for_each(|(a, run)| {
+            let stream = run.len() as u64 * STREAM_WORD_CYCLES;
+            self.write_run(t, a, &data[run], stream)
         })
     }
 

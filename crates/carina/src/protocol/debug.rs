@@ -116,16 +116,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         for (name, value) in self.stats.snapshot().fields() {
             m.counter(&format!("carina_{name}"), &policy, value);
         }
-        m.gauge(
-            "carina_membership_epoch",
-            &[],
-            self.membership.epoch() as f64,
-        );
-        m.gauge(
-            "carina_nodes_alive",
-            &[],
-            self.membership.nodes_alive() as f64,
-        );
         m.counter("carina_heat_total_misses", &[], self.heat.total());
         let rs = self.lyra.stats();
         m.counter("lyra_records_submitted", &[], rs.submitted);

@@ -30,7 +30,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Where `st` — `node`'s locked slot for `page` — holds the page dirty:
     /// its index in the line; `None` if the page is clean, invalid, or was
     /// evicted (and flushed) since it entered the write buffer.
-    pub(super) fn dirty_index(&self, st: &SlotGuard, page: PageNum, node: u16) -> Option<usize> {
+    fn dirty_index(&self, st: &SlotGuard, page: PageNum, node: u16) -> Option<usize> {
         let cache = &self.nodes[node as usize].cache;
         let idx = cache.index_in_line(page);
         (st.tag() == Some(cache.line_of(page)) && st.pages[idx].dirty()).then_some(idx)
@@ -126,7 +126,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 self.coherence.note_written_epoch(me, page);
             }
             let home = self.global.home_of(page);
-            debug_assert_ne!(home, me, "a page is never cached on its home (see `rehome_page`)");
+            debug_assert_ne!(home, me, "a page is never cached on its home");
             self.detail(t, me, obs::RecordKind::Downgrade, page.0, home as u32);
         }
         (bytes, victim)
@@ -204,10 +204,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 next = victim.map(|victim| (victim, false));
                 let Some(bytes) = bytes else { continue };
                 let home = self.global.home_of(page);
-                if let Err(e) = self.check_alive(me, home, VerbClass::Downgrade, span) {
-                    failed.get_or_insert(e);
-                    continue;
-                }
                 let at = t.now();
                 let token = t.issue(NodeId(home), &Verb::Write { bytes }, at);
                 inflight.push(Posted { token, page, bytes, at, home });

@@ -72,14 +72,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Self::unrecoverable(self.try_si_fence(t))
     }
 
-    /// Fallible flavor of [`Self::si_fence`] (failover-aware; see
-    /// [`Self::try_read`]).
+    /// Fallible flavor of [`Self::si_fence`] (see [`Self::try_read`]).
     pub fn try_si_fence(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let me = t.node().0;
         let watch = [obs::RecordKind::LeaseExpiry, obs::RecordKind::ModeSwitch];
-        self.failover_retry(t, |dsm, t| {
-            dsm.fence_site(t, me, obs::Site::SiFence, watch, |t| dsm.si_sweep(t, me))
-        })
+        self.fence_site(t, me, obs::Site::SiFence, watch, |t| self.si_sweep(t, me))
     }
 
     /// The fence a lock owes on acquire — the one place the *handover
@@ -150,8 +147,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Self::unrecoverable(self.try_sd_fence(t))
     }
 
-    /// Fallible flavor of [`Self::sd_fence`] (failover-aware; see
-    /// [`Self::try_read`]).
+    /// Fallible flavor of [`Self::sd_fence`] (see [`Self::try_read`]).
     pub fn try_sd_fence(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let stamp = self.try_publish(t)?;
         t.merge(stamp.0);
@@ -168,14 +164,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Self::unrecoverable(self.try_publish(t))
     }
 
-    /// Fallible flavor of [`Self::publish`] (failover-aware; see
-    /// [`Self::try_read`]).
+    /// Fallible flavor of [`Self::publish`] (see [`Self::try_read`]).
     pub fn try_publish(&self, t: &mut T::Endpoint) -> Result<Published, DsmError> {
         let me = t.node().0;
         let watch = [obs::RecordKind::ModeSwitch];
-        self.failover_retry(t, |dsm, t| {
-            dsm.fence_site(t, me, obs::Site::SdFence, watch, |t| dsm.sd_drain(t, me))
-        })?;
+        self.fence_site(t, me, obs::Site::SdFence, watch, |t| self.sd_drain(t, me))?;
         Ok(Published(t.now()).max(self.settle_stamp(me)))
     }
 
@@ -196,15 +189,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // while this one holds, unbuffered, a page the sibling stored to.
         let _draining = ns.draining.lock().expect("a sibling's drain panicked");
         let drained = ns.wbuf.drain();
-        // Shadow homes mirror what this fence writes home: no idle kept page.
-        let mut mirrored = if self.config.volans_shadow { drained.clone() } else { Vec::new() };
-        mirrored.retain(|&page| self.has_stores(me, page));
         self.drain_posted(t, &drained, me)?;
         if !self.coherence.buffers_every_dirty_page() {
             self.naive_checkpoint_sweep(t, me)?;
-        }
-        if !mirrored.is_empty() {
-            self.mirror_to_successors(t, &mirrored, me)?;
         }
         // Release-side policy hook, once every write-back is posted (Tardis
         // publishes its clock and opens a new write epoch here). Its
@@ -212,13 +199,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // already in home memory; virtual settle time is the acquirer's.
         self.coherence.end_sd_fence(me, self.stats.shard(me));
         Ok(())
-    }
-
-    /// Is `page` cached dirty on `node` and written since its last drain
-    /// (shadows mirror those)?
-    fn has_stores(&self, node: u16, page: PageNum) -> bool {
-        let st = self.nodes[node as usize].cache.lock_slot(page);
-        self.dirty_index(&st, page, node).is_some_and(|idx| !st.pages[idx].mask.is_empty())
     }
 
     /// The naïve P/S scheme's sync-point obligation (§3.4.2): checkpoint

@@ -6,6 +6,16 @@
 use super::*;
 use crate::config::PROTECT_CYCLES;
 
+/// Append `item` to `home`'s group, opening the group at the end on first
+/// sight: homes stay in first-seen order, which is the wire order of a
+/// line fill's postings.
+fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
+    match groups.iter_mut().find(|(h, _)| *h == home) {
+        Some((_, items)) => items.push(item),
+        None => groups.push((home, vec![item])),
+    }
+}
+
 impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// Handle a read miss on `page`: evict/flush the conflicting line if
     /// needed, then fetch the whole line from the pages' homes, registering
@@ -22,21 +32,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         me: u16,
         overwrite: bool,
     ) -> Result<(), DsmError> {
-        // Re-read the demanded page's home under the slot lock — once; the
-        // fill below routes by this value. The accessor chose the remote
-        // path from an unlocked `home_of`, and a concurrent failover may
-        // since have re-homed `page` *here* (it flips the home under this
-        // very slot lock, so either we see the new home now, or it scrubs
-        // what we fetch by the old route). Local pages are never cached
-        // (the fill would skip it and leave the slot unfilled), so report
-        // a stale route as departed: `failover_retry` re-runs the access,
-        // which then takes the home path.
-        let demanded_home = self.global.home_of(page);
-        if demanded_home == me {
-            return Err(DsmError::departed(VerbClass::PageFetch, me, me, obs::SpanId::NONE));
-        }
+        debug_assert_ne!(self.global.home_of(page), me, "a page is never cached on its home");
         self.site(t, me, obs::Site::ReadMiss, page.0, |t, span| {
-            self.fill_line(t, st, page, demanded_home, overwrite, span)
+            self.fill_line(t, st, page, overwrite, span)
         })
     }
 
@@ -46,7 +44,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         t: &mut T::Endpoint,
         st: &mut SlotGuard<'_>,
         page: PageNum,
-        demanded_home: u16,
         overwrite: bool,
         span: obs::SpanId,
     ) -> Result<(), DsmError> {
@@ -94,7 +91,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             if p.0 >= total_pages || st.pages[idx].valid || (overwrite && idx == demanded) {
                 continue;
             }
-            let home = if p == page { demanded_home } else { self.global.home_of(p) };
+            let home = self.global.home_of(p);
             if home != me {
                 // (local pages are never cached)
                 push_grouped(&mut group, home, idx);
@@ -111,7 +108,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let obs_issue = t.obs_now();
         let mut inflight: Vec<(u64, VerbToken)> = Vec::with_capacity(group.len());
         for (home, idxs) in &group {
-            self.check_alive(me, *home, VerbClass::PageFetch, span)?;
             let mut reg_done = start;
             for &idx in idxs.iter() {
                 let p = PageNum(base.0 + idx as u64);
@@ -201,13 +197,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             {
                 continue;
             }
-            // Re-read under the slot lock, like a miss: a page re-homed
-            // here is local now, one homed on a departed node is not ours
-            // to fetch.
             let home = self.global.home_of(page);
-            if home == me || (self.membership.epoch() != 0 && !self.membership.is_alive(home)) {
-                continue;
-            }
+            debug_assert_ne!(home, me, "a page is never cached on its home");
             let register = !self.coherence.read_registered(me, home, page);
             let reg = register.then(|| t.issue(NodeId(home), &Verb::FetchOr, at));
             let read = t.issue(NodeId(home), &Verb::Read { bytes: PAGE_BYTES }, at);

@@ -47,7 +47,6 @@ mod fence;
 mod miss;
 mod register;
 mod verbs;
-mod volans;
 
 pub use fence::Published;
 
@@ -62,23 +61,10 @@ use mem::{
     Event, GlobalAddr, GlobalAllocator, GlobalMemory, PageCache, PageNum, SlotGuard, Standing,
     PAGE_BYTES,
 };
-use rma::{
-    rendezvous_home, Completion, Endpoint, Membership, SimTransport, Transport, Verb, VerbClass,
-    VerbToken,
-};
+use rma::{Completion, Endpoint, SimTransport, Transport, Verb, VerbClass, VerbToken};
 use simnet::NodeId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Append `item` to `home`'s group, opening the group at the end on first
-/// sight: homes stay in first-seen order, which is the wire order of every
-/// home-grouped posting (line fills, mirrors).
-fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
-    match groups.iter_mut().find(|(h, _)| *h == home) {
-        Some((_, items)) => items.push(item),
-        None => groups.push((home, vec![item])),
-    }
-}
 
 /// Per-node engine state (registration fast paths live in the policy).
 #[derive(Debug)]
@@ -147,14 +133,6 @@ pub struct Dsm<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     /// output with it enabled. `Arc` because fault-injecting transports
     /// share it to attribute injected fates to spans.
     lyra: Arc<obs::FlightRecorder>,
-    /// Volans: the cluster membership view — epoch, alive set, per-node
-    /// observations. Epoch 0 means no membership change has ever happened;
-    /// every verb-path check is gated on that one relaxed load, so a
-    /// cluster that never loses a node pays nothing.
-    membership: Membership,
-    /// Serializes membership transitions (failover sweeps, joins). Never
-    /// touched on access paths.
-    transition: Mutex<()>,
     nodes: Vec<NodeState>,
 }
 
@@ -178,26 +156,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // Fault-injecting transports record the fates they decide against
         // the issuing endpoint's span; concrete backends ignore this.
         net.attach_recorder(lyra.clone());
-        let membership = Membership::new(n);
-        let latent = config.volans_latent_nodes.min(n.saturating_sub(1));
-        if latent > 0 {
-            // Latent nodes stand outside the initial membership: their
-            // interleaved home pages are re-homed to the founding members
-            // up front — a static homing decision like `alloc_blocked`, so
-            // the epoch stays 0 — and `Dsm::join_node` brings them in
-            // later at an epoch bump.
-            let first_latent = (n - latent) as u16;
-            for node in first_latent..n as u16 {
-                membership.mark_dead(node);
-            }
-            let founders: Vec<u16> = (0..first_latent).collect();
-            for q in 0..total_pages {
-                let page = PageNum(q);
-                if global.home_of(page) >= first_latent {
-                    global.set_home(page, rendezvous_home(q, &founders));
-                }
-            }
-        }
         Arc::new(Dsm {
             coherence: C::new(n, total_pages, &config),
             allocator: GlobalAllocator::new(global.total_bytes()),
@@ -209,8 +167,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             lock_obs: obs::LockRegistry::new(),
             heat: obs::PageHeat::new(total_pages as usize),
             lyra,
-            membership,
-            transition: Mutex::new(()),
             nodes: (0..n)
                 .map(|_| NodeState {
                     cache: PageCache::new(config.cache),

@@ -151,9 +151,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         while targets != 0 {
             let target = targets.trailing_zeros() as u16;
             targets &= targets - 1;
-            let Some(timing) = self.notify(t, target, page, me, home, at.max(t.now()))? else {
-                continue;
-            };
+            let timing = self.notify(t, target, page, me, home, at.max(t.now()))?;
             if waited {
                 self.settle_posted(t, me, &timing);
             } else {
@@ -177,7 +175,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// `at` — the passive mechanism's one-sided write; no code runs at
     /// `target`. The metadata itself was already deposited by the policy
     /// (host-side, like the real remote OR). Returns the posted write's
-    /// timing for the caller to settle, `None` if there was nobody to tell.
+    /// timing for the caller to settle.
     /// The policy never names this node or the page's `home`.
     fn notify(
         &self,
@@ -187,17 +185,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         me: u16,
         home: u16,
         at: u64,
-    ) -> Result<Option<Completion>, DsmError> {
+    ) -> Result<Completion, DsmError> {
         debug_assert_ne!(target, me, "a notification to the registering node");
         debug_assert_ne!(target, home, "a notification to the page's home");
-        if self.membership.epoch() != 0 && !self.membership.is_alive(target) {
-            // The sharer departed: its directory cache died with it, so
-            // there is nothing left to notify.
-            return Ok(None);
-        }
         self.detail(t, me, obs::RecordKind::Notify, page.0, target as u32);
         let salt = page.0.wrapping_add((target as u64) << 48);
         let verb = Verb::Write { bytes: NOTIFY_BYTES };
-        self.net_verb(t, target, VerbClass::Notify, salt, at, &verb).map(Some)
+        self.net_verb(t, target, VerbClass::Notify, salt, at, &verb)
     }
 }

@@ -53,7 +53,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 self.profile.record(me as usize, obs::Site::Retry, e.delay);
                 let (kind, fate) = (obs::RecordKind::VerbExhausted, obs::Fate::Exhausted);
                 record(e.delay, e.attempts, kind, fate, e.class as u8);
-                Err(DsmError::new(e, me, target, span))
+                Err(DsmError::new(e, me, target))
             }
         }
     }
@@ -177,7 +177,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         verb: &Verb,
     ) -> Result<Completion, DsmError> {
         let (me, span, obs_at) = (t.node().0, t.current_span(), t.obs_now());
-        self.check_alive(me, target, class, span)?;
         let outcome = self.config.retry.run(class, salt, |a| {
             let token = t.issue(NodeId(target), verb, base + a.delay);
             t.wait(token)
@@ -270,9 +269,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// The one site scope: run `body` as protocol site `site` of node `me`
     /// under a freshly minted span. The span is attached to `t` for exactly
     /// the body's duration — detached on **every** exit, so a body bailing
-    /// out with `?` cannot leak it onto what `t` does next (a failover
-    /// re-run, say) — and a completed body is folded into the observability
-    /// surfaces by [`Self::record_site`].
+    /// out with `?` cannot leak it onto what `t` does next — and a
+    /// completed body is folded into the observability surfaces by
+    /// [`Self::record_site`].
     pub(super) fn site<R>(
         &self,
         t: &mut T::Endpoint,

@@ -119,14 +119,6 @@ counters! {
     /// switch — the reconcile rule that keeps transitions sound (Pyxis
     /// only).
     mode_reconciles,
-    /// Nodes this node declared dead after a retry budget exhausted
-    /// (Volans failover).
-    failovers,
-    /// Pages re-homed from departed nodes to rendezvous survivors (Volans).
-    pages_rehomed,
-    /// SD-fence drains mirrored to a page's rendezvous successor (Volans
-    /// shadow homes; counts mirrored pages).
-    shadow_mirrored,
     /// Fence drains that posted a write-hot page's diff and re-armed its
     /// mask instead of protecting the page.
     write_retained,

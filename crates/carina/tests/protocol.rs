@@ -831,14 +831,12 @@ fn publish_stamps_the_settle_a_bare_fence_waits_for() {
 /// from `blackout` on, node 1's NIC stalls every verb. Returns the DSM, the
 /// writer's endpoint (past `blackout`), and the pages in FIFO order.
 fn dirty_across_a_blackout(
-    failover: bool,
 ) -> (Arc<Dsm<FaultyTransport<SimTransport>>>, FaultyEndpoint<SimTransport>, Vec<GlobalAddr>) {
     let blackout = 10_000_000;
     let plan = FaultPlan::disabled().with_seed(29).with_brownout(NodeId(1), blackout, u64::MAX);
     let net = FaultyTransport::wrap(tiny_net(3), plan);
     let config = CarinaConfig {
         retry: CarinaConfig::default().retry.with_budget(VerbClass::Downgrade, 3),
-        volans_failover: failover,
         ..CarinaConfig::default()
     };
     let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> = Dsm::new(net.clone(), 4 << 20, config);
@@ -861,7 +859,7 @@ fn dirty_across_a_blackout(
 /// fence has nothing left to drain.
 #[test]
 fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
-    let (dsm, mut t, pages) = dirty_across_a_blackout(false);
+    let (dsm, mut t, pages) = dirty_across_a_blackout();
     let err = dsm.try_sd_fence(&mut t).unwrap_err();
     assert_eq!((err.target, err.class), (1, VerbClass::Downgrade));
     let s = dsm.stats().snapshot();
@@ -883,22 +881,6 @@ fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
     }
     assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
     assert_eq!(dsm.try_sd_fence(&mut t), Ok(()), "nothing left to drain");
-}
-
-/// Under Volans failover the same exhaustion declares node 1 dead, re-homes
-/// its pages, and the fence's re-run completes.
-#[test]
-fn a_failed_drain_fails_over_and_completes() {
-    let (dsm, mut t, pages) = dirty_across_a_blackout(true);
-    assert_eq!(dsm.try_sd_fence(&mut t), Ok(()));
-    assert!(!dsm.membership().is_alive(1));
-    let s = dsm.stats().snapshot();
-    assert_eq!((s.failovers, s.verb_exhaustions, s.sd_fences), (1, 4, 2));
-    for (i, &a) in pages.iter().enumerate() {
-        assert_ne!(dsm.home_of(a), 1);
-        assert_eq!(dsm.peek_u64(a), 100 + i as u64);
-    }
-    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }
 
 // ---- write-hot retention (DESIGN §3, "Writable across the release") ----

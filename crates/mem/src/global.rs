@@ -9,7 +9,8 @@
 //! access) kept per page, initialized by a [`HomePolicy`] and adjustable
 //! per allocation (`set_home`) to express distribution hints — the
 //! "more sophisticated data distribution schemes" the paper leaves for
-//! future work.
+//! future work. A hint is set before the page's first access; a page's
+//! home never changes after that.
 
 use crate::addr::{HomeMap, HomePolicy, PageNum, PAGE_BYTES};
 use crate::page::PageData;
@@ -74,11 +75,8 @@ impl GlobalMemory {
         self.homes[page.0 as usize].load(Ordering::Relaxed)
     }
 
-    /// Re-home a page. As a distribution hint this must happen before the
-    /// page is accessed through the coherence layer; re-homing a *live*
-    /// page is a membership transition (Volans failover) that only the
-    /// engine may perform, under its transition lock, with every cached
-    /// copy of the page scrubbed. Either way no bytes move — the flat
+    /// Re-home a page: a distribution hint, set before the page is first
+    /// accessed through the coherence layer. No bytes move — the flat
     /// store is indexed by page number regardless of home metadata.
     pub fn set_home(&self, page: PageNum, node: u16) {
         assert!((node as usize) < self.nodes, "node {node} out of range");

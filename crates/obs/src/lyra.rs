@@ -108,15 +108,8 @@ wire_enum! {
         /// Tardis/Pyxis lease expiries noticed at an SI fence: `arg` is the
         /// count.
         LeaseExpiry = 7 => "lease_expiry",
-        /// Volans advanced the membership epoch: `arg` is the new epoch,
-        /// `target` the node whose departure (or join) caused it. Recorded
-        /// under the span of the exhausted verb that triggered the
-        /// declaration, so Perfetto draws a flow arrow from the failure to
-        /// the failover.
-        EpochBump = 8 => "epoch_bump",
-        /// Volans re-homed a departed node's pages: `arg` is how many pages
-        /// moved, `target` the departed node.
-        Rehome = 9 => "rehome",
+        // 8 and 9 are retired (membership epoch bumps and re-homing) and
+        // never reused.
         // The per-page *detail* kinds: instants under the current span,
         // written only while [`FlightRecorder::set_detail`] is on.
         /// A dirty page was written back: `arg` is the page, `target` its home.
@@ -154,9 +147,6 @@ wire_enum! {
         Duplicate = 5 => "duplicate",
         Spike = 6 => "spike",
         Exhausted = 7 => "exhausted",
-        /// The target left the membership view before the verb was issued
-        /// (Volans fail-fast).
-        Departed = 8 => "departed",
     }
 }
 
@@ -169,7 +159,6 @@ impl Fate {
             "nic_stall" => Fate::NicStall,
             "dropped" => Fate::Dropped,
             "cancelled" => Fate::Cancelled,
-            "departed" => Fate::Departed,
             _ => Fate::Ok,
         }
     }

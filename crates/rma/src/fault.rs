@@ -115,8 +115,8 @@ impl FaultPlan {
 
     /// A bounded outage of `node`: verbs targeting it stall inside the
     /// virtual-time window `[from, until)` and succeed again afterwards.
-    /// The brownout-recovery counterpart of [`Self::blackout`]: a node that
-    /// comes back before the retry budget exhausts is never declared dead.
+    /// The brownout-recovery counterpart of [`Self::blackout`]: verbs to a
+    /// node that comes back before the retry budget exhausts succeed.
     pub fn outage(node: NodeId, from: u64, until: u64) -> Self {
         FaultPlan {
             brownouts: vec![Brownout { node, from, until }],

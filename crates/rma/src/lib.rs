@@ -44,14 +44,12 @@
 //! idempotent.
 
 pub mod fault;
-pub mod membership;
 pub mod native;
 pub mod retry;
 pub mod sim;
 pub mod transport;
 
 pub use fault::{Brownout, FaultPlan, FaultSnapshot, FaultyEndpoint, FaultyTransport};
-pub use membership::{rendezvous_home, Membership};
 pub use native::{NativeEndpoint, NativeTransport};
 pub use retry::{splitmix64, Attempt, AttemptSeq, Retried, RetryExhausted, RetryPolicy, VerbClass};
 pub use sim::{SimEndpoint, SimTransport};

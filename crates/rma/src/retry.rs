@@ -25,8 +25,6 @@ pub enum VerbClass {
     Notify,
     /// Posted diff/page write-back to the home.
     Downgrade,
-    /// Batched write issued at an SD fence (the Volans shadow mirror).
-    DrainBatch,
     /// Lock CAS / handover write (HQDL, global ticket lock).
     LockAtomic,
     /// Synchronization flag publish / poll (barriers, DSM flags).
@@ -35,12 +33,11 @@ pub enum VerbClass {
 
 impl VerbClass {
     /// All classes, in index order.
-    pub const ALL: [VerbClass; 7] = [
+    pub const ALL: [VerbClass; 6] = [
         VerbClass::PageFetch,
         VerbClass::DirectoryAtomic,
         VerbClass::Notify,
         VerbClass::Downgrade,
-        VerbClass::DrainBatch,
         VerbClass::LockAtomic,
         VerbClass::FlagWrite,
     ];
@@ -59,7 +56,6 @@ impl VerbClass {
             VerbClass::DirectoryAtomic => "directory_atomic",
             VerbClass::Notify => "notify",
             VerbClass::Downgrade => "downgrade",
-            VerbClass::DrainBatch => "drain_batch",
             VerbClass::LockAtomic => "lock_atomic",
             VerbClass::FlagWrite => "flag_write",
         }
@@ -364,7 +360,7 @@ mod tests {
         for (i, c) in VerbClass::ALL.iter().enumerate() {
             assert_eq!(c.index(), i);
         }
-        assert_eq!(VerbClass::COUNT, 7);
+        assert_eq!(VerbClass::COUNT, 6);
     }
 
     #[test]
@@ -455,15 +451,15 @@ mod tests {
     /// attempt, including the terminal exhaustion report.
     #[test]
     fn attempt_seq_replays_run_schedule() {
-        let p = RetryPolicy::default().with_budget(VerbClass::DrainBatch, 4);
+        let p = RetryPolicy::default().with_budget(VerbClass::Downgrade, 4);
         let mut from_run = Vec::new();
         let err = p
-            .run(VerbClass::DrainBatch, 77, |a| {
+            .run(VerbClass::Downgrade, 77, |a| {
                 from_run.push(a);
                 Err::<(), _>(VerbError::Timeout)
             })
             .unwrap_err();
-        let mut seq = p.attempt_seq(VerbClass::DrainBatch, 77);
+        let mut seq = p.attempt_seq(VerbClass::Downgrade, 77);
         let mut from_seq = Vec::new();
         while let Some(a) = seq.next() {
             from_seq.push(a);

@@ -36,11 +36,6 @@ pub enum VerbError {
     Dropped,
     /// The initiator tore the verb down before completion.
     Cancelled,
-    /// The target has left the membership view: the verb was rejected
-    /// before issue (Volans fail-fast). Unlike the transient variants, this
-    /// one is *not* worth retrying against the same target — the correct
-    /// reaction is to re-route after the failover re-homing.
-    Departed,
 }
 
 impl VerbError {
@@ -51,7 +46,6 @@ impl VerbError {
             VerbError::NicStall => "nic_stall",
             VerbError::Dropped => "dropped",
             VerbError::Cancelled => "cancelled",
-            VerbError::Departed => "departed",
         }
     }
 }

@@ -254,7 +254,7 @@ proptest! {
         let class = |kind: u8| match kind {
             0 => VerbClass::PageFetch,
             1 => VerbClass::Downgrade,
-            _ => VerbClass::DrainBatch,
+            _ => VerbClass::FlagWrite,
         };
         let blocking = {
             let fab = FaultyTransport::wrap(sim(2), plan.clone());

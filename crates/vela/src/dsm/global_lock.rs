@@ -85,7 +85,6 @@ pub(crate) fn lock_fault(e: RetryExhausted, node: u16, target: u16) -> DsmError 
         last_error: e.last_error,
         node,
         target,
-        span: rma::SpanId::NONE,
     }
 }
 

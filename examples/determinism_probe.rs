@@ -205,102 +205,6 @@ fn faulted_probe(seed: u64) {
     assert_eq!(exhaustions, 0, "a mild plan exhausted a retry budget");
 }
 
-/// The failover probe: the same fixed single-threaded scenario, but a node
-/// dies mid-script — an outage window opens partway through and never
-/// clears, so the next verb against the node exhausts its budget and the
-/// Volans sweep declares it departed, re-homes its pages, and the script
-/// keeps going against the survivors. Everything is deterministic: the
-/// death point (virtual time), the declaration, the rendezvous re-homing,
-/// the retry accounting, and the final checksum — which must also be
-/// bit-identical to the fault-free run (failover never touches data).
-#[allow(clippy::type_complexity)]
-fn failover_scenario(
-    plan: FaultPlan,
-) -> (
-    u64,
-    Vec<u64>,
-    carina::CoherenceSnapshot,
-    u64,
-    usize,
-    rma::FaultSnapshot,
-) {
-    let nodes = 3usize;
-    let topo = ClusterTopology::tiny(nodes);
-    let net = FaultyTransport::wrap(Interconnect::new(topo, CostModel::paper_2011()), plan);
-    let cfg = CarinaConfig { volans_failover: true, ..Default::default() };
-    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> = Dsm::new(net.clone(), 4 << 20, cfg);
-    let mut ts: Vec<_> = (0..nodes)
-        .map(|n| {
-            <FaultyTransport<SimTransport> as Transport>::endpoint(
-                &net,
-                topo.loc(NodeId(n as u16), 0),
-            )
-        })
-        .collect();
-    for round in 0..6u64 {
-        for n in 0..nodes {
-            let t = &mut ts[n];
-            for p in 0..16u64 {
-                let a = GlobalAddr((p + 1) * PAGE_BYTES + round * 16);
-                dsm.write_u64(t, a, round * 1000 + p * 10 + n as u64);
-                let _ = dsm.read_u64(t, a);
-            }
-            dsm.sd_fence(t);
-        }
-        for n in 0..nodes {
-            dsm.si_fence(&mut ts[n]);
-        }
-    }
-    let v = dsm.check_invariants();
-    assert!(v.is_empty(), "invariants violated across the failover: {v:?}");
-    let mut checksum = 0u64;
-    for p in 0..24u64 {
-        for w in (0..mem::WORDS_PER_PAGE as u64).step_by(7) {
-            checksum = checksum
-                .wrapping_mul(1099511628211)
-                .wrapping_add(dsm.peek_u64(GlobalAddr(p * PAGE_BYTES + w * 8)));
-        }
-    }
-    (
-        checksum,
-        ts.iter().map(|t| t.now()).collect(),
-        dsm.stats().snapshot(),
-        dsm.membership().epoch(),
-        dsm.membership().nodes_alive(),
-        net.injected(),
-    )
-}
-
-fn failover_probe() {
-    let (clean_sum, _, clean_stats, clean_epoch, _, _) =
-        failover_scenario(FaultPlan::disabled());
-    assert_eq!(clean_stats.verb_retries, 0, "a healthy fabric must not retry");
-    assert_eq!(clean_epoch, 0, "armed Volans must be zero-cost while idle");
-    // The window opens after the early rounds have spread data and
-    // registrations across all three nodes, and never clears: a scripted
-    // mid-run death of node 2.
-    let (sum, clocks, s, epoch, alive, injected) =
-        failover_scenario(FaultPlan::outage(NodeId(2), 400_000, u64::MAX));
-    println!("=== failover: node 2 dies mid-script ===");
-    println!("checksum        {sum}");
-    println!("matches_clean   {}", sum == clean_sum);
-    for (n, c) in clocks.iter().enumerate() {
-        println!("clock[{n}]        {c}");
-    }
-    println!("verb_retries    {}", s.verb_retries);
-    println!("verb_exhaustions {}", s.verb_exhaustions);
-    println!("failovers       {}", s.failovers);
-    println!("pages_rehomed   {}", s.pages_rehomed);
-    println!("membership_epoch {epoch}");
-    println!("nodes_alive     {alive}");
-    println!("injected {injected:?}");
-    assert_eq!(sum, clean_sum, "the failover changed the data plane");
-    assert_eq!(s.failovers, 1, "the mid-script death must be declared exactly once");
-    assert_eq!(epoch, 1);
-    assert_eq!(alive, 2);
-    assert!(injected.stalled > 0, "the outage window never fired");
-}
-
 fn main() {
     // `determinism_probe tardis` pins the timestamp-lease policy against
     // results/determinism_baseline_tardis.txt, `determinism_probe pyxis`
@@ -315,13 +219,6 @@ fn main() {
         }
         Some("pyxis") => {
             workout::<carina::Pyxis>("policy pyxis".to_string(), ClassificationMode::Ps3);
-            return;
-        }
-        // `determinism_probe failover` pins the Volans failover sweep —
-        // scripted mid-run node death, declaration, rendezvous re-homing —
-        // against results/determinism_baseline_failover.txt.
-        Some("failover") => {
-            failover_probe();
             return;
         }
         _ => {}

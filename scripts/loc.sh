@@ -3,14 +3,15 @@
 # of each file before its first test-only gate — `#[cfg(test)]` or a
 # `#[cfg(all(test, …))]`-style compound naming `test`). Exits non-zero if any file
 # under crates/carina/src exceeds 1000 lines — the engine stays split along
-# its seams — or if a crate with a budget below passes its non-test ceiling.
+# its seams — or if a crate with a budget below, or the workspace, passes its
+# non-test ceiling.
 # Run from anywhere; pass another checkout's root to measure it.
 set -eu
 cd "${1:-$(dirname "$0")/..}"
 # Non-test line ceilings. A change that shrinks one of these crates lowers
 # its ceiling to the new count; one that must grow one offsets what it can
-# and moves the ceiling by the net only.
-declare -A ceiling=([carina]=4949 [mem]=1445)
+# and moves the ceiling by the net only. `workspace` is the sum over crates.
+declare -A ceiling=([carina]=4480 [mem]=1443 [rma]=1720 [workspace]=17779)
 declare -A code_of
 printf '%-10s %7s %9s\n' crate total non-test
 sum_total=0
@@ -28,6 +29,7 @@ for crate in crates/*/; do
     sum_code=$((sum_code + code))
 done
 printf '%-10s %7d %9d\n' workspace "$sum_total" "$sum_code"
+code_of[workspace]=$sum_code
 status=0
 fat=$(find crates/carina/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')
 if [ -n "$fat" ]; then
