@@ -190,12 +190,12 @@ impl<R> RunReport<R> {
         let _ = write!(
             s,
             ",\"recorder\":{{\"submitted\":{},\"kept\":{},\"dropped\":{},\
-             \"tail_captures\":{},\"capacity_per_node\":{},\"enabled\":{}}}",
+             \"tail_captures\":{},\"capacity_per_lane\":{},\"enabled\":{}}}",
             rec.submitted,
             rec.kept,
             rec.dropped,
             rec.tail_captures,
-            rec.capacity_per_node,
+            rec.capacity_per_lane,
             rec.enabled
         );
         s.push_str(",\"locks\":[");

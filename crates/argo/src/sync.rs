@@ -55,7 +55,7 @@ impl<T: Transport, C: Coherence> ArgoMutex<T, C> {
         let t = &mut ctx.thread;
         let me = t.node().0;
         let obs_start = t.obs_now();
-        let span = self.dsm.mint_span(t, me);
+        let span = t.lyra_lane().mint();
         t.set_span(span);
         let switched = self.lock.acquire_tracked(t);
         let dur = t.obs_now().saturating_sub(obs_start);

@@ -56,14 +56,9 @@ pub struct CarinaConfig {
     /// How failed verbs are reissued (backoff, jitter, per-class budgets).
     /// Irrelevant on a healthy fabric — no verb ever fails there.
     pub retry: RetryPolicy,
-    /// Per-node capacity (records) of the Lyra flight-recorder ring,
-    /// rounded up to a power of two. The recorder is always on; recording
-    /// is purely passive (it never feeds back into protocol or timing), so
-    /// the determinism probes pin bit-identical output with any capacity.
-    pub lyra_ring: usize,
     /// Tail-capture threshold in observability-clock units (virtual cycles
     /// on the simulator, wall nanoseconds on native): when a protocol
-    /// site's latency crosses it, the node's ring is snapshotted around the
+    /// site's latency crosses it, the node's lanes are snapshotted around the
     /// offender. `0` disables tail capture.
     pub lyra_tail_threshold: u64,
 }
@@ -78,7 +73,6 @@ impl Default for CarinaConfig {
             pyxis_switch_threshold: 3,
             pyxis_score_cap: 8,
             retry: RetryPolicy::default(),
-            lyra_ring: 1024,
             lyra_tail_threshold: 0,
         }
     }

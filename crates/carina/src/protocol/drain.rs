@@ -192,7 +192,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         me: u16,
     ) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
-        let (span, obs_issue) = (t.current_span(), t.obs_now());
+        let obs_issue = t.obs_now();
         let mut inflight = Vec::with_capacity(pages.len());
         let mut failed = None;
         for &page in pages {
@@ -217,7 +217,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 p.home,
                 p.token,
                 (VerbClass::Downgrade, p.page.0),
-                span,
                 obs_issue,
                 p.bytes,
                 |t, delay| t.issue(NodeId(p.home), &verb, p.at + delay),

@@ -50,7 +50,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         for (kind, was) in watch.into_iter().zip(before) {
             let caused = policy_events(shard, kind).saturating_sub(was);
             if caused > 0 {
-                self.lyra_record(t, me, || obs::VerbRecord {
+                t.lyra_lane().record(|| obs::VerbRecord {
                     span,
                     start,
                     dur,

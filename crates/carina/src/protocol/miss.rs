@@ -33,8 +33,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         overwrite: bool,
     ) -> Result<(), DsmError> {
         debug_assert_ne!(self.global.home_of(page), me, "a page is never cached on its home");
-        self.site(t, me, obs::Site::ReadMiss, page.0, |t, span| {
-            self.fill_line(t, st, page, overwrite, span)
+        self.site(t, me, obs::Site::ReadMiss, page.0, |t, _| {
+            self.fill_line(t, st, page, overwrite)
         })
     }
 
@@ -45,7 +45,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         st: &mut SlotGuard<'_>,
         page: PageNum,
         overwrite: bool,
-        span: obs::SpanId,
     ) -> Result<(), DsmError> {
         let me = t.node().0;
         CoherenceStats::bump(&self.stats.shard(me).read_misses);
@@ -134,7 +133,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 home,
                 token,
                 (VerbClass::PageFetch, salt),
-                span,
                 obs_issue,
                 bytes,
                 |t, delay| {

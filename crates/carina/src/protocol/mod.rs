@@ -126,12 +126,11 @@ pub struct Dsm<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     /// Per-page read-miss counters feeding [`Dsm::census`]'s hottest-pages
     /// report.
     heat: obs::PageHeat,
-    /// The Lyra flight recorder: per-node rings of the last N verb records,
-    /// the span minter, and tail captures. Always on; purely passive (it
-    /// reads the observability clock and writes side tables nothing on the
-    /// protocol path reads back), so determinism probes pin bit-identical
-    /// output with it enabled. `Arc` because fault-injecting transports
-    /// share it to attribute injected fates to spans.
+    /// The Lyra flight recorder `net` owns: every endpoint's lane of the
+    /// last N verb records, and tail captures. Always on; purely passive
+    /// (it reads the observability clock and writes side tables nothing on
+    /// the protocol path reads back), so determinism probes pin
+    /// bit-identical output with it enabled.
     lyra: Arc<obs::FlightRecorder>,
     nodes: Vec<NodeState>,
 }
@@ -152,10 +151,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         assert!(n <= 128, "directory metadata supports up to 128 nodes");
         let global = GlobalMemory::with_policy(n, bytes_per_node, HOME_POLICY);
         let total_pages = global.total_pages();
-        let lyra = Arc::new(obs::FlightRecorder::new(n, config.lyra_ring));
-        // Fault-injecting transports record the fates they decide against
-        // the issuing endpoint's span; concrete backends ignore this.
-        net.attach_recorder(lyra.clone());
+        let lyra = net.recorder().clone();
         Arc::new(Dsm {
             coherence: C::new(n, total_pages, &config),
             allocator: GlobalAllocator::new(global.total_bytes()),
@@ -221,8 +217,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         &self.heat
     }
 
-    /// The Lyra flight recorder — the engine's only event path: per-node
-    /// record rings, span minter, and tail captures. The per-page detail
+    /// The Lyra flight recorder — the engine's only event path: the lanes
+    /// of every endpoint on `net`, and tail captures. The per-page detail
     /// kinds are off until [`obs::FlightRecorder::set_detail`].
     #[inline]
     pub fn lyra(&self) -> &obs::FlightRecorder {

@@ -6,24 +6,24 @@ use super::*;
 use rma::{Attempt, AttemptSeq, Retried, RetryExhausted};
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
-    /// Fold a retry outcome into the stats, profile, and flight recorder,
-    /// and translate an exhausted budget into a [`DsmError`] naming the
-    /// route. Every remote verb site funnels through here; on a healthy
-    /// fabric the zero-retry arm is the only one ever taken and records
-    /// nothing. `span` attributes the retry records to the protocol site
-    /// that issued the verb; `obs_at` is the caller's observability clock.
+    /// Fold a retry outcome into the stats, profile, and `t`'s lane, and
+    /// translate an exhausted budget into a [`DsmError`] naming the route.
+    /// Every remote verb site funnels through here; on a healthy fabric the
+    /// zero-retry arm is the only one ever taken and records nothing. The
+    /// retry records carry `t`'s current span (the protocol site that
+    /// issued the verb); `obs_at` is the caller's observability clock.
     #[inline]
     fn verb_retried<R>(
         &self,
-        me: u16,
+        t: &mut T::Endpoint,
         target: u16,
-        span: obs::SpanId,
         obs_at: u64,
         r: Result<Retried<R>, RetryExhausted>,
     ) -> Result<R, DsmError> {
+        let (me, span) = (t.node().0, t.current_span());
         // The blocking path's one aggregate flight record per retried verb.
-        let record = |arg: u64, attempt: u32, kind, fate, class| {
-            self.lyra.record(me as usize, || obs::VerbRecord {
+        let mut record = |arg: u64, attempt: u32, kind, fate, class| {
+            t.lyra_lane().record(|| obs::VerbRecord {
                 span,
                 start: obs_at,
                 arg,
@@ -68,9 +68,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// blocking path would have walked — only the moment the failure is
     /// *observed* moves.
     ///
-    /// Lyra: the issue→poll pair is flight-recorded under `span` — one
-    /// `VerbIssue` slice spanning issue to completion (whose end marks the
-    /// arrival on the target's track), one `VerbPoll` instant at
+    /// Lyra: the issue→poll pair is flight-recorded under `t`'s current
+    /// span — one `VerbIssue` slice spanning issue to completion (whose end
+    /// marks the arrival on the target's track), one `VerbPoll` instant at
     /// completion, and one `VerbRetry` instant per reissue carrying the
     /// failed attempt's fate.
     #[allow(clippy::too_many_arguments)]
@@ -80,12 +80,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         target: u16,
         token: VerbToken,
         (class, salt): (VerbClass, u64),
-        span: obs::SpanId,
         obs_issued: u64,
         bytes: u64,
         mut reissue: impl FnMut(&mut T::Endpoint, u64) -> VerbToken,
     ) -> Result<Completion, DsmError> {
-        let me = t.node().0;
+        let (me, span) = (t.node().0, t.current_span());
         let rec = obs::VerbRecord {
             span,
             target: target as u32,
@@ -102,7 +101,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     let now = t.obs_now();
                     let waited = now.saturating_sub(obs_issued);
                     let attempt_no = attempt.index as u16;
-                    self.lyra_record(t, me, || obs::VerbRecord {
+                    let lane = t.lyra_lane();
+                    lane.record(|| obs::VerbRecord {
                         start: obs_issued,
                         dur: waited,
                         arg: bytes,
@@ -110,7 +110,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         kind: obs::RecordKind::VerbIssue,
                         ..rec
                     });
-                    self.lyra_record(t, me, || obs::VerbRecord {
+                    lane.record(|| obs::VerbRecord {
                         start: now,
                         arg: waited,
                         attempt: attempt_no,
@@ -137,9 +137,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     });
                     let now = t.obs_now();
                     let Some(a) = seq.next() else {
-                        return self.verb_retried(me, target, span, now, Err(seq.exhausted(e)));
+                        return self.verb_retried(t, target, now, Err(seq.exhausted(e)));
                     };
-                    self.lyra_record(t, me, || obs::VerbRecord {
+                    t.lyra_lane().record(|| obs::VerbRecord {
                         start: now,
                         arg: a.delay,
                         attempt: a.index as u16,
@@ -176,12 +176,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         base: u64,
         verb: &Verb,
     ) -> Result<Completion, DsmError> {
-        let (me, span, obs_at) = (t.node().0, t.current_span(), t.obs_now());
+        let obs_at = t.obs_now();
         let outcome = self.config.retry.run(class, salt, |a| {
             let token = t.issue(NodeId(target), verb, base + a.delay);
             t.wait(token)
         });
-        self.verb_retried(me, target, span, obs_at, outcome)
+        self.verb_retried(t, target, obs_at, outcome)
     }
 
     /// A posted write's settle time joins the set `me`'s next SD fence
@@ -202,39 +202,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.await_at_fence(me, timing);
     }
 
-    /// Mint the span for a protocol operation starting on `t`: the
-    /// endpoint's single-writer lane when present (plain stores, no atomic
-    /// read-modify-writes), else the recorder's shared per-node minter.
-    #[inline]
-    pub fn mint_span(&self, t: &mut T::Endpoint, me: u16) -> obs::SpanId {
-        match t.lyra_lane() {
-            Some(lane) => lane.mint(),
-            None => self.lyra.mint(me as usize),
-        }
-    }
-
-    /// Flight-record through `t`'s single-writer lane when present, falling
-    /// back to the recorder's shared multi-writer ring. Hot sites that hold
-    /// the issuing endpoint route here; writers without one (the blocking
-    /// retry aggregates, the fault injector) use the shared ring directly.
-    #[inline]
-    pub(super) fn lyra_record(
-        &self,
-        t: &mut T::Endpoint,
-        me: u16,
-        make: impl FnOnce() -> obs::VerbRecord,
-    ) {
-        match t.lyra_lane() {
-            Some(lane) => lane.record(make),
-            None => self.lyra.record(me as usize, make),
-        }
-    }
-
     /// Fold one completed protocol site into every observability surface:
     /// the latency histogram, a `Site` flight record carrying the span
     /// (`arg` is the page for the per-page sites, 0 otherwise), and — when
     /// the latency crosses `lyra_tail_threshold` — a tail capture of the
-    /// node's ring around the offender. Public because the synchronization
+    /// node's lanes around the offender. Public because the synchronization
     /// layer (Vela locks/barriers) funnels its own sites through the same
     /// path.
     #[inline]
@@ -250,7 +222,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         arg: u64,
     ) {
         self.profile.record(me as usize, site, dur);
-        self.lyra_record(t, me, || obs::VerbRecord {
+        t.lyra_lane().record(|| obs::VerbRecord {
             span,
             start,
             dur,
@@ -281,7 +253,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         body: impl FnOnce(&mut T::Endpoint, obs::SpanId) -> Result<R, DsmError>,
     ) -> Result<R, DsmError> {
         let start = t.obs_now();
-        let span = self.mint_span(t, me);
+        let span = t.lyra_lane().mint();
         t.set_span(span);
         let result = body(t, span);
         if result.is_ok() {
@@ -294,9 +266,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 
     /// Flight-record one per-page protocol event — `kind` is one of the
     /// detail kinds, `arg` the page (or page count), `target` the other node
-    /// or [`obs::NO_TARGET`] — as an instant under `t`'s current span (none
-    /// on endpoints that do not track one). A no-op costing one relaxed
-    /// load unless [`obs::FlightRecorder::set_detail`] is on.
+    /// or [`obs::NO_TARGET`] — as an instant under `t`'s current span. A
+    /// no-op costing one relaxed load unless
+    /// [`obs::FlightRecorder::set_detail`] is on.
     #[inline]
     pub(super) fn detail(
         &self,
@@ -310,7 +282,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return;
         }
         let (span, start) = (t.current_span(), t.obs_now());
-        self.lyra_record(t, me, || obs::VerbRecord {
+        t.lyra_lane().record(|| obs::VerbRecord {
             span,
             start,
             arg,

@@ -9,19 +9,21 @@ use carina::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
 use carina::{CarinaConfig, Dsm};
 use mem::{GlobalAddr, PAGE_BYTES};
 use obs::{JsonValue, RecordKind, Site, VerbRecord};
-use rma::{ClusterTopology, CostModel, NodeId, SimTransport, Transport};
+use rma::{ClusterTopology, CostModel, NativeTransport, NodeId, SimTransport, Transport};
 use std::sync::Arc;
 
 type SimEndpoint = <SimTransport as Transport>::Endpoint;
 
-/// An `nodes`-node cluster with one endpoint per node.
+/// An `nodes`-node simulated cluster with one endpoint per node.
 fn cluster(nodes: usize) -> (Arc<Dsm>, Vec<SimEndpoint>) {
-    let topo = ClusterTopology::tiny(nodes);
-    let net = SimTransport::new(topo, CostModel::paper_2011());
+    cluster_on(SimTransport::new(ClusterTopology::tiny(nodes), CostModel::paper_2011()))
+}
+
+/// A DSM over `net` with one endpoint per node.
+fn cluster_on<T: Transport>(net: Arc<T>) -> (Arc<Dsm<T>>, Vec<T::Endpoint>) {
+    let topo = *net.topology();
     let dsm = Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
-    let ts = (0..nodes as u16)
-        .map(|n| <SimTransport as Transport>::endpoint(&net, topo.loc(NodeId(n), 0)))
-        .collect();
+    let ts = (0..topo.nodes as u16).map(|n| T::endpoint(&net, topo.loc(NodeId(n), 0))).collect();
     (dsm, ts)
 }
 
@@ -48,7 +50,7 @@ fn exchange(dsm: &Dsm, ts: &mut [SimEndpoint], rounds: u64) {
 
 /// The `protocol_tour` example's scenario: three nodes walk one page homed
 /// on node 2 through P → S, NW → SW → MW and the fences in between.
-fn protocol_tour(dsm: &Dsm, t: &mut [SimEndpoint]) {
+fn protocol_tour<T: Transport>(dsm: &Dsm<T>, t: &mut [T::Endpoint]) {
     let addr = GlobalAddr(5 * PAGE_BYTES);
     dsm.read_u64(&mut t[0], addr);
     dsm.read_u64(&mut t[1], addr);
@@ -63,7 +65,7 @@ fn protocol_tour(dsm: &Dsm, t: &mut [SimEndpoint]) {
 }
 
 /// Every resident record of the per-page detail kinds, all nodes.
-fn detail_records(dsm: &Dsm) -> Vec<VerbRecord> {
+fn detail_records<T: Transport>(dsm: &Dsm<T>) -> Vec<VerbRecord> {
     (0..dsm.lyra().nodes())
         .flat_map(|n| dsm.lyra().snapshot(n))
         .filter(|r| r.kind as u8 >= RecordKind::Downgrade as u8)
@@ -194,10 +196,15 @@ fn detail_off_records_no_per_page_kinds() {
     assert_eq!((posted(RecordKind::VerbIssue), posted(RecordKind::VerbPoll)), (2, 2));
 }
 
-/// With detail on the tour's whole story is in the recorder.
+/// With detail on the tour's whole story is in the recorder, on either
+/// backend, and every per-page fence event carries its fence's span.
 #[test]
 fn detail_on_records_the_tour_story() {
-    let (dsm, mut ts) = cluster(3);
+    tour_story(cluster(3));
+    tour_story(cluster_on(NativeTransport::new(ClusterTopology::tiny(3))));
+}
+
+fn tour_story<T: Transport>((dsm, mut ts): (Arc<Dsm<T>>, Vec<T::Endpoint>)) {
     dsm.lyra().set_detail(true);
     protocol_tour(&dsm, &mut ts);
     let details = detail_records(&dsm);
@@ -217,6 +224,25 @@ fn detail_on_records_the_tour_story() {
     let p_to_s = details.iter().find(|r| r.kind == RecordKind::PToS).unwrap();
     let line = p_to_s.to_string();
     assert!(line.contains("n1 p_to_s") && line.contains("arg=5 ->n0"), "{line}");
+    // Each downgrade and SI invalidation happened inside a fence on its
+    // node, and is stamped with that fence's span.
+    let sites: Vec<VerbRecord> = (0..dsm.lyra().nodes())
+        .flat_map(|n| dsm.lyra().snapshot(n))
+        .filter(|r| r.kind == RecordKind::Site)
+        .collect();
+    let fenced = [RecordKind::Downgrade, RecordKind::SiInvalidate];
+    let events: Vec<&VerbRecord> = details.iter().filter(|r| fenced.contains(&r.kind)).collect();
+    assert!(events.len() >= 2, "the tour downgrades and invalidates");
+    for ev in events {
+        let fence = sites.iter().find(|s| s.span == ev.span && !s.span.is_none());
+        let fence = fence.unwrap_or_else(|| panic!("{ev} carries no site's span"));
+        assert!(
+            matches!(fence.site_enum(), Some(Site::SdFence | Site::SiFence)),
+            "{ev} is under {fence}, not a fence"
+        );
+        assert_eq!(fence.node, ev.node);
+        assert!((fence.start..=fence.start + fence.dur).contains(&ev.start), "{ev} outside {fence}");
+    }
 }
 
 /// Every write-back a fence posts is its own verb on the wire and in the

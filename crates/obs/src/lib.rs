@@ -22,10 +22,11 @@
 //!   dependencies are available in this build environment).
 //! - [`span`] — [`SpanId`], the causal handle minted at every protocol
 //!   site and threaded through the verb layer's issue/poll/retry halves.
-//! - [`lyra`] — the always-on [`FlightRecorder`]: per-node lock-free rings
-//!   of fixed-size [`VerbRecord`]s with counted loss, tail-latency ring
-//!   captures, and a flow-arrow Perfetto export. `set_enabled(false)` is
-//!   its one off switch.
+//! - [`lyra`] — the always-on [`FlightRecorder`]: one single-writer
+//!   [`Lane`] per endpoint (the only record writer; it also mints and
+//!   holds the endpoint's span) of fixed-size [`VerbRecord`]s with counted
+//!   loss, tail-latency captures, and a flow-arrow Perfetto export.
+//!   `set_enabled(false)` is its one off switch.
 //! - [`metrics`] — [`MetricsSnapshot`], a live Prometheus-text + JSON
 //!   metrics exposition pollable mid-run on both backends.
 //!
@@ -48,9 +49,9 @@ pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::JsonValue;
 pub use lock_stats::{LockObs, LockObsSnapshot, LockRegistry};
 pub use lyra::{
-    Fate, FlightRecorder, Lane, RecordKind, RecorderStats, TailCapture, VerbRecord, NO_CLASS,
-    NO_SITE, NO_TARGET,
+    Fate, FlightRecorder, Lane, RecordKind, RecorderStats, TailCapture, VerbRecord, LANE_RECORDS,
+    NO_CLASS, NO_SITE, NO_TARGET,
 };
 pub use metrics::{Metric, MetricValue, MetricsSnapshot};
 pub use profile::{LatencyProfile, ProfileSnapshot, Site};
-pub use span::{SpanId, SpanMinter};
+pub use span::SpanId;

@@ -1,34 +1,27 @@
 //! Lyra: the always-on flight recorder, and the engine's only event path.
 //!
-//! Per-node lock-free rings of fixed-size [`VerbRecord`]s capturing the
-//! last N protocol operations — completed sites, verb issues/polls,
-//! retries, injected fault fates, coherence mode switches, lease expiries —
-//! each stamped with the [`SpanId`] of the protocol site it served. The
-//! per-page *detail* kinds (classification transitions, notifications,
-//! downgrades, SI keeps/invalidations, checkpoints) ride the same rings
-//! but only while [`FlightRecorder::set_detail`] is on, so sweeps over
-//! thousands of pages cannot flush the always-on window. Two ring flavors
-//! share one node timeline:
+//! Per-endpoint single-writer rings ([`Lane`]s) of fixed-size
+//! [`VerbRecord`]s capturing the last N protocol operations — completed
+//! sites, verb issues/polls, retries, injected fault fates, coherence mode
+//! switches, lease expiries — each stamped with the [`SpanId`] of the
+//! protocol site it served. The per-page *detail* kinds (classification
+//! transitions, notifications, downgrades, SI keeps/invalidations,
+//! checkpoints) ride the same lanes but only while
+//! [`FlightRecorder::set_detail`] is on, so sweeps over thousands of pages
+//! cannot flush the always-on window.
 //!
-//! - **Lanes** ([`Lane`]) are *single-writer* rings handed to endpoints:
-//!   the hot path is a plain head bump plus seqlock stores — **zero
-//!   read-modify-write instructions** — because exclusive ownership (the
-//!   `&mut` receiver) makes the claim protocol unnecessary. All protocol
-//!   sites record through their endpoint's lane.
-//! - The **shared ring** is the multi-writer fallback (one `fetch_add`
-//!   ticket + a claim CAS behind a per-slot seqlock) for writers without
-//!   an endpoint in hand: fault injectors, blocking-path retry summaries,
-//!   tests driving [`FlightRecorder::record`] directly.
-//!
-//! Both allocate nothing per record and are closure-gated no-ops when
-//! disabled: the timestamp/record closure is never invoked, so the
-//! observability clock is never read. Loss is bounded and *counted*: every
-//! submitted record is either resident in a ring, or accounted as dropped
-//! (evicted by a later lap, or abandoned after being lapped mid-claim) —
+//! Every transport owns one recorder and opens one lane per endpoint, and
+//! a lane is the only way to write a record: exclusive ownership (the
+//! `&mut` receiver) makes the hot path a plain head bump plus seqlock
+//! stores — **zero read-modify-write instructions** — and the lane also
+//! mints the spans and holds the one its endpoint is serving. Recording
+//! allocates nothing and is a closure-gated no-op when disabled: the
+//! timestamp/record closure is never invoked, so the observability clock is
+//! never read. Loss is bounded and *counted*: every submitted record is
+//! either resident in its lane or was evicted by a later lap —
 //! `kept + dropped == submitted` holds at quiescence, and the proptests
 //! pin it. Snapshots, tail captures, and the chrome-trace export merge a
-//! node's shared ring and all its lanes into one timeline ordered by
-//! record start time.
+//! node's lanes into one timeline ordered by record start time.
 //!
 //! The recorder is purely passive: it reads the observability clock the
 //! caller hands it and writes side tables nobody on the protocol path ever
@@ -37,7 +30,7 @@
 
 use crate::json::escape;
 use crate::profile::Site;
-use crate::span::{SpanId, SpanMinter};
+use crate::span::SpanId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -47,6 +40,9 @@ pub const NO_TARGET: u32 = u32::MAX;
 pub const NO_SITE: u8 = 0xFF;
 /// `class` value meaning "no verb class".
 pub const NO_CLASS: u8 = 0xFF;
+/// Records each endpoint's lane keeps: every transport's recorder is built
+/// with this capacity.
+pub const LANE_RECORDS: usize = 1024;
 
 /// One table per `u8`-coded record enum: each variant with its stable code
 /// and export name, generating the enum plus the `from_u8`/`name` pair the
@@ -274,9 +270,9 @@ impl std::fmt::Display for VerbRecord {
 }
 
 /// One ring slot: a seqlock over the six payload words. The sequence
-/// encodes the owning ticket — `2t+1` while ticket `t`'s writer is
-/// mid-record, `2t+2` once published, `0` never written — so readers can
-/// both detect tears and recover the chronological order.
+/// encodes the owning ticket — `2t+1` while ticket `t` is mid-record,
+/// `2t+2` once published, `0` never written — so readers can both detect
+/// tears and recover the push order.
 struct Slot {
     seq: AtomicU64,
     words: [AtomicU64; VerbRecord::WORDS],
@@ -291,123 +287,14 @@ impl Slot {
     }
 }
 
-/// One node's ring. `push` is lock-free: writers race only when the ring
-/// laps itself, and then the *newest* ticket wins the slot while older
-/// in-flight writers abandon (counted as drops).
-struct NodeRing {
-    head: AtomicU64,
-    mask: usize,
-    slots: Box<[Slot]>,
-}
-
-impl NodeRing {
-    fn new(capacity: usize) -> NodeRing {
-        let cap = capacity.next_power_of_two().max(8);
-        NodeRing {
-            head: AtomicU64::new(0),
-            mask: cap - 1,
-            slots: (0..cap).map(|_| Slot::new()).collect(),
-        }
-    }
-
-    fn push(&self, rec: &VerbRecord, dropped: &AtomicU64) {
-        let ticket = self.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket as usize) & self.mask];
-        let claim = 2 * ticket + 1;
-        loop {
-            let s = slot.seq.load(Ordering::Acquire);
-            if s > claim {
-                // A later lap already owns (or published into) this slot;
-                // our record is the stale one. Never write — just account.
-                dropped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            if s.is_multiple_of(2) {
-                // Previous occupant fully published (or slot untouched):
-                // claim it. Claiming over a published record evicts it.
-                if slot
-                    .seq
-                    .compare_exchange_weak(s, claim, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    if s != 0 {
-                        dropped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    break;
-                }
-            } else {
-                // An older-lap writer is mid-record; it will publish in a
-                // handful of stores. Newer writers wait so no two writers
-                // ever store payload words concurrently (no torn records).
-                std::hint::spin_loop();
-            }
-        }
-        for (w, v) in slot.words.iter().zip(rec.encode()) {
-            w.store(v, Ordering::Relaxed);
-        }
-        slot.seq.store(claim + 1, Ordering::Release);
-    }
-
-    /// All published records with their tickets. Slots mid-write are
-    /// skipped (they will be counted as kept or dropped once their writer
-    /// lands).
-    fn snapshot(&self) -> Vec<(u64, VerbRecord)> {
-        snapshot_slots(&self.slots)
-    }
-
-    fn kept(&self) -> u64 {
-        kept_slots(&self.slots)
-    }
-
-    fn reset(&self) {
-        // Not concurrency-safe against in-flight writers; callers reset
-        // only between parallel sections, like the rest of the stats.
-        self.head.store(0, Ordering::Relaxed);
-        for slot in self.slots.iter() {
-            slot.seq.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Seqlock-validated read of every published slot, with its ticket.
-fn snapshot_slots(slots: &[Slot]) -> Vec<(u64, VerbRecord)> {
-    let mut out: Vec<(u64, VerbRecord)> = Vec::with_capacity(slots.len());
-    for slot in slots.iter() {
-        let s1 = slot.seq.load(Ordering::Acquire);
-        if s1 == 0 || s1 % 2 != 0 {
-            continue;
-        }
-        let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
-        std::sync::atomic::fence(Ordering::Acquire);
-        let s2 = slot.seq.load(Ordering::Acquire);
-        if s1 != s2 {
-            continue; // torn: a writer landed mid-read
-        }
-        out.push(((s1 - 2) / 2, VerbRecord::decode(words)));
-    }
-    out.sort_by_key(|&(ticket, _)| ticket);
-    out
-}
-
-fn kept_slots(slots: &[Slot]) -> u64 {
-    slots
-        .iter()
-        .filter(|s| {
-            let v = s.seq.load(Ordering::Acquire);
-            v != 0 && v % 2 == 0
-        })
-        .count() as u64
-}
-
-/// One lane's ring: identical slot format to [`NodeRing`], but with a
-/// **single writer** (the owning [`Lane`]), so `push` needs no ticket
-/// `fetch_add` and no claim CAS — the entire hot path is plain stores.
-/// Tickets are still encoded in the slot seqs so snapshots recover push
-/// order, and `span_next` lives here (not on the handle) so span ids stay
-/// unique when a recycled ring gets a new owner.
+/// One lane's ring. It has a **single writer** (the owning [`Lane`]), so
+/// the whole `push` is plain stores, with no read-modify-write. Tickets are
+/// encoded in the slot seqs so snapshots recover push order, and
+/// `span_next` lives here (not on the handle) so span ids stay unique when
+/// a recycled ring gets a new owner.
 struct LaneRing {
     node: u32,
-    /// Per-node registration index; tags lane-minted span ids.
+    /// Per-node registration index; tags the span ids this lane mints.
     id: u32,
     /// Next ticket. Written only by the owner (plain load + store), read
     /// by snapshotters for the submitted count.
@@ -420,13 +307,12 @@ struct LaneRing {
 
 impl LaneRing {
     fn new(node: u32, id: u32, capacity: usize) -> LaneRing {
-        let cap = capacity.next_power_of_two().max(8);
         LaneRing {
             node,
             id,
             head: AtomicU64::new(0),
-            mask: cap - 1,
-            slots: (0..cap).map(|_| Slot::new()).collect(),
+            mask: capacity - 1,
+            slots: (0..capacity).map(|_| Slot::new()).collect(),
             span_next: AtomicU64::new(1),
         }
     }
@@ -454,12 +340,43 @@ impl LaneRing {
     }
 
     /// Records evicted by ring laps. With a single writer nothing is ever
-    /// abandoned mid-claim, so eviction is the only loss.
+    /// abandoned mid-record, so eviction is the only loss.
     fn dropped(&self) -> u64 {
         self.submitted().saturating_sub(self.slots.len() as u64)
     }
 
+    fn kept(&self) -> u64 {
+        self.slots
+            .iter()
+            .filter(|s| {
+                let v = s.seq.load(Ordering::Acquire);
+                v != 0 && v % 2 == 0
+            })
+            .count() as u64
+    }
+
+    /// Seqlock-validated read of every published slot, with its ticket.
+    /// A slot mid-write is skipped: it is counted once its writer lands.
+    fn snapshot(&self) -> Vec<(u64, VerbRecord)> {
+        let mut out: Vec<(u64, VerbRecord)> = Vec::with_capacity(self.slots.len());
+        for slot in self.slots.iter() {
+            let s1 = slot.seq.load(Ordering::Acquire);
+            if s1 == 0 || s1 % 2 != 0 {
+                continue;
+            }
+            let words = std::array::from_fn(|i| slot.words[i].load(Ordering::Relaxed));
+            std::sync::atomic::fence(Ordering::Acquire);
+            if slot.seq.load(Ordering::Acquire) != s1 {
+                continue; // torn: the writer lapped us mid-read
+            }
+            out.push(((s1 - 2) / 2, VerbRecord::decode(words)));
+        }
+        out
+    }
+
     fn reset(&self) {
+        // Not concurrency-safe against a writing owner; callers reset only
+        // between parallel sections, like the rest of the stats.
         self.head.store(0, Ordering::Relaxed);
         self.span_next.store(1, Ordering::Relaxed);
         for slot in self.slots.iter() {
@@ -475,30 +392,34 @@ struct LaneSet {
     free: Vec<Arc<LaneRing>>,
 }
 
-/// An exclusive single-writer recording handle onto one node's timeline.
+impl std::fmt::Debug for LaneSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LaneSet")
+            .field("lanes", &self.all.len())
+            .field("free", &self.free.len())
+            .finish()
+    }
+}
+
+/// An exclusive single-writer recording handle onto one node's timeline,
+/// and the only way to write a record.
 ///
-/// Endpoints own one lane each (the `&mut` receivers enforce the single
-/// writer), which is what lets [`Lane::record`] skip every atomic
-/// read-modify-write the shared ring's multi-writer claim protocol needs:
-/// recording is a handful of plain stores, and minting a span is a plain
-/// increment. Records land in the same per-node timeline as
-/// [`FlightRecorder::record`] — snapshots and exports merge all sources.
+/// Every endpoint owns one lane (the `&mut` receivers enforce the single
+/// writer), so [`Lane::record`] is a handful of plain stores, minting a
+/// span a plain increment, and the span of the operation the endpoint is
+/// serving ([`Lane::set_span`]) lives here too. Snapshots and exports merge
+/// a node's lanes into one timeline.
 ///
-/// **Cloning registers a sibling lane** (two owners may never share one);
-/// dropping returns the ring to the node's free list so short-lived
-/// endpoints don't grow memory without bound — a recycled ring keeps its
-/// records (it is the same node's history) and its span counter (ids stay
-/// unique across owners).
+/// **Cloning registers a sibling lane** (two owners may never share one)
+/// that starts under the same span; dropping returns the ring to the
+/// node's free list so short-lived endpoints don't grow memory without
+/// bound — a recycled ring keeps its records (it is the same node's
+/// history) and its span counter (ids stay unique across owners).
 pub struct Lane {
     fr: Arc<FlightRecorder>,
     ring: Arc<LaneRing>,
+    span: SpanId,
 }
-
-/// Bit position of the lane tag inside a lane-minted [`SpanId`]: node in
-/// the top 16 bits, `lane + 1` in bits 32..48, sequence below. The +1
-/// keeps lane-minted ids disjoint from [`SpanMinter`]'s (whose bits 32..48
-/// are zero until a node mints 2^32 spans).
-const LANE_TAG_SHIFT: u32 = 32;
 
 impl Lane {
     /// The node this lane records for.
@@ -507,24 +428,40 @@ impl Lane {
         self.ring.node as usize
     }
 
-    /// Mint a span id for an operation starting on this lane's endpoint.
-    /// Disabled recorders mint [`SpanId::NONE`] (nothing will record it).
+    /// Mint a span id for an operation starting on this lane's endpoint:
+    /// the node, this lane's registration index and its next sequence
+    /// (see [`SpanId`]). Disabled recorders mint [`SpanId::NONE`]
+    /// (nothing will record it).
     #[inline]
     pub fn mint(&mut self) -> SpanId {
-        if !self.fr.enabled.load(Ordering::Relaxed) {
+        if !self.fr.enabled() {
             return SpanId::NONE;
         }
         let seq = self.ring.span_next.load(Ordering::Relaxed);
         self.ring.span_next.store(seq + 1, Ordering::Relaxed);
-        let lane_tag = ((self.ring.id as u64 % 0xFFFF) + 1) << LANE_TAG_SHIFT;
-        SpanId(((self.ring.node as u64) << 48) | lane_tag | (seq & 0xFFFF_FFFF))
+        let lane = (self.ring.id as u64 & 0xFFFF) << 32;
+        SpanId::pack(self.node(), lane | (seq & 0xFFFF_FFFF))
     }
 
-    /// Record one entry. Same closure gating as [`FlightRecorder::record`]:
-    /// a disabled recorder never runs `make`, so it never reads the clock.
+    /// Attach the span of the operation now issuing through this lane's
+    /// endpoint ([`SpanId::NONE`] detaches).
+    #[inline]
+    pub fn set_span(&mut self, span: SpanId) {
+        self.span = span;
+    }
+
+    /// The span last attached via [`Lane::set_span`].
+    #[inline]
+    pub fn span(&self) -> SpanId {
+        self.span
+    }
+
+    /// Record one entry. The closure runs only when the recorder is
+    /// enabled — callers put the clock read inside it, so a disabled
+    /// recorder never observes time.
     #[inline]
     pub fn record(&mut self, make: impl FnOnce() -> VerbRecord) {
-        if !self.fr.enabled.load(Ordering::Relaxed) {
+        if !self.fr.enabled() {
             return;
         }
         let rec = make();
@@ -537,13 +474,15 @@ impl Clone for Lane {
     /// the same node (fresh or recycled), never a second handle to this
     /// ring.
     fn clone(&self) -> Lane {
-        FlightRecorder::lane(&self.fr, self.ring.node as usize)
+        let mut lane = FlightRecorder::lane(&self.fr, self.node());
+        lane.span = self.span;
+        lane
     }
 }
 
 impl Drop for Lane {
     fn drop(&mut self) {
-        let mut set = lock_lanes(&self.fr.lanes[self.ring.node as usize]);
+        let mut set = lock(&self.fr.lanes[self.node()]);
         set.free.push(self.ring.clone());
     }
 }
@@ -554,11 +493,14 @@ impl std::fmt::Debug for Lane {
             .field("node", &self.ring.node)
             .field("id", &self.ring.id)
             .field("submitted", &self.ring.submitted())
+            .field("span", &self.span)
             .finish()
     }
 }
 
-fn lock_lanes(m: &Mutex<LaneSet>) -> std::sync::MutexGuard<'_, LaneSet> {
+/// Lock, recovering a poisoned mutex (observability must not cascade a
+/// panic from another thread).
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(p) => p.into_inner(),
@@ -583,13 +525,13 @@ pub struct TailCapture {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecorderStats {
     pub nodes: usize,
-    pub capacity_per_node: usize,
-    /// Records submitted across all nodes (ring writes attempted).
+    pub capacity_per_lane: usize,
+    /// Records submitted across all lanes (ring writes).
     pub submitted: u64,
-    /// Records currently resident across all rings.
+    /// Records currently resident across all lanes.
     pub kept: u64,
-    /// Records lost: evicted by a later lap or abandoned after being
-    /// lapped. At quiescence `kept + dropped == submitted`.
+    /// Records lost: evicted by a later lap of their lane. At quiescence
+    /// `kept + dropped == submitted`.
     pub dropped: u64,
     /// Tail-threshold crossings observed (captures stored is bounded).
     pub tail_captures: u64,
@@ -599,50 +541,27 @@ pub struct RecorderStats {
 /// The per-node flight recorder. See the module docs for the contract.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    rings: Box<[NodeRing]>,
     /// Per-node single-writer lane rings (see [`Lane`]); registration and
     /// snapshots take the mutex, recording never does.
     lanes: Box<[Mutex<LaneSet>]>,
+    /// Records per lane ring (a power of two).
     capacity: usize,
-    minter: SpanMinter,
     enabled: AtomicBool,
     /// Whether the per-page detail kinds are recorded (off by default).
     detail: AtomicBool,
-    dropped: AtomicU64,
     tail_crossings: AtomicU64,
     captures: Mutex<Vec<TailCapture>>,
     max_captures: usize,
 }
 
-impl std::fmt::Debug for LaneSet {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LaneSet")
-            .field("lanes", &self.all.len())
-            .field("free", &self.free.len())
-            .finish()
-    }
-}
-
-impl std::fmt::Debug for NodeRing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeRing")
-            .field("capacity", &self.slots.len())
-            .field("head", &self.head.load(Ordering::Relaxed))
-            .finish()
-    }
-}
-
 impl FlightRecorder {
-    /// `capacity` is per node, rounded up to a power of two (min 8).
+    /// `capacity` is per lane, rounded up to a power of two (min 8).
     pub fn new(nodes: usize, capacity: usize) -> FlightRecorder {
         FlightRecorder {
-            rings: (0..nodes.max(1)).map(|_| NodeRing::new(capacity)).collect(),
             lanes: (0..nodes.max(1)).map(|_| Mutex::new(LaneSet::default())).collect(),
-            capacity,
-            minter: SpanMinter::new(nodes.max(1)),
+            capacity: capacity.next_power_of_two().max(8),
             enabled: AtomicBool::new(true),
             detail: AtomicBool::new(false),
-            dropped: AtomicU64::new(0),
             tail_crossings: AtomicU64::new(0),
             captures: Mutex::new(Vec::new()),
             max_captures: 32,
@@ -650,22 +569,23 @@ impl FlightRecorder {
     }
 
     pub fn nodes(&self) -> usize {
-        self.rings.len()
+        self.lanes.len()
     }
 
-    /// Register (or recycle) a single-writer [`Lane`] for `node`. Cold
-    /// path: endpoints call this once at construction, never per record.
-    /// Associated fn because `&Arc<Self>` is not a stable receiver.
+    /// Register (or recycle) a single-writer [`Lane`] for `node` (clamped
+    /// to the last node). Cold path: endpoints call this once at
+    /// construction, never per record. Associated fn because `&Arc<Self>`
+    /// is not a stable receiver.
     pub fn lane(fr: &Arc<FlightRecorder>, node: usize) -> Lane {
-        let node = node.min(fr.rings.len() - 1);
-        let mut set = lock_lanes(&fr.lanes[node]);
+        let node = node.min(fr.nodes() - 1);
+        let mut set = lock(&fr.lanes[node]);
         let ring = set.free.pop().unwrap_or_else(|| {
             let ring = Arc::new(LaneRing::new(node as u32, set.all.len() as u32, fr.capacity));
             set.all.push(ring.clone());
             ring
         });
         drop(set);
-        Lane { fr: fr.clone(), ring }
+        Lane { fr: fr.clone(), ring, span: SpanId::NONE }
     }
 
     #[inline]
@@ -679,7 +599,7 @@ impl FlightRecorder {
 
     /// Also record the per-page detail kinds ([`RecordKind::Downgrade`]
     /// through [`RecordKind::Checkpoint`]). Off by default so a 3000-page
-    /// SI sweep does not flood the always-on ring; safe at any time.
+    /// SI sweep does not flood the always-on lanes; safe at any time.
     pub fn set_detail(&self, on: bool) {
         self.detail.store(on, Ordering::Relaxed);
     }
@@ -690,100 +610,57 @@ impl FlightRecorder {
         self.detail.load(Ordering::Relaxed) && self.enabled()
     }
 
-    /// Mint a span for `node`. Span ids feed only observability records.
-    #[inline]
-    pub fn mint(&self, node: usize) -> SpanId {
-        self.minter.mint(node)
-    }
-
-    /// Record one entry for `node`. The closure runs only when enabled —
-    /// callers put the clock read inside it, so a disabled recorder never
-    /// observes time. Clamps out-of-range nodes to the last ring.
-    #[inline]
-    pub fn record(&self, node: usize, make: impl FnOnce() -> VerbRecord) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let rec = make();
-        let ring = &self.rings[node.min(self.rings.len() - 1)];
-        ring.push(&rec, &self.dropped);
-    }
-
-    /// Snapshot the ring around an operation that crossed the tail
-    /// threshold. Crossings are always counted; at most `max_captures`
-    /// full snapshots are kept (off the hot path: one mutex + one clone,
-    /// paid only by already-slow operations).
+    /// Snapshot the node's lanes around an operation that crossed the
+    /// tail threshold. Crossings are always counted; at most
+    /// `max_captures` full snapshots are kept (off the hot path: one mutex
+    /// + one clone, paid only by already-slow operations).
     pub fn capture_tail(&self, node: usize, site: u8, span: SpanId, start: u64, dur: u64) {
-        if !self.enabled.load(Ordering::Relaxed) {
+        if !self.enabled() {
             return;
         }
         self.tail_crossings.fetch_add(1, Ordering::Relaxed);
-        let mut caps = match self.captures.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        let mut caps = lock(&self.captures);
         if caps.len() >= self.max_captures {
             return;
         }
-        let records = self.node_records(node);
+        let records = self.snapshot(node);
         caps.push(TailCapture { node, site, span, start, dur, records });
-    }
-
-    /// One node's resident records across the shared ring and every lane,
-    /// merged into a single timeline: ordered by record start time, ties
-    /// broken by source (shared ring first, then lanes in registration
-    /// order) and push order within a source.
-    fn node_records(&self, node: usize) -> Vec<VerbRecord> {
-        let node = node.min(self.rings.len() - 1);
-        let mut keyed: Vec<((u64, u32, u64), VerbRecord)> = self.rings[node]
-            .snapshot()
-            .into_iter()
-            .map(|(ticket, rec)| ((rec.start, 0, ticket), rec))
-            .collect();
-        let set = lock_lanes(&self.lanes[node]);
-        for ring in set.all.iter() {
-            keyed.extend(
-                snapshot_slots(&ring.slots)
-                    .into_iter()
-                    .map(|(ticket, rec)| ((rec.start, ring.id + 1, ticket), rec)),
-            );
-        }
-        drop(set);
-        keyed.sort_by_key(|&(key, _)| key);
-        keyed.into_iter().map(|(_, r)| r).collect()
     }
 
     /// The stored tail captures, in trigger order.
     pub fn tail_captures(&self) -> Vec<TailCapture> {
-        match self.captures.lock() {
-            Ok(g) => g.clone(),
-            Err(p) => p.into_inner().clone(),
-        }
+        lock(&self.captures).clone()
     }
 
-    /// One node's resident records (shared ring + lanes), oldest first.
+    /// One node's resident records across all its lanes, merged into a
+    /// single timeline: ordered by record start time, ties broken by lane
+    /// (registration order) and push order within a lane.
     pub fn snapshot(&self, node: usize) -> Vec<VerbRecord> {
-        if node >= self.rings.len() {
+        let Some(lanes) = self.lanes.get(node) else {
             return Vec::new();
+        };
+        let mut keyed: Vec<((u64, u32, u64), VerbRecord)> = Vec::new();
+        for ring in lock(lanes).all.iter() {
+            keyed.extend(
+                ring.snapshot().into_iter().map(|(ticket, rec)| ((rec.start, ring.id, ticket), rec)),
+            );
         }
-        self.node_records(node)
+        keyed.sort_by_key(|&(key, _)| key);
+        keyed.into_iter().map(|(_, r)| r).collect()
     }
 
     pub fn stats(&self) -> RecorderStats {
-        let mut submitted: u64 = self.rings.iter().map(|r| r.head.load(Ordering::Relaxed)).sum();
-        let mut kept: u64 = self.rings.iter().map(|r| r.kept()).sum();
-        let mut dropped = self.dropped.load(Ordering::Relaxed);
+        let (mut submitted, mut kept, mut dropped) = (0, 0, 0);
         for lanes in self.lanes.iter() {
-            let set = lock_lanes(lanes);
-            for ring in set.all.iter() {
+            for ring in lock(lanes).all.iter() {
                 submitted += ring.submitted();
-                kept += kept_slots(&ring.slots);
+                kept += ring.kept();
                 dropped += ring.dropped();
             }
         }
         RecorderStats {
-            nodes: self.rings.len(),
-            capacity_per_node: self.rings[0].slots.len(),
+            nodes: self.nodes(),
+            capacity_per_lane: self.capacity,
             submitted,
             kept,
             dropped,
@@ -792,25 +669,16 @@ impl FlightRecorder {
         }
     }
 
-    /// Clear rings (shared and lanes), drop counters, captures, and span
-    /// mints (between parallel sections, alongside the other stats resets).
+    /// Clear every lane, span mint and tail capture (between parallel
+    /// sections, alongside the other stats resets).
     pub fn reset(&self) {
-        for ring in self.rings.iter() {
-            ring.reset();
-        }
         for lanes in self.lanes.iter() {
-            let set = lock_lanes(lanes);
-            for ring in set.all.iter() {
+            for ring in lock(lanes).all.iter() {
                 ring.reset();
             }
         }
-        self.minter.reset();
-        self.dropped.store(0, Ordering::Relaxed);
         self.tail_crossings.store(0, Ordering::Relaxed);
-        match self.captures.lock() {
-            Ok(mut g) => g.clear(),
-            Err(p) => p.into_inner().clear(),
-        }
+        lock(&self.captures).clear();
     }
 
     /// Chrome-trace (Perfetto) export of every node's ring, with flow
@@ -824,7 +692,7 @@ impl FlightRecorder {
         // each flow chain appears in ts order.
         let mut events: Vec<(u64, u64, u64, String)> = Vec::new();
         let mut order: u64 = 0;
-        for node in 0..self.rings.len() {
+        for node in 0..self.nodes() {
             events.push((
                 node as u64,
                 0,
@@ -841,8 +709,8 @@ impl FlightRecorder {
         // chain: span -> Vec<(ts, tid, order_of_slice)>
         let mut chains: std::collections::BTreeMap<u64, Vec<(u64, u64)>> =
             std::collections::BTreeMap::new();
-        for node in 0..self.rings.len() {
-            for rec in self.node_records(node) {
+        for node in 0..self.nodes() {
+            for rec in self.snapshot(node) {
                 let tid = node as u64;
                 let name = rec.label();
                 let args = format!(
@@ -933,8 +801,8 @@ impl FlightRecorder {
         let mut out = String::with_capacity(events.len() * 96 + 256);
         out.push_str(&format!(
             "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"submitted\":{},\"kept\":{},\
-             \"dropped\":{},\"tail_captures\":{},\"capacity_per_node\":{}}},\"traceEvents\":[",
-            stats.submitted, stats.kept, stats.dropped, stats.tail_captures, stats.capacity_per_node,
+             \"dropped\":{},\"tail_captures\":{},\"capacity_per_lane\":{}}},\"traceEvents\":[",
+            stats.submitted, stats.kept, stats.dropped, stats.tail_captures, stats.capacity_per_lane,
         ));
         for (i, (_, _, _, body)) in events.iter().enumerate() {
             if i > 0 {
@@ -956,6 +824,14 @@ mod tests {
         VerbRecord { span, start, kind, node: 0, ..VerbRecord::blank() }
     }
 
+    /// A recorder of `nodes` nodes with `capacity`-record lanes, and a lane
+    /// on `node`.
+    fn lane_on(nodes: usize, capacity: usize, node: usize) -> (Arc<FlightRecorder>, Lane) {
+        let fr = Arc::new(FlightRecorder::new(nodes, capacity));
+        let lane = FlightRecorder::lane(&fr, node);
+        (fr, lane)
+    }
+
     #[test]
     fn encode_decode_round_trips() {
         let r = VerbRecord {
@@ -975,28 +851,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_keeps_the_newest_and_counts_evictions() {
-        let fr = FlightRecorder::new(1, 8);
-        for i in 0..20u64 {
-            fr.record(0, || rec(SpanId::pack(0, i + 1), i, RecordKind::Site));
-        }
-        let snap = fr.snapshot(0);
-        assert_eq!(snap.len(), 8);
-        // Oldest-first, and only the last 8 survive.
-        let starts: Vec<u64> = snap.iter().map(|r| r.start).collect();
-        assert_eq!(starts, (12..20).collect::<Vec<_>>());
-        let st = fr.stats();
-        assert_eq!(st.submitted, 20);
-        assert_eq!(st.kept, 8);
-        assert_eq!(st.dropped, 12);
-        assert_eq!(st.kept + st.dropped, st.submitted);
-    }
-
-    #[test]
     fn disabled_recorder_never_runs_the_closure() {
-        let fr = FlightRecorder::new(1, 8);
+        let (fr, mut lane) = lane_on(1, 8, 0);
         fr.set_enabled(false);
-        fr.record(0, || panic!("closure must not run while disabled"));
+        lane.record(|| panic!("closure must not run while disabled"));
         fr.capture_tail(0, NO_SITE, SpanId::NONE, 0, u64::MAX);
         assert_eq!(fr.stats().submitted, 0);
         assert_eq!(fr.stats().tail_captures, 0);
@@ -1005,10 +863,10 @@ mod tests {
 
     #[test]
     fn tail_capture_stores_the_ring_and_counts_crossings() {
-        let fr = FlightRecorder::new(2, 8);
-        let span = fr.mint(1);
-        fr.record(1, || rec(span, 10, RecordKind::VerbIssue));
-        fr.record(1, || rec(span, 30, RecordKind::VerbPoll));
+        let (fr, mut lane) = lane_on(2, 8, 1);
+        let span = lane.mint();
+        lane.record(|| rec(span, 10, RecordKind::VerbIssue));
+        lane.record(|| rec(span, 30, RecordKind::VerbPoll));
         fr.capture_tail(1, Site::SdFence.index() as u8, span, 10, 20);
         let caps = fr.tail_captures();
         assert_eq!(caps.len(), 1);
@@ -1020,28 +878,30 @@ mod tests {
 
     #[test]
     fn reset_clears_everything() {
-        let fr = FlightRecorder::new(1, 8);
-        fr.record(0, || rec(fr.mint(0), 1, RecordKind::Site));
+        let (fr, mut lane) = lane_on(1, 8, 0);
+        let span = lane.mint();
+        lane.record(|| rec(span, 1, RecordKind::Site));
         fr.capture_tail(0, 0, SpanId::NONE, 0, 9);
         fr.reset();
         let st = fr.stats();
         assert_eq!((st.submitted, st.kept, st.dropped, st.tail_captures), (0, 0, 0, 0));
         assert!(fr.snapshot(0).is_empty());
         assert!(fr.tail_captures().is_empty());
-        assert_eq!(fr.mint(0).seq(), 1);
+        assert_eq!(lane.mint().seq(), 1);
     }
 
     #[test]
     fn lane_records_merge_into_the_node_timeline() {
-        let fr = Arc::new(FlightRecorder::new(2, 8));
-        let mut lane = FlightRecorder::lane(&fr, 1);
+        let (fr, mut lane) = lane_on(2, 8, 1);
+        let mut sibling = lane.clone();
         let span = lane.mint();
         assert!(!span.is_none());
         assert_eq!(span.node(), 1);
-        // Interleave lane and shared-ring records; the snapshot must merge
-        // them by start time.
+        // Interleave two lanes' records; the snapshot must merge them by
+        // start time.
         lane.record(|| rec(span, 10, RecordKind::VerbIssue));
-        fr.record(1, || rec(fr.mint(1), 20, RecordKind::FaultInjected));
+        let other = sibling.mint();
+        sibling.record(|| rec(other, 20, RecordKind::FaultInjected));
         lane.record(|| rec(span, 30, RecordKind::VerbPoll));
         let snap = fr.snapshot(1);
         let starts: Vec<u64> = snap.iter().map(|r| r.start).collect();
@@ -1054,8 +914,7 @@ mod tests {
 
     #[test]
     fn lane_eviction_is_counted_loss() {
-        let fr = Arc::new(FlightRecorder::new(1, 8));
-        let mut lane = FlightRecorder::lane(&fr, 0);
+        let (fr, mut lane) = lane_on(1, 8, 0);
         for i in 0..20u64 {
             lane.record(|| rec(SpanId::pack(0, i + 1), i, RecordKind::Site));
         }
@@ -1069,23 +928,35 @@ mod tests {
     }
 
     #[test]
-    fn lane_spans_are_unique_across_siblings_and_the_shared_minter() {
-        let fr = Arc::new(FlightRecorder::new(1, 8));
-        let mut a = FlightRecorder::lane(&fr, 0);
+    fn lane_spans_are_unique_across_siblings() {
+        let (_fr, mut a) = lane_on(1, 8, 0);
         let mut b = a.clone(); // sibling lane, not a second writer
+        let mut c = b.clone();
         let mut seen = std::collections::HashSet::new();
         for _ in 0..10 {
             assert!(seen.insert(a.mint()));
             assert!(seen.insert(b.mint()));
-            assert!(seen.insert(fr.mint(0)));
+            assert!(seen.insert(c.mint()));
         }
         assert_eq!(seen.len(), 30);
     }
 
     #[test]
+    fn a_lane_holds_its_span_and_a_sibling_starts_under_it() {
+        let (_fr, mut lane) = lane_on(1, 8, 0);
+        assert!(lane.span().is_none());
+        let span = lane.mint();
+        lane.set_span(span);
+        assert_eq!(lane.span(), span);
+        let mut sibling = lane.clone();
+        assert_eq!(sibling.span(), span);
+        sibling.set_span(SpanId::NONE);
+        assert_eq!(lane.span(), span, "siblings hold their spans apart");
+    }
+
+    #[test]
     fn dropped_lane_rings_are_recycled_with_their_history() {
-        let fr = Arc::new(FlightRecorder::new(1, 8));
-        let mut lane = FlightRecorder::lane(&fr, 0);
+        let (fr, mut lane) = lane_on(1, 8, 0);
         lane.record(|| rec(SpanId::pack(0, 1), 1, RecordKind::Site));
         let first_span = lane.mint();
         drop(lane);
@@ -1100,8 +971,7 @@ mod tests {
 
     #[test]
     fn disabled_recorder_skips_lane_closures_and_mints_none() {
-        let fr = Arc::new(FlightRecorder::new(1, 8));
-        let mut lane = FlightRecorder::lane(&fr, 0);
+        let (fr, mut lane) = lane_on(1, 8, 0);
         fr.set_enabled(false);
         assert!(lane.mint().is_none());
         lane.record(|| panic!("closure must not run while disabled"));
@@ -1110,9 +980,9 @@ mod tests {
 
     #[test]
     fn chrome_trace_links_a_span_with_flow_arrows() {
-        let fr = FlightRecorder::new(2, 16);
-        let span = fr.mint(0);
-        fr.record(0, || VerbRecord {
+        let (fr, mut lane) = lane_on(2, 16, 0);
+        let span = lane.mint();
+        lane.record(|| VerbRecord {
             span,
             start: 100,
             dur: 50,
@@ -1121,7 +991,7 @@ mod tests {
             class: 0,
             ..VerbRecord::blank()
         });
-        fr.record(0, || VerbRecord {
+        lane.record(|| VerbRecord {
             span,
             start: 160,
             attempt: 1,
@@ -1129,7 +999,7 @@ mod tests {
             kind: RecordKind::VerbRetry,
             ..VerbRecord::blank()
         });
-        fr.record(0, || VerbRecord {
+        lane.record(|| VerbRecord {
             span,
             start: 400,
             dur: 300,

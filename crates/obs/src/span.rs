@@ -3,27 +3,23 @@
 //! A span names one *protocol operation* — a read-miss service, a write
 //! fault, a fence drain, a lock acquire — and every verb issued on its
 //! behalf (including retries and injected fault fates) carries it. Ids are
-//! minted from per-node relaxed counters (or, on the hot path, from an
-//! endpoint's single-writer [`crate::Lane`], which needs no atomics at
-//! all), and never synchronize anything: span ids flow only into
+//! minted by the issuing endpoint's single-writer [`crate::Lane`] with a
+//! plain increment and never synchronize anything: span ids flow only into
 //! observability records, never back into protocol or timing decisions,
 //! which is what keeps the simulator's determinism pin safe with tracing
 //! on.
 //!
-//! Layout: the top 16 bits are the minting node, the low 48 bits a
-//! per-node sequence starting at 1. Lane-minted spans additionally carry
-//! a nonzero lane tag in bits 32..48 (see `Lane::mint`), which keeps them
-//! disjoint from this module's [`SpanMinter`] sequences until a node
-//! mints 2^32 spans. `SpanId::NONE` (all zeros) means "no enclosing
+//! Layout: the top 16 bits are the minting node and the low 48 bits its
+//! sequence — for a lane-minted span, the lane's per-node registration
+//! index in bits 32..48 and the lane's own count (from 1) below, so sibling
+//! lanes never collide. `SpanId::NONE` (all zeros) means "no enclosing
 //! operation" and is what unattributed verbs carry.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 const NODE_SHIFT: u32 = 48;
 const SEQ_MASK: u64 = (1 << NODE_SHIFT) - 1;
 
 /// Compact identifier of one protocol operation. `Copy`, 8 bytes, and
-/// totally ordered within a node (mint order).
+/// ordered within the lane that minted it (mint order).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct SpanId(pub u64);
 
@@ -41,55 +37,14 @@ impl SpanId {
         (self.0 >> NODE_SHIFT) as usize
     }
 
-    /// The per-node mint sequence (1-based; 0 only for [`SpanId::NONE`]).
+    /// The node-local sequence (lane index and count; nonzero for every
+    /// real span).
     pub fn seq(self) -> u64 {
         self.0 & SEQ_MASK
     }
 
     pub fn is_none(self) -> bool {
         self.0 == 0
-    }
-}
-
-/// Per-node span id mints. One relaxed `fetch_add` per span; no ordering,
-/// no allocation, safe to call from any thread of the owning node.
-#[derive(Debug)]
-pub struct SpanMinter {
-    next: Box<[AtomicU64]>,
-}
-
-impl SpanMinter {
-    pub fn new(nodes: usize) -> Self {
-        SpanMinter {
-            next: (0..nodes.max(1)).map(|_| AtomicU64::new(1)).collect(),
-        }
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.next.len()
-    }
-
-    /// Mint a fresh span for `node`. Out-of-range nodes fold into the last
-    /// counter rather than panicking an observability path.
-    #[inline]
-    pub fn mint(&self, node: usize) -> SpanId {
-        let idx = node.min(self.next.len() - 1);
-        let seq = self.next[idx].fetch_add(1, Ordering::Relaxed);
-        SpanId::pack(node, seq)
-    }
-
-    /// How many spans `node` has minted so far.
-    pub fn minted(&self, node: usize) -> u64 {
-        self.next
-            .get(node)
-            .map(|c| c.load(Ordering::Relaxed) - 1)
-            .unwrap_or(0)
-    }
-
-    pub fn reset(&self) {
-        for c in self.next.iter() {
-            c.store(1, Ordering::Relaxed);
-        }
     }
 }
 
@@ -104,22 +59,5 @@ mod tests {
         assert_eq!(s.seq(), 1234);
         assert!(!s.is_none());
         assert!(SpanId::NONE.is_none());
-    }
-
-    #[test]
-    fn minter_is_per_node_and_monotonic() {
-        let m = SpanMinter::new(3);
-        let a = m.mint(0);
-        let b = m.mint(0);
-        let c = m.mint(2);
-        assert_eq!(a.seq(), 1);
-        assert_eq!(b.seq(), 2);
-        assert!(b > a);
-        assert_eq!(c.node(), 2);
-        assert_eq!(c.seq(), 1);
-        assert_eq!(m.minted(0), 2);
-        assert_eq!(m.minted(1), 0);
-        m.reset();
-        assert_eq!(m.mint(0).seq(), 1);
     }
 }

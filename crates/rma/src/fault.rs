@@ -26,12 +26,11 @@
 use crate::retry::splitmix64;
 use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use obs::lyra::{Fate, FlightRecorder, RecordKind, VerbRecord};
-use obs::SpanId;
 use simnet::{
     ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A window of virtual time during which one node's NIC answers nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -182,13 +181,13 @@ struct FaultCounters {
     stalled: AtomicU64,
 }
 
-/// Which of the four per-kind issue counters keys `verb`'s draw (the
-/// three atomics share one, as they share one price).
+/// Which per-kind issue counter keys `verb`'s draw (the three atomics
+/// share one, as they share one price). Kind 2 is retired (it keyed write
+/// batches) and never reused, so every other kind's schedule is unchanged.
 fn schedule_kind(verb: &Verb) -> usize {
     match verb {
         Verb::Read { .. } => 0,
         Verb::Write { .. } => 1,
-        Verb::WriteBatch { .. } => 2,
         Verb::FetchOr | Verb::FetchAdd | Verb::Cas => 3,
     }
 }
@@ -214,9 +213,6 @@ pub struct FaultyTransport<T: Transport> {
     /// the same verb sequence faults identically on every backend).
     issued: [AtomicU64; 4],
     injected: FaultCounters,
-    /// Lyra hook: once attached, every decided fault also lands in the
-    /// flight recorder, stamped with the issuing endpoint's current span.
-    recorder: OnceLock<Arc<FlightRecorder>>,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -228,23 +224,7 @@ impl<T: Transport> FaultyTransport<T> {
             enabled,
             issued: Default::default(),
             injected: FaultCounters::default(),
-            recorder: OnceLock::new(),
         })
-    }
-
-    /// Attach a flight recorder; injected fault fates will be recorded with
-    /// the span of whichever endpoint issued the verb. First attach wins
-    /// (later calls are ignored) — observability only, never an error. Also
-    /// forwarded to the wrapped backend so its endpoints open single-writer
-    /// lanes.
-    pub fn attach_recorder(&self, recorder: Arc<FlightRecorder>) {
-        self.inner.attach_recorder(recorder.clone());
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// The attached recorder, if any.
-    pub fn recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.recorder.get()
     }
 
     pub fn inner(&self) -> &Arc<T> {
@@ -313,7 +293,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             inner: T::endpoint(&this.inner, loc),
             fab: this.clone(),
             pending: TokenSlab::default(),
-            span: SpanId::NONE,
         }
     }
 
@@ -340,8 +319,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         self.inner.reset_per_node_stats()
     }
 
-    fn attach_recorder(&self, recorder: Arc<FlightRecorder>) {
-        FaultyTransport::attach_recorder(self, recorder);
+    /// The wrapped backend's recorder: injected fates land in the issuing
+    /// endpoint's lane on it.
+    #[inline]
+    fn recorder(&self) -> &Arc<FlightRecorder> {
+        self.inner.recorder()
     }
 }
 
@@ -362,7 +344,7 @@ enum PendingFault {
     },
     /// Completes `extra` cycles late. A spike delays what the verb's
     /// completion delays: the initiator for reads and atomics, only the
-    /// settle stamp for posted writes and batches.
+    /// settle stamp for posted writes.
     Spike {
         token: VerbToken,
         extra: u64,
@@ -380,9 +362,6 @@ pub struct FaultyEndpoint<T: Transport> {
     inner: T::Endpoint,
     fab: Arc<FaultyTransport<T>>,
     pending: TokenSlab<PendingFault>,
-    /// Lyra span of the protocol operation currently issuing through this
-    /// endpoint; stamped onto decided fault fates.
-    span: SpanId,
 }
 
 // Manual impl: `#[derive(Clone)]` would demand `T: Clone`, which the fabric
@@ -393,7 +372,6 @@ impl<T: Transport> Clone for FaultyEndpoint<T> {
             inner: self.inner.clone(),
             fab: self.fab.clone(),
             pending: self.pending.clone(),
-            span: self.span,
         }
     }
 }
@@ -403,31 +381,28 @@ impl<T: Transport> FaultyEndpoint<T> {
         &self.inner
     }
 
-    /// Flight-record a decided fault, attributed to the current span. A
-    /// healthy `Deliver` records nothing; with no recorder attached (or a
-    /// disabled one) this is a branch.
-    fn note_fault(&self, decision: &Decision, verb: &Verb, target: NodeId) {
-        let Some(rec) = self.fab.recorder.get() else {
-            return;
-        };
+    /// Flight-record a decided fault through the inner endpoint's lane,
+    /// attributed to its current span. A healthy `Deliver` records nothing.
+    fn note_fault(&mut self, decision: &Decision, verb: &Verb, target: NodeId) {
         let fate = match decision {
             Decision::Deliver => return,
             Decision::Duplicate => Fate::Duplicate,
             Decision::Spike(_) => Fate::Spike,
             Decision::Fail(e) => Fate::from_error_name(e.name()),
         };
-        let node = self.inner.node().0 as usize;
-        let span = self.span;
+        let (node, start) = (self.inner.node().0, self.inner.obs_now());
         let extra = match decision {
             Decision::Spike(extra) => *extra,
             _ => schedule_kind(verb) as u64, // which counter decided the fate
         };
-        rec.record(node, || VerbRecord {
+        let lane = self.inner.lyra_lane();
+        let span = lane.span();
+        lane.record(|| VerbRecord {
             span,
-            start: self.inner.obs_now(),
+            start,
             arg: extra,
             target: target.0 as u32,
-            node: node as u16,
+            node,
             kind: RecordKind::FaultInjected,
             fate,
             ..VerbRecord::blank()
@@ -482,18 +457,7 @@ impl<T: Transport> Endpoint for FaultyEndpoint<T> {
     }
 
     #[inline]
-    fn set_span(&mut self, span: SpanId) {
-        self.span = span;
-        self.inner.set_span(span);
-    }
-
-    #[inline]
-    fn current_span(&self) -> SpanId {
-        self.span
-    }
-
-    #[inline]
-    fn lyra_lane(&mut self) -> Option<&mut obs::Lane> {
+    fn lyra_lane(&mut self) -> &mut obs::Lane {
         self.inner.lyra_lane()
     }
 
@@ -515,7 +479,7 @@ impl<T: Transport> Endpoint for FaultyEndpoint<T> {
             Decision::Duplicate => PendingFault::Duplicate {
                 first: self.inner.issue(target, verb, at),
                 target,
-                verb: verb.clone(),
+                verb: *verb,
             },
             Decision::Spike(extra) => PendingFault::Spike {
                 token: self.inner.issue(target, verb, at),

@@ -38,7 +38,7 @@
 //! backends never fail, but [`FaultyTransport`] wraps either of them with a
 //! seeded, reproducible [`FaultPlan`] (drops, timeouts, duplicates, latency
 //! spikes, NIC brownouts) — each fate decided, counted and flight-recorded
-//! at issue and applied at poll, for all six verbs — and [`RetryPolicy`] gives
+//! at issue and applied at poll, for every verb — and [`RetryPolicy`] gives
 //! the layers above a deterministic capped-exponential-backoff answer to
 //! those failures — safe precisely because Carina's one-sided verbs are
 //! idempotent.

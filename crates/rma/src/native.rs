@@ -22,7 +22,7 @@ use simnet::{
     ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
 };
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// A fabric with no latency model: topology + verb accounting only.
 #[derive(Debug)]
@@ -34,9 +34,8 @@ pub struct NativeTransport {
     cost: CostModel,
     stats: NetStats,
     per_node: Vec<PerNodeStats>,
-    /// Lyra flight recorder, attached by the DSM layer before endpoints are
-    /// created; endpoints open single-writer lanes against it.
-    recorder: OnceLock<Arc<obs::FlightRecorder>>,
+    /// The Lyra flight recorder; every endpoint opens its lane on it.
+    recorder: Arc<obs::FlightRecorder>,
 }
 
 impl NativeTransport {
@@ -52,40 +51,33 @@ impl NativeTransport {
             cost,
             stats: NetStats::default(),
             per_node: (0..topology.nodes).map(|_| PerNodeStats::default()).collect(),
-            recorder: OnceLock::new(),
+            recorder: Arc::new(obs::FlightRecorder::new(topology.nodes, obs::LANE_RECORDS)),
         })
     }
 
     /// Tick the global and per-node counters for one verb issued from
     /// node `from` — the same shape as the simulator's accounting: reads
     /// and atomics pull their footprint into the initiator, writes push it
-    /// to the target, a batch counts as its payloads would singly (one
-    /// counter update each for the whole batch), intra-node traffic is free.
+    /// to the target, intra-node traffic is free.
     fn account(&self, from: NodeId, target: NodeId, verb: &Verb) {
         let s = &self.stats;
-        let (src, dst, ops, bytes) = match verb {
+        let (src, dst, bytes) = match verb {
             Verb::Read { bytes } => {
                 s.rdma_reads.fetch_add(1, Ordering::Relaxed);
                 s.bytes_read.fetch_add(*bytes, Ordering::Relaxed);
-                (target, from, 1, *bytes)
+                (target, from, *bytes)
             }
             Verb::Write { bytes } => {
                 s.rdma_writes.fetch_add(1, Ordering::Relaxed);
                 s.bytes_written.fetch_add(*bytes, Ordering::Relaxed);
-                (from, target, 1, *bytes)
-            }
-            Verb::WriteBatch { sizes } => {
-                let total: u64 = sizes.iter().sum();
-                s.rdma_writes.fetch_add(sizes.len() as u64, Ordering::Relaxed);
-                s.bytes_written.fetch_add(total, Ordering::Relaxed);
-                (from, target, sizes.len() as u64, total)
+                (from, target, *bytes)
             }
             Verb::FetchOr | Verb::FetchAdd | Verb::Cas => {
                 s.rdma_atomics.fetch_add(1, Ordering::Relaxed);
-                (target, from, 1, self.cost.atomic_op_bytes)
+                (target, from, self.cost.atomic_op_bytes)
             }
         };
-        if src == dst || ops == 0 {
+        if src == dst {
             return;
         }
         self.per_node[src.idx()]
@@ -93,7 +85,7 @@ impl NativeTransport {
             .fetch_add(bytes, Ordering::Relaxed);
         let d = &self.per_node[dst.idx()];
         d.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-        d.ops_in.fetch_add(ops, Ordering::Relaxed);
+        d.ops_in.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -101,16 +93,11 @@ impl Transport for NativeTransport {
     type Endpoint = NativeEndpoint;
 
     fn endpoint(this: &Arc<Self>, loc: ThreadLoc) -> NativeEndpoint {
-        let lane = this
-            .recorder
-            .get()
-            .map(|fr| obs::FlightRecorder::lane(fr, loc.node.idx()));
         NativeEndpoint {
             loc,
             net: this.clone(),
             pending: TokenSlab::default(),
-            span: obs::SpanId::NONE,
-            lane,
+            lane: obs::FlightRecorder::lane(&this.recorder, loc.node.idx()),
         }
     }
 
@@ -139,10 +126,9 @@ impl Transport for NativeTransport {
         }
     }
 
-    // No faults to stamp, but endpoints created after this open
-    // single-writer lanes against the recorder. First attach wins.
-    fn attach_recorder(&self, recorder: Arc<obs::FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
+    #[inline]
+    fn recorder(&self) -> &Arc<obs::FlightRecorder> {
+        &self.recorder
     }
 }
 
@@ -156,10 +142,8 @@ pub struct NativeEndpoint {
     /// everything at issue time, so entries only hold the finished
     /// [`Completion`] until the caller collects it.
     pending: TokenSlab<Completion>,
-    /// Lyra span of the operation currently issuing through this endpoint.
-    span: obs::SpanId,
-    /// Single-writer Lyra lane (present once a recorder is attached).
-    lane: Option<obs::Lane>,
+    /// Single-writer Lyra lane on the fabric's recorder.
+    lane: obs::Lane,
 }
 
 impl NativeEndpoint {
@@ -214,18 +198,8 @@ impl Endpoint for NativeEndpoint {
     fn merge(&mut self, _t: u64) {}
 
     #[inline]
-    fn set_span(&mut self, span: obs::SpanId) {
-        self.span = span;
-    }
-
-    #[inline]
-    fn current_span(&self) -> obs::SpanId {
-        self.span
-    }
-
-    #[inline]
-    fn lyra_lane(&mut self) -> Option<&mut obs::Lane> {
-        self.lane.as_mut()
+    fn lyra_lane(&mut self) -> &mut obs::Lane {
+        &mut self.lane
     }
 
     /// Nothing queues and nothing takes time: the verb is accounted here

@@ -55,11 +55,9 @@ impl Transport for Interconnect {
         Interconnect::reset_per_node_stats(self)
     }
 
-    // The simulator injects no faults, but holds the recorder so endpoints
-    // created later open single-writer lanes against it (the fences bench
-    // also constructs `SimThread::new` directly and gets the same lane).
-    fn attach_recorder(&self, recorder: Arc<obs::FlightRecorder>) {
-        Interconnect::attach_recorder(self, recorder);
+    #[inline]
+    fn recorder(&self) -> &Arc<obs::FlightRecorder> {
+        Interconnect::recorder(self)
     }
 }
 
@@ -105,7 +103,7 @@ impl Endpoint for SimThread {
     }
 
     #[inline]
-    fn lyra_lane(&mut self) -> Option<&mut obs::Lane> {
+    fn lyra_lane(&mut self) -> &mut obs::Lane {
         SimThread::lyra_lane(self)
     }
 
@@ -114,7 +112,6 @@ impl Endpoint for SimThread {
         let timing = match verb {
             Verb::Read { bytes } => net.rdma_read(loc, target, at, *bytes),
             Verb::Write { bytes } => net.rdma_write(loc, target, at, *bytes),
-            Verb::WriteBatch { sizes } => net.rdma_write_batch(loc, target, at, sizes),
             Verb::FetchOr | Verb::FetchAdd | Verb::Cas => net.rdma_atomic(loc, target, at),
         };
         VerbToken::from_raw(self.park(timing))
@@ -156,9 +153,6 @@ mod tests {
         };
         check(Verb::Read { bytes: 4096 }, 0, net.rdma_read(loc, NodeId(1), 0, 4096));
         check(Verb::Write { bytes: 64 }, 500, net.rdma_write(loc, NodeId(1), 500, 64));
-        let sizes = vec![4096, 80];
-        let want = net.rdma_write_batch(loc, NodeId(1), 900, &sizes);
-        check(Verb::WriteBatch { sizes }, 900, want);
         check(Verb::FetchOr, 90_000, net.rdma_atomic(loc, NodeId(1), 90_000));
     }
 

@@ -98,7 +98,7 @@ impl From<VerbTiming> for Completion {
 /// verb needs besides its target and its issue time. Verbs carry *cost*
 /// (payload sizes), not data — the data plane is host shared memory under
 /// every backend.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verb {
     /// Read `bytes` from the target's memory; the initiator blocks for the
     /// round trip.
@@ -106,12 +106,6 @@ pub enum Verb {
     /// Posted write of `bytes`: the initiator unblocks once the payload is
     /// handed to its NIC, the data is visible at `settled`.
     Write { bytes: u64 },
-    /// Home-coalesced posted write: `sizes.len()` payloads to one target
-    /// behind a single doorbell. Accounts exactly like the equivalent
-    /// sequence of [`Verb::Write`]s (one write + its bytes per payload);
-    /// backends differ only in timing and host-side cost. A failed batch is
-    /// reissued whole, which is safe because payloads are idempotent.
-    WriteBatch { sizes: Vec<u64> },
     /// Fetch-or on a directory word (reader/writer registration, paper
     /// §3.2).
     FetchOr,
@@ -127,7 +121,7 @@ impl Verb {
     /// are not — their completion is what the initiator waits for.
     #[inline]
     pub fn is_posted(&self) -> bool {
-        matches!(self, Verb::Write { .. } | Verb::WriteBatch { .. })
+        matches!(self, Verb::Write { .. })
     }
 }
 
@@ -158,7 +152,8 @@ impl VerbToken {
 /// A backend fabric: the process-wide half of the transport.
 ///
 /// The fabric declares no verb: it opens [`Endpoint`]s, and every verb is
-/// issued through one. All verbs are *one-sided* — no code executes at the
+/// issued through one. It owns the one Lyra flight recorder its endpoints
+/// record to. All verbs are *one-sided* — no code executes at the
 /// target node. The data plane (actually moving bytes) lives in the `mem`
 /// crate and is host shared memory under every backend; a backend decides
 /// only what a verb *costs* and how it is accounted here.
@@ -191,14 +186,9 @@ pub trait Transport: Send + Sync + Debug + 'static {
     /// ones).
     fn reset_per_node_stats(&self);
 
-    /// Hand fault-injecting wrappers a flight-recorder handle so the fates
-    /// they decide are recorded against the spans they hit
-    /// ([`crate::FaultyTransport`] overrides this; first attach wins). The
-    /// concrete backends inject nothing and ignore it — the DSM layer calls
-    /// this unconditionally at construction.
-    fn attach_recorder(&self, recorder: Arc<obs::FlightRecorder>) {
-        let _ = recorder;
-    }
+    /// The Lyra flight recorder this fabric owns: every endpoint it opens
+    /// records through its own lane on it, and the DSM layer reads it.
+    fn recorder(&self) -> &Arc<obs::FlightRecorder>;
 }
 
 /// A per-thread issue port: placement, the thread's time base, and verb
@@ -251,33 +241,31 @@ pub trait Endpoint: Send + Clone + Debug + 'static {
     /// before `t` (lock hand-off, barrier exit, fence settle point).
     fn merge(&mut self, t: u64);
 
-    // --- Lyra span plumbing -----------------------------------------------
+    // --- Lyra ---------------------------------------------------------------
     //
-    // Purely observational: protocol sites attach the span of the operation
-    // they are servicing, and fault-injecting wrappers stamp it onto the
-    // fates they decide, so a flight-recorder timeline can link every verb
-    // (and every injected fault) back to its parent operation. Span ids
-    // never feed back into timing or protocol decisions.
+    // Purely observational: every record is written through the endpoint's
+    // lane, protocol sites attach the span of the operation they are
+    // servicing to it, and fault-injecting wrappers stamp that span onto
+    // the fates they decide, so a flight-recorder timeline can link every
+    // verb (and every injected fault) back to its parent operation. Span
+    // ids never feed back into timing or protocol decisions.
+
+    /// This endpoint's single-writer Lyra lane on its fabric's recorder:
+    /// the only way to write a record (plain stores, no atomic
+    /// read-modify-writes), and where the current span lives.
+    fn lyra_lane(&mut self) -> &mut obs::Lane;
 
     /// Attach the Lyra span of the protocol operation about to issue verbs
-    /// through this endpoint ([`SpanId::NONE`] detaches). Default: ignored.
+    /// through this endpoint ([`SpanId::NONE`] detaches).
     #[inline]
-    fn set_span(&mut self, _span: SpanId) {}
-
-    /// The span last attached via [`Endpoint::set_span`], or
-    /// [`SpanId::NONE`] on endpoints without storage.
-    #[inline]
-    fn current_span(&self) -> SpanId {
-        SpanId::NONE
+    fn set_span(&mut self, span: SpanId) {
+        self.lyra_lane().set_span(span);
     }
 
-    /// This endpoint's single-writer Lyra lane, if the backend opened one
-    /// against an attached flight recorder. Protocol hot paths prefer the
-    /// lane (plain stores, no atomic read-modify-writes) and fall back to
-    /// the recorder's shared multi-writer ring when absent.
+    /// The span last attached via [`Endpoint::set_span`].
     #[inline]
-    fn lyra_lane(&mut self) -> Option<&mut obs::Lane> {
-        None
+    fn current_span(&mut self) -> SpanId {
+        self.lyra_lane().span()
     }
 
     // --- The verb surface (completion-queue model) ------------------------
@@ -344,13 +332,6 @@ pub trait Endpoint: Send + Clone + Debug + 'static {
     /// settle stamp (SD fences collect the max of these).
     fn rdma_write(&mut self, target: NodeId, bytes: u64) -> Result<u64, VerbError> {
         self.blocking(target, &Verb::Write { bytes }).map(|c| c.settled)
-    }
-
-    /// Posted batch write of `sizes.len()` payloads to `target` behind one
-    /// doorbell; returns the settle stamp of the whole batch.
-    fn rdma_write_batch(&mut self, target: NodeId, sizes: &[u64]) -> Result<u64, VerbError> {
-        let sizes = sizes.to_vec();
-        self.blocking(target, &Verb::WriteBatch { sizes }).map(|c| c.settled)
     }
 
     /// Blocking remote fetch-or (directory registration).

@@ -20,18 +20,19 @@
 //!   from the bare fabric;
 //! - one spike rule: an injected latency spike delays what the verb's
 //!   completion delays — the initiator for reads and atomics, only the
-//!   settle stamp for posted writes and batches.
+//!   settle stamp for posted writes;
+//! - every endpoint records to its fabric's Lyra recorder through its own
+//!   lane, which holds the span set on the endpoint.
 
 use rma::{ClusterTopology, Completion, Endpoint, NativeTransport, NodeId, Transport, Verb};
 use rma::{CostModel, FaultPlan, FaultyTransport, Interconnect, SimTransport, VerbError};
 use std::sync::Arc;
 
 /// One of each verb.
-fn six_verbs() -> [Verb; 6] {
+fn every_verb() -> [Verb; 5] {
     [
         Verb::Read { bytes: 4096 },
         Verb::Write { bytes: 128 },
-        Verb::WriteBatch { sizes: vec![64, 4096] },
         Verb::FetchOr,
         Verb::FetchAdd,
         Verb::Cas,
@@ -56,7 +57,7 @@ fn post<E: Endpoint>(
 
 fn completions_are_ordered<T: Transport>(net: &Arc<T>) {
     let mut e = endpoint_on(net, 0);
-    for verb in six_verbs() {
+    for verb in every_verb() {
         let c = post(&mut e, 1, &verb, 0).unwrap();
         assert!(c.settled >= c.initiator_done, "{verb:?} settled before unblock");
     }
@@ -68,12 +69,11 @@ fn completions_are_ordered<T: Transport>(net: &Arc<T>) {
 fn healthy_fabric_is_infallible<T: Transport>(net: &Arc<T>) {
     let mut e = endpoint_on(net, 0);
     for _ in 0..64 {
-        for verb in six_verbs() {
+        for verb in every_verb() {
             assert!(post(&mut e, 1, &verb, 0).is_ok());
         }
         assert!(e.rdma_read(NodeId(1), 4096).is_ok());
         assert!(e.rdma_write(NodeId(1), 64).is_ok());
-        assert!(e.rdma_write_batch(NodeId(1), &[64, 4096]).is_ok());
         assert!(e.rdma_fetch_or(NodeId(1)).is_ok());
         assert!(e.rdma_fetch_add(NodeId(1)).is_ok());
         assert!(e.rdma_cas(NodeId(1)).is_ok());
@@ -83,15 +83,15 @@ fn healthy_fabric_is_infallible<T: Transport>(net: &Arc<T>) {
 fn verbs_are_counted<T: Transport>(net: &Arc<T>) {
     let mut e = endpoint_on(net, 0);
     let before = net.stats().snapshot();
-    for verb in six_verbs() {
+    for verb in every_verb() {
         post(&mut e, 1, &verb, 0).unwrap();
     }
     let after = net.stats().snapshot();
     assert_eq!(after.rdma_reads - before.rdma_reads, 1);
-    assert_eq!(after.rdma_writes - before.rdma_writes, 1 + 2, "write + 2-payload batch");
+    assert_eq!(after.rdma_writes - before.rdma_writes, 1);
     assert_eq!(after.rdma_atomics - before.rdma_atomics, 3);
     assert_eq!(after.bytes_read - before.bytes_read, 4096);
-    assert_eq!(after.bytes_written - before.bytes_written, 128 + 64 + 4096);
+    assert_eq!(after.bytes_written - before.bytes_written, 128);
 }
 
 fn per_node_accounting_conserves<T: Transport>(net: &Arc<T>) {
@@ -114,7 +114,7 @@ fn per_node_accounting_conserves<T: Transport>(net: &Arc<T>) {
 fn intra_node_traffic_is_free<T: Transport>(net: &Arc<T>) {
     net.reset_per_node_stats();
     let mut e = endpoint_on(net, 0);
-    for verb in six_verbs() {
+    for verb in every_verb() {
         post(&mut e, 0, &verb, 0).unwrap();
     }
     let per = net.per_node_stats();
@@ -160,40 +160,21 @@ fn endpoint_clones_share_the_fabric<T: Transport>(net: &Arc<T>) {
     assert_eq!(net.stats().snapshot().rdma_reads, before + 1);
 }
 
-/// The batched write verb must be counter-equivalent to issuing its pages
-/// as singles, on every backend: same `rdma_writes` ticks, same byte
-/// totals, same per-node conservation. An empty batch is a no-op.
-fn batched_writes_count_like_singles<T: Transport>(net: &Arc<T>) {
-    net.reset_per_node_stats();
-    let mut e = endpoint_on(net, 0);
-    let sizes = [4096u64, 72, 4096, 160];
-    let total: u64 = sizes.iter().sum();
-    let before = net.stats().snapshot();
-    let b = post(&mut e, 1, &Verb::WriteBatch { sizes: sizes.to_vec() }, 0).unwrap();
-    assert!(b.settled >= b.initiator_done, "batch settle before unblock");
-    let after = net.stats().snapshot();
-    assert_eq!(after.rdma_writes - before.rdma_writes, sizes.len() as u64);
-    assert_eq!(after.bytes_written - before.bytes_written, total);
-    let per = net.per_node_stats();
-    assert_eq!(per[0].bytes_out, total, "batch bytes_out mismatch");
-    assert_eq!(per[1].bytes_in, total, "batch bytes_in mismatch");
-    assert_eq!(per[1].ops_in, sizes.len() as u64, "batch ops_in mismatch");
-
-    let mid = net.stats().snapshot();
-    post(&mut e, 1, &Verb::WriteBatch { sizes: vec![] }, 0).unwrap();
-    let end = net.stats().snapshot();
-    assert_eq!(end.rdma_writes, mid.rdma_writes, "empty batch counted");
-    assert_eq!(end.bytes_written, mid.bytes_written);
-    net.reset_per_node_stats();
-
-    // The blocking wrapper reaches the same fabric counters.
-    let before = net.stats().snapshot();
-    let settled = e.rdma_write_batch(NodeId(1), &sizes).unwrap();
-    assert!(settled >= e.now(), "batch settled before issue completed");
-    let after = net.stats().snapshot();
-    assert_eq!(after.rdma_writes - before.rdma_writes, sizes.len() as u64);
-    assert_eq!(after.bytes_written - before.bytes_written, total);
-    net.reset_per_node_stats();
+/// Every endpoint records through its own lane on the fabric's recorder,
+/// and that lane holds the endpoint's span: what `set_span` attaches,
+/// `current_span` returns, on every backend and wrapper alike.
+fn endpoints_record_and_hold_spans_in_their_lane<T: Transport>(net: &Arc<T>) {
+    let mut e = endpoint_on(net, 1);
+    assert_eq!(e.lyra_lane().node(), 1);
+    assert_eq!(e.current_span(), rma::SpanId::NONE);
+    let span = e.lyra_lane().mint();
+    e.set_span(span);
+    assert_eq!((e.current_span(), e.lyra_lane().span()), (span, span));
+    let before = net.recorder().stats().submitted;
+    e.lyra_lane().record(obs::VerbRecord::blank);
+    assert_eq!(net.recorder().stats().submitted, before + 1);
+    e.set_span(rma::SpanId::NONE);
+    assert_eq!(e.current_span(), rma::SpanId::NONE);
 }
 
 fn run_all<T: Transport>(net: Arc<T>) {
@@ -202,7 +183,7 @@ fn run_all<T: Transport>(net: Arc<T>) {
     verbs_are_counted(&net);
     per_node_accounting_conserves(&net);
     intra_node_traffic_is_free(&net);
-    batched_writes_count_like_singles(&net);
+    endpoints_record_and_hold_spans_in_their_lane(&net);
     endpoints_carry_placement_and_monotone_clocks(&net);
     endpoint_clones_share_the_fabric(&net);
 }
@@ -250,15 +231,15 @@ fn faulty_wrapper_failures_are_typed_and_ordered() {
     assert_eq!(snap.dropped + snap.timed_out + snap.stalled, failures);
 }
 
-/// The one spike rule, for all six verbs on any backend: a spike delays
+/// The one spike rule, for every verb on any backend: a spike delays
 /// what the verb's completion delays. Reads and atomics complete at the
 /// initiator, so the spike holds the initiator (and the settle stamp with
-/// it); posted writes and batches unblock the initiator when the payload is
+/// it); posted writes unblock the initiator when the payload is
 /// handed to the NIC, so the spike only pushes out the settle stamp. Fresh
 /// fabrics per verb so NIC timelines don't serialize the comparisons.
 fn spikes_delay_what_the_completion_delays<T: Transport>(fabric: impl Fn() -> Arc<T>) {
     const EXTRA: u64 = 9_999;
-    for verb in six_verbs() {
+    for verb in every_verb() {
         let clean = post(&mut endpoint_on(&fabric(), 0), 1, &verb, 500).unwrap();
         let plan = FaultPlan::default().with_seed(5).with_spikes(1_000_000, EXTRA);
         let net = FaultyTransport::wrap(fabric(), plan);
@@ -295,7 +276,7 @@ fn native_transport_is_timeless() {
     let topo = ClusterTopology::tiny(2);
     let net = NativeTransport::new(topo);
     let mut e = endpoint_on(&net, 0);
-    for verb in six_verbs() {
+    for verb in every_verb() {
         assert_eq!(post(&mut e, 1, &verb, 777), Ok(Completion::instant(0)), "{verb:?}");
     }
     e.compute(1_000_000);

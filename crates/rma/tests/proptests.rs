@@ -23,7 +23,7 @@ fn verb_of(kind: u8, bytes: u64) -> Verb {
     match kind {
         0 => Verb::Read { bytes },
         1 => Verb::Write { bytes },
-        2 => Verb::WriteBatch { sizes: vec![bytes] },
+        2 => Verb::FetchOr,
         _ => Verb::Cas,
     }
 }
@@ -152,7 +152,7 @@ proptest! {
         let loc = fab.topology().loc(NodeId(0), 0);
         let mut e = <FaultyTransport<_> as Transport>::endpoint(&fab, loc);
         for &(kind, bytes, at) in &ops {
-            let verb = verb_of(if kind == 2 { 3 } else { kind }, bytes);
+            let verb = verb_of(kind, bytes);
             let token = e.issue(NodeId(1), &verb, at);
             let c = e.wait(token).expect("duplication must never fail a verb");
             prop_assert!(c.initiator_done > at, "a verb must cost time");
@@ -189,13 +189,7 @@ proptest! {
             let mut e = T::endpoint(fab, loc);
             let mut tokens: Vec<Option<VerbToken>> = ops
                 .iter()
-                .map(|&(kind, bytes, at)| {
-                    let verb = match kind {
-                        2 => Verb::WriteBatch { sizes: vec![bytes, bytes / 2 + 1] },
-                        k => verb_of(k, bytes),
-                    };
-                    Some(e.issue(NodeId(1), &verb, at))
-                })
+                .map(|&(kind, bytes, at)| Some(e.issue(NodeId(1), &verb_of(kind, bytes), at)))
                 .collect();
             let mut order: Vec<usize> = (0..tokens.len()).collect();
             if let Some(s) = shuffle_seed {

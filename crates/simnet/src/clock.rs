@@ -96,17 +96,14 @@ pub struct SimThread {
     /// model), so an entry is a finished [`VerbTiming`] awaiting collection
     /// — exactly the window in which latency is hidden.
     pending: TokenSlab<VerbTiming>,
-    /// Single-writer Lyra lane, opened against the interconnect's attached
-    /// flight recorder (if any). Owning it here keeps hot-path recording
-    /// free of atomic read-modify-writes.
-    lane: Option<obs::Lane>,
+    /// Single-writer Lyra lane on the interconnect's flight recorder: this
+    /// thread's records and the span it is serving.
+    lane: obs::Lane,
 }
 
 impl SimThread {
     pub fn new(loc: ThreadLoc, net: Arc<Interconnect>) -> Self {
-        let lane = net
-            .recorder()
-            .map(|fr| obs::FlightRecorder::lane(fr, loc.node.idx()));
+        let lane = obs::FlightRecorder::lane(net.recorder(), loc.node.idx());
         SimThread {
             loc,
             now: 0,
@@ -116,10 +113,10 @@ impl SimThread {
         }
     }
 
-    /// This thread's single-writer Lyra lane, if a recorder is attached.
+    /// This thread's single-writer Lyra lane.
     #[inline]
-    pub fn lyra_lane(&mut self) -> Option<&mut obs::Lane> {
-        self.lane.as_mut()
+    pub fn lyra_lane(&mut self) -> &mut obs::Lane {
+        &mut self.lane
     }
 
     #[inline]

@@ -27,12 +27,6 @@ pub struct CostModel {
     pub fault_trap_cycles: u64,
     /// Wire footprint of a remote atomic (fetch-and-add on a directory word).
     pub atomic_op_bytes: u64,
-    /// Doorbell + work-request header for a *batched* posted write: charged
-    /// once per `rdma_write_batch` call regardless of how many pages it
-    /// carries. Single writes carry no explicit doorbell (it is folded into
-    /// their latency constants), so batching trades one of these per home
-    /// node against per-page initiation overhead on the host.
-    pub batch_doorbell_cycles: u64,
     /// CPU frequency used to convert cycles to seconds for reporting.
     pub cpu_ghz: f64,
 }
@@ -48,7 +42,6 @@ impl CostModel {
             handler_cycles: 2500,
             fault_trap_cycles: 3000,
             atomic_op_bytes: 64,
-            batch_doorbell_cycles: 200,
             cpu_ghz: 3.4,
         }
     }
@@ -64,7 +57,6 @@ impl CostModel {
             handler_cycles: 0,
             fault_trap_cycles: 0,
             atomic_op_bytes: 64,
-            batch_doorbell_cycles: 0,
             cpu_ghz: 1.0,
         }
     }

@@ -10,7 +10,7 @@ use crate::cost::CostModel;
 use crate::stats::{NetStats, PerNodeSnapshot, PerNodeStats};
 use crate::topology::{ClusterTopology, NodeId, ThreadLoc};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Outcome of charging a verb: when the initiating thread may continue and
 /// when the data is settled at the target.
@@ -38,11 +38,9 @@ pub struct Interconnect {
     spines: Vec<AtomicU64>,
     stats: NetStats,
     per_node: Vec<PerNodeStats>,
-    /// Lyra flight recorder, attached once by the DSM layer before any
-    /// endpoints are created. Threads spawned on this interconnect open a
-    /// single-writer [`obs::Lane`] against it so hot-path recording needs
-    /// no atomic read-modify-writes.
-    recorder: OnceLock<Arc<obs::FlightRecorder>>,
+    /// The Lyra flight recorder: every thread on this interconnect opens
+    /// its single-writer [`obs::Lane`] on it.
+    recorder: Arc<obs::FlightRecorder>,
 }
 
 impl Interconnect {
@@ -90,7 +88,7 @@ impl Interconnect {
             spines: (0..spines).map(|_| AtomicU64::new(0)).collect(),
             stats: NetStats::default(),
             per_node: (0..topology.nodes).map(|_| PerNodeStats::default()).collect(),
-            recorder: OnceLock::new(),
+            recorder: Arc::new(obs::FlightRecorder::new(topology.nodes, obs::LANE_RECORDS)),
         }))
     }
 
@@ -109,16 +107,10 @@ impl Interconnect {
         &self.stats
     }
 
-    /// Attach the Lyra flight recorder. First attach wins; later calls are
-    /// ignored so re-wrapping transports can forward unconditionally.
-    pub fn attach_recorder(&self, recorder: Arc<obs::FlightRecorder>) {
-        let _ = self.recorder.set(recorder);
-    }
-
-    /// The attached Lyra recorder, if any.
+    /// The Lyra flight recorder the threads on this interconnect record to.
     #[inline]
-    pub fn recorder(&self) -> Option<&Arc<obs::FlightRecorder>> {
-        self.recorder.get()
+    pub fn recorder(&self) -> &Arc<obs::FlightRecorder> {
+        &self.recorder
     }
 
     /// Per-node traffic snapshot (who is the hotspot?).
@@ -190,13 +182,7 @@ impl Interconnect {
     /// Returns the time the last byte leaves the wire. Intra-node transfers
     /// do not touch NICs.
     fn charge_wire(&self, src: NodeId, dst: NodeId, earliest: u64, bytes: u64) -> u64 {
-        self.charge_wire_duration(src, dst, earliest, self.cost.transfer_cycles(bytes))
-    }
-
-    /// [`Self::charge_wire`] with an explicit serialization duration —
-    /// batched writes reserve one contiguous window covering the sum of
-    /// their pages' per-page transfer times.
-    fn charge_wire_duration(&self, src: NodeId, dst: NodeId, earliest: u64, dur: u64) -> u64 {
+        let dur = self.cost.transfer_cycles(bytes);
         if src == dst {
             return earliest + dur;
         }
@@ -242,50 +228,6 @@ impl Interconnect {
         let wire_done = self.charge_wire(from.node, target, now, bytes);
         VerbTiming {
             initiator_done: now + self.cost.transfer_cycles(bytes),
-            settled: wire_done + lat,
-        }
-    }
-
-    /// Home-coalesced posted write: `sizes.len()` page payloads to the same
-    /// `target`, posted with **one doorbell**. Counters tick exactly as the
-    /// equivalent sequence of [`Self::rdma_write`]s would (one write + its
-    /// bytes per page), but the wire is reserved once for the summed
-    /// serialization time and the initiator pays one
-    /// [`CostModel::batch_doorbell_cycles`] instead of per-page initiation.
-    pub fn rdma_write_batch(
-        &self,
-        from: ThreadLoc,
-        target: NodeId,
-        now: u64,
-        sizes: &[u64],
-    ) -> VerbTiming {
-        if sizes.is_empty() {
-            return VerbTiming {
-                initiator_done: now,
-                settled: now,
-            };
-        }
-        let total: u64 = sizes.iter().sum();
-        // Per-page serialization, summed: the batch saves doorbells and
-        // contention episodes, not payload bandwidth.
-        let dur: u64 = sizes.iter().map(|&b| self.cost.transfer_cycles(b)).sum();
-        self.stats
-            .rdma_writes
-            .fetch_add(sizes.len() as u64, Ordering::Relaxed);
-        self.stats.bytes_written.fetch_add(total, Ordering::Relaxed);
-        if from.node != target {
-            self.per_node[from.node.idx()]
-                .bytes_out
-                .fetch_add(total, Ordering::Relaxed);
-            let d = &self.per_node[target.idx()];
-            d.bytes_in.fetch_add(total, Ordering::Relaxed);
-            d.ops_in.fetch_add(sizes.len() as u64, Ordering::Relaxed);
-        }
-        let lat = self.propagation_to(from, target);
-        let start = now + self.cost.batch_doorbell_cycles;
-        let wire_done = self.charge_wire_duration(from.node, target, start, dur);
-        VerbTiming {
-            initiator_done: start + dur,
             settled: wire_done + lat,
         }
     }
@@ -473,33 +415,6 @@ mod tests {
             2.0,
         )
         .is_ok());
-    }
-
-    #[test]
-    fn batched_write_counts_like_singles_but_posts_once() {
-        let (net, a, _) = setup();
-        let c = *net.cost();
-        let sizes = [4096u64, 80, 1024];
-        let t = net.rdma_write_batch(a, NodeId(1), 0, &sizes);
-        // Counters match three individual writes.
-        let s = net.stats().snapshot();
-        assert_eq!(s.rdma_writes, 3);
-        assert_eq!(s.bytes_written, 4096 + 80 + 1024);
-        let per = net.per_node_stats();
-        assert_eq!(per[1].bytes_in, 4096 + 80 + 1024);
-        assert_eq!(per[1].ops_in, 3);
-        // One doorbell + summed per-page serialization for the initiator.
-        let dur: u64 = sizes.iter().map(|&b| c.transfer_cycles(b)).sum();
-        assert_eq!(t.initiator_done, c.batch_doorbell_cycles + dur);
-        assert_eq!(t.settled, c.batch_doorbell_cycles + dur + c.network_latency);
-    }
-
-    #[test]
-    fn empty_batch_is_free_and_uncounted() {
-        let (net, a, _) = setup();
-        let t = net.rdma_write_batch(a, NodeId(1), 77, &[]);
-        assert_eq!((t.initiator_done, t.settled), (77, 77));
-        assert_eq!(net.stats().snapshot().rdma_writes, 0);
     }
 
     #[test]

@@ -136,7 +136,7 @@ impl<T: Transport, C: Coherence> HierBarrier<T, C> {
     pub fn wait(&self, t: &mut T::Endpoint) {
         let node = t.node().idx();
         let obs_start = t.obs_now();
-        let span = self.dsm.mint_span(t, node as u16);
+        let span = t.lyra_lane().mint();
         let dsm = &self.dsm;
         let global = &self.global;
         self.node_barriers[node].wait_leader(t, |t| {

@@ -250,7 +250,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         // One Lyra span covers the whole helper tenure: the global-lock
         // acquire, both fences, and every verb a delegated section issues
         // link back to it in the flight-recorder timeline.
-        let span = self.dsm.mint_span(t, node as u16);
+        let span = t.lyra_lane().mint();
         t.set_span(span);
         let switched = self.global.acquire_tracked(t);
         let t1 = t.now();

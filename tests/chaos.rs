@@ -525,14 +525,14 @@ fn chaos_trace_links_retried_attempts_to_their_site_span() {
 
 /// Every fate the injector decides reaches the flight recorder — whichever
 /// verb it hit (directory atomics, notifies and write-backs included, not
-/// only the page fetches and drain batches), attributed to the protocol
-/// site that issued it. The ring is sized so nothing is dropped, which
-/// makes the count exact.
+/// only the page fetches and fence write-backs), attributed to the protocol
+/// site that issued it. The run fits in one endpoint's lane, so nothing is
+/// dropped, which makes the count exact.
 #[test]
 fn every_injected_fault_is_flight_recorded() {
     use obs::RecordKind;
     let cfg = ArgoConfig::small(2, 1);
-    let mut ccfg = CarinaConfig { lyra_ring: 1 << 14, ..CarinaConfig::default() };
+    let mut ccfg = CarinaConfig::default();
     ccfg.retry.max_attempts = [16; VerbClass::COUNT];
     let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(77));
     let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
