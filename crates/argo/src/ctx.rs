@@ -28,7 +28,7 @@ pub struct ArgoCtx<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
 
 impl<T: Transport, C: Coherence> ArgoCtx<T, C> {
     pub(crate) fn new(
-        thread: T::Endpoint,
+        mut thread: T::Endpoint,
         dsm: Arc<Dsm<T, C>>,
         barrier: Arc<HierBarrier<T, C>>,
         control: Arc<ClockBarrier>,
@@ -36,6 +36,8 @@ impl<T: Transport, C: Coherence> ArgoCtx<T, C> {
         nthreads: usize,
         config: ArgoConfig,
     ) -> Self {
+        let now = thread.obs_now();
+        thread.lyra_lane().restart(now);
         ArgoCtx {
             thread,
             dsm,
@@ -156,6 +158,8 @@ impl<T: Transport, C: Coherence> ArgoCtx<T, C> {
             dsm.net().stats().reset();
         });
         self.measure_from = self.thread.now();
+        let now = self.thread.obs_now();
+        self.thread.lyra_lane().restart(now);
     }
 
     /// Collective: decay the classification so pages re-classify to the
@@ -172,6 +176,14 @@ impl<T: Transport, C: Coherence> ArgoCtx<T, C> {
     /// Cycles of the measured section so far.
     pub fn measured_cycles(&self) -> u64 {
         self.thread.now().saturating_sub(self.measure_from)
+    }
+
+    /// Where this thread's time went in the measured section so far, by
+    /// site (restarted with it): on the simulator its
+    /// [`obs::ProfileSnapshot::total_cycles`] is [`Self::measured_cycles`].
+    pub fn time_table(&mut self) -> obs::ProfileSnapshot {
+        let now = self.thread.obs_now();
+        self.thread.lyra_lane().table(now)
     }
 
     // --- work distribution helpers ---

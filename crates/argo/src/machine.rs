@@ -9,7 +9,7 @@
 
 use crate::ctx::ArgoCtx;
 use carina::{CarinaConfig, CarinaSiSd, Coherence, CoherenceSnapshot, Dsm};
-use rma::{NativeTransport, SimTransport, Transport};
+use rma::{Endpoint, NativeTransport, SimTransport, Transport};
 use simnet::stats::NetStatsSnapshot;
 use simnet::{ClusterTopology, CostModel, Interconnect, NodeId};
 use std::sync::Arc;
@@ -86,25 +86,19 @@ pub struct RunReport<R> {
     pub coherence: CoherenceSnapshot,
     /// Network traffic during the region (including unmeasured prefix).
     pub net: NetStatsSnapshot,
-    /// Latency histograms (all nodes merged): virtual cycles on the
-    /// simulator, wall nanoseconds on the native backend.
+    /// The threads' time tables merged: per site, latency histograms and
+    /// exclusive time, plus time in no site — virtual cycles on the
+    /// simulator, wall nanoseconds on the native backend — over each
+    /// thread's measured section.
     pub profile: obs::ProfileSnapshot,
     /// Per-lock delegation statistics, in lock-registration order.
     pub locks: Vec<obs::LockObsSnapshot>,
-    /// Total read misses counted by the per-page heatmap.
-    pub heat_total: u64,
-    /// The hottest pages as `(page index, miss count)`, hottest first
-    /// (top [`HOT_PAGES`] only; ties broken by page index).
-    pub hot_pages: Vec<(usize, u64)>,
     /// Flight-recorder health: ring occupancy, drops, tail captures;
     /// non-zero `dropped` means the exported trace is partial.
     pub recorder: carina::RecorderStats,
     /// The coherence policy the region ran under (`Coherence::NAME`).
     pub policy: &'static str,
 }
-
-/// How many of the hottest pages a [`RunReport`] carries.
-pub const HOT_PAGES: usize = 8;
 
 /// An Argo cluster, generic over its RMA transport. The default transport
 /// is the virtual-time simulator; [`ArgoMachine::native`] builds the same
@@ -221,17 +215,26 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
                         let mut ctx =
                             ArgoCtx::new(thread, dsm, barrier, control, tid, total, cfg);
                         let r = f(&mut ctx);
-                        (r, ctx.measured_cycles(), tid)
+                        let (cycles, table) = (ctx.measured_cycles(), ctx.time_table());
+                        // The simulator's observability clock is its
+                        // virtual clock: there the six sites and `outside`
+                        // add up to the thread's measured cycles exactly.
+                        if ctx.thread.now() == ctx.thread.obs_now() {
+                            debug_assert_eq!(table.total_cycles(), cycles, "thread {tid}'s time");
+                        }
+                        (r, cycles, table, tid)
                     })
                     .expect("failed to spawn simulated thread"),
             );
         }
         let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
         let mut cycles = 0u64;
+        let mut profile = obs::ProfileSnapshot::default();
         for h in handles {
-            let (r, c, tid) = h.join().expect("simulated thread panicked");
+            let (r, c, table, tid) = h.join().expect("simulated thread panicked");
             results[tid] = Some(r);
             cycles = cycles.max(c);
+            profile.merge(&table);
         }
         RunReport {
             cycles,
@@ -240,10 +243,8 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
             results: results.into_iter().map(|r| r.expect("missing result")).collect(),
             coherence: self.dsm.stats().snapshot(),
             net: self.net.stats().snapshot(),
-            profile: self.dsm.profile().snapshot(),
+            profile,
             locks: self.dsm.lock_registry().snapshots(),
-            heat_total: self.dsm.page_heat().total(),
-            hot_pages: self.dsm.page_heat().top_k(HOT_PAGES),
             recorder: self.dsm.lyra().stats(),
             policy: self.dsm.policy_name(),
         }

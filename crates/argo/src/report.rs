@@ -101,20 +101,6 @@ impl<R> RunReport<R> {
                 c.verb_retries, c.verb_exhaustions
             );
         }
-        if self.heat_total > 0 {
-            let mut hot = String::new();
-            for (i, (page, n)) in self.hot_pages.iter().enumerate() {
-                if i > 0 {
-                    hot.push_str(", ");
-                }
-                let _ = write!(hot, "#{page}:{n}");
-            }
-            let _ = writeln!(
-                s,
-                "heat         : {} misses over pages; hottest {}",
-                self.heat_total, hot
-            );
-        }
         let rec = &self.recorder;
         let _ = writeln!(
             s,
@@ -176,16 +162,11 @@ impl<R> RunReport<R> {
             }
             let _ = write!(s, "\"{}\":{}", site.name(), hist_json(self.profile.get(*site)));
         }
-        s.push('}');
-        s.push_str(",\"heat\":{");
-        let _ = write!(s, "\"total\":{},\"hot_pages\":[", self.heat_total);
-        for (i, (page, misses)) in self.hot_pages.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{{\"page\":{page},\"misses\":{misses}}}");
+        s.push_str("},\"time\":{");
+        for site in obs::Site::ALL {
+            let _ = write!(s, "\"{}\":{},", site.name(), self.profile.exclusive(site));
         }
-        s.push_str("]}");
+        let _ = write!(s, "\"outside\":{}}}", self.profile.outside);
         let rec = &self.recorder;
         let _ = write!(
             s,
@@ -257,10 +238,7 @@ mod tests {
         assert!(s.contains("read misses"));
         assert!(s.contains("write-backs posted"));
         assert!(s.contains("handlers"));
-        // This workload misses across nodes, so the heatmap line renders
-        // with the hottest pages, and the recorder line is always present.
-        assert!(s.contains("heat         :"));
-        assert!(s.contains("hottest #"));
+        // The recorder line is always present.
         assert!(s.contains("recorder     :"));
         assert!(s.contains("tail captures"));
         assert!(report.headline().contains("ms virtual"));
@@ -309,14 +287,20 @@ mod tests {
         assert_eq!(coh.get("verb_retries").unwrap().as_u64(), Some(0));
         assert_eq!(coh.get("verb_exhaustions").unwrap().as_u64(), Some(0));
         assert_eq!(
-            doc.get("profile").unwrap().get("retry").unwrap().get("count").unwrap().as_u64(),
-            Some(0)
-        );
-        assert_eq!(
             doc.get("network").unwrap().get("rdma_reads").unwrap().as_u64(),
             Some(report.net.rdma_reads)
         );
         assert_eq!(doc.get("threads").unwrap().as_u64(), Some(4));
+        // The time section is the threads' time tables: on the simulator
+        // they add up to the cycles of the measured sections.
+        let time = doc.get("time").unwrap();
+        let total: u64 = obs::Site::ALL
+            .iter()
+            .map(|site| time.get(site.name()).unwrap().as_u64().unwrap())
+            .sum::<u64>()
+            + time.get("outside").unwrap().as_u64().unwrap();
+        assert_eq!(total, report.profile.total_cycles());
+        assert!(total >= report.cycles, "four threads, each measured from 0");
         // The barrier ran, so its site has samples in the profile section.
         let bw = doc.get("profile").unwrap().get("barrier_wait").unwrap();
         assert_eq!(
@@ -326,14 +310,6 @@ mod tests {
         assert!(bw.get("count").unwrap().as_u64().unwrap() >= 4);
         // No locks registered: empty but present array.
         assert!(doc.get("locks").unwrap().as_arr().unwrap().is_empty());
-        // Heatmap: total matches the snapshot, hottest-first ordering.
-        let heat = doc.get("heat").unwrap();
-        assert_eq!(heat.get("total").unwrap().as_u64(), Some(report.heat_total));
-        let hot = heat.get("hot_pages").unwrap().as_arr().unwrap();
-        assert!(!hot.is_empty(), "cross-node workload must have hot pages");
-        let misses: Vec<u64> =
-            hot.iter().map(|p| p.get("misses").unwrap().as_u64().unwrap()).collect();
-        assert!(misses.windows(2).all(|w| w[0] >= w[1]), "hot pages sorted hottest-first");
         // Flight recorder ran alongside (always on) and lost nothing here.
         let rec = doc.get("recorder").unwrap();
         assert_eq!(rec.get("submitted").unwrap().as_u64(), Some(report.recorder.submitted));

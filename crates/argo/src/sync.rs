@@ -12,6 +12,7 @@ use crate::ctx::ArgoCtx;
 use carina::{CarinaSiSd, Coherence, Dsm};
 use rma::{Endpoint, SimTransport, Transport};
 use simnet::NodeId;
+use std::convert::Infallible;
 use std::sync::Arc;
 use vela::DsmGlobalLock;
 
@@ -53,16 +54,12 @@ impl<T: Transport, C: Coherence> ArgoMutex<T, C> {
     /// [`Dsm::acquire_fence`]).
     pub fn lock(&self, ctx: &mut ArgoCtx<T, C>) -> ArgoMutexGuard<'_, T, C> {
         let t = &mut ctx.thread;
-        let me = t.node().0;
-        let obs_start = t.obs_now();
-        let span = t.lyra_lane().mint();
-        t.set_span(span);
-        let switched = self.lock.acquire_tracked(t);
-        let dur = t.obs_now().saturating_sub(obs_start);
-        self.obs.acquire.record(dur);
-        self.dsm
-            .record_site(t, me, obs::Site::LockAcquire, span, obs_start, dur, 0);
-        t.set_span(rma::SpanId::NONE);
+        let Ok(switched) = self.dsm.site(t, obs::Site::LockAcquire, 0, |t, _| {
+            let start = t.obs_now();
+            let switched = self.lock.acquire_tracked(t);
+            self.obs.acquire.record(t.obs_now() - start);
+            Ok::<_, Infallible>(switched)
+        });
         if switched {
             obs::LockObs::bump(&self.obs.handovers);
         }

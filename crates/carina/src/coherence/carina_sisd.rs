@@ -229,10 +229,6 @@ impl Coherence for CarinaSiSd {
         self.mode != ClassificationMode::PsNaive
     }
 
-    fn census_view(&self, page: PageNum) -> DirView {
-        self.home_view(page)
-    }
-
     fn invariant_problems(
         &self,
         node: u16,
@@ -417,7 +413,7 @@ mod tests {
         assert_eq!(c.home_view(PageNum(5)), DirView::default());
         c.reset_all();
         assert!(!c.read_registered(0, 1, PageNum(1)));
-        assert_eq!(c.census_view(PageNum(1)), DirView::default());
+        assert_eq!(c.home_view(PageNum(1)), DirView::default());
         let zero = |words: &[DirWords]| words.iter().flatten().all(|w| w.load(Relaxed) == 0);
         assert!(zero(&c.home));
         assert!(c.dir_caches.touched().flatten().all(|w| w.load(Relaxed) == 0));

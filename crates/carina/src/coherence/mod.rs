@@ -48,7 +48,6 @@ pub use carina_sisd::CarinaSiSd;
 pub use pyxis::Pyxis;
 pub use tardis::Tardis;
 
-use crate::classification::DirView;
 use crate::config::CarinaConfig;
 use crate::stats::StatShard;
 use mem::PageNum;
@@ -159,12 +158,13 @@ impl PageBitSet {
 #[derive(Debug, Default)]
 pub struct RegisterOutcome {
     /// Nodes whose directory caches this registration must update remotely
-    /// (the passive notification mechanism), as a node map like
-    /// [`DirView`]'s: a node appears once however many transitions name
-    /// it. The engine posts one notification verb per bit; the metadata
-    /// itself was already deposited by the policy (host-side, like the
-    /// real one-sided write). Never the registering node, never the
-    /// page's home: the home does not cache its own pages.
+    /// (the passive notification mechanism), as a node map like a
+    /// [`DirView`](crate::classification::DirView)'s: a node appears once
+    /// however many transitions name it. The engine posts one notification
+    /// verb per bit; the metadata itself was already deposited by the
+    /// policy (host-side, like the real one-sided write). Never the
+    /// registering node, never the page's home: the home does not cache
+    /// its own pages.
     pub(crate) notify: u128,
     /// Service this fill from `owner`'s checkpoint with one extra page
     /// fetch (the naïve P/S scheme's P→S obligation, §3.4.2). Never the
@@ -191,9 +191,8 @@ impl RegisterOutcome {
     }
 }
 
-/// Which protocol family governs a page right now — the census's per-page
-/// mode column. Single-protocol policies answer uniformly; [`Pyxis`]
-/// answers per page.
+/// Which protocol family governs a page right now. Single-protocol
+/// policies answer uniformly; [`Pyxis`] answers per page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PageMode {
     /// SI/SD classification: Table 1 fence predicates over the sharer maps.
@@ -201,15 +200,6 @@ pub enum PageMode {
     Classify,
     /// Timestamp leases: expiry against the acquirer's logical clock.
     Lease,
-}
-
-impl PageMode {
-    pub(crate) fn name(self) -> &'static str {
-        match self {
-            PageMode::Classify => "si/sd",
-            PageMode::Lease => "lease",
-        }
-    }
 }
 
 /// A coherence policy: every protocol *decision* point of the engine.
@@ -327,13 +317,8 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
 
     // --- diagnostics & invariants -----------------------------------
 
-    /// A best-effort accessor view of `page` for the census and tests.
-    /// Authoritative under [`CarinaSiSd`]; synthesized from grant state
-    /// under timestamp policies (documented per policy).
-    fn census_view(&self, page: PageNum) -> DirView;
-
-    /// The protocol family currently governing `page` (the census's mode
-    /// column). Static for single-protocol policies, per page for hybrids.
+    /// The protocol family currently governing `page`. Static for
+    /// single-protocol policies, per page for hybrids.
     fn page_mode(&self, _page: PageNum) -> PageMode {
         PageMode::Classify
     }

@@ -60,7 +60,7 @@
 //! view can keep stale data alive across a switch.
 
 use super::{page_table, CarinaSiSd, Coherence, NodePageTable, PageMode, RegisterOutcome, Tardis};
-use crate::classification::{node_bit, DirView};
+use crate::classification::node_bit;
 use crate::config::CarinaConfig;
 use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
@@ -349,11 +349,6 @@ impl Coherence for Pyxis {
         // Lease-mode pages always buffer (as under Tardis); classify-mode
         // ones follow SI/SD, whose naïve P/S mode exempts privates.
         self.sisd.buffers_every_dirty_page()
-    }
-
-    fn census_view(&self, page: PageNum) -> DirView {
-        // Authoritative: the full maps are maintained in both modes.
-        self.sisd.census_view(page)
     }
 
     fn page_mode(&self, page: PageNum) -> PageMode {

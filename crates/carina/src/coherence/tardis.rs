@@ -98,7 +98,7 @@
 use super::{
     lease_clock, page_table, Coherence, NodePageTable, PageBitSet, PageMode, RegisterOutcome,
 };
-use crate::classification::{node_bit, DirView};
+use crate::classification::node_bit;
 use crate::config::CarinaConfig;
 use crate::directory::{DirEntry, DirWords};
 use crate::stats::{CoherenceStats, StatShard};
@@ -142,9 +142,9 @@ pub struct Tardis {
     /// Per page: current lease length (adaptive, see module docs; 0 reads
     /// as the initial lease, `lease_clock::length`).
     lease: mem::Arena<AtomicU64>,
-    /// Per page: diagnostic accessor maps for the census and invariant
-    /// checks. Never consulted by a protocol decision — Tardis's whole
-    /// point is that it needs no sharer bitmap.
+    /// Per page: the writers on record, for the invariant checks. Never
+    /// consulted by a protocol decision — Tardis's whole point is that it
+    /// needs no sharer bitmap.
     diag: mem::Arena<DirWords>,
     nodes: Vec<NodeClock>,
     /// Per node, per page: the granted `rts` (valid where `granted` is set).
@@ -279,7 +279,6 @@ impl Coherence for Tardis {
         } else {
             nc.granted.set(page);
         }
-        self.diag(page).or_readers(node_bit(me));
         RegisterOutcome::quiet()
     }
 
@@ -393,13 +392,6 @@ impl Coherence for Tardis {
 
     fn page_mode(&self, _page: PageNum) -> PageMode {
         PageMode::Lease
-    }
-
-    fn census_view(&self, page: PageNum) -> DirView {
-        // Diagnostic maps only (home reads take no lease and writers are
-        // recorded at bump time); good enough for the census's heat and
-        // sharing reports, never used for a protocol decision.
-        self.diag(page).view()
     }
 
     fn invariant_problems(

@@ -26,7 +26,6 @@
 
 #![forbid(unsafe_code)]
 
-mod census;
 pub mod classification;
 mod coherence;
 pub mod config;

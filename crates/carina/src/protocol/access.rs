@@ -223,7 +223,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         me: u16,
     ) -> Result<bool, DsmError> {
         let idx = self.nodes[me as usize].cache.index_in_line(page);
-        self.site(t, me, obs::Site::WriteFault, page.0, |t, _| {
+        self.site(t, obs::Site::WriteFault, page.0, |t, _| {
             CoherenceStats::bump(&self.stats.shard(me).write_faults);
             t.fault_trap();
             self.register_writer(t, page, me)?;

@@ -1,6 +1,6 @@
 //! Inspection surfaces that sit beside the protocol rather than on it: the
 //! invariant checker, uncharged `peek`/`poke` of home memory, directory
-//! views for the census and tests, and the live metrics exposition.
+//! views for tests, and the live metrics exposition.
 
 use super::*;
 use crate::classification::DirView;
@@ -94,18 +94,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             .store(addr.word_index(), value)
     }
 
-    /// The policy's accessor view for `page` (census walks). Authoritative
-    /// under SI/SD; diagnostic under timestamp policies.
-    pub(crate) fn home_dir_view_of_page(&self, page: PageNum) -> DirView {
-        self.coherence.census_view(page)
-    }
-
-    /// Which protocol currently governs `page` (census walks). Fixed for
-    /// the pure policies; per-page under the Pyxis hybrid.
-    pub(crate) fn page_mode_of(&self, page: PageNum) -> PageMode {
-        self.coherence.page_mode(page)
-    }
-
     /// A live metrics exposition: every coherence counter, recorder
     /// health, and per-site latency summaries, pollable mid-run on either
     /// backend. Render with [`obs::MetricsSnapshot::to_prometheus`] or
@@ -116,7 +104,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         for (name, value) in self.stats.snapshot().fields() {
             m.counter(&format!("carina_{name}"), &policy, value);
         }
-        m.counter("carina_heat_total_misses", &[], self.heat.total());
         let rs = self.lyra.stats();
         m.counter("lyra_records_submitted", &[], rs.submitted);
         m.counter("lyra_records_dropped", &[], rs.dropped);
@@ -127,7 +114,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             &[],
             if rs.enabled { 1.0 } else { 0.0 },
         );
-        let prof = self.profile.snapshot();
+        let prof = self.lyra.profile();
         for site in obs::Site::ALL {
             let h = prof.get(site);
             if h.is_empty() {

@@ -232,10 +232,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
         }
         self.settle_posted(t, me, &done);
-        if inflight.len() > 1 {
-            let waited = t.obs_now().saturating_sub(obs_issue);
-            self.profile.record(me as usize, obs::Site::IssueToPoll, waited);
-        }
         failed.map_or(Ok(()), Err)
     }
 }

@@ -45,7 +45,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let shard = self.stats.shard(me);
         let before = watch.map(|kind| policy_events(shard, kind));
         let start = t.obs_now();
-        let span = self.site(t, me, site, 0, |t, span| body(t).map(|()| span))?;
+        let span = self.site(t, site, 0, |t, span| body(t).map(|()| span))?;
         let dur = t.obs_now().saturating_sub(start);
         for (kind, was) in watch.into_iter().zip(before) {
             let caused = policy_events(shard, kind).saturating_sub(was);
@@ -252,8 +252,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         self.coherence.reset_all();
         self.stats.reset();
-        self.profile.reset();
-        self.heat.reset();
         self.lock_obs.reset();
         self.lyra.reset();
     }

@@ -33,7 +33,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         overwrite: bool,
     ) -> Result<(), DsmError> {
         debug_assert_ne!(self.global.home_of(page), me, "a page is never cached on its home");
-        self.site(t, me, obs::Site::ReadMiss, page.0, |t, _| {
+        self.site(t, obs::Site::ReadMiss, page.0, |t, _| {
             self.fill_line(t, st, page, overwrite)
         })
     }
@@ -48,7 +48,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     ) -> Result<(), DsmError> {
         let me = t.node().0;
         CoherenceStats::bump(&self.stats.shard(me).read_misses);
-        self.heat.bump(page.0 as usize);
         t.fault_trap();
         let ns = &self.nodes[me as usize];
         let line = ns.cache.line_of(page);
@@ -122,7 +121,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         // Poll phase: completions fold in as a single max, so the line fill
         // costs one slowest-home round trip rather than the sum.
-        let overlapped = inflight.len() > 1;
         for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
             // The fill is ready once both the data and the registrations are.
             done = done.max(reg_done);
@@ -154,13 +152,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         t.merge(done);
         st.set_ready(t.now());
-        if overlapped {
-            self.profile.record(
-                me as usize,
-                obs::Site::IssueToPoll,
-                t.obs_now().saturating_sub(obs_issue),
-            );
-        }
         if refill_due {
             self.refill(t, page, me)?;
         }

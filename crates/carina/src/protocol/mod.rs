@@ -118,14 +118,8 @@ pub struct Dsm<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     net: Arc<T>,
     config: CarinaConfig,
     stats: CoherenceStats,
-    /// Latency histograms for the protocol slow paths (always on; recording
-    /// is two relaxed adds and the hit paths never touch it).
-    profile: obs::LatencyProfile,
     /// Per-lock HQDL statistics; Vela locks register themselves here.
     lock_obs: obs::LockRegistry,
-    /// Per-page read-miss counters feeding [`Dsm::census`]'s hottest-pages
-    /// report.
-    heat: obs::PageHeat,
     /// The Lyra flight recorder `net` owns: every endpoint's lane of the
     /// last N verb records, and tail captures. Always on; purely passive
     /// (it reads the observability clock and writes side tables nothing on
@@ -159,9 +153,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             net,
             config,
             stats: CoherenceStats::new(n),
-            profile: obs::LatencyProfile::new(n),
             lock_obs: obs::LockRegistry::new(),
-            heat: obs::PageHeat::new(total_pages as usize),
             lyra,
             nodes: (0..n)
                 .map(|_| NodeState {
@@ -197,24 +189,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         &self.stats
     }
 
-    /// The protocol's latency histograms (read-miss service, faults,
-    /// fences; locks and barriers record into it from Vela).
-    #[inline]
-    pub fn profile(&self) -> &obs::LatencyProfile {
-        &self.profile
-    }
-
     /// Registry of per-lock HQDL statistics. Vela locks register here at
     /// construction; run reports collect the snapshots.
     #[inline]
     pub fn lock_registry(&self) -> &obs::LockRegistry {
         &self.lock_obs
-    }
-
-    /// Per-page read-miss counters (the census's heat source).
-    #[inline]
-    pub fn page_heat(&self) -> &obs::PageHeat {
-        &self.heat
     }
 
     /// The Lyra flight recorder — the engine's only event path: the lanes
@@ -233,12 +212,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     #[inline]
     pub fn total_bytes(&self) -> u64 {
         self.global.total_bytes()
-    }
-
-    /// Total pages in the global address space.
-    #[inline]
-    pub(crate) fn total_pages(&self) -> u64 {
-        self.global.total_pages()
     }
 
     /// Home node of the page containing `addr`.

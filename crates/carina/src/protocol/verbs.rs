@@ -6,7 +6,7 @@ use super::*;
 use rma::{Attempt, AttemptSeq, Retried, RetryExhausted};
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
-    /// Fold a retry outcome into the stats, profile, and `t`'s lane, and
+    /// Fold a retry outcome into the stats and `t`'s lane, and
     /// translate an exhausted budget into a [`DsmError`] naming the route.
     /// Every remote verb site funnels through here; on a healthy fabric the
     /// zero-retry arm is the only one ever taken and records nothing. The
@@ -40,7 +40,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             Ok(Retried { value, retries: 0, .. }) => Ok(value),
             Ok(Retried { value, retries, delay }) => {
                 CoherenceStats::add(&self.stats.shard(me).verb_retries, retries as u64);
-                self.profile.record(me as usize, obs::Site::Retry, delay);
                 record(delay, retries, obs::RecordKind::VerbRetry, obs::Fate::Ok, obs::NO_CLASS);
                 Ok(value)
             }
@@ -50,7 +49,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                     &self.stats.shard(me).verb_retries,
                     e.attempts.saturating_sub(1) as u64,
                 );
-                self.profile.record(me as usize, obs::Site::Retry, e.delay);
                 let (kind, fate) = (obs::RecordKind::VerbExhausted, obs::Fate::Exhausted);
                 record(e.delay, e.attempts, kind, fate, e.class as u8);
                 Err(DsmError::new(e, me, target))
@@ -117,7 +115,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                         kind: obs::RecordKind::VerbPoll,
                         ..rec
                     });
-                    // Stats/profile only: each reissue already produced its
+                    // Stats only: each reissue already produced its
                     // own `VerbRetry` flight record above, so funneling
                     // through `verb_retried` would double-record it.
                     if attempt.index > 0 {
@@ -125,7 +123,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                             &self.stats.shard(me).verb_retries,
                             attempt.index as u64,
                         );
-                        self.profile.record(me as usize, obs::Site::Retry, attempt.delay);
                     }
                     return Ok(c);
                 }
@@ -202,65 +199,51 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         self.await_at_fence(me, timing);
     }
 
-    /// Fold one completed protocol site into every observability surface:
-    /// the latency histogram, a `Site` flight record carrying the span
-    /// (`arg` is the page for the per-page sites, 0 otherwise), and — when
-    /// the latency crosses `lyra_tail_threshold` — a tail capture of the
-    /// node's lanes around the offender. Public because the synchronization
-    /// layer (Vela locks/barriers) funnels its own sites through the same
-    /// path.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_site(
+    /// The one site scope, and the only timer: run `body` as protocol
+    /// site `site` on `t` under a freshly minted span (`arg` is the page
+    /// for the per-page sites, 0 otherwise). Through `t`'s lane
+    /// ([`obs::Lane::open`]/[`obs::Lane::close`]), the time before the
+    /// scope goes to the enclosing site (or `outside`), the body's time
+    /// less any nested scope's to `site`, and on **every** exit the span
+    /// and site the scope found are reattached — so a body bailing out
+    /// with `?` cannot leak its span onto what `t` does next, and a nested
+    /// fence or miss hands its caller's span back. A completed body also
+    /// lands in the site's latency histogram, as a `Site` flight record
+    /// carrying the span, and — when the latency crosses
+    /// `lyra_tail_threshold` — as a tail capture of the node's lanes
+    /// around the offender. Public because the synchronization layer
+    /// (Vela locks and barriers, Argo's mutex) times its sites here too.
+    pub fn site<R, E>(
         &self,
         t: &mut T::Endpoint,
-        me: u16,
-        site: obs::Site,
-        span: obs::SpanId,
-        start: u64,
-        dur: u64,
-        arg: u64,
-    ) {
-        self.profile.record(me as usize, site, dur);
-        t.lyra_lane().record(|| obs::VerbRecord {
-            span,
-            start,
-            dur,
-            arg,
-            node: me,
-            kind: obs::RecordKind::Site,
-            site: site.index() as u8,
-            ..obs::VerbRecord::blank()
-        });
-        let threshold = self.config.lyra_tail_threshold;
-        if threshold > 0 && dur >= threshold {
-            self.lyra.capture_tail(me as usize, site.index() as u8, span, start, dur);
-        }
-    }
-
-    /// The one site scope: run `body` as protocol site `site` of node `me`
-    /// under a freshly minted span. The span is attached to `t` for exactly
-    /// the body's duration — detached on **every** exit, so a body bailing
-    /// out with `?` cannot leak it onto what `t` does next — and a
-    /// completed body is folded into the observability surfaces by
-    /// [`Self::record_site`].
-    pub(super) fn site<R>(
-        &self,
-        t: &mut T::Endpoint,
-        me: u16,
         site: obs::Site,
         arg: u64,
-        body: impl FnOnce(&mut T::Endpoint, obs::SpanId) -> Result<R, DsmError>,
-    ) -> Result<R, DsmError> {
+        body: impl FnOnce(&mut T::Endpoint, obs::SpanId) -> Result<R, E>,
+    ) -> Result<R, E> {
         let start = t.obs_now();
-        let span = t.lyra_lane().mint();
-        t.set_span(span);
+        let scope = t.lyra_lane().open(site, start);
+        let span = scope.span;
         let result = body(t, span);
+        let end = t.obs_now();
+        let lane = t.lyra_lane();
+        lane.close(scope, end, result.is_ok());
         if result.is_ok() {
-            let dur = t.obs_now().saturating_sub(start);
-            self.record_site(t, me, site, span, start, dur, arg);
+            let (node, dur) = (lane.node(), end - start);
+            lane.record(|| obs::VerbRecord {
+                span,
+                start,
+                dur,
+                arg,
+                node: node as u16,
+                kind: obs::RecordKind::Site,
+                site: site.index() as u8,
+                ..obs::VerbRecord::blank()
+            });
+            let threshold = self.config.lyra_tail_threshold;
+            if threshold > 0 && dur >= threshold {
+                self.lyra.capture_tail(node, site.index() as u8, span, start, dur);
+            }
         }
-        t.set_span(obs::SpanId::NONE);
         result
     }
 

@@ -9,7 +9,7 @@ use carina::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES};
 use carina::{CarinaConfig, Dsm};
 use mem::{GlobalAddr, PAGE_BYTES};
 use obs::{JsonValue, RecordKind, Site, VerbRecord};
-use rma::{ClusterTopology, CostModel, NativeTransport, NodeId, SimTransport, Transport};
+use rma::{ClusterTopology, CostModel, Endpoint, NativeTransport, NodeId, SimTransport, Transport};
 use std::sync::Arc;
 
 type SimEndpoint = <SimTransport as Transport>::Endpoint;
@@ -144,9 +144,9 @@ fn trace_drops_are_surfaced_not_hidden() {
     assert_eq!(other.get("submitted").unwrap().as_u64(), Some(stats.submitted));
 }
 
-/// The hit fast paths must not touch the latency profile, the heat
-/// counters, or the flight recorder: misses and faults are the only
-/// recorded accesses, even with detail on.
+/// The hit fast paths must not touch the lanes' time tables or the flight
+/// recorder: misses and faults are the only recorded accesses, even with
+/// detail on.
 #[test]
 fn hit_fast_paths_record_nothing() {
     let (dsm, mut ts) = cluster(2);
@@ -156,12 +156,10 @@ fn hit_fast_paths_record_nothing() {
     dsm.read_u64(a, addr); // one miss
     dsm.write_u64(a, addr, 1); // one write fault
 
-    let profile = dsm.profile().snapshot();
-    let heat = dsm.page_heat().total();
+    let profile = dsm.lyra().profile();
     let submitted = dsm.lyra().stats().submitted;
     assert_eq!(profile.get(Site::ReadMiss).count(), 1);
     assert_eq!(profile.get(Site::WriteFault).count(), 1);
-    assert_eq!(heat, 1);
     assert!(submitted > 0);
 
     for i in 0..10_000 {
@@ -169,11 +167,32 @@ fn hit_fast_paths_record_nothing() {
         dsm.write_u64(a, addr, i);
     }
 
-    assert_eq!(dsm.profile().snapshot(), profile);
-    assert_eq!(dsm.page_heat().total(), heat);
+    assert_eq!(dsm.lyra().profile(), profile);
     assert_eq!(dsm.lyra().stats().submitted, submitted);
     assert_eq!(dsm.stats().snapshot().read_hits, 10_000);
     assert_eq!(dsm.stats().snapshot().write_hits, 10_000);
+}
+
+/// A fence or a miss run under a caller's span (a barrier's, a lock
+/// tenure's) times itself under a span of its own and hands the caller's
+/// back when it returns.
+#[test]
+fn fences_and_misses_hand_their_callers_span_back() {
+    let (dsm, mut ts) = cluster(2);
+    let a = &mut ts[0];
+    let span = a.lyra_lane().mint();
+    assert!(!span.is_none());
+    a.set_span(span);
+    dsm.si_fence(a);
+    assert_eq!(a.current_span(), span, "after the SI fence");
+    dsm.sd_fence(a);
+    assert_eq!(a.current_span(), span, "after the SD fence");
+    let addr = GlobalAddr(PAGE_BYTES); // odd page: interleaved home = node 1
+    assert_eq!(dsm.home_of(addr), 1);
+    let misses = dsm.stats().snapshot().read_misses;
+    dsm.read_u64(a, addr);
+    assert_eq!(dsm.stats().snapshot().read_misses, misses + 1, "a real miss");
+    assert_eq!(a.current_span(), span, "after the read miss");
 }
 
 /// What the always-on ring records of the tour with detail off: 16 site

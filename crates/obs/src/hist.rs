@@ -59,9 +59,14 @@ impl Histogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Total samples recorded so far (relaxed; exact after joins).
-    pub fn count(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+    /// [`Self::record`] for a histogram with a single writer: the same
+    /// two counters, each bumped by a plain load and store. Concurrent
+    /// writers would lose samples.
+    #[inline]
+    pub fn record_owned(&self, value: u64) {
+        for (cell, by) in [(&self.counts[bucket_of(value)], 1), (&self.sum, value)] {
+            cell.store(cell.load(Ordering::Relaxed) + by, Ordering::Relaxed);
+        }
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
@@ -167,29 +172,6 @@ impl HistogramSnapshot {
             self.percentile(99.0),
             self.max_edge()
         )
-    }
-
-    /// Multi-line bar rendering of the non-empty bucket range.
-    pub fn render_bars(&self) -> String {
-        let total = self.count();
-        if total == 0 {
-            return "  (empty)\n".to_string();
-        }
-        let lo = self.counts.iter().position(|&c| c > 0).unwrap_or(0);
-        let hi = self.counts.iter().rposition(|&c| c > 0).unwrap_or(0);
-        let peak = *self.counts[lo..=hi].iter().max().unwrap_or(&1);
-        let mut s = String::new();
-        for k in lo..=hi {
-            let c = self.counts[k];
-            let bar = "#".repeat(((c * 40) / peak.max(1)) as usize);
-            s.push_str(&format!(
-                "  <=2^{:<2} {:>10}  {}\n",
-                if k == 0 { 0 } else { k },
-                c,
-                bar
-            ));
-        }
-        s
     }
 }
 

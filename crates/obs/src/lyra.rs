@@ -29,7 +29,7 @@
 //! bit-identical with it enabled.
 
 use crate::json::escape;
-use crate::profile::Site;
+use crate::profile::{ProfileSnapshot, Site, SiteTable};
 use crate::span::SpanId;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -287,11 +287,11 @@ impl Slot {
     }
 }
 
-/// One lane's ring. It has a **single writer** (the owning [`Lane`]), so
-/// the whole `push` is plain stores, with no read-modify-write. Tickets are
-/// encoded in the slot seqs so snapshots recover push order, and
-/// `span_next` lives here (not on the handle) so span ids stay unique when
-/// a recycled ring gets a new owner.
+/// One lane's ring and time table. It has a **single writer** (the owning
+/// [`Lane`]), so the whole `push` is plain stores, with no
+/// read-modify-write. Tickets are encoded in the slot seqs so snapshots
+/// recover push order, and `span_next` lives here (not on the handle) so
+/// span ids stay unique when a recycled ring gets a new owner.
 struct LaneRing {
     node: u32,
     /// Per-node registration index; tags the span ids this lane mints.
@@ -303,6 +303,8 @@ struct LaneRing {
     slots: Box<[Slot]>,
     /// Next span sequence (1-based). Owner-only writes, like `head`.
     span_next: AtomicU64,
+    /// The owner's time by site; kept whether or not recording is on.
+    table: SiteTable,
 }
 
 impl LaneRing {
@@ -314,6 +316,7 @@ impl LaneRing {
             mask: capacity - 1,
             slots: (0..capacity).map(|_| Slot::new()).collect(),
             span_next: AtomicU64::new(1),
+            table: SiteTable::default(),
         }
     }
 
@@ -382,6 +385,7 @@ impl LaneRing {
         for slot in self.slots.iter() {
             slot.seq.store(0, Ordering::Relaxed);
         }
+        self.table.reset();
     }
 }
 
@@ -410,6 +414,11 @@ impl std::fmt::Debug for LaneSet {
 /// serving ([`Lane::set_span`]) lives here too. Snapshots and exports merge
 /// a node's lanes into one timeline.
 ///
+/// The lane also times its owner: [`Lane::open`] and [`Lane::close`]
+/// bracket each protocol [`Site`], and every interval of the owner's clock
+/// between two of those calls is charged to the innermost open site or to
+/// `outside` (see [`crate::profile`]).
+///
 /// **Cloning registers a sibling lane** (two owners may never share one)
 /// that starts under the same span; dropping returns the ring to the
 /// node's free list so short-lived endpoints don't grow memory without
@@ -419,6 +428,23 @@ pub struct Lane {
     fr: Arc<FlightRecorder>,
     ring: Arc<LaneRing>,
     span: SpanId,
+    /// The site whose scope is innermost open, if any.
+    open: Option<Site>,
+    /// The clock reading the table is charged up to.
+    mark: u64,
+}
+
+/// A site scope open on a [`Lane`]: what it times, and the site and span
+/// it interrupted, which [`Lane::close`] reopens.
+#[must_use = "a scope is closed with Lane::close"]
+#[derive(Debug)]
+pub struct Scope {
+    /// The span minted for the scope and attached while it is open.
+    pub span: SpanId,
+    site: Site,
+    /// The clock reading it opened at.
+    start: u64,
+    outer: (Option<Site>, SpanId),
 }
 
 impl Lane {
@@ -466,6 +492,57 @@ impl Lane {
         }
         let rec = make();
         self.ring.push(&rec);
+    }
+
+    /// Charge the clock up to `now` to the innermost open site, or to
+    /// `outside`.
+    #[inline]
+    fn charge(&mut self, now: u64) {
+        debug_assert!(now >= self.mark, "a lane's clock ran backwards");
+        self.ring.table.charge(self.open, now.saturating_sub(self.mark));
+        self.mark = self.mark.max(now);
+    }
+
+    /// Open a scope of `site` at clock reading `now`: the time since the
+    /// last charge goes to the scope that was open (or `outside`), and a
+    /// freshly minted span is attached until the scope closes.
+    #[inline]
+    pub fn open(&mut self, site: Site, now: u64) -> Scope {
+        self.charge(now);
+        let outer = (self.open.replace(site), self.span);
+        self.span = self.mint();
+        Scope { site, span: self.span, start: now, outer }
+    }
+
+    /// Close `scope`, the innermost open one, at `now`: its last interval
+    /// goes to its exclusive cycles, the site and span it interrupted are
+    /// reopened, and — if it `completed` — its inclusive latency lands in
+    /// the site's histogram.
+    #[inline]
+    pub fn close(&mut self, scope: Scope, now: u64, completed: bool) {
+        debug_assert_eq!(self.open, Some(scope.site), "scopes close innermost first");
+        self.charge(now);
+        (self.open, self.span) = scope.outer;
+        if completed {
+            self.ring.table.record(scope.site, now.saturating_sub(scope.start));
+        }
+    }
+
+    /// Zero this lane's table and start charging it at `now`, with no
+    /// site open.
+    pub fn restart(&mut self, now: u64) {
+        self.ring.table.reset();
+        (self.open, self.mark) = (None, now);
+    }
+
+    /// This lane's table, charged up to `now`. Since the last
+    /// [`Lane::restart`] at `t0`, its [`ProfileSnapshot::total_cycles`] is
+    /// `now - t0`.
+    pub fn table(&mut self, now: u64) -> ProfileSnapshot {
+        self.charge(now);
+        let mut snap = ProfileSnapshot::default();
+        self.ring.table.merge_into(&mut snap);
+        snap
     }
 }
 
@@ -585,7 +662,7 @@ impl FlightRecorder {
             ring
         });
         drop(set);
-        Lane { fr: fr.clone(), ring, span: SpanId::NONE }
+        Lane { fr: fr.clone(), ring, span: SpanId::NONE, open: None, mark: 0 }
     }
 
     #[inline]
@@ -669,8 +746,20 @@ impl FlightRecorder {
         }
     }
 
-    /// Clear every lane, span mint and tail capture (between parallel
-    /// sections, alongside the other stats resets).
+    /// Every lane's time table merged — registered lanes, recycled or
+    /// not — each charged up to its owner's last scope boundary.
+    pub fn profile(&self) -> ProfileSnapshot {
+        let mut snap = ProfileSnapshot::default();
+        for lanes in self.lanes.iter() {
+            for ring in lock(lanes).all.iter() {
+                ring.table.merge_into(&mut snap);
+            }
+        }
+        snap
+    }
+
+    /// Clear every lane, time table, span mint and tail capture (between
+    /// parallel sections, alongside the other stats resets).
     pub fn reset(&self) {
         for lanes in self.lanes.iter() {
             for ring in lock(lanes).all.iter() {

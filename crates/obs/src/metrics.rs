@@ -1,8 +1,8 @@
 //! [`MetricsSnapshot`]: a point-in-time, schema-free metrics exposition.
 //!
 //! The DSM fills one of these from its lock-free counters (coherence
-//! stats, network stats, site histograms, recorder drop counters, page
-//! heat) at any moment mid-run — every source is relaxed-atomic, so
+//! stats, network stats, site histograms, recorder drop counters) at any
+//! moment mid-run — every source is relaxed-atomic, so
 //! snapshotting never blocks a protocol thread — and the snapshot renders
 //! itself two ways: Prometheus text exposition format (for scraping) and
 //! the in-tree JSON (for programmatic polling). Units follow the

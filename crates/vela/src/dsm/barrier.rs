@@ -12,6 +12,7 @@
 use carina::{CarinaSiSd, Coherence, Dsm, Published};
 use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 struct BarrierState {
@@ -135,28 +136,20 @@ impl<T: Transport, C: Coherence> HierBarrier<T, C> {
     /// the barrier (on any thread) is visible to every read after it.
     pub fn wait(&self, t: &mut T::Endpoint) {
         let node = t.node().idx();
-        let obs_start = t.obs_now();
-        let span = t.lyra_lane().mint();
-        let dsm = &self.dsm;
-        let global = &self.global;
-        self.node_barriers[node].wait_leader(t, |t| {
-            // The global rendezvous departs no earlier than every leader's
-            // write-backs settle; no leader waits for its own.
-            let stamp = dsm.publish(t);
-            global.wait_published(t, stamp);
-            dsm.si_fence(t);
-        });
+        let (dsm, global) = (&self.dsm, &self.global);
         // The whole episode — local rendezvous, leader fences, global
-        // rendezvous — counts as barrier wait for this thread.
-        self.dsm.record_site(
-            t,
-            node as u16,
-            obs::Site::BarrierWait,
-            span,
-            obs_start,
-            t.obs_now().saturating_sub(obs_start),
-            0,
-        );
+        // rendezvous — is this thread's barrier wait; the leader's fences
+        // are their own sites inside it.
+        let Ok(()) = dsm.site(t, obs::Site::BarrierWait, 0, |t, _| {
+            self.node_barriers[node].wait_leader(t, |t| {
+                // The global rendezvous departs no earlier than every
+                // leader's write-backs settle; no leader waits for its own.
+                let stamp = dsm.publish(t);
+                global.wait_published(t, stamp);
+                dsm.si_fence(t);
+            });
+            Ok::<(), Infallible>(())
+        });
     }
 }
 
@@ -263,8 +256,34 @@ mod tests {
         let mut t = thread(&net, 0, 0);
         barrier.wait(&mut t);
         barrier.wait(&mut t);
-        let prof = dsm.profile().snapshot();
+        let prof = dsm.lyra().profile();
         assert_eq!(prof.get(obs::Site::BarrierWait).count(), 2);
+    }
+
+    /// The leader's two fences are sites of their own inside its barrier
+    /// wait: their exclusive cycles and the barrier's add up to the wait.
+    #[test]
+    fn a_leaders_fences_are_carved_out_of_its_barrier_wait() {
+        use obs::Site;
+        let net = tiny_net(2);
+        let dsm = carina::Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
+        let addr = GlobalAddr(3 * PAGE_BYTES);
+        assert_eq!(dsm.home_of(addr), 1, "the write-back must cross the network");
+        let barrier = HierBarrier::new(dsm.clone(), &[1, 0]);
+        let mut t = thread(&net, 0, 0);
+        dsm.write_u64(&mut t, addr, 7);
+        let now = t.now();
+        t.lyra_lane().restart(now);
+        barrier.wait(&mut t);
+        let now = t.now();
+        let table = t.lyra_lane().table(now);
+        let wait = table.get(Site::BarrierWait);
+        assert_eq!(wait.count(), 1);
+        let fences = table.exclusive(Site::SdFence) + table.exclusive(Site::SiFence);
+        assert!(table.exclusive(Site::SdFence) > 0, "the fence drained a write-back");
+        assert_eq!(table.exclusive(Site::BarrierWait) + fences, wait.sum);
+        assert_eq!((table.get(Site::SdFence).count(), table.get(Site::SiFence).count()), (1, 1));
+        assert_eq!(table.total_cycles(), wait.sum, "nothing ran outside the barrier");
     }
 
     #[test]

@@ -34,6 +34,7 @@ use parking_lot::RawMutex;
 use rma::{Endpoint, SimTransport, Transport};
 use simnet::NodeId;
 use std::cell::UnsafeCell;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -67,22 +68,6 @@ struct NodeQueue<T: Transport> {
     helper: RawMutex,
 }
 
-/// Statistics of an [`Hqdl`] lock.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HqdlStats {
-    pub sections_executed: u64,
-    pub batches: u64,
-    /// Virtual cycles helpers spent acquiring the global lock (incl.
-    /// waiting for other nodes' tenures).
-    pub acquire_cycles: u64,
-    /// Virtual cycles helpers spent in SI/SD fences.
-    pub fence_cycles: u64,
-    /// Virtual cycles helpers spent executing delegated sections.
-    pub section_cycles: u64,
-    /// Largest single batch.
-    pub max_batch: u64,
-}
-
 /// A hierarchical queue delegation lock over a DSM cluster.
 pub struct Hqdl<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     dsm: Arc<Dsm<T, C>>,
@@ -91,12 +76,6 @@ pub struct Hqdl<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     batch_limit: usize,
     /// Per-lock observability, registered with the DSM's lock registry.
     obs: Arc<obs::LockObs>,
-    sections: AtomicU64,
-    batches: AtomicU64,
-    acquire_cycles: AtomicU64,
-    fence_cycles: AtomicU64,
-    section_cycles: AtomicU64,
-    max_batch: AtomicU64,
 }
 
 impl<T: Transport, C: Coherence> Hqdl<T, C> {
@@ -124,29 +103,12 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
             dsm,
             batch_limit,
             obs,
-            sections: AtomicU64::new(0),
-            batches: AtomicU64::new(0),
-            acquire_cycles: AtomicU64::new(0),
-            fence_cycles: AtomicU64::new(0),
-            section_cycles: AtomicU64::new(0),
-            max_batch: AtomicU64::new(0),
         })
     }
 
     /// This lock's live observability counters.
     pub fn observer(&self) -> &Arc<obs::LockObs> {
         &self.obs
-    }
-
-    pub fn stats(&self) -> HqdlStats {
-        HqdlStats {
-            sections_executed: self.sections.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            acquire_cycles: self.acquire_cycles.load(Ordering::Relaxed),
-            fence_cycles: self.fence_cycles.load(Ordering::Relaxed),
-            section_cycles: self.section_cycles.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
-        }
     }
 
     /// Delegate a critical section from `t`'s node; returns immediately
@@ -245,19 +207,18 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
             unsafe { nq.helper.unlock() };
             return;
         }
-        let t0 = t.now();
-        let obs_t0 = t.obs_now();
-        // One Lyra span covers the whole helper tenure: the global-lock
-        // acquire, both fences, and every verb a delegated section issues
-        // link back to it in the flight-recorder timeline.
-        let span = t.lyra_lane().mint();
+        // The acquire's span stays attached for the whole tenure: the
+        // lock-word verbs of the acquire and of the closing release link
+        // back to it in the flight-recorder timeline. Fences, misses and
+        // faults inside the tenure are sites that mint their own spans.
+        let outer = t.current_span();
+        let Ok((switched, span)) = self.dsm.site(t, obs::Site::LockAcquire, 0, |t, span| {
+            let start = t.obs_now();
+            let switched = self.global.acquire_tracked(t);
+            self.obs.acquire.record(t.obs_now() - start);
+            Ok::<_, Infallible>((switched, span))
+        });
         t.set_span(span);
-        let switched = self.global.acquire_tracked(t);
-        let t1 = t.now();
-        let acquire_dur = t.obs_now().saturating_sub(obs_t0);
-        self.obs.acquire.record(acquire_dur);
-        self.dsm
-            .record_site(t, node as u16, obs::Site::LockAcquire, span, obs_t0, acquire_dur, 0);
         if switched {
             obs::LockObs::bump(&self.obs.handovers);
         }
@@ -265,8 +226,6 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         // the critical sections other nodes executed since this node last
         // held the lock.
         self.dsm.acquire_fence(t, switched);
-        let t2 = t.now();
-        self.acquire_cycles.fetch_add(t1 - t0, Ordering::Relaxed);
         let mut executed = 0usize;
         'batch: while executed < self.batch_limit {
             match nq.queue.pop() {
@@ -290,20 +249,13 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
                 }
             }
         }
-        self.sections.fetch_add(executed as u64, Ordering::Relaxed);
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(executed as u64, Ordering::Relaxed);
         obs::LockObs::bump(&self.obs.batches);
         self.obs.batch_size.record(executed as u64);
-        let t3 = t.now();
-        self.section_cycles.fetch_add(t3 - t2, Ordering::Relaxed);
         // Close the queue: one SD to publish every section's writes. The
         // helper does not wait for them to settle; the next holder does.
         let stamp = self.dsm.publish(t);
-        self.fence_cycles
-            .fetch_add((t2 - t1) + (t.now() - t3), Ordering::Relaxed);
         self.global.release(t, stamp);
-        t.set_span(rma::SpanId::NONE);
+        t.set_span(outer);
         // SAFETY: locked above.
         unsafe { nq.helper.unlock() };
     }
@@ -354,10 +306,6 @@ mod tests {
             move |ht| d.read_u64(ht, addr)
         });
         assert_eq!(final_v, 1500);
-        let st = lock.stats();
-        assert_eq!(st.sections_executed, 1501);
-        // Batching: far fewer global-lock tenures than sections.
-        assert!(st.batches <= st.sections_executed);
 
         // The lock registered itself and its observer saw every section.
         let snaps = dsm.lock_registry().snapshots();
@@ -366,20 +314,20 @@ mod tests {
         assert_eq!(obs.name, "hqdl");
         assert_eq!(obs.delegations, 1501);
         assert_eq!(obs.executed(), 1501);
+        // The batches, one per tenure, add up to every section executed.
+        assert_eq!(obs.batch_size.sum, 1501);
+        // Batching: no more global-lock tenures than sections.
+        assert!(obs.batches <= obs.batch_size.sum);
         assert_eq!(obs.queue_wait.count(), 1501);
-        assert_eq!(obs.batches, st.batches);
-        assert_eq!(obs.batch_size.count(), st.batches);
-        assert_eq!(obs.acquire.count(), st.batches);
+        assert_eq!(obs.batch_size.count(), obs.batches);
+        assert_eq!(obs.acquire.count(), obs.batches);
         // Three nodes contended: the global lock changed hands.
         assert!(obs.handovers >= 2);
         // One thread per node: every delegator is its own helper.
         assert_eq!(obs.executed_local, 1501);
-        // Acquire latency also lands in the DSM-wide profile.
-        let prof = dsm.profile().snapshot();
-        assert_eq!(
-            prof.get(obs::Site::LockAcquire).count(),
-            st.batches
-        );
+        // Acquire latency also lands in the lanes' profile.
+        let prof = dsm.lyra().profile();
+        assert_eq!(prof.get(obs::Site::LockAcquire).count(), obs.batches);
     }
 
     #[test]

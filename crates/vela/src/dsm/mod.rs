@@ -17,4 +17,4 @@ pub use flag::DsmFlag;
 pub use cohort_dsm::{DsmCohortLock, FencePlacement};
 pub use global_lock::{DsmGlobalLock, GlobalLockStats};
 pub use heap::DsmPairingHeap;
-pub use hqdl::{DsmFuture, Hqdl, HqdlStats};
+pub use hqdl::{DsmFuture, Hqdl};

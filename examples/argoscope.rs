@@ -7,10 +7,11 @@
 //!
 //! - the run summary (coherence, downgrade batching, network traffic),
 //! - per-site latency histograms (virtual cycles on sim, wall ns native),
+//! - time by site: each site's exclusive time and its share of the
+//!   threads' measured time, with the time spent in no site — on the
+//!   simulator these add up to the measured cycles exactly,
 //! - the per-lock delegation table (local vs remote execution, queue
-//!   waits, batch sizes, handovers),
-//! - a page census: P/S × NW/SW/MW classification matrix and the hottest
-//!   pages by read-miss count.
+//!   waits, batch sizes, handovers).
 //!
 //! It also exports machine-readable artifacts under `target/argoscope/`:
 //! `lyra_<backend>.json` (the flight recorder as a Perfetto/chrome://tracing-
@@ -28,7 +29,8 @@ use std::sync::Arc;
 const CELLS: usize = 8192;
 const SECTIONS_PER_THREAD: usize = 100;
 
-fn workload<T: Transport>(machine: &Arc<ArgoMachine<T>>) -> RunReport<u64> {
+/// Each thread returns its checksum and its measured cycles.
+fn workload<T: Transport>(machine: &Arc<ArgoMachine<T>>) -> RunReport<(u64, u64)> {
     let dsm = machine.dsm().clone();
     let arr = GlobalU64Array::alloc(machine.dsm(), CELLS);
     let counter = GlobalU64Array::alloc(machine.dsm(), 1).addr(0);
@@ -54,7 +56,7 @@ fn workload<T: Transport>(machine: &Arc<ArgoMachine<T>>) -> RunReport<u64> {
             });
         }
         ctx.barrier();
-        sum
+        (sum, ctx.measured_cycles())
     })
 }
 
@@ -64,17 +66,25 @@ fn inspect<T: Transport>(machine: &Arc<ArgoMachine<T>>, backend: &str) {
     let report = workload(machine);
 
     let expect: u64 = (0..CELLS as u64).sum();
-    assert!(report.results.iter().all(|&s| s == expect), "bad checksum");
+    assert!(report.results.iter().all(|&(s, _)| s == expect), "bad checksum");
 
     print!("{}", report.summary());
-    println!("latency profile ({}):", if report.cycles > 0 { "virtual cycles" } else { "wall ns" });
+    let unit = if report.cycles > 0 { "virtual cycles" } else { "wall ns" };
+    println!("latency profile ({unit}):");
     print!("{}", report.profile.render());
+    println!("time by site ({unit}, exclusive, share of measured):");
+    print!("{}", report.profile.render_time());
     println!("locks:");
     for lock in &report.locks {
         println!("  {}", lock.render());
     }
-    let census = machine.dsm().census(5);
-    print!("{}", census.render());
+
+    // On the simulator every measured cycle of every thread is in exactly
+    // one bucket of its time table.
+    if report.cycles > 0 {
+        let measured: u64 = report.results.iter().map(|&(_, cycles)| cycles).sum();
+        assert_eq!(report.profile.total_cycles(), measured, "time by site must add up");
+    }
 
     // The whole point: these histograms must actually have samples.
     assert!(report.profile.get(Site::ReadMiss).count() > 0, "no read misses recorded");

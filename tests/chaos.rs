@@ -103,8 +103,6 @@ fn matmul_is_bit_identical_under_mixed_faults() {
             faulted.coherence.verb_retries > 0,
             "seed {seed}: faults were injected but nothing retried"
         );
-        // Every retry episode lands in the observability profile.
-        assert!(faulted.profile.get(obs::Site::Retry).count() > 0);
     }
 }
 
@@ -264,7 +262,6 @@ fn transient_brownout_is_survived_by_backoff() {
     assert_eq!(sum.to_bits(), clean_sum.to_bits(), "brownout changed the data");
     assert!(net.injected().stalled > 0, "the brownout window was never hit");
     assert!(faulted.coherence.verb_retries > 0, "stalls must surface as retries");
-    assert!(faulted.profile.get(obs::Site::Retry).count() > 0);
     assert_eq!(faulted.coherence.verb_exhaustions, 0);
     assert!(
         faulted.cycles > clean.cycles,
