@@ -36,8 +36,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         (st.tag() == Some(cache.line_of(page)) && st.pages[idx].dirty()).then_some(idx)
     }
 
-    /// Fences in a row a kept page may sit unwritten: until its scans cost
-    /// what the protect + trap they put off would (0: never keep).
+    /// Idle fences in a row before a kept page is protected (hot): until its
+    /// scans cost what the protect + trap they put off would (0: never keep).
     fn idle_scan_bound(&self) -> u64 {
         (self.net.cost().fault_trap_cycles + PROTECT_CYCLES) / PAGE_COPY_CYCLES
     }
@@ -87,12 +87,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// policy's clock advance. The step keeps a write-hot page writable on
     /// a `fence` drain the policy buffers in classification mode (a leased
     /// copy dies at the writer's next acquire anyway) and re-protects
-    /// anything else. A kept page's re-twin rides its diff scan: the scan
-    /// stores each word it emits into the twin as well, so the re-arm costs
-    /// one streamed store per posted word, not a second page copy. A kept
-    /// page re-enters the write buffer before the slot lock is released
-    /// (a sibling's store must find it buffered). Returns the wire bytes
-    /// owed to the home, if any, and the overflow victim that re-entry
+    /// anything else, heat kept. A kept page's re-twin rides its diff scan:
+    /// the scan stores each word it emits into the twin as well, so the
+    /// re-arm costs one streamed store per posted word, not a second page
+    /// copy. A kept page re-enters the write buffer before the slot lock is
+    /// released (a sibling's store must find it buffered). Returns the wire
+    /// bytes owed to the home, if any, and the overflow victim that re-entry
     /// pushed out, for the caller to downgrade once the lock is released.
     fn downgrade_local(
         &self,

@@ -99,7 +99,7 @@ impl Default for CacheConfig {
 /// `Drain{fence, gate, bound}` steps the dirty two. With `posted` = "the
 /// mask was non-empty", `idle'` = `idle + 1` for an unposted `Kept`, else 0,
 /// and every `Kept` hot: `fence ∧ gate ∧ hot ∧ idle' < bound` → `Kept{idle'}`;
-/// else `fence ∧ ¬posted` → `Cold` (demoted); else `Protected{hot}`.
+/// else `Protected{hot}`, so a kept page demoted at the bound stays hot.
 /// Fill and Refill want no copy, Invalidate either, the other events a copy.
 /// `repr(u8)` makes `Cold` the all-zero standing, as a fresh slot needs.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +114,8 @@ pub enum Standing {
     Consumer,
     /// Refilled, untouched: off the lock-free path, so the touch is seen.
     Refilled,
-    /// Clean, and write-faulted once, or (`hot`) more often.
+    /// Clean, and write-faulted once, or (`hot`) more often or demoted
+    /// from `Kept`.
     Protected { hot: bool },
     /// Dirty since a write fault, `hot` unless it was the copy's first.
     Written { hot: bool },
@@ -153,8 +154,6 @@ fn next(from: Standing, event: Event, posted: bool) -> Option<Standing> {
             };
             if fence && gate && hot && u64::from(idle) < bound {
                 Kept { idle }
-            } else if fence && !posted {
-                Cold
             } else {
                 Protected { hot }
             }
@@ -751,25 +750,21 @@ mod tests {
             (Refilled, [None, None, Some(Consumer), w0, gone, cold], [None; 8]),
             (Protected { hot: false }, [None, None, None, w1, gone, cold], [None; 8]),
             (Protected { hot: true }, [None, None, None, w1, gone, cold], [None; 8]),
-            (
-                Written { hot: false },
-                [None, None, None, None, None, cold],
-                [p0, p0, p0, p0, cold, p0, cold, p0],
-            ),
+            (Written { hot: false }, [None, None, None, None, None, cold], [p0; 8]),
             (
                 Written { hot: true },
                 [None, None, None, None, None, cold],
-                [p1, p1, p1, p1, cold, p1, k(0), k(0)],
+                [p1, p1, p1, p1, p1, p1, k(0), k(0)],
             ),
             (
                 Kept { idle: 0 },
                 [None, None, None, None, None, cold],
-                [p1, p1, p1, p1, cold, p1, k(1), k(0)],
+                [p1, p1, p1, p1, p1, p1, k(1), k(0)],
             ),
             (
                 Kept { idle: 6 },
                 [None, None, None, None, None, cold],
-                [p1, p1, p1, p1, cold, p1, cold, k(0)],
+                [p1, p1, p1, p1, p1, p1, p1, k(0)],
             ),
         ];
         for (standing, row, drains) in rows {

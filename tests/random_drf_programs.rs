@@ -384,9 +384,10 @@ fn add_idle_epochs(prog: &mut Program, seed: u64) {
 /// idle runs, every thread's slots on pages remote to it. Half a page
 /// apart on 4 × 2, a page has one writing node — two sibling threads
 /// storing to and fencing one kept copy; a page apart on 8 × 1, one
-/// writing thread, so a long silence demotes the copy and the next write
-/// re-learns; half a page apart on 8 × 1, two writing nodes — false
-/// sharing, self-invalidated at every barrier, never hot.
+/// writing thread, so a long silence demotes the copy protected-hot and
+/// the next write re-learns with one trap; half a page apart on 8 × 1, two
+/// writing nodes — false sharing, self-invalidated at every barrier, never
+/// hot.
 #[test]
 fn random_programs_with_idle_epochs() {
     for (seed, nodes, stride) in [(500, 4, 256), (501, 4, 256), (502, 8, 512), (503, 8, 256)] {
@@ -405,7 +406,7 @@ fn random_programs_with_idle_epochs() {
         }
         if stride == 512 {
             // Eight pages, two faults each to turn hot: any more is a
-            // demoted copy learning again.
+            // demoted copy's one re-learning trap.
             assert!(stats.write_faults > 16, "seed {seed}: no copy was ever demoted");
         }
     }
