@@ -15,6 +15,16 @@ use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
 use obs::RecordKind;
 
+/// What a deposit saw. `before` is the fetch-or's reply plus the other map
+/// read after it (of two racing first touches, at least one sees the
+/// other); transitions are detected from it. `floor` is both maps loaded
+/// just before the fetch-or: no later registration is in it.
+#[derive(Debug, Clone, Copy)]
+struct Reply {
+    floor: DirView,
+    before: DirView,
+}
+
 /// The shipped Argo protocol (self-invalidation / self-downgrade with
 /// passive Pyxis classification).
 #[derive(Debug)]
@@ -60,8 +70,8 @@ impl CarinaSiSd {
     }
 
     /// Detect a P→S transition caused by `me` joining `prior`'s accessors:
-    /// the single prior owner, unless it is the home, must be notified (and
-    /// under naïve P/S, a read newcomer must fetch its checkpoint).
+    /// the single prior owner (under naïve P/S, a read newcomer fetches its
+    /// checkpoint).
     fn private_owner(prior: u128, me: u16) -> Option<u16> {
         if prior != 0 && prior & node_bit(me) == 0 && prior.count_ones() == 1 {
             Some(prior.trailing_zeros() as u16)
@@ -73,39 +83,36 @@ impl CarinaSiSd {
     /// A registration is two one-sided steps, and other nodes' steps run
     /// between them. Step one, the fetch-or at the home: deposit `me`'s
     /// reader (`write`: writer) bit, get the maps from before.
-    fn deposit(&self, me: u16, page: PageNum, write: bool) -> DirView {
+    fn deposit(&self, me: u16, page: PageNum, write: bool) -> Reply {
         let (entry, bit) = (self.home_entry(page), node_bit(me));
-        if write { entry.or_writers(bit) } else { entry.or_readers(bit) }
+        let floor = entry.view();
+        let before = if write { entry.or_writers(bit) } else { entry.or_readers(bit) };
+        Reply { floor, before }
     }
 
-    /// Step two of a read registration whose deposit returned `before`:
-    /// fold the reply into our own directory cache and decide the fallout.
-    /// An OR, never a store — views only grow between resets — so a
-    /// notification that landed since the deposit (a newcomer saw our bit
-    /// and told us about itself) survives.
+    /// Step two of a read registration whose deposit returned `reply`:
+    /// detect the transition, then [`Self::deliver`] the new view.
     fn merge_reader(
         &self,
         me: u16,
         home: u16,
         page: PageNum,
-        before: DirView,
+        Reply { floor, before }: Reply,
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { readers: before.readers | node_bit(me), ..before };
         self.reg_read[me as usize].set(page);
         let mut out = RegisterOutcome::quiet();
-        let mut told = node_bit(me);
-        // P→S caused by our read (§3.3): we notify the private owner, and
-        // under naïve P/S fetch its checkpoint — unless it is the home,
-        // whose stores are already in the home memory our fill reads.
+        // P→S caused by our read (§3.3). Under naïve P/S we fetch the
+        // private owner's checkpoint — unless it is the home, whose stores
+        // are already in the home memory our fill reads.
         if let Some(owner) = Self::private_owner(before.accessors(), me) {
             CoherenceStats::bump(&shard.p_to_s);
-            told |= node_bit(owner);
             let naive = self.mode == ClassificationMode::PsNaive;
             out.fetch_from = (naive && owner != home).then_some(owner);
             out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
-        out.notify = self.deliver(me, home, page, told, after);
+        out.notify = self.deliver(me, home, page, floor, after);
         out
     }
 
@@ -115,58 +122,67 @@ impl CarinaSiSd {
         me: u16,
         home: u16,
         page: PageNum,
-        before: DirView,
+        Reply { floor, before }: Reply,
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { writers: before.writers | node_bit(me), ..before };
         self.reg_write[me as usize].set(page);
         let mut out = RegisterOutcome::quiet();
-        let mut told = node_bit(me);
         let prior = before.accessors();
         // P→S caused by a write from a new node (§3.5 "Private, but
         // written by a new node").
         if let Some(owner) = Self::private_owner(prior, me) {
             CoherenceStats::bump(&shard.p_to_s);
-            told |= node_bit(owner);
             out.transitions[0] = Some((RecordKind::PToS, owner as u32));
         }
-        // Writer-class transitions.
+        // Writer-class transitions (§3.5 "Shared, NW" and "Shared, SW").
         match before.writers.count_ones() {
-            0
-                // NW→SW. If the page is shared, every node caching it must
-                // learn there is now a writer (§3.5 "Shared, NW").
-                if (prior.count_ones() > 1 || (prior != 0 && prior & node_bit(me) == 0)) => {
-                    CoherenceStats::bump(&shard.nw_to_sw);
-                    out.transitions[1] = Some((RecordKind::NwToSw, obs::NO_TARGET));
-                    told |= prior;
-                }
+            0 if (prior.count_ones() > 1 || (prior != 0 && prior & node_bit(me) == 0)) => {
+                CoherenceStats::bump(&shard.nw_to_sw);
+                out.transitions[1] = Some((RecordKind::NwToSw, obs::NO_TARGET));
+            }
             1 if before.writers & node_bit(me) == 0 => {
-                // SW→MW: only the previous single writer needs to know
-                // (§3.5 "Shared, SW"); for everyone else SW and MW are
-                // equivalent.
                 CoherenceStats::bump(&shard.sw_to_mw);
                 let w = before.writers.trailing_zeros() as u16;
                 out.transitions[1] = Some((RecordKind::SwToMw, w as u32));
-                told |= before.writers;
             }
             _ => {}
         }
-        out.notify = self.deliver(me, home, page, told, after);
+        out.notify = self.deliver(me, home, page, floor, after);
         out
     }
 
-    /// OR `after` into the directory-cache rows of the `told` nodes (`me`
-    /// among them); returns the others, to notify. The page's `home` never
-    /// caches it, so it keeps no row for it and is never notified; a node
-    /// told twice (the P→S owner is also an NW→SW sharer) is one bit.
-    fn deliver(&self, me: u16, home: u16, page: PageNum, told: u128, after: DirView) -> u128 {
-        let rows = told & !node_bit(home);
-        let mut left = rows;
+    /// Table 1's two answers for `node` under `view`: must it
+    /// self-invalidate the page, must it self-downgrade it.
+    #[inline]
+    fn answers(&self, view: DirView, node: u16) -> (bool, bool) {
+        (view.must_self_invalidate(self.mode, node), view.must_self_downgrade(self.mode))
+    }
+
+    /// The delivery rule. Table 1 is the only reader of a directory-cache
+    /// row, so a prior accessor is notified — `after` ORed into its row —
+    /// exactly when its answers under `floor` and `after` differ; `me`'s
+    /// own row gets `after` too. Never notifies `me` or the `home`, which
+    /// keeps no row for the pages it homes. A skipped row stays right: as
+    /// the maps grow, an answer only flips from "keep" to "invalidate" and
+    /// from "no SD" to "SD" (`invariant_problems` checks it). Not `before`:
+    /// racers that each see the other there would both miss a flip. An OR,
+    /// never a store, so a notification that beat our merge survives it.
+    fn deliver(&self, me: u16, home: u16, page: PageNum, floor: DirView, after: DirView) -> u128 {
+        let mut notify = 0;
+        let mut left = after.accessors() & !node_bit(me) & !node_bit(home);
         while left != 0 {
-            self.cached_entry(left.trailing_zeros() as u16, page).or_view(after);
+            let n = left.trailing_zeros() as u16;
             left &= left - 1;
+            if self.answers(floor, n) != self.answers(after, n) {
+                self.cached_entry(n, page).or_view(after);
+                notify |= node_bit(n);
+            }
         }
-        rows & !node_bit(me)
+        if me != home {
+            self.cached_entry(me, page).or_view(after);
+        }
+        notify
     }
 }
 
@@ -247,15 +263,19 @@ impl Coherence for CarinaSiSd {
                 ));
             }
         }
-        // Fast-path bitsets must be a subset of the home maps, and a node
-        // keeps no directory-cache row for the pages it homes (it never
-        // caches them, and nobody notifies it).
+        // Fast-path bitsets must be a subset of the home maps; a node keeps
+        // no directory-cache row for the pages it homes (it never caches
+        // them, and nobody notifies it), and its row for any other page it
+        // accessed gives the home view's Table 1 answers.
         for q in 0..self.home.len() as u64 {
             let page = PageNum(q);
             let home = self.home_view(page);
-            let own = self.dir_caches.get(me, page).map(|row| DirEntry(row).view());
-            if let Some(view) = own.filter(|&v| v != DirView::default() && home_of(page) == me) {
-                problems.push(format!("n{n}: directory-cache row for its home page {q}: {view:?}"));
+            let row = self.dir_caches.get(me, page).map(|r| DirEntry(r).view()).unwrap_or_default();
+            let stale = self.answers(row, me) != self.answers(home, me);
+            if home_of(page) == me && row != DirView::default() {
+                problems.push(format!("n{n}: directory-cache row for its home page {q}: {row:?}"));
+            } else if home_of(page) != me && home.accessors() & node_bit(me) != 0 && stale {
+                problems.push(format!("n{n}: row {row:?} for page {q} answers unlike {home:?}"));
             }
             if self.reg_read[n].get(page) && home.readers & node_bit(me) == 0 {
                 problems.push(format!("n{n}: reg_read bit for {q} not in home map"));
@@ -283,6 +303,7 @@ impl Coherence for CarinaSiSd {
 mod tests {
     use super::*;
     use crate::stats::CoherenceStats;
+    use proptest::prelude::*;
     use std::sync::atomic::Ordering::Relaxed;
 
     fn policy(nodes: usize) -> CarinaSiSd {
@@ -299,14 +320,20 @@ mod tests {
         // n0 reads: private, quiet.
         assert!(c.register_reader(0, home, p, stats.shard(0)).is_quiet());
         assert!(c.read_registered(0, home, p));
-        // n1 reads at home: P→S, owner n0 notified.
+        // n1 reads at home: P→S, detected and recorded. Owner n0 keeps and
+        // self-downgrades the page as P and as S,NW alike, so no answer of
+        // its changes and nobody is notified.
         let oc = c.register_reader(1, home, p, stats.shard(1));
-        assert_eq!(oc.notify, node_bit(0));
-        assert!(oc.fetch_from.is_none()); // Ps3: no checkpoint service
-        // n2 writes: NW→SW; of the sharers {n0, n1} only n0 is notified —
-        // n1 is the home (it used to be told too).
+        assert_eq!(oc.transitions[0], Some((RecordKind::PToS, 0)));
+        assert_eq!((oc.notify, oc.fetch_from), (0, None)); // Ps3: no checkpoint service
+        assert_eq!(stats.snapshot().p_to_s, 1);
+        assert!(!c.must_self_invalidate(0, p, stats.shard(0)));
+        // Newcomer n2 writes: NW→SW. n0's SI answer flips, so of the
+        // sharers {n0, n1} n0 is notified, once — n1 is the home — and its
+        // next SI fence drops the page.
         let oc = c.register_writer(2, home, p, stats.shard(2));
         assert_eq!(oc.notify, node_bit(0));
+        assert!(c.must_self_invalidate(0, p, stats.shard(0)));
         // n0 writes: SW→MW, only prior writer n2 notified.
         let oc = c.register_writer(0, home, p, stats.shard(0));
         assert_eq!(oc.notify, node_bit(2));
@@ -315,6 +342,48 @@ mod tests {
         // The home's own row stayed empty throughout; n0's holds it all.
         assert_eq!(c.node_view(home, p), DirView::default());
         assert_eq!(c.node_view(0, p), c.home_view(p));
+    }
+
+    proptest! {
+        /// The delivery rule over random registration sequences: after
+        /// every step each accessor's row answers like the home view (a),
+        /// every notified node's answers changed (b), and neither the
+        /// registrant nor the home was notified (c).
+        #[test]
+        fn deliveries_are_exactly_the_answer_changes(
+            (nodes, mode) in (1usize..9, 0usize..3),
+            homes in collection::vec(0u16..8, 4..5),
+            steps in collection::vec((0u16..8, 0u64..4, any::<bool>()), 0..40),
+        ) {
+            use ClassificationMode::*;
+            let mode = [AllShared, PsNaive, Ps3][mode];
+            let c = CarinaSiSd::new(nodes, 4, &CarinaConfig::with_mode(mode));
+            let stats = CoherenceStats::new(nodes);
+            let home_of = |page: PageNum| homes[page.0 as usize] % nodes as u16;
+            let each = |map: u128| (0..nodes as u16).filter(move |&n| map & node_bit(n) != 0);
+            for (me, q, write) in steps {
+                let (me, page) = (me % nodes as u16, PageNum(q));
+                let (home, before) = (home_of(page), c.home_view(page));
+                let oc = if write {
+                    c.register_writer(me, home, page, stats.shard(me))
+                } else {
+                    c.register_reader(me, home, page, stats.shard(me))
+                };
+                let after = c.home_view(page);
+                prop_assert_eq!(oc.notify & (node_bit(me) | node_bit(home)), 0);
+                for n in each(oc.notify) {
+                    prop_assert!(c.answers(before, n) != c.answers(after, n), "{mode:?} n{n}");
+                }
+                for n in each(after.accessors() & !node_bit(home)) {
+                    let row = c.node_view(n, page);
+                    prop_assert_eq!(c.answers(row, n), c.answers(after, n));
+                }
+            }
+            for n in 0..nodes as u16 {
+                let problems = c.invariant_problems(n, &[], home_of);
+                prop_assert!(problems.is_empty(), "{mode:?}: {problems:?}");
+            }
+        }
     }
 
     /// A newcomer's write to a no-writer page private to n0 is a P→S and an
@@ -391,6 +460,34 @@ mod tests {
         assert!(c.merge_reader(2, 1, p, stale, stats.shard(2)).is_quiet());
         assert_eq!(c.node_view(2, p).writers, node_bit(5), "node 2 lost the notification");
         assert!(c.must_self_invalidate(2, p, stats.shard(2)));
+    }
+
+    /// Under P/S a read and a write race onto n0's private page. Each
+    /// fetch-or lands before the other's read of the map it did not
+    /// deposit into, so both `before`s read shared: neither sees the P→S
+    /// that flips n0's answers. Compared from the floors, both deliver it.
+    #[test]
+    fn a_flip_both_racers_saw_done_still_reaches_the_owner() {
+        let c = CarinaSiSd::new(4, 16, &CarinaConfig::with_mode(ClassificationMode::PsNaive));
+        let stats = CoherenceStats::new(4);
+        let (p, home) = (PageNum(3), 3);
+        c.register_reader(0, home, p, stats.shard(0));
+        let (floor, entry) = (c.home_view(p), c.home_entry(p));
+        let readers = entry.or_readers(node_bit(1)).readers; // n1's deposit
+        let writers = entry.or_writers(node_bit(2)).writers; // n2's deposit
+        let now = c.home_view(p);
+        let read = Reply { floor, before: DirView { readers, writers: now.writers } };
+        let write = Reply { floor, before: DirView { readers: now.readers, writers } };
+        let shared = |r: Reply| r.before.accessors().count_ones() > 1;
+        assert!(shared(read) && shared(write), "each saw the other");
+        let by_writer = c.merge_writer(2, home, p, write, stats.shard(2)).notify;
+        let by_reader = c.merge_reader(1, home, p, read, stats.shard(1)).notify;
+        assert_eq!(stats.snapshot().p_to_s, 0, "neither saw the P→S");
+        assert_eq!((by_writer & node_bit(0), by_reader & node_bit(0)), (node_bit(0), node_bit(0)));
+        assert!(c.must_self_invalidate(0, p, stats.shard(0)));
+        for n in 0..4 {
+            assert_eq!(c.invariant_problems(n, &[], |_| home), Vec::<String>::new());
+        }
     }
 
     /// Each node's directory cache is its own row: a notification into

@@ -162,7 +162,9 @@ pub struct RegisterOutcome {
     /// [`DirView`](crate::classification::DirView)'s: a node appears once
     /// however many transitions name it. The engine posts one notification
     /// verb per bit; the metadata itself was already deposited by the
-    /// policy (host-side, like the real one-sided write). Never the
+    /// policy (host-side, like the real one-sided write). Only nodes whose
+    /// Table 1 answers the registration changes: a row may lag the home
+    /// view on transitions that change none of its answers. Never the
     /// registering node, never the page's home: the home does not cache
     /// its own pages.
     pub(crate) notify: u128,

@@ -130,7 +130,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
 /// at the full maps; timestamp policies have no equivalent).
 impl<T: Transport> Dsm<T, CarinaSiSd> {
     /// The directory view a node currently holds for `addr`'s page
-    /// (test/diagnostic aid).
+    /// (test/diagnostic aid). It may lag [`Self::home_dir_view`]: a node is
+    /// notified only of transitions that change its Table 1 answers, so
+    /// the two views always give the node the same answers, not the same
+    /// maps.
     pub fn dir_view(&self, node: u16, addr: GlobalAddr) -> DirView {
         self.coherence.node_view(node, addr.page())
     }

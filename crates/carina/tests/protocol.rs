@@ -77,19 +77,37 @@ fn producer_consumer_through_fences() {
 #[test]
 fn p_to_s_transition_detected_and_deferred() {
     let (dsm, mut ts) = cluster(3, CarinaConfig::default());
-    // Page homed at node 2; node 0 reads it first (private to node 0).
-    let a = addr_homed_at(3, 2, 0);
+    let writes = |dsm: &Dsm| dsm.net().stats().snapshot().rdma_writes;
+    // Pages homed at node 2; node 0 reads both first (private to node 0).
+    let (a, b) = (addr_homed_at(3, 2, 0), addr_homed_at(3, 2, 1));
     dsm.read_u64(&mut ts[0], a);
+    dsm.read_u64(&mut ts[0], b);
     assert_eq!(dsm.home_dir_view(a).page_class(), PageClass::Private);
     assert!(dsm.home_dir_view(a).is_private_to(0));
 
-    // Node 1 joins: causes P→S and must notify node 0's directory cache.
+    // Node 1 joins `a` by reading: a P→S, detected and counted. Node 0
+    // keeps and self-downgrades the page as P and as S,NW alike, so no
+    // answer of its changes: nothing is posted, and its directory cache
+    // still reads private.
+    let posted = writes(&dsm);
     dsm.read_u64(&mut ts[1], a);
     assert_eq!(dsm.stats().snapshot().p_to_s, 1);
     assert_eq!(dsm.home_dir_view(a).page_class(), PageClass::Shared);
-    // Deferred invalidation: node 0's *cached* view now shows both readers
-    // even though node 0 took no action.
-    assert_eq!(dsm.dir_view(0, a).page_class(), PageClass::Shared);
+    assert_eq!(writes(&dsm), posted, "no notification");
+    assert_eq!(dsm.dir_view(0, a).page_class(), PageClass::Private);
+
+    // Newcomer node 1 writes `b`: a P→S that flips node 0's SI answer, so
+    // node 1 posts one notification. Deferred invalidation: node 0's
+    // *cached* view now shows the writer even though node 0 took no
+    // action, and its next SI fence drops `b` and keeps `a`.
+    dsm.write_u64(&mut ts[1], b, 5);
+    assert_eq!(dsm.stats().snapshot().p_to_s, 2);
+    assert_eq!(writes(&dsm), posted + 1, "one notification");
+    assert_eq!(dsm.dir_view(0, b).page_class(), PageClass::Shared);
+    assert_eq!(dsm.dir_view(0, b).writer_class(), WriterClass::Single(1));
+    dsm.si_fence(&mut ts[0]);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.si_invalidated, s.si_kept), (1, 1));
 }
 
 #[test]
@@ -654,10 +672,14 @@ fn flight_recorder_captures_the_protocol_story() {
     let t0 = &mut t0s[0];
     let t1 = &mut t1s[0];
 
+    let b = addr_homed_at(2, 1, 1);
     dsm.read_u64(t0, a); // miss
     dsm.write_u64(t0, a, 1); // write fault
     dsm.sd_fence(t0); // downgrade
-    dsm.read_u64(t1, a); // P->S + notify
+    dsm.read_u64(t1, a); // P->S, no answer of node 0's changes: no notify
+    dsm.read_u64(t0, b);
+    dsm.write_u64(t1, b, 2); // P->S + NW->SW: node 0 must now SI `b`, notify
+    dsm.si_fence(t0); // drops `b`, keeps `a`
 
     let n0 = dsm.lyra().snapshot(0);
     let n1 = dsm.lyra().snapshot(1);
@@ -673,7 +695,13 @@ fn flight_recorder_captures_the_protocol_story() {
     assert!(site(&n0, Site::SdFence, 0));
     assert!(detail(&n0, RecordKind::Downgrade, 1), "written back to its home");
     assert!(detail(&n1, RecordKind::PToS, 0), "node 1 joined node 0's private page");
-    assert!(detail(&n1, RecordKind::Notify, 0));
+    let notifies = |recs: &[VerbRecord]| -> Vec<(u64, u32)> {
+        recs.iter().filter(|r| r.kind == RecordKind::Notify).map(|r| (r.arg, r.target)).collect()
+    };
+    assert_eq!(notifies(&n1), vec![(b.page().0, 0)], "only the write to `b` notifies");
+    assert!(notifies(&n0).is_empty());
+    let fenced = |kind: RecordKind, page: u64| n0.iter().any(|r| r.kind == kind && r.arg == page);
+    assert!(fenced(RecordKind::SiInvalidate, b.page().0) && fenced(RecordKind::SiKeep, page));
     // Each node's timeline is ordered by start time.
     for recs in [&n0, &n1] {
         assert!(recs.windows(2).all(|w| w[0].start <= w[1].start));

@@ -76,6 +76,14 @@ fn detail_records<T: Transport>(dsm: &Dsm<T>) -> Vec<VerbRecord> {
 fn chrome_trace_parses_with_monotonic_ts_per_track() {
     let (dsm, mut ts) = cluster(2);
     dsm.lyra().set_detail(true);
+    // A newcomer's write: node 1 writes a page node 0 has read, so node 0's
+    // SI answer flips and node 1 posts one notification; node 0's first SI
+    // fence in the exchange drops the page.
+    let page = (dsm.total_bytes() / 2 / PAGE_BYTES + 4..)
+        .find(|&p| dsm.home_of(GlobalAddr(p * PAGE_BYTES)) == 1)
+        .unwrap();
+    dsm.read_u64(&mut ts[0], GlobalAddr(page * PAGE_BYTES));
+    dsm.write_u64(&mut ts[1], GlobalAddr(page * PAGE_BYTES), 1);
     exchange(&dsm, &mut ts, 3);
 
     let json = dsm.lyra().to_chrome_trace();
@@ -97,21 +105,33 @@ fn chrome_trace_parses_with_monotonic_ts_per_track() {
             assert!(ev.get("dur").unwrap().as_u64().is_some());
         }
     }
-    let named = |name: &str, ph: &str| {
+    // (track, arg) of every event named `name` in phase `ph`.
+    let named = |name: &str, ph: &str| -> Vec<(u64, u64)> {
         items
             .iter()
             .filter(|e| {
                 e.get("name").and_then(|n| n.as_str()) == Some(name)
                     && e.get("ph").unwrap().as_str() == Some(ph)
             })
-            .count()
+            .map(|e| {
+                let arg = e.get("args").and_then(|a| a.get("arg")).and_then(|a| a.as_u64());
+                (e.get("tid").unwrap().as_u64().unwrap(), arg.unwrap())
+            })
+            .collect()
     };
     // Three rounds of one SD and one SI fence per node, as slices.
-    assert_eq!(named("sd_fence", "X"), 6);
-    assert_eq!(named("si_fence", "X"), 6);
+    assert_eq!(named("sd_fence", "X").len(), 6);
+    assert_eq!(named("si_fence", "X").len(), 6);
     for kind in ["downgrade", "si_invalidate", "si_keep", "p_to_s", "notify"] {
-        assert!(named(kind, "i") > 0, "missing {kind} instants");
+        assert!(!named(kind, "i").is_empty(), "missing {kind} instants");
     }
+    // The exchange's four P→S are node 1's first reads of pages node 0
+    // wrote. Node 0 keeps and self-downgrades them as P and as S,SW alike,
+    // so they are recorded but notify nobody. The newcomer's write is the one
+    // notification, and node 0 drops that page.
+    assert_eq!(named("p_to_s", "i").len(), 5);
+    assert_eq!(named("notify", "i"), vec![(1, page)]);
+    assert!(named("si_invalidate", "i").contains(&(0, page)));
 
     // Both node tracks present, and ts non-decreasing within each.
     let tracks = events.group_by_field("tid");

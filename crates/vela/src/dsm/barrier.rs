@@ -126,7 +126,8 @@ impl<T: Transport, C: Coherence> HierBarrier<T, C> {
             dsm,
             node_barriers: threads_per_node
                 .iter()
-                .map(|&n| ClockBarrier::new(n.max(1), local_cost))
+                // A node with one thread has nobody to meet locally.
+                .map(|&n| ClockBarrier::new(n.max(1), if n > 1 { local_cost } else { 0 }))
                 .collect(),
             global: Arc::new(ClockBarrier::new(active_nodes, global_cost)),
         }
@@ -246,6 +247,29 @@ mod tests {
         for d in departures {
             assert!(settles.iter().all(|&s| d >= s), "departed at {d} before {settles:?}");
         }
+    }
+
+    /// With one thread per node there is no node-local rendezvous to pay
+    /// for: everyone departs at the last arrival plus the global round.
+    #[test]
+    fn one_thread_per_node_departs_after_the_global_round_only() {
+        let net = tiny_net(2);
+        let dsm = carina::Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
+        let barrier = Arc::new(HierBarrier::new(dsm, &[1, 1]));
+        let handles: Vec<_> = [(0, 500), (1, 1_500)]
+            .into_iter()
+            .map(|(node, arrival)| {
+                let (barrier, net) = (barrier.clone(), net.clone());
+                std::thread::spawn(move || {
+                    let mut t = thread(&net, node, 0);
+                    t.compute(arrival);
+                    barrier.wait(&mut t);
+                    t.now()
+                })
+            })
+            .collect();
+        let departures: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(departures, [1_500 + 2 * net.cost().network_latency; 2]);
     }
 
     #[test]

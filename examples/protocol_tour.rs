@@ -48,17 +48,21 @@ fn main() {
     println!("home dir: {}", class_str(&dsm, addr));
     assert!(dsm.home_dir_view(addr).is_private_to(0));
 
-    println!("\n-- node 1 reads (P->S; node 0 notified passively) --");
+    println!("\n-- node 1 reads (P->S; no answer of node 0's changes, nobody is notified) --");
     dsm.read_u64(&mut t[1], addr);
     println!("home dir: {}", class_str(&dsm, addr));
     println!(
-        "node 0's cached dir entry now shows shared: {:?} (deferred invalidation: node 0 acts only at its next fence)",
+        "node 0's cached dir entry still reads {:?}: as P and as S,NW it keeps and self-downgrades the page",
         dsm.dir_view(0, addr).page_class()
     );
 
-    println!("\n-- node 0 writes (NW->SW; Figure 5) --");
+    println!("\n-- node 0 writes (NW->SW; Figure 5; node 1 notified passively) --");
     dsm.write_u64(&mut t[0], addr, 42);
     println!("home dir: {}", class_str(&dsm, addr));
+    println!(
+        "node 1's cached dir entry now shows {:?} (deferred invalidation: node 1 acts only at its next fence)",
+        dsm.dir_view(1, addr).writer_class()
+    );
 
     println!("\n-- node 0 releases (SD fence: diff travels to home) --");
     dsm.sd_fence(&mut t[0]);
