@@ -7,7 +7,7 @@
 //! (Table 1) and the naïve P/S checkpoint obligation (§3.4.2). The engine
 //! still owns every verb.
 
-use super::{page_table, Coherence, NodePageTable, PageBitSet, RegisterOutcome};
+use super::{Coherence, PageBitSet, PageTable, RegisterOutcome};
 use crate::classification::{node_bit, ClassificationMode, DirView};
 use crate::config::CarinaConfig;
 use crate::directory::{DirEntry, DirWords};
@@ -32,26 +32,26 @@ pub struct CarinaSiSd {
     mode: ClassificationMode,
     /// The Pyxis home directory: one entry per page, living in the page's
     /// home node's memory (like the data pages, the placement is timing
-    /// metadata in the simulator; the entries themselves are stored flat).
-    home: mem::Arena<DirWords>,
+    /// metadata in the simulator; the entries themselves are one column).
+    home: PageTable<DirWords>,
     /// Per node, per page: that node's directory cache. Other nodes OR
     /// into it remotely on classification transitions; the owner reads it
     /// locally at fences. That asymmetry is the whole point: the *causing*
     /// node pays, the affected node stays passive.
-    dir_caches: NodePageTable<DirWords>,
+    dir_caches: PageTable<DirWords>,
     /// Fast-path mirrors of "this node's bit is already in the home maps".
-    reg_read: Vec<PageBitSet>,
-    reg_write: Vec<PageBitSet>,
+    reg_read: PageBitSet,
+    reg_write: PageBitSet,
 }
 
 impl CarinaSiSd {
-    /// The home directory entry of `page`.
+    /// The home directory entry of `page`, to update.
     #[inline]
     fn home_entry(&self, page: PageNum) -> DirEntry<'_> {
-        DirEntry(&self.home[page.0 as usize])
+        DirEntry(self.home.at(0, page))
     }
 
-    /// `node`'s directory-cache entry for `page`.
+    /// `node`'s directory-cache entry for `page`, to update.
     #[inline]
     pub(crate) fn cached_entry(&self, node: u16, page: PageNum) -> DirEntry<'_> {
         DirEntry(self.dir_caches.at(node, page))
@@ -60,13 +60,13 @@ impl CarinaSiSd {
     /// The directory view `node` currently holds for `page`.
     #[inline]
     pub(crate) fn node_view(&self, node: u16, page: PageNum) -> DirView {
-        self.cached_entry(node, page).view()
+        DirEntry(self.dir_caches.get(node, page)).view()
     }
 
     /// The authoritative home directory view for `page`.
     #[inline]
     pub(crate) fn home_view(&self, page: PageNum) -> DirView {
-        self.home_entry(page).view()
+        DirEntry(self.home.get(0, page)).view()
     }
 
     /// Detect a P→S transition caused by `me` joining `prior`'s accessors:
@@ -101,7 +101,7 @@ impl CarinaSiSd {
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { readers: before.readers | node_bit(me), ..before };
-        self.reg_read[me as usize].set(page);
+        self.reg_read.set(me, page);
         let mut out = RegisterOutcome::quiet();
         // P→S caused by our read (§3.3). Under naïve P/S we fetch the
         // private owner's checkpoint — unless it is the home, whose stores
@@ -126,7 +126,7 @@ impl CarinaSiSd {
         shard: &StatShard,
     ) -> RegisterOutcome {
         let after = DirView { writers: before.writers | node_bit(me), ..before };
-        self.reg_write[me as usize].set(page);
+        self.reg_write.set(me, page);
         let mut out = RegisterOutcome::quiet();
         let prior = before.accessors();
         // P→S caused by a write from a new node (§3.5 "Private, but
@@ -192,21 +192,21 @@ impl Coherence for CarinaSiSd {
     fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
         CarinaSiSd {
             mode: config.mode,
-            home: page_table(total_pages),
-            dir_caches: NodePageTable::new(nodes, total_pages),
-            reg_read: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
-            reg_write: (0..nodes).map(|_| PageBitSet::new(total_pages)).collect(),
+            home: PageTable::new(1, total_pages),
+            dir_caches: PageTable::new(nodes, total_pages),
+            reg_read: PageBitSet::new(nodes, total_pages),
+            reg_write: PageBitSet::new(nodes, total_pages),
         }
     }
 
     #[inline]
     fn read_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
-        self.reg_read[me as usize].get(page)
+        self.reg_read.get(me, page)
     }
 
     #[inline]
     fn write_registered(&self, me: u16, _home: u16, page: PageNum) -> bool {
-        self.reg_write[me as usize].get(page)
+        self.reg_write.get(me, page)
     }
 
     fn register_reader(
@@ -247,55 +247,58 @@ impl Coherence for CarinaSiSd {
 
     fn invariant_problems(
         &self,
-        node: u16,
-        dirty: &[PageNum],
+        dirty: &[Vec<PageNum>],
         home_of: impl Fn(PageNum) -> u16,
     ) -> Vec<String> {
         let mut problems = Vec::new();
-        let me = node;
-        let n = node as usize;
-        for &page in dirty {
-            let home = self.home_view(page);
-            if home.writers & node_bit(me) == 0 {
-                problems.push(format!(
-                    "n{n}: dirty page {} without writer registration",
-                    page.0
-                ));
+        for (n, pages) in (0u16..).zip(dirty) {
+            for page in pages.iter().filter(|&&p| self.home_view(p).writers & node_bit(n) == 0) {
+                problems.push(format!("n{n}: dirty page {} without writer registration", page.0));
             }
         }
-        // Fast-path bitsets must be a subset of the home maps; a node keeps
-        // no directory-cache row for the pages it homes (it never caches
-        // them, and nobody notifies it), and its row for any other page it
-        // accessed gives the home view's Table 1 answers.
-        for q in 0..self.home.len() as u64 {
-            let page = PageNum(q);
-            let home = self.home_view(page);
-            let row = self.dir_caches.get(me, page).map(|r| DirEntry(r).view()).unwrap_or_default();
-            let stale = self.answers(row, me) != self.answers(home, me);
-            if home_of(page) == me && row != DirView::default() {
-                problems.push(format!("n{n}: directory-cache row for its home page {q}: {row:?}"));
-            } else if home_of(page) != me && home.accessors() & node_bit(me) != 0 && stale {
-                problems.push(format!("n{n}: row {row:?} for page {q} answers unlike {home:?}"));
+        // Every accessor's row for a page it does not home gives the home
+        // view's Table 1 answers. A page no node registered for has no
+        // accessor to check.
+        for (page, entry) in self.home.touched(0) {
+            let home = DirEntry(entry).view();
+            let mut left = home.accessors() & !node_bit(home_of(page));
+            while left != 0 {
+                let n = left.trailing_zeros() as u16;
+                left &= left - 1;
+                let row = self.node_view(n, page);
+                if self.answers(row, n) != self.answers(home, n) {
+                    let what = format!("answers unlike {home:?}");
+                    problems.push(format!("n{n}: row {row:?} for page {} {what}", page.0));
+                }
             }
-            if self.reg_read[n].get(page) && home.readers & node_bit(me) == 0 {
-                problems.push(format!("n{n}: reg_read bit for {q} not in home map"));
+        }
+        // A node keeps no row for the pages it homes (it never caches
+        // them, and nobody notifies it), and its fast-path bits are a
+        // subset of the home maps.
+        for n in 0..self.dir_caches.rows() {
+            for (page, entry) in self.dir_caches.touched(n) {
+                let row = DirEntry(entry).view();
+                if home_of(page) == n && row != DirView::default() {
+                    let what = format!("row for its home page {}: {row:?}", page.0);
+                    problems.push(format!("n{n}: directory-cache {what}"));
+                }
             }
-            if self.reg_write[n].get(page) && home.writers & node_bit(me) == 0 {
-                problems.push(format!("n{n}: reg_write bit for {q} not in home map"));
+            let home = |p| self.home_view(p);
+            for page in self.reg_read.ones(n).filter(|&p| home(p).readers & node_bit(n) == 0) {
+                problems.push(format!("n{n}: reg_read bit for {} not in home map", page.0));
+            }
+            for page in self.reg_write.ones(n).filter(|&p| home(p).writers & node_bit(n) == 0) {
+                problems.push(format!("n{n}: reg_write bit for {} not in home map", page.0));
             }
         }
         problems
     }
 
     fn reset_all(&self) {
-        mem::clear_nonzero(&self.home);
+        self.home.clear_all();
         self.dir_caches.clear_all();
-        for b in &self.reg_read {
-            b.clear_all();
-        }
-        for b in &self.reg_write {
-            b.clear_all();
-        }
+        self.reg_read.clear_all();
+        self.reg_write.clear_all();
     }
 }
 
@@ -304,7 +307,6 @@ mod tests {
     use super::*;
     use crate::stats::CoherenceStats;
     use proptest::prelude::*;
-    use std::sync::atomic::Ordering::Relaxed;
 
     fn policy(nodes: usize) -> CarinaSiSd {
         CarinaSiSd::new(nodes, 16, &CarinaConfig::default())
@@ -379,10 +381,8 @@ mod tests {
                     prop_assert_eq!(c.answers(row, n), c.answers(after, n));
                 }
             }
-            for n in 0..nodes as u16 {
-                let problems = c.invariant_problems(n, &[], home_of);
-                prop_assert!(problems.is_empty(), "{mode:?}: {problems:?}");
-            }
+            let problems = c.invariant_problems(&vec![Vec::new(); nodes], home_of);
+            prop_assert!(problems.is_empty(), "{mode:?}: {problems:?}");
         }
     }
 
@@ -485,9 +485,7 @@ mod tests {
         assert_eq!(stats.snapshot().p_to_s, 0, "neither saw the P→S");
         assert_eq!((by_writer & node_bit(0), by_reader & node_bit(0)), (node_bit(0), node_bit(0)));
         assert!(c.must_self_invalidate(0, p, stats.shard(0)));
-        for n in 0..4 {
-            assert_eq!(c.invariant_problems(n, &[], |_| home), Vec::<String>::new());
-        }
+        assert_eq!(c.invariant_problems(&vec![Vec::new(); 4], |_| home), Vec::<String>::new());
     }
 
     /// Each node's directory cache is its own row: a notification into
@@ -511,8 +509,6 @@ mod tests {
         c.reset_all();
         assert!(!c.read_registered(0, 1, PageNum(1)));
         assert_eq!(c.home_view(PageNum(1)), DirView::default());
-        let zero = |words: &[DirWords]| words.iter().flatten().all(|w| w.load(Relaxed) == 0);
-        assert!(zero(&c.home));
-        assert!(c.dir_caches.touched().flatten().all(|w| w.load(Relaxed) == 0));
+        assert!(mem::all_zero(&c.home.cells) && mem::all_zero(&c.dir_caches.cells));
     }
 }

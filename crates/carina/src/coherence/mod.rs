@@ -28,9 +28,9 @@
 //! Policy metadata is tables, as in the paper, where the directory is only
 //! words in home memory: every page-indexed column — the home directory,
 //! the directory caches, Tardis's timestamps, the hybrid's census signals
-//! — is a zero-mapped [`page_table`] or a [`NodePageTable`] of zeroed
-//! chunks, resident only where a run touched and reset by
-//! `mem::clear_nonzero`. The trait asks only what the engine cannot
+//! — and every registration bitset is a [`PageTable`]: zero-mapped,
+//! resident only where a run stored, and reset and checked only in the
+//! chunks a run stored to. The trait asks only what the engine cannot
 //! derive: whether a drain keeps a write-hot page, and which dirty pages
 //! the naïve P/S sweep checkpoints, both follow from
 //! [`Coherence::write_buffered`] and [`Coherence::page_mode`].
@@ -52,101 +52,149 @@ use crate::config::CarinaConfig;
 use crate::stats::StatShard;
 use mem::PageNum;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-/// A page-indexed table of zero-initialised cells, resident only where a
-/// run stored ([`mem::zeroed_slice`]).
-pub(crate) fn page_table<A: mem::Zeroed>(pages: u64) -> mem::Arena<A> {
-    let n = usize::try_from(pages).unwrap_or_else(|_| panic!("{pages} pages overflow usize"));
-    mem::zeroed_slice(n)
-}
-
-/// Cells per lazily allocated chunk of a [`NodePageTable`] row.
+/// Cells per chunk of a [`PageTable`] row: the unit a reset or a check
+/// visits.
 const CHUNK_PAGES: usize = 1024;
 
-/// A node × page table of zero-initialised cells (counters by default;
-/// SI/SD's directory caches are one of `DirWords`). Each node's row is cut
-/// into chunks of [`CHUNK_PAGES`] cells, allocated zeroed on first touch,
-/// and a reset visits only the chunks a run touched: one zero-mapped
-/// table would cost nothing untouched too, but its reset would read
-/// every node's row.
+/// A rows × pages table of zero-initialised cells: one row per node (the
+/// directory caches, lease and census cells), or one row for a per-page
+/// column (the home directory, Tardis's timestamps, the hybrid's mode and
+/// score). The cells are one zero-mapped arena ([`mem::zeroed_slice`]),
+/// resident only where a run stored, and each row is cut into chunks of
+/// [`CHUNK_PAGES`] cells. [`Self::get`] reads a cell without a trace;
+/// every store goes through [`Self::at`], which marks the cell's chunk.
+/// A reset and a check visit only marked chunks, which is sound because
+/// an unmarked chunk holds only zeros: they cost what a run stored to,
+/// not what the machine could hold.
 #[derive(Debug)]
-pub(crate) struct NodePageTable<A = AtomicU64> {
+pub(crate) struct PageTable<A = AtomicU64> {
+    rows: usize,
     pages: usize,
-    row_chunks: usize,
-    chunks: Box<[OnceLock<mem::Arena<A>>]>,
+    cells: mem::Arena<A>,
+    /// Words of `marks` per row: a row's chunk bits start on a word.
+    row_words: usize,
+    /// One bit per chunk, row by row: set by the first store into it.
+    marks: mem::Arena<AtomicU64>,
 }
 
-impl<A: mem::Zeroed> NodePageTable<A> {
-    pub(crate) fn new(nodes: usize, pages: u64) -> Self {
+impl<A: mem::Zeroed> PageTable<A> {
+    pub(crate) fn new(rows: usize, pages: u64) -> Self {
         let pages =
             usize::try_from(pages).unwrap_or_else(|_| panic!("{pages} pages overflow usize"));
-        let row_chunks = pages.div_ceil(CHUNK_PAGES);
-        let chunks = (0..row_chunks * nodes).map(|_| OnceLock::new()).collect();
-        NodePageTable { pages, row_chunks, chunks }
+        let cells = rows.checked_mul(pages).unwrap_or_else(|| panic!("{rows} rows overflow"));
+        let row_words = pages.div_ceil(CHUNK_PAGES).div_ceil(64);
+        let (cells, marks) = (mem::zeroed_slice(cells), mem::zeroed_slice(rows * row_words));
+        PageTable { rows, pages, cells, row_words, marks }
     }
 
-    /// `node`'s cell for `page`.
+    pub(crate) fn rows(&self) -> u16 {
+        self.rows as u16
+    }
+
     #[inline]
-    pub(crate) fn at(&self, node: u16, page: PageNum) -> &A {
+    fn index(&self, row: u16, page: PageNum) -> usize {
         let q = page.0 as usize;
         assert!(q < self.pages, "page {q} outside a {}-page table", self.pages);
-        let chunk = &self.chunks[node as usize * self.row_chunks + q / CHUNK_PAGES];
-        &chunk.get_or_init(|| mem::zeroed_slice(CHUNK_PAGES))[q % CHUNK_PAGES]
+        row as usize * self.pages + q
     }
 
-    /// `node`'s cell for `page` if its chunk was ever touched, without
-    /// allocating one (checkers that read every page).
-    pub(crate) fn get(&self, node: u16, page: PageNum) -> Option<&A> {
-        let q = page.0 as usize;
-        if q >= self.pages {
-            return None;
+    /// `row`'s cell for `page`, to read.
+    #[inline]
+    pub(crate) fn get(&self, row: u16, page: PageNum) -> &A {
+        &self.cells[self.index(row, page)]
+    }
+
+    /// `row`'s cell for `page`, to store to: marks its chunk.
+    #[inline]
+    pub(crate) fn at(&self, row: u16, page: PageNum) -> &A {
+        let cell = &self.cells[self.index(row, page)];
+        let chunk = page.0 as usize / CHUNK_PAGES;
+        let word = &self.marks[row as usize * self.row_words + chunk / 64];
+        let bit = 1 << (chunk % 64);
+        if word.load(Ordering::Relaxed) & bit == 0 {
+            word.fetch_or(bit, Ordering::Relaxed);
         }
-        let cells = self.chunks[node as usize * self.row_chunks + q / CHUNK_PAGES].get()?;
-        Some(&cells[q % CHUNK_PAGES])
+        cell
     }
 
-    /// The cells of every chunk a run touched.
-    #[cfg(test)]
-    fn touched(&self) -> impl Iterator<Item = &A> {
-        self.chunks.iter().filter_map(OnceLock::get).flat_map(|cells| cells.iter())
+    /// The cells of `row`'s marked chunks, with their pages.
+    pub(crate) fn touched(&self, row: u16) -> impl Iterator<Item = (PageNum, &A)> {
+        self.chunks(row).flat_map(|(first, cells)| {
+            cells.iter().enumerate().map(move |(i, c)| (PageNum((first + i) as u64), c))
+        })
     }
 
-    /// Zero every cell (storing only to nonzero ones).
+    /// `row`'s marked chunks, each as its first page and its cells.
+    fn chunks(&self, row: u16) -> impl Iterator<Item = (usize, &[A])> {
+        let (base, words) = (row as usize * self.pages, row as usize * self.row_words);
+        #[cfg(test)]
+        let key = (std::ptr::from_ref(self).addr(), row);
+        self.marks[words..words + self.row_words].iter().enumerate().flat_map(move |(w, word)| {
+            let mut bits = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || {
+                let chunk = w * 64 + pop_lowest(&mut bits)? as usize;
+                #[cfg(test)]
+                visits::note(key);
+                let first = chunk * CHUNK_PAGES;
+                let cells = &self.cells[base + first..base + self.pages.min(first + CHUNK_PAGES)];
+                Some((first, cells))
+            })
+        })
+    }
+
+    /// Zero every marked chunk and unmark it. Debug builds then check every
+    /// cell, which catches a store that bypassed [`Self::at`].
     pub(crate) fn clear_all(&self) {
-        for cells in self.chunks.iter().filter_map(OnceLock::get) {
-            mem::clear_nonzero(cells);
+        for row in 0..self.rows() {
+            for (_, cells) in self.chunks(row) {
+                mem::clear_nonzero(cells);
+            }
         }
+        mem::clear_nonzero(&self.marks);
+        debug_assert!(mem::all_zero(&self.cells), "a store to an unmarked chunk");
     }
 }
 
-/// A lock-free page-indexed bitset: the fast-path mirror of "this node has
-/// registered with the home directory", checked on every access.
-#[derive(Debug)]
-pub(crate) struct PageBitSet {
-    words: mem::Arena<AtomicU64>,
+/// The index of `bits`' lowest set bit, cleared; `None` once none is left.
+#[inline]
+fn pop_lowest(bits: &mut u64) -> Option<u32> {
+    let b = (*bits != 0).then(|| bits.trailing_zeros())?;
+    *bits &= *bits - 1;
+    Some(b)
 }
+
+/// A lock-free bit per node and page, rows of words of 64 pages: the
+/// fast-path mirror of "this node has registered with the home directory"
+/// (or holds a lease), checked on every access.
+#[derive(Debug)]
+pub(crate) struct PageBitSet(PageTable);
 
 impl PageBitSet {
-    pub(crate) fn new(pages: u64) -> Self {
-        PageBitSet { words: page_table(pages.div_ceil(64)) }
+    pub(crate) fn new(nodes: usize, pages: u64) -> Self {
+        PageBitSet(PageTable::new(nodes, pages.div_ceil(64)))
     }
 
     #[inline]
-    pub(crate) fn get(&self, page: PageNum) -> bool {
-        let w = (page.0 / 64) as usize;
-        self.words[w].load(Ordering::Relaxed) & (1 << (page.0 % 64)) != 0
+    pub(crate) fn get(&self, node: u16, page: PageNum) -> bool {
+        self.0.get(node, PageNum(page.0 / 64)).load(Ordering::Relaxed) & (1 << (page.0 % 64)) != 0
     }
 
     #[inline]
-    pub(crate) fn set(&self, page: PageNum) {
-        let w = (page.0 / 64) as usize;
-        self.words[w].fetch_or(1 << (page.0 % 64), Ordering::Relaxed);
+    pub(crate) fn set(&self, node: u16, page: PageNum) {
+        self.0.at(node, PageNum(page.0 / 64)).fetch_or(1 << (page.0 % 64), Ordering::Relaxed);
     }
 
-    #[inline]
+    /// `node`'s set pages.
+    pub(crate) fn ones(&self, node: u16) -> impl Iterator<Item = PageNum> + '_ {
+        self.0.touched(node).flat_map(|(w, word)| {
+            let mut bits = word.load(Ordering::Relaxed);
+            std::iter::from_fn(move || Some(PageNum(w.0 * 64 + u64::from(pop_lowest(&mut bits)?))))
+        })
+    }
+
     pub(crate) fn clear_all(&self) {
-        mem::clear_nonzero(&self.words);
+        self.0.clear_all();
     }
 }
 
@@ -325,18 +373,39 @@ pub trait Coherence: std::fmt::Debug + Send + Sync + Sized + 'static {
         PageMode::Classify
     }
 
-    /// Policy-specific invariant violations for `node`, given its dirty
-    /// page set at a quiescent point and every page's current home.
-    /// Appended to the engine's own checks.
+    /// Policy-specific invariant violations, given each node's dirty page
+    /// set at a quiescent point (`dirty[n]`) and every page's current home.
+    /// Appended to the engine's own checks. Visits only the table chunks a
+    /// run stored to: a zero cell passes every check.
     fn invariant_problems(
         &self,
-        node: u16,
-        dirty: &[PageNum],
+        dirty: &[Vec<PageNum>],
         home_of: impl Fn(PageNum) -> u16,
     ) -> Vec<String>;
 
     /// Null all policy metadata (end-of-initialization reset, decay).
     fn reset_all(&self);
+}
+
+/// How many chunks each sweep of a table's row visits: test builds count
+/// them per thread, keyed by the table's address and the row.
+#[cfg(test)]
+pub(crate) mod visits {
+    use std::cell::RefCell;
+    use std::collections::HashMap;
+
+    thread_local! {
+        static VISITS: RefCell<HashMap<(usize, u16), usize>> = RefCell::default();
+    }
+
+    pub(super) fn note(key: (usize, u16)) {
+        VISITS.with(|v| *v.borrow_mut().entry(key).or_default() += 1);
+    }
+
+    /// The counts since the last call, per (table, row).
+    pub(crate) fn take() -> HashMap<(usize, u16), usize> {
+        VISITS.with(|v| std::mem::take(&mut *v.borrow_mut()))
+    }
 }
 
 #[cfg(test)]
@@ -345,37 +414,54 @@ mod tests {
 
     #[test]
     fn bitset_set_get_clear() {
-        let b = PageBitSet::new(130);
-        assert!(!b.get(PageNum(129)));
-        b.set(PageNum(129));
-        b.set(PageNum(0));
-        assert!(b.get(PageNum(129)));
-        assert!(b.get(PageNum(0)));
-        assert!(!b.get(PageNum(64)));
+        let b = PageBitSet::new(2, 130);
+        assert!(!b.get(1, PageNum(129)));
+        b.set(1, PageNum(129));
+        b.set(1, PageNum(0));
+        assert!(b.get(1, PageNum(129)) && b.get(1, PageNum(0)));
+        assert!(!b.get(1, PageNum(64)) && !b.get(0, PageNum(129)), "a row per node");
+        assert_eq!(b.ones(1).collect::<Vec<_>>(), [PageNum(0), PageNum(129)]);
+        assert_eq!(b.ones(0).count(), 0);
         b.clear_all();
-        assert!(!b.get(PageNum(129)));
+        assert!(!b.get(1, PageNum(129)));
+        assert_eq!(b.ones(1).count(), 0);
     }
 
     #[test]
-    fn node_page_tables_have_a_row_per_node_and_allocate_on_touch() {
-        let t = NodePageTable::<AtomicU64>::new(2, 3 * CHUNK_PAGES as u64 - 5);
-        assert_eq!(t.touched().count(), 0);
-        t.at(1, PageNum(2 * CHUNK_PAGES as u64)).store(7, Ordering::Relaxed);
-        assert_eq!(t.touched().count(), CHUNK_PAGES, "one chunk, of node 1's row");
+    fn page_tables_have_a_row_per_node_and_mark_on_store() {
+        let t = PageTable::<AtomicU64>::new(2, 3 * CHUNK_PAGES as u64 - 5);
         let page = PageNum(2 * CHUNK_PAGES as u64);
-        assert!(t.get(0, page).is_none(), "`get` allocates nothing");
-        assert_eq!(t.get(1, page).map(|c| c.load(Ordering::Relaxed)), Some(7));
-        assert_eq!(t.touched().count(), CHUNK_PAGES);
-        assert_eq!(t.at(0, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 0);
-        assert_eq!(t.at(1, PageNum(2 * CHUNK_PAGES as u64)).load(Ordering::Relaxed), 7);
+        assert_eq!(t.get(0, page).load(Ordering::Relaxed), 0);
+        assert_eq!(t.touched(0).count() + t.touched(1).count(), 0, "`get` marks nothing");
+        t.at(1, page).store(7, Ordering::Relaxed);
+        assert_eq!(t.touched(0).count(), 0);
+        let last: Vec<_> = t.touched(1).map(|(p, c)| (p, c.load(Ordering::Relaxed))).collect();
+        assert_eq!(last.len(), CHUNK_PAGES - 5, "node 1's last chunk, cut at the table's end");
+        assert_eq!(last[0], (page, 7));
+        assert_eq!(t.get(0, page).load(Ordering::Relaxed), 0);
         t.clear_all();
-        assert!(t.touched().all(|c| c.load(Ordering::Relaxed) == 0));
+        assert_eq!(t.get(1, page).load(Ordering::Relaxed), 0);
+        assert_eq!(t.touched(1).count(), 0, "the reset unmarks");
+    }
+
+    /// A reset visits each row's marked chunks, once.
+    #[test]
+    fn a_reset_visits_only_marked_chunks() {
+        let t = PageTable::<AtomicU64>::new(4, 64 * CHUNK_PAGES as u64);
+        for (row, page) in [(0, 5), (0, 6), (0, 40 * CHUNK_PAGES), (3, 64 * CHUNK_PAGES - 1)] {
+            t.at(row, PageNum(page as u64)).store(1, Ordering::Relaxed);
+        }
+        visits::take();
+        t.clear_all();
+        let mut seen: Vec<_> = visits::take().into_iter().map(|((_, row), n)| (row, n)).collect();
+        seen.sort_unstable();
+        assert_eq!(seen, [(0, 2), (3, 1)]);
     }
 
     #[test]
     #[should_panic(expected = "outside a 16-page table")]
-    fn node_page_tables_refuse_pages_past_their_end() {
-        NodePageTable::<AtomicU64>::new(2, 16).at(0, PageNum(16));
+    fn page_tables_refuse_pages_past_their_end() {
+        PageTable::<AtomicU64>::new(2, 16).get(0, PageNum(16));
     }
 
     #[test]

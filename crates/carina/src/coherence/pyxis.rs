@@ -59,13 +59,13 @@
 //! lease grant from a previous lease stint and no stale directory-cache
 //! view can keep stale data alive across a switch.
 
-use super::{page_table, CarinaSiSd, Coherence, NodePageTable, PageMode, RegisterOutcome, Tardis};
+use super::{CarinaSiSd, Coherence, PageMode, PageTable, RegisterOutcome, Tardis};
 use crate::classification::node_bit;
 use crate::config::CarinaConfig;
 use crate::stats::{CoherenceStats, StatShard};
 use mem::PageNum;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 
 /// Census-driven per-page hybrid of [`CarinaSiSd`] and [`Tardis`].
 #[derive(Debug)]
@@ -74,23 +74,23 @@ pub struct Pyxis {
     tardis: Tardis,
     /// Per page: switch count. Parity is the mode (even = classify,
     /// odd = lease); every page starts in classification mode.
-    mode_epoch: mem::Arena<AtomicU64>,
+    mode_epoch: PageTable,
     /// Per node, per page: the mode epoch this node last reconciled at an
     /// acquire (mismatch ⇒ force-invalidate once).
-    seen_epoch: NodePageTable,
+    seen_epoch: PageTable,
     /// Per page saturating evidence score (see module docs).
-    score: mem::Arena<AtomicI64>,
+    score: PageTable<AtomicI64>,
     /// Per page: monotone write version, bumped once per written epoch.
     /// Comparing against a node's remembered version answers "was
     /// this page written since I last checked it?" exactly, with no decay
     /// window to tune.
-    write_version: mem::Arena<AtomicU64>,
+    write_version: PageTable,
     /// Per page: the home node's release epoch (`Tardis::epoch`) at its
     /// last write registration of the page.
-    home_written: mem::Arena<AtomicU64>,
+    home_written: PageTable,
     /// Per node, per page: the write version this node observed at its
     /// previous fence check of the page.
-    seen_version: NodePageTable,
+    seen_version: PageTable,
     /// Pages whose score crossed the threshold since the last fence hook;
     /// drained (and the switches applied) only at fence boundaries.
     pending: Mutex<Vec<PageNum>>,
@@ -103,36 +103,37 @@ impl Pyxis {
     /// Is `page` currently governed by timestamp leases?
     #[inline]
     pub(crate) fn in_lease_mode(&self, page: PageNum) -> bool {
-        self.mode_epoch[page.0 as usize].load(Ordering::Relaxed) & 1 == 1
+        self.mode_epoch.get(0, page).load(Ordering::Relaxed) & 1 == 1
     }
 
     /// How many times `page` has switched modes (tests and proptests).
     pub fn switch_count(&self, page: PageNum) -> u64 {
-        self.mode_epoch[page.0 as usize].load(Ordering::Relaxed)
+        self.mode_epoch.get(0, page).load(Ordering::Relaxed)
     }
 
     /// The page's current evidence score (tests).
     pub fn score_of(&self, page: PageNum) -> i64 {
-        self.score[page.0 as usize].load(Ordering::Relaxed)
+        self.score.get(0, page).load(Ordering::Relaxed)
     }
 
     /// Add clamped evidence to the page's score; when the total crosses
     /// the switch threshold in the direction opposing the current mode,
     /// enqueue the page for a fence-boundary switch.
-    fn add_score(&self, q: usize, delta: i64) {
-        let cell = &self.score[q];
+    fn add_score(&self, page: PageNum, delta: i64) {
         // Saturated already: nothing to learn, skip the RMW.
-        let cur = cell.load(Ordering::Relaxed);
+        let cur = self.score_of(page);
         if (delta > 0 && cur >= self.cap) || (delta < 0 && cur <= -self.cap) {
             return;
         }
-        let prev = cell
+        let prev = self
+            .score
+            .at(0, page)
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
                 Some((s + delta).clamp(-self.cap, self.cap))
             })
             .unwrap_or(cur);
         let new = (prev + delta).clamp(-self.cap, self.cap);
-        let lease = self.mode_epoch[q].load(Ordering::Relaxed) & 1 == 1;
+        let lease = self.in_lease_mode(page);
         let crossed = if lease {
             prev > -self.threshold && new <= -self.threshold
         } else {
@@ -140,7 +141,7 @@ impl Pyxis {
         };
         if crossed {
             let mut pend = self.pending.lock();
-            pend.push(PageNum(q as u64));
+            pend.push(page);
             self.pending_len.store(pend.len(), Ordering::Relaxed);
         }
     }
@@ -154,9 +155,7 @@ impl Pyxis {
         }
         let mut pend = self.pending.lock();
         for page in pend.drain(..) {
-            let q = page.0 as usize;
-            let e = self.mode_epoch[q].load(Ordering::Relaxed);
-            let s = self.score[q].load(Ordering::Relaxed);
+            let (e, s) = (self.switch_count(page), self.score_of(page));
             let flip = if e & 1 == 0 {
                 s >= self.threshold
             } else {
@@ -165,8 +164,8 @@ impl Pyxis {
             if !flip {
                 continue;
             }
-            self.mode_epoch[q].store(e + 1, Ordering::Relaxed);
-            self.score[q].store(0, Ordering::Relaxed);
+            self.mode_epoch.at(0, page).store(e + 1, Ordering::Relaxed);
+            self.score.at(0, page).store(0, Ordering::Relaxed);
             if e & 1 == 0 {
                 CoherenceStats::bump(&shard.mode_to_lease);
             } else {
@@ -185,12 +184,12 @@ impl Coherence for Pyxis {
         Pyxis {
             sisd: CarinaSiSd::new(nodes, total_pages, config),
             tardis: Tardis::new(nodes, total_pages, config),
-            mode_epoch: page_table(total_pages),
-            seen_epoch: NodePageTable::new(nodes, total_pages),
-            score: page_table(total_pages),
-            write_version: page_table(total_pages),
-            home_written: page_table(total_pages),
-            seen_version: NodePageTable::new(nodes, total_pages),
+            mode_epoch: PageTable::new(1, total_pages),
+            seen_epoch: PageTable::new(nodes, total_pages),
+            score: PageTable::new(1, total_pages),
+            write_version: PageTable::new(1, total_pages),
+            home_written: PageTable::new(1, total_pages),
+            seen_version: PageTable::new(nodes, total_pages),
             pending: Mutex::new(Vec::new()),
             pending_len: AtomicUsize::new(0),
             threshold,
@@ -219,10 +218,9 @@ impl Coherence for Pyxis {
         }
         // A home store's registration is the census's only sight of its
         // written epoch (module docs): one per epoch, if others read it.
-        let q = page.0 as usize;
         self.sisd.write_registered(me, home, page)
             && (home != me
-                || self.home_written[q].load(Ordering::Relaxed) == self.tardis.epoch(me)
+                || self.home_written.get(0, page).load(Ordering::Relaxed) == self.tardis.epoch(me)
                 || self.sisd.home_view(page).accessors() & !node_bit(me) == 0)
     }
 
@@ -254,7 +252,7 @@ impl Coherence for Pyxis {
     ) -> RegisterOutcome {
         let out = self.sisd.register_writer(me, home, page, shard);
         if home == me {
-            self.home_written[page.0 as usize].store(self.tardis.epoch(me), Ordering::Relaxed);
+            self.home_written.at(0, page).store(self.tardis.epoch(me), Ordering::Relaxed);
         }
         if self.in_lease_mode(page) {
             let _ = self.tardis.register_writer(me, home, page, shard);
@@ -271,7 +269,7 @@ impl Coherence for Pyxis {
     }
 
     fn note_written_epoch(&self, _me: u16, page: PageNum) {
-        self.write_version[page.0 as usize].fetch_add(1, Ordering::Relaxed);
+        self.write_version.at(0, page).fetch_add(1, Ordering::Relaxed);
     }
 
     fn begin_si_fence(&self, me: u16, shard: &StatShard) {
@@ -281,11 +279,9 @@ impl Coherence for Pyxis {
     }
 
     fn must_self_invalidate(&self, me: u16, page: PageNum, shard: &StatShard) -> bool {
-        let q = page.0 as usize;
-        let epoch = self.mode_epoch[q].load(Ordering::Relaxed);
-        let seen = self.seen_epoch.at(me, page);
-        let version = self.write_version[q].load(Ordering::Relaxed);
-        if seen.load(Ordering::Relaxed) != epoch {
+        let epoch = self.switch_count(page);
+        let version = self.write_version.get(0, page).load(Ordering::Relaxed);
+        if self.seen_epoch.get(me, page).load(Ordering::Relaxed) != epoch {
             // Reconcile: the first acquire that observes a page's new mode
             // drops the copy unconditionally, so no lease grant or stale
             // view from the old mode can keep stale data alive. Record the
@@ -293,7 +289,7 @@ impl Coherence for Pyxis {
             // post-switch evidence only. Plain stores on per-node cells
             // sibling threads share: safe because this runs only inside
             // `si_sweep`, under the page's slot lock.
-            seen.store(epoch, Ordering::Relaxed);
+            self.seen_epoch.at(me, page).store(epoch, Ordering::Relaxed);
             self.seen_version.at(me, page).store(version, Ordering::Relaxed);
             CoherenceStats::bump(&shard.mode_reconciles);
             return true;
@@ -311,9 +307,9 @@ impl Coherence for Pyxis {
             // evidence against.
             let sisd_would = self.sisd.must_self_invalidate(me, page, shard);
             if inval && !sisd_would {
-                self.add_score(q, -1);
+                self.add_score(page, -1);
             } else if !inval && sisd_would {
-                self.add_score(q, 1);
+                self.add_score(page, 1);
             }
             inval
         } else {
@@ -323,7 +319,7 @@ impl Coherence for Pyxis {
                 // Invalidating a page nobody wrote since this node's last
                 // look is the read-mostly waste leases avoid; invalidating
                 // a freshly written page is classification doing its job.
-                self.add_score(q, if unchanged { 1 } else { -1 });
+                self.add_score(page, if unchanged { 1 } else { -1 });
             }
             inval
         }
@@ -361,8 +357,7 @@ impl Coherence for Pyxis {
 
     fn invariant_problems(
         &self,
-        node: u16,
-        dirty: &[PageNum],
+        dirty: &[Vec<PageNum>],
         home_of: impl Fn(PageNum) -> u16,
     ) -> Vec<String> {
         // The classification invariants hold unconditionally (maps are
@@ -370,23 +365,18 @@ impl Coherence for Pyxis {
         // only the global timestamp ordering applies: a page can go dirty
         // in classification mode and switch before draining, so "dirty ⇒
         // holds a lease" is not a hybrid invariant.
-        let mut problems = self.sisd.invariant_problems(node, dirty, home_of);
-        for q in 0..self.mode_epoch.len() {
-            let (wts, rts) = self.tardis.timestamps(PageNum(q as u64));
-            if rts < wts {
-                problems.push(format!("page {q}: rts {rts} < wts {wts}"));
-            }
-        }
+        let mut problems = self.sisd.invariant_problems(dirty, home_of);
+        problems.extend(self.tardis.timestamp_problems());
         problems
     }
 
     fn reset_all(&self) {
         self.sisd.reset_all();
         self.tardis.reset_all();
-        mem::clear_nonzero(&self.mode_epoch);
-        mem::clear_nonzero(&self.score);
-        mem::clear_nonzero(&self.write_version);
-        mem::clear_nonzero(&self.home_written);
+        for column in [&self.mode_epoch, &self.write_version, &self.home_written] {
+            column.clear_all();
+        }
+        self.score.clear_all();
         self.seen_epoch.clear_all();
         self.seen_version.clear_all();
         let mut pend = self.pending.lock();
@@ -577,11 +567,10 @@ mod tests {
         assert_eq!(c.switch_count(p), 0);
         assert_eq!(c.score_of(p), 0);
         assert!(!c.read_registered(0, 1, p));
-        assert!(c.invariant_problems(0, &[], |_| 1).is_empty());
-        let zero = |cells: &[AtomicU64]| cells.iter().all(|a| a.load(Ordering::Relaxed) == 0);
-        assert!(zero(&c.mode_epoch) && zero(&c.write_version) && zero(&c.home_written));
-        for table in [&c.seen_epoch, &c.seen_version] {
-            assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
+        assert!(c.invariant_problems(&[vec![], vec![]], |_| 1).is_empty());
+        for table in [&c.mode_epoch, &c.write_version, &c.home_written, &c.seen_epoch] {
+            assert!(mem::all_zero(&table.cells));
         }
+        assert!(mem::all_zero(&c.seen_version.cells) && mem::all_zero(&c.score.cells));
     }
 }

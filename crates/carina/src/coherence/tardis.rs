@@ -95,9 +95,7 @@
 //! copy is authoritative, which is the DSM analogue of TARDIS's owner
 //! state.
 
-use super::{
-    lease_clock, page_table, Coherence, NodePageTable, PageBitSet, PageMode, RegisterOutcome,
-};
+use super::{lease_clock, Coherence, PageBitSet, PageMode, PageTable, RegisterOutcome};
 use crate::classification::node_bit;
 use crate::config::CarinaConfig;
 use crate::directory::{DirEntry, DirWords};
@@ -119,8 +117,6 @@ struct NodeClock {
     /// re-bumps `wts` at most once per epoch (the version the next release
     /// publishes) instead of on every home-page store.
     epoch: AtomicU64,
-    /// Pages this node holds a (possibly expired) lease on.
-    granted: PageBitSet,
     /// Pages homed *here* and written this epoch. Home stores land in home
     /// memory directly — no cached copy, no drain — so their version bump
     /// is deferred to `end_sd_fence` (after every store of the epoch) and
@@ -135,25 +131,27 @@ pub struct Tardis {
     /// the columns stay atomics so fence predicates read them lock-free.
     locks: [Mutex<()>; LOCK_STRIPES],
     /// Per page: write timestamp of the home copy's version.
-    wts: mem::Arena<AtomicU64>,
+    wts: PageTable,
     /// Per page: promise horizon, the max granted read lease. Invariant:
     /// `wts <= rts` whenever `rts > 0`.
-    rts: mem::Arena<AtomicU64>,
+    rts: PageTable,
     /// Per page: current lease length (adaptive, see module docs; 0 reads
     /// as the initial lease, `lease_clock::length`).
-    lease: mem::Arena<AtomicU64>,
+    lease: PageTable,
     /// Per page: the writers on record, for the invariant checks. Never
     /// consulted by a protocol decision — Tardis's whole point is that it
     /// needs no sharer bitmap.
-    diag: mem::Arena<DirWords>,
+    diag: PageTable<DirWords>,
     nodes: Vec<NodeClock>,
+    /// Per node, per page: holds a (possibly expired) lease.
+    granted: PageBitSet,
     /// Per node, per page: the granted `rts` (valid where `granted` is set).
-    lease_rts: NodePageTable,
+    lease_rts: PageTable,
     /// Per node, per page: the `wts` the lease was granted against
     /// (renewal-of-unchanged-page detection).
-    lease_wts: NodePageTable,
+    lease_wts: PageTable,
     /// Per node, per page: epoch of the node's last `wts` bump.
-    wrote_epoch: NodePageTable,
+    wrote_epoch: PageTable,
     /// The global clock releases publish into and acquires merge from.
     gts: AtomicU64,
 }
@@ -165,16 +163,25 @@ impl Tardis {
         self.locks[page.0 as usize % LOCK_STRIPES].lock()
     }
 
-    /// `page`'s diagnostic accessor maps.
+    /// `page`'s diagnostic accessor maps, to record a writer in.
     #[inline]
     fn diag(&self, page: PageNum) -> DirEntry<'_> {
-        DirEntry(&self.diag[page.0 as usize])
+        DirEntry(self.diag.at(0, page))
     }
 
     /// Home `wts`/`rts` of `page` (tests and proptests).
     pub fn timestamps(&self, page: PageNum) -> (u64, u64) {
-        let q = page.0 as usize;
-        (self.wts[q].load(Ordering::Acquire), self.rts[q].load(Ordering::Acquire))
+        let (wts, rts) = (self.wts.get(0, page), self.rts.get(0, page));
+        (wts.load(Ordering::Acquire), rts.load(Ordering::Acquire))
+    }
+
+    /// Pages whose home `rts` lags their `wts`. Only a written version's
+    /// `wts` is nonzero, so only stored-to chunks can hold one.
+    pub(crate) fn timestamp_problems(&self) -> impl Iterator<Item = String> + '_ {
+        self.wts.touched(0).filter_map(|(page, wts)| {
+            let (wts, rts) = (wts.load(Ordering::Acquire), self.timestamps(page).1);
+            (rts < wts).then(|| format!("page {}: rts {rts} < wts {wts}", page.0))
+        })
     }
 
     /// `node`'s logical clock (tests and proptests).
@@ -190,10 +197,7 @@ impl Tardis {
 
     /// The lease `node` currently holds on `page`, if any (tests).
     pub fn granted_lease(&self, node: u16, page: PageNum) -> Option<u64> {
-        self.nodes[node as usize]
-            .granted
-            .get(page)
-            .then(|| self.lease_rts.at(node, page).load(Ordering::Relaxed))
+        self.granted.get(node, page).then(|| self.lease_rts.get(node, page).load(Ordering::Relaxed))
     }
 }
 
@@ -203,21 +207,21 @@ impl Coherence for Tardis {
     fn new(nodes: usize, total_pages: u64, _config: &CarinaConfig) -> Self {
         Tardis {
             locks: [const { Mutex::new(()) }; LOCK_STRIPES],
-            wts: page_table(total_pages),
-            rts: page_table(total_pages),
-            lease: page_table(total_pages),
-            diag: page_table(total_pages),
+            wts: PageTable::new(1, total_pages),
+            rts: PageTable::new(1, total_pages),
+            lease: PageTable::new(1, total_pages),
+            diag: PageTable::new(1, total_pages),
             nodes: (0..nodes)
                 .map(|_| NodeClock {
                     pts: AtomicU64::new(0),
                     epoch: AtomicU64::new(1),
-                    granted: PageBitSet::new(total_pages),
                     home_writes: Mutex::new(Vec::new()),
                 })
                 .collect(),
-            lease_rts: NodePageTable::new(nodes, total_pages),
-            lease_wts: NodePageTable::new(nodes, total_pages),
-            wrote_epoch: NodePageTable::new(nodes, total_pages),
+            granted: PageBitSet::new(nodes, total_pages),
+            lease_rts: PageTable::new(nodes, total_pages),
+            lease_wts: PageTable::new(nodes, total_pages),
+            wrote_epoch: PageTable::new(nodes, total_pages),
             gts: AtomicU64::new(0),
         }
     }
@@ -228,9 +232,8 @@ impl Coherence for Tardis {
             // The home copy is authoritative; home reads need no lease.
             return true;
         }
-        let nc = &self.nodes[me as usize];
-        nc.granted.get(page)
-            && self.lease_rts.at(me, page).load(Ordering::Relaxed) >= nc.pts.load(Ordering::Relaxed)
+        let pts = self.nodes[me as usize].pts.load(Ordering::Relaxed);
+        self.granted_lease(me, page).is_some_and(|rts| rts >= pts)
     }
 
     #[inline]
@@ -242,7 +245,7 @@ impl Coherence for Tardis {
         // epoch increment in `end_sd_fence`: a gate check that reads the
         // old epoch is totally ordered before the increment, hence before
         // the queue drain that bumps the page.
-        self.wrote_epoch.at(me, page).load(Ordering::Relaxed) == self.epoch(me)
+        self.wrote_epoch.get(me, page).load(Ordering::Relaxed) == self.epoch(me)
     }
 
     fn register_reader(
@@ -252,23 +255,22 @@ impl Coherence for Tardis {
         page: PageNum,
         shard: &StatShard,
     ) -> RegisterOutcome {
-        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
         let _serial = self.lock(page);
-        let renewal = nc.granted.get(page);
-        let wts = self.wts[q].load(Ordering::Acquire);
+        let renewal = self.granted.get(me, page);
+        let wts = self.wts.get(0, page).load(Ordering::Acquire);
         nc.pts.fetch_max(wts, Ordering::AcqRel);
         let pts = nc.pts.load(Ordering::Acquire);
         // Adaptive growth: renewing a lease on an unchanged version means
         // the lease expired only because unrelated writers moved the
         // clock — double it so the page rides out more of them.
-        let lease = if renewal && self.lease_wts.at(me, page).load(Ordering::Relaxed) == wts {
-            lease_clock::grow(&self.lease[q])
+        let lease = if renewal && self.lease_wts.get(me, page).load(Ordering::Relaxed) == wts {
+            lease_clock::grow(self.lease.at(0, page))
         } else {
-            lease_clock::length(&self.lease[q])
+            lease_clock::length(self.lease.get(0, page))
         };
         let grant = pts.saturating_add(lease);
-        let prev = self.rts[q].fetch_max(grant, Ordering::AcqRel);
+        let prev = self.rts.at(0, page).fetch_max(grant, Ordering::AcqRel);
         // A store derived from a load, on a cell sibling threads of `me`
         // share: safe because `_serial` (the page's stripe) orders every
         // renewal of the page, so none lowers the lease another granted.
@@ -277,7 +279,7 @@ impl Coherence for Tardis {
         if renewal {
             CoherenceStats::bump(&shard.lease_renewals);
         } else {
-            nc.granted.set(page);
+            self.granted.set(me, page);
         }
         RegisterOutcome::quiet()
     }
@@ -289,12 +291,11 @@ impl Coherence for Tardis {
         page: PageNum,
         _shard: &StatShard,
     ) -> RegisterOutcome {
-        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
         let _serial = self.lock(page);
         // Shrink the page's lease: it is write-active, and long promises
         // on it only inflate future bumps.
-        lease_clock::shrink(&self.lease[q]);
+        lease_clock::shrink(self.lease.at(0, page));
         // No self-lease, in either branch. A lease asserts the *whole*
         // copy is current, and a multi-writer diff protocol cannot prove
         // that for a written page: words another node wrote are exactly as
@@ -317,7 +318,7 @@ impl Coherence for Tardis {
             // The version does not move here — the new bytes exist only in
             // this writer's cache until the downgrade (rule 3). Write at
             // the current clock: `pts = max(pts, wts)`.
-            let wts = self.wts[q].load(Ordering::Acquire);
+            let wts = self.wts.get(0, page).load(Ordering::Acquire);
             nc.pts.fetch_max(wts, Ordering::AcqRel);
         }
         self.wrote_epoch.at(me, page).store(nc.epoch.load(Ordering::Relaxed), Ordering::Relaxed);
@@ -341,7 +342,7 @@ impl Coherence for Tardis {
     fn must_self_invalidate(&self, me: u16, page: PageNum, shard: &StatShard) -> bool {
         let nc = &self.nodes[me as usize];
         let pts = nc.pts.load(Ordering::Acquire);
-        let held = nc.granted.get(page) && self.lease_rts.at(me, page).load(Ordering::Relaxed) >= pts;
+        let held = self.granted_lease(me, page).is_some_and(|rts| rts >= pts);
         if held {
             CoherenceStats::bump(&shard.lease_kept);
         } else {
@@ -373,19 +374,19 @@ impl Coherence for Tardis {
     }
 
     fn note_downgrade(&self, me: u16, page: PageNum) {
-        let q = page.0 as usize;
         let nc = &self.nodes[me as usize];
         let _serial = self.lock(page);
         // The drained bytes are home: this is the moment the new version
         // exists. Bump past every granted lease — anyone still holding one
         // leased the old bytes, and the release about to publish our clock
         // will expire them at their next acquire.
-        let v = self.wts[q].load(Ordering::Acquire).max(self.rts[q].load(Ordering::Acquire)) + 1;
-        self.wts[q].store(v, Ordering::Release);
+        let (wts, rts) = self.timestamps(page);
+        let v = wts.max(rts) + 1;
+        self.wts.at(0, page).store(v, Ordering::Release);
         // Keep `wts <= rts` (an rts below the version would promise the
         // previous version past its life). No self-lease: see
         // `register_writer` — written copies cannot be proven whole.
-        self.rts[q].fetch_max(v, Ordering::AcqRel);
+        self.rts.at(0, page).fetch_max(v, Ordering::AcqRel);
         nc.pts.fetch_max(v, Ordering::AcqRel);
         self.diag(page).or_writers(node_bit(me));
     }
@@ -396,48 +397,46 @@ impl Coherence for Tardis {
 
     fn invariant_problems(
         &self,
-        node: u16,
-        dirty: &[PageNum],
+        dirty: &[Vec<PageNum>],
         _home_of: impl Fn(PageNum) -> u16,
     ) -> Vec<String> {
         let mut problems = Vec::new();
-        let n = node as usize;
-        for &page in dirty {
-            if self.diag(page).view().writers & node_bit(node) == 0 {
-                problems.push(format!(
-                    "n{n}: dirty page {} without a writer on record",
-                    page.0
-                ));
+        for (n, pages) in (0u16..).zip(dirty) {
+            for &page in pages {
+                if DirEntry(self.diag.get(0, page)).view().writers & node_bit(n) == 0 {
+                    let q = page.0;
+                    problems.push(format!("n{n}: dirty page {q} without a writer on record"));
+                }
             }
         }
-        for q in 0..self.wts.len() {
-            let (wts, rts) = self.timestamps(PageNum(q as u64));
-            if rts < wts {
-                problems.push(format!("page {q}: rts {rts} < wts {wts}"));
-            }
-            // Granted pages only: reading another page's lease cell would
-            // allocate its chunk.
-            if let Some(lease) = self.granted_lease(node, PageNum(q as u64)).filter(|&l| l > rts) {
-                problems.push(format!("n{n}: lease on page {q} beyond home rts ({lease} > {rts})"));
+        problems.extend(self.timestamp_problems());
+        for n in 0..self.lease_rts.rows() {
+            for page in self.granted.ones(n) {
+                let lease = self.lease_rts.get(n, page).load(Ordering::Relaxed);
+                let (q, rts) = (page.0, self.timestamps(page).1);
+                if lease > rts {
+                    let what = format!("beyond home rts ({lease} > {rts})");
+                    problems.push(format!("n{n}: lease on page {q} {what}"));
+                }
             }
         }
         problems
     }
 
     fn reset_all(&self) {
-        mem::clear_nonzero(&self.wts);
-        mem::clear_nonzero(&self.rts);
-        mem::clear_nonzero(&self.lease);
-        mem::clear_nonzero(&self.diag);
+        for column in [&self.wts, &self.rts, &self.lease] {
+            column.clear_all();
+        }
+        self.diag.clear_all();
         for nc in &self.nodes {
             nc.pts.store(0, Ordering::Relaxed);
             nc.epoch.store(1, Ordering::Relaxed);
-            nc.granted.clear_all();
             nc.home_writes.lock().clear();
         }
-        self.lease_rts.clear_all();
-        self.lease_wts.clear_all();
-        self.wrote_epoch.clear_all();
+        self.granted.clear_all();
+        for table in [&self.lease_rts, &self.lease_wts, &self.wrote_epoch] {
+            table.clear_all();
+        }
         self.gts.store(0, Ordering::Relaxed);
     }
 }
@@ -517,7 +516,7 @@ mod tests {
             kept_after_growth,
             "adaptive lease never outlived the hot page's writes"
         );
-        let lease = |page: PageNum| lease_clock::length(&c.lease[page.0 as usize]);
+        let lease = |page: PageNum| lease_clock::length(c.lease.get(0, page));
         assert!(lease(cold) > lease(hot));
     }
 
@@ -588,13 +587,10 @@ mod tests {
         assert_eq!(c.clock(0), 0);
         assert_eq!(c.clock(1), 0);
         assert!(!c.read_registered(0, 1, PageNum(0)));
-        assert!(c.invariant_problems(0, &[], |_| 1).is_empty());
-        for table in [&c.lease_rts, &c.lease_wts, &c.wrote_epoch] {
-            assert!(table.touched().all(|a| a.load(Ordering::Relaxed) == 0));
+        assert!(c.invariant_problems(&[vec![], vec![]], |_| 1).is_empty());
+        for table in [&c.wts, &c.rts, &c.lease, &c.lease_rts, &c.lease_wts, &c.wrote_epoch] {
+            assert!(mem::all_zero(&table.cells));
         }
-        for column in [&c.wts, &c.rts, &c.lease] {
-            assert!(column.iter().all(|a| a.load(Ordering::Relaxed) == 0));
-        }
-        assert!(c.diag.iter().flatten().all(|a| a.load(Ordering::Relaxed) == 0));
+        assert!(mem::all_zero(&c.diag.cells) && mem::all_zero(&c.granted.0.cells));
     }
 }

@@ -12,10 +12,10 @@
 //! RDMA, no handler). The affected node observes the change at its next
 //! synchronization or request: *deferred invalidation* (paper §3.4.1).
 //!
-//! Both are page-indexed tables of [`DirWords`] (`coherence::page_table`,
-//! `coherence::NodePageTable`), zeroed where a run never touched them, so
-//! a 128-node cluster over a large address space is resident only where
-//! it consulted an entry.
+//! Both are `coherence::PageTable`s of [`DirWords`] — the home directory
+//! one row, the caches a row per node — zeroed where a run never stored,
+//! so a 128-node cluster over a large address space is resident only where
+//! it deposited or was notified, and a reset visits only those chunks.
 
 use crate::classification::DirView;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -26,6 +26,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let every = self.coherence.buffers_every_dirty_page();
+        let mut dirty = Vec::with_capacity(self.nodes.len());
         for (n, ns) in self.nodes.iter().enumerate() {
             let me = n as u16;
             let (mut dirty_pages, mut held) = (Vec::new(), 0);
@@ -74,9 +75,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             if ns.wbuf.len() > self.config.write_buffer_pages {
                 problems.push(format!("n{n}: {} pages in the write buffer", ns.wbuf.len()));
             }
-            let home_of = |page| self.global.home_of(page);
-            problems.extend(self.coherence.invariant_problems(me, &dirty_pages, home_of));
+            dirty.push(dirty_pages);
         }
+        let home_of = |page| self.global.home_of(page);
+        problems.extend(self.coherence.invariant_problems(&dirty, home_of));
         problems
     }
 
@@ -209,6 +211,44 @@ mod tests {
             wb.push_past_capacity(PageNum(1));
         });
         one(overfull, "n0: 2 pages in the write buffer");
+    }
+
+    /// A sweep costs what the run stored to. On a 128 × 1 machine of
+    /// 64 MiB nodes — 2²¹ pages, 2 048 chunks a row — two nodes store to
+    /// and load pages in three chunks; `check_invariants` and the reset
+    /// then visit at most three chunks of any table's row or column.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "a debug reset checks all ~10⁹ cells")]
+    fn sweeps_visit_only_the_chunks_a_run_stored_to() {
+        sweeps_at_scale::<CarinaSiSd>();
+        sweeps_at_scale::<crate::Pyxis>();
+    }
+
+    fn sweeps_at_scale<C: Coherence>() {
+        use crate::coherence::visits;
+        let net = NativeTransport::new(ClusterTopology::tiny(128));
+        let dsm = Dsm::<_, C>::with_policy(net.clone(), 64 << 20, CarinaConfig::default());
+        let last = dsm.total_bytes() / PAGE_BYTES - 1;
+        for n in [1, 2] {
+            let mut t = NativeTransport::endpoint(&net, net.topology().loc(NodeId(n), 0));
+            for page in [0, 1, last / 2, last - 1, last] {
+                let at = GlobalAddr(page * PAGE_BYTES + 8 * u64::from(n));
+                dsm.write_u64(&mut t, at, 1);
+                dsm.read_u64(&mut t, GlobalAddr(at.0 + 8));
+            }
+            dsm.sd_fence(&mut t);
+            dsm.si_fence(&mut t);
+        }
+        for sweep in ["check_invariants", "reset"] {
+            visits::take();
+            match sweep {
+                "reset" => dsm.reset_for_parallel_section(),
+                _ => assert_eq!(dsm.check_invariants(), Vec::<String>::new()),
+            }
+            let seen = visits::take();
+            let widest = seen.values().copied().max().unwrap_or(0);
+            assert!((1..=3).contains(&widest), "{} {sweep}: {seen:?}", C::NAME);
+        }
     }
 
     /// A node keeps no directory-cache row for a page it homes: node 1's

@@ -189,6 +189,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         &self.stats
     }
 
+    /// The coherence policy, whose answers tests compare.
+    #[inline]
+    pub fn policy(&self) -> &C {
+        &self.coherence
+    }
+
     /// Registry of per-lock HQDL statistics. Vela locks register here at
     /// construction; run reports collect the snapshots.
     #[inline]

@@ -21,7 +21,6 @@
 //! `pages_per_line > 1` the victim can sit in the pusher's own slot: a
 //! self-deadlock. An atomic cell keeps the buffer free of slot locks.
 
-use crate::coherence::page_table;
 use mem::PageNum;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::VecDeque;
@@ -49,7 +48,7 @@ impl WriteBuffer {
         assert!(capacity > 0, "write buffer needs capacity >= 1");
         WriteBuffer {
             ring: Mutex::new((VecDeque::new(), 0)),
-            tickets: page_table(pages),
+            tickets: mem::zeroed_slice(pages.try_into().expect("pages overflow usize")),
             live: AtomicUsize::new(0),
             capacity,
         }

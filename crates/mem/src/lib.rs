@@ -45,4 +45,4 @@ pub use cache::{CacheConfig, Event, PageCache, SlotGuard, Standing};
 pub use global::GlobalMemory;
 pub use page::{PageData, WriteMask};
 pub use word::Word;
-pub use zeroed::{clear_nonzero, zeroed_slice, Arena, Zeroed};
+pub use zeroed::{all_zero, clear_nonzero, zeroed_slice, Arena, Zeroed};

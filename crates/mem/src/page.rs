@@ -190,6 +190,9 @@ impl crate::zeroed::sealed::Sealed for PageData {
     fn clear(&self) {
         crate::clear_nonzero(&self.words);
     }
+    fn all_zero(cells: &[Self]) -> bool {
+        cells.iter().all(|page| crate::zeroed::all_zero(&page.words))
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,11 @@ pub(crate) mod sealed {
     /// zero page.
     pub trait Sealed {
         fn clear(&self);
+        /// Is every cell of `cells` zero? One slice at a time, so the
+        /// loop is compiled here, at this crate's optimisation level.
+        fn all_zero(cells: &[Self]) -> bool
+        where
+            Self: Sized;
     }
 
     /// What [`super::zeroed_slice`] allocates: every [`super::Zeroed`]
@@ -64,6 +69,9 @@ macro_rules! zeroed_atomics {
                     self.store(0, Ordering::Relaxed);
                 }
             }
+            fn all_zero(cells: &[Self]) -> bool {
+                cells.iter().all(|c| c.load(Ordering::Relaxed) == 0)
+            }
         }
         // SAFETY: an atomic integer is its integer, and zero is one.
         unsafe impl Zeroed for $atomic {}
@@ -78,6 +86,9 @@ impl<A: Zeroed, const N: usize> sealed::Sealed for [A; N] {
     #[inline]
     fn clear(&self) {
         clear_nonzero(self);
+    }
+    fn all_zero(cells: &[Self]) -> bool {
+        A::all_zero(cells.as_flattened())
     }
 }
 // SAFETY: an array is its elements, and all-zero bytes are each of them.
@@ -167,6 +178,12 @@ pub fn clear_nonzero<T: Zeroed>(cells: &[T]) {
     }
 }
 
+/// Is every cell of `cells` zero? (Loads map a never-touched page's zero
+/// frame, which is not resident.)
+pub fn all_zero<T: Zeroed>(cells: &[T]) -> bool {
+    T::all_zero(cells)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,13 +225,16 @@ mod tests {
         assert!(cells.iter().all(|c| c.load(Ordering::Relaxed) == 0));
         let pages = zeroed_slice::<PageData>(2);
         pages[1].store(511, 7);
+        assert!(!all_zero(&pages));
         clear_nonzero(&pages);
         assert_eq!(pages[1].load(511), 0);
         let quads = zeroed_slice::<[AtomicU64; 4]>(8);
         quads[7][3].store(u64::MAX, Ordering::Relaxed);
         quads[0][0].store(1, Ordering::Relaxed);
+        assert!(!all_zero(&quads));
         clear_nonzero(&quads);
         assert!(quads.iter().flatten().all(|w| w.load(Ordering::Relaxed) == 0));
+        assert!(all_zero(&quads) && all_zero(&pages) && all_zero(&cells));
     }
 
     /// This process's resident set in KiB (`VmRSS` of `/proc/self/status`).
