@@ -230,11 +230,25 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
         let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
         let mut cycles = 0u64;
         let mut profile = obs::ProfileSnapshot::default();
+        // Join every thread, then re-raise the first panic that is not a
+        // barrier's poison: that one only says another thread failed first.
+        let mut panics = Vec::new();
         for h in handles {
-            let (r, c, table, tid) = h.join().expect("simulated thread panicked");
-            results[tid] = Some(r);
-            cycles = cycles.max(c);
-            profile.merge(&table);
+            match h.join() {
+                Ok((r, c, table, tid)) => {
+                    results[tid] = Some(r);
+                    cycles = cycles.max(c);
+                    profile.merge(&table);
+                }
+                Err(payload) => panics.push(payload),
+            }
+        }
+        let poisoned = |p: &Box<dyn std::any::Any + Send>| {
+            p.downcast_ref::<String>().is_some_and(|s| s == vela::dsm::barrier::POISONED)
+        };
+        if !panics.is_empty() {
+            let first = panics.iter().position(|p| !poisoned(p)).unwrap_or(0);
+            std::panic::resume_unwind(panics.swap_remove(first));
         }
         RunReport {
             cycles,
@@ -269,6 +283,17 @@ mod tests {
             ctx.thread.compute(1000 * (ctx.tid() as u64 + 1));
         });
         assert_eq!(report.cycles, 4000);
+    }
+
+    /// The caller sees the panic that started a failure, not a barrier's
+    /// poison: the leader section fails, the waiters panic with the
+    /// poison, and `run` re-raises the leader's message.
+    #[test]
+    #[should_panic(expected = "the leader section failed")]
+    fn run_reraises_the_first_panic_that_is_not_a_poison() {
+        let m = ArgoMachine::new(ArgoConfig::small(2, 2));
+        let b = Arc::new(ClockBarrier::new(4, 0));
+        m.run(move |ctx| b.wait_leader(&mut ctx.thread, |_| panic!("the leader section failed")));
     }
 
     #[test]

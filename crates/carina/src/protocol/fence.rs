@@ -129,14 +129,14 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             }
             Ok(())
         })?;
-        let mut recorded = ns.refill.lock().expect("a refill panicked");
         // An epoch that missed but never on a recorded page left stale
-        // candidates; an idle one (a writer's turn, say) hands them on.
-        if ns.missed.swap(false, Ordering::Relaxed) {
-            recorded.clear();
-        }
-        recorded.extend(consumed);
-        Ok(())
+        // candidates. An idle one (a writer's turn, say) handed them on:
+        // this acquire, which ends that turn, refills them.
+        let stale = ns.missed.swap(false, Ordering::Relaxed);
+        let mut recorded = ns.refill.lock().expect("a refill panicked");
+        let handed_on = std::mem::replace(&mut *recorded, consumed);
+        drop(recorded);
+        self.refill(t, me, if stale { Vec::new() } else { handed_on })
     }
 
     /// Self-downgrade fence (release side): drain the write buffer and wait

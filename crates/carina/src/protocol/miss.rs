@@ -1,10 +1,10 @@
 //! Read-miss handling (paper §3.3, line fills §3.6.2): evict the
 //! conflicting line, then fetch the whole line from its pages' homes —
 //! registrations and data read pipelined so the miss costs one round trip —
-//! and, on a recorded consumer page, refill the rest of the recorded set.
+//! and, on a recorded consumer page, refill the rest of the recorded set
+//! (`refill.rs`).
 
 use super::*;
-use crate::config::PROTECT_CYCLES;
 
 /// Append `item` to `home`'s group, opening the group at the end on first
 /// sight: homes stay in first-seen order, which is the wire order of a
@@ -153,67 +153,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         t.merge(done);
         st.set_ready(t.now());
         if refill_due {
-            self.refill(t, page, me)?;
-        }
-        Ok(())
-    }
-
-    /// The refill, beyond the paper (its prefetch is spatial only; DESIGN
-    /// §11): once a demand miss on a page of the node's recorded set
-    /// completed, fetch every other page of the set that is still invalid.
-    /// Each page gets the registration its demand fill would issue, with
-    /// the page read posted right behind, all at the same instant. The
-    /// thread pays the re-map of each installed page, never a completion:
-    /// a page is ready at its own. A failed verb drops its page — no retry,
-    /// no error; the page's next access misses on demand.
-    fn refill(&self, t: &mut T::Endpoint, demanded: PageNum, me: u16) -> Result<(), DsmError> {
-        let ns = &self.nodes[me as usize];
-        let recorded = {
             let mut set = ns.refill.lock().expect("a sweep panicked");
             // A page recorded by an earlier, stale set triggers nothing.
-            if !set.contains(&demanded) {
-                return Ok(());
-            }
-            std::mem::take(&mut *set)
-        };
-        let (at, mut installed) = (t.now(), 0);
-        for page in recorded {
-            // Never wait for a slot and never evict: a held slot, or one a
-            // different line has taken, keeps what it holds.
-            let Some(mut st) = ns.cache.try_lock_slot(page) else { continue };
-            let idx = ns.cache.index_in_line(page);
-            if st.tag() != Some(ns.cache.line_of(page)) || st.pages[idx].standing != Standing::Dropped
-            {
-                continue;
-            }
-            let home = self.global.home_of(page);
-            debug_assert_ne!(home, me, "a page is never cached on its home");
-            let register = !self.coherence.read_registered(me, home, page);
-            let reg = register.then(|| t.issue(NodeId(home), &Verb::FetchOr, at));
-            let read = t.issue(NodeId(home), &Verb::Read { bytes: PAGE_BYTES }, at);
-            let reg = reg.map(|token| t.poll(token));
-            let Some(Ok(data)) = t.poll(read) else { continue };
-            let ready = match reg {
-                None => data.initiator_done,
-                Some(Some(Ok(c))) => {
-                    let shard = self.stats.shard(me);
-                    let outcome = self.coherence.register_reader(me, home, page, shard);
-                    self.apply_outcome(t, page, me, home, outcome, c.initiator_done)?;
-                    data.initiator_done.max(c.initiator_done + self.handler_cycles())
-                }
-                Some(_) => continue,
-            };
-            st.data(idx).copy_from(self.global.home_page(page));
-            let live = st.pages.iter().any(|p| p.valid);
-            st.set_ready(if live { st.ready_at().max(ready) } else { ready });
-            st.pages[idx].step(Event::Refill);
-            t.compute(PROTECT_CYCLES);
-            installed += 1;
-        }
-        if installed > 0 {
-            let shard = self.stats.shard(me);
-            CoherenceStats::bump(&shard.refills);
-            CoherenceStats::add(&shard.refill_pages, installed);
+            let recorded = if set.contains(&page) { std::mem::take(&mut *set) } else { Vec::new() };
+            drop(set);
+            self.refill(t, me, recorded)?;
         }
         Ok(())
     }

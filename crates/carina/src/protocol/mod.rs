@@ -45,6 +45,7 @@ mod debug;
 mod drain;
 mod fence;
 mod miss;
+mod refill;
 mod register;
 mod verbs;
 
@@ -77,7 +78,7 @@ struct NodeState {
     /// Max settle time of writes this node has posted but not yet fenced.
     pending_settle: AtomicU64,
     /// The consumer pages SI fences dropped since the node's last demand
-    /// miss, until a refill takes them (`miss.rs`).
+    /// miss, until a refill takes them (`refill.rs`).
     refill: Mutex<Vec<PageNum>>,
     /// A demand miss happened since the last SI fence.
     missed: AtomicBool,

@@ -1278,8 +1278,12 @@ fn the_first_miss_refills_the_consumer_pages() {
             assert!(advance < bound, "round {round}: {advance} cycles, bound {bound}");
         }
     }
+    // Rounds 3-6 read the demanded page, then the other `K − 1` in window
+    // runs: the same bytes in fewer reads.
     let n = wire(&dsm);
-    assert_eq!((n.rdma_reads, n.rdma_atomics, n.bytes_read), (6 * K, K, 6 * K * PAGE_BYTES));
+    let reads = 2 * K + 4 * (1 + (K - 1).div_ceil(RUN));
+    assert_eq!((n.rdma_reads, n.rdma_atomics, n.bytes_read), (reads, K, 6 * K * PAGE_BYTES));
+    assert_eq!(reads, 24);
 }
 
 /// (b) Pages node 1 writes are migratory: never recorded, never
@@ -1380,7 +1384,9 @@ fn consumer_ledger<C: Coherence>(schedule: (u64, u64)) -> (CoherenceSnapshot, Ne
 #[test]
 fn lease_pages_renew_inside_the_refill() {
     let (s, n) = consumer_ledger::<Tardis>((6, 1));
-    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (40, 48, 48));
+    // Rounds 3-6 read a demanded page and one run of `K − 1`.
+    let reads = 2 * K + 4 * (1 + (K - 1).div_ceil(RUN));
+    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (40, 48, reads));
     assert_eq!((s.read_misses, s.refill_pages), (2 * K + 4, 4 * (K - 1)));
     // Rewrites at rounds 1, 5, 9, 13 and 17. Node 1's checks score -1 at
     // rounds 2 and 5 and +1 at 3, 4, 6, 7 and 8, so the score reaches the
@@ -1388,9 +1394,12 @@ fn lease_pages_renew_inside_the_refill() {
     // fetch every page; the leases then expire only at the rewrites of
     // rounds 13 and 17, which renew inside their refills. Atomics: the
     // first registration, the reconcile's grant and the two renewals.
+    // Reads: rounds 1 and 2 miss every page, the nine refilling rounds
+    // read a demanded page and one run of `K − 1`.
     let (s, n) = consumer_ledger::<Pyxis>((20, 4));
     assert_eq!(s.mode_to_lease, K, "every page switched to lease mode");
-    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (2 * K, 4 * K, 11 * K));
+    let reads = 2 * K + 9 * (1 + (K - 1).div_ceil(RUN));
+    assert_eq!((s.lease_renewals, n.rdma_atomics, n.rdma_reads), (2 * K, 4 * K, reads));
     assert_eq!((s.read_misses, s.refill_pages), (2 * K + 9, 9 * (K - 1)));
 }
 
@@ -1403,8 +1412,145 @@ fn lease_pages_renew_inside_the_refill() {
 fn pages_their_home_rewrites_stay_off_leases() {
     let (s, n) = consumer_ledger::<Pyxis>((12, 1));
     assert_eq!((s.mode_to_lease, s.lease_renewals, s.mode_lease_checks), (0, 0, 0));
-    assert_eq!((n.rdma_atomics, n.rdma_reads), (K, 12 * K));
+    // Rounds 3-12 read a demanded page and one run of `K − 1`.
+    let reads = 2 * K + 10 * (1 + (K - 1).div_ceil(RUN));
+    assert_eq!((n.rdma_atomics, n.rdma_reads), (K, reads));
     assert_eq!(n, consumer_ledger::<CarinaSiSd>((12, 1)).1);
+}
+
+/// The producer's turn: rewrite every page of `pages` with `round`, then
+/// release.
+fn produce<T: Transport, C: Coherence>(
+    dsm: &Dsm<T, C>,
+    t: &mut T::Endpoint,
+    pages: &[GlobalAddr],
+    round: u64,
+) {
+    for &a in pages {
+        dsm.write_u64(t, a, round);
+    }
+    dsm.sd_fence(t);
+}
+
+/// The consumer's turn, between its two acquires: the first ends the
+/// producer's turn, the second its own. It reads every page of `pages`.
+fn consume<T: Transport, C: Coherence>(
+    dsm: &Dsm<T, C>,
+    t: &mut T::Endpoint,
+    pages: &[GlobalAddr],
+    round: u64,
+) {
+    dsm.si_fence(t);
+    for (i, &a) in pages.iter().enumerate() {
+        assert_eq!(dsm.read_u64(t, a), round, "{}: page {i}, round {round}", C::NAME);
+    }
+    dsm.si_fence(t);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+/// Alternating turns of producer node 0 and consumer node `nodes − 1`
+/// over `pages`, for `rounds` rounds under policy `C`: each round's page
+/// reads on the wire and its `refill_counts` delta.
+fn alternating<C: Coherence>(
+    nodes: usize,
+    pages: &[GlobalAddr],
+    rounds: u64,
+) -> Vec<(u64, [u64; 4])> {
+    let (dsm, mut ts) = policy_cluster::<C>(nodes, CarinaConfig::default());
+    (1..=rounds)
+        .map(|round| {
+            let (reads, counts) = (wire(&dsm).rdma_reads, refill_counts(&dsm));
+            produce(&dsm, &mut ts[0], pages, round);
+            consume(&dsm, &mut ts[nodes - 1], pages, round);
+            let after = refill_counts(&dsm);
+            (wire(&dsm).rdma_reads - reads, std::array::from_fn(|i| after[i] - counts[i]))
+        })
+        .collect()
+}
+
+/// The longest window run one page read carries on the paper's fabric:
+/// the pages one round trip's wire time covers.
+const RUN: u64 = 7;
+
+/// (g) The acquire trigger: the consumer's idle turn hands its recorded
+/// set on, and the acquire that ends the producer's turn refills it. From
+/// round 3 on the consumer takes no demand miss, and the `K` pages come in
+/// ⌈K / 7⌉ reads — one per window run.
+#[test]
+fn the_acquire_after_an_idle_turn_refills_the_set() {
+    assert_eq!(CostModel::paper_2011().transfers_per_round_trip(PAGE_BYTES), RUN);
+    let pages = produced();
+    for (round, (reads, d)) in (1..).zip(alternating::<CarinaSiSd>(2, &pages, 6)) {
+        if round <= 2 {
+            assert_eq!((reads, d), (K, [K, 0, 0, 0]), "round {round}");
+        } else {
+            assert_eq!((reads, d), (K.div_ceil(RUN), [0, 1, K, 0]), "round {round}");
+        }
+    }
+    let steady = |rounds: Vec<(u64, [u64; 4])>| rounds[2..].to_vec();
+    let sisd = steady(alternating::<CarinaSiSd>(2, &pages, 6));
+    assert_eq!(steady(alternating::<Pyxis>(2, &pages, 6)), sisd, "Pyxis");
+}
+
+/// Reads of the third round of [`alternating`] turns over `pages` — the
+/// first acquire-triggered refill — on `nodes` nodes, which takes no
+/// demand miss.
+fn refill_reads(nodes: usize, pages: &[GlobalAddr]) -> u64 {
+    let (reads, d) = alternating::<CarinaSiSd>(nodes, pages, 3)[2];
+    assert_eq!(d, [0, 1, pages.len() as u64, 0], "{pages:?}");
+    reads
+}
+
+/// (h) A window run ends at a page of its home the set does not hold, at a
+/// change of home, and at the run length: one read per run.
+#[test]
+fn window_runs_split_at_gaps_homes_and_the_run_length() {
+    let homed = |nodes, home, slots: &[u64]| -> Vec<GlobalAddr> {
+        slots.iter().map(|&s| addr_homed_at(nodes, home, s)).collect()
+    };
+    assert_eq!(refill_reads(2, &homed(2, 0, &[0, 1, 2, 3, 4, 5, 6])), 1, "one full run");
+    assert_eq!(refill_reads(2, &homed(2, 0, &[0, 1, 2, 3, 4, 5, 6, 7])), 2, "the run length");
+    assert_eq!(refill_reads(2, &homed(2, 0, &[0, 1, 2, 4, 5])), 2, "a gap at slot 3");
+    let two_homes = [homed(3, 0, &[0, 1]), homed(3, 1, &[0, 1])].concat();
+    assert_eq!(refill_reads(3, &two_homes), 2, "a run per home");
+}
+
+/// (i) A failed run drops its pages, and only its: node 0's NIC is out
+/// while the consumer's acquire posts round 3's refill, so the run homed
+/// there fails and the one homed on node 1 lands. No retry, no error, no
+/// exhausted budget: each dropped page is demand-filled, with the round's
+/// value, when it is read.
+#[test]
+fn a_failed_run_leaves_its_pages_to_demand_fills() {
+    let (from, until) = (50_000_000, 60_000_000);
+    let plan = FaultPlan::disabled().with_brownout(NodeId(0), from, until);
+    let net = FaultyTransport::wrap(tiny_net(3), plan);
+    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> =
+        Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
+    let endpoint = |n| FaultyTransport::endpoint(&net, net.topology().loc(NodeId(n), 0));
+    let (mut producer, mut consumer) = (endpoint(0), endpoint(2));
+    let pages: Vec<GlobalAddr> =
+        (0..3).flat_map(|s| [addr_homed_at(3, 0, s), addr_homed_at(3, 1, s)]).collect();
+    let snapshot = || dsm.stats().snapshot();
+    for round in 1..=2 {
+        produce(&dsm, &mut producer, &pages, round);
+        consume(&dsm, &mut consumer, &pages, round);
+    }
+    produce(&dsm, &mut producer, &pages, 3);
+    assert!(consumer.now() < from, "the warm-up outlasted the healthy window");
+    consumer.compute(from - consumer.now());
+    dsm.si_fence(&mut consumer);
+    let s = snapshot();
+    assert_eq!((s.refills, s.refill_pages), (1, 3), "the run homed on node 1 landed");
+    consumer.compute(until - consumer.now());
+    let misses = s.read_misses;
+    for (i, &a) in pages.iter().enumerate() {
+        assert_eq!(dsm.read_u64(&mut consumer, a), 3, "page {i}");
+    }
+    let s = snapshot();
+    assert_eq!(s.read_misses - misses, 3, "the failed run's pages miss on demand");
+    assert_eq!((s.refill_pages, s.verb_exhaustions, s.verb_retries), (3, 0, 0));
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }
 
 /// The control for (f), on 1 × 1: a home page with no other node on

@@ -68,6 +68,15 @@ impl CostModel {
         (bytes * self.cycles_per_kb).div_ceil(1024)
     }
 
+    /// How many `bytes`-sized transfers one link carries back to back in a
+    /// network round trip, at least one (unbounded on a free wire): the
+    /// longest burst whose wire time one round trip covers.
+    pub fn transfers_per_round_trip(&self, bytes: u64) -> u64 {
+        (2 * self.network_latency)
+            .checked_div(self.transfer_cycles(bytes))
+            .map_or(u64::MAX, |n| n.max(1))
+    }
+
     /// One-way propagation latency between two placements: zero within a
     /// socket (cache-to-cache), one inter-socket hop within a machine, full
     /// network latency between machines.
@@ -113,6 +122,14 @@ mod tests {
         assert!(c.transfer_cycles(1) >= 1);
         assert_eq!(c.transfer_cycles(1024), 111);
         assert_eq!(c.transfer_cycles(4096), 444);
+    }
+
+    #[test]
+    fn a_round_trip_carries_at_least_one_transfer() {
+        let c = CostModel::paper_2011();
+        assert_eq!(c.transfers_per_round_trip(4096), 7); // 3 400 / 444
+        assert_eq!(c.transfers_per_round_trip(1 << 20), 1, "a transfer outlasting the trip");
+        assert_eq!(CostModel::free().transfers_per_round_trip(4096), u64::MAX);
     }
 
     #[test]

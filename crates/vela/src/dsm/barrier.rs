@@ -22,6 +22,25 @@ struct BarrierState {
     /// The largest release stamp an arrival of this episode carried.
     max_stamp: u64,
     release_clock: u64,
+    /// A leader section unwound: the barrier never releases again.
+    poisoned: bool,
+}
+
+/// What every waiter of a poisoned barrier panics with.
+pub const POISONED: &str = "barrier leader panicked";
+
+/// Armed around a leader section: if the section unwinds, poison the
+/// barrier and wake every waiter, which then panics with [`POISONED`]
+/// instead of waiting for a release that never comes.
+struct PoisonOnUnwind<'a>(&'a ClockBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().poisoned = true;
+            self.0.cond.notify_all();
+        }
+    }
 }
 
 /// A reusable barrier for `n` participants that merges virtual clocks:
@@ -45,6 +64,7 @@ impl ClockBarrier {
                 max_clock: 0,
                 max_stamp: 0,
                 release_clock: 0,
+                poisoned: false,
             }),
             cond: Condvar::new(),
         }
@@ -76,8 +96,12 @@ impl ClockBarrier {
         self.rendezvous(t, Published::default(), leader);
     }
 
+    /// # Panics
+    /// Panics with [`POISONED`] if a leader section of this barrier
+    /// panicked, now or at an earlier episode.
     fn rendezvous<E: Endpoint>(&self, t: &mut E, stamp: Published, leader: impl FnOnce(&mut E)) {
         let mut st = self.state.lock();
+        assert!(!st.poisoned, "{POISONED}");
         let my_gen = st.generation;
         st.entered += 1;
         st.max_clock = st.max_clock.max(t.now());
@@ -87,7 +111,9 @@ impl ClockBarrier {
             // merged clock, then release.
             t.merge(st.max_clock);
             drop(st);
+            let armed = PoisonOnUnwind(self);
             leader(t);
+            drop(armed);
             t.compute(self.exit_cost);
             let mut st = self.state.lock();
             t.merge(std::mem::take(&mut st.max_stamp));
@@ -98,6 +124,7 @@ impl ClockBarrier {
             self.cond.notify_all();
         } else {
             while st.generation == my_gen {
+                assert!(!st.poisoned, "{POISONED}");
                 self.cond.wait(&mut st);
             }
             t.merge(st.release_clock);
@@ -188,6 +215,50 @@ mod tests {
         b.wait(&mut t);
         b.wait(&mut t);
         assert_eq!(t.now(), 20);
+    }
+
+    /// The text a panic carried.
+    fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast::<&str>().map_or_else(|_| "?".into(), |s| s.to_string()),
+        }
+    }
+
+    /// A leader section that panics poisons the barrier: the leader fails
+    /// with its own message, every waiter with `POISONED` instead of
+    /// waiting forever, and so does any later arrival.
+    #[test]
+    fn a_panicking_leader_poisons_the_barrier() {
+        let b = Arc::new(ClockBarrier::new(3, 100));
+        let net = tiny_net(1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let joiner = {
+            let b = b.clone();
+            std::thread::spawn(move || {
+                let handles: Vec<_> = (0..3)
+                    .map(|_| {
+                        let (b, net) = (b.clone(), net.clone());
+                        std::thread::spawn(move || {
+                            let mut t = thread(&net, 0, 0);
+                            b.wait_leader(&mut t, |_| panic!("the leader section failed"));
+                        })
+                    })
+                    .collect();
+                let texts: Vec<String> =
+                    handles.into_iter().filter_map(|h| h.join().err().map(panic_text)).collect();
+                let _ = tx.send(texts);
+            })
+        };
+        let mut texts = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("the waiters still hang on the barrier");
+        joiner.join().unwrap();
+        texts.sort();
+        assert_eq!(texts, [POISONED, POISONED, "the leader section failed"]);
+        let mut t = thread(&tiny_net(1), 0, 0);
+        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait(&mut t)));
+        assert_eq!(panic_text(late.unwrap_err()), POISONED);
     }
 
     #[test]

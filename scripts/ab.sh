@@ -16,12 +16,17 @@
 # medians further apart than the base's quartile distance — and the same
 # on the held-out seed 7741.
 #
+# `prioq_hqdl` runs in one of two host-decided regimes (EXPERIMENTS, "the
+# two prioq_hqdl regimes"): each of its runs is tagged fast (sim_cycles
+# < 500 M) or slow, and the summary tallies the pairs per regime pair, with
+# sim_cycles wins inside each — compare within one regime, never across.
+#
 # Defaults: 10 pairs, seed 20150615. Environment: AB_DIR (scratch space,
 # default ${TMPDIR:-/tmp}/argobench-ab; the two target dirs are kept there
 # between invocations), AB_SECONDS (default: run_seconds of BENCHMARK.json).
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,26p' "$0" >&2; exit 2; }
 rev=$1 workloads=${2//,/ } pairs=${3:-10} seed=${4:-20150615}
 repo=$(cd "$(dirname "$0")/.." && pwd)
 dir=${AB_DIR:-${TMPDIR:-/tmp}/argobench-ab}
@@ -63,6 +68,17 @@ one() {
     for m in $metrics; do
         echo "$line" | sed -n "s/.*\"$m\": {\"value\": \([^,}]*\).*/\1/p" >>"$dir/$side.$m"
     done
+    tail -n 1 "$dir/$side.sim_cycles" | awk '{ print ($1 < 500e6) ? "fast" : "slow" }' >>"$dir/$side.regime"
+}
+
+# regimes: the pairs per (base, new) regime, and sim_cycles wins within each.
+regimes() {
+    paste "$dir/base.regime" "$dir/new.regime" "$dir/base.sim_cycles" "$dir/new.sim_cycles" | awk '
+        { k = $1 "/" $2; n[k]++; if ($4 < $3) won[k]++; else if ($4 > $3) lost[k]++ }
+        END {
+            for (k in n)
+                printf "regime %-9s (base/new) %2d pairs, sim_cycles won %d lost %d\n", k, n[k], won[k], lost[k]
+        }' | sort
 }
 
 # quartile <file> <q>: the value at quantile q (nearest rank) of a column.
@@ -74,7 +90,7 @@ quartile() {
 ab() {
     local workload=$1 pair m
     echo "## $workload"
-    for m in $metrics; do : >"$dir/base.$m"; : >"$dir/new.$m"; done
+    for m in $metrics regime; do : >"$dir/base.$m"; : >"$dir/new.$m"; done
     for pair in $(seq 1 "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then
             one base "$workload"; one new "$workload"
@@ -85,6 +101,9 @@ ab() {
             paste "$dir/base.$m" "$dir/new.$m" | tail -n 1 | awk -v p="$pair" -v m="$m" \
                 '{ printf "pair %2d %-14s base %16.6f new %16.6f ratio %.4f\n", p, m, $1, $2, ($1 ? $2 / $1 : 0) }'
         done
+        if [ "$workload" = prioq_hqdl ]; then
+            echo "pair $(printf %2d "$pair") regime base $(tail -n 1 "$dir/base.regime") new $(tail -n 1 "$dir/new.regime")"
+        fi
     done
     echo "# $workload: medians (new/base), the base's quartile distance, pairs won by the change"
     for m in $metrics; do
@@ -97,6 +116,7 @@ ab() {
                     m, b, c, (b ? c / b : 0), q3 - q1, won, lost, NR
             }'
     done
+    if [ "$workload" = prioq_hqdl ]; then regimes; fi
 }
 
 failed=0

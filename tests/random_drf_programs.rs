@@ -446,8 +446,9 @@ fn random_programs_with_decay_epochs() {
 /// The shape the refill serves: thread 0 rewrites all its slots in even
 /// epochs; every other thread reads them all (folding some into its own
 /// slots) in odd epochs, so each reader re-reads the same pages after
-/// every publishing barrier. Race-free by construction.
-fn gen_producer_consumer(seed: u64, threads: usize, epochs: usize) -> Program {
+/// every publishing barrier. With `sparse`, odd readers read only every
+/// other odd epoch (1, 5, 9, …). Race-free by construction.
+fn gen_producer_consumer(seed: u64, threads: usize, epochs: usize, sparse: bool) -> Program {
     let mut rng = StdRng::seed_from_u64(seed);
     let per = SLOTS / threads;
     let mut epoch_ops = |e: usize, t: usize| -> Vec<Op> {
@@ -456,6 +457,7 @@ fn gen_producer_consumer(seed: u64, threads: usize, epochs: usize) -> Program {
                 .map(|slot| Op::Write { slot, value: rng.random::<u32>() as u64 })
                 .collect(),
             (0, _) | (_, 0) => Vec::new(),
+            _ if sparse && t % 2 == 1 && e % 4 == 3 => Vec::new(),
             _ => (0..per)
                 .map(|src| match rng.random_range(0..4u32) {
                     0 => Op::Combine { src, dst: t * per + src },
@@ -472,8 +474,12 @@ fn gen_producer_consumer(seed: u64, threads: usize, epochs: usize) -> Program {
 
 /// One producer/consumer program under policy `C` on `nodes` nodes with a
 /// cache of `lines` one-page lines, every slot on its own 512 bytes (the
-/// writer's slots span 16 pages); returns the run's `refill_pages`.
-fn producer_consumer<C: Coherence>(prog: &Program, nodes: usize, lines: usize) -> u64 {
+/// writer's slots span 16 pages on 8 threads); returns the run's counters.
+fn producer_consumer<C: Coherence>(
+    prog: &Program,
+    nodes: usize,
+    lines: usize,
+) -> CoherenceSnapshot {
     let (model_mem, model_sums) = run_model(prog);
     let mut cfg = ArgoConfig::small(nodes, prog.threads / nodes);
     cfg.carina.cache = CacheConfig::new(lines, 1);
@@ -482,7 +488,7 @@ fn producer_consumer<C: Coherence>(prog: &Program, nodes: usize, lines: usize) -
     let run = format!("{} on {nodes} nodes, {lines} lines", C::NAME);
     assert_eq!(sums, model_sums, "checksum divergence ({run})");
     assert_eq!(mem, model_mem, "final memory divergence ({run})");
-    stats.refill_pages
+    stats
 }
 
 /// The refill under the oracle: readers re-read one writer's pages across
@@ -493,10 +499,32 @@ fn producer_consumer<C: Coherence>(prog: &Program, nodes: usize, lines: usize) -
 fn producer_consumer_programs_refill() {
     let mut refilled = 0;
     for (seed, nodes, lines) in [(600, 8, 8192), (601, 4, 8192), (602, 8, 24)] {
-        let prog = gen_producer_consumer(seed, 8, 8);
-        refilled += producer_consumer::<CarinaSiSd>(&prog, nodes, lines);
-        refilled += producer_consumer::<Tardis>(&prog, nodes, lines);
-        refilled += producer_consumer::<Pyxis>(&prog, nodes, lines);
+        let prog = gen_producer_consumer(seed, 8, 8, false);
+        refilled += producer_consumer::<CarinaSiSd>(&prog, nodes, lines).refill_pages;
+        refilled += producer_consumer::<Tardis>(&prog, nodes, lines).refill_pages;
+        refilled += producer_consumer::<Pyxis>(&prog, nodes, lines).refill_pages;
     }
     assert!(refilled > 0, "no program exercised the refill");
+}
+
+/// The acquire trigger under the oracle. A sparse reader's set, recorded
+/// at the end of its reading epoch and handed on by the writer's turn, is
+/// refilled by the acquire that ends that turn — and the reader then
+/// skips the epoch, so the next SI fence drops those pages untouched
+/// (`refill_unused`). A demand-triggered refill never leaves such pages
+/// here: it runs inside a reading epoch, which reads every page of the
+/// set. Every policy, on 2 × 1, 4 × 1 and 8 × 1, and on 8 × 1 through
+/// the 24-slot cache.
+#[test]
+fn sparse_readers_refill_at_the_acquire() {
+    for (seed, nodes, lines) in [(610, 2, 8192), (611, 4, 8192), (612, 8, 8192), (613, 8, 24)] {
+        let prog = gen_producer_consumer(seed, nodes, 12, true);
+        let unused = [
+            producer_consumer::<CarinaSiSd>(&prog, nodes, lines).refill_unused,
+            producer_consumer::<Tardis>(&prog, nodes, lines).refill_unused,
+            producer_consumer::<Pyxis>(&prog, nodes, lines).refill_unused,
+        ];
+        let run = format!("{nodes} × 1, {lines} lines");
+        assert!(unused.iter().all(|&u| u > 0), "{run}: no acquire refill seen: {unused:?}");
+    }
 }
