@@ -1,8 +1,8 @@
 //! Self-downgrade (paper §3.2 diffs, §3.6.1 write buffer): the one way a
 //! dirty page reaches home memory (`write_home`), the write-back step every
 //! downgrade runs, the keep-or-protect decision that follows it
-//! (`downgrade_local`), and its postings: one at a time, or pipelined
-//! behind the scan for a fence.
+//! (`downgrade_local`), and its postings: one at a time, or for a fence
+//! one per window run, pipelined behind the scan.
 
 use super::*;
 use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES, STREAM_WORD_CYCLES};
@@ -173,44 +173,54 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Ok(())
     }
 
-    /// The SD fence's drain, posted as it scans: each page, in FIFO order,
-    /// runs [`Self::downgrade_local`] and has its write-back issued at the
-    /// thread's clock right away, its completion unmerged — a put returns
-    /// once posted (MPI-3 RMA), so the next page's scan overlaps this one's
-    /// wire time. An overflow victim a kept page pushes out is downgraded
-    /// (never kept) and posted the same way. Only after the last page is
-    /// every posting polled, each retried from its own issue time; the
-    /// thread then waits once, for the latest initiator window, and the
-    /// fence for the latest settle. A failed posting does not stop the
-    /// other polls — no completion stays parked in the endpoint — and since
-    /// every local half already ran, no page is left dirty outside the
-    /// write buffer; the first error is returned.
+    /// The SD fence's drain, posted as it scans: `drain.pages` cut into
+    /// window runs, each run's pages [`Self::downgrade_local`]ed in order
+    /// and its write — the sum of their wire sizes — issued at the thread's
+    /// clock as its last scan ends, completion unmerged: a put returns once
+    /// posted (MPI-3 RMA), so the next run's scan overlaps this one's wire
+    /// time. The overflow victims kept pages push out are downgraded (never
+    /// kept) and posted the same way, as a second round. Only after the last
+    /// run is every posting polled, each retried whole from its own issue
+    /// time; the thread then waits once, for the latest initiator window,
+    /// and the fence for the latest settle. A failed posting does not stop
+    /// the other polls, and since every local half already ran, no page is
+    /// left dirty outside the write buffer; the first error is returned.
     pub(super) fn drain_posted(
         &self,
         t: &mut T::Endpoint,
-        pages: &[PageNum],
+        drain: &mut Drain,
         me: u16,
     ) -> Result<(), DsmError> {
         let ns = &self.nodes[me as usize];
+        let most = self.net.cost().transfers_per_round_trip(PAGE_BYTES);
         let obs_issue = t.obs_now();
-        let mut inflight = Vec::with_capacity(pages.len());
-        let mut failed = None;
-        for &page in pages {
-            let mut next = Some((page, true));
-            while let Some((page, fence)) = next.take() {
-                let mut st = ns.cache.lock_slot(page);
-                let (bytes, victim) = self.downgrade_local(t, &mut st, page, me, fence);
-                drop(st);
-                next = victim.map(|victim| (victim, false));
-                let Some(bytes) = bytes else { continue };
+        let Drain { pages, victims, runs, inflight } = drain;
+        inflight.clear();
+        let mut fence = true;
+        while !pages.is_empty() {
+            window_runs(&self.global, most, pages, runs);
+            victims.clear();
+            for run in runs.iter() {
+                let mut bytes = 0;
+                for &page in &pages[run.clone()] {
+                    let st = &mut ns.cache.lock_slot(page);
+                    let (owed, victim) = self.downgrade_local(t, st, page, me, fence);
+                    victims.extend(victim);
+                    bytes += owed.unwrap_or(0);
+                }
+                if bytes == 0 {
+                    continue;
+                }
+                let (page, at) = (pages[run.start], t.now());
                 let home = self.global.home_of(page);
-                let at = t.now();
                 let token = t.issue(NodeId(home), &Verb::Write { bytes }, at);
                 inflight.push(Posted { token, page, bytes, at, home });
             }
+            std::mem::swap(pages, victims);
+            fence = false;
         }
-        let mut done = Completion::default();
-        for p in &inflight {
+        let (mut done, mut failed) = (Completion::default(), None);
+        for p in inflight.iter() {
             let verb = Verb::Write { bytes: p.bytes };
             let polled = self.poll_retried(
                 t,
@@ -236,8 +246,18 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 }
 
-/// One write-back of an SD-fence drain in flight: all its poll needs to
-/// retry it (the schedule is rebuilt from the page, and only on failure).
+/// An SD fence's drain buffers, kept across fences under `draining`.
+#[derive(Debug, Default)]
+pub(super) struct Drain {
+    pub(super) pages: Vec<PageNum>,
+    victims: Vec<PageNum>,
+    runs: Vec<Range<usize>>,
+    inflight: Vec<Posted>,
+}
+
+/// One run's write-back of an SD-fence drain in flight: all its poll needs
+/// to retry it (the schedule is rebuilt from its first page, on failure).
+#[derive(Debug)]
 struct Posted {
     token: VerbToken,
     page: PageNum,

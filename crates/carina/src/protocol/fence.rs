@@ -187,9 +187,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let ns = &self.nodes[me as usize];
         // One drain per node at a time: a sibling's fence must not return
         // while this one holds, unbuffered, a page the sibling stored to.
-        let _draining = ns.draining.lock().expect("a sibling's drain panicked");
-        let drained = ns.wbuf.drain();
-        self.drain_posted(t, &drained, me)?;
+        let mut drain = ns.draining.lock().expect("a sibling's drain panicked");
+        ns.wbuf.drain(&mut drain.pages);
+        self.drain_posted(t, &mut drain, me)?;
         if !self.coherence.buffers_every_dirty_page() {
             self.naive_checkpoint_sweep(t, me)?;
         }
@@ -247,7 +247,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 st.pages[idx].step(Event::Invalidate);
                 Ok::<(), Infallible>(())
             });
-            let _ = ns.wbuf.drain();
+            ns.wbuf.drain(&mut Vec::new());
             ns.pending_settle.store(0, Ordering::Release);
         }
         self.coherence.reset_all();

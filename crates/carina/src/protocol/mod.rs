@@ -21,8 +21,8 @@
 //!   pages the policy's predicate names (Table 1 under SI/SD; expired
 //!   leases under Tardis).
 //! - **SD fence** (§3.1): drain the write buffer, posting each dirty page's
-//!   masked words — its diff, under DRF — to its home; wait for all posted
-//!   writes to settle, then give the policy its release hook.
+//!   masked words — its diff, under DRF — to its home, one write per window
+//!   run; wait for all posted writes to settle, then the policy's release hook.
 //!
 //! The split is mechanism vs decision: the engine owns transport verbs,
 //! retry/fault plumbing, issue/poll overlap, line fills and the refill, and
@@ -64,8 +64,32 @@ use mem::{
 };
 use rma::{Completion, Endpoint, SimTransport, Transport, Verb, VerbClass, VerbToken};
 use simnet::NodeId;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+/// Sort `pages` by home, then page, and cut them into `runs`: pages of one
+/// home with no page of that home between two of them — adjacent in the
+/// home's window (`p` and `p + N` under interleaving) — at most `most` long,
+/// in the order of their first page. One verb carries a run: the refill's
+/// reads and the SD fence's write-backs cut alike. (Not generic: one copy.)
+fn window_runs(g: &GlobalMemory, most: u64, pages: &mut [PageNum], runs: &mut Vec<Range<usize>>) {
+    let home_of = |p: u64| g.home_of(PageNum(p));
+    pages.sort_unstable_by_key(|page| (home_of(page.0), page.0));
+    runs.clear();
+    let mut start = 0;
+    for end in 1..=pages.len() {
+        let (prev, home) = (pages[end - 1].0, home_of(pages[end - 1].0));
+        let next = pages
+            .get(end)
+            .filter(|p| home_of(p.0) == home && !(prev + 1..p.0).any(|q| home_of(q) == home));
+        if next.is_none() || (end - start) as u64 == most {
+            runs.push(start..end);
+            start = end;
+        }
+    }
+    runs.sort_unstable_by_key(|run| pages[run.start]);
+}
 
 /// Per-node engine state (registration fast paths live in the policy).
 #[derive(Debug)]
@@ -73,8 +97,9 @@ struct NodeState {
     cache: PageCache,
     wbuf: WriteBuffer,
     /// Held across an SD fence's drain, which takes pages out of `wbuf`
-    /// while they are still dirty (host-side only; see `sd_drain`).
-    draining: Mutex<()>,
+    /// while they are still dirty (host-side only; see `sd_drain`); guards
+    /// the drain's buffers.
+    draining: Mutex<drain::Drain>,
     /// Max settle time of writes this node has posted but not yet fenced.
     pending_settle: AtomicU64,
     /// The consumer pages SI fences dropped since the node's last demand
@@ -160,7 +185,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 .map(|_| NodeState {
                     cache: PageCache::new(config.cache),
                     wbuf: WriteBuffer::new(config.write_buffer_pages, total_pages),
-                    draining: Mutex::new(()),
+                    draining: Mutex::default(),
                     pending_settle: AtomicU64::new(0),
                     refill: Mutex::new(Vec::new()),
                     missed: AtomicBool::new(false),

@@ -6,37 +6,12 @@
 
 use super::*;
 use crate::config::PROTECT_CYCLES;
-use std::ops::Range;
 
 /// Whether `st` still holds `page`'s line with `page` dropped by an SI
 /// fence: the only copy a refill may install.
 fn still_dropped(cache: &PageCache, st: &SlotGuard<'_>, page: PageNum) -> bool {
     st.tag() == Some(cache.line_of(page))
         && st.pages[cache.index_in_line(page)].standing == Standing::Dropped
-}
-
-/// Sort `pages` by home, then page, and cut them into window runs: pages
-/// of one home with no page of that home between two of them — adjacent
-/// in the home's window (`p` and `p + N` under interleaving), so one read
-/// carries them — and at most `most` long. Runs come out in the order of
-/// their first page. (Not generic: one copy serves every `Dsm`.)
-fn window_runs(global: &GlobalMemory, most: u64, pages: &mut [PageNum]) -> Vec<Range<usize>> {
-    let home_of = |p: u64| global.home_of(PageNum(p));
-    pages.sort_unstable_by_key(|page| (home_of(page.0), page.0));
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for end in 1..=pages.len() {
-        let (prev, home) = (pages[end - 1].0, home_of(pages[end - 1].0));
-        let next = pages
-            .get(end)
-            .filter(|p| home_of(p.0) == home && !(prev + 1..p.0).any(|q| home_of(q) == home));
-        if next.is_none() || (end - start) as u64 == most {
-            runs.push(start..end);
-            start = end;
-        }
-    }
-    runs.sort_unstable_by_key(|run| pages[run.start]);
-    runs
 }
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
@@ -59,9 +34,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             ns.cache.try_lock_slot(page).is_some_and(|st| still_dropped(&ns.cache, &st, page))
         });
         let most = self.net.cost().transfers_per_round_trip(PAGE_BYTES);
-        let runs = window_runs(&self.global, most, &mut pages);
+        let (mut runs, mut posted, mut replies) = (Vec::new(), Vec::new(), Vec::new());
+        window_runs(&self.global, most, &mut pages, &mut runs);
         let (at, mut installed) = (t.now(), 0);
-        let (mut posted, mut replies) = (Vec::new(), Vec::new());
         for run in runs {
             let run = &pages[run];
             let home = self.global.home_of(run[0]);

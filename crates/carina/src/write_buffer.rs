@@ -111,15 +111,15 @@ impl WriteBuffer {
         self.claim(page, None)
     }
 
-    /// Take everything, oldest first (SD-fence drain).
-    pub(crate) fn drain(&self) -> Vec<PageNum> {
+    /// Take everything, oldest first, into `into` (SD-fence drain).
+    pub(crate) fn drain(&self, into: &mut Vec<PageNum>) {
         // Fences on clean nodes are the common case: no lock for an empty
         // buffer. A push racing this check waits for its own fence.
         if self.len() == 0 {
-            return Vec::new();
+            return;
         }
         let entries = std::mem::take(&mut self.ring.lock().0);
-        entries.into_iter().filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p).collect()
+        into.extend(entries.into_iter().filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p));
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -148,6 +148,12 @@ mod tests {
         WriteBuffer::new(capacity, PAGES)
     }
 
+    fn drained(wb: &WriteBuffer) -> Vec<PageNum> {
+        let mut pages = Vec::new();
+        wb.drain(&mut pages);
+        pages
+    }
+
     #[test]
     fn fifo_overflow_returns_oldest() {
         let wb = buffer(2);
@@ -163,7 +169,7 @@ mod tests {
         for p in [5, 6, 7] {
             let _ = wb.push(PageNum(p));
         }
-        assert_eq!(wb.drain(), vec![PageNum(5), PageNum(6), PageNum(7)]);
+        assert_eq!(drained(&wb), vec![PageNum(5), PageNum(6), PageNum(7)]);
         assert_eq!(wb.len(), 0);
     }
 
@@ -175,7 +181,7 @@ mod tests {
         }
         assert!(wb.remove(PageNum(2)));
         assert!(!wb.remove(PageNum(2)));
-        assert_eq!(wb.drain(), vec![PageNum(1), PageNum(3)]);
+        assert_eq!(drained(&wb), vec![PageNum(1), PageNum(3)]);
     }
 
     #[test]
@@ -187,7 +193,7 @@ mod tests {
         // Only page 2 is live: pushing two more overflows once, victim 2.
         assert_eq!(wb.push(PageNum(3)), None);
         assert_eq!(wb.push(PageNum(4)), Some(PageNum(2)));
-        assert_eq!(wb.drain(), vec![PageNum(3), PageNum(4)]);
+        assert_eq!(drained(&wb), vec![PageNum(3), PageNum(4)]);
     }
 
     #[test]
@@ -200,7 +206,7 @@ mod tests {
         }
         assert!(wb.remove(PageNum(1)));
         let _ = wb.push(PageNum(1));
-        assert_eq!(wb.drain(), vec![PageNum(2), PageNum(3), PageNum(1)]);
+        assert_eq!(drained(&wb), vec![PageNum(2), PageNum(3), PageNum(1)]);
     }
 
     #[test]
@@ -213,7 +219,7 @@ mod tests {
         assert!(!wb.holds(PageNum(9)) && wb.holds(PageNum(5)));
         assert!(wb.remove(PageNum(4)));
         assert!(!wb.holds(PageNum(4)));
-        assert_eq!(wb.drain(), vec![PageNum(5)]);
+        assert_eq!(drained(&wb), vec![PageNum(5)]);
         assert!(!wb.holds(PageNum(5)));
     }
 
@@ -237,7 +243,7 @@ mod tests {
         }
         let want: Vec<_> = pages.iter().filter(|&p| p % 3 != 0).map(|&p| PageNum(p)).collect();
         assert!(wb.ring.lock().0.len() <= 2 * want.len() + 16, "the ring stays O(live)");
-        assert_eq!(wb.drain(), want);
+        assert_eq!(drained(&wb), want);
     }
 
     #[test]
@@ -248,7 +254,7 @@ mod tests {
         }
         assert_eq!(wb.push(PageNum(13)), Some(PageNum(10)));
         assert_eq!(wb.push(PageNum(14)), Some(PageNum(11)));
-        assert_eq!(wb.drain(), vec![PageNum(12), PageNum(13), PageNum(14)]);
+        assert_eq!(drained(&wb), vec![PageNum(12), PageNum(13), PageNum(14)]);
     }
 
     /// Pusher threads feed disjoint page ranges (with interleaved removals)
@@ -270,9 +276,9 @@ mod tests {
             std::thread::spawn(move || {
                 let mut got = Vec::new();
                 while !stop.load(Ordering::Acquire) {
-                    got.extend(wb.drain());
+                    wb.drain(&mut got);
                 }
-                got.extend(wb.drain()); // sweep what raced the stop flag
+                wb.drain(&mut got); // sweep what raced the stop flag
                 got
             })
         };

@@ -779,13 +779,14 @@ fn same_node_acquire_is_free_and_a_handover_is_one_si_fence() {
 
 // ---- the SD fence's drain: posted as it scans ----
 
-/// An SD fence posts each page's write-back as its scan finishes and
-/// waits once: for `N` pages to one home it costs the `N` scans (a diff
-/// scan and a re-protect each), then the last posting's serialization and
-/// flight — never the sum of the serializations, which the scans hide.
+/// An SD fence posts each window run's write-back as its last page's scan
+/// finishes and waits once: for `N` adjacent pages to one home — a full
+/// run of `most`, then one page — it costs the `N` scans (a diff scan and
+/// a re-protect each) or the full run's scans and serialization, whichever
+/// ends later, then the last page's serialization, queued behind the run
+/// on the NIC, and its flight — never the sum of `N` serializations.
 /// Exact, from the cost model: a diff of `W` words is a 32-byte header and
-/// 10 bytes per word, and the NIC never queues (a scan outlasts any page's
-/// wire time).
+/// 10 bytes per word, and a run's write carries the sum.
 #[test]
 fn a_fence_pays_its_scans_and_the_last_settle() {
     const N: u64 = 8;
@@ -801,13 +802,18 @@ fn a_fence_pays_its_scans_and_the_last_settle() {
     }
     // Put the stores' own traffic (fills, registrations) in the past.
     t.compute(1_000_000);
-    let before = t.now();
+    let (before, writes) = (t.now(), wire(&dsm).rdma_writes);
     dsm.sd_fence(t);
     let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
-    let wire = cost.transfer_cycles(32 + 10 * W);
-    assert!(wire < scan, "the scan hides the wire: {wire} vs {scan}");
-    assert_eq!(t.now() - before, N * scan + wire + cost.network_latency);
-    assert!(t.now() - before < N * scan + N * wire + cost.network_latency);
+    let wire_page = cost.transfer_cycles(32 + 10 * W);
+    let most = cost.transfers_per_round_trip(PAGE_BYTES);
+    assert_eq!(N - most, 1, "a full run, then one page");
+    let run = cost.transfer_cycles(most * (32 + 10 * W));
+    assert!(wire_page < scan, "a page's scan hides its own wire: {wire_page} vs {scan}");
+    let nic_free = (most * scan + run).max(N * scan);
+    assert_eq!(t.now() - before, nic_free + wire_page + cost.network_latency);
+    assert!(t.now() - before < N * scan + N * wire_page + cost.network_latency);
+    assert_eq!(wire(&dsm).rdma_writes - writes, 2, "one write per run");
     let s = dsm.stats().snapshot();
     assert_eq!((s.writebacks, s.writeback_bytes), (N, N * (32 + 10 * W)));
     for salt in 0..N {
@@ -818,11 +824,11 @@ fn a_fence_pays_its_scans_and_the_last_settle() {
 }
 
 /// The same drain released through `publish` instead of a bare fence. The
-/// releasing thread pays the `N` scans and the last posting's
-/// serialization, and returns before its flight: `network_latency` short
-/// of the stamp. The stamp is the node's settle, and exactly where the
-/// bare fence above ends — a bare fence still waits for it (twin clusters,
-/// same stores, one thread each: deterministic).
+/// releasing thread waits for its postings' own serializations — the full
+/// run's ends last — and returns before the last page's queued
+/// serialization and flight. The stamp is the node's settle, and exactly
+/// where the bare fence above ends — a bare fence still waits for it (twin
+/// clusters, same stores, one thread each: deterministic).
 #[test]
 fn publish_stamps_the_settle_a_bare_fence_waits_for() {
     const N: u64 = 8;
@@ -847,9 +853,12 @@ fn publish_stamps_the_settle_a_bare_fence_waits_for() {
     let stamp = released.publish(&mut r);
     fenced.sd_fence(&mut f);
     let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
-    let wire = cost.transfer_cycles(32 + 10 * W);
-    assert_eq!(r.now() - before, N * scan + wire, "the releaser skips the flight");
-    assert_eq!(stamp.0, r.now() + cost.network_latency);
+    let wire_page = cost.transfer_cycles(32 + 10 * W);
+    let most = cost.transfers_per_round_trip(PAGE_BYTES);
+    let run = cost.transfer_cycles(most * (32 + 10 * W));
+    assert!(most * scan + run > N * scan + wire_page, "the full run's wire ends last");
+    assert_eq!(r.now() - before, most * scan + run, "the releaser skips the flight");
+    assert_eq!(stamp.0, r.now() + wire_page + cost.network_latency);
     assert_eq!(stamp, released.settle_stamp(0));
     assert_eq!(f.now(), stamp.0, "a bare fence ends at the settle");
     assert_eq!(released.stats().snapshot(), fenced.stats().snapshot());
@@ -880,9 +889,9 @@ fn dirty_across_a_blackout(
 }
 
 /// A posting that exhausts its budget mid-drain does not strand the rest:
-/// the drain polls every other posting — the ones to the healthy home
-/// complete, each one to the stalled home exhausts on its own — before it
-/// returns the first error. Every page's local half already ran, so the
+/// each home's four pages are one window run, and the drain polls the run
+/// to the healthy home — it completes — after the run to the stalled home
+/// exhausts, before it returns the error. Every page's local half already ran, so the
 /// data is home, no page is dirty outside the write buffer, and the next
 /// fence has nothing left to drain.
 #[test]
@@ -891,7 +900,7 @@ fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
     let err = dsm.try_sd_fence(&mut t).unwrap_err();
     assert_eq!((err.target, err.class), (1, VerbClass::Downgrade));
     let s = dsm.stats().snapshot();
-    assert_eq!((s.writebacks, s.verb_exhaustions, s.verb_retries), (8, 4, 8));
+    assert_eq!((s.writebacks, s.verb_exhaustions, s.verb_retries), (8, 1, 2));
     let polled_home = |home: u32| {
         dsm.lyra()
             .snapshot(0)
@@ -903,12 +912,92 @@ fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
             })
             .count()
     };
-    assert_eq!((polled_home(1), polled_home(2)), (0, 4), "every healthy posting was polled");
+    assert_eq!((polled_home(1), polled_home(2)), (0, 1), "the healthy posting was polled");
     for (i, &a) in pages.iter().enumerate() {
         assert_eq!(dsm.peek_u64(a), 100 + i as u64);
     }
     assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
     assert_eq!(dsm.try_sd_fence(&mut t), Ok(()), "nothing left to drain");
+}
+
+/// One write per window run: node 0 of three dirties nine adjacent pages
+/// on each other home, a different number of words on each, and its fence
+/// issues ⌈9/7⌉ writes per home. The writes carry exactly the pages'
+/// per-page wire sizes, and every word of every page reaches home.
+#[test]
+fn a_drain_posts_one_write_per_window_run() {
+    const PER_HOME: u64 = 9;
+    let (dsm, mut ts) = cluster(3, CarinaConfig::default());
+    let t = &mut ts[0];
+    let pages: Vec<GlobalAddr> =
+        (1..3).flat_map(|home| (0..PER_HOME).map(move |s| addr_homed_at(3, home, s))).collect();
+    let value = |i: usize, w: u64| 1000 * i as u64 + w + 1;
+    for (i, &a) in pages.iter().enumerate() {
+        for w in 0..=i as u64 {
+            dsm.write_u64(t, a.offset(8 * w), value(i, w));
+        }
+    }
+    let before = wire(&dsm);
+    dsm.sd_fence(t);
+    let n = wire(&dsm);
+    let most = CostModel::paper_2011().transfers_per_round_trip(PAGE_BYTES);
+    assert_eq!((most, n.rdma_writes - before.rdma_writes), (7, 4), "⌈9/7⌉ writes per home");
+    let per_page: u64 = (1..=pages.len() as u64).map(|words| 32 + 10 * words).sum();
+    assert_eq!(n.bytes_written - before.bytes_written, per_page);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.writebacks, s.writeback_bytes), (18, per_page));
+    for (i, &a) in pages.iter().enumerate() {
+        for w in 0..WORDS_PER_PAGE as u64 {
+            let want = if w <= i as u64 { value(i, w) } else { 0 };
+            assert_eq!(dsm.peek_u64(a.offset(8 * w)), want, "page {i} word {w}");
+        }
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+/// A failed run is retried whole: node 1's NIC is out exactly while the
+/// fence issues its one run of three pages, so the first write fails and
+/// its retry — from the run's issue time, after the backoff salted by the
+/// run's first page — carries all three. One retry, every page home, and
+/// the release stamp is the retry's settle.
+#[test]
+fn a_failed_run_is_retried_whole() {
+    const PAGES: u64 = 3;
+    let cost = CostModel::paper_2011();
+    let from = 10_000_000;
+    let issue = from + PAGES * (PAGE_COPY_CYCLES + PROTECT_CYCLES);
+    let plan = FaultPlan::disabled().with_brownout(NodeId(1), from, issue + 1);
+    let net = FaultyTransport::wrap(tiny_net(2), plan);
+    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> =
+        Dsm::new(net.clone(), 4 << 20, CarinaConfig::default());
+    let mut t = FaultyTransport::endpoint(&net, net.topology().loc(NodeId(0), 0));
+    let pages: Vec<GlobalAddr> = (0..PAGES).map(|s| addr_homed_at(2, 1, s)).collect();
+    for (i, &a) in pages.iter().enumerate() {
+        dsm.write_u64(&mut t, a, 100 + i as u64);
+    }
+    assert!(t.now() < from, "the stores ran before the outage");
+    t.compute(from - t.now());
+    let stamp = dsm.publish(&mut t);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.writebacks, s.verb_retries, s.verb_exhaustions), (PAGES, 1, 0));
+    assert_eq!(net.injected().stalled, 1, "the first write, and only it, failed");
+    for (i, &a) in pages.iter().enumerate() {
+        assert_eq!(dsm.peek_u64(a), 100 + i as u64);
+    }
+    let first = pages[0].page().0;
+    let delay = dsm.config().retry.backoff_step(VerbClass::Downgrade, 1, first);
+    let retried: Vec<_> = dsm
+        .lyra()
+        .snapshot(0)
+        .into_iter()
+        .filter(|r| r.kind == obs::RecordKind::VerbRetry)
+        .map(|r| (r.class, r.arg))
+        .collect();
+    assert_eq!(retried, [(VerbClass::Downgrade as u8, delay)], "salted by the run's first page");
+    let bytes = PAGES * (32 + 10);
+    assert_eq!(stamp.0, issue + delay + cost.transfer_cycles(bytes) + cost.network_latency);
+    assert_eq!(stamp, dsm.settle_stamp(0));
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }
 
 // ---- write-hot retention (DESIGN §3, "Writable across the release") ----
@@ -1314,10 +1403,11 @@ fn written_pages_are_never_refilled() {
     // Round 1 registers node 1 once per page as a reader (P→S) and once
     // as a writer (SW→MW): 16 atomics. Both transitions name node 0, the
     // pages' home, which is never notified, so the writes are the 48
-    // write-backs alone and carry exactly their `writeback_bytes` (it was
-    // 64 writes and 2 528 B: 16 notifications of 32 B to the home).
+    // write-backs alone — two window runs (7 + 1 pages) per fence, 12
+    // writes — and carry exactly their `writeback_bytes` (it was 64 writes
+    // and 2 528 B: 16 notifications of 32 B to the home).
     let n = wire(&dsm);
-    assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (48, 48, 16));
+    assert_eq!((n.rdma_reads, n.rdma_writes, n.rdma_atomics), (48, 12, 16));
     assert_eq!((n.bytes_read, n.bytes_written), (48 * PAGE_BYTES, 2016));
 }
 

@@ -284,9 +284,10 @@ fn tour_story<T: Transport>((dsm, mut ts): (Arc<Dsm<T>>, Vec<T::Endpoint>)) {
     }
 }
 
-/// Every write-back a fence posts is its own verb on the wire and in the
-/// recorder: per page, one `VerbIssue` slice (its bytes, its home) and one
-/// `VerbPoll` instant — every poll at the end of the scan of all pages.
+/// Every window run a fence posts is its own verb on the wire and in the
+/// recorder: per run, one `VerbIssue` slice (its pages' bytes, its home)
+/// and one `VerbPoll` instant — every poll at the end of the scan of all
+/// pages. Eight adjacent pages on one home are two runs: seven, then one.
 #[test]
 fn fence_postings_are_flight_recorded() {
     let (dsm, mut ts) = cluster(2);
@@ -299,7 +300,7 @@ fn fence_postings_are_flight_recorded() {
     dsm.sd_fence(&mut ts[0]);
     let snap = dsm.stats().snapshot();
     assert_eq!((snap.writebacks, snap.writeback_bytes), (pages, pages * 42));
-    assert_eq!(dsm.net().stats().snapshot().rdma_writes - writes, pages);
+    assert_eq!(dsm.net().stats().snapshot().rdma_writes - writes, 2);
     let drained: Vec<VerbRecord> = dsm
         .lyra()
         .snapshot(0)
@@ -308,11 +309,11 @@ fn fence_postings_are_flight_recorded() {
         .collect();
     let (issues, polls): (Vec<&VerbRecord>, Vec<&VerbRecord>) =
         drained.iter().partition(|r| r.kind == RecordKind::VerbIssue);
-    assert_eq!((issues.len(), polls.len()), (pages as usize, pages as usize));
+    assert_eq!((issues.len(), polls.len()), (2, 2));
     assert!(polls.iter().all(|r| r.kind == RecordKind::VerbPoll));
     let scans = pages * (PAGE_COPY_CYCLES + PROTECT_CYCLES);
-    for (issue, poll) in issues.iter().zip(&polls) {
-        assert_eq!((issue.target, poll.target, issue.arg), (1, 1, 42));
+    for ((issue, poll), run) in issues.iter().zip(&polls).zip([7, 1]) {
+        assert_eq!((issue.target, poll.target, issue.arg), (1, 1, run * 42));
         assert_eq!(poll.start, issue.start + scans, "polled once every page was scanned");
     }
 }

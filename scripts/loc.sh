@@ -11,7 +11,7 @@ cd "${1:-$(dirname "$0")/..}"
 # Non-test line ceilings. A change that shrinks one of these crates lowers
 # its ceiling to the new count; one that must grow one offsets what it can
 # and moves the ceiling by the net only. `workspace` is the sum over crates.
-declare -A ceiling=([argo]=1055 [carina]=4293 [mem]=1462 [obs]=1994 [rma]=1636 [simnet]=1165 [vela]=1768 [workspace]=17263)
+declare -A ceiling=([argo]=1055 [carina]=4313 [mem]=1462 [obs]=1994 [rma]=1636 [simnet]=1165 [vela]=1768 [workspace]=17283)
 declare -A code_of
 printf '%-10s %7s %9s\n' crate total non-test
 sum_total=0
