@@ -131,12 +131,13 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         })?;
         // An epoch that missed but never on a recorded page left stale
         // candidates. An idle one (a writer's turn, say) handed them on:
-        // this acquire, which ends that turn, refills them.
+        // this acquire, which ends that turn, refills them — unless they
+        // are one page, whose read saves nothing over its demand miss.
         let stale = ns.missed.swap(false, Ordering::Relaxed);
         let mut recorded = ns.refill.lock().expect("a refill panicked");
         let handed_on = std::mem::replace(&mut *recorded, consumed);
         drop(recorded);
-        self.refill(t, me, if stale { Vec::new() } else { handed_on })
+        self.refill(t, me, if stale || handed_on.len() < 2 { Vec::new() } else { handed_on })
     }
 
     /// Self-downgrade fence (release side): drain the write buffer and wait

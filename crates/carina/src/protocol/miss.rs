@@ -1,7 +1,10 @@
 //! Read-miss handling (paper §3.3, line fills §3.6.2): evict the
 //! conflicting line, then fetch the whole line from its pages' homes —
-//! registrations and data read pipelined so the miss costs one round trip —
-//! and, on a recorded consumer page, refill the rest of the recorded set
+//! registrations and data read pipelined so the miss costs one round trip.
+//! A miss that continues its home's window stream reads ahead: the read of
+//! its home's pages carries their window successors past the line, up to
+//! one round trip's worth, into slots a fill may take. On a recorded
+//! consumer page it refills the rest of the recorded set instead
 //! (`refill.rs`).
 
 use super::*;
@@ -13,6 +16,24 @@ fn push_grouped<X>(groups: &mut Vec<(u16, Vec<X>)>, home: u16, item: X) {
     match groups.iter_mut().find(|(h, _)| *h == home) {
         Some((_, items)) => items.push(item),
         None => groups.push((home, vec![item])),
+    }
+}
+
+/// The page after `page` in `home`'s window: the next page of `home`
+/// within `span` pages and below `end` (with N nodes, window neighbours lie
+/// N pages apart interleaved, 1 blocked).
+fn window_next(g: &GlobalMemory, page: u64, home: u16, span: u64, end: u64) -> Option<u64> {
+    (page + 1..end.min(page + 1 + span)).find(|&q| g.home_of(PageNum(q)) == home)
+}
+
+/// Whether a fill of `page` may take `st`, its slot, and lose nothing: the
+/// page has neither a copy nor an SI drop (the refill's), and a slot
+/// holding another line has neither in any page.
+fn open_for(cache: &PageCache, st: &SlotGuard<'_>, page: PageNum) -> bool {
+    let bare = |idx: usize| !st.pages[idx].valid && st.pages[idx].standing != Standing::Dropped;
+    match st.tag() == Some(cache.line_of(page)) {
+        true => bare(cache.index_in_line(page)),
+        false => (0..st.pages.len()).all(bare),
     }
 }
 
@@ -95,6 +116,15 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 push_grouped(&mut group, home, idx);
             }
         }
+        // A miss that continues its home's window stream reads ahead: the
+        // demand home's group carries `ahead` window successors of its last
+        // page (none on a refill's turn, or for a page to be overwritten).
+        let home = self.global.home_of(page);
+        let stream = group.iter().position(|(h, _)| *h == home);
+        let stream = stream.filter(|_| !overwrite && !refill_due);
+        let ahead = stream.map_or(0, |g| self.reads_ahead(st, base, &group[g].1, me));
+        let count = |g| if stream == Some(g) { ahead } else { 0 };
+        let last = |idxs: &[usize]| base.0 + idxs[idxs.len() - 1] as u64;
         // Issue phase: every group's registrations are posted back-to-back
         // (pipelined one-sided atomics: latencies overlap, only wire
         // occupancy serializes) and its data read is posted right behind
@@ -105,15 +135,16 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // instead of queuing behind one another on this thread.
         let obs_issue = t.obs_now();
         let mut inflight: Vec<(u64, VerbToken)> = Vec::with_capacity(group.len());
-        for (home, idxs) in &group {
+        for (g, (home, idxs)) in group.iter().enumerate() {
+            let count = count(g);
+            let line_pages = idxs.iter().map(|&idx| PageNum(base.0 + idx as u64));
             let mut reg_done = start;
-            for &idx in idxs.iter() {
-                let p = PageNum(base.0 + idx as u64);
+            for p in line_pages.chain(self.ahead_pages(last(idxs), *home, count)) {
                 if let Some(completed) = self.register_reader_remote(t, p, me, *home, start)? {
                     reg_done = reg_done.max(completed);
                 }
             }
-            let bytes = idxs.len() as u64 * PAGE_BYTES;
+            let bytes = (idxs.len() as u64 + count) * PAGE_BYTES;
             // Registration outcomes (notifies, a checkpoint fetch) may have
             // advanced the clock past `start`: never post behind it.
             let token = t.issue(NodeId(*home), &Verb::Read { bytes }, start.max(t.now()));
@@ -121,10 +152,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         }
         // Poll phase: completions fold in as a single max, so the line fill
         // costs one slowest-home round trip rather than the sum.
-        for ((home, idxs), (reg_done, token)) in group.into_iter().zip(inflight) {
+        for (g, ((home, idxs), (reg_done, token))) in group.into_iter().zip(inflight).enumerate() {
             // The fill is ready once both the data and the registrations are.
             done = done.max(reg_done);
-            let bytes = idxs.len() as u64 * PAGE_BYTES;
+            let (count, last) = (count(g), last(&idxs));
+            let bytes = (idxs.len() as u64 + count) * PAGE_BYTES;
             let salt = base.0.wrapping_add((home as u64) << 48);
             let timing = self.poll_retried(
                 t,
@@ -144,6 +176,12 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 st.data(idx).copy_from(self.global.home_page(p));
                 st.pages[idx].step(Event::Fill);
             }
+            // Ahead pages go in clean, ready when the read is, into slots
+            // still free: a sibling's fill may have taken one meanwhile.
+            let ready = timing.initiator_done.max(reg_done);
+            for p in self.ahead_pages(last, home, count) {
+                self.install(me, p, ready, Event::Fill, open_for);
+            }
         }
         if overwrite {
             // Valid only once every fetch landed: a failed miss leaves no
@@ -160,5 +198,54 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             self.refill(t, me, recorded)?;
         }
         Ok(())
+    }
+
+    /// How many pages a miss reads ahead of `idxs`, its line's pages at
+    /// `base` from the demand's home. None unless the first continues a
+    /// stream (its window predecessor is valid here) and no page of that
+    /// home past the last is left in the line; then the last's window
+    /// successors, while each is below the allocator's high-water mark, in
+    /// the run's allocation, and in a slot a fill may take — never held,
+    /// never evicted, not one the run took — up to a round trip's pages.
+    fn reads_ahead(&self, st: &SlotGuard<'_>, base: PageNum, idxs: &[usize], me: u16) -> u64 {
+        let (g, span) = (&self.global, self.nodes.len() as u64);
+        let (first, mut p) = (base.0 + idxs[0] as u64, base.0 + idxs[idxs.len() - 1] as u64);
+        let home = g.home_of(PageNum(first));
+        let mut back = (first.saturating_sub(span)..first).rev();
+        let streaming = back.find(|&q| g.home_of(PageNum(q)) == home).is_some_and(|q| {
+            match q.checked_sub(base.0) {
+                Some(idx) => st.pages[idx as usize].valid,
+                None => self.fits_now(me, PageNum(q), |c, st, q| {
+                    st.tag() == Some(c.line_of(q)) && st.pages[c.index_in_line(q)].valid
+                }),
+            }
+        });
+        let line_end = base.0 + st.pages.len() as u64;
+        // Past `base` + the cache's pages, a slot comes round again.
+        let wrap = base.0 + self.config.cache.capacity_pages() as u64;
+        let end = self.allocator.high_water().div_ceil(PAGE_BYTES).min(wrap);
+        let most = self.net.cost().transfers_per_round_trip(PAGE_BYTES);
+        let mut count = 0;
+        while streaming && idxs.len() as u64 + count < most {
+            match window_next(g, p, home, span, end) {
+                Some(next)
+                    if next >= line_end
+                        && !self.allocator.starts_in(p + 1..next + 1)
+                        && self.fits_now(me, PageNum(next), open_for) =>
+                {
+                    (count, p) = (count + 1, next);
+                }
+                _ => break,
+            }
+        }
+        count
+    }
+
+    /// The `count` pages after `last` in `home`'s window, as
+    /// [`Self::reads_ahead`] found them.
+    fn ahead_pages(&self, last: u64, home: u16, count: u64) -> impl Iterator<Item = PageNum> + '_ {
+        let (g, span) = (&self.global, self.nodes.len() as u64);
+        let next = move |&p: &u64| window_next(g, p, home, span, g.total_pages());
+        std::iter::successors(Some(last), next).skip(1).take(count as usize).map(PageNum)
     }
 }

@@ -1,11 +1,15 @@
-//! The refill, beyond the paper (its prefetch is spatial only; DESIGN §11
-//! "Refill"): fetch the consumer pages an SI fence dropped before the
-//! consumer asks for each again, one page read per window run. Two
-//! triggers call it: the first demand miss on a recorded page
-//! (`miss.rs`), and the SI sweep that ends an idle epoch (`fence.rs`).
+//! The refill and the installs it shares with the read-ahead (`miss.rs`).
+//! The paper's prefetch is line-spatial only (§3.6.2); the refill is
+//! beyond it (DESIGN §11 "Refill"): fetch the consumer pages an SI fence
+//! dropped before the consumer asks for each again, one page read per
+//! window run. Two triggers call it: the first demand miss on a recorded
+//! page (`miss.rs`), and the SI sweep that ends an idle epoch (`fence.rs`).
 
 use super::*;
 use crate::config::PROTECT_CYCLES;
+
+/// Which copy an install may put in a page's locked slot.
+pub(super) type Fits = fn(&PageCache, &SlotGuard<'_>, PageNum) -> bool;
 
 /// Whether `st` still holds `page`'s line with `page` dropped by an SI
 /// fence: the only copy a refill may install.
@@ -15,6 +19,43 @@ fn still_dropped(cache: &PageCache, st: &SlotGuard<'_>, page: PageNum) -> bool {
 }
 
 impl<T: Transport, C: Coherence> Dsm<T, C> {
+    /// Whether `me`'s slot for `page` is free now and `fits` it: never
+    /// waits for a held slot.
+    pub(super) fn fits_now(&self, me: u16, page: PageNum, fits: Fits) -> bool {
+        let cache = &self.nodes[me as usize].cache;
+        cache.try_lock_slot(page).is_some_and(|st| fits(cache, &st, page))
+    }
+
+    /// Install `page`'s home copy in `me`'s cache as `event`, ready at
+    /// `ready`, if its slot is free and still `fits` it — re-checked under
+    /// the lock, since a sibling thread's demand fill or eviction may have
+    /// come first. A slot holding another line (which `fits` found holds no
+    /// copy) is retagged; a line with other live pages keeps the later
+    /// ready. Returns whether the page went in.
+    pub(super) fn install(
+        &self,
+        me: u16,
+        page: PageNum,
+        ready: u64,
+        event: Event,
+        fits: Fits,
+    ) -> bool {
+        let cache = &self.nodes[me as usize].cache;
+        let Some(mut st) = cache.try_lock_slot(page) else { return false };
+        if !fits(cache, &st, page) {
+            return false;
+        }
+        let (line, idx) = (cache.line_of(page), cache.index_in_line(page));
+        if st.tag() != Some(line) {
+            st.retag(line);
+        }
+        st.data(idx).copy_from(self.global.home_page(page));
+        let live = st.pages.iter().any(|p| p.valid);
+        st.set_ready(if live { st.ready_at().max(ready) } else { ready });
+        st.pages[idx].step(event);
+        true
+    }
+
     /// Fetch every page of `pages` whose slot still holds its dropped line,
     /// one read per window run, all posted at once. Each page gets the
     /// registration its demand fill would issue, posted ahead of its run's
@@ -29,10 +70,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         me: u16,
         mut pages: Vec<PageNum>,
     ) -> Result<(), DsmError> {
-        let ns = &self.nodes[me as usize];
-        pages.retain(|&page| {
-            ns.cache.try_lock_slot(page).is_some_and(|st| still_dropped(&ns.cache, &st, page))
-        });
+        pages.retain(|&page| self.fits_now(me, page, still_dropped));
         let most = self.net.cost().transfers_per_round_trip(PAGE_BYTES);
         let (mut runs, mut posted, mut replies) = (Vec::new(), Vec::new(), Vec::new());
         window_runs(&self.global, most, &mut pages, &mut runs);
@@ -58,19 +96,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 ready = ready.max(done + self.handler_cycles());
             }
             for &page in run {
-                // Re-checked under the lock: a sibling thread's demand fill
-                // or eviction may have come first.
-                let Some(mut st) = ns.cache.try_lock_slot(page) else { continue };
-                if !still_dropped(&ns.cache, &st, page) {
-                    continue;
+                if self.install(me, page, ready, Event::Refill, still_dropped) {
+                    t.compute(PROTECT_CYCLES);
+                    installed += 1;
                 }
-                let idx = ns.cache.index_in_line(page);
-                st.data(idx).copy_from(self.global.home_page(page));
-                let live = st.pages.iter().any(|p| p.valid);
-                st.set_ready(if live { st.ready_at().max(ready) } else { ready });
-                st.pages[idx].step(Event::Refill);
-                t.compute(PROTECT_CYCLES);
-                installed += 1;
             }
         }
         if installed > 0 {

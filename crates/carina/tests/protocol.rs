@@ -1582,6 +1582,18 @@ fn the_acquire_after_an_idle_turn_refills_the_set() {
     assert_eq!(steady(alternating::<Pyxis>(2, &pages, 6)), sisd, "Pyxis");
 }
 
+/// (g') A one-page set is not refilled at the acquire: its read would
+/// save nothing over the demand miss it pre-empts, and a lock-bound node
+/// would often drop it untouched. From round 3 on the consumer misses the
+/// page on demand — the same one read — and nothing is refilled.
+#[test]
+fn the_acquire_skips_a_one_page_set() {
+    let page = &produced()[..1];
+    for (round, (reads, d)) in (1..).zip(alternating::<CarinaSiSd>(2, page, 6)) {
+        assert_eq!((reads, d), (1, [1, 0, 0, 0]), "round {round}");
+    }
+}
+
 /// Reads of the third round of [`alternating`] turns over `pages` — the
 /// first acquire-triggered refill — on `nodes` nodes, which takes no
 /// demand miss.
@@ -1785,5 +1797,189 @@ fn a_failed_whole_page_store_leaves_no_copy() {
     t.compute(until);
     assert_eq!(dsm.read_u64(&mut t, target), 0, "the unfetched copy was dropped");
     assert_eq!(dsm.stats().snapshot().read_misses, 3);
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+}
+
+// ---- read-ahead along a home's window (DESIGN §11) ----
+
+/// A two-node cluster whose allocator has handed out `pages` pages from
+/// page 0 in one allocation: node 0's window there is the even pages.
+fn allocated(pages: u64, config: CarinaConfig) -> (Arc<Dsm>, Vec<SimThread>) {
+    let (dsm, ts) = cluster(2, config);
+    assert_eq!(dsm.allocator().alloc_pages(pages).unwrap(), GlobalAddr(0));
+    (dsm, ts)
+}
+
+/// Window slot `i` of node 0 on two nodes: page `2i`.
+fn slot0(i: u64) -> GlobalAddr {
+    GlobalAddr(2 * i * PAGE_BYTES)
+}
+
+/// Node 1 reads word 0 of each page of `slots` of node 0's window, in
+/// order, and finds what node 0 stored there; returns the wire so far.
+fn scan(
+    dsm: &Dsm,
+    ts: &mut [SimThread],
+    slots: impl Iterator<Item = u64> + Clone,
+) -> NetStatsSnapshot {
+    let before = wire(dsm);
+    for i in slots.clone() {
+        dsm.write_u64(&mut ts[0], slot0(i), 1000 + i);
+    }
+    assert_eq!(wire(dsm), before, "home stores are local");
+    for i in slots {
+        assert_eq!(dsm.read_u64(&mut ts[1], slot0(i)), 1000 + i, "slot {i}");
+    }
+    assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
+    wire(dsm)
+}
+
+/// A cold sequential scan of `k` pages of one home: the first miss has no
+/// valid predecessor and reads its page alone; every later miss continues
+/// the stream and reads a window run of up to 7. So `1 + ⌈(k − 1) / 7⌉`
+/// reads and misses, each page registered once and carried once, and the
+/// last run ends at the allocator's high-water mark.
+#[test]
+fn a_cold_scan_reads_one_window_run_per_round_trip() {
+    assert_eq!(CostModel::paper_2011().transfers_per_round_trip(PAGE_BYTES), RUN);
+    for k in [1, 2, 8, 9, 16, 50] {
+        let (dsm, mut ts) = allocated(2 * k, CarinaConfig::default());
+        let n = scan(&dsm, &mut ts, 0..k);
+        let reads = 1 + (k - 1).div_ceil(RUN);
+        assert_eq!((n.rdma_reads, n.rdma_atomics, n.rdma_writes), (reads, k, 0), "k = {k}");
+        assert_eq!(dsm.stats().snapshot().read_misses, reads, "k = {k}");
+        assert_eq!(n.bytes_read, k * PAGE_BYTES, "k = {k}: no page twice, none extra");
+    }
+}
+
+/// Multi-page lines stream the same way: a line fill's group for the
+/// demand's home carries that home's window successors past the line. On
+/// 4-page lines node 0's window holds two pages of each line: the first
+/// miss fills line 0 alone; the next, on line 1, continues the stream
+/// and reads its two pages and five more; the third, on page 18 of the
+/// half-valid line 4, reads seven from there.
+#[test]
+fn a_line_fill_reads_ahead_past_its_line() {
+    let lines = CarinaConfig { cache: CacheConfig::new(1024, 4), ..CarinaConfig::default() };
+    let (dsm, mut ts) = allocated(32, lines);
+    let n = scan(&dsm, &mut ts, 0..16);
+    assert_eq!((n.rdma_reads, n.rdma_atomics, n.bytes_read), (3, 16, 16 * PAGE_BYTES));
+    assert_eq!(dsm.stats().snapshot().read_misses, 3);
+}
+
+/// A scan with gaps in the window never continues a stream: each miss's
+/// predecessor is the skipped page, so every miss reads its page alone.
+#[test]
+fn a_scan_with_gaps_reads_one_page_per_miss() {
+    let k = 12;
+    let (dsm, mut ts) = allocated(4 * k, CarinaConfig::default());
+    let n = scan(&dsm, &mut ts, (0..k).map(|i| 2 * i));
+    assert_eq!((n.rdma_reads, n.rdma_atomics), (k, k));
+    assert_eq!(dsm.stats().snapshot().read_misses, k);
+}
+
+/// A run never evicts: in a 16-slot cache, slot 3 of the window (page 6)
+/// shares its slot with page 22, which node 1 holds. The stream's second
+/// miss reads slots 1 and 2 and stops there; page 22 stays a hit, and so
+/// do the two pages the run brought.
+#[test]
+fn a_valid_line_in_a_successors_slot_ends_the_run() {
+    let sixteen = CarinaConfig { cache: CacheConfig::new(16, 1), ..CarinaConfig::default() };
+    let (dsm, mut ts) = allocated(64, sixteen);
+    let held = scan(&dsm, &mut ts, 11..12);
+    assert_eq!(held.rdma_reads, 1);
+    let n = scan(&dsm, &mut ts, 0..3);
+    assert_eq!((n.rdma_reads, n.rdma_atomics), (3, 4), "[0], [1, 2]: slot 3 is taken");
+    let misses = dsm.stats().snapshot().read_misses;
+    for i in [11, 2, 1] {
+        assert_eq!(dsm.read_u64(&mut ts[1], slot0(i)), 1000 + i);
+    }
+    assert_eq!(dsm.stats().snapshot().read_misses, misses, "page 22 was not evicted");
+    assert_eq!(dsm.stats().snapshot().evictions, 0);
+}
+
+/// A run stays inside what the program allocated: it stops at the
+/// allocator's high-water mark, and at the start of the next allocation.
+#[test]
+fn a_run_never_crosses_the_high_water_mark_or_an_allocation() {
+    let (dsm, mut ts) = allocated(8, CarinaConfig::default());
+    let n = scan(&dsm, &mut ts, 0..4);
+    assert_eq!((n.rdma_reads, n.rdma_atomics), (2, 4), "[0], [1, 2, 3] and no page past 8");
+    // Past the mark nothing was read ahead: the next page misses.
+    let misses = dsm.stats().snapshot().read_misses;
+    assert_eq!(dsm.read_u64(&mut ts[1], slot0(4)), 0);
+    assert_eq!(dsm.stats().snapshot().read_misses, misses + 1);
+
+    let (dsm, mut ts) = allocated(8, CarinaConfig::default());
+    assert_eq!(dsm.allocator().alloc_pages(8).unwrap(), slot0(4));
+    let n = scan(&dsm, &mut ts, 0..8);
+    assert_eq!((n.rdma_reads, n.rdma_atomics), (3, 8), "[0], [1, 2, 3], then [4, 5, 6, 7]");
+}
+
+/// A re-miss of an SI-dropped page reads nothing ahead: the dropped pages
+/// belong to the refill. With the consumer's pages allocated, round 1 is
+/// a stream — two misses where a scan of unallocated pages takes `K` —
+/// and every later round, each of whose misses follows a drop, counts
+/// exactly what the unallocated run counts: round 2 misses page by page,
+/// later ones refill.
+#[test]
+fn a_dropped_page_reads_nothing_ahead() {
+    let rounds = |allocate: bool| {
+        let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+        if allocate {
+            dsm.allocator().alloc_pages(2 * K + 2).unwrap();
+        }
+        consumer_script(&dsm, &mut ts, (6, 1), |_, _| true, false)
+            .into_iter()
+            .map(|(_, counts)| counts)
+            .collect::<Vec<_>>()
+    };
+    let (streamed, paged) = (rounds(true), rounds(false));
+    assert_eq!(streamed[0], [2, 0, 0, 0], "round 1: [page 2], then a run of 7");
+    assert_eq!(paged[0], [K, 0, 0, 0]);
+    assert_eq!(streamed[1], [K, 0, 0, 0], "round 2: every dropped page alone");
+    assert_eq!(streamed[1..], paged[1..], "the refill's counters");
+}
+
+/// Under a seeded fault plan that gives each page read one attempt (the
+/// registrations keep their budget), a miss whose run fails installs
+/// nothing: its registrations went out, but the access errs, and the
+/// failed run's next page — read ahead had the run landed — misses on
+/// demand. Retried, every access finds its home's value.
+#[test]
+fn a_failed_run_leaves_no_page_valid() {
+    let plan = FaultPlan::disabled().with_seed(48).with_drops(100_000);
+    let net = FaultyTransport::wrap(tiny_net(2), plan);
+    let retry = rma::RetryPolicy::default().with_budget(VerbClass::PageFetch, 1);
+    let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> =
+        Dsm::new(net.clone(), 4 << 20, CarinaConfig { retry, ..CarinaConfig::default() });
+    let endpoint = |n| FaultyTransport::endpoint(&net, net.topology().loc(NodeId(n), 0));
+    let (mut home, mut t) = (endpoint(0), endpoint(1));
+    let k = 200;
+    dsm.allocator().alloc_pages(2 * k).unwrap();
+    for i in 0..k {
+        dsm.write_u64(&mut home, slot0(i), 1000 + i);
+    }
+    let (misses, atomics) = (
+        || dsm.stats().snapshot().read_misses,
+        || dsm.net().stats().snapshot().rdma_atomics,
+    );
+    let mut failed_runs = 0;
+    for i in 0..k {
+        loop {
+            let before = atomics();
+            match dsm.try_read::<u64>(&mut t, slot0(i)) {
+                Ok(v) => break assert_eq!(v, 1000 + i, "slot {i}"),
+                Err(e) => assert_eq!((e.class, e.target), (VerbClass::PageFetch, 0)),
+            }
+            if atomics() - before > 1 && i + 1 < k {
+                failed_runs += 1;
+                let m = misses();
+                let _ = dsm.try_read::<u64>(&mut t, slot0(i + 1));
+                assert_eq!(misses(), m + 1, "slot {}: a failed run's page went in", i + 1);
+            }
+        }
+    }
+    assert!(failed_runs > 0, "no run failed");
     assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }

@@ -6,6 +6,8 @@
 //! everywhere; we achieve this with a single shared bump pointer.
 
 use crate::addr::{GlobalAddr, PAGE_BYTES};
+use crate::zeroed::{zeroed_slice, Arena};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotone bump allocator over `[0, capacity_bytes)` of global memory.
@@ -16,6 +18,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct GlobalAllocator {
     next: AtomicU64,
     capacity: u64,
+    /// One bit per page: an allocation starts in it.
+    starts: Arena<AtomicU64>,
 }
 
 /// Error returned when the global space is exhausted.
@@ -39,9 +43,11 @@ impl std::error::Error for OutOfGlobalMemory {}
 
 impl GlobalAllocator {
     pub fn new(capacity_bytes: u64) -> Self {
+        let pages = capacity_bytes.div_ceil(PAGE_BYTES) as usize;
         GlobalAllocator {
             next: AtomicU64::new(0),
             capacity: capacity_bytes,
+            starts: zeroed_slice(pages.div_ceil(64)),
         }
     }
 
@@ -64,10 +70,32 @@ impl GlobalAllocator {
                 Ordering::Relaxed,
                 Ordering::Relaxed,
             ) {
-                Ok(_) => return Ok(GlobalAddr(base)),
+                Ok(_) => {
+                    // A page of it exists: `base` lies below `end`.
+                    if bytes > 0 {
+                        let page = (base / PAGE_BYTES) as usize;
+                        self.starts[page / 64].fetch_or(1 << (page % 64), Ordering::Relaxed);
+                    }
+                    return Ok(GlobalAddr(base));
+                }
                 Err(c) => cur = c,
             }
         }
+    }
+
+    /// The high-water mark: the end of the last allocation, in bytes. No
+    /// program data lies at or past it.
+    pub fn high_water(&self) -> u64 {
+        self.next.load(Ordering::Relaxed)
+    }
+
+    /// Whether an allocation starts in one of `pages`: a scan along the
+    /// address space that crosses one leaves a data structure.
+    pub fn starts_in(&self, pages: Range<u64>) -> bool {
+        pages.into_iter().any(|p| {
+            let word = self.starts.get(p as usize / 64);
+            word.is_some_and(|w| w.load(Ordering::Relaxed) & (1 << (p % 64)) != 0)
+        })
     }
 
     /// Allocate whole pages (page-aligned). Convenient for arrays that
@@ -98,6 +126,30 @@ mod tests {
         assert_eq!(x.0 % 64, 0);
         let p = a.alloc_pages(2).unwrap();
         assert_eq!(p.0 % PAGE_BYTES, 0);
+    }
+
+    #[test]
+    fn high_water_is_the_last_allocation_end() {
+        let a = GlobalAllocator::new(1 << 20);
+        assert_eq!(a.high_water(), 0);
+        a.alloc(3, 1).unwrap();
+        let p = a.alloc_pages(2).unwrap();
+        assert_eq!(a.high_water(), p.0 + 2 * PAGE_BYTES);
+    }
+
+    #[test]
+    fn starts_mark_the_page_an_allocation_begins_in() {
+        let a = GlobalAllocator::new(1 << 20);
+        a.alloc(3, 1).unwrap();
+        let p = a.alloc_pages(2).unwrap().page().0;
+        let q = a.alloc(8, 8).unwrap().page().0;
+        assert_eq!((p, q), (1, 3));
+        assert!(a.starts_in(0..1) && a.starts_in(1..2) && a.starts_in(3..4));
+        assert!(!a.starts_in(2..3) && !a.starts_in(4..256) && !a.starts_in(300..310));
+        // A full space still hands out an empty allocation, at its end.
+        let full = GlobalAllocator::new(64 * PAGE_BYTES);
+        full.alloc_pages(64).unwrap();
+        assert_eq!(full.alloc(0, 8).unwrap(), GlobalAddr(64 * PAGE_BYTES));
     }
 
     #[test]

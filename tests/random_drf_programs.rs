@@ -10,17 +10,18 @@
 //! the protocol must get right). Besides its slots each thread owns one
 //! page, which it overwrites whole with one slice store — the
 //! write-allocate that fetches nothing — and which any thread may read in
-//! a later epoch. A second generator builds the producer/consumer shape the
-//! refill serves, run under all three policies.
+//! a later epoch. Two more generators build the producer/consumer shape the
+//! refill serves and the streams a read-ahead over-fetches from, run under
+//! all three policies (the streams on both backends too).
 
 use argo::types::GlobalU64Array;
 use argo::{ArgoConfig, ArgoCtx, ArgoMachine};
 use carina::{
     CarinaConfig, CarinaSiSd, ClassificationMode, Coherence, CoherenceSnapshot, Pyxis, Tardis,
 };
-use mem::{CacheConfig, WORDS_PER_PAGE};
+use mem::{CacheConfig, PAGE_BYTES, WORDS_PER_PAGE};
 use rand::prelude::*;
-use rma::SimTransport;
+use rma::{NativeTransport, Transport};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -174,16 +175,25 @@ fn run_dsm_strided(
     run_dsm_on::<CarinaSiSd>(prog, cfg, threads * stride, at)
 }
 
-/// Run `prog` on a machine of `cfg`'s shape under policy `C`, slot `s`
-/// at word `at(s)` of a `words`-word array.
+/// Run `prog` on a simulated machine of `cfg`'s shape under policy `C`,
+/// slot `s` at word `at(s)` of a `words`-word array.
 fn run_dsm_on<C: Coherence>(
     prog: &Program,
     cfg: ArgoConfig,
     words: usize,
     at: impl Fn(usize) -> usize + Copy + Send + Sync + 'static,
 ) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
-    let machine = ArgoMachine::<_, C>::with_policy(cfg);
-    let cells = Cells::alloc(&machine, prog.threads, words, at);
+    run_machine(&ArgoMachine::<_, C>::with_policy(cfg), prog, words, at)
+}
+
+/// [`run_dsm_on`] on `machine`, of either backend.
+fn run_machine<T: Transport, C: Coherence>(
+    machine: &Arc<ArgoMachine<T, C>>,
+    prog: &Program,
+    words: usize,
+    at: impl Fn(usize) -> usize + Copy + Send + Sync + 'static,
+) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
+    let cells = Cells::alloc(machine, prog.threads, words, at);
     let prog = Arc::new(prog.clone());
     let p2 = prog.clone();
     let report = machine.run(move |ctx| {
@@ -197,7 +207,7 @@ fn run_dsm_on<C: Coherence>(
     // The protocol's internal invariants must hold at quiescence.
     let violations = machine.dsm().check_invariants();
     assert!(violations.is_empty(), "invariant violations: {violations:?}");
-    (cells.memory(&machine), report.results, report.coherence)
+    (cells.memory(machine), report.results, report.coherence)
 }
 
 /// Where a program's cells live on the DSM: slot `s` at word `at(s)` of
@@ -210,8 +220,8 @@ struct Cells<F> {
 }
 
 impl<F: Fn(usize) -> usize + Copy> Cells<F> {
-    fn alloc<C: Coherence>(
-        machine: &ArgoMachine<SimTransport, C>,
+    fn alloc<T: Transport, C: Coherence>(
+        machine: &ArgoMachine<T, C>,
         threads: usize,
         words: usize,
         at: F,
@@ -229,9 +239,9 @@ impl<F: Fn(usize) -> usize + Copy> Cells<F> {
     }
 
     /// Run one thread's ops of one epoch, folding reads into `checksum`.
-    fn run<C: Coherence>(
+    fn run<T: Transport, C: Coherence>(
         &self,
-        ctx: &mut ArgoCtx<SimTransport, C>,
+        ctx: &mut ArgoCtx<T, C>,
         ops: &[Op],
         checksum: &mut u64,
     ) {
@@ -258,7 +268,7 @@ impl<F: Fn(usize) -> usize + Copy> Cells<F> {
     }
 
     /// Every cell's home word, at quiescence.
-    fn memory<C: Coherence>(&self, machine: &ArgoMachine<SimTransport, C>) -> Vec<u64> {
+    fn memory<T: Transport, C: Coherence>(&self, machine: &ArgoMachine<T, C>) -> Vec<u64> {
         let threads = machine.config().total_threads();
         (0..cells(threads))
             .map(|c| machine.dsm().peek_u64(self.addr(c)))
@@ -526,5 +536,76 @@ fn sparse_readers_refill_at_the_acquire() {
         ];
         let run = format!("{nodes} × 1, {lines} lines");
         assert!(unused.iter().all(|&u| u > 0), "{run}: no acquire refill seen: {unused:?}");
+    }
+}
+
+/// The streams a read-ahead over-fetches from: `threads` regions of
+/// `SLOTS / threads` slots, back to back in one allocation. Threads take
+/// turns by parity: in epoch `e` each thread of parity `e % 2` rewrites
+/// every slot of its own region, and each other thread reads, in address
+/// order, the whole region two before its own — written in an earlier
+/// epoch, by nobody now. That region ends where the region of a thread
+/// writing now begins, so a stream's read-ahead crosses into pages being
+/// written between the barriers, which the next epoch reads. Race-free by
+/// construction.
+fn gen_boundary_streams(seed: u64, threads: usize, epochs: usize) -> Program {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let per = SLOTS / threads;
+    let epochs = (0..epochs)
+        .map(|e| {
+            (0..threads)
+                .map(|t| match t % 2 == e % 2 {
+                    true => (t * per..(t + 1) * per)
+                        .map(|slot| Op::Write { slot, value: rng.random::<u32>() as u64 })
+                        .collect(),
+                    false => {
+                        let from = (t + threads - 2) % threads * per;
+                        (from..from + per).map(|slot| Op::Read { slot }).collect()
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    Program { threads, epochs }
+}
+
+/// Run `prog` on `machine` with every slot on its own 512 bytes (16 pages
+/// a region on 8 threads) and compare word for word with the model;
+/// returns the run's counters.
+fn streamed<T: Transport, C: Coherence>(
+    machine: &Arc<ArgoMachine<T, C>>,
+    prog: &Program,
+    run: &str,
+) -> CoherenceSnapshot {
+    let (model_mem, model_sums) = run_model(prog);
+    let spread = 64;
+    let (mem, sums, stats) = run_machine(machine, prog, SLOTS * spread, move |s| s * spread);
+    assert_eq!(sums, model_sums, "checksum divergence ({run}, {})", C::NAME);
+    assert_eq!(mem, model_mem, "final memory divergence ({run}, {})", C::NAME);
+    stats
+}
+
+/// Readers streaming up to the regions writers are rewriting, under every
+/// policy on both backends, on 2 × 4, 4 × 2 and 8 × 1: the sequential
+/// model's memory and checksums, word for word. On 4 × 2 a reader's
+/// sibling reads, the next epoch, the pages its stream over-fetched. The
+/// first epoch alone shows the read-ahead at work: with nothing dropped
+/// yet, nothing is refilled, yet its misses bring more pages than misses.
+#[test]
+fn streams_across_a_region_boundary() {
+    for (seed, nodes) in [(620, 2), (621, 4), (622, 8)] {
+        let cfg = ArgoConfig::small(nodes, 8 / nodes);
+        let run = format!("{nodes} × {}", 8 / nodes);
+        let first = ArgoMachine::<_, CarinaSiSd>::with_policy(cfg);
+        let cold = streamed(&first, &gen_boundary_streams(seed, 8, 1), &run);
+        let pages = first.dsm().net().stats().snapshot().bytes_read / PAGE_BYTES;
+        assert!(pages > cold.read_misses, "{run}: {} misses, {pages} pages", cold.read_misses);
+        let prog = gen_boundary_streams(seed, 8, 8);
+        streamed(&ArgoMachine::<_, CarinaSiSd>::with_policy(cfg), &prog, &run);
+        streamed(&ArgoMachine::<_, Tardis>::with_policy(cfg), &prog, &run);
+        streamed(&ArgoMachine::<_, Pyxis>::with_policy(cfg), &prog, &run);
+        streamed(&ArgoMachine::<NativeTransport, CarinaSiSd>::native_with_policy(cfg), &prog, &run);
+        streamed(&ArgoMachine::<NativeTransport, Tardis>::native_with_policy(cfg), &prog, &run);
+        streamed(&ArgoMachine::<NativeTransport, Pyxis>::native_with_policy(cfg), &prog, &run);
     }
 }
