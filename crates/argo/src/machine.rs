@@ -129,7 +129,6 @@ impl<C: Coherence> ArgoMachine<SimTransport, C> {
     /// A simulated cluster running an explicit coherence policy, e.g.
     /// `ArgoMachine::<_, Tardis>::with_policy(cfg)`.
     pub fn with_policy(config: ArgoConfig) -> Arc<Self> {
-        check_shape(&config);
         let net = Interconnect::new(config.topology(), config.cost);
         Self::on(config, net)
     }
@@ -146,7 +145,6 @@ impl ArgoMachine<NativeTransport> {
 impl<C: Coherence> ArgoMachine<NativeTransport, C> {
     /// [`native`](ArgoMachine::native) with an explicit coherence policy.
     pub fn native_with_policy(config: ArgoConfig) -> Arc<Self> {
-        check_shape(&config);
         let net = NativeTransport::with_cost(config.topology(), config.cost);
         Self::on(config, net)
     }
@@ -193,68 +191,37 @@ impl<T: Transport, C: Coherence> ArgoMachine<T, C> {
             &vec![cfg.threads_per_node; cfg.nodes],
         ));
         let control = Arc::new(ClockBarrier::new(total, 0));
-        let f = Arc::new(f);
         let wall_start = std::time::Instant::now();
-        let mut handles = Vec::with_capacity(total);
-        for tid in 0..total {
-            let node = tid / cfg.threads_per_node;
-            let core = tid % cfg.threads_per_node;
-            let loc = topo.loc(NodeId(node as u16), core);
-            let net = self.net.clone();
-            let dsm = self.dsm.clone();
-            let barrier = barrier.clone();
-            let control = control.clone();
-            let f = f.clone();
-            let builder = std::thread::Builder::new()
-                .name(format!("argo-n{node}c{core}"))
-                .stack_size(1 << 20);
-            handles.push(
-                builder
-                    .spawn(move || {
-                        let thread = T::endpoint(&net, loc);
-                        let mut ctx =
-                            ArgoCtx::new(thread, dsm, barrier, control, tid, total, cfg);
-                        let r = f(&mut ctx);
-                        let (cycles, table) = (ctx.measured_cycles(), ctx.time_table());
-                        // The simulator's observability clock is its
-                        // virtual clock: there the six sites and `outside`
-                        // add up to the thread's measured cycles exactly.
-                        if ctx.thread.now() == ctx.thread.obs_now() {
-                            debug_assert_eq!(table.total_cycles(), cycles, "thread {tid}'s time");
-                        }
-                        (r, cycles, table, tid)
-                    })
-                    .expect("failed to spawn simulated thread"),
-            );
-        }
-        let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
+        let per_node = cfg.threads_per_node;
+        let name = |tid| format!("argo-n{}c{}", tid / per_node, tid % per_node);
+        let outcomes = simnet::run_threads(self.net.abort(), total, name, |tid| {
+            let loc = topo.loc(NodeId((tid / per_node) as u16), tid % per_node);
+            let thread = T::endpoint(&self.net, loc);
+            let (dsm, barrier, control) = (self.dsm.clone(), barrier.clone(), control.clone());
+            let mut ctx = ArgoCtx::new(thread, dsm, barrier, control, tid, total, cfg);
+            let r = f(&mut ctx);
+            let (cycles, table) = (ctx.measured_cycles(), ctx.time_table());
+            // The simulator's observability clock is its virtual clock:
+            // there the six sites and `outside` add up to the thread's
+            // measured cycles exactly.
+            if ctx.thread.now() == ctx.thread.obs_now() {
+                debug_assert_eq!(table.total_cycles(), cycles, "thread {tid}'s time");
+            }
+            (r, cycles, table)
+        });
+        let mut results = Vec::with_capacity(total);
         let mut cycles = 0u64;
         let mut profile = obs::ProfileSnapshot::default();
-        // Join every thread, then re-raise the first panic that is not a
-        // barrier's poison: that one only says another thread failed first.
-        let mut panics = Vec::new();
-        for h in handles {
-            match h.join() {
-                Ok((r, c, table, tid)) => {
-                    results[tid] = Some(r);
-                    cycles = cycles.max(c);
-                    profile.merge(&table);
-                }
-                Err(payload) => panics.push(payload),
-            }
-        }
-        let poisoned = |p: &Box<dyn std::any::Any + Send>| {
-            p.downcast_ref::<String>().is_some_and(|s| s == vela::dsm::barrier::POISONED)
-        };
-        if !panics.is_empty() {
-            let first = panics.iter().position(|p| !poisoned(p)).unwrap_or(0);
-            std::panic::resume_unwind(panics.swap_remove(first));
+        for (r, c, table) in outcomes {
+            results.push(r);
+            cycles = cycles.max(c);
+            profile.merge(&table);
         }
         RunReport {
             cycles,
             seconds: cfg.cost.cycles_to_secs(cycles),
             wall_seconds: wall_start.elapsed().as_secs_f64(),
-            results: results.into_iter().map(|r| r.expect("missing result")).collect(),
+            results,
             coherence: self.dsm.stats().snapshot(),
             net: self.net.stats().snapshot(),
             profile,
@@ -285,12 +252,12 @@ mod tests {
         assert_eq!(report.cycles, 4000);
     }
 
-    /// The caller sees the panic that started a failure, not a barrier's
-    /// poison: the leader section fails, the waiters panic with the
-    /// poison, and `run` re-raises the leader's message.
+    /// The caller sees the panic that started a failure, not its peers':
+    /// the leader section fails, the waiters unwind with
+    /// `PEER_PANICKED`, and `run` re-raises the leader's message.
     #[test]
     #[should_panic(expected = "the leader section failed")]
-    fn run_reraises_the_first_panic_that_is_not_a_poison() {
+    fn run_reraises_the_first_panic_that_is_not_a_peers() {
         let m = ArgoMachine::new(ArgoConfig::small(2, 2));
         let b = Arc::new(ClockBarrier::new(4, 0));
         m.run(move |ctx| b.wait_leader(&mut ctx.thread, |_| panic!("the leader section failed")));

@@ -23,8 +23,9 @@ fn main() {
         "Figure 7: bandwidth vs transfer size",
         &["bytes", "Argo MB/s", "RMA MB/s", "ratio"],
     );
-    // Sweep line sizes from 1 page to 128 pages (4 KiB .. 512 KiB).
-    for pages_per_line in [1usize, 2, 4, 8, 16, 32, 64, 128] {
+    // Sweep line sizes from 1 page to the cache's limit of 64 pages
+    // (4 KiB .. 256 KiB): a line's valid mask is one 64-bit word.
+    for pages_per_line in [1usize, 2, 4, 8, 16, 32, 64] {
         let bytes = pages_per_line as u64 * PAGE_BYTES;
 
         // Raw one-sided read of the same size (the MPI-RMA line).

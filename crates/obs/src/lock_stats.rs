@@ -104,17 +104,6 @@ impl LockObsSnapshot {
         self.batch_size.mean()
     }
 
-    /// Fraction of executed sections that ran on a thread other than their
-    /// delegator.
-    pub fn remote_fraction(&self) -> f64 {
-        let total = self.executed();
-        if total == 0 {
-            0.0
-        } else {
-            self.executed_remote as f64 / total as f64
-        }
-    }
-
     /// One compact line for per-lock tables.
     pub fn render(&self) -> String {
         format!(
@@ -195,7 +184,7 @@ mod tests {
         assert_eq!(snaps[0].name, "alpha");
         assert_eq!(snaps[0].delegations, 1);
         assert_eq!(snaps[0].executed(), 1);
-        assert_eq!(snaps[0].remote_fraction(), 1.0);
+        assert_eq!(snaps[0].executed_remote, 1);
         assert_eq!(snaps[1].delegations, 2);
         assert_eq!(snaps[1].queue_wait.count(), 1);
 

@@ -27,7 +27,7 @@ use crate::retry::splitmix64;
 use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use obs::lyra::{Fate, FlightRecorder, RecordKind, VerbRecord};
 use simnet::{
-    ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
+    Abort, ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -325,6 +325,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
     fn recorder(&self) -> &Arc<FlightRecorder> {
         self.inner.recorder()
     }
+
+    fn abort(&self) -> &Abort {
+        self.inner.abort()
+    }
 }
 
 /// One verb in flight through the fault layer: what its fate, decided at
@@ -427,13 +431,12 @@ impl<T: Transport> Endpoint for FaultyEndpoint<T> {
     }
 
     #[inline]
-    fn now_secs(&self) -> f64 {
-        self.inner.now_secs()
-    }
-
-    #[inline]
     fn cost(&self) -> &CostModel {
         self.inner.cost()
+    }
+
+    fn abort(&self) -> &Abort {
+        self.inner.abort()
     }
 
     #[inline]

@@ -7,9 +7,9 @@
 //! stamps are 0), `compute`/`merge`/`fault_trap` are no-ops, and the
 //! identical protocol engine executes on host threads at wall-clock speed.
 //! The mutual exclusion that makes this sound (directory word atomics, line
-//! seqlocks, real barrier condvars) is exactly the mutual exclusion the
-//! engine already uses to keep *parallel virtual-time* simulation coherent,
-//! so no protocol code changes between backends.
+//! seqlocks, the sync objects' `simnet::Waits`) is exactly the mutual
+//! exclusion the engine already uses to keep *parallel virtual-time*
+//! simulation coherent, so no protocol code changes between backends.
 //!
 //! Verb *accounting* is kept: [`NetStats`] and per-node counters tick the
 //! same way the simulator's do, which lets the cross-backend conformance
@@ -19,7 +19,7 @@
 use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use simnet::stats::PerNodeStats;
 use simnet::{
-    ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
+    Abort, ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc, TokenSlab,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -36,6 +36,8 @@ pub struct NativeTransport {
     per_node: Vec<PerNodeStats>,
     /// The Lyra flight recorder; every endpoint opens its lane on it.
     recorder: Arc<obs::FlightRecorder>,
+    /// Raised when a thread of this machine panics (`simnet::Waits`).
+    abort: Abort,
 }
 
 impl NativeTransport {
@@ -52,6 +54,7 @@ impl NativeTransport {
             stats: NetStats::default(),
             per_node: (0..topology.nodes).map(|_| PerNodeStats::default()).collect(),
             recorder: Arc::new(obs::FlightRecorder::new(topology.nodes, obs::LANE_RECORDS)),
+            abort: Abort::default(),
         })
     }
 
@@ -130,6 +133,11 @@ impl Transport for NativeTransport {
     fn recorder(&self) -> &Arc<obs::FlightRecorder> {
         &self.recorder
     }
+
+    #[inline]
+    fn abort(&self) -> &Abort {
+        &self.abort
+    }
 }
 
 /// A native issue port: placement plus a handle to the fabric's counters.
@@ -164,11 +172,6 @@ impl Endpoint for NativeEndpoint {
         0
     }
 
-    #[inline]
-    fn now_secs(&self) -> f64 {
-        0.0
-    }
-
     /// Wall nanoseconds since the first `obs_now()` call in this process.
     /// The protocol clock stays at 0; this one exists so latency histograms
     /// and traces have real durations to work with.
@@ -183,6 +186,11 @@ impl Endpoint for NativeEndpoint {
     #[inline]
     fn cost(&self) -> &CostModel {
         self.net.cost()
+    }
+
+    #[inline]
+    fn abort(&self) -> &Abort {
+        &self.net.abort
     }
 
     #[inline]

@@ -14,8 +14,8 @@
 
 use crate::transport::{Completion, Endpoint, Transport, Verb, VerbError, VerbToken};
 use simnet::{
-    ClusterTopology, CostModel, Interconnect, NetStats, NodeId, PerNodeSnapshot, SimThread,
-    ThreadLoc,
+    Abort, ClusterTopology, CostModel, Interconnect, NetStats, NodeId, PerNodeSnapshot,
+    SimThread, ThreadLoc,
 };
 use std::sync::Arc;
 
@@ -59,6 +59,11 @@ impl Transport for Interconnect {
     fn recorder(&self) -> &Arc<obs::FlightRecorder> {
         Interconnect::recorder(self)
     }
+
+    #[inline]
+    fn abort(&self) -> &Abort {
+        Interconnect::abort(self)
+    }
 }
 
 impl Endpoint for SimThread {
@@ -73,13 +78,13 @@ impl Endpoint for SimThread {
     }
 
     #[inline]
-    fn now_secs(&self) -> f64 {
-        SimThread::now_secs(self)
+    fn cost(&self) -> &CostModel {
+        self.net().cost()
     }
 
     #[inline]
-    fn cost(&self) -> &CostModel {
-        self.net().cost()
+    fn abort(&self) -> &Abort {
+        self.net().abort()
     }
 
     #[inline]

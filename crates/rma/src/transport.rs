@@ -14,7 +14,7 @@
 
 use obs::SpanId;
 use simnet::net::VerbTiming;
-use simnet::{ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc};
+use simnet::{Abort, ClusterTopology, CostModel, NetStats, NodeId, PerNodeSnapshot, ThreadLoc};
 use std::fmt::{self, Debug};
 use std::sync::Arc;
 
@@ -189,6 +189,10 @@ pub trait Transport: Send + Sync + Debug + 'static {
     /// The Lyra flight recorder this fabric owns: every endpoint it opens
     /// records through its own lane on it, and the DSM layer reads it.
     fn recorder(&self) -> &Arc<obs::FlightRecorder>;
+
+    /// The flag raised when a thread of this fabric's machine panics; every
+    /// blocking wait above the fabric checks it (`simnet::Waits`).
+    fn abort(&self) -> &Abort;
 }
 
 /// A per-thread issue port: placement, the thread's time base, and verb
@@ -222,11 +226,11 @@ pub trait Endpoint: Send + Clone + Debug + 'static {
         self.now()
     }
 
-    /// [`Endpoint::now`] in seconds at the cost model's CPU frequency.
-    fn now_secs(&self) -> f64;
-
     /// The fabric's cost constants.
     fn cost(&self) -> &CostModel;
+
+    /// The fabric's abort flag ([`Transport::abort`]).
+    fn abort(&self) -> &Abort;
 
     /// Charge `cycles` of local computation.
     fn compute(&mut self, cycles: u64);

@@ -140,12 +140,6 @@ impl SimThread {
         self.now
     }
 
-    /// Current virtual time in seconds at the cost model's CPU frequency.
-    #[inline]
-    pub fn now_secs(&self) -> f64 {
-        self.net.cost().cycles_to_secs(self.now)
-    }
-
     /// Charge `cycles` of local computation.
     #[inline]
     pub fn compute(&mut self, cycles: u64) {
@@ -277,12 +271,5 @@ mod tests {
         let a = t.park(timing);
         let _ = t.resolve(a);
         let _ = t.resolve(a);
-    }
-
-    #[test]
-    fn now_secs_matches_model() {
-        let mut t = thread_on(0);
-        t.compute(3_400_000); // 1 ms at 3.4 GHz
-        assert!((t.now_secs() - 1e-3).abs() < 1e-12);
     }
 }

@@ -21,7 +21,9 @@
 //!
 //! Virtual time is carried by [`SimThread`]: a per-thread monotone cycle
 //! counter that synchronization primitives merge at clock-exchange points
-//! (barrier entry, lock hand-off, message receipt).
+//! (barrier entry, lock hand-off, message receipt). Host time enters only
+//! where a thread blocks for a peer, and every such wait goes through
+//! [`Waits`] (module [`waits`]).
 
 pub mod clock;
 pub mod cost;
@@ -31,11 +33,13 @@ pub mod net;
 pub mod stats;
 pub mod testkit;
 pub mod topology;
+pub mod waits;
 
 pub use clock::{SimThread, TokenSlab};
 pub use cost::CostModel;
 pub use error::ConfigError;
-pub use msg::{Msg, MsgWorld, RecvError, Tag};
+pub use msg::{Msg, MsgWorld, Tag};
 pub use net::Interconnect;
 pub use stats::{NetStats, PerNodeSnapshot};
 pub use topology::{ClusterTopology, NodeId, ThreadLoc};
+pub use waits::{run_threads, Abort, Waits, PEER_PANICKED};

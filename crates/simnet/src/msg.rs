@@ -9,7 +9,7 @@
 use crate::clock::SimThread;
 use crate::net::Interconnect;
 use crate::topology::ThreadLoc;
-use parking_lot::{Condvar, Mutex};
+use crate::waits::Waits;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,21 +29,7 @@ pub struct Msg {
     pub settled: u64,
 }
 
-/// Error from [`MsgWorld::recv_timeout`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvError {
-    /// No matching message arrived within the wall-clock timeout. In a
-    /// correct program this indicates a deadlock in the communication
-    /// pattern, so tests treat it as failure.
-    Timeout,
-}
-
 #[derive(Default)]
-struct Mailbox {
-    queue: Mutex<VecDeque<Msg>>,
-    cond: Condvar,
-}
-
 struct BarrierState {
     entered: usize,
     generation: u64,
@@ -59,9 +45,8 @@ struct BarrierState {
 pub struct MsgWorld {
     net: Arc<Interconnect>,
     locs: Vec<ThreadLoc>,
-    mailboxes: Vec<Mailbox>,
-    barrier: Mutex<BarrierState>,
-    barrier_cond: Condvar,
+    mailboxes: Vec<Waits<VecDeque<Msg>>>,
+    barrier: Waits<BarrierState>,
 }
 
 impl MsgWorld {
@@ -73,16 +58,8 @@ impl MsgWorld {
         Arc::new(MsgWorld {
             net,
             locs,
-            mailboxes: (0..ranks).map(|_| Mailbox::default()).collect(),
-            barrier: Mutex::new(BarrierState {
-                entered: 0,
-                generation: 0,
-                max_clock: 0,
-                release_clock: 0,
-                acc: 0.0,
-                result: 0.0,
-            }),
-            barrier_cond: Condvar::new(),
+            mailboxes: (0..ranks).map(|_| Waits::default()).collect(),
+            barrier: Waits::default(),
         })
     }
 
@@ -108,9 +85,9 @@ impl MsgWorld {
             payload,
             settled: timing.settled,
         };
-        let mb = &self.mailboxes[dst];
-        mb.queue.lock().push_back(msg);
-        mb.cond.notify_all();
+        let mailbox = &self.mailboxes[dst];
+        mailbox.lock().push_back(msg);
+        mailbox.notify_all();
     }
 
     /// Blocking receive at rank `dst` of a message matching `src`/`tag`
@@ -121,7 +98,9 @@ impl MsgWorld {
             .expect("recv deadlocked (no matching message within 300s wall clock)")
     }
 
-    /// [`Self::recv`] with a wall-clock timeout, for deadlock-safe tests.
+    /// [`Self::recv`] with a wall-clock timeout: `None` if no matching
+    /// message arrived in time, which in a correct program means the
+    /// communication pattern deadlocked.
     pub fn recv_timeout(
         &self,
         thread: &mut SimThread,
@@ -129,22 +108,14 @@ impl MsgWorld {
         src: Option<usize>,
         tag: Tag,
         timeout: Duration,
-    ) -> Result<Msg, RecvError> {
-        let mb = &self.mailboxes[dst];
-        let mut q = mb.queue.lock();
-        loop {
-            if let Some(pos) = q
-                .iter()
-                .position(|m| m.tag == tag && src.is_none_or(|s| s == m.src))
-            {
-                let msg = q.remove(pos).expect("position just found");
-                thread.merge(msg.settled);
-                return Ok(msg);
-            }
-            if mb.cond.wait_for(&mut q, timeout).timed_out() {
-                return Err(RecvError::Timeout);
-            }
-        }
+    ) -> Option<Msg> {
+        let matches = |m: &Msg| m.tag == tag && src.is_none_or(|s| s == m.src);
+        let mailbox = &self.mailboxes[dst];
+        let mut queue =
+            mailbox.wait_until_timeout(self.net.abort(), timeout, |q| q.iter().any(matches))?;
+        let msg = queue.iter().position(matches).and_then(|pos| queue.remove(pos))?;
+        thread.merge(msg.settled);
+        Some(msg)
     }
 
     /// Barrier across all ranks. Exit clock = max(entry clocks) + a
@@ -177,21 +148,24 @@ impl MsgWorld {
         st.entered += 1;
         st.max_clock = st.max_clock.max(thread.now());
         st.acc += value;
-        if st.entered == n {
+        let (release_clock, result) = if st.entered == n {
             st.entered = 0;
             st.generation += 1;
             st.release_clock = st.max_clock + cost;
             st.result = st.acc;
             st.max_clock = 0;
             st.acc = 0.0;
-            self.barrier_cond.notify_all();
+            let out = (st.release_clock, st.result);
+            drop(st);
+            self.barrier.notify_all();
+            out
         } else {
-            while st.generation == my_gen {
-                self.barrier_cond.wait(&mut st);
-            }
-        }
-        thread.merge(st.release_clock);
-        st.result
+            drop(st);
+            let st = self.barrier.wait_until(self.net.abort(), |s| s.generation != my_gen);
+            (st.release_clock, st.result)
+        };
+        thread.merge(release_clock);
+        result
     }
 }
 
@@ -244,8 +218,7 @@ mod tests {
     fn recv_timeout_reports_deadlock() {
         let (w, mut ts) = world(2);
         let mut t1 = ts.remove(1);
-        let r = w.recv_timeout(&mut t1, 1, None, Tag(0), Duration::from_millis(10));
-        assert_eq!(r.unwrap_err(), RecvError::Timeout);
+        assert!(w.recv_timeout(&mut t1, 1, None, Tag(0), Duration::from_millis(10)).is_none());
     }
 
     #[test]

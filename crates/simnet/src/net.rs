@@ -9,6 +9,7 @@
 use crate::cost::CostModel;
 use crate::stats::{NetStats, PerNodeSnapshot, PerNodeStats};
 use crate::topology::{ClusterTopology, NodeId, ThreadLoc};
+use crate::waits::Abort;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +42,9 @@ pub struct Interconnect {
     /// The Lyra flight recorder: every thread on this interconnect opens
     /// its single-writer [`obs::Lane`] on it.
     recorder: Arc<obs::FlightRecorder>,
+    /// Raised when a thread on this interconnect panics: every wait of its
+    /// machine then fails instead of hanging.
+    abort: Abort,
 }
 
 impl Interconnect {
@@ -89,6 +93,7 @@ impl Interconnect {
             stats: NetStats::default(),
             per_node: (0..topology.nodes).map(|_| PerNodeStats::default()).collect(),
             recorder: Arc::new(obs::FlightRecorder::new(topology.nodes, obs::LANE_RECORDS)),
+            abort: Abort::default(),
         }))
     }
 
@@ -111,6 +116,12 @@ impl Interconnect {
     #[inline]
     pub fn recorder(&self) -> &Arc<obs::FlightRecorder> {
         &self.recorder
+    }
+
+    /// The abort flag every wait of this machine checks.
+    #[inline]
+    pub fn abort(&self) -> &Abort {
+        &self.abort
     }
 
     /// Per-node traffic snapshot (who is the hotspot?).

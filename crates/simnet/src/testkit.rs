@@ -15,11 +15,6 @@ pub fn tiny_net(nodes: usize) -> Arc<Interconnect> {
     Interconnect::new(ClusterTopology::tiny(nodes), CostModel::paper_2011())
 }
 
-/// A fabric with the paper's full node shape (4 NUMA domains × 4 cores).
-pub fn paper_net(nodes: usize) -> Arc<Interconnect> {
-    Interconnect::new(ClusterTopology::paper(nodes), CostModel::paper_2011())
-}
-
 /// A simulated thread on local core `core` of node `node` of `net`.
 pub fn thread(net: &Arc<Interconnect>, node: u16, core: usize) -> SimThread {
     SimThread::new(net.topology().loc(NodeId(node), core), net.clone())
@@ -37,6 +32,5 @@ mod tests {
         let t = thread(&net, 2, 1);
         assert_eq!(t.node(), NodeId(2));
         assert_eq!(t.now(), 0);
-        assert_eq!(paper_net(2).topology().cores_per_node(), 16);
     }
 }

@@ -33,20 +33,6 @@ pub struct ThreadLoc {
     pub core: u16,
 }
 
-impl ThreadLoc {
-    /// True if `self` and `other` share a NUMA domain (fastest communication).
-    #[inline]
-    pub fn same_socket(&self, other: &ThreadLoc) -> bool {
-        self.node == other.node && self.socket == other.socket
-    }
-
-    /// True if `self` and `other` are on the same machine.
-    #[inline]
-    pub fn same_node(&self, other: &ThreadLoc) -> bool {
-        self.node == other.node
-    }
-}
-
 /// Shape of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
@@ -81,11 +67,6 @@ impl ClusterTopology {
     #[inline]
     pub fn cores_per_node(&self) -> usize {
         self.sockets_per_node * self.cores_per_socket
-    }
-
-    #[inline]
-    pub fn total_cores(&self) -> usize {
-        self.nodes * self.cores_per_node()
     }
 
     /// Check that every dimension is nonzero (a shape with no cores cannot
@@ -131,13 +112,6 @@ impl ClusterTopology {
             core: (core % self.cores_per_socket) as u16,
         })
     }
-
-    /// Iterate over all `(NodeId, local core index)` pairs.
-    pub fn all_cores(&self) -> impl Iterator<Item = (NodeId, usize)> + '_ {
-        (0..self.nodes).flat_map(move |n| {
-            (0..self.cores_per_node()).map(move |c| (NodeId(n as u16), c))
-        })
-    }
 }
 
 #[cfg(test)]
@@ -148,7 +122,6 @@ mod tests {
     fn paper_topology_has_16_cores_per_node() {
         let t = ClusterTopology::paper(4);
         assert_eq!(t.cores_per_node(), 16);
-        assert_eq!(t.total_cores(), 64);
     }
 
     #[test]
@@ -158,21 +131,11 @@ mod tests {
         let b = t.loc(NodeId(0), 3);
         let c = t.loc(NodeId(0), 4);
         let d = t.loc(NodeId(1), 4);
-        assert!(a.same_socket(&b));
-        assert!(!a.same_socket(&c));
-        assert!(a.same_node(&c));
-        assert!(!c.same_node(&d));
+        assert_eq!((a.node, a.socket), (b.node, b.socket));
+        assert_eq!((a.node, a.socket + 1), (c.node, c.socket));
+        assert_ne!(c.node, d.node);
         assert_eq!(c.socket, 1);
         assert_eq!(c.core, 0);
-    }
-
-    #[test]
-    fn all_cores_enumerates_every_core_once() {
-        let t = ClusterTopology::tiny(3);
-        let v: Vec<_> = t.all_cores().collect();
-        assert_eq!(v.len(), t.total_cores());
-        assert_eq!(v[0], (NodeId(0), 0));
-        assert_eq!(*v.last().unwrap(), (NodeId(2), 1));
     }
 
     #[test]

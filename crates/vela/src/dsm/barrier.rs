@@ -10,11 +10,12 @@
 //! latest leader's stamp.
 
 use carina::{CarinaSiSd, Coherence, Dsm, Published};
-use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport};
+use simnet::Waits;
 use std::convert::Infallible;
 use std::sync::Arc;
 
+#[derive(Default)]
 struct BarrierState {
     entered: usize,
     generation: u64,
@@ -22,25 +23,6 @@ struct BarrierState {
     /// The largest release stamp an arrival of this episode carried.
     max_stamp: u64,
     release_clock: u64,
-    /// A leader section unwound: the barrier never releases again.
-    poisoned: bool,
-}
-
-/// What every waiter of a poisoned barrier panics with.
-pub const POISONED: &str = "barrier leader panicked";
-
-/// Armed around a leader section: if the section unwinds, poison the
-/// barrier and wake every waiter, which then panics with [`POISONED`]
-/// instead of waiting for a release that never comes.
-struct PoisonOnUnwind<'a>(&'a ClockBarrier);
-
-impl Drop for PoisonOnUnwind<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.state.lock().poisoned = true;
-            self.0.cond.notify_all();
-        }
-    }
 }
 
 /// A reusable barrier for `n` participants that merges virtual clocks:
@@ -48,8 +30,7 @@ impl Drop for PoisonOnUnwind<'_> {
 pub struct ClockBarrier {
     n: usize,
     exit_cost: u64,
-    state: Mutex<BarrierState>,
-    cond: Condvar,
+    state: Waits<BarrierState>,
 }
 
 impl ClockBarrier {
@@ -58,20 +39,8 @@ impl ClockBarrier {
         ClockBarrier {
             n,
             exit_cost,
-            state: Mutex::new(BarrierState {
-                entered: 0,
-                generation: 0,
-                max_clock: 0,
-                max_stamp: 0,
-                release_clock: 0,
-                poisoned: false,
-            }),
-            cond: Condvar::new(),
+            state: Waits::default(),
         }
-    }
-
-    pub fn participants(&self) -> usize {
-        self.n
     }
 
     /// Wait for all participants; merge clocks.
@@ -97,11 +66,10 @@ impl ClockBarrier {
     }
 
     /// # Panics
-    /// Panics with [`POISONED`] if a leader section of this barrier
-    /// panicked, now or at an earlier episode.
+    /// With `simnet::PEER_PANICKED` if a thread of the machine panicked
+    /// while this one waited, a leader section of this barrier included.
     fn rendezvous<E: Endpoint>(&self, t: &mut E, stamp: Published, leader: impl FnOnce(&mut E)) {
         let mut st = self.state.lock();
-        assert!(!st.poisoned, "{POISONED}");
         let my_gen = st.generation;
         st.entered += 1;
         st.max_clock = st.max_clock.max(t.now());
@@ -111,9 +79,7 @@ impl ClockBarrier {
             // merged clock, then release.
             t.merge(st.max_clock);
             drop(st);
-            let armed = PoisonOnUnwind(self);
             leader(t);
-            drop(armed);
             t.compute(self.exit_cost);
             let mut st = self.state.lock();
             t.merge(std::mem::take(&mut st.max_stamp));
@@ -121,12 +87,11 @@ impl ClockBarrier {
             st.generation += 1;
             st.max_clock = 0;
             st.release_clock = t.now();
-            self.cond.notify_all();
+            drop(st);
+            self.state.notify_all();
         } else {
-            while st.generation == my_gen {
-                assert!(!st.poisoned, "{POISONED}");
-                self.cond.wait(&mut st);
-            }
+            drop(st);
+            let st = self.state.wait_until(t.abort(), |s| s.generation != my_gen);
             t.merge(st.release_clock);
         }
     }
@@ -225,40 +190,33 @@ mod tests {
         }
     }
 
-    /// A leader section that panics poisons the barrier: the leader fails
-    /// with its own message, every waiter with `POISONED` instead of
-    /// waiting forever, and so does any later arrival.
+    /// A leader section that panics fails the run instead of hanging it:
+    /// the waiters, whose release never comes, unwind with
+    /// `PEER_PANICKED`, `run_threads` re-raises the leader's message, and
+    /// a later arrival fails at once.
     #[test]
-    fn a_panicking_leader_poisons_the_barrier() {
+    fn a_panicking_leader_fails_every_waiter() {
         let b = Arc::new(ClockBarrier::new(3, 100));
         let net = tiny_net(1);
         let (tx, rx) = std::sync::mpsc::channel();
-        let joiner = {
-            let b = b.clone();
+        {
+            let (b, net) = (b.clone(), net.clone());
             std::thread::spawn(move || {
-                let handles: Vec<_> = (0..3)
-                    .map(|_| {
-                        let (b, net) = (b.clone(), net.clone());
-                        std::thread::spawn(move || {
-                            let mut t = thread(&net, 0, 0);
-                            b.wait_leader(&mut t, |_| panic!("the leader section failed"));
-                        })
+                let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    simnet::run_threads(net.abort(), 3, |i| format!("t{i}"), |_| {
+                        let mut t = thread(&net, 0, 0);
+                        b.wait_leader(&mut t, |_| panic!("the leader section failed"));
                     })
-                    .collect();
-                let texts: Vec<String> =
-                    handles.into_iter().filter_map(|h| h.join().err().map(panic_text)).collect();
-                let _ = tx.send(texts);
-            })
-        };
-        let mut texts = rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("the waiters still hang on the barrier");
-        joiner.join().unwrap();
-        texts.sort();
-        assert_eq!(texts, [POISONED, POISONED, "the leader section failed"]);
-        let mut t = thread(&tiny_net(1), 0, 0);
+                }));
+                let _ = tx.send(run.map_err(panic_text));
+            });
+        }
+        let run = rx.recv_timeout(std::time::Duration::from_secs(5));
+        let failure = run.expect("the waiters still hang on the barrier").unwrap_err();
+        assert_eq!(failure, "the leader section failed");
+        let mut t = thread(&net, 0, 0);
         let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.wait(&mut t)));
-        assert_eq!(panic_text(late.unwrap_err()), POISONED);
+        assert_eq!(panic_text(late.unwrap_err()), simnet::PEER_PANICKED);
     }
 
     #[test]

@@ -13,22 +13,17 @@
 
 use crate::dsm::global_lock::{DsmGlobalLock, GlobalLockStats};
 use carina::{CarinaSiSd, Coherence, Dsm};
-use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport};
-use simnet::NodeId;
+use simnet::{NodeId, Waits};
 use std::sync::Arc;
 
+#[derive(Default)]
 struct TierState {
     locked: bool,
     owns_global: bool,
     passes: u64,
     waiters: usize,
     last_release: u64,
-}
-
-struct LocalTier {
-    state: Mutex<TierState>,
-    cond: Condvar,
 }
 
 /// Where a lock places its Carina fences.
@@ -49,7 +44,7 @@ pub enum FencePlacement {
 pub struct DsmCohortLock<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     dsm: Arc<Dsm<T, C>>,
     global: Arc<DsmGlobalLock>,
-    tiers: Vec<LocalTier>,
+    tiers: Vec<Waits<TierState>>,
     pass_limit: u64,
     fencing: FencePlacement,
 }
@@ -68,18 +63,7 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
         let nodes = dsm.net().topology().nodes;
         Arc::new(DsmCohortLock {
             global: DsmGlobalLock::with_retry(NodeId(0), dsm.config().retry),
-            tiers: (0..nodes)
-                .map(|_| LocalTier {
-                    state: Mutex::new(TierState {
-                        locked: false,
-                        owns_global: false,
-                        passes: 0,
-                        waiters: 0,
-                        last_release: 0,
-                    }),
-                    cond: Condvar::new(),
-                })
-                .collect(),
+            tiers: (0..nodes).map(|_| Waits::default()).collect(),
             dsm,
             pass_limit,
             fencing,
@@ -97,11 +81,8 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
         let tier = &self.tiers[node];
         // Local tier acquire.
         {
-            let mut st = tier.state.lock();
-            st.waiters += 1;
-            while st.locked {
-                tier.cond.wait(&mut st);
-            }
+            tier.lock().waiters += 1;
+            let mut st = tier.wait_until(t.abort(), |s| !s.locked);
             st.waiters -= 1;
             st.locked = true;
             // Local hand-off: the previous holder's release flag crossed a
@@ -116,7 +97,7 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
                 // regardless.)
                 self.dsm
                     .acquire_fence(t, switched || self.fencing == FencePlacement::PerSection);
-                let mut st = tier.state.lock();
+                let mut st = tier.lock();
                 st.owns_global = true;
                 st.passes = 0;
             } else if self.fencing == FencePlacement::PerSection {
@@ -133,12 +114,9 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
         }
         // Release policy: pass locally while waiters remain and the
         // fairness budget allows; otherwise publish and surrender.
-        let mut st = tier.state.lock();
+        let mut st = tier.lock();
         if st.waiters > 0 && st.passes < self.pass_limit {
             st.passes += 1;
-            st.locked = false;
-            st.last_release = t.now();
-            tier.cond.notify_one();
         } else {
             st.owns_global = false;
             drop(st);
@@ -146,11 +124,12 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
             // next global holder waits for them to settle.
             let stamp = self.dsm.publish(t);
             self.global.release(t, stamp);
-            let mut st = tier.state.lock();
-            st.locked = false;
-            st.last_release = t.now();
-            tier.cond.notify_one();
+            st = tier.lock();
         }
+        st.locked = false;
+        st.last_release = t.now();
+        drop(st);
+        tier.notify_one();
         result
     }
 }

@@ -18,11 +18,11 @@
 
 use crate::dsm::global_lock::local_or_remote;
 use carina::{CarinaSiSd, Coherence, Dsm, DsmError};
-use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, SimTransport, Transport, Verb, VerbClass};
-use simnet::NodeId;
+use simnet::{NodeId, Waits};
 use std::sync::Arc;
 
+#[derive(Default)]
 struct FlagState {
     /// Generation counter: signal increments, waiters wait for `> seen`.
     generation: u64,
@@ -34,8 +34,7 @@ struct FlagState {
 pub struct DsmFlag<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     dsm: Arc<Dsm<T, C>>,
     home: NodeId,
-    state: Mutex<FlagState>,
-    cond: Condvar,
+    state: Waits<FlagState>,
 }
 
 impl<T: Transport, C: Coherence> DsmFlag<T, C> {
@@ -44,11 +43,7 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
         Arc::new(DsmFlag {
             dsm,
             home,
-            state: Mutex::new(FlagState {
-                generation: 0,
-                signal_clock: 0,
-            }),
-            cond: Condvar::new(),
+            state: Waits::default(),
         })
     }
 
@@ -69,12 +64,14 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
     pub fn try_signal(&self, t: &mut T::Endpoint) -> Result<(), DsmError> {
         let stamp = self.dsm.try_publish(t)?;
         self.access_word(t, self.home.0 as u64, &Verb::Write { bytes: 8 })?;
-        let mut st = self.state.lock();
-        st.generation += 1;
-        // A waiter starts once the signal is out and the write-backs it
-        // follows have settled; the signaller runs on.
-        st.signal_clock = st.signal_clock.max(t.now()).max(stamp.0);
-        self.cond.notify_all();
+        {
+            let mut st = self.state.lock();
+            st.generation += 1;
+            // A waiter starts once the signal is out and the write-backs it
+            // follows have settled; the signaller runs on.
+            st.signal_clock = st.signal_clock.max(t.now()).max(stamp.0);
+        }
+        self.state.notify_all();
         Ok(())
     }
 
@@ -95,13 +92,8 @@ impl<T: Transport, C: Coherence> DsmFlag<T, C> {
 
     /// Fallible flavor of [`Self::wait_past`].
     pub fn try_wait_past(&self, t: &mut T::Endpoint, seen: u64) -> Result<(), DsmError> {
-        {
-            let mut st = self.state.lock();
-            while st.generation <= seen {
-                self.cond.wait(&mut st);
-            }
-            t.merge(st.signal_clock);
-        }
+        let signal_clock = self.state.wait_until(t.abort(), |s| s.generation > seen).signal_clock;
+        t.merge(signal_clock);
         // The successful poll: one read of the flag word. A dropped poll is
         // just another unsuccessful poll — reissue after backing off.
         self.access_word(t, !(self.home.0 as u64), &Verb::Read { bytes: 8 })?;

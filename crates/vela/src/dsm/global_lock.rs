@@ -48,9 +48,8 @@
 //! its release are one DRAM access each and issue no verb.
 
 use carina::{DsmError, Published};
-use parking_lot::{Condvar, Mutex};
 use rma::{Endpoint, RetryExhausted, RetryPolicy, Verb, VerbClass};
-use simnet::NodeId;
+use simnet::{NodeId, Waits};
 use std::sync::Arc;
 
 /// Access a synchronization word homed on `home`: a node's own lock and
@@ -88,6 +87,7 @@ pub(crate) fn lock_fault(e: RetryExhausted, node: u16, target: u16) -> DsmError 
     }
 }
 
+#[derive(Default)]
 struct LockState {
     locked: bool,
     /// Virtual time of the last release (what the next holder merges).
@@ -111,8 +111,7 @@ pub struct GlobalLockStats {
 pub struct DsmGlobalLock {
     home: NodeId,
     retry: RetryPolicy,
-    state: Mutex<(LockState, GlobalLockStats)>,
-    cond: Condvar,
+    state: Waits<(LockState, GlobalLockStats)>,
 }
 
 impl DsmGlobalLock {
@@ -128,15 +127,7 @@ impl DsmGlobalLock {
         Arc::new(DsmGlobalLock {
             home,
             retry,
-            state: Mutex::new((
-                LockState {
-                    locked: false,
-                    last_release: 0,
-                    last_holder: None,
-                },
-                GlobalLockStats::default(),
-            )),
-            cond: Condvar::new(),
+            state: Waits::default(),
         })
     }
 
@@ -172,10 +163,7 @@ impl DsmGlobalLock {
         // The CAS on the lock word costs a round trip regardless of
         // outcome; a dropped CAS is reissued after backing off locally.
         self.access_word(t, self.home.0 as u64, &Verb::Cas)?;
-        let mut st = self.state.lock();
-        while st.0.locked {
-            self.cond.wait(&mut st);
-        }
+        let mut st = self.state.wait_until(t.abort(), |s| !s.0.locked);
         st.0.locked = true;
         st.1.acquisitions += 1;
         let me = t.node().0;
@@ -200,6 +188,9 @@ impl DsmGlobalLock {
             // queues never accumulate the way they do on real hardware —
             // queue *dynamics* must track the virtual timeline for HQDL
             // batching (and cohort pass behaviour) to be representative.
+            // Bounded, so outside `simnet::Waits`; a scheduler that runs
+            // one simulated thread at a time grants in virtual-time order
+            // and deletes it.
             let shadow = std::time::Duration::from_nanos((jump * 3 / 10).min(100_000));
             let start = std::time::Instant::now();
             while start.elapsed() < shadow {
@@ -229,14 +220,17 @@ impl DsmGlobalLock {
     /// that did not reach the fabric).
     pub fn try_release<E: Endpoint>(&self, t: &mut E, stamp: Published) -> Result<(), DsmError> {
         self.access_word(t, !(self.home.0 as u64), &Verb::Write { bytes: 8 })?;
-        let mut st = self.state.lock();
-        assert!(st.0.locked, "releasing an unheld global lock");
-        st.0.locked = false;
-        // Physically the release becomes visible only after its write-backs
-        // settle: behind them on the same channel when the lock word shares
-        // their target (RC ordering), behind a cross-channel WAIT when not.
-        st.0.last_release = t.now().max(stamp.0);
-        self.cond.notify_one();
+        {
+            let mut st = self.state.lock();
+            assert!(st.0.locked, "releasing an unheld global lock");
+            st.0.locked = false;
+            // Physically the release becomes visible only after its
+            // write-backs settle: behind them on the same channel when the
+            // lock word shares their target (RC ordering), behind a
+            // cross-channel WAIT when not.
+            st.0.last_release = t.now().max(stamp.0);
+        }
+        self.state.notify_one();
         Ok(())
     }
 
@@ -254,6 +248,7 @@ impl DsmGlobalLock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use simnet::testkit::{thread, tiny_net};
     use simnet::CostModel;
 

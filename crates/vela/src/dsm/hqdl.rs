@@ -29,27 +29,17 @@
 use crate::dsm::global_lock::DsmGlobalLock;
 use carina::{CarinaSiSd, Coherence, Dsm};
 use crossbeam::queue::SegQueue;
-use parking_lot::lock_api::RawMutex as _;
-use parking_lot::RawMutex;
+use parking_lot::Mutex;
 use rma::{Endpoint, SimTransport, Transport};
-use simnet::NodeId;
-use std::cell::UnsafeCell;
+use simnet::{NodeId, Waits};
 use std::convert::Infallible;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 type DsmJob<T> = Box<dyn FnOnce(&mut <T as Transport>::Endpoint) + Send>;
 
-struct Slot<R> {
-    done: AtomicBool,
-    /// The helper's virtual clock when the section completed; the waiter
-    /// merges it.
-    clock: AtomicU64,
-    value: UnsafeCell<Option<R>>,
-}
-
-// SAFETY: `value` written once before `done` is released, read after.
-unsafe impl<R: Send> Sync for Slot<R> {}
+/// A delegated section's outcome once it ran: the helper's virtual clock
+/// when it completed (the waiter merges it) and its result.
+type Slot<R> = Mutex<Option<(u64, R)>>;
 
 /// Handle to a delegated (possibly detached) DSM critical section.
 pub struct DsmFuture<R> {
@@ -58,14 +48,23 @@ pub struct DsmFuture<R> {
 
 impl<R> DsmFuture<R> {
     pub fn is_done(&self) -> bool {
-        self.slot.done.load(Ordering::Acquire)
+        self.slot.lock().is_some()
     }
 }
 
 struct NodeQueue<T: Transport> {
     queue: SegQueue<DsmJob<T>>,
-    /// Guards the helper role on this node.
-    helper: RawMutex,
+    /// Whether a thread holds this node's helper role. Its waiters block
+    /// here until their section is done or the role is free.
+    helping: Waits<bool>,
+}
+
+impl<T: Transport> NodeQueue<T> {
+    /// Give up the helper role and wake the node's waiters.
+    fn resign(&self) {
+        *self.helping.lock() = false;
+        self.helping.notify_all();
+    }
 }
 
 /// A hierarchical queue delegation lock over a DSM cluster.
@@ -97,7 +96,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
             node_queues: (0..nodes)
                 .map(|_| NodeQueue {
                     queue: SegQueue::new(),
-                    helper: RawMutex::INIT,
+                    helping: Waits::new(false),
                 })
                 .collect(),
             dsm,
@@ -119,11 +118,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         t: &mut T::Endpoint,
         f: impl FnOnce(&mut T::Endpoint) -> R + Send + 'static,
     ) -> DsmFuture<R> {
-        let slot = Arc::new(Slot {
-            done: AtomicBool::new(false),
-            clock: AtomicU64::new(0),
-            value: UnsafeCell::new(None),
-        });
+        let slot = Arc::new(Slot::new(None));
         let s = slot.clone();
         // Publication cost: writing the request where the helper reads it
         // (same node, possibly another socket).
@@ -147,10 +142,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
                 obs::LockObs::bump(&lock_obs.executed_remote);
             }
             let r = f(ht);
-            // SAFETY: sole writer before the `done` release.
-            unsafe { *s.value.get() = Some(r) };
-            s.clock.store(ht.now(), Ordering::Relaxed);
-            s.done.store(true, Ordering::Release);
+            *s.lock() = Some((ht.now(), r));
         }));
         // Deliberately do NOT help here: detached delegation returns
         // immediately, letting sections accumulate so the eventual helper
@@ -163,24 +155,20 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
     /// Wait for a delegated section, helping if the helper role is free.
     pub fn wait<R>(self: &Arc<Self>, t: &mut T::Endpoint, future: DsmFuture<R>) -> R {
         let node = t.node().idx();
-        let mut spins = 0u32;
-        while !future.is_done() {
-            self.try_help(t, node);
-            if future.is_done() {
-                break;
+        loop {
+            // The result was produced at the helper's clock; we cannot
+            // have it earlier.
+            if let Some((clock, r)) = future.slot.lock().take() {
+                t.merge(clock);
+                return r;
             }
-            spins += 1;
-            if spins > 32 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
+            if !self.try_help(t, node) {
+                // Another thread helps: our section is in its batch or
+                // still queued when the role comes free.
+                let helping = &self.node_queues[node].helping;
+                drop(helping.wait_until(t.abort(), |&busy| !busy || future.is_done()));
             }
         }
-        // The result was produced at the helper's clock; we cannot have it
-        // earlier.
-        t.merge(future.slot.clock.load(Ordering::Relaxed));
-        // SAFETY: done acquired.
-        unsafe { (*future.slot.value.get()).take().expect("result taken twice") }
     }
 
     /// Delegate and wait (synchronous critical section).
@@ -195,17 +183,16 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
 
     /// Become this node's helper if the role is free and the queue is
     /// non-empty: acquire the global lock, SI if it came from another node,
-    /// run a batch, SD once, release.
-    fn try_help(&self, t: &mut T::Endpoint, node: usize) {
+    /// run a batch, SD once, release. Returns whether it ran a tenure.
+    fn try_help(&self, t: &mut T::Endpoint, node: usize) -> bool {
         let nq = &self.node_queues[node];
-        if nq.queue.is_empty() || !nq.helper.try_lock() {
-            return;
+        if nq.queue.is_empty() || std::mem::replace(&mut *nq.helping.lock(), true) {
+            return false;
         }
         if nq.queue.is_empty() {
             // Raced with a previous helper that drained everything.
-            // SAFETY: locked above.
-            unsafe { nq.helper.unlock() };
-            return;
+            nq.resign();
+            return false;
         }
         // The acquire's span stays attached for the whole tenure: the
         // lock-word verbs of the acquire and of the closing release link
@@ -232,6 +219,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
                 Some(job) => {
                     job(t);
                     executed += 1;
+                    // The section's waiter may sleep on the role.
+                    nq.helping.notify_all();
                 }
                 None => {
                     // The queue is open while we hold the lock: linger
@@ -239,6 +228,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
                     // real-thread scheduling doesn't shatter the batch.
                     // Yield rather than spin — on an oversubscribed host
                     // the producers need the CPU to enqueue anything.
+                    // Bounded, so outside `simnet::Waits`; a scheduler
+                    // that runs one simulated thread at a time deletes it.
                     for _ in 0..48 {
                         std::thread::yield_now();
                         if !nq.queue.is_empty() {
@@ -256,8 +247,8 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         let stamp = self.dsm.publish(t);
         self.global.release(t, stamp);
         t.set_span(outer);
-        // SAFETY: locked above.
-        unsafe { nq.helper.unlock() };
+        nq.resign();
+        true
     }
 }
 

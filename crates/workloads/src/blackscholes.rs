@@ -7,7 +7,7 @@
 //! the whole portfolio through rank 0 every iteration.
 
 use crate::costs;
-use crate::harness::{outcome_of, run_mpi, MpiCtx, Outcome};
+use crate::harness::{chunk, outcome_of, run_mpi, MpiCtx, Outcome};
 
 use argo::types::GlobalF64Array;
 use argo::ArgoMachine;
@@ -146,12 +146,11 @@ pub fn run_mpi_variant(nodes: usize, ranks_per_node: usize, p: BsParams) -> Outc
             if ctx.rank == 0 {
                 // Scatter: send each rank its input chunk (5 f64 per option).
                 for r in 1..ranks {
-                    let chunk = chunk_of(r, ranks, p.options);
-                    let payload = vec![0u8; chunk.len() * 5 * 8];
+                    let payload = vec![0u8; chunk(r, ranks, p.options).len() * 5 * 8];
                     ctx.world.send(&mut ctx.thread, 0, r, tag_in, payload);
                 }
                 // Compute own chunk.
-                let own = chunk_of(0, ranks, p.options);
+                let own = ctx.my_chunk(p.options);
                 ctx.thread.compute(own.len() as u64 * costs::BLACKSCHOLES_OPTION);
                 checksum = own
                     .map(|i| {
@@ -168,10 +167,10 @@ pub fn run_mpi_variant(nodes: usize, ranks_per_node: usize, p: BsParams) -> Outc
                 }
             } else {
                 let _ = ctx.world.recv(&mut ctx.thread, ctx.rank, Some(0), tag_in);
-                let chunk = chunk_of(ctx.rank, ranks, p.options);
-                ctx.thread.compute(chunk.len() as u64 * costs::BLACKSCHOLES_OPTION);
-                let mut payload = Vec::with_capacity(chunk.len() * 8);
-                for i in chunk {
+                let mine = ctx.my_chunk(p.options);
+                ctx.thread.compute(mine.len() as u64 * costs::BLACKSCHOLES_OPTION);
+                let mut payload = Vec::with_capacity(mine.len() * 8);
+                for i in mine {
                     let (s, k, r, v, t) = option_inputs(i);
                     payload.extend_from_slice(&bs_call(s, k, r, v, t).to_le_bytes());
                 }
@@ -189,11 +188,6 @@ pub fn run_mpi_variant(nodes: usize, ranks_per_node: usize, p: BsParams) -> Outc
         net,
         profile: Default::default(),
     }
-}
-
-fn chunk_of(rank: usize, ranks: usize, n: usize) -> std::ops::Range<usize> {
-    let per = n.div_ceil(ranks);
-    (rank * per).min(n)..((rank + 1) * per).min(n)
 }
 
 #[cfg(test)]

@@ -66,11 +66,14 @@ pub struct MpiCtx {
 impl MpiCtx {
     /// This rank's contiguous chunk of `0..n`.
     pub fn my_chunk(&self, n: usize) -> std::ops::Range<usize> {
-        let per = n.div_ceil(self.ranks);
-        let lo = (self.rank * per).min(n);
-        let hi = ((self.rank + 1) * per).min(n);
-        lo..hi
+        chunk(self.rank, self.ranks, n)
     }
+}
+
+/// Rank `rank`'s contiguous chunk of `0..n` split over `ranks`.
+pub fn chunk(rank: usize, ranks: usize, n: usize) -> std::ops::Range<usize> {
+    let per = n.div_ceil(ranks);
+    (rank * per).min(n)..((rank + 1) * per).min(n)
 }
 
 /// Run an MPI-style program: `ranks_per_node` ranks on each of `nodes`
@@ -97,36 +100,18 @@ where
         .map(|r| topo.loc(NodeId((r / ranks_per_node) as u16), r % ranks_per_node))
         .collect();
     let world = MsgWorld::new(net.clone(), locs.clone());
-    let f = Arc::new(f);
-    let handles: Vec<_> = (0..total)
-        .map(|rank| {
-            let world = world.clone();
-            let net = net.clone();
-            let f = f.clone();
-            let loc = locs[rank];
-            std::thread::Builder::new()
-                .name(format!("mpi-r{rank}"))
-                .stack_size(1 << 20)
-                .spawn(move || {
-                    let mut ctx = MpiCtx {
-                        thread: SimThread::new(loc, net),
-                        world,
-                        rank,
-                        ranks: total,
-                    };
-                    let r = f(&mut ctx);
-                    (ctx.thread.now(), r)
-                })
-                .expect("spawn mpi rank")
-        })
-        .collect();
-    let mut cycles = 0;
-    let mut results = Vec::with_capacity(total);
-    for h in handles {
-        let (c, r) = h.join().expect("mpi rank panicked");
-        cycles = cycles.max(c);
-        results.push(r);
-    }
+    let outcomes = simnet::run_threads(net.abort(), total, |rank| format!("mpi-r{rank}"), |rank| {
+        let mut ctx = MpiCtx {
+            thread: SimThread::new(locs[rank], net.clone()),
+            world: world.clone(),
+            rank,
+            ranks: total,
+        };
+        let r = f(&mut ctx);
+        (ctx.thread.now(), r)
+    });
+    let cycles = outcomes.iter().map(|(c, _)| *c).max().unwrap_or(0);
+    let results = outcomes.into_iter().map(|(_, r)| r).collect();
     (cycles, results, net.stats().snapshot())
 }
 

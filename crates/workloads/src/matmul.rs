@@ -17,7 +17,7 @@
 // keyed by one index); iterator rewrites would obscure them.
 #![allow(clippy::needless_range_loop)]
 use crate::costs;
-use crate::harness::{outcome_of, run_mpi, MpiCtx, Outcome};
+use crate::harness::{chunk, outcome_of, run_mpi, MpiCtx, Outcome};
 use argo::types::GlobalF64Array;
 use argo::ArgoMachine;
 use simnet::{CostModel, Tag};
@@ -125,10 +125,7 @@ pub fn run_mpi_variant(nodes: usize, ranks_per_node: usize, p: MatmulParams) -> 
         // inputs — but the wire time is charged in full).
         if ctx.rank == 0 {
             for r in 1..ranks {
-                let r_rows = {
-                    let per = n.div_ceil(ranks);
-                    ((r + 1) * per).min(n) - (r * per).min(n)
-                };
+                let r_rows = chunk(r, ranks, n).len();
                 ctx.world
                     .send(&mut ctx.thread, 0, r, Tag(1), vec![0u8; n * n * 8]); // B
                 ctx.world

@@ -20,13 +20,16 @@
 # two prioq_hqdl regimes"): each of its runs is tagged fast (sim_cycles
 # < 500 M) or slow, and the summary tallies the pairs per regime pair, with
 # sim_cycles wins inside each — compare within one regime, never across.
+# The regime follows the host's CPU state, so each prioq_hqdl pair starts
+# after 15 s of every CPU busy, and its two runs go back to back: both
+# sides start from the same host state.
 #
 # Defaults: 10 pairs, seed 20150615. Environment: AB_DIR (scratch space,
 # default ${TMPDIR:-/tmp}/argobench-ab; the two target dirs are kept there
 # between invocations), AB_SECONDS (default: run_seconds of BENCHMARK.json).
 set -euo pipefail
 
-[ $# -ge 2 ] || { sed -n '2,26p' "$0" >&2; exit 2; }
+[ $# -ge 2 ] || { sed -n '2,29p' "$0" >&2; exit 2; }
 rev=$1 workloads=${2//,/ } pairs=${3:-10} seed=${4:-20150615}
 repo=$(cd "$(dirname "$0")/.." && pwd)
 dir=${AB_DIR:-${TMPDIR:-/tmp}/argobench-ab}
@@ -71,6 +74,13 @@ one() {
     tail -n 1 "$dir/$side.sim_cycles" | awk '{ print ($1 < 500e6) ? "fast" : "slow" }' >>"$dir/$side.regime"
 }
 
+# warm: every CPU busy for 15 s, the host state prioq_hqdl's pairs start from.
+warm() {
+    local cpu
+    for cpu in $(seq "$(nproc)"); do timeout 15 sh -c 'while :; do :; done' & done
+    wait
+}
+
 # regimes: the pairs per (base, new) regime, and sim_cycles wins within each.
 regimes() {
     paste "$dir/base.regime" "$dir/new.regime" "$dir/base.sim_cycles" "$dir/new.sim_cycles" | awk '
@@ -92,6 +102,7 @@ ab() {
     echo "## $workload"
     for m in $metrics regime; do : >"$dir/base.$m"; : >"$dir/new.$m"; done
     for pair in $(seq 1 "$pairs"); do
+        if [ "$workload" = prioq_hqdl ]; then warm; fi
         if [ $((pair % 2)) -eq 1 ]; then
             one base "$workload"; one new "$workload"
         else
