@@ -11,10 +11,10 @@ cd "${1:-$(dirname "$0")/..}"
 # Non-test line ceilings. A change that shrinks one of these crates lowers
 # its ceiling to the new count; one that must grow one offsets what it can
 # and moves the ceiling by the net only. `workspace` is the sum over crates.
-declare -A ceiling=([argo]=1022 [carina]=4430 [mem]=1490 [obs]=1983 [rma]=1656 [simnet]=1284 [vela]=1689 [workspace]=17421)
+declare -A ceiling=([argo]=1022 [bench]=1757 [carina]=4430 [mem]=1490 [obs]=1983 [rma]=1656 [simnet]=1284 [vela]=1689 [workspace]=17032)
 # Prose ceilings only ratchet down: a change that adds a section removes a
 # stale one, or moves a table to a generated file.
-declare -A doc_ceiling=([DESIGN.md]=1495 [EXPERIMENTS.md]=1376 [README.md]=341)
+declare -A doc_ceiling=([DESIGN.md]=1495 [EXPERIMENTS.md]=1376 [README.md]=330)
 declare -A code_of
 printf '%-10s %7s %9s\n' crate total non-test
 sum_total=0
