@@ -1,7 +1,7 @@
 //! `figures <name>|all [--full] [--check]`: regenerate the paper's tables
 //! and figures, each followed by the verdicts of its claims. `--full`
-//! runs the paper's scale; `--check` exits 1 when a claim fails that
-//! `bench::FINDINGS` does not list.
+//! runs the paper's inputs on at most 8 nodes; `--check` exits 1 when a
+//! claim fails that `bench::FINDINGS` does not list.
 
 use bench::{gate, verdict, ALL, FINDINGS};
 

@@ -9,12 +9,12 @@
 //! ```
 //!
 //! Each figure is a sweep (the workloads, parameters, shapes and policies
-//! it runs; `--full` selects the paper's scale, the default a reduced sweep
-//! of the same shape) whose rows are the tables it prints, and the paper's
-//! claims about those rows as named predicates. A predicate states a
-//! direction or an ordering, never a host-ordered number. `figures` prints
-//! each table and then one verdict per claim; with `--check` it exits
-//! non-zero when a claim fails that [`FINDINGS`] does not list.
+//! it runs; `--full` the paper's inputs on ≤ 8 nodes, the default a reduced
+//! sweep of the same shape) whose rows are the tables it prints, and the
+//! paper's claims about those rows as named predicates. A predicate states
+//! a direction or an ordering, never a host-ordered number. `figures`
+//! prints each table and then one verdict per claim; with `--check` it
+//! exits non-zero when a claim fails that [`FINDINGS`] does not list.
 
 use std::fmt;
 
@@ -190,11 +190,11 @@ pub(crate) fn arrow(values: &[f64]) -> String {
     values.iter().map(|v| format!("{v:.d$}")).collect::<Vec<_>>().join(" → ")
 }
 
-/// Node-count sweep for a scaling figure: 1, 2, 4, 8 reduced, the paper's
-/// doubling range up to `max_full` with `--full`.
-pub(crate) fn node_sweep(max_full: usize, full: bool) -> Vec<usize> {
-    let cap = if full { max_full } else { max_full.min(8) };
-    (0..).map(|i| 1 << i).take_while(|&n| n <= cap).collect()
+/// Node-count sweep for a scaling figure: the paper's doubling range up to
+/// `paper_max`, stopped at 8 nodes — 120 simulated threads at `--full`'s
+/// 15 per node, each an OS thread (`simnet::MAX_THREADS`).
+pub(crate) fn node_sweep(paper_max: usize) -> Vec<usize> {
+    (0..).map(|i| 1 << i).take_while(|&n| n <= paper_max.min(8)).collect()
 }
 
 /// Threads per node for cluster runs: the paper's 15, or 4 reduced.
@@ -239,9 +239,9 @@ pub(crate) mod tests {
 
     #[test]
     fn node_sweep_doubles_up_to_its_cap() {
-        assert_eq!(node_sweep(32, false), [1, 2, 4, 8]);
-        assert_eq!(node_sweep(32, true), [1, 2, 4, 8, 16, 32]);
-        assert_eq!(node_sweep(4, false), [1, 2, 4]);
+        assert_eq!(node_sweep(32), [1, 2, 4, 8], "stopped at 8 nodes, with or without --full");
+        assert_eq!(node_sweep(4), [1, 2, 4]);
+        assert!(8 * threads_per_node(true) <= simnet::MAX_THREADS);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the §5.3 priority queue ([`crate::prioq`]).
 
 use crate::prioq::{cohort, hqdl, mutex, LocalWork, Queue, WORK_UNITS};
-use crate::{arrow, check, threads_per_node, Check, Claim, Figure, Table};
+use crate::{arrow, check, node_sweep, threads_per_node, Check, Claim, Figure, Table};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 use vela::pairing_heap::PairingHeap;
@@ -166,10 +166,9 @@ pub const FIG12: Figure = Figure {
     // every section's data migrates through the coherence layer.
     sweep: |full| {
         let (tpn, ops) = (threads_per_node(full), if full { 400 } else { 150 });
-        let nodes: &[usize] = if full { &[1, 2, 4, 8, 16, 32] } else { &[1, 2, 4, 8] };
         let cols = [("threads", 0), ("Argo HQDL", 2), ("Cohort", 2)];
         let mut t = Table::new("Figure 12: DSM lock scaling (ops/us, virtual time)", "nodes", &cols);
-        for &n in nodes {
+        for n in node_sweep(32) {
             let bytes_per_node = (24 << 20) / n as u64 + (8 << 20);
             let q = Queue { nodes: n, tpn, ops, capacity: 1 << 18, prefill: 4096, stride: 0x9E37_79B9, bytes_per_node };
             let h = q.ops_per_us(|d, h| hqdl(d, h, 1024));

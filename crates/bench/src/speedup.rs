@@ -43,7 +43,7 @@ impl<P: Copy> Workload<P> {
             let out = (self.argo)(&ArgoMachine::new(ArgoConfig::small(1, th)), self.params);
             add(format!("{} {th}t", self.local.0), th, out);
         }
-        for n in node_sweep(self.max_nodes, full) {
+        for n in node_sweep(self.max_nodes) {
             add(format!("Argo {n}n"), n * tpn, (self.argo)(&ArgoMachine::new(ArgoConfig::small(n, tpn)), self.params));
             if let Some((name, port)) = self.port {
                 add(format!("{name} {n}n"), n * tpn, port(n, tpn, self.params));

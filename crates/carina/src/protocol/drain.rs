@@ -2,7 +2,7 @@
 //! dirty page reaches home memory (`write_home`), the write-back step every
 //! downgrade runs, the keep-or-protect decision that follows it
 //! (`downgrade_local`), and its postings: one at a time, or for a fence
-//! one per window run, pipelined behind the scan.
+//! one per round trip of wire, pipelined behind the scan.
 
 use super::*;
 use crate::config::{PAGE_COPY_CYCLES, PROTECT_CYCLES, STREAM_WORD_CYCLES};
@@ -173,48 +173,64 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         Ok(())
     }
 
-    /// The SD fence's drain, posted as it scans: `drain.pages` cut into
-    /// window runs, each run's pages [`Self::downgrade_local`]ed in order
-    /// and its write — the sum of their wire sizes — issued at the thread's
-    /// clock as its last scan ends, completion unmerged: a put returns once
-    /// posted (MPI-3 RMA), so the next run's scan overlaps this one's wire
-    /// time. The overflow victims kept pages push out are downgraded (never
-    /// kept) and posted the same way, as a second round. Only after the last
-    /// run is every posting polled, each retried whole from its own issue
-    /// time; the thread then waits once, for the latest initiator window,
-    /// and the fence for the latest settle. A failed posting does not stop
-    /// the other polls, and since every local half already ran, no page is
-    /// left dirty outside the write buffer; the first error is returned.
+    /// The SD fence's drain, posted as it scans: each home-window group of
+    /// `drain.pages` (`window_runs`, uncapped) is [`Self::downgrade_local`]ed
+    /// in order into one pending write, issued unmerged (a put returns once
+    /// posted, MPI-3 RMA) at the clock its last page's scan ended, so later
+    /// scans overlap its wire. The write is cut before a page that would
+    /// push its wire past one round trip (`2 × network_latency`); early, once
+    /// its wire, still below its pages' diff scans, is no longer below those
+    /// of all pages left but the next, so the tail steps down to the last
+    /// page; and at the group's end. Kept pages' overflow victims are a
+    /// second round. Then every posting is polled, each retried whole from
+    /// its issue time, and the thread waits once, for the latest initiator
+    /// window (the fence, for the latest settle). A failed posting does not
+    /// stop the other polls, and every local half already ran, so no page
+    /// is left dirty outside the write buffer; the first error is returned.
     pub(super) fn drain_posted(
         &self,
         t: &mut T::Endpoint,
         drain: &mut Drain,
         me: u16,
     ) -> Result<(), DsmError> {
-        let ns = &self.nodes[me as usize];
-        let most = self.net.cost().transfers_per_round_trip(PAGE_BYTES);
+        let (ns, cost) = (&self.nodes[me as usize], self.net.cost());
+        let trip = 2 * cost.network_latency;
         let obs_issue = t.obs_now();
         let Drain { pages, victims, runs, inflight } = drain;
         inflight.clear();
         let mut fence = true;
         while !pages.is_empty() {
-            window_runs(&self.global, most, pages, runs);
+            window_runs(&self.global, u64::MAX, pages, runs);
             victims.clear();
-            for run in runs.iter() {
-                let mut bytes = 0;
-                for &page in &pages[run.clone()] {
-                    let st = &mut ns.cache.lock_slot(page);
+            let mut left = pages.len() as u64;
+            for group in runs.iter() {
+                let home = self.global.home_of(pages[group.start]);
+                let mut post = |t: &mut T::Endpoint, first: usize, bytes: u64, at: u64| {
+                    if bytes > 0 {
+                        let token = t.issue(NodeId(home), &Verb::Write { bytes }, at);
+                        inflight.push(Posted { token, page: pages[first], bytes, at, home });
+                    }
+                };
+                let (mut first, mut bytes, mut at) = (group.start, 0, t.now());
+                for i in group.clone() {
+                    let (page, st) = (pages[i], &mut ns.cache.lock_slot(pages[i]));
                     let (owed, victim) = self.downgrade_local(t, st, page, me, fence);
                     victims.extend(victim);
-                    bytes += owed.unwrap_or(0);
+                    let owed = owed.unwrap_or(0);
+                    if cost.transfer_cycles(bytes + owed) > trip {
+                        post(t, first, bytes, at);
+                        (first, bytes) = (i, 0);
+                    }
+                    (bytes, at, left) = (bytes + owed, t.now(), left - 1);
+                    // The diff scans its wire spans: fewer than its own pages'
+                    // (they hide it), and no fewer than all left but the next.
+                    let spans = cost.transfer_cycles(bytes) / PAGE_COPY_CYCLES;
+                    if spans < (i + 1 - first) as u64 && spans + 1 >= left {
+                        post(t, first, bytes, at);
+                        (first, bytes) = (i + 1, 0);
+                    }
                 }
-                if bytes == 0 {
-                    continue;
-                }
-                let (page, at) = (pages[run.start], t.now());
-                let home = self.global.home_of(page);
-                let token = t.issue(NodeId(home), &Verb::Write { bytes }, at);
-                inflight.push(Posted { token, page, bytes, at, home });
+                post(t, first, bytes, at);
             }
             std::mem::swap(pages, victims);
             fence = false;
@@ -255,8 +271,8 @@ pub(super) struct Drain {
     inflight: Vec<Posted>,
 }
 
-/// One run's write-back of an SD-fence drain in flight: all its poll needs
-/// to retry it (the schedule is rebuilt from its first page, on failure).
+/// One write of an SD-fence drain in flight: all its poll needs to retry
+/// it (the schedule is rebuilt from its first page, on failure).
 #[derive(Debug)]
 struct Posted {
     token: VerbToken,

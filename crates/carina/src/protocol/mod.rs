@@ -21,8 +21,9 @@
 //!   pages the policy's predicate names (Table 1 under SI/SD; expired
 //!   leases under Tardis).
 //! - **SD fence** (§3.1): drain the write buffer, posting each dirty page's
-//!   masked words — its diff, under DRF — to its home, one write per window
-//!   run; wait for all posted writes to settle, then the policy's release hook.
+//!   masked words — its diff, under DRF — to its home, one write per round
+//!   trip of wire; wait for all posted writes to settle, then the policy's
+//!   release hook.
 //!
 //! The split is mechanism vs decision: the engine owns transport verbs,
 //! retry/fault plumbing, issue/poll overlap, line fills and the refill, and
@@ -71,8 +72,8 @@ use std::sync::{Arc, Mutex};
 /// Sort `pages` by home, then page, and cut them into `runs`: pages of one
 /// home with no page of that home between two of them — adjacent in the
 /// home's window (`p` and `p + N` under interleaving) — at most `most` long,
-/// in the order of their first page. One verb carries a run: the refill's
-/// reads and the SD fence's write-backs cut alike. (Not generic: one copy.)
+/// in the order of their first page. One read carries a refill's run; the
+/// SD drain cuts its uncapped groups by bytes. (Not generic: one copy.)
 fn window_runs(g: &GlobalMemory, most: u64, pages: &mut [PageNum], runs: &mut Vec<Range<usize>>) {
     let home_of = |p: u64| g.home_of(PageNum(p));
     pages.sort_unstable_by_key(|page| (home_of(page.0), page.0));

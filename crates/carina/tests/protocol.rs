@@ -779,14 +779,22 @@ fn same_node_acquire_is_free_and_a_handover_is_one_si_fence() {
 
 // ---- the SD fence's drain: posted as it scans ----
 
-/// An SD fence posts each window run's write-back as its last page's scan
-/// finishes and waits once: for `N` adjacent pages to one home — a full
-/// run of `most`, then one page — it costs the `N` scans (a diff scan and
-/// a re-protect each) or the full run's scans and serialization, whichever
-/// ends later, then the last page's serialization, queued behind the run
-/// on the NIC, and its flight — never the sum of `N` serializations.
-/// Exact, from the cost model: a diff of `W` words is a 32-byte header and
-/// 10 bytes per word, and a run's write carries the sum.
+/// The SD drain's cut rule over one round of `n` scanned pages whose wire
+/// each hides behind its diff scan: after `k` pending pages of wire `w`
+/// with `left` pages still to scan, the write goes out once `w` is no
+/// longer below the diff scans of all of them but the next.
+fn cut_now(w: u64, left: u64) -> bool {
+    w >= left.saturating_sub(1) * PAGE_COPY_CYCLES
+}
+
+/// An SD fence posts each write as its last page's scan finishes and waits
+/// once. `N` adjacent pages to one home whose wire hides behind their diff
+/// scans are cut so the tail steps down — 4, 2, 1, 1 pages, each write
+/// posted once its wire covers the scans left but the next — and the fence
+/// costs the `N` scans (a diff scan and a re-protect each), then the last
+/// page's serialization and flight alone: the earlier writes are off the
+/// NIC by then. Exact, from the cost model: a diff of `W` words is a
+/// 32-byte header and 10 bytes per word, and a write carries the sum.
 #[test]
 fn a_fence_pays_its_scans_and_the_last_settle() {
     const N: u64 = 8;
@@ -805,15 +813,24 @@ fn a_fence_pays_its_scans_and_the_last_settle() {
     let (before, writes) = (t.now(), wire(&dsm).rdma_writes);
     dsm.sd_fence(t);
     let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
-    let wire_page = cost.transfer_cycles(32 + 10 * W);
-    let most = cost.transfers_per_round_trip(PAGE_BYTES);
-    assert_eq!(N - most, 1, "a full run, then one page");
-    let run = cost.transfer_cycles(most * (32 + 10 * W));
-    assert!(wire_page < scan, "a page's scan hides its own wire: {wire_page} vs {scan}");
-    let nic_free = (most * scan + run).max(N * scan);
-    assert_eq!(t.now() - before, nic_free + wire_page + cost.network_latency);
-    assert!(t.now() - before < N * scan + N * wire_page + cost.network_latency);
-    assert_eq!(wire(&dsm).rdma_writes - writes, 2, "one write per run");
+    let wire_of = |pages: u64| cost.transfer_cycles(pages * (32 + 10 * W));
+    assert!(wire_of(1) < PAGE_COPY_CYCLES, "a page's diff scan hides its own wire");
+    // The cuts, page by page: (pending pages, pages left) → posted?
+    let cuts = [4, 2, 1, 1];
+    let (mut scanned, mut nic_free) = (0, 0);
+    for run in cuts {
+        for k in 1..=run {
+            let last = k == run;
+            let left = N - scanned - k;
+            assert_eq!(cut_now(wire_of(k), left), last, "{k} of {run} pages, {left} left");
+        }
+        scanned += run;
+        nic_free = (scanned * scan).max(nic_free) + wire_of(run);
+    }
+    assert_eq!(nic_free, N * scan + wire_of(1), "only the last page's wire is exposed");
+    assert_eq!(t.now() - before, nic_free + cost.network_latency);
+    assert!(t.now() - before <= 6_669);
+    assert_eq!(wire(&dsm).rdma_writes - writes, cuts.len() as u64, "one write per cut");
     let s = dsm.stats().snapshot();
     assert_eq!((s.writebacks, s.writeback_bytes), (N, N * (32 + 10 * W)));
     for salt in 0..N {
@@ -823,12 +840,45 @@ fn a_fence_pays_its_scans_and_the_last_settle() {
     assert!(dsm.check_invariants().is_empty());
 }
 
+/// Full pages keep the 7-page runs: a write-back over 406 words is priced
+/// as the page, whose wire (444 cycles) outlasts its diff scan, so nothing
+/// cuts a run early, and a run ends only at one round trip of wire — the
+/// refill's rule for full-page reads. Node 0 dirties fifteen adjacent
+/// pages of one home whole: writes of 7, 7 and 1 pages.
+#[test]
+fn a_full_page_drain_keeps_its_seven_page_runs() {
+    const N: u64 = 15;
+    let cost = CostModel::paper_2011();
+    let (dsm, mut ts) = cluster(2, CarinaConfig::default());
+    let t = &mut ts[0];
+    for salt in 0..N {
+        let page = addr_homed_at(2, 1, salt);
+        for w in 0..WORDS_PER_PAGE as u64 {
+            dsm.write_u64(t, page.offset(8 * w), salt + w + 1);
+        }
+    }
+    dsm.sd_fence(t);
+    assert!(cost.transfer_cycles(PAGE_BYTES) >= PAGE_COPY_CYCLES, "its wire outlasts its scan");
+    let most = cost.transfers_per_round_trip(PAGE_BYTES);
+    assert_eq!(most, 7);
+    let writes: Vec<u64> = dsm
+        .lyra()
+        .snapshot(0)
+        .into_iter()
+        .filter(|r| r.kind == obs::RecordKind::VerbIssue && r.class == VerbClass::Downgrade as u8)
+        .map(|r| r.arg / PAGE_BYTES)
+        .collect();
+    assert_eq!(writes, [most, most, N - 2 * most]);
+    let s = dsm.stats().snapshot();
+    assert_eq!((s.writebacks, s.writeback_bytes), (N, N * PAGE_BYTES));
+}
+
 /// The same drain released through `publish` instead of a bare fence. The
-/// releasing thread waits for its postings' own serializations — the full
-/// run's ends last — and returns before the last page's queued
-/// serialization and flight. The stamp is the node's settle, and exactly
-/// where the bare fence above ends — a bare fence still waits for it (twin
-/// clusters, same stores, one thread each: deterministic).
+/// releasing thread waits for its postings' own serializations — the last
+/// page's ends last, as its scan does — and returns before its flight. The
+/// stamp is the node's settle, and exactly where the bare fence above ends
+/// — a bare fence still waits for it (twin clusters, same stores, one
+/// thread each: deterministic).
 #[test]
 fn publish_stamps_the_settle_a_bare_fence_waits_for() {
     const N: u64 = 8;
@@ -853,12 +903,13 @@ fn publish_stamps_the_settle_a_bare_fence_waits_for() {
     let stamp = released.publish(&mut r);
     fenced.sd_fence(&mut f);
     let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
-    let wire_page = cost.transfer_cycles(32 + 10 * W);
-    let most = cost.transfers_per_round_trip(PAGE_BYTES);
-    let run = cost.transfer_cycles(most * (32 + 10 * W));
-    assert!(most * scan + run > N * scan + wire_page, "the full run's wire ends last");
-    assert_eq!(r.now() - before, most * scan + run, "the releaser skips the flight");
-    assert_eq!(stamp.0, r.now() + wire_page + cost.network_latency);
+    let wire_of = |pages: u64| cost.transfer_cycles(pages * (32 + 10 * W));
+    // The cuts of the test above: each write's own serialization ends
+    // before the last page's, which starts as the last scan ends.
+    let ends = [(4, 4), (6, 2), (7, 1)].map(|(scanned, run)| scanned * scan + wire_of(run));
+    assert!(ends.iter().all(|&e| e < N * scan + wire_of(1)), "{ends:?}");
+    assert_eq!(r.now() - before, N * scan + wire_of(1), "the releaser skips the flight");
+    assert_eq!(stamp.0, r.now() + cost.network_latency);
     assert_eq!(stamp, released.settle_stamp(0));
     assert_eq!(f.now(), stamp.0, "a bare fence ends at the settle");
     assert_eq!(released.stats().snapshot(), fenced.stats().snapshot());
@@ -889,13 +940,16 @@ fn dirty_across_a_blackout(
 }
 
 /// A posting that exhausts its budget mid-drain does not strand the rest:
-/// each home's four pages are one window run, and the drain polls the run
-/// to the healthy home — it completes — after the run to the stalled home
-/// exhausts, before it returns the error. Every page's local half already ran, so the
-/// data is home, no page is dirty outside the write buffer, and the next
-/// fence has nothing left to drain.
+/// each home's four one-word pages are adjacent in its window, so home 1's
+/// are one write — the four pages scanned after it hide its wire — and
+/// home 2's, scanned last, are cut before their last page. The drain polls
+/// both writes to the healthy home — they complete — after the write to
+/// the stalled home exhausts, before it returns the error. Every page's
+/// local half already ran, so the data is home, no page is dirty outside
+/// the write buffer, and the next fence has nothing left to drain.
 #[test]
 fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
+    let cost = CostModel::paper_2011();
     let (dsm, mut t, pages) = dirty_across_a_blackout();
     let err = dsm.try_sd_fence(&mut t).unwrap_err();
     assert_eq!((err.target, err.class), (1, VerbClass::Downgrade));
@@ -912,7 +966,8 @@ fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
             })
             .count()
     };
-    assert_eq!((polled_home(1), polled_home(2)), (0, 1), "the healthy posting was polled");
+    assert!(cut_now(cost.transfer_cycles(3 * 42), 1) && !cut_now(cost.transfer_cycles(4 * 42), 4));
+    assert_eq!((polled_home(1), polled_home(2)), (0, 2), "the healthy postings were polled");
     for (i, &a) in pages.iter().enumerate() {
         assert_eq!(dsm.peek_u64(a), 100 + i as u64);
     }
@@ -921,9 +976,11 @@ fn a_failed_posting_does_not_strand_the_rest_of_the_drain() {
 }
 
 /// One write per window run: node 0 of three dirties nine adjacent pages
-/// on each other home, a different number of words on each, and its fence
-/// issues ⌈9/7⌉ writes per home. The writes carry exactly the pages'
-/// per-page wire sizes, and every word of every page reaches home.
+/// on each other home, a different number of words on each. The whole
+/// drain's wire is below one diff scan, so nothing cuts a home's run but
+/// the rule that the page scanned last goes alone: home 1's nine pages are
+/// one write, home 2's two. The writes carry exactly the pages' per-page
+/// wire sizes, and every word of every page reaches home.
 #[test]
 fn a_drain_posts_one_write_per_window_run() {
     const PER_HOME: u64 = 9;
@@ -940,9 +997,10 @@ fn a_drain_posts_one_write_per_window_run() {
     let before = wire(&dsm);
     dsm.sd_fence(t);
     let n = wire(&dsm);
-    let most = CostModel::paper_2011().transfers_per_round_trip(PAGE_BYTES);
-    assert_eq!((most, n.rdma_writes - before.rdma_writes), (7, 4), "⌈9/7⌉ writes per home");
     let per_page: u64 = (1..=pages.len() as u64).map(|words| 32 + 10 * words).sum();
+    let cost = CostModel::paper_2011();
+    assert!(cost.transfer_cycles(per_page) < PAGE_COPY_CYCLES, "every scan hides the wire");
+    assert_eq!(n.rdma_writes - before.rdma_writes, 1 + 2, "a run per home, the last page alone");
     assert_eq!(n.bytes_written - before.bytes_written, per_page);
     let s = dsm.stats().snapshot();
     assert_eq!((s.writebacks, s.writeback_bytes), (18, per_page));
@@ -956,16 +1014,19 @@ fn a_drain_posts_one_write_per_window_run() {
 }
 
 /// A failed run is retried whole: node 1's NIC is out exactly while the
-/// fence issues its one run of three pages, so the first write fails and
-/// its retry — from the run's issue time, after the backoff salted by the
-/// run's first page — carries all three. One retry, every page home, and
-/// the release stamp is the retry's settle.
+/// fence issues its first write, three of four one-word pages (the fourth,
+/// scanned last, goes alone), so that write fails and its retry — from the
+/// write's issue time, after the backoff salted by its first page —
+/// carries all three. One retry, every page home, and the release stamp is
+/// the later of the retry's settle and the last page's.
 #[test]
 fn a_failed_run_is_retried_whole() {
-    const PAGES: u64 = 3;
+    const PAGES: u64 = 4;
+    const RUN: u64 = 3;
     let cost = CostModel::paper_2011();
+    let scan = PAGE_COPY_CYCLES + PROTECT_CYCLES;
     let from = 10_000_000;
-    let issue = from + PAGES * (PAGE_COPY_CYCLES + PROTECT_CYCLES);
+    let issue = from + RUN * scan;
     let plan = FaultPlan::disabled().with_brownout(NodeId(1), from, issue + 1);
     let net = FaultyTransport::wrap(tiny_net(2), plan);
     let dsm: Arc<Dsm<FaultyTransport<SimTransport>>> =
@@ -994,8 +1055,12 @@ fn a_failed_run_is_retried_whole() {
         .map(|r| (r.class, r.arg))
         .collect();
     assert_eq!(retried, [(VerbClass::Downgrade as u8, delay)], "salted by the run's first page");
-    let bytes = PAGES * (32 + 10);
-    assert_eq!(stamp.0, issue + delay + cost.transfer_cycles(bytes) + cost.network_latency);
+    let wire_of = |pages: u64| cost.transfer_cycles(pages * (32 + 10));
+    assert!(cut_now(wire_of(RUN), PAGES - RUN) && !cut_now(wire_of(RUN - 1), PAGES - RUN + 1));
+    let (retry, last) = (issue + delay, from + PAGES * scan);
+    assert!(retry >= last + wire_of(1), "the retry finds the NIC free");
+    let settle = (retry + wire_of(RUN)).max(last + wire_of(1)) + cost.network_latency;
+    assert_eq!(stamp.0, settle);
     assert_eq!(stamp, dsm.settle_stamp(0));
     assert!(dsm.check_invariants().is_empty(), "{:?}", dsm.check_invariants());
 }

@@ -42,4 +42,4 @@ pub use msg::{Msg, MsgWorld, Tag};
 pub use net::Interconnect;
 pub use stats::{NetStats, PerNodeSnapshot};
 pub use topology::{ClusterTopology, NodeId, ThreadLoc};
-pub use waits::{run_threads, Abort, Waits, PEER_PANICKED};
+pub use waits::{run_threads, Abort, Waits, MAX_THREADS, PEER_PANICKED};

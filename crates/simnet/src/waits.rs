@@ -26,6 +26,10 @@ pub const PEER_PANICKED: &str = "peer thread panicked";
 /// The longest a waiter sleeps without checking its [`Abort`] flag.
 pub const ABORT_POLL: Duration = Duration::from_millis(20);
 
+/// The most simulated threads [`run_threads`] starts: each is an OS thread
+/// with its own stack, and a shape past this would exhaust the host.
+pub const MAX_THREADS: usize = 256;
+
 /// Raised when a simulated thread panics. It stays raised: a machine whose
 /// run failed fails every later wait.
 #[derive(Debug, Default)]
@@ -132,12 +136,14 @@ impl<S> Waits<S> {
 /// A thread's panic raises `abort`, so its peers' waits unwind too. Once
 /// all are joined, the first panic in thread order that is not
 /// [`PEER_PANICKED`] is re-raised (the first of all if every one is).
+/// Panics before it starts any thread if `n` exceeds [`MAX_THREADS`].
 pub fn run_threads<R: Send>(
     abort: &Abort,
     n: usize,
     name: impl Fn(usize) -> String,
     body: impl Fn(usize) -> R + Sync,
 ) -> Vec<R> {
+    assert!(n <= MAX_THREADS, "{n} simulated threads requested; at most {MAX_THREADS} run");
     let body = &body;
     let outcomes: Vec<std::thread::Result<R>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..n)
@@ -256,6 +262,22 @@ mod tests {
         }));
         assert_eq!(text(failed.unwrap_err()), "thread 2 failed");
         assert!(abort.is_raised());
+    }
+
+    /// A shape past the cap is refused before any thread starts: the body
+    /// never runs, and the message names the shape and the cap.
+    #[test]
+    fn run_threads_refuses_more_than_the_cap_and_starts_none() {
+        let (abort, calls) = (Abort::default(), AtomicUsize::new(0));
+        let refused = catch_unwind(AssertUnwindSafe(|| {
+            run_threads(&abort, MAX_THREADS + 1, |i| format!("t{i}"), |_| {
+                calls.fetch_add(1, Ordering::Relaxed);
+            })
+        }));
+        let text = text(refused.unwrap_err());
+        assert!(text.contains("257") && text.contains("256"), "{text}");
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "a thread started");
+        assert!(!abort.is_raised());
     }
 
     #[test]

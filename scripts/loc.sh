@@ -11,7 +11,7 @@ cd "${1:-$(dirname "$0")/..}"
 # Non-test line ceilings. A change that shrinks one of these crates lowers
 # its ceiling to the new count; one that must grow one offsets what it can
 # and moves the ceiling by the net only. `workspace` is the sum over crates.
-declare -A ceiling=([argo]=1022 [bench]=1757 [carina]=4430 [mem]=1490 [obs]=1983 [rma]=1656 [simnet]=1284 [vela]=1689 [workspace]=17032)
+declare -A ceiling=([argo]=1022 [bench]=1756 [carina]=4447 [mem]=1490 [obs]=1983 [rma]=1656 [simnet]=1290 [vela]=1689 [workloads]=1721 [workspace]=17054)
 # Prose ceilings only ratchet down: a change that adds a section removes a
 # stale one, or moves a table to a generated file.
 declare -A doc_ceiling=([DESIGN.md]=1495 [EXPERIMENTS.md]=1376 [README.md]=330)
