@@ -23,9 +23,6 @@ pub struct ArgoConfig {
     /// Worker threads per machine. The paper uses 15 of 16 cores ("leaving
     /// one to take the OS overhead").
     pub threads_per_node: usize,
-    /// NUMA shape of each machine.
-    pub sockets_per_node: usize,
-    pub cores_per_socket: usize,
     /// Global memory contributed by each node.
     pub bytes_per_node: u64,
     /// Network/cost constants.
@@ -41,8 +38,6 @@ impl ArgoConfig {
         ArgoConfig {
             nodes,
             threads_per_node,
-            sockets_per_node: 4,
-            cores_per_socket: 4,
             bytes_per_node: 16 << 20,
             cost: CostModel::paper_2011(),
             carina: CarinaConfig::default(),
@@ -54,12 +49,9 @@ impl ArgoConfig {
         Self::small(nodes, 15)
     }
 
+    /// Every machine has the paper's NUMA shape, 4 sockets × 4 cores.
     pub fn topology(&self) -> ClusterTopology {
-        ClusterTopology {
-            nodes: self.nodes,
-            sockets_per_node: self.sockets_per_node,
-            cores_per_socket: self.cores_per_socket,
-        }
+        ClusterTopology::paper(self.nodes)
     }
 
     pub fn total_threads(&self) -> usize {
@@ -93,7 +85,7 @@ pub struct RunReport<R> {
     pub profile: obs::ProfileSnapshot,
     /// Per-lock delegation statistics, in lock-registration order.
     pub locks: Vec<obs::LockObsSnapshot>,
-    /// Flight-recorder health: ring occupancy, drops, tail captures;
+    /// Flight-recorder health: ring occupancy and drops;
     /// non-zero `dropped` means the exported trace is partial.
     pub recorder: carina::RecorderStats,
     /// The coherence policy the region ran under (`Coherence::NAME`).
@@ -266,9 +258,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "more threads per node")]
     fn rejects_oversubscription() {
-        let mut cfg = ArgoConfig::small(1, 17);
-        cfg.sockets_per_node = 4;
-        cfg.cores_per_socket = 4;
-        ArgoMachine::new(cfg);
+        ArgoMachine::new(ArgoConfig::small(1, 17));
     }
 }

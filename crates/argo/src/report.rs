@@ -104,12 +104,8 @@ impl<R> RunReport<R> {
         let rec = &self.recorder;
         let _ = writeln!(
             s,
-            "recorder     : {} records kept / {} submitted, {} dropped, {} tail captures{}",
-            rec.kept,
-            rec.submitted,
-            rec.dropped,
-            rec.tail_captures,
-            if rec.enabled { "" } else { " (disabled)" }
+            "recorder     : {} records kept / {} submitted, {} dropped",
+            rec.kept, rec.submitted, rec.dropped
         );
         s
     }
@@ -171,13 +167,8 @@ impl<R> RunReport<R> {
         let _ = write!(
             s,
             ",\"recorder\":{{\"submitted\":{},\"kept\":{},\"dropped\":{},\
-             \"tail_captures\":{},\"capacity_per_lane\":{},\"enabled\":{}}}",
-            rec.submitted,
-            rec.kept,
-            rec.dropped,
-            rec.tail_captures,
-            rec.capacity_per_lane,
-            rec.enabled
+             \"capacity_per_lane\":{}}}",
+            rec.submitted, rec.kept, rec.dropped, rec.capacity_per_lane
         );
         s.push_str(",\"locks\":[");
         for (i, l) in self.locks.iter().enumerate() {
@@ -240,7 +231,6 @@ mod tests {
         assert!(s.contains("handlers"));
         // The recorder line is always present.
         assert!(s.contains("recorder     :"));
-        assert!(s.contains("tail captures"));
         assert!(report.headline().contains("ms virtual"));
     }
 

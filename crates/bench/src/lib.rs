@@ -32,7 +32,6 @@ mod speedup;
 /// two that first flipped later). `--check` reports them without failing
 /// on them; a claim leaves this list once it holds on every run.
 pub const FINDINGS: &[(&str, &str)] = &[
-    ("fig07.both_rise", "31 of 31 fail: Argo reads 2 031.57 MB/s at 4 KiB and at 8 KiB lines"),
     ("fig08.naive_ps_no_better_than_s", "11 of 31 fail: geomean P/S 0.927-1.055 of S"),
     ("fig09.tiny_buffer_slower", "24 of 31 fail: MM 1 vs 8 192 pages 324-524 k vs 304-509 k cycles"),
     ("fig09.large_buffers_cost_more", "31 of 31 fail: 1 024 vs 8 192 pages differ either way"),

@@ -78,29 +78,24 @@ fn mbps(bytes: u64, cycles: u64, cost: &CostModel) -> f64 {
     bytes as f64 / cost.cycles_to_secs(cycles) / 1e6
 }
 
-/// A cold miss on 32 lines of `pages_per_line` pages, each demanding one
-/// page the remote node of a 2-node cluster homes; the fill brings the
-/// whole line. Returns (bytes read, cycles).
-fn argo_lines(pages_per_line: usize) -> (u64, u64) {
+/// Cold misses on 32 lines of `line` pages: every other line of a region
+/// `alloc_blocked` homes on the remote node of a 2-node cluster, so no
+/// miss reads ahead past its line. Returns (bytes read, cycles).
+fn argo_lines(line: u64) -> (u64, u64) {
     let mut cfg = ArgoConfig::small(2, 1);
-    cfg.carina = CarinaConfig { cache: CacheConfig::new(64, pages_per_line), ..CarinaConfig::default() };
+    cfg.carina = CarinaConfig { cache: CacheConfig::new(64, line as usize), ..CarinaConfig::default() };
     cfg.bytes_per_node = 64 << 20;
     let machine = ArgoMachine::new(cfg);
+    // Two halves of 65 lines: node 1 homes the second, 64 whole lines from `first`.
+    let half = 65 * line;
+    let base = machine.dsm().alloc_blocked(2 * half * PAGE_BYTES).expect("fig07 region fits");
+    let first = (base.page().0 + half).div_ceil(line);
     let report = machine.run(move |ctx| {
         ctx.start_measurement(); // collective
-        if ctx.tid() != 0 {
-            return 0.0;
-        }
-        let mut sink = 0u64;
-        for l in 1..=32 {
-            // Node 0 homes even pages: pick an odd page inside line `l`
-            // (with one-page lines, only odd lines are remote).
-            let base = (l * pages_per_line) as u64;
-            let page = if pages_per_line == 1 { 2 * base + 1 } else { base | 1 };
-            sink ^= ctx.read_u64(GlobalAddr(page * PAGE_BYTES));
-        }
-        sink as f64
+        let lines = if ctx.tid() == 0 { 0..32 } else { 0..0 };
+        lines.fold(0, |sink, i| sink ^ ctx.read_u64(GlobalAddr((first + 2 * i) * line * PAGE_BYTES))) as f64
     });
+    assert_eq!(report.net.bytes_read, 32 * line * PAGE_BYTES, "fig07: a miss reads its whole line");
     (report.net.bytes_read, report.cycles)
 }
 
@@ -117,7 +112,7 @@ pub const FIG07: Figure = Figure {
             let topo = ClusterTopology::tiny(2);
             let raw = Interconnect::new(topo, cost).rdma_read(topo.loc(NodeId(0), 0), NodeId(1), 0, bytes);
             let rma = mbps(bytes, raw.initiator_done, &cost);
-            let (transferred, cycles) = argo_lines(pages as usize);
+            let (transferred, cycles) = argo_lines(pages);
             let argo = mbps(transferred, cycles, &cost);
             t.row(bytes, vec![argo, rma, argo / rma]);
         }

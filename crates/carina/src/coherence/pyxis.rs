@@ -44,7 +44,7 @@
 //! **Hysteresis.** Evidence accumulates in a saturating per-page score
 //! (positive = leases are winning, negative = SI/SD is): +1 per avoided
 //! invalidation / useless invalidation, -1 per regret event. A page
-//! switches only when the score crosses `pyxis_switch_threshold`, and the
+//! switches only when the score crosses [`Pyxis::SWITCH_THRESHOLD`], and the
 //! score resets to zero on every switch, so flapping needs a full
 //! threshold's worth of contrary evidence each way.
 //!
@@ -95,11 +95,17 @@ pub struct Pyxis {
     /// drained (and the switches applied) only at fence boundaries.
     pending: Mutex<Vec<PageNum>>,
     pending_len: AtomicUsize,
-    threshold: i64,
-    cap: i64,
 }
 
 impl Pyxis {
+    /// Evidence score a page must accumulate before it switches mode at
+    /// the next fence boundary (higher = more hysteresis, slower
+    /// adaptation).
+    pub const SWITCH_THRESHOLD: i64 = 3;
+    /// Saturation bound of the per-page evidence score: how much history a
+    /// page can hold against a phase change.
+    pub const SCORE_CAP: i64 = 8;
+
     /// Is `page` currently governed by timestamp leases?
     #[inline]
     pub(crate) fn in_lease_mode(&self, page: PageNum) -> bool {
@@ -122,22 +128,22 @@ impl Pyxis {
     fn add_score(&self, page: PageNum, delta: i64) {
         // Saturated already: nothing to learn, skip the RMW.
         let cur = self.score_of(page);
-        if (delta > 0 && cur >= self.cap) || (delta < 0 && cur <= -self.cap) {
+        if (delta > 0 && cur >= Self::SCORE_CAP) || (delta < 0 && cur <= -Self::SCORE_CAP) {
             return;
         }
         let prev = self
             .score
             .at(0, page)
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
-                Some((s + delta).clamp(-self.cap, self.cap))
+                Some((s + delta).clamp(-Self::SCORE_CAP, Self::SCORE_CAP))
             })
             .unwrap_or(cur);
-        let new = (prev + delta).clamp(-self.cap, self.cap);
+        let new = (prev + delta).clamp(-Self::SCORE_CAP, Self::SCORE_CAP);
         let lease = self.in_lease_mode(page);
         let crossed = if lease {
-            prev > -self.threshold && new <= -self.threshold
+            prev > -Self::SWITCH_THRESHOLD && new <= -Self::SWITCH_THRESHOLD
         } else {
-            prev < self.threshold && new >= self.threshold
+            prev < Self::SWITCH_THRESHOLD && new >= Self::SWITCH_THRESHOLD
         };
         if crossed {
             let mut pend = self.pending.lock();
@@ -157,9 +163,9 @@ impl Pyxis {
         for page in pend.drain(..) {
             let (e, s) = (self.switch_count(page), self.score_of(page));
             let flip = if e & 1 == 0 {
-                s >= self.threshold
+                s >= Self::SWITCH_THRESHOLD
             } else {
-                s <= -self.threshold
+                s <= -Self::SWITCH_THRESHOLD
             };
             if !flip {
                 continue;
@@ -180,7 +186,6 @@ impl Coherence for Pyxis {
     const NAME: &'static str = "pyxis";
 
     fn new(nodes: usize, total_pages: u64, config: &CarinaConfig) -> Self {
-        let threshold = config.pyxis_switch_threshold.max(1);
         Pyxis {
             sisd: CarinaSiSd::new(nodes, total_pages, config),
             tardis: Tardis::new(nodes, total_pages, config),
@@ -192,8 +197,6 @@ impl Coherence for Pyxis {
             seen_version: PageTable::new(nodes, total_pages),
             pending: Mutex::new(Vec::new()),
             pending_len: AtomicUsize::new(0),
-            threshold,
-            cap: config.pyxis_score_cap.max(threshold),
         }
     }
 

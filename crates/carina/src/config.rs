@@ -1,12 +1,9 @@
 //! Carina configuration knobs.
 
 use crate::classification::ClassificationMode;
-use mem::addr::HomePolicy;
 use mem::CacheConfig;
 use rma::RetryPolicy;
 
-/// How pages map to home nodes (paper: interleaved).
-pub(crate) const HOME_POLICY: HomePolicy = HomePolicy::Interleaved;
 /// Cycles for a page-cache hit (TLB + local cache access).
 pub const HIT_CYCLES: u64 = 4;
 /// Per-word compute charge of bulk (streaming) slice access, on top of the
@@ -46,21 +43,9 @@ pub struct CarinaConfig {
     /// traditional *active* directory would. Argo's contribution is that
     /// this is `false`.
     pub active_directory: bool,
-    /// Evidence score a page must accumulate before the Pyxis hybrid
-    /// switches its mode at the next fence boundary (higher = more
-    /// hysteresis, slower adaptation). Ignored by the pure policies.
-    pub pyxis_switch_threshold: i64,
-    /// Saturation bound for the Pyxis per-page evidence score; caps how
-    /// much history a page can hold against a phase change (Pyxis only).
-    pub pyxis_score_cap: i64,
     /// How failed verbs are reissued (backoff, jitter, per-class budgets).
     /// Irrelevant on a healthy fabric — no verb ever fails there.
     pub retry: RetryPolicy,
-    /// Tail-capture threshold in observability-clock units (virtual cycles
-    /// on the simulator, wall nanoseconds on native): when a protocol
-    /// site's latency crosses it, the node's lanes are snapshotted around the
-    /// offender. `0` disables tail capture.
-    pub lyra_tail_threshold: u64,
 }
 
 impl Default for CarinaConfig {
@@ -70,10 +55,7 @@ impl Default for CarinaConfig {
             cache: CacheConfig::default(),
             write_buffer_pages: 8192,
             active_directory: false,
-            pyxis_switch_threshold: 3,
-            pyxis_score_cap: 8,
             retry: RetryPolicy::default(),
-            lyra_tail_threshold: 0,
         }
     }
 }

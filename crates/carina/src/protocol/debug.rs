@@ -109,13 +109,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let rs = self.lyra.stats();
         m.counter("lyra_records_submitted", &[], rs.submitted);
         m.counter("lyra_records_dropped", &[], rs.dropped);
-        m.counter("lyra_tail_captures", &[], rs.tail_captures);
         m.gauge("lyra_records_kept", &[], rs.kept as f64);
-        m.gauge(
-            "lyra_recorder_enabled",
-            &[],
-            if rs.enabled { 1.0 } else { 0.0 },
-        );
         let prof = self.lyra.profile();
         for site in obs::Site::ALL {
             let h = prof.get(site);

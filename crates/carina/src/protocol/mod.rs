@@ -55,7 +55,7 @@ pub use fence::Published;
 // The children share this module's imports (`use super::*`), as they share
 // its private fields: one engine, cut into files.
 use crate::coherence::{CarinaSiSd, Coherence, PageMode};
-use crate::config::{CarinaConfig, HOME_POLICY};
+use crate::config::CarinaConfig;
 use crate::error::DsmError;
 use crate::stats::CoherenceStats;
 use crate::write_buffer::WriteBuffer;
@@ -148,10 +148,10 @@ pub struct Dsm<T: Transport = SimTransport, C: Coherence = CarinaSiSd> {
     /// Per-lock HQDL statistics; Vela locks register themselves here.
     lock_obs: obs::LockRegistry,
     /// The Lyra flight recorder `net` owns: every endpoint's lane of the
-    /// last N verb records, and tail captures. Always on; purely passive
-    /// (it reads the observability clock and writes side tables nothing on
-    /// the protocol path reads back), so determinism probes pin
-    /// bit-identical output with it enabled.
+    /// last N verb records. Always on; purely passive (it reads the
+    /// observability clock and writes side tables nothing on the protocol
+    /// path reads back), so determinism probes pin bit-identical output
+    /// with it recording.
     lyra: Arc<obs::FlightRecorder>,
     nodes: Vec<NodeState>,
 }
@@ -170,7 +170,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     pub fn with_policy(net: Arc<T>, bytes_per_node: u64, config: CarinaConfig) -> Arc<Self> {
         let n = net.topology().nodes;
         assert!(n <= 128, "directory metadata supports up to 128 nodes");
-        let global = GlobalMemory::with_policy(n, bytes_per_node, HOME_POLICY);
+        let global = GlobalMemory::new(n, bytes_per_node);
         let total_pages = global.total_pages();
         let lyra = net.recorder().clone();
         Arc::new(Dsm {
@@ -230,8 +230,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     }
 
     /// The Lyra flight recorder — the engine's only event path: the lanes
-    /// of every endpoint on `net`, and tail captures. The per-page detail
-    /// kinds are off until [`obs::FlightRecorder::set_detail`].
+    /// of every endpoint on `net`. The per-page detail kinds are off until
+    /// [`obs::FlightRecorder::set_detail`].
     #[inline]
     pub fn lyra(&self) -> &obs::FlightRecorder {
         &self.lyra

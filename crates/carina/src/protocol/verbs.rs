@@ -208,10 +208,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     /// and site the scope found are reattached — so a body bailing out
     /// with `?` cannot leak its span onto what `t` does next, and a nested
     /// fence or miss hands its caller's span back. A completed body also
-    /// lands in the site's latency histogram, as a `Site` flight record
-    /// carrying the span, and — when the latency crosses
-    /// `lyra_tail_threshold` — as a tail capture of the node's lanes
-    /// around the offender. Public because the synchronization layer
+    /// lands in the site's latency histogram and as a `Site` flight record
+    /// carrying the span. Public because the synchronization layer
     /// (Vela locks and barriers, Argo's mutex) times its sites here too.
     pub fn site<R, E>(
         &self,
@@ -239,10 +237,6 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 site: site.index() as u8,
                 ..obs::VerbRecord::blank()
             });
-            let threshold = self.config.lyra_tail_threshold;
-            if threshold > 0 && dur >= threshold {
-                self.lyra.capture_tail(node, site.index() as u8, span, start, dur);
-            }
         }
         result
     }

@@ -150,22 +150,3 @@ fn flight_recorder_trace_is_deterministic_across_runs() {
     assert_eq!(a, b, "identical simulated runs must export identical traces");
     assert!(a.len() > 512, "trace should be substantial, got {} bytes", a.len());
 }
-
-#[test]
-fn disabled_recorder_exports_empty_trace_and_counts_nothing() {
-    let (net, dsm) = small_cluster();
-    dsm.lyra().set_enabled(false);
-    run_workload(&net, &dsm);
-    let stats = dsm.lyra().stats();
-    assert_eq!(stats.submitted, 0, "disabled recorder must not count submissions");
-    assert_eq!(stats.kept, 0);
-    let doc = JsonValue::parse(&dsm.lyra().to_chrome_trace()).unwrap();
-    // Only the per-node thread_name metadata survives.
-    assert!(doc
-        .get("traceEvents")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .iter()
-        .all(|e| e.get("ph").unwrap().as_str() == Some("M")));
-}

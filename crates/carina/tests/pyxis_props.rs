@@ -10,26 +10,35 @@
 //!    transitions compose with the engine's issue/poll overlap, write
 //!    buffer, and retry machinery without any engine changes.
 //! 2. **No stale read survives a switch.** Whole-machine runs under
-//!    randomized round schedules — with the switch threshold dropped to 1
-//!    so modes flap as aggressively as the hysteresis allows — must
-//!    produce bit-identical memory and read-back values to the same
-//!    schedule replayed under pure SI/SD and pure Tardis. A page crossing
-//!    lease→SI/SD (or back) with a stale copy alive anywhere would break
-//!    the identity.
+//!    randomized round schedules must produce bit-identical memory and
+//!    read-back values to the same schedule replayed under pure SI/SD and
+//!    pure Tardis. A page crossing lease→SI/SD (or back) with a stale copy
+//!    alive anywhere would break the identity.
+//!
+//! Every property runs at the shipped hysteresis ([`Pyxis::SWITCH_THRESHOLD`],
+//! [`Pyxis::SCORE_CAP`]) and asserts that its cases, taken together,
+//! switched pages both ways — a property whose schedules never reach a
+//! switch would hold vacuously.
 //!
 //! The policy-level harness drives Pyxis exactly as the engine does:
 //! registration only when the matching `*_registered` check fails, a home
 //! write's written epoch only when it registered, and the invalidation
 //! predicate only between `begin_si_fence` and the end of the sweep.
 
-use carina::{CarinaConfig, Coherence, CoherenceStats, Dsm, Pyxis, Tardis};
+use carina::{CarinaConfig, Coherence, CoherenceSnapshot, CoherenceStats, Dsm, Pyxis, Tardis};
 use mem::{GlobalAddr, PageNum, PAGE_BYTES};
 use proptest::prelude::*;
+use proptest::run_cases;
 use simnet::{ClusterTopology, CostModel, Interconnect, NodeId, SimThread};
 use std::sync::Arc;
 
 const NODES: usize = 3;
 const PAGES: u64 = 8;
+/// Longest policy-level schedule, in operations.
+const OPS: usize = 250;
+/// Longest whole-machine schedule, in rounds: long enough that a page
+/// switched to leases gathers the regret to switch back.
+const ROUNDS: usize = 60;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -49,18 +58,28 @@ fn decode(raw: (u16, u64, u8)) -> Op {
     }
 }
 
-fn op_strategy() -> (std::ops::Range<u16>, std::ops::Range<u64>, std::ops::Range<u8>) {
-    (0u16..NODES as u16, 0u64..PAGES, 0u8..5)
+/// A random schedule of fewer than [`OPS`] operations.
+fn schedule(rng: &mut TestRng) -> Vec<Op> {
+    let op = (0u16..NODES as u16, 0u64..PAGES, 0u8..5);
+    collection::vec(op, 1..OPS).sample(rng).into_iter().map(decode).collect()
 }
 
-/// Aggressive adaptation: one piece of evidence is enough to enqueue a
-/// switch, so schedules of a couple hundred ops exercise both directions.
-fn flappy_config() -> CarinaConfig {
-    CarinaConfig {
-        pyxis_switch_threshold: 1,
-        pyxis_score_cap: 2,
-        ..CarinaConfig::default()
-    }
+/// Run the property `name` over its cases, each returning the switch
+/// counters it ended with, and assert that the cases together switched
+/// pages classification → lease and lease → classification.
+fn switching_both_ways(
+    name: &str,
+    mut case: impl FnMut(&mut TestRng) -> Result<CoherenceSnapshot, String>,
+) {
+    let (mut to_lease, mut to_sisd) = (0, 0);
+    run_cases(name, |rng| {
+        let s = case(rng)?;
+        to_lease += s.mode_to_lease;
+        to_sisd += s.mode_to_sisd;
+        Ok(())
+    });
+    assert!(to_lease > 0, "{name}: no case switched a page to leases");
+    assert!(to_sisd > 0, "{name}: no case switched a page back to SI/SD");
 }
 
 /// Drive one op through the policy the way `Dsm` would, recording the
@@ -103,17 +122,15 @@ fn switch_table(t: &Pyxis) -> Vec<u64> {
     (0..PAGES).map(|q| t.switch_count(PageNum(q))).collect()
 }
 
-proptest! {
-    /// Invariant 1: the mode-epoch table is frozen everywhere except
-    /// inside the two fence hooks — and the moment a hook runs, the
-    /// stats ledger accounts for every flip it applied.
-    #[test]
-    fn prop_switches_only_at_fence_boundaries(
-        ops in proptest::collection::vec(op_strategy(), 1..250)
-    ) {
-        let t = Pyxis::new(NODES, PAGES, &flappy_config());
+/// Invariant 1: the mode-epoch table is frozen everywhere except inside
+/// the two fence hooks — and the moment a hook runs, the stats ledger
+/// accounts for every flip it applied.
+#[test]
+fn prop_switches_only_at_fence_boundaries() {
+    switching_both_ways("prop_switches_only_at_fence_boundaries", |rng| {
+        let t = Pyxis::new(NODES, PAGES, &CarinaConfig::default());
         let stats = CoherenceStats::new(NODES);
-        for op in ops.into_iter().map(decode) {
+        for op in schedule(rng) {
             let before = switch_table(&t);
             let switches_before = {
                 let s = stats.snapshot();
@@ -147,42 +164,41 @@ proptest! {
                 }
             }
         }
-    }
+        Ok(stats.snapshot())
+    });
+}
 
-    /// Invariant 1b: evidence saturates at the cap and a switch resets the
-    /// page's score, so the hysteresis bound is honored under every
-    /// schedule.
-    #[test]
-    fn prop_score_stays_within_cap(
-        ops in proptest::collection::vec(op_strategy(), 1..250)
-    ) {
-        let cfg = flappy_config();
-        let t = Pyxis::new(NODES, PAGES, &cfg);
+/// Invariant 1b: evidence saturates at the cap and a switch resets the
+/// page's score, so the hysteresis bound is honored under every schedule.
+#[test]
+fn prop_score_stays_within_cap() {
+    switching_both_ways("prop_score_stays_within_cap", |rng| {
+        let t = Pyxis::new(NODES, PAGES, &CarinaConfig::default());
         let stats = CoherenceStats::new(NODES);
-        for op in ops.into_iter().map(decode) {
+        for op in schedule(rng) {
             apply(&t, &stats, op);
             for q in 0..PAGES {
                 let s = t.score_of(PageNum(q));
                 prop_assert!(
-                    s.abs() <= cfg.pyxis_score_cap,
+                    s.abs() <= Pyxis::SCORE_CAP,
                     "page {q}: score {s} escaped the ±{} cap",
-                    cfg.pyxis_score_cap
+                    Pyxis::SCORE_CAP
                 );
             }
         }
-    }
+        Ok(stats.snapshot())
+    });
+}
 
-    /// `reset_all` after any schedule leaves every page in classification
-    /// mode with a zero score and no node registered: the reset stores
-    /// only to nonzero cells, and must still find each one the schedule
-    /// stored to.
-    #[test]
-    fn prop_reset_zeroes_every_entry(
-        ops in proptest::collection::vec(op_strategy(), 1..250)
-    ) {
-        let t = Pyxis::new(NODES, PAGES, &flappy_config());
+/// `reset_all` after any schedule leaves every page in classification mode
+/// with a zero score and no node registered: the reset stores only to
+/// nonzero cells, and must still find each one the schedule stored to.
+#[test]
+fn prop_reset_zeroes_every_entry() {
+    switching_both_ways("prop_reset_zeroes_every_entry", |rng| {
+        let t = Pyxis::new(NODES, PAGES, &CarinaConfig::default());
         let stats = CoherenceStats::new(NODES);
-        for op in ops.into_iter().map(decode) {
+        for op in schedule(rng) {
             apply(&t, &stats, op);
         }
         t.reset_all();
@@ -195,7 +211,8 @@ proptest! {
                 prop_assert!(!t.write_registered(n, home, PageNum(q)));
             }
         }
-    }
+        Ok(stats.snapshot())
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -219,11 +236,8 @@ fn cluster<C: Coherence>(
 /// the schedule trivially DRF while still crossing real fences, so every
 /// read must observe the latest release — under any policy and any mode
 /// schedule.
-fn run_rounds<C: Coherence>(
-    config: CarinaConfig,
-    rounds: &[(u16, u8)],
-) -> (Vec<u64>, Vec<u64>) {
-    let (dsm, mut ts) = cluster::<C>(config);
+fn run_rounds<C: Coherence>(rounds: &[(u16, u8)]) -> (Vec<u64>, Vec<u64>, CoherenceSnapshot) {
+    let (dsm, mut ts) = cluster::<C>(CarinaConfig::default());
     let mut observed = Vec::new();
     for (r, &(writer, touch_mask)) in rounds.iter().enumerate() {
         let w = writer as usize % NODES;
@@ -246,26 +260,24 @@ fn run_rounds<C: Coherence>(
     let mem = (0..(PAGES + 1) * mem::WORDS_PER_PAGE as u64)
         .map(|w| dsm.peek_u64(GlobalAddr(w * 8)))
         .collect();
-    (mem, observed)
+    (mem, observed, dsm.stats().snapshot())
 }
 
-proptest! {
-    /// Invariant 2: with the hybrid flapping as fast as its hysteresis
-    /// allows, every value read and every final memory word matches the
-    /// pure policies bit for bit — a stale read surviving any
-    /// lease↔SI/SD transition would break the identity.
-    #[test]
-    fn prop_randomized_switch_schedules_preserve_bit_identity(
-        rounds in proptest::collection::vec((0u16..NODES as u16, 1u8..255u8), 2..10)
-    ) {
-        let (mem_pyxis, seen_pyxis) = run_rounds::<Pyxis>(flappy_config(), &rounds);
-        let (mem_sisd, seen_sisd) =
-            run_rounds::<carina::CarinaSiSd>(CarinaConfig::default(), &rounds);
-        let (mem_tardis, seen_tardis) =
-            run_rounds::<Tardis>(CarinaConfig::default(), &rounds);
+/// Invariant 2: with the hybrid switching pages both ways, every value
+/// read and every final memory word matches the pure policies bit for bit
+/// — a stale read surviving any lease↔SI/SD transition would break the
+/// identity.
+#[test]
+fn prop_randomized_switch_schedules_preserve_bit_identity() {
+    switching_both_ways("prop_randomized_switch_schedules_preserve_bit_identity", |rng| {
+        let rounds = collection::vec((0u16..NODES as u16, 1u8..255u8), 2..ROUNDS).sample(rng);
+        let (mem_pyxis, seen_pyxis, switches) = run_rounds::<Pyxis>(&rounds);
+        let (mem_sisd, seen_sisd, _) = run_rounds::<carina::CarinaSiSd>(&rounds);
+        let (mem_tardis, seen_tardis, _) = run_rounds::<Tardis>(&rounds);
         prop_assert!(seen_pyxis == seen_sisd, "pyxis read-back diverged from si/sd");
         prop_assert!(seen_pyxis == seen_tardis, "pyxis read-back diverged from tardis");
         prop_assert!(mem_pyxis == mem_sisd, "pyxis final memory diverged from si/sd");
         prop_assert!(mem_pyxis == mem_tardis, "pyxis final memory diverged from tardis");
-    }
+        Ok(switches)
+    });
 }

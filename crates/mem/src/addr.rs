@@ -9,43 +9,6 @@ pub(crate) const WORD_BYTES: u64 = 8;
 /// Words per page.
 pub const WORDS_PER_PAGE: usize = (PAGE_BYTES / WORD_BYTES) as usize;
 
-/// How pages map to home nodes.
-///
-/// The paper's prototype interleaves ("node 0 serves the lower addresses …
-/// a simplistic approach; more sophisticated data distribution schemes are
-/// orthogonal … left for future work", §3). `Blocked` is the first such
-/// scheme: contiguous page ranges per node, which aligns chunked workloads'
-/// data with the threads that touch it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HomePolicy {
-    /// Page `p` lives on node `p mod N` (the paper's prototype).
-    #[default]
-    Interleaved,
-    /// Node `k` serves pages `[k·P, (k+1)·P)` where `P` = pages per node.
-    Blocked,
-}
-
-/// The page→home mapping for a concrete address space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HomeMap {
-    pub(crate) nodes: usize,
-    pub(crate) pages_per_node: u64,
-    pub(crate) policy: HomePolicy,
-}
-
-impl HomeMap {
-    /// Home node of `page`.
-    #[inline]
-    pub(crate) fn home(&self, page: PageNum) -> u16 {
-        match self.policy {
-            HomePolicy::Interleaved => (page.0 % self.nodes as u64) as u16,
-            HomePolicy::Blocked => {
-                ((page.0 / self.pages_per_node).min(self.nodes as u64 - 1)) as u16
-            }
-        }
-    }
-}
-
 /// A page number within the global address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PageNum(pub u64);
@@ -125,19 +88,5 @@ mod tests {
     #[should_panic(expected = "unaligned")]
     fn word_index_rejects_misaligned() {
         GlobalAddr(13).word_index();
-    }
-
-    #[test]
-    fn blocked_policy_maps_contiguous_ranges() {
-        let m = HomeMap {
-            nodes: 4,
-            pages_per_node: 8,
-            policy: HomePolicy::Blocked,
-        };
-        for p in 0..32u64 {
-            assert_eq!(m.home(PageNum(p)) as u64, p / 8);
-        }
-        // Out-of-range pages clamp to the last node (defensive).
-        assert_eq!(m.home(PageNum(100)), 3);
     }
 }

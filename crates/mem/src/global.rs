@@ -6,13 +6,13 @@
 //!
 //! In the simulator all pages live in one flat store; *which node's memory
 //! a page belongs to* is metadata (it determines timing: local vs remote
-//! access) kept per page, initialized by a [`HomePolicy`] and adjustable
-//! per allocation (`set_home`) to express distribution hints — the
-//! "more sophisticated data distribution schemes" the paper leaves for
-//! future work. A hint is set before the page's first access; a page's
+//! access) kept per page, interleaved at first (page `p` on node `p mod N`,
+//! the paper's prototype) and adjustable per allocation (`set_home`) to
+//! express distribution hints — the "more sophisticated data distribution
+//! schemes" the paper leaves for future work. A hint is set before the page's first access; a page's
 //! home never changes after that.
 
-use crate::addr::{HomeMap, HomePolicy, PageNum, PAGE_BYTES};
+use crate::addr::{PageNum, PAGE_BYTES};
 use crate::page::PageData;
 use crate::zeroed::{zeroed_slice, Arena};
 use std::sync::atomic::{AtomicU16, Ordering};
@@ -29,13 +29,13 @@ pub struct GlobalMemory {
 }
 
 impl GlobalMemory {
-    /// Allocate a space of `nodes * bytes_per_node` bytes, homed by
-    /// `policy`. `bytes_per_node` is rounded up to whole pages.
+    /// Allocate a space of `nodes * bytes_per_node` bytes, page `p` homed
+    /// on node `p mod nodes`. `bytes_per_node` is rounded up to whole pages.
     ///
     /// # Panics
     /// Panics if there are no nodes, or if the space's size in bytes
     /// overflows.
-    pub fn with_policy(nodes: usize, bytes_per_node: u64, policy: HomePolicy) -> Self {
+    pub fn new(nodes: usize, bytes_per_node: u64) -> Self {
         assert!(nodes > 0, "need at least one node");
         let pages_per_node = bytes_per_node.div_ceil(PAGE_BYTES);
         let total = u64::try_from(nodes)
@@ -46,13 +46,10 @@ impl GlobalMemory {
             .unwrap_or_else(|| {
                 panic!("a space of {nodes} nodes × {bytes_per_node} bytes overflows")
             });
-        let home_map = HomeMap { nodes, pages_per_node, policy };
         let store = zeroed_slice(total);
         GlobalMemory {
             nodes,
-            homes: (0..total)
-                .map(|p| AtomicU16::new(home_map.home(PageNum(p as u64))))
-                .collect(),
+            homes: (0..total).map(|p| AtomicU16::new((p % nodes) as u16)).collect(),
             store,
         }
     }
@@ -97,20 +94,16 @@ impl GlobalMemory {
 mod tests {
     use super::*;
 
-    fn interleaved(nodes: usize, bytes_per_node: u64) -> GlobalMemory {
-        GlobalMemory::with_policy(nodes, bytes_per_node, HomePolicy::Interleaved)
-    }
-
     #[test]
     fn sizes_round_up_to_pages() {
-        let g = interleaved(4, PAGE_BYTES + 1);
+        let g = GlobalMemory::new(4, PAGE_BYTES + 1);
         assert_eq!(g.total_pages(), 8);
         assert_eq!(g.total_bytes(), 8 * PAGE_BYTES);
     }
 
     #[test]
     fn home_pages_are_distinct_storage() {
-        let g = interleaved(2, 4 * PAGE_BYTES);
+        let g = GlobalMemory::new(2, 4 * PAGE_BYTES);
         g.home_page(PageNum(0)).store(0, 111);
         g.home_page(PageNum(1)).store(0, 222);
         assert_eq!(g.home_page(PageNum(0)).load(0), 111);
@@ -119,8 +112,8 @@ mod tests {
     }
 
     #[test]
-    fn interleaving_matches_addr_module() {
-        let g = interleaved(3, 8 * PAGE_BYTES);
+    fn pages_interleave_across_nodes() {
+        let g = GlobalMemory::new(3, 8 * PAGE_BYTES);
         for p in 0..g.total_pages() {
             assert_eq!(g.home_of(PageNum(p)), (p % 3) as u16);
         }
@@ -128,7 +121,7 @@ mod tests {
 
     #[test]
     fn set_home_rehomes_metadata_not_data() {
-        let g = interleaved(4, 4 * PAGE_BYTES);
+        let g = GlobalMemory::new(4, 4 * PAGE_BYTES);
         g.home_page(PageNum(5)).store(0, 99);
         assert_eq!(g.home_of(PageNum(5)), 1); // interleaved default
         g.set_home(PageNum(5), 3);
@@ -139,12 +132,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "4 nodes × 18446744073709551615 bytes overflows")]
     fn oversized_spaces_are_refused() {
-        interleaved(4, u64::MAX);
+        GlobalMemory::new(4, u64::MAX);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn set_home_rejects_bad_node() {
-        interleaved(2, PAGE_BYTES).set_home(PageNum(0), 7);
+        GlobalMemory::new(2, PAGE_BYTES).set_home(PageNum(0), 7);
     }
 }

@@ -39,7 +39,7 @@ mod page;
 mod word;
 mod zeroed;
 
-pub use addr::{GlobalAddr, HomePolicy, PageNum, PAGE_BYTES, WORDS_PER_PAGE};
+pub use addr::{GlobalAddr, PageNum, PAGE_BYTES, WORDS_PER_PAGE};
 pub use alloc::GlobalAllocator;
 pub use cache::{CacheConfig, Event, PageCache, SlotGuard, Standing};
 pub use global::GlobalMemory;

@@ -25,9 +25,8 @@
 //! - [`lyra`] — the always-on [`FlightRecorder`]: one single-writer
 //!   [`Lane`] per endpoint (the only record writer; it also mints and
 //!   holds the endpoint's span and keeps its owner's time table) of
-//!   fixed-size [`VerbRecord`]s with counted loss, tail-latency captures,
-//!   and a flow-arrow Perfetto export.
-//!   `set_enabled(false)` is its one off switch.
+//!   fixed-size [`VerbRecord`]s with counted loss and a flow-arrow
+//!   Perfetto export.
 //! - [`metrics`] — [`MetricsSnapshot`], a live Prometheus-text + JSON
 //!   metrics exposition pollable mid-run on both backends.
 //!
@@ -48,7 +47,7 @@ pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use json::JsonValue;
 pub use lock_stats::{LockObs, LockObsSnapshot, LockRegistry};
 pub use lyra::{
-    Fate, FlightRecorder, Lane, RecordKind, RecorderStats, Scope, TailCapture, VerbRecord,
+    Fate, FlightRecorder, Lane, RecordKind, RecorderStats, Scope, VerbRecord,
     LANE_RECORDS, NO_CLASS, NO_SITE, NO_TARGET,
 };
 pub use metrics::{Metric, MetricValue, MetricsSnapshot};

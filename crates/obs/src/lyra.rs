@@ -15,18 +15,16 @@
 //! `&mut` receiver) makes the hot path a plain head bump plus seqlock
 //! stores — **zero read-modify-write instructions** — and the lane also
 //! mints the spans and holds the one its endpoint is serving. Recording
-//! allocates nothing and is a closure-gated no-op when disabled: the
-//! timestamp/record closure is never invoked, so the observability clock is
-//! never read. Loss is bounded and *counted*: every submitted record is
-//! either resident in its lane or was evicted by a later lap —
+//! allocates nothing. Loss is bounded and *counted*: every submitted
+//! record is either resident in its lane or was evicted by a later lap —
 //! `kept + dropped == submitted` holds at quiescence, and the proptests
-//! pin it. Snapshots, tail captures, and the chrome-trace export merge a
-//! node's lanes into one timeline ordered by record start time.
+//! pin it. Snapshots and the chrome-trace export merge a node's lanes into
+//! one timeline ordered by record start time.
 //!
 //! The recorder is purely passive: it reads the observability clock the
 //! caller hands it and writes side tables nobody on the protocol path ever
 //! reads back, which is why the simulator's determinism probes stay
-//! bit-identical with it enabled.
+//! bit-identical with it recording.
 
 use crate::json::escape;
 use crate::profile::{ProfileSnapshot, Site, SiteTable};
@@ -456,13 +454,9 @@ impl Lane {
 
     /// Mint a span id for an operation starting on this lane's endpoint:
     /// the node, this lane's registration index and its next sequence
-    /// (see [`SpanId`]). Disabled recorders mint [`SpanId::NONE`]
-    /// (nothing will record it).
+    /// (see [`SpanId`]).
     #[inline]
     pub fn mint(&mut self) -> SpanId {
-        if !self.fr.enabled() {
-            return SpanId::NONE;
-        }
         let seq = self.ring.span_next.load(Ordering::Relaxed);
         self.ring.span_next.store(seq + 1, Ordering::Relaxed);
         let lane = (self.ring.id as u64 & 0xFFFF) << 32;
@@ -482,16 +476,10 @@ impl Lane {
         self.span
     }
 
-    /// Record one entry. The closure runs only when the recorder is
-    /// enabled — callers put the clock read inside it, so a disabled
-    /// recorder never observes time.
+    /// Record one entry.
     #[inline]
     pub fn record(&mut self, make: impl FnOnce() -> VerbRecord) {
-        if !self.fr.enabled() {
-            return;
-        }
-        let rec = make();
-        self.ring.push(&rec);
+        self.ring.push(&make());
     }
 
     /// Charge the clock up to `now` to the innermost open site, or to
@@ -584,20 +572,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     }
 }
 
-/// A ring snapshot taken because one operation crossed the tail-latency
-/// threshold: the offender plus everything the node did around it.
-#[derive(Debug, Clone)]
-pub struct TailCapture {
-    pub node: usize,
-    /// [`Site`] index of the slow operation.
-    pub site: u8,
-    pub span: SpanId,
-    pub start: u64,
-    pub dur: u64,
-    /// The node's ring contents at capture time, oldest first.
-    pub records: Vec<VerbRecord>,
-}
-
 /// Counters a report surfaces so silent event loss is visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RecorderStats {
@@ -610,9 +584,6 @@ pub struct RecorderStats {
     /// Records lost: evicted by a later lap of their lane. At quiescence
     /// `kept + dropped == submitted`.
     pub dropped: u64,
-    /// Tail-threshold crossings observed (captures stored is bounded).
-    pub tail_captures: u64,
-    pub enabled: bool,
 }
 
 /// The per-node flight recorder. See the module docs for the contract.
@@ -623,12 +594,8 @@ pub struct FlightRecorder {
     lanes: Box<[Mutex<LaneSet>]>,
     /// Records per lane ring (a power of two).
     capacity: usize,
-    enabled: AtomicBool,
     /// Whether the per-page detail kinds are recorded (off by default).
     detail: AtomicBool,
-    tail_crossings: AtomicU64,
-    captures: Mutex<Vec<TailCapture>>,
-    max_captures: usize,
 }
 
 impl FlightRecorder {
@@ -637,11 +604,7 @@ impl FlightRecorder {
         FlightRecorder {
             lanes: (0..nodes.max(1)).map(|_| Mutex::new(LaneSet::default())).collect(),
             capacity: capacity.next_power_of_two().max(8),
-            enabled: AtomicBool::new(true),
             detail: AtomicBool::new(false),
-            tail_crossings: AtomicU64::new(0),
-            captures: Mutex::new(Vec::new()),
-            max_captures: 32,
         }
     }
 
@@ -665,15 +628,6 @@ impl FlightRecorder {
         Lane { fr: fr.clone(), ring, span: SpanId::NONE, open: None, mark: 0 }
     }
 
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Also record the per-page detail kinds ([`RecordKind::Downgrade`]
     /// through [`RecordKind::Checkpoint`]). Off by default so a 3000-page
     /// SI sweep does not flood the always-on lanes; safe at any time.
@@ -684,29 +638,7 @@ impl FlightRecorder {
     /// Should detail kinds be recorded? One relaxed load while off.
     #[inline]
     pub fn detail(&self) -> bool {
-        self.detail.load(Ordering::Relaxed) && self.enabled()
-    }
-
-    /// Snapshot the node's lanes around an operation that crossed the
-    /// tail threshold. Crossings are always counted; at most
-    /// `max_captures` full snapshots are kept (off the hot path: one mutex
-    /// + one clone, paid only by already-slow operations).
-    pub fn capture_tail(&self, node: usize, site: u8, span: SpanId, start: u64, dur: u64) {
-        if !self.enabled() {
-            return;
-        }
-        self.tail_crossings.fetch_add(1, Ordering::Relaxed);
-        let mut caps = lock(&self.captures);
-        if caps.len() >= self.max_captures {
-            return;
-        }
-        let records = self.snapshot(node);
-        caps.push(TailCapture { node, site, span, start, dur, records });
-    }
-
-    /// The stored tail captures, in trigger order.
-    pub fn tail_captures(&self) -> Vec<TailCapture> {
-        lock(&self.captures).clone()
+        self.detail.load(Ordering::Relaxed)
     }
 
     /// One node's resident records across all its lanes, merged into a
@@ -741,8 +673,6 @@ impl FlightRecorder {
             submitted,
             kept,
             dropped,
-            tail_captures: self.tail_crossings.load(Ordering::Relaxed),
-            enabled: self.enabled(),
         }
     }
 
@@ -758,16 +688,14 @@ impl FlightRecorder {
         snap
     }
 
-    /// Clear every lane, time table, span mint and tail capture (between
-    /// parallel sections, alongside the other stats resets).
+    /// Clear every lane, time table and span mint (between parallel
+    /// sections, alongside the other stats resets).
     pub fn reset(&self) {
         for lanes in self.lanes.iter() {
             for ring in lock(lanes).all.iter() {
                 ring.reset();
             }
         }
-        self.tail_crossings.store(0, Ordering::Relaxed);
-        lock(&self.captures).clear();
     }
 
     /// Chrome-trace (Perfetto) export of every node's ring, with flow
@@ -890,8 +818,8 @@ impl FlightRecorder {
         let mut out = String::with_capacity(events.len() * 96 + 256);
         out.push_str(&format!(
             "{{\"displayTimeUnit\":\"ns\",\"otherData\":{{\"submitted\":{},\"kept\":{},\
-             \"dropped\":{},\"tail_captures\":{},\"capacity_per_lane\":{}}},\"traceEvents\":[",
-            stats.submitted, stats.kept, stats.dropped, stats.tail_captures, stats.capacity_per_lane,
+             \"dropped\":{},\"capacity_per_lane\":{}}},\"traceEvents\":[",
+            stats.submitted, stats.kept, stats.dropped, stats.capacity_per_lane,
         ));
         for (i, (_, _, _, body)) in events.iter().enumerate() {
             if i > 0 {
@@ -940,42 +868,14 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_never_runs_the_closure() {
-        let (fr, mut lane) = lane_on(1, 8, 0);
-        fr.set_enabled(false);
-        lane.record(|| panic!("closure must not run while disabled"));
-        fr.capture_tail(0, NO_SITE, SpanId::NONE, 0, u64::MAX);
-        assert_eq!(fr.stats().submitted, 0);
-        assert_eq!(fr.stats().tail_captures, 0);
-        assert!(!fr.stats().enabled);
-    }
-
-    #[test]
-    fn tail_capture_stores_the_ring_and_counts_crossings() {
-        let (fr, mut lane) = lane_on(2, 8, 1);
-        let span = lane.mint();
-        lane.record(|| rec(span, 10, RecordKind::VerbIssue));
-        lane.record(|| rec(span, 30, RecordKind::VerbPoll));
-        fr.capture_tail(1, Site::SdFence.index() as u8, span, 10, 20);
-        let caps = fr.tail_captures();
-        assert_eq!(caps.len(), 1);
-        assert_eq!(caps[0].node, 1);
-        assert_eq!(caps[0].records.len(), 2);
-        assert_eq!(caps[0].records[0].kind, RecordKind::VerbIssue);
-        assert_eq!(fr.stats().tail_captures, 1);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let (fr, mut lane) = lane_on(1, 8, 0);
         let span = lane.mint();
         lane.record(|| rec(span, 1, RecordKind::Site));
-        fr.capture_tail(0, 0, SpanId::NONE, 0, 9);
         fr.reset();
         let st = fr.stats();
-        assert_eq!((st.submitted, st.kept, st.dropped, st.tail_captures), (0, 0, 0, 0));
+        assert_eq!((st.submitted, st.kept, st.dropped), (0, 0, 0));
         assert!(fr.snapshot(0).is_empty());
-        assert!(fr.tail_captures().is_empty());
         assert_eq!(lane.mint().seq(), 1);
     }
 
@@ -1056,15 +956,6 @@ mod tests {
         again.record(|| rec(SpanId::pack(0, 2), 2, RecordKind::Site));
         assert_eq!(fr.stats().submitted, 2);
         assert_eq!(fr.snapshot(0).len(), 2);
-    }
-
-    #[test]
-    fn disabled_recorder_skips_lane_closures_and_mints_none() {
-        let (fr, mut lane) = lane_on(1, 8, 0);
-        fr.set_enabled(false);
-        assert!(lane.mint().is_none());
-        lane.record(|| panic!("closure must not run while disabled"));
-        assert_eq!(fr.stats().submitted, 0);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Typed configuration errors for cluster construction.
 //!
-//! Malformed shapes (zero-node clusters, sub-unity oversubscription, cores
-//! that don't exist) are *reportable* conditions for harnesses and config
-//! loaders: constructors come in `try_*` flavors returning [`ConfigError`],
-//! and the original panicking flavors remain as thin wrappers.
+//! Malformed shapes (zero-node clusters, cores that don't exist) are
+//! *reportable* conditions: [`ClusterTopology::validate`] and
+//! [`ClusterTopology::try_loc`] return a [`ConfigError`], and the panicking
+//! constructors name it in their message.
+//!
+//! [`ClusterTopology::validate`]: crate::ClusterTopology::validate
+//! [`ClusterTopology::try_loc`]: crate::ClusterTopology::try_loc
 
 use crate::topology::NodeId;
 use std::fmt;
 
-/// A cluster shape or fabric parameter that cannot be built.
+/// A cluster shape that cannot be built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConfigError {
-    /// The oversubscription factor must be finite and >= 1.
-    Oversubscription { factor: f64 },
     /// A topology dimension (nodes, sockets, cores) is zero.
     EmptyTopology { nodes: usize, sockets_per_node: usize, cores_per_socket: usize },
     /// A node id addressed past the end of the cluster.
@@ -24,9 +25,6 @@ pub enum ConfigError {
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ConfigError::Oversubscription { factor } => {
-                write!(f, "oversubscription factor must be finite and >= 1, got {factor}")
-            }
             ConfigError::EmptyTopology {
                 nodes,
                 sockets_per_node,

@@ -31,12 +31,6 @@ pub struct Interconnect {
     cost: CostModel,
     /// `nic[i]` = virtual time until which node `i`'s NIC is busy.
     nic: Vec<AtomicU64>,
-    /// Core/spine link timelines modelling fabric oversubscription (the
-    /// paper's cluster has "a 2:1 oversubscribed QDR InfiniBand fabric"):
-    /// with N nodes and oversubscription F there are ceil(N/F) spine links;
-    /// an inter-node transfer occupies the spine statically routed for its
-    /// (src, dst) pair in addition to both NICs. Empty = full bisection.
-    spines: Vec<AtomicU64>,
     stats: NetStats,
     per_node: Vec<PerNodeStats>,
     /// The Lyra flight recorder: every thread on this interconnect opens
@@ -48,53 +42,23 @@ pub struct Interconnect {
 }
 
 impl Interconnect {
-    /// A full-bisection fabric (no spine contention beyond the NICs).
-    pub fn new(topology: ClusterTopology, cost: CostModel) -> Arc<Self> {
-        Self::with_oversubscription(topology, cost, 1.0)
-    }
-
-    /// A fabric whose core is oversubscribed by `factor` (e.g. 2.0 for the
-    /// paper's 2:1 fabric). `factor <= 1` means full bisection.
+    /// A full-bisection fabric: transfers contend only at the NICs.
     ///
     /// # Panics
-    /// Panics on a malformed shape; [`Self::try_with_oversubscription`]
-    /// reports the same conditions as a [`crate::ConfigError`] instead.
-    pub fn with_oversubscription(
-        topology: ClusterTopology,
-        cost: CostModel,
-        factor: f64,
-    ) -> Arc<Self> {
-        Self::try_with_oversubscription(topology, cost, factor)
-            .unwrap_or_else(|e| panic!("invalid interconnect config: {e}"))
-    }
-
-    /// Fallible flavor of [`Self::with_oversubscription`]: rejects
-    /// sub-unity or non-finite oversubscription and empty topologies with a
-    /// typed error instead of aborting.
-    pub fn try_with_oversubscription(
-        topology: ClusterTopology,
-        cost: CostModel,
-        factor: f64,
-    ) -> Result<Arc<Self>, crate::ConfigError> {
-        if !(factor >= 1.0 && factor.is_finite()) {
-            return Err(crate::ConfigError::Oversubscription { factor });
+    /// Panics on a topology with a zero dimension, naming the shape.
+    pub fn new(topology: ClusterTopology, cost: CostModel) -> Arc<Self> {
+        if let Err(e) = topology.validate() {
+            panic!("invalid interconnect config: {e}");
         }
-        topology.validate()?;
-        let spines = if factor > 1.0 {
-            ((topology.nodes as f64 / factor).ceil() as usize).max(1)
-        } else {
-            0
-        };
-        Ok(Arc::new(Interconnect {
+        Arc::new(Interconnect {
             topology,
             cost,
             nic: (0..topology.nodes).map(|_| AtomicU64::new(0)).collect(),
-            spines: (0..spines).map(|_| AtomicU64::new(0)).collect(),
             stats: NetStats::default(),
             per_node: (0..topology.nodes).map(|_| PerNodeStats::default()).collect(),
             recorder: Arc::new(obs::FlightRecorder::new(topology.nodes, obs::LANE_RECORDS)),
             abort: Abort::default(),
-        }))
+        })
     }
 
     #[inline]
@@ -200,14 +164,7 @@ impl Interconnect {
         // Reserve the source NIC first, then the destination starting no
         // earlier than the source's start: the packet occupies both ends.
         let s = self.reserve_nic(src, earliest, dur);
-        let mid = if self.spines.is_empty() {
-            s
-        } else {
-            // Static routing: a (src, dst) pair always uses the same spine.
-            let spine = &self.spines[(src.idx() + dst.idx()) % self.spines.len()];
-            Self::reserve_timeline(spine, s, dur)
-        };
-        let d = self.reserve_nic(dst, mid, dur);
+        let d = self.reserve_nic(dst, s, dur);
         d + dur
     }
 
@@ -366,66 +323,20 @@ mod tests {
     }
 
     #[test]
-    fn oversubscribed_fabric_serializes_disjoint_pairs() {
-        // 4 nodes, 2:1 oversubscription = 2 spines. Pairs (0->2) and
-        // (1->3) collide on spine (0+2)%2 == (1+3)%2 == 0 and serialize;
-        // on a full-bisection fabric they run concurrently.
-        let topo = ClusterTopology::tiny(4);
-        let c = CostModel::paper_2011();
-        let bytes = 1 << 20;
-        let xfer = c.transfer_cycles(bytes);
-
-        let full = Interconnect::new(topo, c);
-        let a = topo.loc(NodeId(0), 0);
-        let b = topo.loc(NodeId(1), 0);
-        let t1 = full.rdma_read(a, NodeId(2), 0, bytes);
-        let t2 = full.rdma_read(b, NodeId(3), 0, bytes);
-        assert_eq!(t1.initiator_done, t2.initiator_done); // disjoint NICs
-
-        let over = Interconnect::with_oversubscription(topo, c, 2.0);
-        let t1 = over.rdma_read(a, NodeId(2), 0, bytes);
-        let t2 = over.rdma_read(b, NodeId(3), 0, bytes);
-        let (first, second) = if t1.initiator_done < t2.initiator_done {
-            (t1, t2)
-        } else {
-            (t2, t1)
-        };
-        assert!(second.initiator_done >= first.initiator_done + xfer);
+    fn disjoint_pairs_do_not_contend() {
+        // (0 -> 2) and (1 -> 3) share no NIC: on a full-bisection fabric
+        // they run concurrently.
+        let (net, a, b) = setup();
+        let t1 = net.rdma_read(a, NodeId(2), 0, 1 << 20);
+        let t2 = net.rdma_read(b, NodeId(3), 0, 1 << 20);
+        assert_eq!(t1.initiator_done, t2.initiator_done);
     }
 
     #[test]
-    #[should_panic(expected = "oversubscription")]
-    fn oversubscription_below_one_rejected() {
-        Interconnect::with_oversubscription(
-            ClusterTopology::tiny(2),
-            CostModel::paper_2011(),
-            0.5,
-        );
-    }
-
-    #[test]
-    fn try_constructor_reports_bad_shapes_as_typed_errors() {
-        for bad in [0.5, f64::NAN, f64::INFINITY] {
-            assert!(matches!(
-                Interconnect::try_with_oversubscription(
-                    ClusterTopology::tiny(2),
-                    CostModel::paper_2011(),
-                    bad,
-                ),
-                Err(crate::ConfigError::Oversubscription { .. })
-            ));
-        }
+    #[should_panic(expected = "0 nodes x 1 sockets x 1 cores")]
+    fn an_empty_topology_is_refused_by_name() {
         let empty = ClusterTopology { nodes: 0, sockets_per_node: 1, cores_per_socket: 1 };
-        assert!(matches!(
-            Interconnect::try_with_oversubscription(empty, CostModel::paper_2011(), 1.0),
-            Err(crate::ConfigError::EmptyTopology { .. })
-        ));
-        assert!(Interconnect::try_with_oversubscription(
-            ClusterTopology::tiny(2),
-            CostModel::paper_2011(),
-            2.0,
-        )
-        .is_ok());
+        Interconnect::new(empty, CostModel::paper_2011());
     }
 
     #[test]
