@@ -35,7 +35,7 @@ impl<T: Transport, C: Coherence> ArgoMutex<T, C> {
     pub fn new_named(dsm: Arc<Dsm<T, C>>, home: u16, name: &str) -> Arc<Self> {
         let obs = dsm.lock_registry().register(name);
         Arc::new(ArgoMutex {
-            lock: DsmGlobalLock::new(NodeId(home)),
+            lock: DsmGlobalLock::new(NodeId(home), dsm.config().retry),
             dsm,
             obs,
         })

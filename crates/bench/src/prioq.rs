@@ -158,7 +158,7 @@ pub fn cohort(dsm: &Arc<SimDsm>, heap: DsmPairingHeap, fencing: FencePlacement) 
 /// A location-blind mutex: the bare global lock, whose line bounces to
 /// every acquirer regardless of placement (one inter-socket hop each).
 pub fn mutex(dsm: &Arc<SimDsm>, heap: DsmPairingHeap) -> impl Fn(&mut SimThread, Op) + Send + Sync {
-    let (lock, dsm) = (DsmGlobalLock::new(simnet::NodeId(0)), dsm.clone());
+    let (lock, dsm) = (DsmGlobalLock::new(simnet::NodeId(0), dsm.config().retry), dsm.clone());
     move |t, op| {
         if !matches!(op, Op::Drain) {
             lock.acquire(t);

@@ -201,20 +201,19 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // The mask records exactly the stored words — the diff the
         // write-back posts. Sound because all stores to cached pages happen
         // under the slot lock, which the downgrade that reads and clears
-        // the mask takes too.
+        // the mask takes too. The page is buffered before the lock goes: a
+        // sibling's store to it pushes nothing, and must not miss a release.
         st.pages[idx].mask.cover(first, data.len());
         st.data(idx).store_run(first, data);
+        let victim = buffered.then(|| ns.wbuf.push(page)).flatten();
         drop(st);
-        if buffered {
-            self.downgrade_victim(t, ns.wbuf.push(page), me)?;
-        }
-        Ok(())
+        self.downgrade_victim(t, victim, me)
     }
 
     /// The clean→dirty transition of a cached page (a protection fault in
     /// the real implementation): register as writer, mark dirty. Returns
-    /// whether the page should enter the write buffer; the caller must push
-    /// it after releasing the slot lock.
+    /// whether the page should enter the write buffer; the caller pushes it
+    /// under the slot lock and downgrades the overflow victim after.
     fn write_fault_locked(
         &self,
         t: &mut T::Endpoint,

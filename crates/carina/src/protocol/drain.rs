@@ -66,7 +66,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let shard = self.stats.shard(owner);
         if st.pages[idx].mask.is_empty() {
             t.compute(PAGE_COPY_CYCLES);
-            CoherenceStats::bump(&shard.retained_idle_scans);
+            if matches!(st.pages[idx].standing, Standing::Kept { .. }) {
+                CoherenceStats::bump(&shard.retained_idle_scans);
+            }
             return Some((idx, None));
         }
         let words = self.write_home(st, page, idx);
@@ -142,7 +144,10 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
     ) -> Result<(), DsmError> {
         let Some(page) = victim else { return Ok(()) };
         let mut st = self.nodes[me as usize].cache.lock_slot(page);
-        self.downgrade_locked(t, &mut st, page, me)
+        let done = self.downgrade_locked(t, &mut st, page, me);
+        drop(st);
+        self.nodes[me as usize].wbuf.victims_done(1);
+        done
     }
 
     /// Post `page`'s write-back of `bytes` from `t`'s node to the page's home.
@@ -198,7 +203,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let obs_issue = t.obs_now();
         let Drain { pages, victims, runs, inflight } = drain;
         inflight.clear();
-        let mut fence = true;
+        let (mut fence, mut claimed) = (true, 0);
         while !pages.is_empty() {
             window_runs(&self.global, u64::MAX, pages, runs);
             victims.clear();
@@ -232,9 +237,11 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 }
                 post(t, first, bytes, at);
             }
+            claimed += victims.len();
             std::mem::swap(pages, victims);
             fence = false;
         }
+        ns.wbuf.victims_done(claimed);
         let (mut done, mut failed) = (Completion::default(), None);
         for p in inflight.iter() {
             let verb = Verb::Write { bytes: p.bytes };

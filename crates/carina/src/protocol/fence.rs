@@ -190,6 +190,9 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         // while this one holds, unbuffered, a page the sibling stored to.
         let mut drain = ns.draining.lock().expect("a sibling's drain panicked");
         ns.wbuf.drain(&mut drain.pages);
+        // A sibling's store may have claimed an overflow victim the drain
+        // no longer sees: its words must be home before this release is.
+        ns.wbuf.await_victims(t.abort());
         self.drain_posted(t, &mut drain, me)?;
         if !self.coherence.buffers_every_dirty_page() {
             self.naive_checkpoint_sweep(t, me)?;
@@ -226,6 +229,8 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
                 CoherenceStats::bump(&self.stats.shard(me).checkpoints);
                 self.detail(t, me, obs::RecordKind::Checkpoint, page.0, obs::NO_TARGET);
                 self.write_home(st, page, idx);
+                // The new twin: later write-backs post only later stores.
+                st.pages[idx].step(Event::Checkpoint);
                 Ok(())
             } else {
                 // Became shared since the write fault, so the policy would

@@ -70,6 +70,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
         let me = t.node().0;
         CoherenceStats::bump(&self.stats.shard(me).read_misses);
         t.fault_trap();
+        st.begin_fill();
         let ns = &self.nodes[me as usize];
         let line = ns.cache.line_of(page);
         if st.tag() != Some(line) {

@@ -46,6 +46,7 @@ impl<T: Transport, C: Coherence> Dsm<T, C> {
             return false;
         }
         let (line, idx) = (cache.line_of(page), cache.index_in_line(page));
+        st.begin_fill();
         if st.tag() != Some(line) {
             st.retag(line);
         }

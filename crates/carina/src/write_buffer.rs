@@ -23,6 +23,7 @@
 
 use mem::PageNum;
 use parking_lot::{Mutex, MutexGuard};
+use simnet::{Abort, Waits};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -40,6 +41,9 @@ pub(crate) struct WriteBuffer {
     /// orders the two across threads — so it never undercounts.
     live: AtomicUsize,
     capacity: usize,
+    /// Overflow victims claimed by a push and not yet gone home: a drain
+    /// cannot see them, so a release waits them out.
+    victims: Waits<usize>,
 }
 
 impl WriteBuffer {
@@ -51,6 +55,7 @@ impl WriteBuffer {
             tickets: mem::zeroed_slice(pages.try_into().expect("pages overflow usize")),
             live: AtomicUsize::new(0),
             capacity,
+            victims: Waits::new(0),
         }
     }
 
@@ -103,7 +108,20 @@ impl WriteBuffer {
             return None;
         }
         let oldest_first = std::iter::from_fn(|| ring.0.pop_front());
-        oldest_first.filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p).next()
+        let victim = oldest_first.filter(|&(p, t)| self.claim(p, Some(t))).map(|(p, _)| p).next();
+        *self.victims.lock() += usize::from(victim.is_some());
+        victim
+    }
+
+    /// `n` claimed victims went home (or their postings failed).
+    pub(crate) fn victims_done(&self, n: usize) {
+        *self.victims.lock() -= n;
+        self.victims.notify_all();
+    }
+
+    /// Wait until every claimed victim has gone home.
+    pub(crate) fn await_victims(&self, abort: &Abort) {
+        drop(self.victims.wait_until(abort, |&n| n == 0));
     }
 
     /// Unbuffer `page` (downgraded out of band, e.g. evicted); true if it was buffered.

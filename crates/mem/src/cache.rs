@@ -24,17 +24,14 @@
 //!   never take the slot lock; any concurrent change is caught by the
 //!   sequence check and falls back to the locked path. Page contents are
 //!   word-atomic, so the optimistic loads are race-free by construction.
-//! - **Occupancy bitsets.** The cache tracks which slots hold a valid page
-//!   and which hold dirty pages, so fence sweeps visit O(resident) slots
-//!   instead of scanning every slot of a mostly-empty cache.
+//! - **Occupancy bitsets.** Which slots hold a valid page and which a dirty
+//!   one, so fence sweeps visit O(resident) slots, not every slot.
 //!
-//! The slot words and the bitsets are maintained in one place:
-//! [`SlotGuard`], the only handle through which a line can be changed. It
-//! holds the slot's lock, and its `Drop` publishes them before releasing
-//! it, so they can never drift from the locked view.
-//!
-//! This module is purely structural: eviction/fill/invalidation *policy* and
-//! all network charging live in `carina`.
+//! [`SlotGuard`], the only handle through which a line can change, holds
+//! the slot's lock and publishes the slot words and bitsets in its `Drop`
+//! (a fill marks its slot occupied as it begins), so they never drift from
+//! the locked view. Fill, eviction and invalidation *policy* and all
+//! network charging live in `carina`.
 
 use crate::addr::PageNum;
 use crate::page::{PageData, WriteMask};
@@ -86,15 +83,15 @@ impl Default for CacheConfig {
 /// another line takes the slot. Only `CachedPage::step` changes it (`·`: a
 /// step the engine never makes, which `step` `debug_assert!`s):
 ///
-/// | standing         | Fill     | Refill   | Touch    | WriteFault     | SiDrop  | Invalidate |
-/// |------------------|----------|----------|----------|----------------|---------|------------|
-/// | `Cold`           | Cold     | ·        | ·        | Written{false} | Dropped | Cold       |
-/// | `Dropped`        | Consumer | Refilled | ·        | ·              | ·       | Cold       |
-/// | `Consumer`       | ·        | ·        | ·        | Written{false} | Dropped | Cold       |
-/// | `Refilled`       | ·        | ·        | Consumer | Written{false} | Dropped | Cold       |
-/// | `Protected{hot}` | ·        | ·        | ·        | Written{true}  | Dropped | Cold       |
-/// | `Written{hot}`   | ·        | ·        | ·        | ·              | ·       | Cold       |
-/// | `Kept{idle}`     | ·        | ·        | ·        | ·              | ·       | Cold       |
+/// | standing         | Fill     | Refill   | Touch    | WriteFault     | SiDrop  | Invalidate | Checkpoint   |
+/// |------------------|----------|----------|----------|----------------|---------|------------|--------------|
+/// | `Cold`           | Cold     | ·        | ·        | Written{false} | Dropped | Cold       | ·            |
+/// | `Dropped`        | Consumer | Refilled | ·        | ·              | ·       | Cold       | ·            |
+/// | `Consumer`       | ·        | ·        | ·        | Written{false} | Dropped | Cold       | ·            |
+/// | `Refilled`       | ·        | ·        | Consumer | Written{false} | Dropped | Cold       | ·            |
+/// | `Protected{hot}` | ·        | ·        | ·        | Written{true}  | Dropped | Cold       | ·            |
+/// | `Written{hot}`   | ·        | ·        | ·        | ·              | ·       | Cold       | Written{hot} |
+/// | `Kept{idle}`     | ·        | ·        | ·        | ·              | ·       | Cold       | ·            |
 ///
 /// `Drain{fence, gate, bound}` steps the dirty two. With `posted` = "the
 /// mask was non-empty", `idle'` = `idle + 1` for an unposted `Kept`, else 0,
@@ -135,6 +132,8 @@ pub enum Event {
     Drain { fence: bool, gate: bool, bound: u64 },
     SiDrop,
     Invalidate,
+    /// A naïve-P/S checkpoint put the stores home; the page stays dirty.
+    Checkpoint,
 }
 
 /// [`Standing`]'s table; `None` for a step the engine never makes.
@@ -147,6 +146,7 @@ fn next(from: Standing, event: Event, posted: bool) -> Option<Standing> {
         (Cold | Consumer | Refilled, Event::WriteFault) => Written { hot: false },
         (Protected { .. }, Event::WriteFault) => Written { hot: true },
         (Cold | Consumer | Refilled | Protected { .. }, Event::SiDrop) => Dropped,
+        (Written { .. }, Event::Checkpoint) => from,
         (Written { .. } | Kept { .. }, Event::Drain { fence, gate, bound }) => {
             let (hot, idle) = match from {
                 Kept { idle } => (true, if posted { 0 } else { idle.saturating_add(1) }),
@@ -196,7 +196,7 @@ impl CachedPage {
             Event::Touch | Event::WriteFault => return was,
             Event::Fill | Event::Refill => self.valid = true,
             Event::SiDrop | Event::Invalidate => self.valid = false,
-            Event::Drain { .. } => {}
+            Event::Drain { .. } | Event::Checkpoint => {}
         }
         self.mask.clear();
         was
@@ -619,6 +619,13 @@ impl<'a> SlotGuard<'a> {
         cells as *mut Line
     }
 
+    /// Announce a fill before its data is copied: a sweep starting meanwhile
+    /// sees the slot occupied and waits for the fill instead of skipping it.
+    pub fn begin_fill(&mut self) {
+        self.begin_write();
+        bitset_write(&self.cache.occupied, self.index, true);
+    }
+
     /// Seqlock writer entry, once per guard: odd store, then a release
     /// fence so the odd value is visible before any change.
     #[inline]
@@ -740,30 +747,31 @@ mod tests {
             Event::WriteFault,
             Event::SiDrop,
             Event::Invalidate,
+            Event::Checkpoint,
         ];
         // Each standing's row of the table, then its drains at bound 7 by
         // (fence, gate, posted) = FFF FFT FTF FTT TFF TFT TTF TTT.
         let rows = [
-            (Cold, [cold, None, None, w0, gone, cold], [None; 8]),
-            (Dropped, [Some(Consumer), Some(Refilled), None, None, None, cold], [None; 8]),
-            (Consumer, [None, None, None, w0, gone, cold], [None; 8]),
-            (Refilled, [None, None, Some(Consumer), w0, gone, cold], [None; 8]),
-            (Protected { hot: false }, [None, None, None, w1, gone, cold], [None; 8]),
-            (Protected { hot: true }, [None, None, None, w1, gone, cold], [None; 8]),
-            (Written { hot: false }, [None, None, None, None, None, cold], [p0; 8]),
+            (Cold, [cold, None, None, w0, gone, cold, None], [None; 8]),
+            (Dropped, [Some(Consumer), Some(Refilled), None, None, None, cold, None], [None; 8]),
+            (Consumer, [None, None, None, w0, gone, cold, None], [None; 8]),
+            (Refilled, [None, None, Some(Consumer), w0, gone, cold, None], [None; 8]),
+            (Protected { hot: false }, [None, None, None, w1, gone, cold, None], [None; 8]),
+            (Protected { hot: true }, [None, None, None, w1, gone, cold, None], [None; 8]),
+            (Written { hot: false }, [None, None, None, None, None, cold, w0], [p0; 8]),
             (
                 Written { hot: true },
-                [None, None, None, None, None, cold],
+                [None, None, None, None, None, cold, w1],
                 [p1, p1, p1, p1, p1, p1, k(0), k(0)],
             ),
             (
                 Kept { idle: 0 },
-                [None, None, None, None, None, cold],
+                [None, None, None, None, None, cold, None],
                 [p1, p1, p1, p1, p1, p1, k(1), k(0)],
             ),
             (
                 Kept { idle: 6 },
-                [None, None, None, None, None, cold],
+                [None, None, None, None, None, cold, None],
                 [p1, p1, p1, p1, p1, p1, p1, k(0)],
             ),
         ];

@@ -62,7 +62,7 @@ impl<T: Transport, C: Coherence> DsmCohortLock<T, C> {
     ) -> Arc<Self> {
         let nodes = dsm.net().topology().nodes;
         Arc::new(DsmCohortLock {
-            global: DsmGlobalLock::with_retry(NodeId(0), dsm.config().retry),
+            global: DsmGlobalLock::new(NodeId(0), dsm.config().retry),
             tiers: (0..nodes).map(|_| Waits::default()).collect(),
             dsm,
             pass_limit,

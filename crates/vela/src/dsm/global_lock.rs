@@ -115,15 +115,10 @@ pub struct DsmGlobalLock {
 }
 
 impl DsmGlobalLock {
-    /// `home`: the node whose memory holds the lock word.
-    pub fn new(home: NodeId) -> Arc<Self> {
-        Self::with_retry(home, RetryPolicy::default())
-    }
-
-    /// [`new`](Self::new) with an explicit policy for reissuing the lock
-    /// word's CAS and hand-off write when the fabric drops them. Locks
-    /// built by higher layers inherit their DSM's configured policy.
-    pub fn with_retry(home: NodeId, retry: RetryPolicy) -> Arc<Self> {
+    /// `home`: the node whose memory holds the lock word; `retry`: how
+    /// its CAS and hand-off write are reissued when the fabric drops them
+    /// — the lock's DSM's policy (`dsm.config().retry`).
+    pub fn new(home: NodeId, retry: RetryPolicy) -> Arc<Self> {
         Arc::new(DsmGlobalLock {
             home,
             retry,
@@ -255,7 +250,7 @@ mod tests {
     #[test]
     fn mutual_exclusion_and_clock_monotonicity() {
         let net = tiny_net(4);
-        let lock = DsmGlobalLock::new(NodeId(0));
+        let lock = DsmGlobalLock::new(NodeId(0), RetryPolicy::default());
         let shared = Arc::new(Mutex::new((0u64, 0u64))); // (counter, last_clock)
         let handles: Vec<_> = (0..4)
             .map(|n| {
@@ -292,7 +287,7 @@ mod tests {
     #[test]
     fn acquisition_costs_a_round_trip() {
         let net = tiny_net(2);
-        let lock = DsmGlobalLock::new(NodeId(1));
+        let lock = DsmGlobalLock::new(NodeId(1), RetryPolicy::default());
         let mut t = thread(&net, 0, 0);
         lock.acquire(&mut t);
         let c = CostModel::paper_2011();
@@ -303,7 +298,7 @@ mod tests {
     #[test]
     fn tracked_acquire_reports_handovers_only() {
         let net = tiny_net(2);
-        let lock = DsmGlobalLock::new(NodeId(0));
+        let lock = DsmGlobalLock::new(NodeId(0), RetryPolicy::default());
         let mut a = thread(&net, 0, 0);
         let mut a2 = thread(&net, 0, 1);
         let mut b = thread(&net, 1, 0);
@@ -330,7 +325,7 @@ mod tests {
     #[test]
     fn a_lock_homed_on_the_acquirer_is_local_memory() {
         let net = tiny_net(2);
-        let lock = DsmGlobalLock::new(NodeId(1));
+        let lock = DsmGlobalLock::new(NodeId(1), RetryPolicy::default());
         let mut t = thread(&net, 1, 0);
         let before = net.stats().snapshot();
         assert!(lock.acquire_tracked(&mut t));
@@ -351,7 +346,7 @@ mod tests {
     #[test]
     fn the_next_holder_merges_the_release_stamp() {
         let net = tiny_net(2);
-        let lock = DsmGlobalLock::new(NodeId(0));
+        let lock = DsmGlobalLock::new(NodeId(0), RetryPolicy::default());
         let latency = CostModel::paper_2011().network_latency;
         let (mut a, mut a2, mut b) = (thread(&net, 0, 0), thread(&net, 0, 1), thread(&net, 1, 0));
         let stamp = Published(1_000_000);
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "unheld")]
     fn double_release_is_a_bug() {
-        let lock = DsmGlobalLock::new(NodeId(0));
+        let lock = DsmGlobalLock::new(NodeId(0), RetryPolicy::default());
         let mut t = thread(&tiny_net(1), 0, 0);
         lock.acquire(&mut t);
         lock.release(&mut t, Published::default());

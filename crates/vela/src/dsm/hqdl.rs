@@ -92,7 +92,7 @@ impl<T: Transport, C: Coherence> Hqdl<T, C> {
         let nodes = dsm.net().topology().nodes;
         let obs = dsm.lock_registry().register(name);
         Arc::new(Hqdl {
-            global: DsmGlobalLock::with_retry(NodeId(0), dsm.config().retry),
+            global: DsmGlobalLock::new(NodeId(0), dsm.config().retry),
             node_queues: (0..nodes)
                 .map(|_| NodeQueue {
                     queue: SegQueue::new(),

@@ -104,7 +104,7 @@ fn a_signaller_panicking_fails_the_flags_waiters() {
 #[test]
 fn a_global_lock_holder_panicking_fails_its_waiters() {
     let m = machine();
-    let lock = DsmGlobalLock::new(NodeId(0));
+    let lock = DsmGlobalLock::new(NodeId(0), m.dsm().config().retry);
     let failure = failure_within_5s(move || {
         m.run(move |ctx| {
             if ctx.tid() != 0 {
