@@ -274,4 +274,35 @@ pub(crate) mod tests {
             assert!(ALL[..i].iter().all(|g| g.name != f.name), "two figures named {}", f.name);
         }
     }
+
+    /// EXPERIMENTS.md's claims table: every claim of [`ALL`] in order, with
+    /// its [`FINDINGS`] note, or the CI gate's verdict.
+    fn claims_table() -> String {
+        let mut table = String::from("| claim | the paper says | measured |\n|---|---|---|\n");
+        for c in ALL.iter().flat_map(|f| f.claims) {
+            let note = FINDINGS.iter().find(|(id, _)| *id == c.id).map_or("holds (CI gate)", |(_, n)| n);
+            table += &format!("| `{}` | {} | {note} |\n", c.id, c.says);
+        }
+        table
+    }
+
+    /// EXPERIMENTS.md is derived: its claims table is [`claims_table`], and
+    /// its notes name every figure (`figures <name>`) in [`ALL`]'s order.
+    #[test]
+    fn experiments_renders_every_claim_and_names_every_figure_in_order() {
+        let doc = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../EXPERIMENTS.md"));
+        let doc = doc.expect("read EXPERIMENTS.md");
+        let (begin, end) = ("<!-- claims table: begin -->\n", "<!-- claims table: end -->");
+        let start = doc.find(begin).expect("EXPERIMENTS.md has no claims table") + begin.len();
+        let committed = &doc[start..start + doc[start..].find(end).expect("the claims table is not closed")];
+        let table = claims_table();
+        assert!(committed == table, "EXPERIMENTS.md's claims table is stale; the rendering is:\n{table}");
+        let mut at = 0;
+        for f in &ALL {
+            let name = format!("`figures {}`", f.name);
+            let i = doc.find(&name).unwrap_or_else(|| panic!("EXPERIMENTS.md never names {name}"));
+            assert!(i > at, "EXPERIMENTS.md names {name} before the figure ahead of it in ALL");
+            at = i;
+        }
+    }
 }

@@ -1,6 +1,37 @@
 //! Integration tests of the Carina protocol state machine: classification
 //! transitions, deferred invalidation, diffs under false sharing, write
-//! buffering, and the fence semantics that make DRF programs SC.
+//! buffering, and the fence semantics that make DRF programs SC. The rules
+//! they pin, costs derived from the cost model:
+//!
+//! - one round trip per miss: a registering miss or a lease renewal costs
+//!   the trap plus one read round trip; a write fault posts its
+//!   registration, settled at the SD fence; a same-node acquire is free and
+//!   a handover costs one SI fence;
+//! - the multiple-writer rule: every write fault marks and every downgrade
+//!   posts the masked words, so a writer that faulted first, alone in the
+//!   writer map, and releases after its false sharer never buries the
+//!   sharer's words — one word each, silent stores (10 B and one diffed
+//!   word each), a 450-word post whose charged wire is capped at one page —
+//!   through the fence or the decay path, under every policy;
+//!   `check_invariants` flags a clean page carrying mask bits;
+//! - write-hot retention: a page rewritten every epoch pays one learning
+//!   trap, then a steady epoch of hit + diff scan + one streamed re-twin
+//!   store per posted word + the posting, with the same diffs on the wire
+//!   (Tardis, which never keeps, is the control); a store of a whole
+//!   uncached page registers it once, as a writer, and reads none of it,
+//!   while its line's other pages are still fetched; an idle kept page pays
+//!   its scan at every fence, posts nothing, and is demoted protected-hot
+//!   at the ski-rental bound, so one trap re-keeps it;
+//! - the delivery rule: a registration notifies exactly the prior accessors
+//!   whose Table 1 answers it changes — never the registrant or the page's
+//!   home, nobody on a read's P→S under P/S3, a node two transitions name
+//!   once — and no naive-P/S checkpoint fetch names a page's home;
+//!   `check_invariants` reports a directory-cache row a node keeps for a
+//!   page it homes, or whose answers differ from the home view's;
+//! - the census rule (Pyxis): a home node's write registration is a written
+//!   epoch, so pages their home rewrites every round stay off leases, pages
+//!   it rewrites every fourth round still earn leases and renew inside the
+//!   refill, and a private home page's stores stay plain hits.
 
 use carina::config::{HIT_CYCLES, PAGE_COPY_CYCLES, STREAM_WORD_CYCLES};
 use carina::{

@@ -21,8 +21,9 @@
 //! switch would hold vacuously.
 //!
 //! The policy-level harness drives Pyxis exactly as the engine does:
-//! registration only when the matching `*_registered` check fails, a home
-//! write's written epoch only when it registered, and the invalidation
+//! registration only when the matching `*_registered` check fails, a
+//! written epoch at every remote write but at a home write only when it
+//! registered (the census rule), and the invalidation
 //! predicate only between `begin_si_fence` and the end of the sweep.
 
 use carina::{CarinaConfig, Coherence, CoherenceSnapshot, CoherenceStats, Dsm, Pyxis, Tardis};

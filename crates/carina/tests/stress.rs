@@ -1,7 +1,11 @@
 //! Stress tests: pathological cache geometries, conflict storms, slice
 //! boundary cases, and concurrent mixed workloads — the protocol must
 //! stay correct (home memory converges to the DRF-expected values) no
-//! matter how hostile the configuration.
+//! matter how hostile the configuration. Also the accessor cost rule
+//! (`access_forms_agree`): scalars, one-element slices and one multi-page
+//! slice leave identical memory and counters for `u64` and `f64` under all
+//! three policies, and a scalar differs from a one-word slice by exactly
+//! the streaming charge.
 
 use carina::config::STREAM_WORD_CYCLES;
 use carina::{CarinaConfig, CarinaSiSd, Coherence, CoherenceSnapshot, Dsm, Pyxis, Tardis};

@@ -15,10 +15,10 @@ cd "${1:-$(dirname "$0")/..}"
 declare -A ceiling=([argo]=1005 [bench]=1750 [carina]=4451 [mem]=1457 [obs]=1910 [rma]=1656 [simnet]=1245 [vela]=1684 [workloads]=1721 [workspace]=16879)
 # Prose ceilings only ratchet down: a change that adds a section removes a
 # stale one, or moves a table to a generated file.
-declare -A doc_ceiling=([DESIGN.md]=1484 [EXPERIMENTS.md]=1376 [README.md]=325)
+declare -A doc_ceiling=([DESIGN.md]=1484 [EXPERIMENTS.md]=366 [README.md]=325)
 # The root integration tests ratchet down too: one generated-program oracle
 # instead of a hand-picked suite per equivalence.
-tests_ceiling=2314
+tests_ceiling=2305
 declare -A code_of
 printf '%-10s %7s %9s\n' crate total non-test
 sum_total=0

@@ -5,15 +5,15 @@
 //! time only, brownouts and outages are ridden out by backoff, schedules
 //! replay per seed, the flight recorder sees every fault, and an exhausted
 //! budget — a permanent blackout — surfaces as a clean [`DsmError`], not a
-//! hang or a poisoned machine.
+//! hang or a poisoned machine. Every verb goes through the issue/poll
+//! completion queue, so these runs stress async verbs under injection.
 
-use argo::{ArgoConfig, ArgoMachine};
+use argo::types::GlobalF64Array;
+use argo::{ArgoConfig, ArgoMachine, RunReport};
 use carina::{CarinaConfig, CarinaSiSd, Coherence, Dsm, DsmError, Pyxis, SpanId, Tardis};
 use mem::{GlobalAddr, PAGE_BYTES};
-use rma::{
-    Endpoint, FaultPlan, FaultSnapshot, FaultyTransport, SimTransport, Transport, VerbClass,
-    VerbError,
-};
+use rma::{Endpoint, FaultPlan, FaultSnapshot, FaultyTransport, SimTransport, Transport};
+use rma::{VerbClass, VerbError};
 use simnet::{Interconnect, NodeId};
 use std::sync::Arc;
 use workloads::harness::Outcome;
@@ -165,10 +165,7 @@ fn duplicates_and_spikes_change_timing_not_results() {
     assert_eq!(injected.dropped + injected.timed_out + injected.stalled, 0);
     assert_eq!(faulted.coherence.verb_retries, 0, "nothing failed, nothing retries");
     assert_eq!(faulted.coherence.verb_exhaustions, 0);
-    assert!(
-        faulted.cycles > clean.cycles,
-        "spiked completions must cost virtual time"
-    );
+    assert!(faulted.cycles > clean.cycles, "spiked completions must cost virtual time");
 }
 
 /// A transient brownout (well shorter than the retry schedule's total
@@ -177,45 +174,31 @@ fn duplicates_and_spikes_change_timing_not_results() {
 /// coherence stats and the latency profile.
 #[test]
 fn transient_brownout_is_survived_by_backoff() {
-    use argo::types::GlobalF64Array;
-    fn run(plan: FaultPlan) -> (f64, Arc<ChaosNet>, Outcome) {
-        let (m, net) = chaos_machine(2, 1, plan);
-        let arr = GlobalF64Array::alloc(m.dsm(), 2048);
-        let report = m.run(move |ctx| {
-            for i in ctx.my_chunk(2048) {
-                arr.set(ctx, i, (i * i) as f64);
-            }
-            ctx.barrier();
-            (0..2048).map(|i| arr.get(ctx, i)).sum::<f64>()
-        });
-        let sum = report.results[0];
-        assert!(report.results.iter().all(|&s| s.to_bits() == sum.to_bits()));
-        (
-            sum,
-            net,
-            Outcome {
-                cycles: report.cycles,
-                seconds: report.seconds,
-                wall_seconds: report.wall_seconds,
-                checksum: sum,
-                coherence: report.coherence,
-                net: report.net,
-                profile: report.profile.clone(),
-            },
-        )
-    }
-    let (clean_sum, _, clean) = run(FaultPlan::disabled());
+    let clean = sum_of_squares(&chaos_machine(2, 1, FaultPlan::disabled()).0);
     assert_eq!(clean.coherence.verb_retries, 0);
-    let plan = FaultPlan::default().with_brownout(NodeId(1), 0, 150_000);
-    let (sum, net, faulted) = run(plan);
-    assert_eq!(sum.to_bits(), clean_sum.to_bits(), "brownout changed the data");
+    let (m, net) = chaos_machine(2, 1, FaultPlan::default().with_brownout(NodeId(1), 0, 150_000));
+    let faulted = sum_of_squares(&m);
+    let (f, c) = (faulted.results[0], clean.results[0]);
+    assert_eq!(f.to_bits(), c.to_bits(), "brownout changed the data");
     assert!(net.injected().stalled > 0, "the brownout window was never hit");
     assert!(faulted.coherence.verb_retries > 0, "stalls must surface as retries");
     assert_eq!(faulted.coherence.verb_exhaustions, 0);
-    assert!(
-        faulted.cycles > clean.cycles,
-        "riding out a brownout must cost virtual time"
-    );
+    assert!(faulted.cycles > clean.cycles, "riding out a brownout must cost virtual time");
+}
+
+/// Each thread of a 2 × 1 machine stores its chunk of 2 048 squares, then
+/// sums them all; every thread must read the same sum.
+fn sum_of_squares(m: &Arc<ArgoMachine<ChaosNet>>) -> RunReport<f64> {
+    let arr = GlobalF64Array::alloc(m.dsm(), 2048);
+    let report = m.run(move |ctx| {
+        for i in ctx.my_chunk(2048) {
+            arr.set(ctx, i, (i * i) as f64);
+        }
+        ctx.barrier();
+        (0..2048).map(|i| arr.get(ctx, i)).sum::<f64>()
+    });
+    assert!(report.results.iter().all(|&s| s.to_bits() == report.results[0].to_bits()));
+    report
 }
 
 /// The same seed replays the same faults. A single thread is the sole verb
@@ -225,21 +208,7 @@ fn transient_brownout_is_survived_by_backoff() {
 #[test]
 fn fault_schedules_replay_exactly_per_seed() {
     fn run(seed: u64) -> (Vec<u64>, FaultSnapshot) {
-        let cfg = ArgoConfig::small(2, 1);
-        let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(seed));
-        let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, CarinaConfig::default());
-        let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
-        // One word per page across 24 pages (half of them remote), with a
-        // fence cycle in the middle: write faults, directory updates, group
-        // fetches, and drains all draw from the schedule.
-        for i in 0..24u64 {
-            dsm.write_u64(&mut t, GlobalAddr(i * PAGE_BYTES), i * i);
-        }
-        dsm.sd_fence(&mut t);
-        dsm.si_fence(&mut t);
-        let vals = (0..24u64)
-            .map(|i| dsm.read_u64(&mut t, GlobalAddr(i * PAGE_BYTES)))
-            .collect();
+        let (_, net, vals) = walk(hostile(seed), CarinaConfig::default());
         (vals, net.injected())
     }
     let (vals_a, inj_a) = run(77);
@@ -251,6 +220,33 @@ fn fault_schedules_replay_exactly_per_seed() {
     let (vals_c, inj_c) = run(78);
     assert_eq!(vals_a, vals_c, "faults may never change the data plane");
     assert_ne!(inj_a, inj_c, "different seeds produced the identical schedule");
+}
+
+/// One thread of a 2 × 1 DSM under `plan` stores one word per page across
+/// 24 pages (half of them remote), fences, and reads them back: write
+/// faults, directory updates, fetches and drains all draw from the plan.
+fn walk(plan: FaultPlan, ccfg: CarinaConfig) -> (Arc<Dsm<ChaosNet>>, Arc<ChaosNet>, Vec<u64>) {
+    let cfg = ArgoConfig::small(2, 1);
+    let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), plan);
+    let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
+    let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
+    for i in 0..24u64 {
+        dsm.write_u64(&mut t, GlobalAddr(i * PAGE_BYTES), i * i);
+    }
+    dsm.sd_fence(&mut t);
+    dsm.si_fence(&mut t);
+    let vals = (0..24u64).map(|i| dsm.read_u64(&mut t, GlobalAddr(i * PAGE_BYTES))).collect();
+    (dsm, net, vals)
+}
+
+/// [`walk`] on chaos's hostile plan with 16 attempts a verb; every word
+/// must read back.
+fn hostile_walk(seed: u64) -> (Arc<Dsm<ChaosNet>>, Arc<ChaosNet>) {
+    let mut ccfg = CarinaConfig::default();
+    ccfg.retry.max_attempts = [16; VerbClass::COUNT];
+    let (dsm, net, vals) = walk(hostile(seed), ccfg);
+    assert!(vals.iter().enumerate().all(|(i, &v)| v == (i * i) as u64));
+    (dsm, net)
 }
 
 /// A permanent blackout exhausts the retry budget; the fallible API
@@ -318,29 +314,16 @@ fn blackout_surfaces_a_clean_error_without_deadlock() {
 /// budget costs only retries: the data is unchanged and no budget exhausts.
 #[test]
 fn outage_recovers_within_the_retry_budget() {
-    use argo::types::GlobalF64Array;
-    fn run(plan: FaultPlan) -> (Arc<ChaosNet>, argo::RunReport<f64>) {
+    fn run(plan: FaultPlan) -> (Arc<ChaosNet>, RunReport<f64>) {
         let cfg = ArgoConfig::small(2, 1);
         let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), plan);
-        let m: Arc<ArgoMachine<ChaosNet>> = ArgoMachine::on(cfg, net.clone());
-        let arr = GlobalF64Array::alloc(m.dsm(), 2048);
-        let report = m.run(move |ctx| {
-            for i in ctx.my_chunk(2048) {
-                arr.set(ctx, i, (i * i) as f64);
-            }
-            ctx.barrier();
-            (0..2048).map(|i| arr.get(ctx, i)).sum::<f64>()
-        });
-        (net, report)
+        (net.clone(), sum_of_squares(&ArgoMachine::on(cfg, net)))
     }
     let (_, clean) = run(FaultPlan::disabled());
     assert_eq!(clean.coherence.verb_retries, 0);
     let (net, faulted) = run(FaultPlan::outage(NodeId(1), 0, 150_000));
-    assert_eq!(
-        faulted.results[0].to_bits(),
-        clean.results[0].to_bits(),
-        "a survived outage changed the data"
-    );
+    let (f, c) = (faulted.results[0], clean.results[0]);
+    assert_eq!(f.to_bits(), c.to_bits(), "a survived outage changed the data");
     assert!(net.injected().stalled > 0, "the outage window was never hit");
     assert!(faulted.coherence.verb_retries > 0, "stalls must surface as retries");
     assert_eq!(faulted.coherence.verb_exhaustions, 0, "the budget sufficed");
@@ -397,20 +380,7 @@ fn a_mutex_retries_by_its_dsm_policy() {
 #[test]
 fn chaos_trace_links_retried_attempts_to_their_site_span() {
     use obs::{JsonValue, Site};
-    let cfg = ArgoConfig::small(2, 1);
-    let mut ccfg = CarinaConfig::default();
-    ccfg.retry.max_attempts = [16; VerbClass::COUNT];
-    let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(77));
-    let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
-    let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
-    for i in 0..24u64 {
-        dsm.write_u64(&mut t, GlobalAddr(i * PAGE_BYTES), i * i);
-    }
-    dsm.sd_fence(&mut t);
-    dsm.si_fence(&mut t);
-    for i in 0..24u64 {
-        assert_eq!(dsm.read_u64(&mut t, GlobalAddr(i * PAGE_BYTES)), i * i);
-    }
+    let (dsm, net) = hostile_walk(77);
     assert!(net.injected().total() > 0, "the fault plan never fired");
     assert!(dsm.stats().snapshot().verb_retries > 0, "nothing retried");
 
@@ -469,26 +439,13 @@ fn chaos_trace_links_retried_attempts_to_their_site_span() {
 #[test]
 fn every_injected_fault_is_flight_recorded() {
     use obs::RecordKind;
-    let cfg = ArgoConfig::small(2, 1);
-    let mut ccfg = CarinaConfig::default();
-    ccfg.retry.max_attempts = [16; VerbClass::COUNT];
-    let net = FaultyTransport::wrap(Interconnect::new(cfg.topology(), cfg.cost), hostile(77));
-    let dsm: Arc<Dsm<ChaosNet>> = Dsm::new(net.clone(), 1 << 20, ccfg);
-    let mut t = <ChaosNet as Transport>::endpoint(&net, net.topology().loc(NodeId(0), 0));
-    // Every verb below is issued inside a protocol site (write fault, read
-    // miss, SD/SI fence), so every fault has a span to be attributed to.
-    for i in 0..24u64 {
-        dsm.write_u64(&mut t, GlobalAddr(i * PAGE_BYTES), i * i);
-    }
-    dsm.sd_fence(&mut t);
-    dsm.si_fence(&mut t);
-    for i in 0..24u64 {
-        assert_eq!(dsm.read_u64(&mut t, GlobalAddr(i * PAGE_BYTES)), i * i);
-    }
+    // Every verb of the walk is issued inside a protocol site (write
+    // fault, read miss, SD/SI fence), so every fault has a span.
+    let (dsm, net) = hostile_walk(77);
     let injected = net.injected().total();
     assert!(injected > 0, "the fault plan never fired");
     assert_eq!(dsm.lyra().stats().dropped, 0, "ring too small for an exact count");
-    let faults: Vec<_> = (0..cfg.nodes)
+    let faults: Vec<_> = (0..2)
         .flat_map(|node| dsm.lyra().snapshot(node))
         .filter(|r| r.kind == RecordKind::FaultInjected)
         .collect();

@@ -8,9 +8,10 @@
 //! threads' words), updates counters under `ArgoMutex` and HQDL sections,
 //! fences, and hands a multi-page region on through a `DsmFlag`; further
 //! generators build idle and decay epochs, the refill's producer/consumer
-//! shape and the read-ahead's streams. On a divergence the shrinker cuts
-//! the program down at the same point, writes the run's trace under the
-//! test target's tmpdir (`oracle/`) and panics naming seed and point.
+//! shape and the read-ahead's streams. A diverging run writes its trace
+//! under the test target's tmpdir (`oracle/`); the program is replayed once
+//! and, if it diverges again, shrunk at the same point; the panic names
+//! seed, point and traces.
 
 use argo::types::GlobalU64Array;
 use argo::{ArgoConfig, ArgoCtx, ArgoMachine, ArgoMutex, RunReport};
@@ -22,7 +23,8 @@ use rand::prelude::*;
 use rma::{FaultPlan, FaultyTransport, NativeTransport, Transport, VerbClass};
 use simnet::{Interconnect, NodeId};
 use std::ops::Range;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
 use vela::{DsmFlag, Hqdl};
 
@@ -550,6 +552,7 @@ fn check<T: Transport, C: Coherence>(
         (0..cells(prog.threads)).map(|c| machine.dsm().peek_u64(rig.addr(c))).collect();
     let verdict = verdict(&machine, &report, &memory, expect, p, injected());
     if let (Err(_), Some(path)) = (&verdict, trace) {
+        std::fs::create_dir_all(path.parent().unwrap()).expect("create the trace directory");
         std::fs::write(path, machine.dsm().lyra().to_chrome_trace()).expect("write the trace");
     }
     verdict.map(|()| report)
@@ -625,7 +628,10 @@ fn ledger(p: Point, c: &CoherenceSnapshot) -> Result<(), String> {
 /// Run `prog` at every point; on a divergence, [`fail`].
 fn check_all(prog: &Program, points: impl IntoIterator<Item = Point>) -> Vec<Report> {
     let expect = run_model(prog);
-    let judge = |p| run((prog, &expect, p, None)).unwrap_or_else(|w| fail(prog, p, w, run_model));
+    let judge = |p| match run((prog, &expect, p, Some(&trace(prog, p, "")))) {
+        Ok(report) => report,
+        Err(why) => fail(prog, p, why, run_model),
+    };
     points.into_iter().map(judge).collect()
 }
 
@@ -661,22 +667,26 @@ fn shrink(prog: &Program, p: Point, why: &str, model: Model) -> Program {
     prog
 }
 
-/// Shrink, write the minimal run's trace, and panic naming what replays it.
+/// Where a failed run of `prog` at `p` writes its trace; `tag` tells the
+/// minimal program's run from the first.
+fn trace(prog: &Program, p: Point, tag: &str) -> PathBuf {
+    let ((nodes, tpn), dir) = (p.shape, Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle"));
+    dir.join(format!("seed{}-{:?}-{:?}-{nodes}x{tpn}{tag}.json", prog.seed, p.policy, p.net))
+}
+
+/// Replay the failed program once: if it passes, the divergence is
+/// host-ordered and shrinking would cost a replay per op for nothing, so
+/// panic at once. Otherwise shrink it, and panic naming what replays it.
 fn fail(prog: &Program, p: Point, why: String, model: Model) -> ! {
-    let min = shrink(prog, p, &why, model);
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("oracle");
-    std::fs::create_dir_all(&dir).expect("create the trace directory");
-    let (seed, (nodes, tpn)) = (prog.seed, p.shape);
-    let trace = dir.join(format!("seed{seed}-{:?}-{:?}-{nodes}x{tpn}.json", p.policy, p.net));
-    let last = run((&min, &model(&min), p, Some(&trace))).err();
-    panic!(
-        "DRF oracle: seed {seed} diverges at {p:?}: {why}\n\
-         minimal program, {} ops ({}; trace {}):\n{:#?}",
-        min.ops(),
-        last.unwrap_or_else(|| "passes on replay".into()),
-        trace.display(),
-        min.epochs
-    );
+    let head = format!("DRF oracle: seed {} diverges at {p:?}: {why}\n", prog.seed);
+    let head = head + &format!("trace {}", trace(prog, p, "").display());
+    if run((prog, &model(prog), p, None)).is_ok() {
+        panic!("{head}\n{} ops; did not replay, host-ordered", prog.ops());
+    }
+    let (min, path) = (shrink(prog, p, &why, model), trace(prog, p, "-min"));
+    let last = run((&min, &model(&min), p, Some(&path))).err();
+    let last = last.map_or("passes on replay".into(), |w| format!("{w}; trace {}", path.display()));
+    panic!("{head}\nminimal program, {} ops ({last}):\n{:#?}", min.ops(), min.epochs);
 }
 
 /// Seed `s` runs on shape `s % 5`, with the roomy cache for `s % 10 < 5`
@@ -720,26 +730,50 @@ fn random_programs_pyxis() {
     sweep(Policy::Pyxis, 400..440);
 }
 
-/// The oracle is not vacuous: against a model that skips thread 0's last
-/// write of epoch 1, the run diverges, and the shrinker cuts the program
-/// down to that write.
-#[test]
-fn a_model_that_skips_a_write_is_caught_and_shrunk() {
-    fn skips(prog: &Program) -> Expect {
-        let mut q = prog.clone();
-        if let Some(ops) = q.epochs.get_mut(1).map(|e| &mut e.ops[0]) {
-            if let Some(i) = ops.iter().rposition(|op| matches!(op, Op::Write { .. })) {
-                ops.remove(i);
-            }
+/// A model that skips thread 0's last write of epoch 1.
+fn skips(prog: &Program) -> Expect {
+    let mut q = prog.clone();
+    if let Some(ops) = q.epochs.get_mut(1).map(|e| &mut e.ops[0]) {
+        if let Some(i) = ops.iter().rposition(|op| matches!(op, Op::Write { .. })) {
+            ops.remove(i);
         }
-        run_model(&q)
     }
+    run_model(&q)
+}
+
+/// A run of `model` at `p` that diverges and writes its trace (a `tag`
+/// trace too, if `fail`'s last run diverges), and `fail`'s panic message.
+fn failure(model: Model, p: Point, tag: &str) -> (Program, String) {
     let mut prog = gen_program(7, 2, 3, 6);
     sanitize(&mut prog);
-    let p = Point::new(Policy::Carina(Ps3), Net::Sim, (2, 1));
-    let why = run((&prog, &skips(&prog), p, None)).expect_err("the divergence goes unreported");
-    let min = shrink(&prog, p, &why, skips);
-    assert!(min.ops() <= 3, "shrunk to {} ops: {:#?}", min.ops(), min.epochs);
+    let paths = [trace(&prog, p, ""), trace(&prog, p, tag)];
+    paths.iter().for_each(|t| _ = std::fs::remove_file(t));
+    let why = run((&prog, &model(&prog), p, Some(&paths[0]))).expect_err("unreported");
+    let panic = std::panic::catch_unwind(|| fail(&prog, p, why, model)).expect_err("fail returned");
+    assert!(paths.iter().all(|t| t.exists()), "a failed run wrote no trace");
+    (prog, *panic.downcast::<String>().expect("a formatted panic"))
+}
+
+/// The oracle is not vacuous: against a model that skips a write, the run
+/// diverges, its replay too, and the shrinker cuts it down to that write.
+#[test]
+fn a_model_that_skips_a_write_is_caught_and_shrunk() {
+    let (_, why) = failure(skips, Point::new(Policy::Carina(Ps3), Net::Sim, (2, 1)), "-min");
+    let ops = why.split("minimal program, ").nth(1).and_then(|s| s.split(' ').next()?.parse().ok());
+    assert!(ops.is_some_and(|n: usize| n <= 3), "{why}");
+}
+
+/// A divergence the replay does not repeat (here a model wrong only once)
+/// is reported at once as host-ordered, not shrunk op by op.
+#[test]
+fn a_divergence_that_does_not_replay_is_reported_host_ordered() {
+    static CALLS: AtomicUsize = AtomicUsize::new(0);
+    fn once(prog: &Program) -> Expect {
+        if CALLS.fetch_add(1, Relaxed) == 0 { skips(prog) } else { run_model(prog) }
+    }
+    let (prog, why) = failure(once, Point::new(Policy::Carina(Ps3), Net::Native, (2, 1)), "");
+    assert!(why.ends_with(&format!("{} ops; did not replay, host-ordered", prog.ops())), "{why}");
+    assert_eq!(CALLS.load(Relaxed), 2, "the program was replayed more than once");
 }
 
 /// Silence thread `t`'s writes (into reads) for runs of 1–9 epochs between
